@@ -18,13 +18,11 @@ from .geometry import (
     weighted_umeyama,
 )
 from .pointcloud import (
-    Correspondence,
     PointCloud,
     RegistrationReport,
     build_index,
     estimate_normals,
     icp_point_to_plane,
-    ransac_similarity,
 )
 from .robot_model import (
     FrameSet,

@@ -34,7 +34,13 @@ from .geometry import (
 )
 from .hand_model import HandFrame, HandTrajectory
 from .pointcloud import PointCloud, build_index
-from .solver import BoxProblem, SolverOptions, make_fd_gradient, minimize_box
+from .solver import (
+    BoxProblem,
+    SolverOptions,
+    batch_objective,
+    make_fd_gradient,
+    minimize_box,
+)
 from .synthetic import sample_hand_surface
 
 log = logging.getLogger(__name__)
@@ -43,6 +49,8 @@ log = logging.getLogger(__name__)
 # (rotation vector, translation) around the identity correction
 LOG_SCALE_BOUNDS = (np.log(0.3), np.log(3.0))
 TWIST_BOUND = 0.5
+_PARAM_LO = np.concatenate(([LOG_SCALE_BOUNDS[0]], -TWIST_BOUND * np.ones(6)))
+_PARAM_HI = np.concatenate(([LOG_SCALE_BOUNDS[1]], TWIST_BOUND * np.ones(6)))
 
 
 @dataclass
@@ -251,19 +259,28 @@ def smooth_depth_residuals(points: np.ndarray, depth: DepthImage, mask: np.ndarr
     return r
 
 
-def _total_objective(x, hand_cloud, corr_pts, corr_nrm, depth_img, mask,
-                     intrinsics, cfg):
-    """Fixed-correspondence alignment objective at parameter vector x.
+def _correspondences(index, observed: PointCloud, moved: np.ndarray):
+    """Nearest observed points and normals of the moved hand points."""
+    _, idx = index.query(moved)
+    return observed.points[idx], observed.normals[idx]
 
-    Smooth surrogate penalties keep the landscape kink-free for the
-    finite-difference solver; the reported residuals still use the exact
-    losses.
+
+def _alignment_objective(x, hand_cloud, observation, intrinsics, cfg, index, frozen=None):
+    """The alignment objective at parameter vector x.
+
+    Correspondences are ``frozen`` (a (points, normals) pair) when given
+    and otherwise refreshed at x through ``index``. Smooth surrogate
+    penalties keep the landscape kink-free for the finite-difference
+    solver; the reported residuals still use the exact losses.
     """
     sigma, correction = params_decode(x)
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
+    if frozen is None:
+        frozen = _correspondences(index, observation.cloud, moved)
+    corr_pts, corr_nrm = frozen
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     icp = float(np.mean(pseudo_huber(r, cfg.huber_delta)))
-    dres = smooth_depth_residuals(moved, depth_img, mask, intrinsics)
+    dres = smooth_depth_residuals(moved, observation.depth, observation.hand_mask, intrinsics)
     if not np.all(np.isfinite(dres)):
         return np.inf
     rend = float(np.mean(pseudo_huber(dres, cfg.huber_delta)))
@@ -277,45 +294,27 @@ def alignment_problem(
     intrinsics: CameraIntrinsics,
     cfg: AlignConfig,
     at: Optional[np.ndarray] = None,
+    index=None,
 ) -> BoxProblem:
     """Box problem over (log sigma, twist) with correspondences frozen at
     the given parameters (identity by default). Used both by the solver
-    rounds and by the gradient audit."""
+    rounds and by the gradient audit. ``index`` is the observed cloud's
+    k-d tree; it is built when not given."""
     if observation.cloud.normals is None:
         raise InvalidArgumentError("observed cloud must carry normals")
-    obs_index = build_index(observation.cloud)
+    if index is None:
+        index = build_index(observation.cloud)
     x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
     sigma, correction = params_decode(x0)
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    _, idx = obs_index.query(moved)
-    corr_pts = observation.cloud.points[idx]
-    corr_nrm = observation.cloud.normals[idx]
+    frozen = _correspondences(index, observation.cloud, moved)
 
     def objective(x):
-        return _total_objective(
-            x, hand_cloud, corr_pts, corr_nrm,
-            observation.depth, observation.hand_mask, intrinsics, cfg,
-        )
+        return _alignment_objective(x, hand_cloud, observation, intrinsics, cfg, index,
+                                    frozen)
 
-    lo = np.concatenate(([LOG_SCALE_BOUNDS[0]], -TWIST_BOUND * np.ones(6)))
-    hi = np.concatenate(([LOG_SCALE_BOUNDS[1]], TWIST_BOUND * np.ones(6)))
-    return BoxProblem(lower=lo, upper=hi, objective=objective,
-                      gradient=make_fd_gradient(objective, cfg.fd_eps))
-
-
-def _fresh_objective(x, hand_cloud, observation, obs_index, intrinsics, cfg):
-    """Alignment objective with correspondences refreshed at x."""
-    sigma, correction = params_decode(x)
-    moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    _, idx = obs_index.query(moved)
-    r = np.einsum("ij,ij->i", observation.cloud.normals[idx], moved - observation.cloud.points[idx])
-    icp = float(np.mean(pseudo_huber(r, cfg.huber_delta)))
-    dres = smooth_depth_residuals(moved, observation.depth, observation.hand_mask, intrinsics)
-    if not np.all(np.isfinite(dres)):
-        return np.inf
-    rend = float(np.mean(pseudo_huber(dres, cfg.huber_delta)))
-    reg = float(x[1:] @ x[1:])
-    return icp + cfg.lambda_rend * rend + cfg.lambda_reg * reg
+    return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=objective,
+                      gradient=make_fd_gradient(batch_objective(objective), cfg.fd_eps))
 
 
 def alignment_objective_value(
@@ -328,9 +327,9 @@ def alignment_objective_value(
 ) -> float:
     """The total alignment objective (fresh correspondences) at the given
     parameters; the quantity align_hand_frame minimizes."""
-    obs_index = build_index(observation.cloud)
     x = params_encode(sigma, correction)
-    return _fresh_objective(x, hand_cloud, observation, obs_index, intrinsics, cfg)
+    return _alignment_objective(x, hand_cloud, observation, intrinsics, cfg,
+                                build_index(observation.cloud))
 
 
 # deterministic scale candidates scanned before the local solve; the
@@ -366,13 +365,10 @@ def align_hand_frame(
         init = HandAlignment.initial(hand.frame_index)
 
     obs_index = build_index(observation.cloud)
-    x = params_encode(init.sigma, init.correction)
-    lo = np.concatenate(([LOG_SCALE_BOUNDS[0]], -TWIST_BOUND * np.ones(6)))
-    hi = np.concatenate(([LOG_SCALE_BOUNDS[1]], TWIST_BOUND * np.ones(6)))
-    x = np.clip(x, lo, hi)
+    x = np.clip(params_encode(init.sigma, init.correction), _PARAM_LO, _PARAM_HI)
 
     def fresh(xv):
-        return _fresh_objective(xv, hand_cloud, observation, obs_index, intrinsics, cfg)
+        return _alignment_objective(xv, hand_cloud, observation, intrinsics, cfg, obs_index)
 
     # the depth overlap must be non-empty at the starting parameters
     sigma0, corr0 = params_decode(x)
@@ -400,7 +396,8 @@ def align_hand_frame(
     opts = SolverOptions(max_iters=cfg.inner_iters, fd_eps=cfg.fd_eps)
 
     for _ in range(cfg.outer_iters):
-        problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x)
+        problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
+                                    index=obs_index)
         try:
             report = minimize_box(problem, x, opts)
         except SolverStartError as exc:
@@ -420,9 +417,8 @@ def align_hand_frame(
 
     sigma, correction = params_decode(x_best)
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    _, idx = obs_index.query(moved)
-    r = np.einsum("ij,ij->i", observation.cloud.normals[idx],
-                  moved - observation.cloud.points[idx])
+    corr_pts, corr_nrm = _correspondences(obs_index, observation.cloud, moved)
+    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     icp_rms = float(np.sqrt(np.mean(r ** 2)))
     rendered = splat_depth(moved, intrinsics, cfg.splat_footprint)
     omega = rendered.valid & observation.depth.valid & observation.hand_mask

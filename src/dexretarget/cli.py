@@ -8,6 +8,7 @@ Every non-zero exit prints a single line 'ERROR <stage>: ...' to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -109,26 +110,6 @@ def _run_stages(args, stop_after: str) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
-    return _run_stages(args, "refine")
-
-
-def cmd_calibrate(args) -> int:
-    return _run_stages(args, "calibrate")
-
-
-def cmd_align(args) -> int:
-    return _run_stages(args, "align")
-
-
-def cmd_retarget(args) -> int:
-    return _run_stages(args, "retarget")
-
-
-def cmd_refine(args) -> int:
-    return _run_stages(args, "refine")
-
-
 def cmd_fk(args) -> int:
     stage = "fk"
     try:
@@ -168,18 +149,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="observation-space scale factor (simulates miscalibrated depth)")
     p.set_defaults(func=cmd_synth)
 
-    for name, func, help_text in (
-        ("pipeline", cmd_pipeline, "run the full pipeline"),
-        ("calibrate", cmd_calibrate, "run depth calibration only"),
-        ("align", cmd_align, "run through per-frame hand alignment"),
-        ("retarget", cmd_retarget, "run through kinematic retargeting"),
-        ("refine", cmd_refine, "run through contact refinement"),
+    # stage commands: name, last stage run, help
+    for name, stop_after, help_text in (
+        ("pipeline", "refine", "run the full pipeline"),
+        ("calibrate", "calibrate", "run depth calibration only"),
+        ("align", "align", "run through per-frame hand alignment"),
+        ("retarget", "retarget", "run through kinematic retargeting"),
+        ("refine", "refine", "run through contact refinement"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--lenient", action="store_true",
                        help="warn on unknown config keys instead of failing")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_run_stages, stop_after=stop_after))
 
     p = sub.add_parser("fk", help="print link origins at a joint configuration")
     p.add_argument("--urdf", required=True)

@@ -348,13 +348,6 @@ def pseudo_huber(r, delta: float):
     return out
 
 
-def pseudo_huber_norm(d_vecs, delta: float):
-    """pseudo_huber of row norms, evaluated without the norm's kink at zero."""
-    dd = float(delta)
-    sq = np.einsum("ij,ij->i", d_vecs, d_vecs)
-    return dd * dd * (np.sqrt(1.0 + sq / (dd * dd)) - 1.0)
-
-
 def weighted_umeyama(src, dst, weights=None, with_scale: bool = True) -> SimilarityTransform:
     """Least-squares similarity (s, R, t) minimizing sum w_i ||s R src_i + t - dst_i||^2.
 

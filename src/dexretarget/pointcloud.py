@@ -1,5 +1,5 @@
 """Point-cloud containers, exact nearest-neighbor indexing, PCA normal
-estimation, robust point-to-plane ICP, and RANSAC similarity registration.
+estimation, and robust point-to-plane ICP.
 """
 
 from __future__ import annotations
@@ -10,11 +10,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (
-    DegenerateGeometryError,
-    InvalidArgumentError,
-    RegistrationError,
-)
+from .errors import InvalidArgumentError, RegistrationError
 from .geometry import (
     RigidTransform,
     Rotation,
@@ -22,12 +18,10 @@ from .geometry import (
     as_points,
     huber,
     huber_weights,
-    weighted_umeyama,
 )
 
 DEFAULT_HUBER_DELTA = 0.01   # meters; residuals beyond ~1 cm treated as outliers
 DEFAULT_MAX_CORR_DIST = 0.05  # meters; reject gross mismatches outright
-DEFAULT_RANSAC_ROUNDS = 512
 
 
 @dataclass
@@ -65,19 +59,6 @@ class PointCloud:
         if self.normals is not None:
             nrm = transform.rotation.apply(self.normals)
         return PointCloud(points=pts, normals=nrm, weights=self.weights)
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    src_index: int
-    dst_index: int
-    distance: float
-
-    def __post_init__(self):
-        if self.src_index < 0 or self.dst_index < 0:
-            raise InvalidArgumentError("correspondence indices must be non-negative")
-        if self.distance < 0:
-            raise InvalidArgumentError("correspondence distance must be non-negative")
 
 
 @dataclass
@@ -276,77 +257,4 @@ def icp_point_to_plane(
         iterations=it,
         converged=converged,
         objective_curve=curve,
-    )
-
-
-def ransac_similarity(
-    src: PointCloud,
-    dst: PointCloud,
-    correspondences,
-    inlier_thresh: float,
-    max_rounds: int = DEFAULT_RANSAC_ROUNDS,
-    seed: int = 0,
-) -> RegistrationReport:
-    """Similarity registration from putative correspondences via RANSAC.
-
-    Samples 3 correspondences per round, fits a scaled Umeyama model,
-    scores by inlier count under ``inlier_thresh``, and refits on the best
-    inlier set. Deterministic for a fixed seed.
-    """
-    corr = list(correspondences)
-    if len(corr) < 3:
-        raise InvalidArgumentError("at least 3 correspondences required")
-    if inlier_thresh <= 0:
-        raise InvalidArgumentError("inlier_thresh must be positive")
-    src_idx = np.array([c.src_index for c in corr])
-    dst_idx = np.array([c.dst_index for c in corr])
-    if src_idx.max() >= len(src) or dst_idx.max() >= len(dst):
-        raise InvalidArgumentError("correspondence index out of range")
-    s_pts = src.points[src_idx]
-    d_pts = dst.points[dst_idx]
-    n_corr = len(corr)
-
-    rng = np.random.default_rng(seed)
-    best_count = 0
-    best_rms = np.inf
-    best_mask = None
-    for _ in range(max_rounds):
-        sample = rng.choice(n_corr, size=3, replace=False)
-        try:
-            model = weighted_umeyama(s_pts[sample], d_pts[sample], with_scale=True)
-        except DegenerateGeometryError:
-            continue
-        err = np.linalg.norm(model.apply(s_pts) - d_pts, axis=1)
-        mask = err < inlier_thresh
-        count = int(mask.sum())
-        if count < 3:
-            continue
-        rms = float(np.sqrt(np.mean(err[mask] ** 2)))
-        if count > best_count or (count == best_count and rms < best_rms):
-            best_count, best_rms, best_mask = count, rms, mask
-
-    if best_mask is None or best_count < 3:
-        report = RegistrationReport(
-            transform=SimilarityTransform.identity(),
-            rms_residual=best_rms if np.isfinite(best_rms) else 0.0,
-            inlier_fraction=best_count / n_corr,
-            iterations=max_rounds,
-            converged=False,
-        )
-        raise RegistrationError(
-            f"best inlier count {best_count} below minimum of 3", report
-        )
-
-    refined = weighted_umeyama(s_pts[best_mask], d_pts[best_mask], with_scale=True)
-    err = np.linalg.norm(refined.apply(s_pts) - d_pts, axis=1)
-    mask = err < inlier_thresh
-    if int(mask.sum()) < 3:
-        mask = best_mask
-    rms = float(np.sqrt(np.mean(err[mask] ** 2)))
-    return RegistrationReport(
-        transform=refined,
-        rms_residual=rms,
-        inlier_fraction=float(mask.mean()),
-        iterations=max_rounds,
-        converged=True,
     )

@@ -33,30 +33,11 @@ from .hand_model import (
     taxonomy_weights,
 )
 from .robot_model import RobotModel, clamp_to_limits, link_origins, link_origins_batch
-from .solver import BoxProblem, SolverOptions, minimize_box
+from .solver import BoxProblem, SolverOptions, make_fd_gradient, minimize_box
 
 log = logging.getLogger(__name__)
 
 BLEND_STEP_CAP = 0.12  # max per-joint step (rad) across the refined contact frame
-
-
-def _batched_fd_gradient(objective_batch, eps: float):
-    """Central-difference gradient evaluating all stencil points in one
-    batched objective call. Matches the serial formula exactly (step
-    eps * max(1, |x_i|) per component)."""
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        h = eps * np.maximum(1.0, np.abs(x))
-        stencil = np.repeat(x[None, :], 2 * n, axis=0)
-        idx = np.arange(n)
-        stencil[2 * idx, idx] += h
-        stencil[2 * idx + 1, idx] -= h
-        f = objective_batch(stencil)
-        return (f[2 * idx] - f[2 * idx + 1]) / (2.0 * h)
-
-    return gradient
 
 
 @dataclass
@@ -242,7 +223,7 @@ def retarget_problem(
         return float(objective_batch(np.asarray(q, dtype=float)[None, :])[0])
 
     return BoxProblem(lower=lo, upper=hi, objective=objective,
-                      gradient=_batched_fd_gradient(objective_batch, cfg.solver.fd_eps))
+                      gradient=make_fd_gradient(objective_batch, cfg.solver.fd_eps))
 
 
 def retarget_frame(
@@ -404,7 +385,7 @@ def refine_contact(
             return float(objective_batch(np.asarray(qv, dtype=float)[None, :])[0])
 
         problem = BoxProblem(lower=lo, upper=hi, objective=objective,
-                             gradient=_batched_fd_gradient(objective_batch, cfg.solver.fd_eps))
+                             gradient=make_fd_gradient(objective_batch, cfg.solver.fd_eps))
         try:
             report = minimize_box(problem, q, cfg.solver)
         except SolverStartError as exc:

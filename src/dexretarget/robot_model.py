@@ -23,6 +23,7 @@ from .errors import (
     UrdfValidationError,
 )
 from .geometry import RigidTransform, Rotation
+from .solver import central_differences
 
 CONTINUOUS_BOX_SPAN = 2.0 * np.pi  # finite optimizer bounds for continuous joints
 
@@ -58,9 +59,6 @@ class Joint:
         k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
         self._k = k
         self._k2 = k @ k
-
-    def motion_rotation(self, angle: float) -> np.ndarray:
-        return np.eye(3) + np.sin(angle) * self._k + (1.0 - np.cos(angle)) * self._k2
 
 
 class RobotModel:
@@ -398,69 +396,12 @@ def serialize_urdf(model: RobotModel, name: str = "robot") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fk_arrays(model: RobotModel, q: np.ndarray, root_r: np.ndarray, root_t: np.ndarray):
-    """Raw FK: returns (rots, trans) lists aligned with model.links."""
-    n_links = len(model.links)
-    rots = [None] * n_links
-    trans = [None] * n_links
-    ridx = model._link_index[model.root_link]
-    rots[ridx] = root_r
-    trans[ridx] = root_t
-    for jidx, j in enumerate(model.joints):
-        pi = model._link_index[j.parent]
-        rp, tp = rots[pi], trans[pi]
-        ro = model._origin_r[jidx]
-        to = model._origin_t[jidx]
-        rj = rp @ ro
-        tj = rp @ to + tp
-        qinfo = model._joint_q[jidx]
-        if qinfo is None:
-            rc, tc = rj, tj
-        else:
-            qi, mult, off = qinfo
-            val = mult * q[qi] + off
-            if j.jtype == "prismatic":
-                rc = rj
-                tc = tj + rj @ (j.axis * val)
-            else:
-                rc = rj @ j.motion_rotation(val)
-                tc = tj
-        ci = model._link_index[j.child]
-        rots[ci] = rc
-        trans[ci] = tc
-    return rots, trans
-
-
-def forward_kinematics(model: RobotModel, q, root_pose: Optional[RigidTransform] = None) -> FrameSet:
-    """Pose of every link: root_pose composed with the joint chain.
-
-    Mimic joints evaluate as multiplier * q_source + offset; q is not
-    required to satisfy the limits.
-    """
-    arr = model.check_q(q)
-    if root_pose is None:
-        root_r = np.eye(3)
-        root_t = np.zeros(3)
-    else:
-        root_r = root_pose.rotation.as_matrix()
-        root_t = root_pose.translation
-    rots, trans = _fk_arrays(model, arr, root_r, root_t)
-    return FrameSet(model.links, rots, trans)
-
-
-def link_origins(model: RobotModel, q: np.ndarray, root_r: np.ndarray,
-                 root_t: np.ndarray, names) -> np.ndarray:
-    """Fast path: origins of the named links as an (len(names), 3) array."""
-    rots, trans = _fk_arrays(model, q, root_r, root_t)
-    idx = model._link_index
-    return np.array([trans[idx[n]] for n in names])
-
-
 def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.ndarray):
     """FK over a batch of configurations; returns per-link (B, 3, 3) and
-    (B, 3) arrays. One pass of vectorized ops amortizes the per-joint
-    overhead across the batch (finite-difference gradients evaluate
-    2n configurations at once)."""
+    (B, 3) arrays. The only joint loop: a single configuration is a batch
+    of one, so every row is the same arithmetic whatever the batch shape.
+    One pass of vectorized ops amortizes the per-joint overhead across the
+    batch (finite-difference gradients evaluate 2n configurations at once)."""
     b = qs.shape[0]
     n_links = len(model.links)
     rots = [None] * n_links
@@ -495,6 +436,29 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
         rots[ci] = rc
         trans[ci] = tc
     return rots, trans
+
+
+def forward_kinematics(model: RobotModel, q, root_pose: Optional[RigidTransform] = None) -> FrameSet:
+    """Pose of every link: root_pose composed with the joint chain.
+
+    Mimic joints evaluate as multiplier * q_source + offset; q is not
+    required to satisfy the limits.
+    """
+    arr = model.check_q(q)
+    if root_pose is None:
+        root_r = np.eye(3)
+        root_t = np.zeros(3)
+    else:
+        root_r = root_pose.rotation.as_matrix()
+        root_t = root_pose.translation
+    rots, trans = _fk_batch(model, arr[None, :], root_r, root_t)
+    return FrameSet(model.links, [r[0] for r in rots], [t[0] for t in trans])
+
+
+def link_origins(model: RobotModel, q: np.ndarray, root_r: np.ndarray,
+                 root_t: np.ndarray, names) -> np.ndarray:
+    """Origins of the named links for one configuration: (len(names), 3)."""
+    return link_origins_batch(model, np.asarray(q)[None, :], root_r, root_t, names)[0]
 
 
 def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
@@ -535,15 +499,6 @@ def numeric_jacobian(model: RobotModel, q, target_link: str, eps: float = 1e-6) 
     if not model.has_link(target_link):
         raise InvalidArgumentError(f"unknown link {target_link!r}")
     arr = model.check_q(q)
-    eye = np.eye(3)
-    zero = np.zeros(3)
-    jac = np.empty((3, model.dof))
-    for i in range(model.dof):
-        qp = arr.copy()
-        qm = arr.copy()
-        qp[i] += eps
-        qm[i] -= eps
-        pp = link_origins(model, qp, eye, zero, [target_link])[0]
-        pm = link_origins(model, qm, eye, zero, [target_link])[0]
-        jac[:, i] = (pp - pm) / (2.0 * eps)
-    return jac
+    eye, zero = np.eye(3), np.zeros(3)
+    return central_differences(
+        lambda qs: link_origins_batch(model, qs, eye, zero, [target_link])[:, 0], arr, eps)

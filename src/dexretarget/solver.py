@@ -59,23 +59,39 @@ class SolveReport:
     termination: str  # gradient-tol | step-tol | max-iters
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float) -> np.ndarray:
+def central_differences(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                        h) -> np.ndarray:
+    """Central differences (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i).
+
+    All 2n stencil points are evaluated in one ``f_batch`` call on a
+    (2n, n) array whose rows 2i and 2i + 1 step component i up and down.
+    Scalar values per row give the (n,) gradient; (m,)-vector values give
+    the (m, n) Jacobian.
+    """
+    n = x.shape[0]
+    stencil = np.repeat(x[None, :], 2 * n, axis=0)
+    idx = np.arange(n)
+    stencil[2 * idx, idx] += h
+    stencil[2 * idx + 1, idx] -= h
+    f = f_batch(stencil)
+    return (f[2 * idx] - f[2 * idx + 1]).T / (2.0 * h)
+
+
+def fd_gradient(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                eps: float) -> np.ndarray:
     """Central finite differences with per-component step eps * max(1, |x_i|)."""
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        h = eps * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+    return central_differences(f_batch, x, eps * np.maximum(1.0, np.abs(x)))
 
 
-def make_fd_gradient(f: Callable[[np.ndarray], float], eps: float) -> Callable:
-    """Bind an objective to its finite-difference gradient closure."""
-    return lambda x: fd_gradient(f, x, eps)
+def batch_objective(f: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a scalar objective to a batch objective, one row at a time."""
+    return lambda xs: np.array([f(x) for x in xs], dtype=float)
+
+
+def make_fd_gradient(f_batch: Callable[[np.ndarray], np.ndarray], eps: float) -> Callable:
+    """Bind a batch objective to its finite-difference gradient closure."""
+    return lambda x: fd_gradient(f_batch, x, eps)
 
 
 def _two_loop(g: np.ndarray, memory: list) -> np.ndarray:
@@ -115,7 +131,7 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
     if not np.isfinite(f):
         raise SolverStartError(f"objective is non-finite at the start point: {f}")
     grad_fn = problem.gradient if problem.gradient is not None else make_fd_gradient(
-        problem.objective, opts.fd_eps
+        batch_objective(problem.objective), opts.fd_eps
     )
     g = np.asarray(grad_fn(x), dtype=float)
 
@@ -225,7 +241,7 @@ def check_gradient(problem: BoxProblem, x, fd_eps: float = 1e-5) -> float:
         raise InvalidArgumentError("problem has no gradient to check")
     x = np.asarray(x, dtype=float)
     g = np.asarray(problem.gradient(x), dtype=float)
-    fd = fd_gradient(problem.objective, x, fd_eps)
+    fd = fd_gradient(batch_objective(problem.objective), x, fd_eps)
     scale = float(np.max(np.abs(fd))) if fd.size else 0.0
     denom = np.maximum(np.abs(fd), np.maximum(1e-3 * scale, 1e-12))
     return float(np.max(np.abs(g - fd) / denom))

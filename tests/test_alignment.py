@@ -12,6 +12,8 @@ from dexretarget.alignment import (
     calibrate_depth_sequence,
     depth_consistency_loss,
     icp_alignment_loss,
+    params_decode,
+    params_encode,
     smooth_depth_residuals,
 )
 from dexretarget.errors import AlignmentError, InvalidArgumentError, LossUndefinedError
@@ -24,7 +26,7 @@ from dexretarget.geometry import (
     splat_depth,
 )
 from dexretarget.hand_model import HandFrame, HandTrajectory
-from dexretarget.pointcloud import PointCloud, estimate_normals
+from dexretarget.pointcloud import PointCloud, build_index, estimate_normals
 from dexretarget.solver import check_gradient
 from dexretarget.synthetic import (
     DEFAULT_INTRINSICS,
@@ -315,6 +317,35 @@ class TestAlignHandFrame:
             problem = alignment_problem(sampled, obs, K, cfg, at=x)
             errs.append(check_gradient(problem, x, fd_eps=3 * cfg.fd_eps))
         assert max(errs) < 1e-5
+
+
+class TestAlignmentObjective:
+    def random_params(self, rng):
+        return np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.1, 0.1, size=6)])
+
+    def test_frozen_equals_fresh_at_anchor(self, rng):
+        sampled = sampled_hand_for(hand_at())
+        obs = observe(1.1 * sampled.points)
+        cfg = AlignConfig()
+        for _ in range(5):
+            sigma, correction = params_decode(self.random_params(rng))
+            x = params_encode(sigma, correction)  # the vector the fresh value encodes
+            frozen = alignment_problem(sampled, obs, K, cfg, at=x).objective(x)
+            fresh = alignment_objective_value(sampled, obs, K, cfg, sigma, correction)
+            assert frozen == fresh
+
+    def test_prebuilt_index_gives_same_values(self, rng):
+        sampled = sampled_hand_for(hand_at())
+        obs = observe(1.1 * sampled.points)
+        cfg = AlignConfig()
+        index = build_index(obs.cloud)
+        for _ in range(3):
+            x = self.random_params(rng)
+            own = alignment_problem(sampled, obs, K, cfg, at=x)
+            shared = alignment_problem(sampled, obs, K, cfg, at=x, index=index)
+            probe = x + rng.uniform(-0.02, 0.02, size=7)
+            assert own.objective(probe) == shared.objective(probe)
+            assert np.array_equal(own.gradient(x), shared.gradient(x))
 
 
 class TestAlignTrajectory:

@@ -4,12 +4,10 @@ import pytest
 from dexretarget.errors import InvalidArgumentError, RegistrationError
 from dexretarget.geometry import RigidTransform, Rotation, SimilarityTransform
 from dexretarget.pointcloud import (
-    Correspondence,
     PointCloud,
     build_index,
     estimate_normals,
     icp_point_to_plane,
-    ransac_similarity,
 )
 from dexretarget.synthetic import canonical_hand_joints, sample_hand_surface
 
@@ -161,77 +159,3 @@ class TestIcpPointToPlane:
 
         report = icp_point_to_plane(moved, dst, max_iters=40)
         assert rms_at(report.transform.rigid_part()) < rms_at(RigidTransform.identity())
-
-
-def make_corrs(n):
-    return [Correspondence(i, i, 0.0) for i in range(n)]
-
-
-class TestRansacSimilarity:
-    def test_exact_recovery(self, rng):
-        src = PointCloud(points=rng.normal(size=(60, 3)))
-        gt = SimilarityTransform(1.5, Rotation.from_axis_angle([0, 1, 0], 0.7),
-                                 np.array([0.2, -0.1, 0.3]))
-        dst = PointCloud(points=gt.apply(src.points))
-        report = ransac_similarity(src, dst, make_corrs(60), inlier_thresh=0.01, seed=7)
-        assert report.inlier_fraction == 1.0
-        assert abs(report.transform.scale - 1.5) < 1e-6
-        assert report.transform.rotation.angle_to(gt.rotation) < 1e-6
-        assert np.linalg.norm(report.transform.translation - gt.translation) < 1e-6
-
-    def test_thirty_percent_outliers(self, rng):
-        n = 100
-        src = PointCloud(points=rng.normal(size=(n, 3)))
-        gt = SimilarityTransform(1.5, Rotation.from_axis_angle([1, 1, 0], 0.4),
-                                 np.array([0.1, 0.2, -0.3]))
-        dst_pts = gt.apply(src.points)
-        outliers = rng.choice(n, size=30, replace=False)
-        dst_pts[outliers] += rng.normal(size=(30, 3)) * 2.0 + 0.5
-        dst = PointCloud(points=dst_pts)
-        report = ransac_similarity(src, dst, make_corrs(n), inlier_thresh=0.02, seed=11)
-        assert abs(report.transform.scale - 1.5) < 1e-4
-        assert report.transform.rotation.angle_to(gt.rotation) < 1e-4
-        assert np.linalg.norm(report.transform.translation - gt.translation) < 1e-4
-        assert abs(report.inlier_fraction - 0.7) < 0.05
-
-    def test_pure_noise_fails(self, rng):
-        src = PointCloud(points=rng.normal(size=(50, 3)))
-        dst = PointCloud(points=rng.normal(size=(50, 3)) * 3.0)
-        try:
-            report = ransac_similarity(src, dst, make_corrs(50), inlier_thresh=0.01, seed=3)
-            assert report.inlier_fraction < 0.1
-        except RegistrationError:
-            pass  # outright failure is the expected outcome
-
-    def test_deterministic_given_seed(self, rng):
-        src = PointCloud(points=rng.normal(size=(40, 3)))
-        gt = SimilarityTransform(0.8, Rotation.from_axis_angle([0, 0, 1], 1.0),
-                                 np.zeros(3))
-        dst_pts = gt.apply(src.points)
-        dst_pts[:8] += 1.0
-        dst = PointCloud(points=dst_pts)
-        a = ransac_similarity(src, dst, make_corrs(40), inlier_thresh=0.05, seed=42)
-        b = ransac_similarity(src, dst, make_corrs(40), inlier_thresh=0.05, seed=42)
-        assert a.transform.scale == b.transform.scale
-        assert np.array_equal(a.transform.translation, b.transform.translation)
-        assert np.array_equal(a.transform.rotation.quat, b.transform.rotation.quat)
-        assert a.rms_residual == b.rms_residual
-        assert a.inlier_fraction == b.inlier_fraction
-
-    def test_too_few_correspondences(self, rng):
-        src = PointCloud(points=rng.normal(size=(5, 3)))
-        with pytest.raises(InvalidArgumentError):
-            ransac_similarity(src, src, make_corrs(2), inlier_thresh=0.01)
-
-    def test_invalid_threshold(self, rng):
-        src = PointCloud(points=rng.normal(size=(5, 3)))
-        with pytest.raises(InvalidArgumentError):
-            ransac_similarity(src, src, make_corrs(5), inlier_thresh=0.0)
-
-
-class TestCorrespondence:
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            Correspondence(-1, 0, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            Correspondence(0, 0, -1.0)

@@ -8,14 +8,18 @@ from dexretarget.errors import (
     UrdfValidationError,
 )
 from dexretarget.geometry import RigidTransform, Rotation
+from dexretarget.retarget import RetargetConfig, retarget_problem
 from dexretarget.robot_model import (
     clamp_to_limits,
     fingertip_positions,
     forward_kinematics,
+    link_origins,
+    link_origins_batch,
     numeric_jacobian,
     parse_urdf,
     serialize_urdf,
 )
+from dexretarget.solver import batch_objective, fd_gradient
 
 ONE_JOINT = """
 <robot name="one">
@@ -34,6 +38,49 @@ ONE_JOINT = """
     <origin xyz="1 0 0"/>
   </joint>
   <link name="tip"/>
+</robot>
+"""
+
+# branching tree with prismatic, mimic (of both kinds) and continuous joints
+PRISMATIC_MIMIC = """
+<robot name="slider">
+  <link name="base"/><link name="carriage"/><link name="arm"/><link name="fore"/>
+  <link name="tip"/><link name="probe"/><link name="wheel"/>
+  <joint name="slide" type="prismatic">
+    <parent link="base"/><child link="carriage"/>
+    <origin xyz="0.11 -0.07 0.23" rpy="0.3 -0.2 0.9"/>
+    <axis xyz="0.3 0.5 0.81"/>
+    <limit lower="-0.4" upper="0.6" effort="1" velocity="1"/>
+  </joint>
+  <joint name="spin" type="revolute">
+    <parent link="carriage"/><child link="arm"/>
+    <origin xyz="0.05 0.13 -0.02" rpy="-0.7 0.4 0.1"/>
+    <axis xyz="0.2 -0.9 0.4"/>
+    <limit lower="-2" upper="2" effort="1" velocity="1"/>
+  </joint>
+  <joint name="follow" type="revolute">
+    <parent link="arm"/><child link="fore"/>
+    <origin xyz="0.17 0.0 0.03" rpy="0.0 0.5 -0.3"/>
+    <axis xyz="0 0.6 0.8"/>
+    <limit lower="-3" upper="3" effort="1" velocity="1"/>
+    <mimic joint="spin" multiplier="-0.7" offset="0.2"/>
+  </joint>
+  <joint name="tip_mount" type="fixed">
+    <parent link="fore"/><child link="tip"/>
+    <origin xyz="0.09 0.01 -0.04" rpy="0.2 0.1 0.0"/>
+  </joint>
+  <joint name="extend" type="prismatic">
+    <parent link="carriage"/><child link="probe"/>
+    <origin xyz="-0.03 0.08 0.19" rpy="1.1 0.0 -0.6"/>
+    <axis xyz="-0.5 0.7 0.2"/>
+    <limit lower="-1" upper="1" effort="1" velocity="1"/>
+    <mimic joint="slide" multiplier="1.5" offset="-0.05"/>
+  </joint>
+  <joint name="wheel_axle" type="continuous">
+    <parent link="base"/><child link="wheel"/>
+    <origin xyz="0.0 -0.21 0.04" rpy="0.0 0.0 0.4"/>
+    <axis xyz="1 1 0"/>
+  </joint>
 </robot>
 """
 
@@ -373,3 +420,38 @@ class TestNumericJacobian:
     def test_invalid_eps(self, hand16):
         with pytest.raises(InvalidArgumentError):
             numeric_jacobian(hand16, np.zeros(16), "palm", eps=0.0)
+
+
+class TestBatchShape:
+    """A batched evaluation is bit-identical whatever the batch shape."""
+
+    @pytest.mark.parametrize("which", ["hand16", "prismatic_mimic"])
+    @pytest.mark.parametrize("batch", ["one", "two_dof", "odd"])
+    def test_rows_match_single_configuration(self, which, batch, hand16, rng):
+        model = hand16 if which == "hand16" else parse_urdf(PRISMATIC_MIMIC)
+        b = {"one": 1, "two_dof": 2 * model.dof, "odd": 37}[batch]
+        lo, hi = model.limit_arrays()
+        root_r = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.8).as_matrix()
+        root_t = np.array([0.1, -0.2, 0.45])
+        for _ in range(4):
+            qs = rng.uniform(lo, hi, size=(b, model.dof))
+            batched = link_origins_batch(model, qs, root_r, root_t, model.links)
+            for row, q in zip(batched, qs):
+                single = link_origins(model, q, root_r, root_t, model.links)
+                assert np.array_equal(row, single)
+
+    def test_retarget_fd_gradient_matches_row_by_row(self, hand16, spec16, rng):
+        lo, hi = hand16.limit_arrays()
+        names = spec16.robot_links()
+        wrist = RigidTransform(Rotation.from_axis_angle([1.0, 0.2, -0.4], 0.6),
+                               np.array([0.02, -0.05, 0.4]))
+        origins = link_origins(hand16, rng.uniform(lo, hi), np.eye(3), np.zeros(3), names)
+        pos = dict(zip(names, origins))
+        ref = np.array([pos[p.robot[1]] - pos[p.robot[0]] for p in spec16.pairs])
+        cfg = RetargetConfig()
+        problem = retarget_problem(hand16, ref, spec16, wrist, hand16.mid_limits(), cfg)
+        lifted = batch_objective(problem.objective)
+        for _ in range(5):
+            q = rng.uniform(lo, hi)
+            assert np.array_equal(problem.gradient(q),
+                                  fd_gradient(lifted, q, cfg.solver.fd_eps))

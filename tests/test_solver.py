@@ -4,6 +4,7 @@ import pytest
 from dexretarget.errors import InvalidArgumentError, SolverStartError
 from dexretarget.solver import (
     BoxProblem,
+    batch_objective,
     check_gradient,
     fd_gradient,
     minimize_box,
@@ -166,5 +167,5 @@ class TestFdGradient:
         a = rng.normal(size=4)
         f = lambda x: float(np.sin(x) @ a)
         x = rng.normal(size=4)
-        fd = fd_gradient(f, x, 1e-6)
+        fd = fd_gradient(batch_objective(f), x, 1e-6)
         np.testing.assert_allclose(fd, np.cos(x) * a, atol=1e-8)
