@@ -37,7 +37,6 @@ from .pointcloud import PointCloud, build_index
 from .solver import (
     BoxProblem,
     SolverOptions,
-    batch_objective,
     make_fd_gradient,
     minimize_box,
 )
@@ -215,8 +214,11 @@ def smooth_depth_residuals(points: np.ndarray, depth: DepthImage, mask: np.ndarr
     a C2 separable kernel gated by the valid-and-masked pixels, giving a
     residual that is twice continuously differentiable in the point
     coordinates and fades to zero as the projection leaves the supported
-    region. Returns one residual per point (zero for unsupported points);
-    +inf rows flag points closer than the minimum depth.
+    region. Returns one residual per point (zero for unsupported points).
+    Each point's residual depends on that point alone, except that the
+    near-camera guard acts on the whole call: if any point is closer than
+    the minimum depth, those points return +inf and every other point
+    returns 0.
     """
     pts = np.asarray(points, dtype=float)
     z = pts[:, 2]
@@ -265,27 +267,48 @@ def _correspondences(index, observed: PointCloud, moved: np.ndarray):
     return observed.points[idx], observed.normals[idx]
 
 
-def _alignment_objective(x, hand_cloud, observation, intrinsics, cfg, index, frozen=None):
-    """The alignment objective at parameter vector x.
+def _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index, frozen=None):
+    """The alignment objective at each row of the (B, 7) parameter batch xs.
 
     Correspondences are ``frozen`` (a (points, normals) pair) when given
-    and otherwise refreshed at x through ``index``. Smooth surrogate
-    penalties keep the landscape kink-free for the finite-difference
-    solver; the reported residuals still use the exact losses.
+    and otherwise refreshed at each row through ``index``. Smooth
+    surrogate penalties keep the landscape kink-free for the
+    finite-difference solver; the reported residuals still use the exact
+    losses. The depth residuals of all rows come from one
+    smooth_depth_residuals call; rows with a point nearer than the minimum
+    depth score +inf and stay out of that call, whose near-camera guard
+    would zero every other row. Each row's value is bit-identical to a
+    one-row call.
     """
-    sigma, correction = params_decode(x)
-    moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    if frozen is None:
-        frozen = _correspondences(index, observation.cloud, moved)
-    corr_pts, corr_nrm = frozen
-    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
-    icp = float(np.mean(pseudo_huber(r, cfg.huber_delta)))
-    dres = smooth_depth_residuals(moved, observation.depth, observation.hand_mask, intrinsics)
-    if not np.all(np.isfinite(dres)):
-        return np.inf
-    rend = float(np.mean(pseudo_huber(dres, cfg.huber_delta)))
-    reg = float(x[1:] @ x[1:])
-    return icp + cfg.lambda_rend * rend + cfg.lambda_reg * reg
+    xs = np.asarray(xs, dtype=float)
+    values = np.full(len(xs), np.inf)
+    moved, icp, feasible = [], [], []
+    for x in xs:
+        sigma, correction = params_decode(x)
+        m = apply_scaled_correction(hand_cloud.points, sigma, correction)
+        corr_pts, corr_nrm = frozen if frozen is not None else _correspondences(
+            index, observation.cloud, m)
+        r = np.einsum("ij,ij->i", corr_nrm, m - corr_pts)
+        moved.append(m)
+        icp.append(float(np.mean(pseudo_huber(r, cfg.huber_delta))))
+        feasible.append(not np.any(m[:, 2] < _MIN_DEPTH))
+    rows = np.flatnonzero(feasible)
+    if len(rows) == 0:
+        return values
+    dres = smooth_depth_residuals(np.concatenate([moved[b] for b in rows]),
+                                  observation.depth, observation.hand_mask, intrinsics)
+    for b, d in zip(rows, dres.reshape(len(rows), -1)):
+        if not np.all(np.isfinite(d)):
+            continue
+        rend = float(np.mean(pseudo_huber(d, cfg.huber_delta)))
+        reg = float(xs[b, 1:] @ xs[b, 1:])
+        values[b] = icp[b] + cfg.lambda_rend * rend + cfg.lambda_reg * reg
+    return values
+
+
+def _one_row(f_batch):
+    """The scalar view of a batch objective: a one-row batch at x."""
+    return lambda x: float(f_batch(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def alignment_problem(
@@ -309,12 +332,12 @@ def alignment_problem(
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
     frozen = _correspondences(index, observation.cloud, moved)
 
-    def objective(x):
-        return _alignment_objective(x, hand_cloud, observation, intrinsics, cfg, index,
+    def batch(xs):
+        return _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index,
                                     frozen)
 
-    return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=objective,
-                      gradient=make_fd_gradient(batch_objective(objective), cfg.fd_eps))
+    return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=_one_row(batch),
+                      gradient=make_fd_gradient(batch, cfg.fd_eps))
 
 
 def alignment_objective_value(
@@ -328,8 +351,8 @@ def alignment_objective_value(
     """The total alignment objective (fresh correspondences) at the given
     parameters; the quantity align_hand_frame minimizes."""
     x = params_encode(sigma, correction)
-    return _alignment_objective(x, hand_cloud, observation, intrinsics, cfg,
-                                build_index(observation.cloud))
+    return float(_alignment_objective(x[None, :], hand_cloud, observation, intrinsics, cfg,
+                                      build_index(observation.cloud))[0])
 
 
 # deterministic scale candidates scanned before the local solve; the
@@ -337,6 +360,9 @@ def alignment_objective_value(
 # cannot cross on its own
 _SCALE_GRID = np.exp(np.linspace(LOG_SCALE_BOUNDS[0] + 0.05,
                                  LOG_SCALE_BOUNDS[1] - 0.05, 17))
+# the scan's log-scale column, built from the scalar np.log of each grid
+# point so no vectorized log can move a bit
+_LOG_SCALE_GRID = np.array([np.log(g) for g in _SCALE_GRID])
 
 
 def align_hand_frame(
@@ -367,8 +393,10 @@ def align_hand_frame(
     obs_index = build_index(observation.cloud)
     x = np.clip(params_encode(init.sigma, init.correction), _PARAM_LO, _PARAM_HI)
 
-    def fresh(xv):
-        return _alignment_objective(xv, hand_cloud, observation, intrinsics, cfg, obs_index)
+    def fresh_batch(xs):
+        return _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, obs_index)
+
+    fresh = _one_row(fresh_batch)
 
     # the depth overlap must be non-empty at the starting parameters
     sigma0, corr0 = params_decode(x)
@@ -383,14 +411,14 @@ def align_hand_frame(
             diagnostics={"sigma": init.sigma, "overlap_pixels": int(omega0.sum())},
         )
     # coarse scan over the scale axis picks the starting basin; the
-    # initialization remains a candidate so the result never regresses
-    for g in _SCALE_GRID:
-        cand = x.copy()
-        cand[0] = np.log(g)
-        fc = fresh(cand)
+    # initialization remains a candidate so the result never regresses;
+    # all candidates are scored in one batch and taken in grid order
+    cands = np.repeat(x[None, :], len(_SCALE_GRID), axis=0)
+    cands[:, 0] = _LOG_SCALE_GRID
+    for cand, fc in zip(cands, fresh_batch(cands)):
         if np.isfinite(fc) and fc < f_best:
-            f_best = fc
-            x = cand
+            f_best = float(fc)
+            x = cand.copy()
     x_best = x.copy()
     solver_converged = False
     opts = SolverOptions(max_iters=cfg.inner_iters, fd_eps=cfg.fd_eps)

@@ -286,8 +286,9 @@ def retarget_trajectory(
             raise RetargetError(
                 f"frame {hand.frame_index}: {exc}", report=exc.report
             ) from exc
-        log.debug("frame %d: retarget f=%.3e iters=%d", hand.frame_index,
-                  report.f_star, report.iterations)
+        log.debug("frame %d: retarget f=%.3e iters=%d termination=%s converged=%s",
+                  hand.frame_index, report.f_star, report.iterations,
+                  report.termination, report.converged)
         frames.append(RobotTrajectoryFrame(hand.frame_index, wrist, q))
         q_prev = q
     return RobotTrajectory(frames=frames, model=model)
@@ -366,7 +367,7 @@ def refine_contact(
     loss = contact_loss(model, q, wrist, mapping, contacts)
     history = [loss]
     rounds_run = 0
-    for _ in range(contacts.alternations):
+    for round_index in range(contacts.alternations):
         q_snap, wrist_snap = q.copy(), wrist
 
         wrist_r = wrist.rotation.as_matrix()
@@ -390,6 +391,9 @@ def refine_contact(
             report = minimize_box(problem, q, cfg.solver)
         except SolverStartError as exc:
             raise RefineError(f"contact refinement solve could not start: {exc}") from exc
+        log.debug("refine round %d: joint step f=%.3e iters=%d termination=%s converged=%s",
+                  round_index, report.f_star, report.iterations, report.termination,
+                  report.converged)
         q = clamp_to_limits(model, report.x_star)
 
         if len(contacts.active) >= 3:

@@ -241,6 +241,7 @@ def test_c04_retarget_round_trip(hand16, spec16):
                    f"slowest solve {max_time*1e3:.0f} ms")
 
 
+@pytest.mark.slow
 def test_c05_joint_limit_fuzz():
     rng = np.random.default_rng(505)
     model = parse_urdf(THREE_DOF)
@@ -301,6 +302,7 @@ def test_c06_smoothness_monotonicity(hand16, spec16):
             ", ".join(f"{s:.2e}" for s in steps))
 
 
+@pytest.mark.slow
 def test_c07_contact_refinement(hand16, mapping16):
     rng = np.random.default_rng(707)
     lo, hi = hand16.limit_arrays()
@@ -422,6 +424,7 @@ def test_c10_taxonomy_semantics(hand16, mapping16, spec16):
                     f"zero-weight bitwise independence: {bitwise}")
 
 
+@pytest.mark.slow
 def test_c11_end_to_end(tmp_path):
     fixture = tmp_path / "e2e"
     assert main(["synth", "--out-dir", str(fixture), "--seed", "7",

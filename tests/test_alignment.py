@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dexretarget import alignment
 from dexretarget.alignment import (
     AlignConfig,
     FrameObservation,
@@ -27,7 +30,7 @@ from dexretarget.geometry import (
 )
 from dexretarget.hand_model import HandFrame, HandTrajectory
 from dexretarget.pointcloud import PointCloud, build_index, estimate_normals
-from dexretarget.solver import check_gradient
+from dexretarget.solver import batch_objective, check_gradient, fd_gradient
 from dexretarget.synthetic import (
     DEFAULT_INTRINSICS,
     canonical_hand_joints,
@@ -243,6 +246,37 @@ class TestSmoothDepthResiduals:
         r = smooth_depth_residuals(far, depth, depth.valid, K)
         np.testing.assert_array_equal(r, np.zeros(len(far)))
 
+    def test_near_point_zeroes_the_whole_call(self):
+        pts = plane_points()
+        depth = splat_depth(pts, K, 3)
+        shifted = pts + np.array([0.0, 0.0, 0.01])
+        shifted[0, 2] = 0.5 * alignment._MIN_DEPTH
+        r = smooth_depth_residuals(shifted, depth, depth.valid, K)
+        assert r[0] == np.inf
+        np.testing.assert_array_equal(r[1:], np.zeros(len(pts) - 1))
+
+    # pixel coordinates a little beyond the image on every side, and depths
+    # from the minimum depth to past the observed plane
+    _pixel_points = st.lists(
+        st.tuples(st.floats(-8.0, K.width + 8.0), st.floats(-8.0, K.height + 8.0),
+                  st.floats(alignment._MIN_DEPTH, 1.0)),
+        min_size=1, max_size=30)
+
+    @given(st.lists(_pixel_points, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_call_equals_per_set_calls(self, sets):
+        plane = plane_points()
+        depth = splat_depth(plane, K, 3)
+        mask = depth.valid.copy()
+        mask[:, : K.width // 2 - 20] = False  # a mask edge inside the supported patch
+        clouds = []
+        for uvz in sets:
+            u, v, z = np.array(uvz, dtype=float).T
+            clouds.append(np.column_stack([(u - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z]))
+        stacked = smooth_depth_residuals(np.concatenate(clouds), depth, mask, K)
+        separate = np.concatenate([smooth_depth_residuals(c, depth, mask, K) for c in clouds])
+        assert stacked.tobytes() == separate.tobytes()
+
 
 class TestAlignHandFrame:
     def test_optimum_at_start(self):
@@ -346,6 +380,89 @@ class TestAlignmentObjective:
             probe = x + rng.uniform(-0.02, 0.02, size=7)
             assert own.objective(probe) == shared.objective(probe)
             assert np.array_equal(own.gradient(x), shared.gradient(x))
+
+
+class TestBatchedObjective:
+    """Each row of a batched objective call is bit-identical to a one-row call."""
+
+    def make_case(self, rng):
+        sampled = sampled_hand_for(hand_at())
+        obs = observe(1.1 * sampled.points)
+        index = build_index(obs.cloud)
+        x = np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.1, 0.1, size=6)])
+        return sampled, obs, index, x
+
+    def frozen_at(self, sampled, obs, index, x):
+        sigma, correction = params_decode(x)
+        moved = sigma * correction.apply(sampled.points)
+        _, idx = index.query(moved)
+        return obs.cloud.points[idx], obs.cloud.normals[idx]
+
+    def batch(self, rng, x, size):
+        if size == 14:  # a central-difference stencil
+            h = AlignConfig().fd_eps * np.maximum(1.0, np.abs(x))
+            xs = np.repeat(x[None, :], 14, axis=0)
+            xs[2 * np.arange(7), np.arange(7)] += h
+            xs[2 * np.arange(7) + 1, np.arange(7)] -= h
+            return xs
+        return x + rng.uniform(-0.05, 0.05, size=(size, 7))
+
+    def assert_rows_match_one_row_calls(self, xs, values, *args):
+        assert values.shape == (len(xs),)
+        for x, v in zip(xs, values):
+            one = alignment._alignment_objective(x.copy()[None, :], *args)
+            assert one.shape == (1,)
+            assert one.tobytes() == np.array([v]).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 14, 17])
+    @pytest.mark.parametrize("correspondences", ["frozen", "refreshed"])
+    def test_rows_equal_one_row_calls(self, rng, size, correspondences):
+        sampled, obs, index, x = self.make_case(rng)
+        frozen = self.frozen_at(sampled, obs, index, x) if correspondences == "frozen" else None
+        args = (sampled, obs, K, AlignConfig(), index, frozen)
+        xs = self.batch(rng, x, size)
+        values = alignment._alignment_objective(xs, *args)
+        assert np.all(np.isfinite(values))
+        self.assert_rows_match_one_row_calls(xs, values, *args)
+
+    @pytest.mark.parametrize("correspondences", ["frozen", "refreshed"])
+    def test_near_row_is_inf_and_leaves_the_others_alone(self, rng, correspondences):
+        sampled, obs, index, x = self.make_case(rng)
+        frozen = self.frozen_at(sampled, obs, index, x) if correspondences == "frozen" else None
+        args = (sampled, obs, K, AlignConfig(), index, frozen)
+        xs = self.batch(rng, x, 5)
+        xs[2, 6] = -0.5  # translates the hand, about 0.45 m deep, behind the camera plane
+        values = alignment._alignment_objective(xs, *args)
+        assert values[2] == np.inf
+        assert np.all(np.isfinite(np.delete(values, 2)))
+        self.assert_rows_match_one_row_calls(xs, values, *args)
+        all_near = alignment._alignment_objective(xs[[2, 2]], *args)
+        assert np.all(all_near == np.inf)
+
+    def test_gradient_equals_row_by_row_fd(self, rng):
+        sampled, obs, index, x = self.make_case(rng)
+        cfg = AlignConfig()
+        problem = alignment_problem(sampled, obs, K, cfg, at=x, index=index)
+        for probe in (x, x + rng.uniform(-0.02, 0.02, size=7)):
+            lifted = fd_gradient(batch_objective(problem.objective), probe, cfg.fd_eps)
+            assert problem.gradient(probe).tobytes() == lifted.tobytes()
+
+    def test_scale_grid_batch_equals_serial_scan(self, rng):
+        # the log-scale column matches the scalar np.log of each grid point,
+        # and each batched candidate scores what the serial scan scored
+        assert len(alignment._LOG_SCALE_GRID) == len(alignment._SCALE_GRID) == 17
+        for lg, g in zip(alignment._LOG_SCALE_GRID, alignment._SCALE_GRID):
+            assert np.array([lg]).tobytes() == np.array([np.log(g)]).tobytes()
+        sampled, obs, index, x = self.make_case(rng)
+        args = (sampled, obs, K, AlignConfig(), index)
+        cands = np.repeat(x[None, :], 17, axis=0)
+        cands[:, 0] = alignment._LOG_SCALE_GRID
+        values = alignment._alignment_objective(cands, *args)
+        for g, v in zip(alignment._SCALE_GRID, values):
+            cand = x.copy()
+            cand[0] = np.log(g)
+            serial = alignment._alignment_objective(cand[None, :], *args)
+            assert serial.tobytes() == np.array([v]).tobytes()
 
 
 class TestAlignTrajectory:

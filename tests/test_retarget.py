@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from dexretarget.retarget import (
     wrist_correction_step,
 )
 from dexretarget.robot_model import link_origins, parse_urdf
+from dexretarget.solver import SolverOptions
 from dexretarget.synthetic import canonical_hand_joints
 
 ONE_JOINT = """
@@ -291,6 +294,19 @@ class TestRetargetTrajectory:
         np.testing.assert_allclose(traj.frames[0].wrist_pose.translation,
                                    expected.translation, atol=1e-12)
 
+    def test_unconverged_solve_is_logged_with_its_frame(self, hand16, mapping16, spec16,
+                                                         caplog):
+        hands = [hand_frame_at(index=k, curl=0.2 + 0.1 * k) for k in (3, 4)]
+        cfg = RetargetConfig(scale=1.0, solver=SolverOptions(max_iters=1))
+        with caplog.at_level(logging.DEBUG, logger="dexretarget.retarget"):
+            retarget_trajectory(hand16, hands, self.identity_alignments(2), mapping16,
+                                spec16, TaxonomyClass.MEDIUM_WRAP,
+                                TaxonomyWeightTable.default(), cfg)
+        lines = [r.getMessage() for r in caplog.records]
+        for k in (3, 4):
+            assert any(line.startswith(f"frame {k}: retarget") and
+                       "termination=max-iters converged=False" in line for line in lines)
+
     def test_count_mismatch(self, hand16, mapping16, spec16):
         with pytest.raises(InvalidArgumentError):
             retarget_trajectory(hand16, [hand_frame_at()], [], mapping16, spec16,
@@ -414,6 +430,15 @@ class TestRefineContact:
                                           RetargetConfig())
             for a, b in zip(report.loss_history, report.loss_history[1:]):
                 assert b <= a + 1e-15
+
+    def test_unconverged_round_is_logged(self, hand16, mapping16, rng, caplog):
+        q0, wrist, contacts = self.make_reachable(hand16, mapping16, rng)
+        cfg = RetargetConfig(solver=SolverOptions(max_iters=1))
+        with caplog.at_level(logging.DEBUG, logger="dexretarget.retarget"):
+            refine_contact(hand16, q0, wrist, mapping16, contacts, cfg)
+        lines = [r.getMessage() for r in caplog.records]
+        assert any(line.startswith("refine round 0: joint step") and
+                   "termination=max-iters converged=False" in line for line in lines)
 
     def test_feasible_output(self, hand16, mapping16, rng):
         lo, hi = hand16.limit_arrays()
