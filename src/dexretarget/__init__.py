@@ -13,7 +13,6 @@ from .geometry import (
     Rotation,
     SimilarityTransform,
     huber,
-    project_point,
     splat_depth,
     weighted_umeyama,
 )
@@ -28,7 +27,6 @@ from .robot_model import (
     FrameSet,
     RobotModel,
     clamp_to_limits,
-    fingertip_positions,
     forward_kinematics,
     numeric_jacobian,
     parse_urdf,
@@ -55,7 +53,6 @@ from .alignment import (
     align_trajectory,
     calibrate_depth_sequence,
     depth_consistency_loss,
-    icp_alignment_loss,
 )
 from .retarget import (
     ContactTargets,
@@ -67,7 +64,6 @@ from .retarget import (
     refine_contact,
     retarget_frame,
     retarget_trajectory,
-    smoothness_loss,
     vector_matching_loss,
 )
 from .synthetic import SynthConfig, SynthFixture, synth_hand_trajectory

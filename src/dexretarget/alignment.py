@@ -27,19 +27,13 @@ from .geometry import (
     RigidTransform,
     Rotation,
     backproject_depth,
-    huber,
     pseudo_huber,
     splat_depth,
     weighted_umeyama,
 )
 from .hand_model import HandFrame, HandTrajectory
 from .pointcloud import PointCloud, build_index
-from .solver import (
-    BoxProblem,
-    SolverOptions,
-    make_fd_gradient,
-    minimize_box,
-)
+from .solver import BoxProblem, SolverOptions, batch_problem, minimize_box
 from .synthetic import sample_hand_surface
 
 log = logging.getLogger(__name__)
@@ -50,6 +44,8 @@ LOG_SCALE_BOUNDS = (np.log(0.3), np.log(3.0))
 TWIST_BOUND = 0.5
 _PARAM_LO = np.concatenate(([LOG_SCALE_BOUNDS[0]], -TWIST_BOUND * np.ones(6)))
 _PARAM_HI = np.concatenate(([LOG_SCALE_BOUNDS[1]], TWIST_BOUND * np.ones(6)))
+# skeleton surface samples per frame registered against the observation
+HAND_SURFACE_POINTS = 500
 
 
 @dataclass
@@ -134,7 +130,6 @@ def calibrate_depth_sequence(
     obj_cloud_true: PointCloud,
     obj_cloud_pred: PointCloud,
     intrinsics: CameraIntrinsics,
-    weights=None,
     with_scale: bool = True,
 ):
     """Fit the similarity aligning predicted object points onto true
@@ -148,7 +143,7 @@ def calibrate_depth_sequence(
     if len(obj_cloud_true) != len(obj_cloud_pred):
         raise InvalidArgumentError("object clouds must be in pointwise correspondence")
     transform = weighted_umeyama(
-        obj_cloud_pred.points, obj_cloud_true.points, weights=weights, with_scale=with_scale
+        obj_cloud_pred.points, obj_cloud_true.points, with_scale=with_scale
     )
     calibrated = []
     for cloud, depth in frames:
@@ -157,28 +152,6 @@ def calibrate_depth_sequence(
         new_depth = splat_depth(transform.apply(pts), intrinsics, footprint=1)
         calibrated.append((new_cloud, new_depth))
     return transform, calibrated
-
-
-def icp_alignment_loss(
-    hand_cloud: PointCloud,
-    observed: PointCloud,
-    sigma: float,
-    correction: RigidTransform,
-    delta: float = 0.01,
-    index=None,
-) -> float:
-    """Mean Huber point-to-plane residual of the scaled, corrected hand
-    cloud against its nearest observed neighbors."""
-    if observed.normals is None:
-        raise InvalidArgumentError("observed cloud must carry normals")
-    if len(hand_cloud) == 0 or len(observed) == 0:
-        raise LossUndefinedError("clouds must be non-empty")
-    if index is None:
-        index = build_index(observed)
-    moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    _, idx = index.query(moved)
-    r = np.einsum("ij,ij->i", observed.normals[idx], moved - observed.points[idx])
-    return float(np.mean(huber(r, delta)))
 
 
 def depth_consistency_loss(
@@ -306,11 +279,6 @@ def _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index, fr
     return values
 
 
-def _one_row(f_batch):
-    """The scalar view of a batch objective: a one-row batch at x."""
-    return lambda x: float(f_batch(np.asarray(x, dtype=float)[None, :])[0])
-
-
 def alignment_problem(
     hand_cloud: PointCloud,
     observation: FrameObservation,
@@ -336,8 +304,7 @@ def alignment_problem(
         return _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index,
                                     frozen)
 
-    return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=_one_row(batch),
-                      gradient=make_fd_gradient(batch, cfg.fd_eps))
+    return batch_problem(_PARAM_LO, _PARAM_HI, batch, cfg.fd_eps)
 
 
 def alignment_objective_value(
@@ -396,14 +363,12 @@ def align_hand_frame(
     def fresh_batch(xs):
         return _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, obs_index)
 
-    fresh = _one_row(fresh_batch)
-
     # the depth overlap must be non-empty at the starting parameters
     sigma0, corr0 = params_decode(x)
     moved0 = apply_scaled_correction(hand_cloud.points, sigma0, corr0)
     rendered0 = splat_depth(moved0, intrinsics, cfg.splat_footprint)
     omega0 = rendered0.valid & observation.depth.valid & observation.hand_mask
-    f_best = fresh(x)
+    f_best = float(fresh_batch(x[None, :])[0])
     if not np.any(omega0) or not np.isfinite(f_best):
         raise AlignmentError(
             "alignment objective undefined at initialization (no overlapping hand pixels)",
@@ -421,7 +386,7 @@ def align_hand_frame(
             x = cand.copy()
     x_best = x.copy()
     solver_converged = False
-    opts = SolverOptions(max_iters=cfg.inner_iters, fd_eps=cfg.fd_eps)
+    opts = SolverOptions(max_iters=cfg.inner_iters)
 
     for _ in range(cfg.outer_iters):
         problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
@@ -436,7 +401,7 @@ def align_hand_frame(
         step = float(np.linalg.norm(report.x_star - x))
         x = report.x_star
         solver_converged = report.converged
-        f_now = fresh(x)
+        f_now = float(fresh_batch(x[None, :])[0])
         if np.isfinite(f_now) and f_now < f_best:
             f_best = f_now
             x_best = x.copy()
@@ -448,10 +413,12 @@ def align_hand_frame(
     corr_pts, corr_nrm = _correspondences(obs_index, observation.cloud, moved)
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     icp_rms = float(np.sqrt(np.mean(r ** 2)))
-    rendered = splat_depth(moved, intrinsics, cfg.splat_footprint)
-    omega = rendered.valid & observation.depth.valid & observation.hand_mask
-    depth_res = float(np.mean(np.abs(rendered.values[omega] - observation.depth.values[omega]))) \
-        if np.any(omega) else 0.0
+    try:
+        depth_res = depth_consistency_loss(hand_cloud, sigma, correction, observation.depth,
+                                           observation.hand_mask, intrinsics,
+                                           cfg.splat_footprint)
+    except LossUndefinedError:
+        depth_res = 0.0
     return HandAlignment(
         frame_index=hand.frame_index,
         sigma=sigma,
@@ -467,15 +434,9 @@ def align_trajectory(
     observations,
     intrinsics: CameraIntrinsics,
     cfg: Optional[AlignConfig] = None,
-    n_surface_points: int = 500,
     seed: int = 0,
-    warm_start: bool = True,
 ) -> list:
-    """Align every frame, warm-starting each from the previous solution.
-
-    With ``warm_start`` off every frame initializes from (sigma=1,
-    identity) and frames become independent.
-    """
+    """Align every frame, warm-starting each from the previous solution."""
     observations = list(observations)
     if len(observations) != len(trajectory):
         raise InvalidArgumentError(
@@ -492,10 +453,10 @@ def align_trajectory(
                 frame_index=frame.frame_index,
             )
         sampled = PointCloud(points=sample_hand_surface(
-            frame.joints, n_surface_points, seed=seed + frame.frame_index,
+            frame.joints, HAND_SURFACE_POINTS, seed=seed + frame.frame_index,
             visible_from=(0.0, 0.0, 0.0)))
         init = None
-        if warm_start and prev is not None:
+        if prev is not None:
             init = HandAlignment(frame.frame_index, prev.sigma, prev.correction,
                                  0.0, 0.0, False)
         try:

@@ -10,7 +10,7 @@ See FORMATS.md for the full reference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -278,6 +278,8 @@ def read_pfm_depth(path) -> DepthImage:
         scale = float(parts[2].decode("ascii"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise DataParseError(f"PFM header is not numeric: {exc}") from exc
+    if w <= 0 or h <= 0:
+        raise DataParseError(f"PFM dimensions must be positive, got {w} x {h}")
     if scale == 0:
         raise DataParseError("PFM scale must be non-zero")
     endian = "<" if scale < 0 else ">"
@@ -311,6 +313,8 @@ def read_pgm_mask(path) -> np.ndarray:
         vals = np.array([int(t) for t in tokens[4:]])
     except (ValueError, IndexError) as exc:
         raise DataParseError(f"PGM header/data is not numeric: {exc}") from exc
+    if w <= 0 or h <= 0:
+        raise DataParseError(f"PGM dimensions must be positive, got {w} x {h}")
     if vals.size != w * h:
         raise DataParseError(f"PGM pixel count mismatch: {vals.size} vs {w * h}")
     return (vals.reshape(h, w) > 0)
@@ -375,11 +379,10 @@ _TOP_LEVEL_KEYS = {
     "object_cloud_pred", "weight_table", "align", "retarget", "calibrate_scale",
     "seed", "mount_offset",
 }
-_ALIGN_KEYS = {"huber_delta", "lambda_rend", "lambda_reg", "outer_iters",
-               "inner_iters", "splat_footprint", "fd_eps"}
+_ALIGN_KEYS = {f.name for f in fields(AlignConfig)}
 _RETARGET_KEYS = {"huber_delta", "lambda_smooth", "lambda_init", "alternations",
                   "max_tip_error", "solver"}
-_SOLVER_KEYS = {"grad_tol", "step_tol", "max_iters", "fd_eps"}
+_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 
 
 def _check_keys(obj: dict, allowed: set, where: str, lenient: bool, warnings: list):

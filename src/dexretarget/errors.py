@@ -13,10 +13,6 @@ class DegenerateGeometryError(DexRetargetError):
     """Point configuration is rank deficient (collinear or coincident)."""
 
 
-class BehindCameraError(DexRetargetError, ValueError):
-    """Point has non-positive depth and cannot be projected."""
-
-
 class LossUndefinedError(DexRetargetError):
     """A loss has an empty support (no correspondences / empty pixel set)."""
 

@@ -1,5 +1,5 @@
 """Core 3D math: rotations, rigid/similarity transforms, robust losses,
-pinhole projection, weighted Umeyama alignment, and depth splatting.
+weighted Umeyama alignment, and depth splatting.
 
 Conventions: points are float64 arrays of shape (3,) or (N, 3), in meters.
 Quaternions are (w, x, y, z). Pixel (u, v) indexes column u, row v, with
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateGeometryError, InvalidArgumentError
+from .errors import DegenerateGeometryError, InvalidArgumentError
 
 _UNIT_TOL = 1e-9
 
@@ -164,9 +164,6 @@ class Rotation:
     def angle_to(self, other: "Rotation") -> float:
         return (self.inverse() @ other).angle()
 
-    def allclose(self, other: "Rotation", atol: float = 1e-9) -> bool:
-        return self.angle_to(other) <= atol
-
     def __repr__(self) -> str:
         w, x, y, z = self._q
         return f"Rotation(w={w:.6g}, x={x:.6g}, y={y:.6g}, z={z:.6g})"
@@ -228,10 +225,6 @@ class SimilarityTransform:
     @classmethod
     def identity(cls) -> "SimilarityTransform":
         return cls(1.0, Rotation.identity(), np.zeros(3))
-
-    @classmethod
-    def from_rigid(cls, t: RigidTransform, scale: float = 1.0) -> "SimilarityTransform":
-        return cls(scale, t.rotation, t.translation)
 
     def apply(self, points):
         p = np.asarray(points, dtype=float)
@@ -402,17 +395,6 @@ def weighted_umeyama(src, dst, weights=None, with_scale: bool = True) -> Similar
         scale = 1.0
     t = mu_d - scale * rot_m @ mu_s
     return SimilarityTransform(scale, Rotation.from_matrix(rot_m), t)
-
-
-def project_point(p, intrinsics: CameraIntrinsics):
-    """Pinhole projection of a camera-frame point; returns (u, v, depth)."""
-    v = as_vec3(p)
-    z = float(v[2])
-    if z <= 0.0:
-        raise BehindCameraError(f"point depth must be positive, got z={z}")
-    u = intrinsics.fx * v[0] / z + intrinsics.cx
-    vv = intrinsics.fy * v[1] / z + intrinsics.cy
-    return float(u), float(vv), z
 
 
 def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> DepthImage:

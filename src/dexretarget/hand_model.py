@@ -324,12 +324,12 @@ def compute_hand_scale(
     model: RobotModel,
     mapping: FingerMapping,
     hand: HandFrame,
-    q_ref: Optional[np.ndarray] = None,
 ) -> float:
-    """Robot-to-human length ratio measured wrist to fingertip.
+    """Robot-to-human length ratio measured wrist to fingertip, with the
+    robot at mid-limits.
 
     Uses the middle digit when mapped, otherwise the longest mapped digit
-    (by human wrist-to-tip distance). q_ref defaults to mid-limits.
+    (by human wrist-to-tip distance).
     """
     mapping.validate_against(model)
     digits = mapping.mapped_digits()
@@ -343,8 +343,8 @@ def compute_hand_scale(
     human_dist = float(np.linalg.norm(hand.joints[tip_index(digit)] - hand.joints[WRIST]))
     if human_dist < 1e-12:
         raise InvalidArgumentError(f"human wrist-to-{digit}-tip distance is zero")
-    q = model.mid_limits() if q_ref is None else model.check_q(q_ref)
-    tip = link_origins(model, q, np.eye(3), np.zeros(3), [mapping.entries[digit]])[0]
+    tip = link_origins(model, model.mid_limits(), np.eye(3), np.zeros(3),
+                       [mapping.entries[digit]])[0]
     robot_dist = float(np.linalg.norm(tip))
     return robot_dist / human_dist
 

@@ -26,11 +26,10 @@ DEFAULT_MAX_CORR_DIST = 0.05  # meters; reject gross mismatches outright
 
 @dataclass
 class PointCloud:
-    """Points with optional unit normals and per-point weights."""
+    """Points with optional unit normals."""
 
     points: np.ndarray
     normals: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.points = as_points(self.points)
@@ -42,12 +41,6 @@ class PointCloud:
             norms = np.linalg.norm(self.normals, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-6):
                 raise InvalidArgumentError("normals must have unit norm within 1e-6")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (n,):
-                raise InvalidArgumentError("weights length must match points")
-            if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
-                raise InvalidArgumentError("weights must be finite and non-negative")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -58,7 +51,7 @@ class PointCloud:
         nrm = None
         if self.normals is not None:
             nrm = transform.rotation.apply(self.normals)
-        return PointCloud(points=pts, normals=nrm, weights=self.weights)
+        return PointCloud(points=pts, normals=nrm)
 
 
 @dataclass
@@ -132,7 +125,7 @@ def estimate_normals(cloud: PointCloud, k: int = 16, viewpoint=(0.0, 0.0, 0.0)) 
     flip = np.einsum("ij,ij->i", normals, vp[None, :] - cloud.points) < 0.0
     normals[flip] *= -1.0
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(points=cloud.points.copy(), normals=normals, weights=cloud.weights)
+    return PointCloud(points=cloud.points.copy(), normals=normals)
 
 
 def _rodrigues(w: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .hand_model import (
     taxonomy_weights,
 )
 from .robot_model import RobotModel, clamp_to_limits, link_origins, link_origins_batch
-from .solver import BoxProblem, SolverOptions, make_fd_gradient, minimize_box
+from .solver import BoxProblem, SolverOptions, batch_problem, minimize_box
 
 log = logging.getLogger(__name__)
 
@@ -168,18 +168,6 @@ def vector_matching_loss(
     return total / spec.n_vec
 
 
-def smoothness_loss(q, q_prev, lambda_smooth: float) -> float:
-    """Temporal penalty lambda * ||q - q_prev||^2."""
-    a = np.asarray(q, dtype=float)
-    b = np.asarray(q_prev, dtype=float)
-    if a.shape != b.shape:
-        raise InvalidArgumentError("configuration lengths do not match")
-    if lambda_smooth < 0:
-        raise InvalidArgumentError("lambda_smooth must be non-negative")
-    d = a - b
-    return float(lambda_smooth * (d @ d))
-
-
 def retarget_problem(
     model: RobotModel,
     ref_vectors: np.ndarray,
@@ -219,11 +207,7 @@ def retarget_problem(
         return (rho @ w_active) / spec.n_vec + cfg.lambda_smooth * np.einsum(
             "bi,bi->b", dq, dq)
 
-    def objective(q):
-        return float(objective_batch(np.asarray(q, dtype=float)[None, :])[0])
-
-    return BoxProblem(lower=lo, upper=hi, objective=objective,
-                      gradient=make_fd_gradient(objective_batch, cfg.solver.fd_eps))
+    return batch_problem(lo, hi, objective_batch, cfg.solver.fd_eps)
 
 
 def retarget_frame(
@@ -294,6 +278,15 @@ def retarget_trajectory(
     return RobotTrajectory(frames=frames, model=model)
 
 
+def _tips_and_targets(model, q, wrist, mapping, contacts):
+    """Tip-link origins of the active digits, (m, 3) for one configuration
+    or (B, m, 3) for a (B, n) batch, and their (m, 3) contact targets."""
+    links = [mapping.entries[d] for d in contacts.active]
+    fk = link_origins_batch if np.ndim(q) == 2 else link_origins
+    tips = fk(model, q, wrist.rotation.as_matrix(), wrist.translation, links)
+    return tips, np.array([contacts.targets[d] for d in contacts.active])
+
+
 def contact_loss(
     model: RobotModel,
     q,
@@ -305,18 +298,13 @@ def contact_loss(
     for digit in contacts.active:
         if digit not in mapping.entries:
             raise InvalidArgumentError(f"active digit {digit!r} is not mapped")
-    arr = model.check_q(q)
-    links = [mapping.entries[d] for d in contacts.active]
-    tips = link_origins(model, arr, wrist.rotation.as_matrix(), wrist.translation, links)
-    targets = np.array([contacts.targets[d] for d in contacts.active])
+    tips, targets = _tips_and_targets(model, model.check_q(q), wrist, mapping, contacts)
     diff = tips - targets
     return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
 
 
 def _mean_tip_error(model, q, wrist, mapping, contacts) -> float:
-    links = [mapping.entries[d] for d in contacts.active]
-    tips = link_origins(model, q, wrist.rotation.as_matrix(), wrist.translation, links)
-    targets = np.array([contacts.targets[d] for d in contacts.active])
+    tips, targets = _tips_and_targets(model, q, wrist, mapping, contacts)
     return float(np.mean(np.linalg.norm(tips - targets, axis=1)))
 
 
@@ -331,10 +319,7 @@ def wrist_correction_step(
     fingertips onto their targets. Requires at least 3 active digits."""
     if len(contacts.active) < 3:
         raise DegenerateGeometryError("wrist correction needs at least 3 active digits")
-    arr = model.check_q(q)
-    links = [mapping.entries[d] for d in contacts.active]
-    tips = link_origins(model, arr, wrist.rotation.as_matrix(), wrist.translation, links)
-    targets = np.array([contacts.targets[d] for d in contacts.active])
+    tips, targets = _tips_and_targets(model, model.check_q(q), wrist, mapping, contacts)
     sim = weighted_umeyama(tips, targets, with_scale=False)
     return sim.rigid_part()
 
@@ -370,23 +355,14 @@ def refine_contact(
     for round_index in range(contacts.alternations):
         q_snap, wrist_snap = q.copy(), wrist
 
-        wrist_r = wrist.rotation.as_matrix()
-        wrist_t = wrist.translation
-        links = [mapping.entries[d] for d in contacts.active]
-        targets = np.array([contacts.targets[d] for d in contacts.active])
-
-        def objective_batch(qs):
-            tips = link_origins_batch(model, qs, wrist_r, wrist_t, links)
+        def objective_batch(qs, wrist=wrist):
+            tips, targets = _tips_and_targets(model, qs, wrist, mapping, contacts)
             diff = tips - targets[None, :, :]
             dq = qs - q_init
-            return np.einsum("bmi,bmi->b", diff, diff) / len(links) + lam * np.einsum(
+            return np.einsum("bmi,bmi->b", diff, diff) / len(targets) + lam * np.einsum(
                 "bi,bi->b", dq, dq)
 
-        def objective(qv):
-            return float(objective_batch(np.asarray(qv, dtype=float)[None, :])[0])
-
-        problem = BoxProblem(lower=lo, upper=hi, objective=objective,
-                             gradient=make_fd_gradient(objective_batch, cfg.solver.fd_eps))
+        problem = batch_problem(lo, hi, objective_batch, cfg.solver.fd_eps)
         try:
             report = minimize_box(problem, q, cfg.solver)
         except SolverStartError as exc:

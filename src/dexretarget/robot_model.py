@@ -358,7 +358,10 @@ def parse_urdf(text: str) -> RobotModel:
 
 
 def serialize_urdf(model: RobotModel, name: str = "robot") -> str:
-    """Emit the parsed subset back as URDF text (kinematics only)."""
+    """Emit the parsed subset back as URDF text (kinematics only).
+
+    Numbers are written at 17 significant digits, the precision that reads
+    back as the same float, so a reparsed model's FK matches to rounding."""
     lines = [f'<robot name="{name}">']
     for link in model.links:
         lines.append(f'  <link name="{link}"/>')
@@ -366,7 +369,7 @@ def serialize_urdf(model: RobotModel, name: str = "robot") -> str:
         lines.append(f'  <joint name="{j.name}" type="{j.jtype}">')
         lines.append(f'    <parent link="{j.parent}"/>')
         lines.append(f'    <child link="{j.child}"/>')
-        xyz = " ".join(f"{v:.12g}" for v in j.origin.translation)
+        xyz = " ".join(f"{v:.17g}" for v in j.origin.translation)
         rv = j.origin.rotation
         m = rv.as_matrix()
         # recover fixed-axis rpy from the matrix
@@ -377,19 +380,19 @@ def serialize_urdf(model: RobotModel, name: str = "robot") -> str:
         else:
             roll = np.arctan2(-m[1, 2], m[1, 1])
             yaw = 0.0
-        rpy = " ".join(f"{v:.12g}" for v in (roll, pitch, yaw))
+        rpy = " ".join(f"{v:.17g}" for v in (roll, pitch, yaw))
         lines.append(f'    <origin xyz="{xyz}" rpy="{rpy}"/>')
-        ax = " ".join(f"{v:.12g}" for v in j.axis)
+        ax = " ".join(f"{v:.17g}" for v in j.axis)
         lines.append(f'    <axis xyz="{ax}"/>')
         if j.limits is not None:
             lines.append(
-                f'    <limit lower="{j.limits[0]:.12g}" upper="{j.limits[1]:.12g}"'
+                f'    <limit lower="{j.limits[0]:.17g}" upper="{j.limits[1]:.17g}"'
                 f' effort="1" velocity="1"/>'
             )
         if j.mimic is not None:
             lines.append(
-                f'    <mimic joint="{j.mimic.source}" multiplier="{j.mimic.multiplier:.12g}"'
-                f' offset="{j.mimic.offset:.12g}"/>'
+                f'    <mimic joint="{j.mimic.source}" multiplier="{j.mimic.multiplier:.17g}"'
+                f' offset="{j.mimic.offset:.17g}"/>'
             )
         lines.append("  </joint>")
     lines.append("</robot>")
@@ -467,19 +470,6 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     rots, trans = _fk_batch(model, qs, root_r, root_t)
     idx = model._link_index
     return np.stack([trans[idx[n]] for n in names], axis=1)
-
-
-def fingertip_positions(model: RobotModel, q, root_pose: Optional[RigidTransform],
-                        tip_links) -> np.ndarray:
-    """Origins of the named tip links, in tip_links order."""
-    for name in tip_links:
-        if not model.has_link(name):
-            raise InvalidArgumentError(f"unknown link {name!r}")
-    arr = model.check_q(q)
-    if root_pose is None:
-        root_pose = RigidTransform.identity()
-    return link_origins(model, arr, root_pose.rotation.as_matrix(),
-                        root_pose.translation, list(tip_links))
 
 
 def clamp_to_limits(model: RobotModel, q) -> np.ndarray:

@@ -45,10 +45,6 @@ class BoxProblem:
         if np.any(self.lower > self.upper):
             raise InvalidArgumentError("lower bound exceeds upper bound")
 
-    @property
-    def dimension(self) -> int:
-        return self.lower.shape[0]
-
 
 @dataclass
 class SolveReport:
@@ -89,9 +85,15 @@ def batch_objective(f: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], 
     return lambda xs: np.array([f(x) for x in xs], dtype=float)
 
 
-def make_fd_gradient(f_batch: Callable[[np.ndarray], np.ndarray], eps: float) -> Callable:
-    """Bind a batch objective to its finite-difference gradient closure."""
-    return lambda x: fd_gradient(f_batch, x, eps)
+def batch_problem(lower, upper, f_batch: Callable[[np.ndarray], np.ndarray],
+                  eps: float) -> BoxProblem:
+    """Box problem of a batch objective: the objective is its one-row view
+    and the gradient its finite differences (all stencil rows in one call)."""
+    return BoxProblem(
+        lower=lower, upper=upper,
+        objective=lambda x: float(f_batch(np.asarray(x, dtype=float)[None, :])[0]),
+        gradient=lambda x: fd_gradient(f_batch, x, eps),
+    )
 
 
 def _two_loop(g: np.ndarray, memory: list) -> np.ndarray:
@@ -130,9 +132,8 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
     f = float(problem.objective(x))
     if not np.isfinite(f):
         raise SolverStartError(f"objective is non-finite at the start point: {f}")
-    grad_fn = problem.gradient if problem.gradient is not None else make_fd_gradient(
-        batch_objective(problem.objective), opts.fd_eps
-    )
+    grad_fn = problem.gradient if problem.gradient is not None else (
+        lambda x: fd_gradient(batch_objective(problem.objective), x, opts.fd_eps))
     g = np.asarray(grad_fn(x), dtype=float)
 
     memory: list = []

@@ -14,7 +14,6 @@ from dexretarget.alignment import (
     alignment_problem,
     calibrate_depth_sequence,
     depth_consistency_loss,
-    icp_alignment_loss,
     params_decode,
     params_encode,
     smooth_depth_residuals,
@@ -126,43 +125,6 @@ class TestCalibrateDepthSequence:
         b = PointCloud(points=plane_points()[:10])
         with pytest.raises(InvalidArgumentError):
             calibrate_depth_sequence([], a, b, K)
-
-
-class TestIcpAlignmentLoss:
-    def test_zero_at_identity_on_identical_clouds(self):
-        hand = hand_at()
-        sampled = sampled_hand_for(hand)
-        observed = estimate_normals(PointCloud(points=sampled.points.copy()), k=12)
-        loss = icp_alignment_loss(sampled, observed, 1.0, RigidTransform.identity())
-        assert loss == 0.0
-
-    def test_single_point_above_plane(self):
-        pts = plane_points(z=0.0)
-        observed = PointCloud(points=pts,
-                              normals=np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
-        h = 0.004
-        sampled = PointCloud(points=np.array([[0.0, 0.0, h]]))
-        loss = icp_alignment_loss(sampled, observed, 1.0, RigidTransform.identity(),
-                                  delta=0.01)
-        assert loss == pytest.approx(0.5 * h * h, rel=1e-9)
-
-    def test_generator_params_beat_identity(self, rng):
-        hand = hand_at()
-        sampled = sampled_hand_for(hand)
-        sigma_star = 1.15
-        corr_star = RigidTransform(Rotation.from_axis_angle([0, 1, 0], 0.05),
-                                   np.array([0.01, 0.0, -0.005]))
-        observed_pts = sigma_star * corr_star.apply(sampled.points)
-        observed = estimate_normals(PointCloud(points=observed_pts), k=12)
-        at_gen = icp_alignment_loss(sampled, observed, sigma_star, corr_star)
-        at_identity = icp_alignment_loss(sampled, observed, 1.0, RigidTransform.identity())
-        assert at_gen < at_identity
-
-    def test_requires_normals(self):
-        sampled = sampled_hand_for(hand_at())
-        with pytest.raises(InvalidArgumentError):
-            icp_alignment_loss(sampled, PointCloud(points=sampled.points), 1.0,
-                               RigidTransform.identity())
 
 
 class TestDepthConsistencyLoss:

@@ -137,6 +137,23 @@ class TestCmdPipeline:
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR align:")
 
+    @pytest.mark.parametrize("suffix, payload", [
+        (".pgm", b"P2\n-2 -3\n1\n" + b"0 " * 6 + b"\n"),
+        (".pfm", b"Pf\n-2 -3\n-1.0\n" + b"\x00" * 24),
+    ])
+    def test_negative_image_size_is_input_error(self, tmp_path, capsys, suffix, payload):
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        write_config(out)
+        (out / "observations" / f"frame_0000{suffix}").write_bytes(payload)
+        code = main(["calibrate", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:")
+        assert "\n" not in err.strip()
+
     def test_log_env_var_accepted(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RETARGET_LOG", "INFO")
         urdf = write_urdf(tmp_path)

@@ -209,6 +209,13 @@ class TestPfmIO:
         with pytest.raises(DataParseError):
             dataio.read_pfm_depth(path)
 
+    @pytest.mark.parametrize("size", [b"-2 -3", b"0 0", b"0 4", b"3 -1"])
+    def test_non_positive_size(self, tmp_path, size):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n" + size + b"\n-1.0\n" + b"\x00" * 48)
+        with pytest.raises(DataParseError, match="dimensions must be positive"):
+            dataio.read_pfm_depth(path)
+
 
 class TestPgmMaskIO:
     def test_round_trip(self, tmp_path, rng):
@@ -228,6 +235,15 @@ class TestPgmMaskIO:
         path = tmp_path / "bad.pgm"
         path.write_text("P2\n2 2\n1\n1 0 1\n")
         with pytest.raises(DataParseError):
+            dataio.read_pgm_mask(path)
+
+    @pytest.mark.parametrize("size", ["-2 -3", "0 0", "0 4", "3 -1"])
+    def test_non_positive_size(self, tmp_path, size):
+        # each file carries |w h| pixels, so only the size check can reject it
+        w, h = (int(t) for t in size.split())
+        path = tmp_path / "bad.pgm"
+        path.write_text(f"P2\n{size}\n1\n" + " 0" * abs(w * h) + "\n")
+        with pytest.raises(DataParseError, match="dimensions must be positive"):
             dataio.read_pgm_mask(path)
 
 
@@ -354,6 +370,45 @@ class TestLoadConfig:
         assert cfg.retarget.lambda_smooth == 0.5
         assert cfg.retarget.solver.max_iters == 50
         assert cfg.seed == 7
+
+        # every key FORMATS.md documents loads under the strict schema
+        for name in ("object_true.ply", "object_pred.ply"):
+            (tmp_path / name).write_text("ply\n")
+        (tmp_path / "weights.json").write_text(
+            json.dumps({c.value: {"wrist-to-tip": 1.0, "thumb-pair": 0.5,
+                                  "inter-finger": 0.25, "enclosure": 2.0}
+                        for c in TaxonomyClass}))
+        path = self.write_minimal(tmp_path, extra={
+            "object_cloud_true": "object_true.ply",
+            "object_cloud_pred": "object_pred.ply",
+            "palm_link": "palm",
+            "proximal_links": {"thumb": "thumb_medial", "index": "index_medial"},
+            "weight_table": "weights.json",
+            "calibrate_scale": False,
+            "seed": 3,
+            "mount_offset": {"quat_wxyz": [1.0, 0.0, 0.0, 0.0], "pos": [0.0, 0.0, 0.01]},
+            "align": {"huber_delta": 0.02, "lambda_rend": 0.5, "lambda_reg": 0.2,
+                      "outer_iters": 4, "inner_iters": 12, "splat_footprint": 5,
+                      "fd_eps": 1e-7},
+            "retarget": {"huber_delta": 0.03, "lambda_smooth": 0.5, "lambda_init": 0.2,
+                         "alternations": 2, "max_tip_error": 0.01,
+                         "solver": {"grad_tol": 1e-7, "step_tol": 1e-9,
+                                    "max_iters": 50, "fd_eps": 2e-6}},
+        })
+        cfg, warnings = dataio.load_config(path, lenient=False)
+        assert warnings == []
+        assert cfg.object_cloud_true == tmp_path / "object_true.ply"
+        assert cfg.palm_link == "palm"
+        assert cfg.proximal_links == {"thumb": "thumb_medial", "index": "index_medial"}
+        assert cfg.weight_table.weight(TaxonomyClass.TRIPOD, "thumb-pair") == 0.5
+        assert cfg.calibrate_scale is False and cfg.seed == 3
+        assert cfg.retarget.mount_offset.translation[2] == 0.01
+        assert (cfg.align.lambda_rend, cfg.align.lambda_reg, cfg.align.inner_iters,
+                cfg.align.splat_footprint, cfg.align.fd_eps) == (0.5, 0.2, 12, 5, 1e-7)
+        assert (cfg.retarget.huber_delta, cfg.retarget.lambda_init,
+                cfg.retarget.alternations, cfg.retarget.max_tip_error) == (0.03, 0.2, 2, 0.01)
+        solver = cfg.retarget.solver
+        assert (solver.grad_tol, solver.step_tol, solver.fd_eps) == (1e-7, 1e-9, 2e-6)
 
     def test_invalid_nested_value(self, tmp_path):
         path = self.write_minimal(tmp_path, extra={"align": {"huber_delta": -1}})

@@ -3,11 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dexretarget.errors import (
-    BehindCameraError,
-    DegenerateGeometryError,
-    InvalidArgumentError,
-)
+from dexretarget.errors import DegenerateGeometryError, InvalidArgumentError
 from dexretarget.geometry import (
     CameraIntrinsics,
     DepthImage,
@@ -16,7 +12,6 @@ from dexretarget.geometry import (
     SimilarityTransform,
     backproject_depth,
     huber,
-    project_point,
     splat_depth,
     weighted_umeyama,
 )
@@ -250,20 +245,15 @@ class TestWeightedUmeyama:
 
 
 class TestProjectPoint:
-    def test_optical_axis(self):
-        assert project_point([0.0, 0.0, 1.0], K) == pytest.approx((320.0, 240.0, 1.0))
-
-    def test_offset(self):
-        assert project_point([0.1, 0.0, 1.0], K) == pytest.approx((370.0, 240.0, 1.0))
-
-    def test_behind_camera(self):
-        with pytest.raises(BehindCameraError):
-            project_point([0.0, 0.0, -1.0], K)
+    """The pinhole projection u = fx x / z + cx, v = fy y / z + cy that
+    splat_depth and the alignment depth term use."""
 
     def test_round_trip_with_backprojection(self):
         img = DepthImage(values=np.full((480, 640), 2.0))
         pts = backproject_depth(img, K)
-        u, v, z = project_point(pts[1000], K)
+        x, y, z = pts[1000]
+        u = K.fx * x / z + K.cx
+        v = K.fy * y / z + K.cy
         vs, us = np.nonzero(img.valid)
         assert round(u) == us[1000] and round(v) == vs[1000] and z == 2.0
 

@@ -24,7 +24,7 @@ class TestPointCloud:
 
     def test_length_checks(self):
         with pytest.raises(InvalidArgumentError):
-            PointCloud(points=np.zeros((3, 3)), weights=np.ones(2))
+            PointCloud(points=np.zeros((3, 3)), normals=np.tile([0.0, 0.0, 1.0], (2, 1)))
 
     def test_transformed_rotates_normals_without_scaling(self):
         cloud = PointCloud(points=np.array([[1.0, 0.0, 0.0]]),

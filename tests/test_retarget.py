@@ -26,7 +26,6 @@ from dexretarget.retarget import (
     refine_contact,
     retarget_frame,
     retarget_trajectory,
-    smoothness_loss,
     vector_matching_loss,
     wrist_correction_step,
 )
@@ -126,24 +125,6 @@ class TestVectorMatchingLoss:
         uniform = vector_matching_loss(hand16, q, RigidTransform.identity(), ref,
                                        spec16, RetargetConfig(weights=w))
         assert plain == uniform
-
-
-class TestSmoothnessLoss:
-    def test_zero_at_equal(self):
-        q = np.array([0.1, 0.2])
-        assert smoothness_loss(q, q, 1.0) == 0.0
-
-    def test_single_joint_difference(self):
-        assert smoothness_loss(np.array([0.1]), np.array([0.0]), 1.0) == \
-            pytest.approx(0.01, abs=1e-15)
-
-    def test_zero_lambda(self, rng):
-        q = rng.normal(size=5)
-        assert smoothness_loss(q, rng.normal(size=5), 0.0) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            smoothness_loss(np.zeros(3), np.zeros(4), 1.0)
 
 
 class TestRetargetFrame:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexretarget.errors import (
     DataParseError,
@@ -11,7 +13,6 @@ from dexretarget.geometry import RigidTransform, Rotation
 from dexretarget.retarget import RetargetConfig, retarget_problem
 from dexretarget.robot_model import (
     clamp_to_limits,
-    fingertip_positions,
     forward_kinematics,
     link_origins,
     link_origins_batch,
@@ -314,14 +315,16 @@ class TestForwardKinematics:
 
 
 class TestFingertipPositions:
+    """Tip-link origins through link_origins, in the order asked for."""
+
     def test_one_joint_chain(self):
         model = parse_urdf(ONE_JOINT)
-        tips = fingertip_positions(model, np.zeros(1), None, ["tip"])
+        tips = link_origins(model, np.zeros(1), np.eye(3), np.zeros(3), ["tip"])
         np.testing.assert_allclose(tips, [[1.0, 0.0, 0.0]])
 
     def test_hand_tips_distinct(self, hand16):
-        tips = fingertip_positions(
-            hand16, np.zeros(16), None,
+        tips = link_origins(
+            hand16, np.zeros(16), np.eye(3), np.zeros(3),
             ["thumb_tip", "index_tip", "middle_tip", "ring_tip"],
         )
         assert tips.shape == (4, 3)
@@ -332,12 +335,8 @@ class TestFingertipPositions:
     def test_tips_match_frameset(self, hand16, rng):
         q = rng.uniform(0, 0.5, size=16)
         frames = forward_kinematics(hand16, q)
-        tips = fingertip_positions(hand16, q, None, ["index_tip"])
+        tips = link_origins(hand16, q, np.eye(3), np.zeros(3), ["index_tip"])
         np.testing.assert_allclose(tips[0], frames.origin("index_tip"))
-
-    def test_unknown_link(self, hand16):
-        with pytest.raises(InvalidArgumentError):
-            fingertip_positions(hand16, np.zeros(16), None, ["nonexistent"])
 
 
 class TestClampToLimits:
@@ -399,7 +398,7 @@ class TestNumericJacobian:
         jac = numeric_jacobian(model, q, "link4", eps=1e-6)
 
         def origin(qv):
-            return fingertip_positions(model, qv, None, ["link4"])[0]
+            return link_origins(model, qv, np.eye(3), np.zeros(3), ["link4"])[0]
 
         # Richardson: D(h) = (4 D_c(h/2) - D_c(h)) / 3 with h = 1e-4
         h = 1e-4
@@ -455,3 +454,66 @@ class TestBatchShape:
             q = rng.uniform(lo, hi)
             assert np.array_equal(problem.gradient(q),
                                   fd_gradient(lifted, q, cfg.solver.fd_eps))
+
+
+_decimal = st.integers(-300, 300).map(lambda k: k / 1000.0)
+_angle = st.integers(-150, 150).map(lambda k: k / 100.0)
+_axis = st.tuples(*[st.integers(-10, 10).map(lambda k: k / 10.0)] * 3).filter(any)
+
+
+@st.composite
+def urdf_trees(draw):
+    """URDF text for a random kinematic tree: each joint hangs off any
+    earlier link (so trees branch) and is revolute, prismatic, continuous
+    or fixed; an actuated joint may mimic an earlier actuated one."""
+    n = draw(st.integers(1, 7))
+    lines = ['<robot name="tree">', '  <link name="l0"/>']
+    sources = []
+    for i in range(n):
+        jtype = draw(st.sampled_from(["revolute", "prismatic", "continuous", "fixed"]))
+        xyz = " ".join(str(draw(_decimal)) for _ in range(3))
+        rpy = " ".join(str(draw(_angle)) for _ in range(3))
+        axis = " ".join(str(v) for v in draw(_axis))
+        lines += [
+            f'  <link name="l{i + 1}"/>',
+            f'  <joint name="j{i}" type="{jtype}">',
+            f'    <parent link="l{draw(st.integers(0, i))}"/><child link="l{i + 1}"/>',
+            f'    <origin xyz="{xyz}" rpy="{rpy}"/>',
+            f'    <axis xyz="{axis}"/>',
+        ]
+        if jtype in ("revolute", "prismatic"):
+            lo = draw(st.integers(-150, 0)) / 100.0
+            lines.append(f'    <limit lower="{lo}" upper="{lo + draw(st.integers(0, 200)) / 100.0}"'
+                         ' effort="1" velocity="1"/>')
+        if jtype != "fixed":
+            if sources and draw(st.booleans()):
+                lines.append(f'    <mimic joint="{draw(st.sampled_from(sources))}"'
+                             f' multiplier="{draw(_angle)}" offset="{draw(_decimal)}"/>')
+            else:
+                sources.append(f"j{i}")
+        lines.append("  </joint>")
+    lines.append("</robot>")
+    return "\n".join(lines)
+
+
+class TestRandomTrees:
+    """Random trees through serialize_urdf and back (property tests)."""
+
+    @given(urdf_trees(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_rows_and_round_trip(self, text, seed):
+        model = parse_urdf(text)
+        again = parse_urdf(serialize_urdf(model))
+        assert again.links == model.links
+        assert again.actuated_order == model.actuated_order
+        lo, hi = model.limit_arrays()
+        qs = np.random.default_rng(seed).uniform(lo, hi, size=(2 * model.dof + 3, model.dof))
+        root_r = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.8).as_matrix()
+        root_t = np.array([0.1, -0.2, 0.45])
+        for m in (model, again):
+            batched = link_origins_batch(m, qs, root_r, root_t, m.links)
+            for row, q in zip(batched, qs):
+                assert np.array_equal(row, link_origins(m, q, root_r, root_t, m.links))
+        before = link_origins_batch(model, qs, root_r, root_t, model.links)
+        after = link_origins_batch(again, qs, root_r, root_t, model.links)
+        assert np.max(np.abs(after - before)) <= 1e-12
