@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .hand_model import HandFrame, HandTrajectory
 from .pointcloud import PointCloud, build_index
-from .solver import BoxProblem, SolverOptions, batch_problem, minimize_box
+from .solver import BoxProblem, SolverOptions, batch_problem, check_iteration_count, minimize_box
 from .synthetic import sample_hand_surface
 
 log = logging.getLogger(__name__)
@@ -64,8 +64,8 @@ class AlignConfig:
         for name in ("huber_delta", "lambda_rend", "lambda_reg", "fd_eps"):
             if getattr(self, name) <= 0:
                 raise InvalidArgumentError(f"{name} must be positive")
-        if self.outer_iters < 1 or self.inner_iters < 1:
-            raise InvalidArgumentError("iteration counts must be positive")
+        check_iteration_count("outer_iters", self.outer_iters)
+        check_iteration_count("inner_iters", self.inner_iters)
 
 
 @dataclass
@@ -100,6 +100,8 @@ class FrameObservation:
     hand_mask: np.ndarray
 
     def __post_init__(self):
+        if self.cloud.normals is None:
+            raise InvalidArgumentError("observed cloud must carry normals")
         self.hand_mask = np.asarray(self.hand_mask, dtype=bool)
         if self.hand_mask.shape != self.depth.values.shape:
             raise InvalidArgumentError("hand mask dimensions must match the depth image")
@@ -187,22 +189,19 @@ def smooth_depth_residuals(points: np.ndarray, depth: DepthImage, mask: np.ndarr
     a C2 separable kernel gated by the valid-and-masked pixels, giving a
     residual that is twice continuously differentiable in the point
     coordinates and fades to zero as the projection leaves the supported
-    region. Returns one residual per point (zero for unsupported points).
-    Each point's residual depends on that point alone, except that the
-    near-camera guard acts on the whole call: if any point is closer than
-    the minimum depth, those points return +inf and every other point
-    returns 0.
+    region. Returns one residual per point (zero for unsupported points);
+    a point nearer than the minimum depth gets +inf and the kernel runs on
+    the other points only. Each point's residual depends on that point
+    alone.
     """
     pts = np.asarray(points, dtype=float)
-    z = pts[:, 2]
-    if np.any(z < _MIN_DEPTH):
-        out = np.zeros(len(pts))
-        out[z < _MIN_DEPTH] = np.inf
-        return out
+    near = pts[:, 2] < _MIN_DEPTH
+    far = pts[~near] if np.any(near) else pts
+    z = far[:, 2]
     h, w = depth.values.shape
     support = depth.valid & np.asarray(mask, dtype=bool)
-    u = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
+    u = intrinsics.fx * far[:, 0] / z + intrinsics.cx
+    v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
     iu = np.floor(u).astype(int)
     iv = np.floor(v).astype(int)
 
@@ -219,7 +218,7 @@ def smooth_depth_residuals(points: np.ndarray, depth: DepthImage, mask: np.ndarr
     wv = [kernel(v - (iv + d)) for d in taps]
     su = np.sum(wu, axis=0)
     sv = np.sum(wv, axis=0)
-    r = np.zeros(len(pts))
+    r = np.zeros(len(far))
     for ku, du in enumerate(taps):
         cu = iu + du
         in_u = (cu >= 0) & (cu < w)
@@ -231,7 +230,11 @@ def smooth_depth_residuals(points: np.ndarray, depth: DepthImage, mask: np.ndarr
             gate = inside & support[cv_c, cu_c]
             wk = np.where(gate, (wu[ku] / su) * (wv[kv] / sv), 0.0)
             r += wk * (z - depth.values[cv_c, cu_c])
-    return r
+    if far is pts:
+        return r
+    out = np.full(len(pts), np.inf)
+    out[~near] = r
+    return out
 
 
 def _correspondences(index, observed: PointCloud, moved: np.ndarray):
@@ -248,14 +251,12 @@ def _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index, fr
     surrogate penalties keep the landscape kink-free for the
     finite-difference solver; the reported residuals still use the exact
     losses. The depth residuals of all rows come from one
-    smooth_depth_residuals call; rows with a point nearer than the minimum
-    depth score +inf and stay out of that call, whose near-camera guard
-    would zero every other row. Each row's value is bit-identical to a
-    one-row call.
+    smooth_depth_residuals call; a row scores +inf when any of its
+    residuals is non-finite (a point nearer than the minimum depth). Each
+    row's value is bit-identical to a one-row call.
     """
     xs = np.asarray(xs, dtype=float)
-    values = np.full(len(xs), np.inf)
-    moved, icp, feasible = [], [], []
+    moved, icp = [], []
     for x in xs:
         sigma, correction = params_decode(x)
         m = apply_scaled_correction(hand_cloud.points, sigma, correction)
@@ -264,13 +265,10 @@ def _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index, fr
         r = np.einsum("ij,ij->i", corr_nrm, m - corr_pts)
         moved.append(m)
         icp.append(float(np.mean(pseudo_huber(r, cfg.huber_delta))))
-        feasible.append(not np.any(m[:, 2] < _MIN_DEPTH))
-    rows = np.flatnonzero(feasible)
-    if len(rows) == 0:
-        return values
-    dres = smooth_depth_residuals(np.concatenate([moved[b] for b in rows]),
-                                  observation.depth, observation.hand_mask, intrinsics)
-    for b, d in zip(rows, dres.reshape(len(rows), -1)):
+    dres = smooth_depth_residuals(np.concatenate(moved), observation.depth,
+                                  observation.hand_mask, intrinsics)
+    values = np.full(len(xs), np.inf)
+    for b, d in enumerate(dres.reshape(len(xs), -1)):
         if not np.all(np.isfinite(d)):
             continue
         rend = float(np.mean(pseudo_huber(d, cfg.huber_delta)))
@@ -291,8 +289,6 @@ def alignment_problem(
     the given parameters (identity by default). Used both by the solver
     rounds and by the gradient audit. ``index`` is the observed cloud's
     k-d tree; it is built when not given."""
-    if observation.cloud.normals is None:
-        raise InvalidArgumentError("observed cloud must carry normals")
     if index is None:
         index = build_index(observation.cloud)
     x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
@@ -352,8 +348,6 @@ def align_hand_frame(
     """
     if cfg is None:
         cfg = AlignConfig()
-    if observation.cloud.normals is None:
-        raise InvalidArgumentError("observed cloud must carry normals")
     if init is None:
         init = HandAlignment.initial(hand.frame_index)
 
@@ -442,8 +436,6 @@ def align_trajectory(
         raise InvalidArgumentError(
             f"observation count {len(observations)} does not match frame count {len(trajectory)}"
         )
-    if cfg is None:
-        cfg = AlignConfig()
     results = []
     prev: Optional[HandAlignment] = None
     for frame, obs in zip(trajectory.frames, observations):

@@ -124,9 +124,7 @@ def cmd_fk(args) -> int:
             out[name] = [float(v) for v in frames.origin(name)]
         print(json.dumps(out, indent=1, sort_keys=True))
         return EXIT_OK
-    except ValueError as exc:
-        return _fail(stage, exc, EXIT_INPUT)
-    except _INPUT_ERRORS as exc:
+    except (ValueError,) + _INPUT_ERRORS as exc:  # ValueError: a non-numeric --q
         return _fail(stage, exc, EXIT_INPUT)
 
 

@@ -24,7 +24,6 @@ from .hand_model import (
     FingerMapping,
     HandFrame,
     HandTrajectory,
-    N_KEYPOINTS,
     TaxonomyClass,
     TaxonomyWeightTable,
 )
@@ -59,8 +58,11 @@ def _load_json(path):
 def _parse_pose(obj, where: str) -> RigidTransform:
     if not isinstance(obj, dict) or "quat_wxyz" not in obj or "pos" not in obj:
         raise DataParseError(f"{where}: pose needs 'quat_wxyz' and 'pos'", location=where)
-    quat = np.asarray(obj["quat_wxyz"], dtype=float)
-    pos = np.asarray(obj["pos"], dtype=float)
+    try:
+        quat = np.asarray(obj["quat_wxyz"], dtype=float)
+        pos = np.asarray(obj["pos"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataParseError(f"{where}: pose is not numeric: {exc}", location=where) from exc
     if quat.shape != (4,):
         raise DataParseError(f"{where}: quaternion must have 4 components", location=where)
     if pos.shape != (3,):
@@ -87,9 +89,11 @@ def read_hand_trajectory(path) -> HandTrajectory:
     doc = _load_json(path)
     if "frames" not in doc or not isinstance(doc["frames"], list):
         raise DataParseError("document must be an object with a 'frames' list")
-    fps = float(doc.get("fps", 30.0))
+    try:
+        fps = float(doc.get("fps", 30.0))
+    except (TypeError, ValueError) as exc:
+        raise DataParseError(f"fps is not a number: {exc}", location="fps") from exc
     frames = []
-    last_index = None
     for k, fr in enumerate(doc["frames"]):
         where = f"frame {k}"
         if not isinstance(fr, dict):
@@ -97,38 +101,22 @@ def read_hand_trajectory(path) -> HandTrajectory:
         for key in ("index", "wrist", "joints"):
             if key not in fr:
                 raise DataParseError(f"{where}: missing field {key!r}", location=where)
-        joints = np.asarray(fr["joints"], dtype=float)
-        if joints.shape != (N_KEYPOINTS, 3):
-            raise DataParseError(
-                f"{where}: expected {N_KEYPOINTS} joints, got shape {joints.shape}",
-                location=where,
-            )
-        index = int(fr["index"])
-        if last_index is not None and index <= last_index:
-            raise DataParseError(
-                f"{where}: index {index} not strictly increasing", location=where
-            )
-        last_index = index
         wrist = _parse_pose(fr["wrist"], f"{where}: wrist")
-        contacts = None
-        if "contacts" in fr and fr["contacts"] is not None:
-            contacts = {}
-            for digit, p in fr["contacts"].items():
-                if digit not in DIGITS:
-                    raise DataParseError(
-                        f"{where}: unknown contact digit {digit!r}", location=where
-                    )
-                contacts[digit] = np.asarray(p, dtype=float)
         try:
-            frames.append(HandFrame(
-                joints=joints,
+            frame = HandFrame(
+                joints=fr["joints"],
                 wrist_pose=wrist,
                 confidence=float(fr.get("confidence", 1.0)),
-                frame_index=index,
-                contacts=contacts,
-            ))
-        except InvalidArgumentError as exc:
+                frame_index=int(fr["index"]),
+                contacts=fr.get("contacts"),
+            )
+        except (TypeError, ValueError) as exc:
             raise DataParseError(f"{where}: {exc}", location=where) from exc
+        if frames and frame.frame_index <= frames[-1].frame_index:
+            raise DataParseError(
+                f"{where}: index {frame.frame_index} not strictly increasing", location=where
+            )
+        frames.append(frame)
     return HandTrajectory(frames=frames, fps=fps)
 
 
@@ -206,7 +194,11 @@ def read_ply(path) -> PointCloud:
         elif tokens[0] == "element":
             in_vertex = tokens[1] == "vertex"
             if in_vertex:
-                n_vertex = int(tokens[2])
+                try:
+                    n_vertex = int(tokens[2])
+                except (IndexError, ValueError) as exc:
+                    raise DataParseError(f"PLY vertex count is not an integer: {exc}",
+                                         location=f"line {lineno}") from exc
         elif tokens[0] == "property" and in_vertex:
             props.append(tokens[2])
         elif tokens[0] == "end_header":
@@ -373,15 +365,12 @@ class PipelineConfig:
     seed: int = 0
 
 
-_TOP_LEVEL_KEYS = {
-    "urdf", "hand_trajectory", "observations_dir", "output_dir", "taxonomy",
-    "finger_mapping", "palm_link", "proximal_links", "object_cloud_true",
-    "object_cloud_pred", "weight_table", "align", "retarget", "calibrate_scale",
-    "seed", "mount_offset",
-}
+# mount_offset is a top-level key that fills RetargetConfig.mount_offset;
+# RetargetConfig's scale and weights are computed per run, never configured
+_TOP_LEVEL_KEYS = {f.name for f in fields(PipelineConfig)} | {"mount_offset"}
 _ALIGN_KEYS = {f.name for f in fields(AlignConfig)}
-_RETARGET_KEYS = {"huber_delta", "lambda_smooth", "lambda_init", "alternations",
-                  "max_tip_error", "solver"}
+_RETARGET_KEYS = {f.name for f in fields(RetargetConfig)} - {"scale", "weights",
+                                                             "mount_offset"}
 _SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 
 
@@ -459,7 +448,10 @@ def load_config(path, lenient: bool = False):
     _check_keys(solver_doc, _SOLVER_KEYS, "config.retarget.solver", lenient, warnings)
     mount = RigidTransform.identity()
     if "mount_offset" in doc:
-        mount = _parse_pose(doc["mount_offset"], "config: mount_offset")
+        try:
+            mount = _parse_pose(doc["mount_offset"], "config: mount_offset")
+        except DataParseError as exc:
+            raise ConfigError(str(exc)) from exc
     try:
         retarget = RetargetConfig(
             solver=SolverOptions(**solver_doc),
@@ -471,10 +463,18 @@ def load_config(path, lenient: bool = False):
 
     proximal = doc.get("proximal_links")
     if proximal is not None:
-        proximal = {str(k): str(v) for k, v in proximal.items()}
+        try:
+            proximal = {str(k): str(v) for k, v in proximal.items()}
+        except AttributeError as exc:
+            raise ConfigError(f"invalid proximal_links: {exc}") from exc
         for digit in proximal:
             if digit not in DIGITS:
                 raise ConfigError(f"proximal_links: unknown digit {digit!r}")
+
+    try:
+        seed = int(doc.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be an integer: {exc}") from exc
 
     cfg = PipelineConfig(
         urdf=resolve(doc["urdf"]),
@@ -492,6 +492,6 @@ def load_config(path, lenient: bool = False):
         align=align,
         retarget=retarget,
         calibrate_scale=bool(doc.get("calibrate_scale", True)),
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
     )
     return cfg, warnings

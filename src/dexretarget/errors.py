@@ -35,11 +35,7 @@ class AlignmentError(DexRetargetError):
 
 
 class RetargetError(DexRetargetError):
-    """Per-frame retargeting solve failed; carries the solver report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Per-frame retargeting solve failed."""
 
 
 class RefineError(DexRetargetError):

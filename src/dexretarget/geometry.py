@@ -341,8 +341,8 @@ def pseudo_huber(r, delta: float):
     return out
 
 
-def weighted_umeyama(src, dst, weights=None, with_scale: bool = True) -> SimilarityTransform:
-    """Least-squares similarity (s, R, t) minimizing sum w_i ||s R src_i + t - dst_i||^2.
+def weighted_umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
+    """Least-squares similarity (s, R, t) minimizing sum ||s R src_i + t - dst_i||^2.
 
     Reflections are suppressed (det(R) = +1). With ``with_scale`` off the
     scale is fixed to 1. Raises DegenerateGeometryError when the source
@@ -357,18 +357,7 @@ def weighted_umeyama(src, dst, weights=None, with_scale: bool = True) -> Similar
     n = s_pts.shape[0]
     if n < 3:
         raise InvalidArgumentError("at least 3 correspondences required")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise InvalidArgumentError("weights length must match point count")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise InvalidArgumentError("weights must be finite and non-negative")
-    total = float(w.sum())
-    if total <= 0.0:
-        raise InvalidArgumentError("total weight must be positive")
-    wn = w / total
+    wn = np.ones(n) / n
 
     mu_s = wn @ s_pts
     mu_d = wn @ d_pts

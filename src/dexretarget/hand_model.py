@@ -32,22 +32,18 @@ GROUP_ENCLOSURE = "enclosure"
 VECTOR_GROUPS = (GROUP_WRIST_TO_TIP, GROUP_THUMB_PAIR, GROUP_INTER_FINGER, GROUP_ENCLOSURE)
 
 
-def tip_index(digit: str) -> int:
-    if digit not in _DIGIT_BASE:
-        raise InvalidArgumentError(f"unknown digit {digit!r}")
-    return _DIGIT_BASE[digit] + 3
-
-
-def proximal_index(digit: str) -> int:
-    if digit not in _DIGIT_BASE:
-        raise InvalidArgumentError(f"unknown digit {digit!r}")
-    return _DIGIT_BASE[digit] + 1
-
-
 def digit_base_index(digit: str) -> int:
     if digit not in _DIGIT_BASE:
         raise InvalidArgumentError(f"unknown digit {digit!r}")
     return _DIGIT_BASE[digit]
+
+
+def tip_index(digit: str) -> int:
+    return digit_base_index(digit) + 3
+
+
+def proximal_index(digit: str) -> int:
+    return digit_base_index(digit) + 1
 
 
 class TaxonomyClass(str, Enum):
@@ -103,6 +99,8 @@ class HandFrame:
                 f"joint 0 must coincide with the wrist pose translation (gap {gap:.2e} m)"
             )
         if self.contacts is not None:
+            if not isinstance(self.contacts, dict):
+                raise InvalidArgumentError("contacts must map digit names to points")
             checked = {}
             for digit, p in self.contacts.items():
                 if digit not in DIGITS:
@@ -207,6 +205,15 @@ class VectorSpec:
                 if name not in seen:
                     seen.append(name)
         return seen
+
+    def robot_link_pairs(self):
+        """robot_links() plus each pair's (start, end) index into it, as
+        two integer arrays in spec order."""
+        links = self.robot_links()
+        pos = {name: i for i, name in enumerate(links)}
+        starts = np.array([pos[p.robot[0]] for p in self.pairs])
+        ends = np.array([pos[p.robot[1]] for p in self.pairs])
+        return links, starts, ends
 
     def validate_against(self, model: RobotModel) -> None:
         for p in self.pairs:

@@ -144,7 +144,6 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
     t0 = time.perf_counter()
     try:
         spec = default_vector_spec(config.finger_mapping, palm, config.proximal_links)
-        spec.validate_against(model)
         corrected0 = trajectory.frames[0].transformed(
             alignments[0].sigma, alignments[0].correction
         )

@@ -73,33 +73,11 @@ class RegistrationReport:
             self.objective_curve = []
 
 
-class SpatialIndex:
-    """Exact nearest-neighbor index over a point cloud (k-d tree)."""
-
-    def __init__(self, points: np.ndarray):
-        pts = as_points(points)
-        if pts.shape[0] == 0:
-            raise InvalidArgumentError("cannot index an empty cloud")
-        self._points = pts
-        self._tree = cKDTree(pts)
-
-    def query(self, points):
-        """Nearest neighbor of each query point; returns (distances, indices)."""
-        d, i = self._tree.query(np.asarray(points, dtype=float))
-        return np.atleast_1d(d), np.atleast_1d(i)
-
-    def query_k(self, points, k: int):
-        d, i = self._tree.query(np.asarray(points, dtype=float), k=k)
-        return d, i
-
-    def __len__(self) -> int:
-        return self._points.shape[0]
-
-
-def build_index(cloud: PointCloud) -> SpatialIndex:
+def build_index(cloud: PointCloud) -> cKDTree:
+    """Exact nearest-neighbor index (k-d tree) over a non-empty cloud."""
     if len(cloud) == 0:
         raise InvalidArgumentError("cannot index an empty cloud")
-    return SpatialIndex(cloud.points)
+    return cKDTree(cloud.points)
 
 
 def estimate_normals(cloud: PointCloud, k: int = 16, viewpoint=(0.0, 0.0, 0.0)) -> PointCloud:
@@ -114,9 +92,7 @@ def estimate_normals(cloud: PointCloud, k: int = 16, viewpoint=(0.0, 0.0, 0.0)) 
     if k > n:
         raise InvalidArgumentError(f"k={k} exceeds cloud size {n}")
     vp = np.asarray(viewpoint, dtype=float)
-    index = build_index(cloud)
-    _, idx = index.query_k(cloud.points, k)
-    idx = np.atleast_2d(idx)
+    _, idx = build_index(cloud).query(cloud.points, k=k)
     nbrs = cloud.points[idx]                           # (n, k, 3)
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k

@@ -33,7 +33,7 @@ from .hand_model import (
     taxonomy_weights,
 )
 from .robot_model import RobotModel, clamp_to_limits, link_origins, link_origins_batch
-from .solver import BoxProblem, SolverOptions, batch_problem, minimize_box
+from .solver import BoxProblem, SolverOptions, batch_problem, check_iteration_count, minimize_box
 
 log = logging.getLogger(__name__)
 
@@ -59,8 +59,7 @@ class RetargetConfig:
             raise InvalidArgumentError("penalty weights must be non-negative")
         if self.scale <= 0:
             raise InvalidArgumentError("scale must be positive")
-        if self.alternations < 1:
-            raise InvalidArgumentError("alternations must be at least 1")
+        check_iteration_count("alternations", self.alternations)
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
 
@@ -125,16 +124,6 @@ class RefineReport:
     warnings: list
 
 
-def _robot_vectors(model, q, wrist_r, wrist_t, spec):
-    names = spec.robot_links()
-    origins = link_origins(model, q, wrist_r, wrist_t, names)
-    pos = {n: origins[i] for i, n in enumerate(names)}
-    out = np.empty((spec.n_vec, 3))
-    for i, p in enumerate(spec.pairs):
-        out[i] = pos[p.robot[1]] - pos[p.robot[0]]
-    return out
-
-
 def vector_matching_loss(
     model: RobotModel,
     q,
@@ -157,8 +146,10 @@ def vector_matching_loss(
     w = cfg.weights if cfg.weights is not None else np.ones(spec.n_vec)
     if w.shape != (spec.n_vec,):
         raise InvalidArgumentError("weights length must match the vector spec")
-    arr = model.check_q(q)
-    robot = _robot_vectors(model, arr, wrist.rotation.as_matrix(), wrist.translation, spec)
+    links, starts, ends = spec.robot_link_pairs()
+    origins = link_origins(model, model.check_q(q), wrist.rotation.as_matrix(),
+                           wrist.translation, links)
+    robot = origins[ends] - origins[starts]
     total = 0.0
     for i in range(spec.n_vec):
         if w[i] == 0.0:
@@ -190,16 +181,13 @@ def retarget_problem(
     active = np.array([i for i in range(spec.n_vec) if w[i] != 0.0], dtype=int)
     w_active = np.asarray(w, dtype=float)[active]
     ref_active = ref[active]
-    names = spec.robot_links()
-    name_pos = {n: i for i, n in enumerate(names)}
-    pair_idx = np.array([[name_pos[p.robot[0]], name_pos[p.robot[1]]] for p in spec.pairs])
-    ends = pair_idx[active, 1]
-    starts = pair_idx[active, 0]
+    links, starts, ends = spec.robot_link_pairs()
+    starts, ends = starts[active], ends[active]
 
     dd = cfg.huber_delta * cfg.huber_delta
 
     def objective_batch(qs):
-        origins = link_origins_batch(model, qs, wrist_r, wrist_t, names)
+        origins = link_origins_batch(model, qs, wrist_r, wrist_t, links)
         d = origins[:, ends] - origins[:, starts] - ref_active[None, :, :]
         sq = np.einsum("bmi,bmi->bm", d, d)
         rho = dd * (np.sqrt(1.0 + sq / dd) - 1.0)
@@ -267,9 +255,7 @@ def retarget_trajectory(
         try:
             q, report = retarget_frame(model, ref, spec, wrist, q_prev, q_prev, frame_cfg)
         except RetargetError as exc:
-            raise RetargetError(
-                f"frame {hand.frame_index}: {exc}", report=exc.report
-            ) from exc
+            raise RetargetError(f"frame {hand.frame_index}: {exc}") from exc
         log.debug("frame %d: retarget f=%.3e iters=%d termination=%s converged=%s",
                   hand.frame_index, report.f_star, report.iterations,
                   report.termination, report.converged)

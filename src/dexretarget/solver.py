@@ -19,6 +19,12 @@ ARMIJO_C = 1e-4
 LBFGS_MEMORY = 10
 
 
+def check_iteration_count(name: str, value) -> None:
+    """Reject an iteration count that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class SolverOptions:
     grad_tol: float = 1e-8
@@ -26,16 +32,22 @@ class SolverOptions:
     max_iters: int = 200
     fd_eps: float = 1e-6
 
+    def __post_init__(self):
+        if self.grad_tol < 0 or self.step_tol < 0:
+            raise InvalidArgumentError("tolerances must be non-negative")
+        if self.fd_eps <= 0:
+            raise InvalidArgumentError("fd_eps must be positive")
+        check_iteration_count("max_iters", self.max_iters)
+
 
 @dataclass
 class BoxProblem:
-    """Smooth objective on a box. ``gradient`` falls back to central
-    finite differences when absent."""
+    """Smooth objective on a box with its gradient."""
 
     lower: np.ndarray
     upper: np.ndarray
     objective: Callable[[np.ndarray], float]
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gradient: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -132,9 +144,7 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
     f = float(problem.objective(x))
     if not np.isfinite(f):
         raise SolverStartError(f"objective is non-finite at the start point: {f}")
-    grad_fn = problem.gradient if problem.gradient is not None else (
-        lambda x: fd_gradient(batch_objective(problem.objective), x, opts.fd_eps))
-    g = np.asarray(grad_fn(x), dtype=float)
+    g = np.asarray(problem.gradient(x), dtype=float)
 
     memory: list = []
     iterations = 0
@@ -197,7 +207,7 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
             break
 
         iterations += 1
-        g_new = np.asarray(grad_fn(x_new), dtype=float)
+        g_new = np.asarray(problem.gradient(x_new), dtype=float)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -238,8 +248,6 @@ def check_gradient(problem: BoxProblem, x, fd_eps: float = 1e-5) -> float:
     """Max relative error between the supplied gradient and central
     finite differences at x. Denominators are guarded so an identically
     zero gradient reports 0."""
-    if problem.gradient is None:
-        raise InvalidArgumentError("problem has no gradient to check")
     x = np.asarray(x, dtype=float)
     g = np.asarray(problem.gradient(x), dtype=float)
     fd = fd_gradient(batch_objective(problem.objective), x, fd_eps)

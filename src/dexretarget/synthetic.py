@@ -36,6 +36,15 @@ _BONE_RADIUS_FINGER = 0.008
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
                                       width=640, height=480)
 
+# the generated grasp approach: the wrist moves along the unit approach
+# axis toward the object center while the digits close
+APPROACH_AXIS = np.array([0.0, 0.0, 1.0])
+OBJECT_CENTER = np.array([0.0, 0.0, 0.45])
+CLOSING = (0.15, 0.75)          # start/end curl fraction
+STANDOFF = (0.16, 0.05)         # start/end distance to the object
+FPS = 30.0
+SPLAT_FOOTPRINT = 3
+
 
 def _rotate_about(axis: np.ndarray, angle: float, v: np.ndarray) -> np.ndarray:
     a = axis / np.linalg.norm(axis)
@@ -141,17 +150,11 @@ def sample_cylinder_surface(center, radius: float, height: float, n_points: int,
 @dataclass
 class SynthConfig:
     n_frames: int = 10
-    approach_axis: tuple = (0.0, 0.0, 1.0)
-    closing: tuple = (0.15, 0.75)          # start/end curl fraction
     noise_sigma: float = 0.0               # per-coordinate std on observed points
     seed: int = 0
     n_surface_points: int = 600
     n_object_points: int = 700
-    object_center: tuple = (0.0, 0.0, 0.45)
-    standoff: tuple = (0.16, 0.05)         # start/end distance to the object
     depth_scale: float = 1.0               # observation-space scaling (miscalibration)
-    fps: float = 30.0
-    splat_footprint: int = 3
     intrinsics: CameraIntrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
 
     def __post_init__(self):
@@ -176,7 +179,7 @@ class SynthFixture:
     object_pred: PointCloud
 
 
-def synth_hand_trajectory(config: Optional[SynthConfig] = None, **kwargs) -> SynthFixture:
+def synth_hand_trajectory(cfg: SynthConfig) -> SynthFixture:
     """Generate a synthetic grasp approach fixture.
 
     The hand trajectory (estimator output) lives in true metric space;
@@ -184,14 +187,7 @@ def synth_hand_trajectory(config: Optional[SynthConfig] = None, **kwargs) -> Syn
     a miscalibrated depth predictor. Contacts for all digits are annotated
     on the final frame.
     """
-    cfg = config if config is not None else SynthConfig(**kwargs)
     rng = np.random.default_rng(cfg.seed)
-    axis = np.asarray(cfg.approach_axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm < 1e-12:
-        raise InvalidArgumentError("approach_axis has zero norm")
-    axis = axis / norm
-    center = np.asarray(cfg.object_center, dtype=float)
 
     frames = []
     clouds = []
@@ -199,9 +195,9 @@ def synth_hand_trajectory(config: Optional[SynthConfig] = None, **kwargs) -> Syn
     masks = []
     for t in range(cfg.n_frames):
         u = t / (cfg.n_frames - 1) if cfg.n_frames > 1 else 0.0
-        curl = cfg.closing[0] + u * (cfg.closing[1] - cfg.closing[0])
-        standoff = cfg.standoff[0] + u * (cfg.standoff[1] - cfg.standoff[0])
-        wrist_t = center - axis * standoff
+        curl = CLOSING[0] + u * (CLOSING[1] - CLOSING[0])
+        standoff = STANDOFF[0] + u * (STANDOFF[1] - STANDOFF[0])
+        wrist_t = OBJECT_CENTER - APPROACH_AXIS * standoff
 
         canon = canonical_hand_joints(curl)
         joints = canon + wrist_t
@@ -221,14 +217,14 @@ def synth_hand_trajectory(config: Optional[SynthConfig] = None, **kwargs) -> Syn
         noise = rng.normal(size=surface.shape) * cfg.noise_sigma
         observed = (surface + noise) * cfg.depth_scale
         cloud = PointCloud(points=observed)
-        depth = splat_depth(observed, cfg.intrinsics, cfg.splat_footprint)
+        depth = splat_depth(observed, cfg.intrinsics, SPLAT_FOOTPRINT)
         clouds.append(cloud)
         depths.append(depth)
         masks.append(depth.valid.copy())
 
-    obj_true = sample_cylinder_surface(center, 0.030, 0.12, cfg.n_object_points, rng)
+    obj_true = sample_cylinder_surface(OBJECT_CENTER, 0.030, 0.12, cfg.n_object_points, rng)
     return SynthFixture(
-        trajectory=HandTrajectory(frames=frames, fps=cfg.fps),
+        trajectory=HandTrajectory(frames=frames, fps=FPS),
         clouds=clouds,
         depths=depths,
         masks=masks,

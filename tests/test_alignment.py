@@ -208,20 +208,25 @@ class TestSmoothDepthResiduals:
         r = smooth_depth_residuals(far, depth, depth.valid, K)
         np.testing.assert_array_equal(r, np.zeros(len(far)))
 
-    def test_near_point_zeroes_the_whole_call(self):
+    def test_near_points_are_inf_and_leave_the_others_alone(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 3)
         shifted = pts + np.array([0.0, 0.0, 0.01])
-        shifted[0, 2] = 0.5 * alignment._MIN_DEPTH
+        near = np.zeros(len(pts), dtype=bool)
+        near[[0, 5, 9]] = True
+        shifted[near, 2] = (0.5 * alignment._MIN_DEPTH, 0.0, -0.2)
         r = smooth_depth_residuals(shifted, depth, depth.valid, K)
-        assert r[0] == np.inf
-        np.testing.assert_array_equal(r[1:], np.zeros(len(pts) - 1))
+        assert np.all(r[near] == np.inf)
+        without = smooth_depth_residuals(shifted[~near], depth, depth.valid, K)
+        assert np.any(without != 0.0)
+        assert r[~near].tobytes() == without.tobytes()
 
     # pixel coordinates a little beyond the image on every side, and depths
-    # from the minimum depth to past the observed plane
+    # from behind the camera, through zero and the minimum depth, to past
+    # the observed plane
     _pixel_points = st.lists(
         st.tuples(st.floats(-8.0, K.width + 8.0), st.floats(-8.0, K.height + 8.0),
-                  st.floats(alignment._MIN_DEPTH, 1.0)),
+                  st.floats(-0.2, 1.0)),
         min_size=1, max_size=30)
 
     @given(st.lists(_pixel_points, min_size=1, max_size=6))

@@ -38,6 +38,15 @@ def write_config(dirpath: Path, **overrides) -> Path:
     return path
 
 
+def set_json(frame=None, **values):
+    """A text edit that sets keys of a JSON document, or of one of its frames."""
+    def edit(text):
+        doc = json.loads(text)
+        (doc if frame is None else doc["frames"][frame]).update(values)
+        return json.dumps(doc)
+    return edit
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     """A small synthetic demonstration shared across CLI tests."""
@@ -149,6 +158,35 @@ class TestCmdPipeline:
         write_config(out)
         (out / "observations" / f"frame_0000{suffix}").write_bytes(payload)
         code = main(["calibrate", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:")
+        assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("path, edit", [
+        ("observations/frame_0000.ply",
+         lambda text: text.replace("element vertex 600", "element vertex abc")),
+        ("hand_trajectory.json", set_json(frame=0, index="x")),
+        ("hand_trajectory.json", set_json(frame=0, contacts=[1, 2])),
+        ("hand_trajectory.json", set_json(fps="fast")),
+        ("config.json", set_json(seed="abc")),
+        ("config.json", set_json(proximal_links=["a"])),
+        ("config.json", set_json(mount_offset={"quat_wxyz": ["a", 0, 0, 0], "pos": [0, 0, 0]})),
+        ("config.json", set_json(align={"inner_iters": 2.5})),
+        ("config.json", set_json(retarget={"solver": {"max_iters": "many"}})),
+    ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
+            "mount-offset", "align-inner-iters", "solver-max-iters"])
+    def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        write_config(out)
+        target = out / path
+        text = target.read_text()
+        assert edit(text) != text
+        target.write_text(edit(text))
+        code = main(["pipeline", "--config", str(out / "config.json")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR config:")

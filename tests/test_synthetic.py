@@ -4,6 +4,7 @@ import pytest
 from dexretarget.errors import InvalidArgumentError
 from dexretarget.geometry import splat_depth
 from dexretarget.synthetic import (
+    OBJECT_CENTER,
     SynthConfig,
     canonical_hand_joints,
     hand_bones,
@@ -98,9 +99,8 @@ class TestSynthHandTrajectory:
 
     def test_hand_approaches_object(self):
         fix = synth_hand_trajectory(SynthConfig(n_frames=5, seed=0))
-        center = np.array(SynthConfig().object_center)
-        d0 = np.linalg.norm(fix.trajectory.frames[0].wrist_pose.translation - center)
-        d4 = np.linalg.norm(fix.trajectory.frames[-1].wrist_pose.translation - center)
+        d0 = np.linalg.norm(fix.trajectory.frames[0].wrist_pose.translation - OBJECT_CENTER)
+        d4 = np.linalg.norm(fix.trajectory.frames[-1].wrist_pose.translation - OBJECT_CENTER)
         assert d4 < d0
 
     def test_contacts_on_final_frame_only(self):
