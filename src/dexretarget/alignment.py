@@ -66,6 +66,9 @@ class AlignConfig:
                 raise InvalidArgumentError(f"{name} must be positive")
         check_iteration_count("outer_iters", self.outer_iters)
         check_iteration_count("inner_iters", self.inner_iters)
+        check_iteration_count("splat_footprint", self.splat_footprint)
+        if self.splat_footprint % 2 == 0:
+            raise InvalidArgumentError(f"splat_footprint must be odd, got {self.splat_footprint}")
 
 
 @dataclass
@@ -92,8 +95,8 @@ class HandAlignment:
 
 @dataclass
 class FrameObservation:
-    """One observed frame: hand cloud (with normals for alignment),
-    depth map, and the hand-region pixel mask."""
+    """One observed frame: hand cloud (with normals for alignment), depth
+    map, and hand support: the given hand mask's pixels of valid depth."""
 
     cloud: PointCloud
     depth: DepthImage
@@ -102,9 +105,10 @@ class FrameObservation:
     def __post_init__(self):
         if self.cloud.normals is None:
             raise InvalidArgumentError("observed cloud must carry normals")
-        self.hand_mask = np.asarray(self.hand_mask, dtype=bool)
-        if self.hand_mask.shape != self.depth.values.shape:
+        mask = np.asarray(self.hand_mask, dtype=bool)
+        if mask.shape != self.depth.values.shape:
             raise InvalidArgumentError("hand mask dimensions must match the depth image")
+        self.hand_mask = mask & self.depth.valid
 
 
 def params_encode(sigma: float, correction: RigidTransform) -> np.ndarray:
@@ -160,36 +164,33 @@ def depth_consistency_loss(
     hand_cloud: PointCloud,
     sigma: float,
     correction: RigidTransform,
-    observed_depth: DepthImage,
-    hand_mask: np.ndarray,
+    observation: FrameObservation,
     intrinsics: CameraIntrinsics,
     footprint: int = 3,
 ) -> float:
     """Mean absolute depth difference between the splatted hand cloud and
-    the observed depth over the hand-region pixels valid in both."""
-    hand_mask = np.asarray(hand_mask, dtype=bool)
-    if hand_mask.shape != observed_depth.values.shape:
-        raise InvalidArgumentError("hand mask dimensions must match the depth image")
+    the observed depth over the hand support pixels the splat covers."""
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
     rendered = splat_depth(moved, intrinsics, footprint)
-    omega = rendered.valid & observed_depth.valid & hand_mask
+    omega = rendered.valid & observation.hand_mask
     if not np.any(omega):
         raise LossUndefinedError("no overlapping valid hand pixels")
-    return float(np.mean(np.abs(rendered.values[omega] - observed_depth.values[omega])))
+    return float(np.mean(np.abs(rendered.values[omega] - observation.depth.values[omega])))
 
 
 _MIN_DEPTH = 0.01  # meters; reject configurations that push the hand to the camera
 
 
-def smooth_depth_residuals(points: np.ndarray, depth: DepthImage, mask: np.ndarray,
+def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
                            intrinsics: CameraIntrinsics) -> np.ndarray:
     """Differentiable per-point depth discrepancies against an observed map.
 
     Each point samples the observed depth at its continuous projection with
-    a C2 separable kernel gated by the valid-and-masked pixels, giving a
+    a C2 separable kernel gated by the observation's hand support, giving a
     residual that is twice continuously differentiable in the point
-    coordinates and fades to zero as the projection leaves the supported
-    region. Returns one residual per point (zero for unsupported points);
+    coordinates and fades to zero as the projection leaves the support;
+    invalid pixels read 0, so a pixel outside the support moves no bit.
+    Returns one residual per point (zero for unsupported points);
     a point nearer than the minimum depth gets +inf and the kernel runs on
     the other points only. Each point's residual depends on that point
     alone.
@@ -198,8 +199,8 @@ def smooth_depth_residuals(points: np.ndarray, depth: DepthImage, mask: np.ndarr
     near = pts[:, 2] < _MIN_DEPTH
     far = pts[~near] if np.any(near) else pts
     z = far[:, 2]
-    h, w = depth.values.shape
-    support = depth.valid & np.asarray(mask, dtype=bool)
+    depth, support = observation.depth.values, observation.hand_mask
+    h, w = depth.shape
     u = intrinsics.fx * far[:, 0] / z + intrinsics.cx
     v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
     iu = np.floor(u).astype(int)
@@ -229,7 +230,7 @@ def smooth_depth_residuals(points: np.ndarray, depth: DepthImage, mask: np.ndarr
             cv_c = np.clip(cv, 0, h - 1)
             gate = inside & support[cv_c, cu_c]
             wk = np.where(gate, (wu[ku] / su) * (wv[kv] / sv), 0.0)
-            r += wk * (z - depth.values[cv_c, cu_c])
+            r += wk * (z - depth[cv_c, cu_c])
     if far is pts:
         return r
     out = np.full(len(pts), np.inf)
@@ -265,8 +266,7 @@ def _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index, fr
         r = np.einsum("ij,ij->i", corr_nrm, m - corr_pts)
         moved.append(m)
         icp.append(float(np.mean(pseudo_huber(r, cfg.huber_delta))))
-    dres = smooth_depth_residuals(np.concatenate(moved), observation.depth,
-                                  observation.hand_mask, intrinsics)
+    dres = smooth_depth_residuals(np.concatenate(moved), observation, intrinsics)
     values = np.full(len(xs), np.inf)
     for b, d in enumerate(dres.reshape(len(xs), -1)):
         if not np.all(np.isfinite(d)):
@@ -361,7 +361,7 @@ def align_hand_frame(
     sigma0, corr0 = params_decode(x)
     moved0 = apply_scaled_correction(hand_cloud.points, sigma0, corr0)
     rendered0 = splat_depth(moved0, intrinsics, cfg.splat_footprint)
-    omega0 = rendered0.valid & observation.depth.valid & observation.hand_mask
+    omega0 = rendered0.valid & observation.hand_mask
     f_best = float(fresh_batch(x[None, :])[0])
     if not np.any(omega0) or not np.isfinite(f_best):
         raise AlignmentError(
@@ -408,9 +408,8 @@ def align_hand_frame(
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     icp_rms = float(np.sqrt(np.mean(r ** 2)))
     try:
-        depth_res = depth_consistency_loss(hand_cloud, sigma, correction, observation.depth,
-                                           observation.hand_mask, intrinsics,
-                                           cfg.splat_footprint)
+        depth_res = depth_consistency_loss(hand_cloud, sigma, correction, observation,
+                                           intrinsics, cfg.splat_footprint)
     except LossUndefinedError:
         depth_res = 0.0
     return HandAlignment(
@@ -447,12 +446,8 @@ def align_trajectory(
         sampled = PointCloud(points=sample_hand_surface(
             frame.joints, HAND_SURFACE_POINTS, seed=seed + frame.frame_index,
             visible_from=(0.0, 0.0, 0.0)))
-        init = None
-        if prev is not None:
-            init = HandAlignment(frame.frame_index, prev.sigma, prev.correction,
-                                 0.0, 0.0, False)
         try:
-            result = align_hand_frame(frame, sampled, obs, intrinsics, init=init, cfg=cfg)
+            result = align_hand_frame(frame, sampled, obs, intrinsics, init=prev, cfg=cfg)
         except AlignmentError as exc:
             raise AlignmentError(
                 f"frame {frame.frame_index}: {exc}",

@@ -188,6 +188,9 @@ def read_ply(path) -> PointCloud:
         if not line:
             continue
         tokens = line.split()
+        if len(tokens) < {"format": 2, "element": 2, "property": 3}.get(tokens[0], 1):
+            raise DataParseError(f"PLY header line {line!r} is missing a token",
+                                 location=f"line {lineno}")
         if tokens[0] == "format":
             if tokens[1] != "ascii":
                 raise FormatError(f"unsupported PLY format {tokens[1]!r} (ASCII only)")
@@ -280,10 +283,7 @@ def read_pfm_depth(path) -> DepthImage:
     if len(payload) < need:
         raise DataParseError(f"PFM payload truncated: need {need} bytes, have {len(payload)}")
     data = np.frombuffer(payload[:need], dtype=endian + "f4").reshape(h, w)
-    values = np.flipud(data).astype(float)  # PFM rows are bottom-to-top
-    valid = np.isfinite(values) & (values > 0)
-    safe = np.where(valid, values, 0.0)
-    return DepthImage(values=safe, valid=valid)
+    return DepthImage(values=np.flipud(data).astype(float))  # PFM rows are bottom-to-top
 
 
 def write_pfm_depth(img: DepthImage, path) -> None:

@@ -269,26 +269,21 @@ class CameraIntrinsics:
 
 @dataclass
 class DepthImage:
-    """Dense depth grid in meters with a per-pixel validity mask.
+    """Dense depth grid in meters whose per-pixel validity derives from it.
 
-    ``values[v, u]`` is the depth at pixel (u, v); content of invalid
-    pixels is unspecified (written as 0).
+    ``values[v, u]`` is the depth at pixel (u, v). A pixel is valid when
+    its depth is finite and positive; every invalid pixel reads 0.
     """
 
     values: np.ndarray
-    valid: np.ndarray = field(default=None)
+    valid: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2:
             raise InvalidArgumentError("depth values must be a 2D grid")
-        if self.valid is None:
-            self.valid = np.isfinite(self.values) & (self.values > 0)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != self.values.shape:
-            raise InvalidArgumentError("validity mask shape must match values")
-        if not np.all(np.isfinite(self.values[self.valid])):
-            raise InvalidArgumentError("depth values must be finite where valid")
+        self.valid = np.isfinite(values) & (values > 0)
+        self.values = np.where(self.valid, values, 0.0)
 
     @property
     def height(self) -> int:
@@ -414,21 +409,18 @@ def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> Dep
                     ok = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
                     if np.any(ok):
                         np.minimum.at(buf, (vv[ok], uu[ok]), z[ok])
-    valid = np.isfinite(buf)
-    values = np.where(valid, buf, 0.0)
-    return DepthImage(values=values, valid=valid)
+    return DepthImage(values=buf)
 
 
-def backproject_depth(img: DepthImage, intrinsics: CameraIntrinsics, mask=None) -> np.ndarray:
-    """Backproject valid (optionally masked) pixels to camera-frame points.
+def backproject_depth(img: DepthImage, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Backproject valid pixels to camera-frame points.
 
     Points are returned in row-major pixel order, so two images sharing a
     validity mask backproject to pointwise-corresponding arrays.
     """
     if img.values.shape != (intrinsics.height, intrinsics.width):
         raise InvalidArgumentError("depth image dimensions do not match intrinsics")
-    sel = img.valid if mask is None else (img.valid & np.asarray(mask, dtype=bool))
-    vs, us = np.nonzero(sel)
+    vs, us = np.nonzero(img.valid)
     z = img.values[vs, us]
     x = (us - intrinsics.cx) / intrinsics.fx * z
     y = (vs - intrinsics.cy) / intrinsics.fy * z

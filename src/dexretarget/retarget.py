@@ -124,6 +124,14 @@ class RefineReport:
     warnings: list
 
 
+def _vector_weights(spec: VectorSpec, cfg: RetargetConfig) -> np.ndarray:
+    """The per-vector weights of cfg, all ones when it sets none."""
+    w = cfg.weights if cfg.weights is not None else np.ones(spec.n_vec)
+    if w.shape != (spec.n_vec,):
+        raise InvalidArgumentError("weights length must match the vector spec")
+    return w
+
+
 def vector_matching_loss(
     model: RobotModel,
     q,
@@ -143,9 +151,7 @@ def vector_matching_loss(
         raise InvalidArgumentError(
             f"expected {spec.n_vec} reference vectors, got shape {ref.shape}"
         )
-    w = cfg.weights if cfg.weights is not None else np.ones(spec.n_vec)
-    if w.shape != (spec.n_vec,):
-        raise InvalidArgumentError("weights length must match the vector spec")
+    w = _vector_weights(spec, cfg)
     links, starts, ends = spec.robot_link_pairs()
     origins = link_origins(model, model.check_q(q), wrist.rotation.as_matrix(),
                            wrist.translation, links)
@@ -177,9 +183,9 @@ def retarget_problem(
     wrist_r = wrist.rotation.as_matrix()
     wrist_t = wrist.translation
     ref = np.asarray(ref_vectors, dtype=float)
-    w = cfg.weights if cfg.weights is not None else np.ones(spec.n_vec)
+    w = _vector_weights(spec, cfg)
     active = np.array([i for i in range(spec.n_vec) if w[i] != 0.0], dtype=int)
-    w_active = np.asarray(w, dtype=float)[active]
+    w_active = w[active]
     ref_active = ref[active]
     links, starts, ends = spec.robot_link_pairs()
     starts, ends = starts[active], ends[active]
@@ -430,8 +436,9 @@ def assemble_grasp_plan(
 def contacts_from_hand(
     hand: HandFrame,
     mapping: FingerMapping,
-    lambda_init: float = 0.1,
-    alternations: int = 3,
+    *,
+    lambda_init: float,
+    alternations: int,
 ) -> Optional[ContactTargets]:
     """Build contact targets from a hand frame's annotations, restricted
     to mapped digits. Returns None when nothing usable is annotated."""

@@ -56,6 +56,14 @@ def observe(points):
     return FrameObservation(cloud=cloud, depth=depth, hand_mask=depth.valid)
 
 
+def observation_of(depth, mask=None):
+    """An observation of the depth map over the hand mask (all valid
+    pixels by default); its cloud only carries the normals it needs."""
+    cloud = PointCloud(points=np.zeros((1, 3)), normals=np.array([[0.0, 0.0, 1.0]]))
+    return FrameObservation(cloud=cloud, depth=depth,
+                            hand_mask=depth.valid if mask is None else mask)
+
+
 def plane_points(z=0.4, half=0.06, step=0.002):
     g = np.arange(-half, half + step / 2, step)
     xx, yy = np.meshgrid(g, g)
@@ -132,72 +140,79 @@ class TestDepthConsistencyLoss:
         pts = sample_hand_surface(hand_at().joints, 400, seed=3, visible_from=(0, 0, 0))
         depth = splat_depth(pts, K, 3)
         sampled = PointCloud(points=pts)
-        loss = depth_consistency_loss(sampled, 1.0, RigidTransform.identity(), depth,
-                                      depth.valid, K)
+        loss = depth_consistency_loss(sampled, 1.0, RigidTransform.identity(),
+                                      observation_of(depth), K)
         assert loss == 0.0
 
     def test_constant_offset(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 3)
-        shifted = DepthImage(values=np.where(depth.valid, depth.values + 0.02, 0.0),
-                             valid=depth.valid.copy())
+        shifted = DepthImage(values=np.where(depth.valid, depth.values + 0.02, 0.0))
         loss = depth_consistency_loss(PointCloud(points=pts), 1.0,
-                                      RigidTransform.identity(), shifted,
-                                      depth.valid, K)
+                                      RigidTransform.identity(), observation_of(shifted), K)
         assert loss == pytest.approx(0.02, abs=1e-12)
 
     def test_five_mm_axial_shift_on_flat_fixture(self):
         pts = plane_points()
         observed = splat_depth(pts, K, 3)
         shift = RigidTransform(Rotation.identity(), np.array([0.0, 0.0, 0.005]))
-        loss = depth_consistency_loss(PointCloud(points=pts), 1.0, shift, observed,
-                                      observed.valid, K)
+        loss = depth_consistency_loss(PointCloud(points=pts), 1.0, shift,
+                                      observation_of(observed), K)
         assert loss == pytest.approx(0.005, abs=1e-4)
 
     def test_invariant_to_pixels_outside_mask(self):
         pts = sample_hand_surface(hand_at().joints, 400, seed=3, visible_from=(0, 0, 0))
         depth = splat_depth(pts, K, 3)
-        mask = depth.valid.copy()
-        mask[:, :200] = False
+        # the mask leaves out the left half of the hand's pixels
+        outside = np.zeros_like(depth.valid)
+        outside[:, : int(np.median(np.nonzero(depth.valid)[1]))] = True
+        mask = depth.valid & ~outside
         base = depth_consistency_loss(PointCloud(points=pts), 1.0,
-                                      RigidTransform.identity(), depth, mask, K)
+                                      RigidTransform.identity(), observation_of(depth, mask), K)
+        # tamper only pixels that stay valid, so validity is unchanged
         tampered_values = depth.values.copy()
-        tampered_values[:, :200] += 123.0
-        tampered = DepthImage(values=tampered_values,
-                              valid=depth.valid.copy())
-        after = depth_consistency_loss(PointCloud(points=pts), 1.0,
-                                       RigidTransform.identity(), tampered, mask, K)
+        tampered_values[outside & depth.valid] += 123.0
+        tampered = DepthImage(values=tampered_values)
+        np.testing.assert_array_equal(tampered.valid, depth.valid)
+        assert np.any(tampered.values != depth.values)
+        after = depth_consistency_loss(PointCloud(points=pts), 1.0, RigidTransform.identity(),
+                                       observation_of(tampered, mask), K)
         assert base == after
 
     def test_empty_overlap_raises(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 3)
         with pytest.raises(LossUndefinedError):
-            depth_consistency_loss(PointCloud(points=pts), 1.0,
-                                   RigidTransform.identity(), depth,
-                                   np.zeros_like(depth.valid), K)
+            depth_consistency_loss(PointCloud(points=pts), 1.0, RigidTransform.identity(),
+                                   observation_of(depth, np.zeros_like(depth.valid)), K)
 
+
+class TestFrameObservation:
     def test_mask_shape_mismatch(self):
-        pts = plane_points()
-        depth = splat_depth(pts, K, 3)
+        depth = splat_depth(plane_points(), K, 3)
         with pytest.raises(InvalidArgumentError):
-            depth_consistency_loss(PointCloud(points=pts), 1.0,
-                                   RigidTransform.identity(), depth,
-                                   np.ones((2, 2), dtype=bool), K)
+            observation_of(depth, np.ones((2, 2), dtype=bool))
+
+    def test_hand_mask_is_the_valid_part_of_the_mask(self):
+        depth = splat_depth(plane_points(), K, 3)
+        mask = np.zeros_like(depth.valid)
+        mask[:, : K.width // 2] = True
+        obs = observation_of(depth, mask)
+        np.testing.assert_array_equal(obs.hand_mask, mask & depth.valid)
+        assert np.any(obs.hand_mask) and np.any(mask & ~depth.valid)
 
 
 class TestSmoothDepthResiduals:
     def test_on_surface_residuals_vanish(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 1)
-        r = smooth_depth_residuals(pts, depth, depth.valid, K)
+        r = smooth_depth_residuals(pts, observation_of(depth), K)
         assert np.abs(r).max() < 1e-9
 
     def test_offset_residuals(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 3)  # gap-free support over the patch
-        r = smooth_depth_residuals(pts + np.array([0.0, 0.0, 0.01]), depth,
-                                   depth.valid, K)
+        r = smooth_depth_residuals(pts + np.array([0.0, 0.0, 0.01]), observation_of(depth), K)
         interior = np.abs(r - 0.01) < 1e-9
         assert interior.mean() > 0.9  # all but mask-boundary points
 
@@ -205,7 +220,7 @@ class TestSmoothDepthResiduals:
         pts = plane_points()
         depth = splat_depth(pts, K, 1)
         far = pts + np.array([10.0, 0.0, 0.0])  # projects far outside the image
-        r = smooth_depth_residuals(far, depth, depth.valid, K)
+        r = smooth_depth_residuals(far, observation_of(depth), K)
         np.testing.assert_array_equal(r, np.zeros(len(far)))
 
     def test_near_points_are_inf_and_leave_the_others_alone(self):
@@ -215,11 +230,22 @@ class TestSmoothDepthResiduals:
         near = np.zeros(len(pts), dtype=bool)
         near[[0, 5, 9]] = True
         shifted[near, 2] = (0.5 * alignment._MIN_DEPTH, 0.0, -0.2)
-        r = smooth_depth_residuals(shifted, depth, depth.valid, K)
+        obs = observation_of(depth)
+        r = smooth_depth_residuals(shifted, obs, K)
         assert np.all(r[near] == np.inf)
-        without = smooth_depth_residuals(shifted[~near], depth, depth.valid, K)
+        without = smooth_depth_residuals(shifted[~near], obs, K)
         assert np.any(without != 0.0)
         assert r[~near].tobytes() == without.tobytes()
+
+    def test_invalid_pixels_next_to_points_do_not_reach_residuals(self):
+        pts = plane_points()
+        depth = splat_depth(pts, K, 1)
+        nan_filled = np.where(depth.valid, depth.values, np.nan)
+        shifted = pts + np.array([0.0, 0.0, 0.01])
+        zero = smooth_depth_residuals(shifted, observation_of(depth), K)
+        nan = smooth_depth_residuals(shifted, observation_of(DepthImage(values=nan_filled)), K)
+        assert np.all(np.isfinite(zero)) and np.any(zero != 0.0)
+        assert nan.tobytes() == zero.tobytes()
 
     # pixel coordinates a little beyond the image on every side, and depths
     # from behind the camera, through zero and the minimum depth, to past
@@ -240,8 +266,9 @@ class TestSmoothDepthResiduals:
         for uvz in sets:
             u, v, z = np.array(uvz, dtype=float).T
             clouds.append(np.column_stack([(u - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z]))
-        stacked = smooth_depth_residuals(np.concatenate(clouds), depth, mask, K)
-        separate = np.concatenate([smooth_depth_residuals(c, depth, mask, K) for c in clouds])
+        obs = observation_of(depth, mask)
+        stacked = smooth_depth_residuals(np.concatenate(clouds), obs, K)
+        separate = np.concatenate([smooth_depth_residuals(c, obs, K) for c in clouds])
         assert stacked.tobytes() == separate.tobytes()
 
 

@@ -172,10 +172,14 @@ class TestCmdPipeline:
         ("config.json", set_json(seed="abc")),
         ("config.json", set_json(proximal_links=["a"])),
         ("config.json", set_json(mount_offset={"quat_wxyz": ["a", 0, 0, 0], "pos": [0, 0, 0]})),
+        ("observations/frame_0000.ply",
+         lambda text: text.replace("format ascii 1.0", "format")),
         ("config.json", set_json(align={"inner_iters": 2.5})),
+        ("config.json", set_json(align={"splat_footprint": 2})),
         ("config.json", set_json(retarget={"solver": {"max_iters": "many"}})),
     ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
-            "mount-offset", "align-inner-iters", "solver-max-iters"])
+            "mount-offset", "ply-bare-format", "align-inner-iters", "align-splat-footprint",
+            "solver-max-iters"])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
         out = tmp_path / "fix"
         assert main(["synth", "--out-dir", str(out), "--seed", "4",

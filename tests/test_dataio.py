@@ -153,6 +153,18 @@ class TestPlyIO:
         with pytest.raises(FormatError):
             dataio.read_ply(path)
 
+    @pytest.mark.parametrize("header, lineno", [
+        ("format\nelement vertex 0\nend_header\n", 2),
+        ("format ascii 1.0\nelement\nend_header\n", 3),
+        ("format ascii 1.0\nelement vertex 0\nproperty\nend_header\n", 4),
+    ], ids=["format", "element", "property"])
+    def test_header_line_missing_token(self, tmp_path, header, lineno):
+        path = tmp_path / "bad.ply"
+        path.write_text("ply\n" + header)
+        with pytest.raises(DataParseError) as info:
+            dataio.read_ply(path)
+        assert info.value.location == f"line {lineno}"
+
     def test_not_ply(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text("hello\n")
@@ -171,11 +183,12 @@ class TestPfmIO:
 
     def test_nan_marks_invalid(self, tmp_path):
         path = tmp_path / "depth.pfm"
-        values = np.array([[1.0, 0.5], [2.0, 1.5]])
-        valid = np.array([[True, False], [True, True]])
-        dataio.write_pfm_depth(DepthImage(values=values, valid=valid), path)
+        values = np.array([[1.0, np.nan], [2.0, 1.5]])
+        dataio.write_pfm_depth(DepthImage(values=values), path)
+        assert np.isnan(np.frombuffer(path.read_bytes()[-8:], dtype="<f4")[1])
         loaded = dataio.read_pfm_depth(path)
-        np.testing.assert_array_equal(loaded.valid, valid)
+        np.testing.assert_array_equal(loaded.valid, [[True, False], [True, True]])
+        np.testing.assert_array_equal(loaded.values, [[1.0, 0.0], [2.0, 1.5]])
 
     def test_bit_exact_round_trip(self, tmp_path, rng):
         path = tmp_path / "depth.pfm"

@@ -280,13 +280,8 @@ class TestCameraIntrinsics:
 
 
 class TestDepthImage:
-    def test_nonfinite_valid_rejected(self):
-        values = np.ones((2, 2))
-        values[0, 0] = np.nan
-        with pytest.raises(InvalidArgumentError):
-            DepthImage(values=values, valid=np.ones((2, 2), dtype=bool))
-
     def test_default_mask(self):
         values = np.array([[1.0, 0.0], [-1.0, np.nan]])
         img = DepthImage(values=values)
         np.testing.assert_array_equal(img.valid, [[True, False], [False, False]])
+        np.testing.assert_array_equal(img.values, [[1.0, 0.0], [0.0, 0.0]])

@@ -509,9 +509,9 @@ class TestContactsFromHand:
         joints = canonical_hand_joints(0.4) + np.array([0.0, 0.0, 0.45])
         contacts_ann = {"thumb": joints[4], "index": joints[8], "pinky": joints[20]}
         hand = hand_frame_at(contacts=contacts_ann)
-        targets = contacts_from_hand(hand, mapping16)
+        targets = contacts_from_hand(hand, mapping16, lambda_init=0.1, alternations=3)
         assert set(targets.active) == {"thumb", "index"}  # pinky unmapped
 
     def test_none_without_annotations(self, mapping16):
         hand = hand_frame_at()
-        assert contacts_from_hand(hand, mapping16) is None
+        assert contacts_from_hand(hand, mapping16, lambda_init=0.1, alternations=3) is None
