@@ -10,7 +10,7 @@ observed cloud and depth map.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,6 +46,10 @@ _PARAM_LO = np.concatenate(([LOG_SCALE_BOUNDS[0]], -TWIST_BOUND * np.ones(6)))
 _PARAM_HI = np.concatenate(([LOG_SCALE_BOUNDS[1]], TWIST_BOUND * np.ones(6)))
 # skeleton surface samples per frame registered against the observation
 HAND_SURFACE_POINTS = 500
+# pixels of zero support around the hand support's bounding box: the depth
+# kernel's taps reach 1 px before and 2 px after a projection, so the taps
+# of a projection clipped to the window's border all fall in the pad
+_WINDOW_PAD = 4
 
 
 @dataclass
@@ -96,11 +100,21 @@ class HandAlignment:
 @dataclass
 class FrameObservation:
     """One observed frame: hand cloud (with normals for alignment), depth
-    map, and hand support: the given hand mask's pixels of valid depth."""
+    map, and hand support: the given hand mask's pixels of valid depth.
+
+    The depth kernel reads the support through a window: the support's
+    bounding box (empty at the image origin when there is no support)
+    padded by _WINDOW_PAD pixels on each side, whose top-left pixel is
+    ``window_origin`` (u, v). ``support_window`` is the support there and
+    ``depth_window`` the depth, zero outside the support.
+    """
 
     cloud: PointCloud
     depth: DepthImage
     hand_mask: np.ndarray
+    window_origin: tuple = field(init=False, repr=False)
+    support_window: np.ndarray = field(init=False, repr=False)
+    depth_window: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.cloud.normals is None:
@@ -109,6 +123,15 @@ class FrameObservation:
         if mask.shape != self.depth.values.shape:
             raise InvalidArgumentError("hand mask dimensions must match the depth image")
         self.hand_mask = mask & self.depth.valid
+        rows = np.flatnonzero(self.hand_mask.any(axis=1))
+        cols = np.flatnonzero(self.hand_mask.any(axis=0))
+        v0, v1 = (rows[0], rows[-1]) if rows.size else (0, -1)
+        u0, u1 = (cols[0], cols[-1]) if cols.size else (0, -1)
+        box = (slice(v0, v1 + 1), slice(u0, u1 + 1))
+        support = self.hand_mask[box]
+        self.window_origin = (int(u0) - _WINDOW_PAD, int(v0) - _WINDOW_PAD)
+        self.support_window = np.pad(support, _WINDOW_PAD)
+        self.depth_window = np.pad(np.where(support, self.depth.values[box], 0.0), _WINDOW_PAD)
 
 
 def params_encode(sigma: float, correction: RigidTransform) -> np.ndarray:
@@ -179,6 +202,10 @@ def depth_consistency_loss(
 
 
 _MIN_DEPTH = 0.01  # meters; reject configurations that push the hand to the camera
+# separable C2 kernel of radius 2 px: wide and smooth enough that
+# finite-difference probes see a polynomial-like landscape
+_KERNEL_RADIUS = 2.0
+_TAPS = np.array([-1, 0, 1, 2])
 
 
 def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
@@ -188,49 +215,47 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     Each point samples the observed depth at its continuous projection with
     a C2 separable kernel gated by the observation's hand support, giving a
     residual that is twice continuously differentiable in the point
-    coordinates and fades to zero as the projection leaves the support;
-    invalid pixels read 0, so a pixel outside the support moves no bit.
-    Returns one residual per point (zero for unsupported points);
-    a point nearer than the minimum depth gets +inf and the kernel runs on
-    the other points only. Each point's residual depends on that point
-    alone.
+    coordinates and fades to zero as the projection leaves the support.
+    The 16 taps of all points come from one gather into the observation's
+    padded support window; a projection beyond the window is clipped into
+    its zero pad, where every tap is gated off. Returns one residual per
+    point (zero for unsupported points); a point nearer than the minimum
+    depth gets +inf and the kernel runs on the other points only. Each
+    point's residual depends on that point alone: the sum of its gated
+    taps, added one at a time with the column tap outermost.
     """
     pts = np.asarray(points, dtype=float)
     near = pts[:, 2] < _MIN_DEPTH
     far = pts[~near] if np.any(near) else pts
     z = far[:, 2]
-    depth, support = observation.depth.values, observation.hand_mask
-    h, w = depth.shape
     u = intrinsics.fx * far[:, 0] / z + intrinsics.cx
     v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
     iu = np.floor(u).astype(int)
     iv = np.floor(v).astype(int)
 
-    # separable C2 kernel of radius 2 px: wide and smooth enough that
-    # finite-difference probes see a polynomial-like landscape
-    radius = 2.0
-    taps = (-1, 0, 1, 2)
+    def weight_ratios(c, ic):
+        # (4, N) tap weights of one axis, each over the axis's weight sum
+        t = np.clip((_KERNEL_RADIUS - np.abs(c - (ic + _TAPS[:, None]))) / _KERNEL_RADIUS,
+                    0.0, 1.0)
+        wt = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
+        return wt / np.sum(wt, axis=0)
 
-    def kernel(frac):
-        t = np.clip((radius - np.abs(frac)) / radius, 0.0, 1.0)
-        return t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
-
-    wu = [kernel(u - (iu + d)) for d in taps]
-    wv = [kernel(v - (iv + d)) for d in taps]
-    su = np.sum(wu, axis=0)
-    sv = np.sum(wv, axis=0)
+    ou, ov = observation.window_origin
+    height, width = observation.support_window.shape
+    # window pixel of each projection, clipped so that its taps stay inside
+    pu = np.clip(iu - ou, 1, width - 3)
+    pv = np.clip(iv - ov, 1, height - 3)
+    # (16, N) flat window index; the column tap is the outer one
+    offsets = (_TAPS[:, None] + width * _TAPS[None, :]).ravel()
+    flat = offsets[:, None] + (pv * width + pu)
+    gate = np.take(observation.support_window, flat)
+    weights = (weight_ratios(u, iu)[:, None] * weight_ratios(v, iv)[None, :]).reshape(16, -1)
+    # the weights are finite and non-negative, so a gated-off tap adds exactly +-0
+    terms = (weights * gate) * (z - np.take(observation.depth_window, flat))
+    # one add per tap, in order: a reduction over the tap axis may sum pairwise
     r = np.zeros(len(far))
-    for ku, du in enumerate(taps):
-        cu = iu + du
-        in_u = (cu >= 0) & (cu < w)
-        cu_c = np.clip(cu, 0, w - 1)
-        for kv, dv in enumerate(taps):
-            cv = iv + dv
-            inside = in_u & (cv >= 0) & (cv < h)
-            cv_c = np.clip(cv, 0, h - 1)
-            gate = inside & support[cv_c, cu_c]
-            wk = np.where(gate, (wu[ku] / su) * (wv[kv] / sv), 0.0)
-            r += wk * (z - depth[cv_c, cu_c])
+    for term in terms:
+        r += term
     if far is pts:
         return r
     out = np.full(len(pts), np.inf)

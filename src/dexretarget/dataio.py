@@ -10,6 +10,7 @@ See FORMATS.md for the full reference.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Optional
@@ -32,6 +33,9 @@ from .retarget import RetargetConfig, RobotTrajectory, RobotTrajectoryFrame
 from .solver import SolverOptions
 
 _QUAT_UNIT_TOL = 1e-6
+# a PGM body holds unsigned decimal pixel values between ASCII whitespace;
+# with nothing else in it, numpy's text parser reads every token
+_PGM_BODY_JUNK = re.compile(r"[^0-9 \t\n\r\v\f]")
 
 
 def _read_text(path) -> str:
@@ -297,14 +301,18 @@ def write_pfm_depth(img: DepthImage, path) -> None:
 # PGM masks (P2, maxval 1)
 
 def read_pgm_mask(path) -> np.ndarray:
-    tokens = _read_text(path).split()
-    if not tokens or tokens[0] != "P2":
+    parts = _read_text(path).split(maxsplit=4)
+    if not parts or parts[0] != "P2":
         raise FormatError("mask must be an ASCII PGM (P2)")
     try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        vals = np.array([int(t) for t in tokens[4:]])
+        w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
     except (ValueError, IndexError) as exc:
-        raise DataParseError(f"PGM header/data is not numeric: {exc}") from exc
+        raise DataParseError(f"PGM header is not numeric: {exc}") from exc
+    body = parts[4] if len(parts) == 5 else ""
+    junk = _PGM_BODY_JUNK.search(body)
+    if junk is not None:
+        raise DataParseError(f"PGM pixel data is not unsigned decimal: {junk.group()!r}")
+    vals = np.fromstring(body, dtype=np.int64, sep=" ")
     if w <= 0 or h <= 0:
         raise DataParseError(f"PGM dimensions must be positive, got {w} x {h}")
     if vals.size != w * h:

@@ -53,9 +53,10 @@ class PipelineResult:
 
 
 def _load_observations(config: PipelineConfig, n_frames: int):
+    """The intrinsics, each frame's (cloud, depth) pair and each frame's hand mask."""
     obs_dir = config.observations_dir
     intrinsics = dataio.read_intrinsics(obs_dir / "intrinsics.json")
-    observations = []
+    pairs, masks = [], []
     for k in range(n_frames):
         stem = f"frame_{k:04d}"
         cloud_path = obs_dir / f"{stem}.ply"
@@ -64,12 +65,9 @@ def _load_observations(config: PipelineConfig, n_frames: int):
         for p in (cloud_path, depth_path, mask_path):
             if not p.is_file():
                 raise ConfigError(f"missing observation file: {p}")
-        observations.append((
-            dataio.read_ply(cloud_path),
-            dataio.read_pfm_depth(depth_path),
-            dataio.read_pgm_mask(mask_path),
-        ))
-    return intrinsics, observations
+        pairs.append((dataio.read_ply(cloud_path), dataio.read_pfm_depth(depth_path)))
+        masks.append(dataio.read_pgm_mask(mask_path))
+    return intrinsics, pairs, masks
 
 
 def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> PipelineResult:
@@ -88,7 +86,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
     try:
         model = parse_urdf(config.urdf.read_text())
         trajectory = dataio.read_hand_trajectory(config.hand_trajectory)
-        intrinsics, raw_obs = _load_observations(config, len(trajectory))
+        intrinsics, pairs, masks = _load_observations(config, len(trajectory))
         config.finger_mapping.validate_against(model)
         palm = config.palm_link or model.root_link
         if not model.has_link(palm):
@@ -103,11 +101,11 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
     # stage: depth calibration
     calibration = None
     t0 = time.perf_counter()
-    pairs = [(c, d) for c, d, _ in raw_obs]
     if config.object_cloud_true is not None and config.object_cloud_pred is not None:
         try:
             obj_true = dataio.read_ply(config.object_cloud_true)
             obj_pred = dataio.read_ply(config.object_cloud_pred)
+            # rebinding pairs frees the uncalibrated depth maps before align
             calibration, pairs = calibrate_depth_sequence(
                 pairs, obj_true, obj_pred, intrinsics,
                 with_scale=config.calibrate_scale,
@@ -129,7 +127,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
                 depth=depth,
                 hand_mask=mask,
             )
-            for (cloud, depth), (_, _, mask) in zip(pairs, raw_obs)
+            for (cloud, depth), mask in zip(pairs, masks)
         ]
         alignments = align_trajectory(
             trajectory, observations, intrinsics, cfg=config.align, seed=config.seed

@@ -103,8 +103,8 @@ class ContactTargets:
 
     active: tuple                       # mapped digits with targets
     targets: Dict[str, np.ndarray]      # digit -> 3D contact point
-    lambda_init: float = 0.1
-    alternations: int = 3
+    lambda_init: float
+    alternations: int
 
     def __post_init__(self):
         self.active = tuple(self.active)

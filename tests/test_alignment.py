@@ -70,6 +70,57 @@ def plane_points(z=0.4, half=0.06, step=0.002):
     return np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, z)])
 
 
+def reference_depth_residuals(points, depth, support, intrinsics):
+    """The depth kernel as it was before the padded support window: each of
+    the 16 taps clips its pixel into the image and gathers from the full
+    depth map and support. Kept as the oracle the kernel must equal bit for
+    bit."""
+    pts = np.asarray(points, dtype=float)
+    near = pts[:, 2] < alignment._MIN_DEPTH
+    far = pts[~near] if np.any(near) else pts
+    z = far[:, 2]
+    h, w = depth.shape
+    u = intrinsics.fx * far[:, 0] / z + intrinsics.cx
+    v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
+    iu = np.floor(u).astype(int)
+    iv = np.floor(v).astype(int)
+    radius = 2.0
+    taps = (-1, 0, 1, 2)
+
+    def kernel(frac):
+        t = np.clip((radius - np.abs(frac)) / radius, 0.0, 1.0)
+        return t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
+
+    wu = [kernel(u - (iu + d)) for d in taps]
+    wv = [kernel(v - (iv + d)) for d in taps]
+    su = np.sum(wu, axis=0)
+    sv = np.sum(wv, axis=0)
+    r = np.zeros(len(far))
+    for ku, du in enumerate(taps):
+        cu = iu + du
+        in_u = (cu >= 0) & (cu < w)
+        cu_c = np.clip(cu, 0, w - 1)
+        for kv, dv in enumerate(taps):
+            cv = iv + dv
+            inside = in_u & (cv >= 0) & (cv < h)
+            cv_c = np.clip(cv, 0, h - 1)
+            gate = inside & support[cv_c, cu_c]
+            wk = np.where(gate, (wu[ku] / su) * (wv[kv] / sv), 0.0)
+            r += wk * (z - depth[cv_c, cu_c])
+    if far is pts:
+        return r
+    out = np.full(len(pts), np.inf)
+    out[~near] = r
+    return out
+
+
+def points_at_pixels(uvz):
+    """Camera-frame points that project to the given (u, v) pixel
+    coordinates at depth z."""
+    u, v, z = np.array(uvz, dtype=float).reshape(-1, 3).T
+    return np.column_stack([(u - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z])
+
+
 class TestCalibrateDepthSequence:
     def make_object_depths(self, alpha):
         true_depth = DepthImage(values=np.full((K.height, K.width), 0.5))
@@ -262,15 +313,71 @@ class TestSmoothDepthResiduals:
         depth = splat_depth(plane, K, 3)
         mask = depth.valid.copy()
         mask[:, : K.width // 2 - 20] = False  # a mask edge inside the supported patch
-        clouds = []
-        for uvz in sets:
-            u, v, z = np.array(uvz, dtype=float).T
-            clouds.append(np.column_stack([(u - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z]))
+        clouds = [points_at_pixels(uvz) for uvz in sets]
         obs = observation_of(depth, mask)
         stacked = smooth_depth_residuals(np.concatenate(clouds), obs, K)
         separate = np.concatenate([smooth_depth_residuals(c, obs, K) for c in clouds])
         assert stacked.tobytes() == separate.tobytes()
 
+
+    @staticmethod
+    @st.composite
+    def _masks(draw):
+        """Supports that are empty, a single pixel, or a box with holes,
+        possibly touching an image edge; returns (mask, box)."""
+        h, w = K.height, K.width
+        kind = draw(st.sampled_from(["empty", "pixel", "top", "bottom", "left", "right", "box"]))
+        r0, r1 = sorted(draw(st.tuples(st.integers(0, h - 1), st.integers(0, h - 1))))
+        c0, c1 = sorted(draw(st.tuples(st.integers(0, w - 1), st.integers(0, w - 1))))
+        r0, r1 = (0 if kind == "top" else r0), (h - 1 if kind == "bottom" else r1)
+        c0, c1 = (0 if kind == "left" else c0), (w - 1 if kind == "right" else c1)
+        mask = np.zeros((h, w), dtype=bool)
+        if kind == "pixel":
+            mask[r0, c0] = True
+            r1, c1 = r0, c0
+        elif kind != "empty":
+            holes = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            mask[r0:r1 + 1, c0:c1 + 1] = holes.random((r1 - r0 + 1, c1 - c0 + 1)) > 0.2
+        return mask, (r0, r1, c0, c1)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_tap_reference(self, data):
+        mask, (r0, r1, c0, c1) = data.draw(self._masks())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (K.height, K.width)
+        depth = DepthImage(values=np.where(rng.random(shape) < 0.1, np.nan,
+                                           rng.uniform(0.2, 1.0, shape)))
+        # pixels around the support, across and a little beyond the image,
+        # and far beyond it; depths from behind the camera, through the
+        # minimum depth, to past the observed depths
+        pixel = st.one_of(
+            st.tuples(st.floats(c0 - 8.0, c1 + 8.0), st.floats(r0 - 8.0, r1 + 8.0)),
+            st.tuples(st.floats(-8.0, K.width + 8.0), st.floats(-8.0, K.height + 8.0)),
+            st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5)))
+        uvz = data.draw(st.lists(st.tuples(pixel, st.floats(-0.2, 1.2)),
+                                 min_size=1, max_size=40))
+        pts = points_at_pixels([(u, v, z) for (u, v), z in uvz])
+        obs = observation_of(depth, mask)
+        r = smooth_depth_residuals(pts, obs, K)
+        expected = reference_depth_residuals(pts, obs.depth.values, obs.hand_mask, K)
+        assert r.tobytes() == expected.tobytes()
+
+    def test_point_clipped_into_the_pad_reads_exactly_zero(self):
+        pts = plane_points()
+        depth = splat_depth(pts, K, 3)
+        mask = np.zeros_like(depth.valid)
+        mask[200:280, 280:360] = True
+        obs = observation_of(depth, mask)
+        # inside the image, on valid depth, 10 px beyond the support on each
+        # side: each projection is clipped into the pad
+        uv = [(269.5, 240.5), (370.5, 240.5), (320.5, 189.5), (320.5, 290.5)]
+        assert all(depth.valid[int(v), int(u)] for u, v in uv)
+        clipped = points_at_pixels([(u, v, 0.41) for u, v in uv])
+        r = smooth_depth_residuals(clipped, obs, K)
+        assert r.tobytes() == np.zeros(len(uv)).tobytes()
+        # the same points reach the support once it covers them
+        assert np.all(smooth_depth_residuals(clipped, observation_of(depth), K) != 0.0)
 
 class TestAlignHandFrame:
     def test_optimum_at_start(self):

@@ -1,4 +1,5 @@
 import json
+import shutil
 from importlib import resources
 from pathlib import Path
 
@@ -145,6 +146,17 @@ class TestCmdPipeline:
         code = main(["pipeline", "--config", str(out / "config.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR align:")
+
+    def test_empty_mask_mid_trajectory_is_code_2(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "fix"
+        shutil.copytree(fixture_dir, out)
+        mask_path = out / "observations" / "frame_0001.pgm"
+        dataio.write_pgm_mask(np.zeros_like(dataio.read_pgm_mask(mask_path)), mask_path)
+        code = main(["pipeline", "--config", str(out / "config.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR align: frame 1:")
+        assert "\n" not in err.strip()
 
     @pytest.mark.parametrize("suffix, payload", [
         (".pgm", b"P2\n-2 -3\n1\n" + b"0 " * 6 + b"\n"),

@@ -250,6 +250,23 @@ class TestPgmMaskIO:
         with pytest.raises(DataParseError):
             dataio.read_pgm_mask(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["1 x 0 1", "1 0 1 0 junk", "1 0 1 0\x00", "1 0 -1 0",
+                                      "1 0 1.0 0", "1 0 1 0 1"],
+                             ids=["non-numeric", "trailing-junk", "trailing-nul", "signed",
+                                  "decimal-point", "extra-pixel"])
+    def test_malformed_body(self, tmp_path, body):
+        path = tmp_path / "bad.pgm"
+        path.write_text(f"P2\n2 2\n1\n{body}\n")
+        with pytest.raises(DataParseError):
+            dataio.read_pgm_mask(path)
+
+    def test_any_ascii_whitespace_separates_pixels(self, tmp_path):
+        path = tmp_path / "mask.pgm"
+        path.write_text("P2 3 2 1\t1\r\n0\v 0\f1\n\n0   1   \n")
+        np.testing.assert_array_equal(dataio.read_pgm_mask(path),
+                                      [[True, False, False], [True, False, True]])
+
     @pytest.mark.parametrize("size", ["-2 -3", "0 0", "0 4", "3 -1"])
     def test_non_positive_size(self, tmp_path, size):
         # each file carries |w h| pixels, so only the size check can reject it

@@ -309,7 +309,8 @@ class TestContactLoss:
         wrist = RigidTransform.identity()
         tips = self.tips_at(hand16, mapping16, q, wrist)
         contacts = ContactTargets(active=self.digits(),
-                                  targets=dict(zip(self.digits(), tips)))
+                                  targets=dict(zip(self.digits(), tips)),
+                                  lambda_init=0.1, alternations=3)
         assert contact_loss(hand16, q, wrist, mapping16, contacts) == 0.0
 
     def test_single_digit_offset(self, hand16, mapping16):
@@ -317,7 +318,8 @@ class TestContactLoss:
         wrist = RigidTransform.identity()
         tips = self.tips_at(hand16, mapping16, q, wrist)
         target = tips[0] + np.array([0.03, 0.0, 0.0])
-        contacts = ContactTargets(active=("thumb",), targets={"thumb": target})
+        contacts = ContactTargets(active=("thumb",), targets={"thumb": target},
+                                  lambda_init=0.1, alternations=3)
         assert contact_loss(hand16, q, wrist, mapping16, contacts) == \
             pytest.approx(9e-4, rel=1e-12)
 
@@ -329,13 +331,14 @@ class TestContactLoss:
             active=("thumb", "index"),
             targets={"thumb": tips[0] + [0.01, 0, 0],
                      "index": tips[1] + [0.03, 0, 0]},
+            lambda_init=0.1, alternations=3,
         )
         assert contact_loss(hand16, q, wrist, mapping16, contacts) == \
             pytest.approx((1e-4 + 9e-4) / 2, rel=1e-12)
 
     def test_empty_active_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            ContactTargets(active=(), targets={})
+            ContactTargets(active=(), targets={}, lambda_init=0.1, alternations=3)
 
 
 class TestWristCorrectionStep:
@@ -349,7 +352,8 @@ class TestWristCorrectionStep:
                              rng.normal(size=3) * 0.05)
         contacts = ContactTargets(active=digits,
                                   targets={d: gen.apply(t)
-                                           for d, t in zip(digits, tips)})
+                                           for d, t in zip(digits, tips)},
+                                  lambda_init=0.1, alternations=3)
         step = wrist_correction_step(hand16, q, wrist, mapping16, contacts)
         assert step.rotation.angle_to(gen.rotation) < 1e-6
         assert np.linalg.norm(step.translation - gen.translation) < 1e-6
@@ -389,7 +393,8 @@ class TestRefineContact:
         links = [mapping16.entries[d] for d in self.digits()]
         tips = link_origins(hand16, q0, np.eye(3), np.zeros(3), links)
         contacts = ContactTargets(active=self.digits(),
-                                  targets=dict(zip(self.digits(), tips)))
+                                  targets=dict(zip(self.digits(), tips)),
+                                  lambda_init=0.1, alternations=3)
         q, w, report = refine_contact(hand16, q0, wrist, mapping16, contacts,
                                       RetargetConfig())
         assert np.abs(q - q0).max() < 1e-9
@@ -438,7 +443,7 @@ class TestRefineContact:
             active=("thumb", "index"),
             targets={"thumb": tips[0] + [0.005, 0, 0],
                      "index": tips[1] + [0.005, 0, 0]},
-            lambda_init=1e-5,
+            lambda_init=1e-5, alternations=3,
         )
         q, w, report = refine_contact(hand16, q0, wrist, mapping, contacts,
                                       RetargetConfig())
