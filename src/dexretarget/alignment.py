@@ -28,12 +28,14 @@ from .geometry import (
     Rotation,
     backproject_depth,
     pseudo_huber,
+    pseudo_huber_derivative,
+    so3_left_jacobian,
     splat_depth,
     weighted_umeyama,
 )
 from .hand_model import HandFrame, HandTrajectory
 from .pointcloud import PointCloud, build_index
-from .solver import BoxProblem, SolverOptions, batch_problem, check_iteration_count, minimize_box
+from .solver import BoxProblem, SolverOptions, check_iteration_count, minimize_box
 from .synthetic import sample_hand_surface
 
 log = logging.getLogger(__name__)
@@ -60,8 +62,9 @@ class AlignConfig:
     outer_iters: int = 10
     inner_iters: int = 25
     splat_footprint: int = 3
-    # small step: the depth term carries pixel-scale curvature, and the
-    # gradient audit compares finite differences at two separate steps
+    # finite-difference step of the gradient audit (the solver uses the
+    # closed-form gradient): small, since the depth term carries
+    # pixel-scale curvature
     fd_eps: float = 5e-8
 
     def __post_init__(self):
@@ -164,23 +167,28 @@ def calibrate_depth_sequence(
     """Fit the similarity aligning predicted object points onto true
     object points and apply it to every frame's cloud and depth map.
 
-    ``frames`` is a sequence of (PointCloud, DepthImage) pairs; the two
+    ``frames`` is a list of (PointCloud, DepthImage) pairs, updated in
+    place: each pair is replaced by its calibrated pair as soon as that is
+    built, so a frame's uncalibrated and calibrated maps are never both
+    held by the list. Any other sequence is an InvalidArgumentError.
+    Returns the transform and the same list. The two
     object clouds must be in pointwise correspondence. Depth maps are
     re-rendered by transforming their backprojection (footprint 1), which
     is exact for ray-preserving corrections such as pure depth scaling.
     """
+    if not isinstance(frames, list):
+        raise InvalidArgumentError(
+            f"frames must be a list, calibrated in place; got {type(frames).__name__}")
     if len(obj_cloud_true) != len(obj_cloud_pred):
         raise InvalidArgumentError("object clouds must be in pointwise correspondence")
     transform = weighted_umeyama(
         obj_cloud_pred.points, obj_cloud_true.points, with_scale=with_scale
     )
-    calibrated = []
-    for cloud, depth in frames:
-        new_cloud = cloud.transformed(transform)
+    for k, (cloud, depth) in enumerate(frames):
         pts = backproject_depth(depth, intrinsics)
-        new_depth = splat_depth(transform.apply(pts), intrinsics, footprint=1)
-        calibrated.append((new_cloud, new_depth))
-    return transform, calibrated
+        frames[k] = (cloud.transformed(transform),
+                     splat_depth(transform.apply(pts), intrinsics, footprint=1))
+    return transform, frames
 
 
 def depth_consistency_loss(
@@ -202,14 +210,17 @@ def depth_consistency_loss(
 
 
 _MIN_DEPTH = 0.01  # meters; reject configurations that push the hand to the camera
-# separable C2 kernel of radius 2 px: wide and smooth enough that
-# finite-difference probes see a polynomial-like landscape
+# separable C2 kernel of radius 2 px: wide and smooth enough for a
+# continuous gradient that finite-difference audits can check
 _KERNEL_RADIUS = 2.0
 _TAPS = np.array([-1, 0, 1, 2])
+# sign of c - (floor(c) + tap), the signed distance of a coordinate c to
+# each of its taps (at distance 0 the kernel's slope is 0 either way)
+_TAP_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
-                           intrinsics: CameraIntrinsics) -> np.ndarray:
+                           intrinsics: CameraIntrinsics, jacobian: bool = False):
     """Differentiable per-point depth discrepancies against an observed map.
 
     Each point samples the observed depth at its continuous projection with
@@ -223,6 +234,12 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     depth gets +inf and the kernel runs on the other points only. Each
     point's residual depends on that point alone: the sum of its gated
     taps, added one at a time with the column tap outermost.
+
+    With ``jacobian`` the same pass also returns the (N, 3) derivative of
+    each residual in its point's coordinates (NaN for a near point): the
+    weight ratios differentiated through the smoothstep and the quotient
+    rule, chained through the projection, plus the gated weight sum for the
+    residual's own z. The residuals are the same bits either way.
     """
     pts = np.asarray(points, dtype=float)
     near = pts[:, 2] < _MIN_DEPTH
@@ -234,11 +251,18 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     iv = np.floor(v).astype(int)
 
     def weight_ratios(c, ic):
-        # (4, N) tap weights of one axis, each over the axis's weight sum
+        # (4, N) tap weights of one axis, each over the axis's weight sum,
+        # and with the jacobian their derivatives in c
         t = np.clip((_KERNEL_RADIUS - np.abs(c - (ic + _TAPS[:, None]))) / _KERNEL_RADIUS,
                     0.0, 1.0)
         wt = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
-        return wt / np.sum(wt, axis=0)
+        total = np.sum(wt, axis=0)
+        ratios = wt / total
+        if not jacobian:
+            return ratios, None
+        # smoothstep slope 30 t^2 (1 - t)^2 times dt/dc = -sign / radius
+        dwt = (-30.0 / _KERNEL_RADIUS) * _TAP_SIGNS[:, None] * (t * (1.0 - t)) ** 2
+        return ratios, (dwt - ratios * np.sum(dwt, axis=0)) / total
 
     ou, ov = observation.window_origin
     height, width = observation.support_window.shape
@@ -249,18 +273,36 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     offsets = (_TAPS[:, None] + width * _TAPS[None, :]).ravel()
     flat = offsets[:, None] + (pv * width + pu)
     gate = np.take(observation.support_window, flat)
-    weights = (weight_ratios(u, iu)[:, None] * weight_ratios(v, iv)[None, :]).reshape(16, -1)
+    ru, dru = weight_ratios(u, iu)
+    rv, drv = weight_ratios(v, iv)
     # the weights are finite and non-negative, so a gated-off tap adds exactly +-0
-    terms = (weights * gate) * (z - np.take(observation.depth_window, flat))
+    gated = (ru[:, None] * rv[None, :]).reshape(16, -1) * gate
+    gaps = z - np.take(observation.depth_window, flat)
+    terms = gated * gaps
     # one add per tap, in order: a reduction over the tap axis may sum pairwise
     r = np.zeros(len(far))
     for term in terms:
         r += term
+    if jacobian:
+        gated_gaps = gate * gaps
+        dr_du = np.sum((dru[:, None] * rv[None, :]).reshape(16, -1) * gated_gaps, axis=0)
+        dr_dv = np.sum((ru[:, None] * drv[None, :]).reshape(16, -1) * gated_gaps, axis=0)
+        # du/dz = -(u - cx) / z and dv/dz = -(v - cy) / z
+        jac = np.column_stack((
+            dr_du * intrinsics.fx / z,
+            dr_dv * intrinsics.fy / z,
+            np.sum(gated, axis=0) - (dr_du * (u - intrinsics.cx)
+                                     + dr_dv * (v - intrinsics.cy)) / z,
+        ))
     if far is pts:
-        return r
+        return (r, jac) if jacobian else r
     out = np.full(len(pts), np.inf)
     out[~near] = r
-    return out
+    if not jacobian:
+        return out
+    jac_out = np.full((len(pts), 3), np.nan)
+    jac_out[~near] = jac
+    return out, jac_out
 
 
 def _correspondences(index, observed: PointCloud, moved: np.ndarray):
@@ -273,13 +315,14 @@ def _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index, fr
     """The alignment objective at each row of the (B, 7) parameter batch xs.
 
     Correspondences are ``frozen`` (a (points, normals) pair) when given
-    and otherwise refreshed at each row through ``index``. Smooth
-    surrogate penalties keep the landscape kink-free for the
-    finite-difference solver; the reported residuals still use the exact
-    losses. The depth residuals of all rows come from one
-    smooth_depth_residuals call; a row scores +inf when any of its
-    residuals is non-finite (a point nearer than the minimum depth). Each
-    row's value is bit-identical to a one-row call.
+    and otherwise refreshed at each row through ``index``. The solver
+    minimizes smooth surrogates (pseudo-Huber penalties and the smooth
+    depth kernel) so that the objective has a continuous closed-form
+    gradient; the reported residuals still use the exact losses. The depth
+    residuals of all rows come from one smooth_depth_residuals call; a row
+    scores +inf when any of its residuals is non-finite (a point nearer
+    than the minimum depth). Each row's value is bit-identical to a
+    one-row call.
     """
     xs = np.asarray(xs, dtype=float)
     moved, icp = [], []
@@ -313,19 +356,53 @@ def alignment_problem(
     """Box problem over (log sigma, twist) with correspondences frozen at
     the given parameters (identity by default). Used both by the solver
     rounds and by the gradient audit. ``index`` is the observed cloud's
-    k-d tree; it is built when not given."""
+    k-d tree; it is built when not given.
+
+    The gradient is closed-form, from one depth-kernel pass. With moved
+    points m = sigma (R(w) p + t) and G_i the objective's derivative in
+    m_i, d/d log sigma = sum G_i . m_i, d/dt = sigma sum G_i, and d/dw =
+    sigma J_l(w)^T sum (R p_i) x G_i, J_l being the SO(3) left Jacobian.
+    Where a point is nearer than the minimum depth the objective is +inf
+    and the gradient is all NaN.
+    """
     if index is None:
         index = build_index(observation.cloud)
     x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
     sigma, correction = params_decode(x0)
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
     frozen = _correspondences(index, observation.cloud, moved)
+    corr_pts, corr_nrm = frozen
+    delta = cfg.huber_delta
 
-    def batch(xs):
-        return _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index,
-                                    frozen)
+    def objective(x):
+        xs = np.asarray(x, dtype=float)[None, :]
+        return float(_alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index,
+                                          frozen)[0])
 
-    return batch_problem(_PARAM_LO, _PARAM_HI, batch, cfg.fd_eps)
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        sigma, correction = params_decode(x)
+        # R p, and from it the moved points as apply_scaled_correction
+        # computes them
+        rotated = correction.rotation.apply(hand_cloud.points)
+        moved = sigma * (rotated + correction.translation)
+        d, d_jac = smooth_depth_residuals(moved, observation, intrinsics, jacobian=True)
+        if not np.all(np.isfinite(d)):
+            return np.full(len(x), np.nan)
+        r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
+        # G_i: derivative of the point-to-plane and depth means in m_i
+        g_moved = (pseudo_huber_derivative(r, delta)[:, None] * corr_nrm
+                   + cfg.lambda_rend * pseudo_huber_derivative(d, delta)[:, None] * d_jac
+                   ) / len(moved)
+        grad = np.concatenate((
+            [np.sum(g_moved * moved)],
+            sigma * (so3_left_jacobian(x[1:4]).T @ np.sum(np.cross(rotated, g_moved), axis=0)),
+            sigma * np.sum(g_moved, axis=0),
+        ))
+        grad[1:] += 2.0 * cfg.lambda_reg * x[1:]
+        return grad
+
+    return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=objective, gradient=gradient)
 
 
 def alignment_objective_value(

@@ -169,6 +169,24 @@ class Rotation:
         return f"Rotation(w={w:.6g}, x={x:.6g}, y={y:.6g}, z={z:.6g})"
 
 
+def so3_left_jacobian(rotvec) -> np.ndarray:
+    """Left Jacobian J_l of SO(3) at a rotation vector w: the first-order
+    change of exp([w]x) under w -> w + dw is exp([J_l dw]x), so
+    d(R(w) p)/dw = -[R(w) p]x J_l."""
+    w = as_vec3(rotvec)
+    theta = float(np.linalg.norm(w))
+    if theta < 1e-2:
+        # Taylor series; the next terms are below 1e-16 relative
+        t2 = theta * theta
+        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        b = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    else:
+        a = 2.0 * np.sin(0.5 * theta) ** 2 / theta ** 2
+        b = (theta - np.sin(theta)) / theta ** 3
+    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    return np.eye(3) + a * k + b * (k @ k)
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """SE(3) transform: apply(p) = R p + t."""
@@ -334,6 +352,12 @@ def pseudo_huber(r, delta: float):
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
     return out
+
+
+def pseudo_huber_derivative(r, delta: float) -> np.ndarray:
+    """Derivative of ``pseudo_huber`` in r: r / sqrt(1 + (r/delta)^2)."""
+    arr = np.asarray(r, dtype=float)
+    return arr / np.sqrt(1.0 + (arr / float(delta)) ** 2)
 
 
 def weighted_umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:

@@ -266,10 +266,6 @@ class TaxonomyWeightTable:
             "taxonomy_weights.json").read_text()
         return cls.from_json(text)
 
-    @classmethod
-    def uniform(cls, value: float = 1.0) -> "TaxonomyWeightTable":
-        return cls({c.value: {g: value for g in VECTOR_GROUPS} for c in TaxonomyClass})
-
 
 def default_vector_spec(
     mapping: FingerMapping,

@@ -105,8 +105,9 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
         try:
             obj_true = dataio.read_ply(config.object_cloud_true)
             obj_pred = dataio.read_ply(config.object_cloud_pred)
-            # rebinding pairs frees the uncalibrated depth maps before align
-            calibration, pairs = calibrate_depth_sequence(
+            # calibrates the pairs in place, so the uncalibrated and the
+            # calibrated maps of all frames are never held at once
+            calibration, _ = calibrate_depth_sequence(
                 pairs, obj_true, obj_pred, intrinsics,
                 with_scale=config.calibrate_scale,
             )

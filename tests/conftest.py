@@ -3,7 +3,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dexretarget.hand_model import FingerMapping, default_vector_spec
+from dexretarget.hand_model import (
+    VECTOR_GROUPS,
+    FingerMapping,
+    TaxonomyClass,
+    TaxonomyWeightTable,
+    default_vector_spec,
+)
 from dexretarget.robot_model import parse_urdf
 
 
@@ -40,6 +46,12 @@ def proximal16():
 @pytest.fixture(scope="session")
 def spec16(mapping16, proximal16):
     return default_vector_spec(mapping16, "palm", proximal16)
+
+
+@pytest.fixture(scope="session")
+def uniform_table():
+    """A taxonomy weight table with every weight 1."""
+    return TaxonomyWeightTable({c.value: {g: 1.0 for g in VECTOR_GROUPS} for c in TaxonomyClass})
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dexretarget import alignment
+from dexretarget import alignment, solver
 from dexretarget.alignment import (
     AlignConfig,
     FrameObservation,
@@ -18,7 +18,12 @@ from dexretarget.alignment import (
     params_encode,
     smooth_depth_residuals,
 )
-from dexretarget.errors import AlignmentError, InvalidArgumentError, LossUndefinedError
+from dexretarget.errors import (
+    AlignmentError,
+    InvalidArgumentError,
+    LossUndefinedError,
+    SolverStartError,
+)
 from dexretarget.geometry import (
     DepthImage,
     RigidTransform,
@@ -29,7 +34,7 @@ from dexretarget.geometry import (
 )
 from dexretarget.hand_model import HandFrame, HandTrajectory
 from dexretarget.pointcloud import PointCloud, build_index, estimate_normals
-from dexretarget.solver import batch_objective, check_gradient, fd_gradient
+from dexretarget.solver import check_gradient
 from dexretarget.synthetic import (
     DEFAULT_INTRINSICS,
     canonical_hand_joints,
@@ -184,6 +189,30 @@ class TestCalibrateDepthSequence:
         b = PointCloud(points=plane_points()[:10])
         with pytest.raises(InvalidArgumentError):
             calibrate_depth_sequence([], a, b, K)
+
+    def test_in_place_update_equals_a_new_list(self):
+        obj_true, obj_pred = self.make_object_depths(0.8)
+        pairs = []
+        for k in range(3):
+            pts = 0.8 * sample_hand_surface(hand_at(offset=(0.01 * k, 0.0, 0.45)).joints, 300,
+                                            seed=k, visible_from=(0, 0, 0))
+            pairs.append((PointCloud(points=pts), splat_depth(pts, K, 3)))
+        originals = list(pairs)
+        transform, frames = calibrate_depth_sequence(pairs, obj_true, obj_pred, K)
+        assert frames is pairs
+        assert all(new is not old for new, old in zip(frames, originals))
+        # the list-building version: every calibrated pair built afresh
+        for (cloud, depth), (new_cloud, new_depth) in zip(originals, frames):
+            expected_depth = splat_depth(transform.apply(backproject_depth(depth, K)), K,
+                                         footprint=1)
+            assert new_cloud.points.tobytes() == cloud.transformed(transform).points.tobytes()
+            assert new_depth.values.tobytes() == expected_depth.values.tobytes()
+            assert new_depth.valid.tobytes() == expected_depth.valid.tobytes()
+
+    def test_frames_must_be_a_list(self):
+        obj_true, obj_pred = self.make_object_depths(0.8)
+        with pytest.raises(InvalidArgumentError, match="must be a list"):
+            calibrate_depth_sequence((), obj_true, obj_pred, K)
 
 
 class TestDepthConsistencyLoss:
@@ -379,6 +408,36 @@ class TestSmoothDepthResiduals:
         # the same points reach the support once it covers them
         assert np.all(smooth_depth_residuals(clipped, observation_of(depth), K) != 0.0)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_jacobian_matches_finite_differences_and_keeps_the_residuals(self, data):
+        mask, (r0, r1, c0, c1) = data.draw(self._masks())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        depth = DepthImage(values=rng.uniform(0.3, 0.6, (K.height, K.width)))
+        # projections around the support, so that many taps straddle its
+        # edge and the window's pad, at depths in front of and past it
+        uvz = data.draw(st.lists(st.tuples(st.floats(c0 - 6.0, c1 + 6.0),
+                                           st.floats(r0 - 6.0, r1 + 6.0),
+                                           st.floats(0.05, 1.0)), min_size=1, max_size=30))
+        pts = points_at_pixels(uvz)
+        obs = observation_of(depth, mask)
+        r, jac = smooth_depth_residuals(pts, obs, K, jacobian=True)
+        assert r.tobytes() == smooth_depth_residuals(pts, obs, K).tobytes()
+        h = 1e-8
+        fd = np.column_stack([
+            (smooth_depth_residuals(pts + h * e, obs, K)
+             - smooth_depth_residuals(pts - h * e, obs, K)) / (2 * h) for e in np.eye(3)])
+        np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(fd).max()))
+
+    def test_jacobian_of_a_near_point_is_nan(self):
+        pts = plane_points()
+        obs = observation_of(splat_depth(pts, K, 3))
+        pts[7, 2] = 0.5 * alignment._MIN_DEPTH
+        r, jac = smooth_depth_residuals(pts, obs, K, jacobian=True)
+        assert r[7] == np.inf and np.all(np.isnan(jac[7]))
+        assert np.all(np.isfinite(np.delete(jac, 7, axis=0)))
+
+
 class TestAlignHandFrame:
     def test_optimum_at_start(self):
         hand = hand_at()
@@ -483,6 +542,69 @@ class TestAlignmentObjective:
             assert np.array_equal(own.gradient(x), shared.gradient(x))
 
 
+class TestAlignmentGradient:
+    """The closed-form gradient of the frozen-correspondence objective."""
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(["low", "inside", "high"]),
+           cut=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_finite_differences(self, seed, scale, cut):
+        rng = np.random.default_rng(seed)
+        hand = hand_at(offset=(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05),
+                               rng.uniform(0.35, 0.6)), curl=rng.uniform(0.1, 0.8))
+        sampled = sampled_hand_for(hand, seed=int(rng.integers(1000)))
+        observed = rng.uniform(0.85, 1.2) * sampled.points + rng.normal(size=3) * 0.005
+        depth = splat_depth(observed, K, 3)
+        mask = depth.valid.copy()
+        if cut:
+            # a support edge through the middle of the hand: many points
+            # have taps on both sides of it and in the window's pad
+            mask[:, : int(np.median(np.nonzero(depth.valid)[1]))] = False
+        obs = FrameObservation(cloud=estimate_normals(PointCloud(points=observed), k=12),
+                               depth=depth, hand_mask=mask)
+        x = np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.2, 0.2, size=6)])
+        if scale != "inside":
+            x[0] = alignment.LOG_SCALE_BOUNDS[0 if scale == "low" else 1]
+        cfg = AlignConfig()
+        problem = alignment_problem(sampled, obs, K, cfg, at=x + rng.uniform(-0.01, 0.01, 7))
+        assert check_gradient(problem, x, fd_eps=3 * cfg.fd_eps) < 1e-5
+
+    def make_problem(self, rng):
+        sampled = sampled_hand_for(hand_at())
+        obs = observe(1.1 * sampled.points)
+        x = np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.1, 0.1, size=6)])
+        return alignment_problem(sampled, obs, K, AlignConfig(), at=x), x
+
+    def test_one_kernel_pass_and_no_finite_differences(self, rng, monkeypatch):
+        problem, x = self.make_problem(rng)
+        calls = []
+        kernel = alignment.smooth_depth_residuals
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("jacobian", False))
+            return kernel(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the alignment gradient took finite differences")
+
+        monkeypatch.setattr(alignment, "smooth_depth_residuals", counted)
+        monkeypatch.setattr(solver, "central_differences", forbidden)
+        grad = problem.gradient(x)
+        assert calls == [True]
+        assert grad.shape == (7,) and np.all(np.isfinite(grad))
+
+    def test_near_point_gives_inf_objective_and_nan_gradient(self, rng):
+        problem, x = self.make_problem(rng)
+        near = x.copy()
+        near[6] = -0.5  # the hand, about 0.45 m deep, moves behind the camera plane
+        assert problem.objective(near) == np.inf
+        grad = problem.gradient(near)
+        assert grad.shape == (7,) and np.all(np.isnan(grad))
+        # the solver refuses to start there
+        with pytest.raises(SolverStartError):
+            solver.minimize_box(problem, near)
+
+
 class TestBatchedObjective:
     """Each row of a batched objective call is bit-identical to a one-row call."""
 
@@ -539,14 +661,6 @@ class TestBatchedObjective:
         self.assert_rows_match_one_row_calls(xs, values, *args)
         all_near = alignment._alignment_objective(xs[[2, 2]], *args)
         assert np.all(all_near == np.inf)
-
-    def test_gradient_equals_row_by_row_fd(self, rng):
-        sampled, obs, index, x = self.make_case(rng)
-        cfg = AlignConfig()
-        problem = alignment_problem(sampled, obs, K, cfg, at=x, index=index)
-        for probe in (x, x + rng.uniform(-0.02, 0.02, size=7)):
-            lifted = fd_gradient(batch_objective(problem.objective), probe, cfg.fd_eps)
-            assert problem.gradient(probe).tobytes() == lifted.tobytes()
 
     def test_scale_grid_batch_equals_serial_scan(self, rng):
         # the log-scale column matches the scalar np.log of each grid point,

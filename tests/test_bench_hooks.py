@@ -1,10 +1,25 @@
 """The benchmark's traced run replaces package attributes by name; every
 attribute it hooks must exist, so a rename fails here and not only in a
-benchmark self-check."""
+benchmark self-check. Its solver hook hands the solver a copy of the
+problem with traced callables, so the problem must survive that copy."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dexretarget import alignment, retarget
+from dexretarget.alignment import FrameObservation, align_hand_frame
+from dexretarget.geometry import RigidTransform, Rotation, splat_depth
+from dexretarget.hand_model import HandFrame
+from dexretarget.pointcloud import PointCloud, estimate_normals
+from dexretarget.retarget import RetargetConfig, retarget_frame
+from dexretarget.robot_model import link_origins
+from dexretarget.solver import BoxProblem
+from dexretarget.synthetic import DEFAULT_INTRINSICS, canonical_hand_joints, sample_hand_surface
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -17,3 +32,53 @@ def test_every_hooked_attribute_exists():
                if not callable(getattr(importlib.import_module(f"dexretarget.{module}"),
                                        attr, None))]
     assert missing == []
+
+
+def _align_one_frame():
+    joints = canonical_hand_joints(0.4) + np.array([0.0, 0.0, 0.45])
+    hand = HandFrame(joints=joints, wrist_pose=RigidTransform(Rotation.identity(), joints[0]))
+    sampled = PointCloud(points=sample_hand_surface(joints, 500, seed=0,
+                                                    visible_from=(0.0, 0.0, 0.0)))
+    observed = 1.1 * sampled.points
+    depth = splat_depth(observed, DEFAULT_INTRINSICS, 3)
+    obs = FrameObservation(cloud=estimate_normals(PointCloud(points=observed), k=12),
+                           depth=depth, hand_mask=depth.valid)
+    align_hand_frame(hand, sampled, obs, DEFAULT_INTRINSICS)
+
+
+def _retarget_one_frame(hand16, spec16):
+    q_star = 0.3 * hand16.mid_limits() + 0.7 * hand16.limit_arrays()[1]
+    names = spec16.robot_links()
+    origins = link_origins(hand16, q_star, np.eye(3), np.zeros(3), names)
+    pos = {n: origins[i] for i, n in enumerate(names)}
+    ref = np.array([pos[p.robot[1]] - pos[p.robot[0]] for p in spec16.pairs])
+    mid = hand16.mid_limits()
+    retarget_frame(hand16, ref, spec16, RigidTransform.identity(), mid, mid, RetargetConfig())
+
+
+@pytest.mark.parametrize("module", [alignment, retarget], ids=["alignment", "retarget"])
+def test_solver_problem_survives_replacing_its_callables(module, monkeypatch, hand16, spec16):
+    """Each problem a stage hands its solver is a BoxProblem whose objective
+    and gradient can be swapped by dataclasses.replace, as the traced run
+    does, without changing the solver's report."""
+    solve = module.minimize_box
+    solves = []
+
+    def hook(problem, *args, **kwargs):
+        assert type(problem) is BoxProblem
+        wrapped = dataclasses.replace(problem, objective=lambda x: problem.objective(x),
+                                      gradient=lambda x: problem.gradient(x))
+        report = solve(problem, *args, **kwargs)
+        again = solve(wrapped, *args, **kwargs)
+        assert again.x_star.tobytes() == report.x_star.tobytes()
+        assert (again.f_star, again.iterations, again.termination) == \
+            (report.f_star, report.iterations, report.termination)
+        solves.append(report)
+        return report
+
+    monkeypatch.setattr(module, "minimize_box", hook)
+    if module is alignment:
+        _align_one_frame()
+    else:
+        _retarget_one_frame(hand16, spec16)
+    assert solves

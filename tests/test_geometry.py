@@ -12,6 +12,9 @@ from dexretarget.geometry import (
     SimilarityTransform,
     backproject_depth,
     huber,
+    pseudo_huber,
+    pseudo_huber_derivative,
+    so3_left_jacobian,
     splat_depth,
     weighted_umeyama,
 )
@@ -63,6 +66,12 @@ class TestHuber:
         out = huber(np.array([0.0, 0.5, 2.0]), 1.0)
         np.testing.assert_allclose(out, [0.0, 0.125, 1.5])
 
+    def test_pseudo_huber_derivative_matches_finite_difference(self):
+        delta, h = 0.01, 1e-9
+        r = np.array([-0.3, -0.01, -1e-4, 0.0, 2e-3, 0.05, 4.0])
+        fd = (pseudo_huber(r + h, delta) - pseudo_huber(r - h, delta)) / (2 * h)
+        np.testing.assert_allclose(pseudo_huber_derivative(r, delta), fd, rtol=1e-6, atol=1e-9)
+
 
 class TestRotation:
     def test_identity(self):
@@ -105,6 +114,21 @@ class TestRotation:
     def test_zero_quaternion_rejected(self):
         with pytest.raises(InvalidArgumentError):
             Rotation((0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-7, 5e-3, 0.02, 0.5, 2.5])
+    def test_left_jacobian_matches_finite_differences(self, rng, angle):
+        w = angle * rng.normal(size=3) / np.sqrt(3.0)
+        p = rng.normal(size=3)
+        jac = so3_left_jacobian(w)
+        rotated = Rotation.from_rotvec(w).apply(p)
+        h = 1e-6
+        fd = np.column_stack([
+            (Rotation.from_rotvec(w + h * e).apply(p)
+             - Rotation.from_rotvec(w - h * e).apply(p)) / (2 * h)
+            for e in np.eye(3)])
+        skew = np.array([[0.0, -rotated[2], rotated[1]], [rotated[2], 0.0, -rotated[0]],
+                         [-rotated[1], rotated[0], 0.0]])
+        np.testing.assert_allclose(-skew @ jac, fd, atol=1e-8)
 
 
 class TestRigidTransform:

@@ -243,8 +243,8 @@ class TestTaxonomyWeights:
         for wi, p in zip(w, spec16.pairs):
             assert wi == table.weight(TaxonomyClass.MEDIUM_WRAP, p.group)
 
-    def test_uniform_table(self, spec16):
-        w = taxonomy_weights(TaxonomyClass.TRIPOD, spec16, TaxonomyWeightTable.uniform())
+    def test_uniform_table(self, spec16, uniform_table):
+        w = taxonomy_weights(TaxonomyClass.TRIPOD, spec16, uniform_table)
         np.testing.assert_array_equal(w, np.ones(spec16.n_vec))
 
     def test_medium_wrap_ordering(self, spec16):

@@ -114,14 +114,15 @@ class TestVectorMatchingLoss:
                                  RigidTransform.identity(),
                                  np.zeros((3, 3)), spec16, cfg)
 
-    def test_uniform_taxonomy_table_matches_unweighted(self, hand16, spec16, rng):
+    def test_uniform_taxonomy_table_matches_unweighted(self, hand16, spec16, rng,
+                                                       uniform_table):
         from dexretarget.hand_model import taxonomy_weights
         q = interior_q(hand16, rng)
         ref = ref_from_q(hand16, spec16, interior_q(hand16, rng))
         plain = vector_matching_loss(hand16, q, RigidTransform.identity(), ref,
                                      spec16, RetargetConfig())
         w = taxonomy_weights(TaxonomyClass.TRIPOD, spec16,
-                             TaxonomyWeightTable.uniform())
+                             uniform_table)
         uniform = vector_matching_loss(hand16, q, RigidTransform.identity(), ref,
                                        spec16, RetargetConfig(weights=w))
         assert plain == uniform
@@ -244,14 +245,14 @@ class TestRetargetTrajectory:
         steps = [np.abs(b - a).max() for a, b in zip(solutions, solutions[1:])]
         assert max(steps) <= gen_step * 1.5
 
-    def test_human_closing_hand_bounded_loss(self, hand16, mapping16, spec16):
+    def test_human_closing_hand_bounded_loss(self, hand16, mapping16, spec16, uniform_table):
         # real human geometry: the residual floor is the embodiment gap
         curls = np.linspace(0.2, 0.7, 6)
         hands = [hand_frame_at(curl=c, index=k) for k, c in enumerate(curls)]
         cfg = RetargetConfig(scale=1.0, lambda_smooth=0.001)
         traj = retarget_trajectory(hand16, hands, self.identity_alignments(6),
                                    mapping16, spec16, TaxonomyClass.MEDIUM_WRAP,
-                                   TaxonomyWeightTable.uniform(), cfg)
+                                   uniform_table, cfg)
         for hand, frame in zip(hands, traj.frames):
             ref = reference_vectors(hand, spec16, cfg.scale)
             loss = vector_matching_loss(hand16, frame.q, frame.wrist_pose, ref,
