@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -69,8 +70,8 @@ class AlignConfig:
 
     def __post_init__(self):
         for name in ("huber_delta", "lambda_rend", "lambda_reg", "fd_eps"):
-            if getattr(self, name) <= 0:
-                raise InvalidArgumentError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidArgumentError(f"{name} must be positive and finite")
         check_iteration_count("outer_iters", self.outer_iters)
         check_iteration_count("inner_iters", self.inner_iters)
         check_iteration_count("splat_footprint", self.splat_footprint)
@@ -305,44 +306,60 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     return out, jac_out
 
 
-def _correspondences(index, observed: PointCloud, moved: np.ndarray):
-    """Nearest observed points and normals of the moved hand points."""
-    _, idx = index.query(moved)
-    return observed.points[idx], observed.normals[idx]
+def _correspondences(index, observation: FrameObservation, hand_cloud: PointCloud,
+                     x: np.ndarray):
+    """Nearest observed points and normals of the hand moved by x."""
+    sigma, correction = params_decode(x)
+    _, idx = index.query(apply_scaled_correction(hand_cloud.points, sigma, correction))
+    return observation.cloud.points[idx], observation.cloud.normals[idx]
 
 
-def _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index, frozen=None):
-    """The alignment objective at each row of the (B, 7) parameter batch xs.
+def _evaluate(hand_cloud, observation, intrinsics, cfg, correspondences, x,
+              gradient: bool = False):
+    """The alignment objective at the parameter vector x against a
+    (points, normals) correspondence pair, or with ``gradient`` its
+    closed-form gradient in x instead.
 
-    Correspondences are ``frozen`` (a (points, normals) pair) when given
-    and otherwise refreshed at each row through ``index``. The solver
-    minimizes smooth surrogates (pseudo-Huber penalties and the smooth
-    depth kernel) so that the objective has a continuous closed-form
-    gradient; the reported residuals still use the exact losses. The depth
-    residuals of all rows come from one smooth_depth_residuals call; a row
-    scores +inf when any of its residuals is non-finite (a point nearer
-    than the minimum depth). Each row's value is bit-identical to a
-    one-row call.
+    The solver minimizes smooth surrogates (pseudo-Huber penalties and the
+    smooth depth kernel) so that the objective has a continuous
+    closed-form gradient; the reported residuals still use the exact
+    losses. Where a point is nearer than the minimum depth the value is
+    +inf and the gradient all NaN.
+
+    The gradient comes from one depth-kernel pass. With moved points
+    m = sigma (R(w) p + t) and G_i the objective's derivative in m_i,
+    d/d log sigma = sum G_i . m_i, d/dt = sigma sum G_i, and d/dw =
+    sigma J_l(w)^T sum (R p_i) x G_i, J_l being the SO(3) left Jacobian.
     """
-    xs = np.asarray(xs, dtype=float)
-    moved, icp = [], []
-    for x in xs:
-        sigma, correction = params_decode(x)
-        m = apply_scaled_correction(hand_cloud.points, sigma, correction)
-        corr_pts, corr_nrm = frozen if frozen is not None else _correspondences(
-            index, observation.cloud, m)
-        r = np.einsum("ij,ij->i", corr_nrm, m - corr_pts)
-        moved.append(m)
-        icp.append(float(np.mean(pseudo_huber(r, cfg.huber_delta))))
-    dres = smooth_depth_residuals(np.concatenate(moved), observation, intrinsics)
-    values = np.full(len(xs), np.inf)
-    for b, d in enumerate(dres.reshape(len(xs), -1)):
+    x = np.asarray(x, dtype=float)
+    corr_pts, corr_nrm = correspondences
+    sigma, correction = params_decode(x)
+    # R p, and from it the moved points as apply_scaled_correction computes them
+    rotated = correction.rotation.apply(hand_cloud.points)
+    moved = sigma * (rotated + correction.translation)
+    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
+    delta = cfg.huber_delta
+    if not gradient:
+        d = smooth_depth_residuals(moved, observation, intrinsics)
         if not np.all(np.isfinite(d)):
-            continue
-        rend = float(np.mean(pseudo_huber(d, cfg.huber_delta)))
-        reg = float(xs[b, 1:] @ xs[b, 1:])
-        values[b] = icp[b] + cfg.lambda_rend * rend + cfg.lambda_reg * reg
-    return values
+            return np.inf
+        return (float(np.mean(pseudo_huber(r, delta)))
+                + cfg.lambda_rend * float(np.mean(pseudo_huber(d, delta)))
+                + cfg.lambda_reg * float(x[1:] @ x[1:]))
+    d, d_jac = smooth_depth_residuals(moved, observation, intrinsics, jacobian=True)
+    if not np.all(np.isfinite(d)):
+        return np.full(len(x), np.nan)
+    # G_i: derivative of the point-to-plane and depth means in m_i
+    g_moved = (pseudo_huber_derivative(r, delta)[:, None] * corr_nrm
+               + cfg.lambda_rend * pseudo_huber_derivative(d, delta)[:, None] * d_jac
+               ) / len(moved)
+    grad = np.concatenate((
+        [np.sum(g_moved * moved)],
+        sigma * (so3_left_jacobian(x[1:4]).T @ np.sum(np.cross(rotated, g_moved), axis=0)),
+        sigma * np.sum(g_moved, axis=0),
+    ))
+    grad[1:] += 2.0 * cfg.lambda_reg * x[1:]
+    return grad
 
 
 def alignment_problem(
@@ -356,68 +373,16 @@ def alignment_problem(
     """Box problem over (log sigma, twist) with correspondences frozen at
     the given parameters (identity by default). Used both by the solver
     rounds and by the gradient audit. ``index`` is the observed cloud's
-    k-d tree; it is built when not given.
-
-    The gradient is closed-form, from one depth-kernel pass. With moved
-    points m = sigma (R(w) p + t) and G_i the objective's derivative in
-    m_i, d/d log sigma = sum G_i . m_i, d/dt = sigma sum G_i, and d/dw =
-    sigma J_l(w)^T sum (R p_i) x G_i, J_l being the SO(3) left Jacobian.
-    Where a point is nearer than the minimum depth the objective is +inf
-    and the gradient is all NaN.
+    k-d tree; it is built when not given. Its objective and gradient are
+    both ``_evaluate`` against the frozen correspondences.
     """
     if index is None:
         index = build_index(observation.cloud)
     x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
-    sigma, correction = params_decode(x0)
-    moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    frozen = _correspondences(index, observation.cloud, moved)
-    corr_pts, corr_nrm = frozen
-    delta = cfg.huber_delta
-
-    def objective(x):
-        xs = np.asarray(x, dtype=float)[None, :]
-        return float(_alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, index,
-                                          frozen)[0])
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        sigma, correction = params_decode(x)
-        # R p, and from it the moved points as apply_scaled_correction
-        # computes them
-        rotated = correction.rotation.apply(hand_cloud.points)
-        moved = sigma * (rotated + correction.translation)
-        d, d_jac = smooth_depth_residuals(moved, observation, intrinsics, jacobian=True)
-        if not np.all(np.isfinite(d)):
-            return np.full(len(x), np.nan)
-        r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
-        # G_i: derivative of the point-to-plane and depth means in m_i
-        g_moved = (pseudo_huber_derivative(r, delta)[:, None] * corr_nrm
-                   + cfg.lambda_rend * pseudo_huber_derivative(d, delta)[:, None] * d_jac
-                   ) / len(moved)
-        grad = np.concatenate((
-            [np.sum(g_moved * moved)],
-            sigma * (so3_left_jacobian(x[1:4]).T @ np.sum(np.cross(rotated, g_moved), axis=0)),
-            sigma * np.sum(g_moved, axis=0),
-        ))
-        grad[1:] += 2.0 * cfg.lambda_reg * x[1:]
-        return grad
-
-    return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=objective, gradient=gradient)
-
-
-def alignment_objective_value(
-    hand_cloud: PointCloud,
-    observation: FrameObservation,
-    intrinsics: CameraIntrinsics,
-    cfg: AlignConfig,
-    sigma: float,
-    correction: RigidTransform,
-) -> float:
-    """The total alignment objective (fresh correspondences) at the given
-    parameters; the quantity align_hand_frame minimizes."""
-    x = params_encode(sigma, correction)
-    return float(_alignment_objective(x[None, :], hand_cloud, observation, intrinsics, cfg,
-                                      build_index(observation.cloud))[0])
+    frozen = _correspondences(index, observation, hand_cloud, x0)
+    evaluate = partial(_evaluate, hand_cloud, observation, intrinsics, cfg, frozen)
+    return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=evaluate,
+                      gradient=partial(evaluate, gradient=True))
 
 
 # deterministic scale candidates scanned before the local solve; the
@@ -425,9 +390,6 @@ def alignment_objective_value(
 # cannot cross on its own
 _SCALE_GRID = np.exp(np.linspace(LOG_SCALE_BOUNDS[0] + 0.05,
                                  LOG_SCALE_BOUNDS[1] - 0.05, 17))
-# the scan's log-scale column, built from the scalar np.log of each grid
-# point so no vectorized log can move a bit
-_LOG_SCALE_GRID = np.array([np.log(g) for g in _SCALE_GRID])
 
 
 def align_hand_frame(
@@ -456,15 +418,17 @@ def align_hand_frame(
     obs_index = build_index(observation.cloud)
     x = np.clip(params_encode(init.sigma, init.correction), _PARAM_LO, _PARAM_HI)
 
-    def fresh_batch(xs):
-        return _alignment_objective(xs, hand_cloud, observation, intrinsics, cfg, obs_index)
+    def fresh(at):
+        # the objective with correspondences refreshed at the given parameters
+        return _evaluate(hand_cloud, observation, intrinsics, cfg,
+                         _correspondences(obs_index, observation, hand_cloud, at), at)
 
     # the depth overlap must be non-empty at the starting parameters
     sigma0, corr0 = params_decode(x)
     moved0 = apply_scaled_correction(hand_cloud.points, sigma0, corr0)
     rendered0 = splat_depth(moved0, intrinsics, cfg.splat_footprint)
     omega0 = rendered0.valid & observation.hand_mask
-    f_best = float(fresh_batch(x[None, :])[0])
+    f_best = fresh(x)
     if not np.any(omega0) or not np.isfinite(f_best):
         raise AlignmentError(
             "alignment objective undefined at initialization (no overlapping hand pixels)",
@@ -472,14 +436,13 @@ def align_hand_frame(
             diagnostics={"sigma": init.sigma, "overlap_pixels": int(omega0.sum())},
         )
     # coarse scan over the scale axis picks the starting basin; the
-    # initialization remains a candidate so the result never regresses;
-    # all candidates are scored in one batch and taken in grid order
-    cands = np.repeat(x[None, :], len(_SCALE_GRID), axis=0)
-    cands[:, 0] = _LOG_SCALE_GRID
-    for cand, fc in zip(cands, fresh_batch(cands)):
-        if np.isfinite(fc) and fc < f_best:
-            f_best = float(fc)
-            x = cand.copy()
+    # initialization remains a candidate so the result never regresses
+    for g in _SCALE_GRID:
+        cand = x.copy()
+        cand[0] = np.log(g)
+        fc = fresh(cand)
+        if fc < f_best:
+            f_best, x = fc, cand
     x_best = x.copy()
     solver_converged = False
     opts = SolverOptions(max_iters=cfg.inner_iters)
@@ -497,8 +460,8 @@ def align_hand_frame(
         step = float(np.linalg.norm(report.x_star - x))
         x = report.x_star
         solver_converged = report.converged
-        f_now = float(fresh_batch(x[None, :])[0])
-        if np.isfinite(f_now) and f_now < f_best:
+        f_now = fresh(x)
+        if f_now < f_best:
             f_best = f_now
             x_best = x.copy()
         if step < 1e-7:
@@ -506,7 +469,7 @@ def align_hand_frame(
 
     sigma, correction = params_decode(x_best)
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    corr_pts, corr_nrm = _correspondences(obs_index, observation.cloud, moved)
+    corr_pts, corr_nrm = _correspondences(obs_index, observation, hand_cloud, x_best)
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     icp_rms = float(np.sqrt(np.mean(r ** 2)))
     try:

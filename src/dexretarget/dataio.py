@@ -479,10 +479,13 @@ def load_config(path, lenient: bool = False):
             if digit not in DIGITS:
                 raise ConfigError(f"proximal_links: unknown digit {digit!r}")
 
-    try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be an integer: {exc}") from exc
+    # JSON types, not Python conversions: "false" is no boolean, 3.7 no seed
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    calibrate_scale = doc.get("calibrate_scale", True)
+    if not isinstance(calibrate_scale, bool):
+        raise ConfigError(f"calibrate_scale must be true or false, got {calibrate_scale!r}")
 
     cfg = PipelineConfig(
         urdf=resolve(doc["urdf"]),
@@ -499,7 +502,7 @@ def load_config(path, lenient: bool = False):
         weight_table=table,
         align=align,
         retarget=retarget,
-        calibrate_scale=bool(doc.get("calibrate_scale", True)),
+        calibrate_scale=calibrate_scale,
         seed=seed,
     )
     return cfg, warnings

@@ -277,8 +277,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidArgumentError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise InvalidArgumentError("focal lengths must be positive and finite")
         if self.width <= 0 or self.height <= 0:
             raise InvalidArgumentError("image dimensions must be positive")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
@@ -340,9 +340,9 @@ def huber_weights(r, delta: float):
 def pseudo_huber(r, delta: float):
     """Smooth (C-infinity) Huber surrogate: delta^2 (sqrt(1 + (r/delta)^2) - 1).
 
-    Quadratic near zero, linear in the tails; used inside solver
-    objectives where finite-difference gradients need a kink-free
-    landscape.
+    Quadratic near zero, linear in the tails; the alignment objective
+    uses it so that its closed-form gradient (``pseudo_huber_derivative``)
+    is continuous.
     """
     d = float(delta)
     if not np.isfinite(d) or d <= 0.0:

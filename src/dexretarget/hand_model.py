@@ -135,8 +135,8 @@ class HandTrajectory:
         indices = [f.frame_index for f in self.frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise InvalidArgumentError("frame indices must be strictly increasing")
-        if self.fps <= 0:
-            raise InvalidArgumentError("fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise InvalidArgumentError("fps must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.frames)

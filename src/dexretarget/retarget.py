@@ -53,12 +53,14 @@ class RetargetConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.huber_delta <= 0:
-            raise InvalidArgumentError("huber_delta must be positive")
-        if self.lambda_smooth < 0 or self.lambda_init < 0:
-            raise InvalidArgumentError("penalty weights must be non-negative")
-        if self.scale <= 0:
-            raise InvalidArgumentError("scale must be positive")
+        if not 0 < self.huber_delta < np.inf:
+            raise InvalidArgumentError("huber_delta must be positive and finite")
+        if not (0 <= self.lambda_smooth < np.inf and 0 <= self.lambda_init < np.inf):
+            raise InvalidArgumentError("penalty weights must be non-negative and finite")
+        if not 0 < self.scale < np.inf:
+            raise InvalidArgumentError("scale must be positive and finite")
+        if self.max_tip_error is not None and not 0 < self.max_tip_error < np.inf:
+            raise InvalidArgumentError("max_tip_error must be positive and finite")
         check_iteration_count("alternations", self.alternations)
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)

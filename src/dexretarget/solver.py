@@ -33,10 +33,10 @@ class SolverOptions:
     fd_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.grad_tol < 0 or self.step_tol < 0:
-            raise InvalidArgumentError("tolerances must be non-negative")
-        if self.fd_eps <= 0:
-            raise InvalidArgumentError("fd_eps must be positive")
+        if not (0 <= self.grad_tol < np.inf and 0 <= self.step_tol < np.inf):
+            raise InvalidArgumentError("tolerances must be non-negative and finite")
+        if not 0 < self.fd_eps < np.inf:
+            raise InvalidArgumentError("fd_eps must be positive and finite")
         check_iteration_count("max_iters", self.max_iters)
 
 

@@ -10,11 +10,9 @@ from dexretarget.alignment import (
     HandAlignment,
     align_hand_frame,
     align_trajectory,
-    alignment_objective_value,
     alignment_problem,
     calibrate_depth_sequence,
     depth_consistency_loss,
-    params_decode,
     params_encode,
     smooth_depth_residuals,
 )
@@ -474,11 +472,29 @@ class TestAlignHandFrame:
         cfg = AlignConfig()
         init = HandAlignment.initial(hand.frame_index)
         result = align_hand_frame(hand, sampled, obs, K, init=init, cfg=cfg)
-        at_init = alignment_objective_value(sampled, obs, K, cfg, init.sigma,
-                                            init.correction)
-        at_result = alignment_objective_value(sampled, obs, K, cfg, result.sigma,
-                                              result.correction)
-        assert at_result <= at_init
+
+        def fresh(fit):
+            # the objective with correspondences refreshed at the parameters
+            x = params_encode(fit.sigma, fit.correction)
+            return alignment_problem(sampled, obs, K, cfg, at=x).objective(x)
+
+        assert fresh(result) <= fresh(init)
+
+    def test_one_problem_per_solve(self, monkeypatch):
+        # each outer round builds one problem for one solve; fresh scores
+        # build none, so counting problems counts outer rounds
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        obs = observe(1.25 * sampled.points)
+        calls = []
+        for name in ("alignment_problem", "minimize_box"):
+            def counted(*args, _name=name, _fn=getattr(alignment, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(alignment, name, counted)
+        align_hand_frame(hand, sampled, obs, K)
+        assert calls.count("minimize_box") > 1
+        assert calls.count("alignment_problem") == calls.count("minimize_box")
 
     def test_regularizer_limit_forces_identity(self):
         hand = hand_at()
@@ -521,12 +537,20 @@ class TestAlignmentObjective:
         sampled = sampled_hand_for(hand_at())
         obs = observe(1.1 * sampled.points)
         cfg = AlignConfig()
+        index = build_index(obs.cloud)
+
+        def frozen_and_fresh(x):
+            # the fresh score align_hand_frame takes: correspondences queried at x
+            fresh = alignment._evaluate(sampled, obs, K, cfg,
+                                        alignment._correspondences(index, obs, sampled, x), x)
+            return alignment_problem(sampled, obs, K, cfg, at=x).objective(x), fresh
+
         for _ in range(5):
-            sigma, correction = params_decode(self.random_params(rng))
-            x = params_encode(sigma, correction)  # the vector the fresh value encodes
-            frozen = alignment_problem(sampled, obs, K, cfg, at=x).objective(x)
-            fresh = alignment_objective_value(sampled, obs, K, cfg, sigma, correction)
-            assert frozen == fresh
+            frozen, fresh = frozen_and_fresh(self.random_params(rng))
+            assert np.isfinite(fresh) and frozen == fresh
+        near = self.random_params(rng)
+        near[6] = -0.5  # the hand, about 0.45 m deep, moves behind the camera plane
+        assert frozen_and_fresh(near) == (np.inf, np.inf)
 
     def test_prebuilt_index_gives_same_values(self, rng):
         sampled = sampled_hand_for(hand_at())
@@ -603,81 +627,6 @@ class TestAlignmentGradient:
         # the solver refuses to start there
         with pytest.raises(SolverStartError):
             solver.minimize_box(problem, near)
-
-
-class TestBatchedObjective:
-    """Each row of a batched objective call is bit-identical to a one-row call."""
-
-    def make_case(self, rng):
-        sampled = sampled_hand_for(hand_at())
-        obs = observe(1.1 * sampled.points)
-        index = build_index(obs.cloud)
-        x = np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.1, 0.1, size=6)])
-        return sampled, obs, index, x
-
-    def frozen_at(self, sampled, obs, index, x):
-        sigma, correction = params_decode(x)
-        moved = sigma * correction.apply(sampled.points)
-        _, idx = index.query(moved)
-        return obs.cloud.points[idx], obs.cloud.normals[idx]
-
-    def batch(self, rng, x, size):
-        if size == 14:  # a central-difference stencil
-            h = AlignConfig().fd_eps * np.maximum(1.0, np.abs(x))
-            xs = np.repeat(x[None, :], 14, axis=0)
-            xs[2 * np.arange(7), np.arange(7)] += h
-            xs[2 * np.arange(7) + 1, np.arange(7)] -= h
-            return xs
-        return x + rng.uniform(-0.05, 0.05, size=(size, 7))
-
-    def assert_rows_match_one_row_calls(self, xs, values, *args):
-        assert values.shape == (len(xs),)
-        for x, v in zip(xs, values):
-            one = alignment._alignment_objective(x.copy()[None, :], *args)
-            assert one.shape == (1,)
-            assert one.tobytes() == np.array([v]).tobytes()
-
-    @pytest.mark.parametrize("size", [1, 14, 17])
-    @pytest.mark.parametrize("correspondences", ["frozen", "refreshed"])
-    def test_rows_equal_one_row_calls(self, rng, size, correspondences):
-        sampled, obs, index, x = self.make_case(rng)
-        frozen = self.frozen_at(sampled, obs, index, x) if correspondences == "frozen" else None
-        args = (sampled, obs, K, AlignConfig(), index, frozen)
-        xs = self.batch(rng, x, size)
-        values = alignment._alignment_objective(xs, *args)
-        assert np.all(np.isfinite(values))
-        self.assert_rows_match_one_row_calls(xs, values, *args)
-
-    @pytest.mark.parametrize("correspondences", ["frozen", "refreshed"])
-    def test_near_row_is_inf_and_leaves_the_others_alone(self, rng, correspondences):
-        sampled, obs, index, x = self.make_case(rng)
-        frozen = self.frozen_at(sampled, obs, index, x) if correspondences == "frozen" else None
-        args = (sampled, obs, K, AlignConfig(), index, frozen)
-        xs = self.batch(rng, x, 5)
-        xs[2, 6] = -0.5  # translates the hand, about 0.45 m deep, behind the camera plane
-        values = alignment._alignment_objective(xs, *args)
-        assert values[2] == np.inf
-        assert np.all(np.isfinite(np.delete(values, 2)))
-        self.assert_rows_match_one_row_calls(xs, values, *args)
-        all_near = alignment._alignment_objective(xs[[2, 2]], *args)
-        assert np.all(all_near == np.inf)
-
-    def test_scale_grid_batch_equals_serial_scan(self, rng):
-        # the log-scale column matches the scalar np.log of each grid point,
-        # and each batched candidate scores what the serial scan scored
-        assert len(alignment._LOG_SCALE_GRID) == len(alignment._SCALE_GRID) == 17
-        for lg, g in zip(alignment._LOG_SCALE_GRID, alignment._SCALE_GRID):
-            assert np.array([lg]).tobytes() == np.array([np.log(g)]).tobytes()
-        sampled, obs, index, x = self.make_case(rng)
-        args = (sampled, obs, K, AlignConfig(), index)
-        cands = np.repeat(x[None, :], 17, axis=0)
-        cands[:, 0] = alignment._LOG_SCALE_GRID
-        values = alignment._alignment_objective(cands, *args)
-        for g, v in zip(alignment._SCALE_GRID, values):
-            cand = x.copy()
-            cand[0] = np.log(g)
-            serial = alignment._alignment_objective(cand[None, :], *args)
-            assert serial.tobytes() == np.array([v]).tobytes()
 
 
 class TestAlignTrajectory:

@@ -8,6 +8,9 @@ import pytest
 
 from dexretarget import dataio
 from dexretarget.cli import main
+from dexretarget.pointcloud import PointCloud
+
+NAN, INF = float("nan"), float("inf")
 
 
 def write_urdf(dirpath: Path) -> Path:
@@ -189,9 +192,25 @@ class TestCmdPipeline:
         ("config.json", set_json(align={"inner_iters": 2.5})),
         ("config.json", set_json(align={"splat_footprint": 2})),
         ("config.json", set_json(retarget={"solver": {"max_iters": "many"}})),
+        # JSON's NaN and Infinity are numbers that no positivity test rejects
+        ("config.json", set_json(align={"lambda_rend": NAN})),
+        ("config.json", set_json(align={"huber_delta": NAN})),
+        ("config.json", set_json(retarget={"huber_delta": NAN})),
+        ("config.json", set_json(retarget={"lambda_init": INF})),
+        ("config.json", set_json(retarget={"solver": {"grad_tol": NAN}})),
+        ("config.json", set_json(retarget={"max_tip_error": NAN})),
+        ("config.json", set_json(retarget={"max_tip_error": -1})),
+        ("observations/intrinsics.json", set_json(fy=INF)),
+        ("observations/intrinsics.json", set_json(fx=NAN)),
+        ("hand_trajectory.json", set_json(fps=NAN)),
+        ("config.json", set_json(calibrate_scale="false")),
+        ("config.json", set_json(seed=3.7)),
     ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
             "mount-offset", "ply-bare-format", "align-inner-iters", "align-splat-footprint",
-            "solver-max-iters"])
+            "solver-max-iters", "align-lambda-rend-nan", "align-huber-delta-nan",
+            "retarget-huber-delta-nan", "retarget-lambda-init-inf", "solver-grad-tol-nan",
+            "max-tip-error-nan", "max-tip-error-negative", "intrinsics-fy-inf",
+            "intrinsics-fx-nan", "fps-nan", "calibrate-scale-string", "seed-float"])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
         out = tmp_path / "fix"
         assert main(["synth", "--out-dir", str(out), "--seed", "4",
@@ -207,6 +226,37 @@ class TestCmdPipeline:
         err = capsys.readouterr().err
         assert err.startswith("ERROR config:")
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("points", [
+        np.outer(np.linspace(0.0, 0.1, 40), [1.0, 2.0, 3.0]) + [0.0, 0.0, 0.5],
+        np.tile([0.01, 0.02, 0.5], (40, 1)),
+    ], ids=["collinear", "coincident"])
+    def test_degenerate_object_cloud_fails_calibration(self, tmp_path, capsys, points):
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        write_config(out)
+        for name in ("object_true.ply", "object_pred.ply"):
+            dataio.write_ply(PointCloud(points=points), out / name)
+        code = main(["pipeline", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR calibrate:")
+        assert "\n" not in err.strip()
+
+    def test_contacts_only_on_unmapped_digits_skip_refinement(self, fixture_dir, tmp_path):
+        # the four-finger mapping has no pinky, so no contact has a robot tip
+        out = tmp_path / "fix"
+        shutil.copytree(fixture_dir, out)
+        doc = json.loads((out / "hand_trajectory.json").read_text())
+        last = doc["frames"][-1]
+        last["contacts"] = {"pinky": last["contacts"]["pinky"]}
+        (out / "hand_trajectory.json").write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(out / "config.json")]) == 0
+        assert (out / "out" / "robot_trajectory.json").is_file()
+        report = (out / "out" / "report.txt").read_text()
+        assert "alignment:" in report and "refinement" not in report
 
     def test_log_env_var_accepted(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RETARGET_LOG", "INFO")
