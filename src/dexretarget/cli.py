@@ -115,6 +115,8 @@ def cmd_fk(args) -> int:
     try:
         model = parse_urdf(Path(args.urdf).read_text())
         q = np.array([float(t) for t in args.q.split(",")]) if args.q else model.mid_limits()
+        if not np.all(np.isfinite(q)):
+            raise InvalidArgumentError(f"--q values must be finite, got {args.q!r}")
         frames = forward_kinematics(model, q)
         links = args.links.split(",") if args.links else list(frames)
         out = {}

@@ -238,7 +238,8 @@ class TaxonomyWeightTable:
                     raise ConfigError(f"class {cls.value!r} missing weight for group {g!r}")
                 w = float(groups[g])
                 if w < 0 or not np.isfinite(w):
-                    raise ConfigError(f"class {cls.value!r}, group {g!r}: weight must be >= 0")
+                    raise ConfigError(
+                        f"class {cls.value!r}, group {g!r}: weight must be finite and >= 0")
                 row[g] = w
             unknown = set(groups) - set(VECTOR_GROUPS)
             if unknown:

@@ -2,6 +2,11 @@
 mimic coupling, evaluate forward kinematics and finite-difference
 Jacobians.
 
+Forward kinematics walks the tree one depth at a time: the model groups
+the joints that share a depth and a motion kind (fixed, rotary,
+prismatic) once, and each group is one batched numpy step over all its
+joints and all configurations.
+
 Only the elements the retargeting pipeline needs are read (links, joints,
 origins, axes, limits, mimics); visual/collision/inertial content is
 ignored with a warning. Joint configurations q are plain float arrays
@@ -11,7 +16,7 @@ ordered by ``RobotModel.actuated_order``.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -49,16 +54,51 @@ class Joint:
     axis: np.ndarray
     limits: Optional[tuple] = None            # (lower, upper) or None for continuous/fixed
     mimic: Optional[Mimic] = None
-    # precomputed at parse time for fast axis-angle rotation
-    _k: np.ndarray = field(default=None, repr=False)
-    _k2: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float)
-        a = self.axis
-        k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-        self._k = k
-        self._k2 = k @ k
+
+
+@dataclass(frozen=True)
+class _FkGroup:
+    """Joints of one tree depth and one motion kind, stacked for one FK step.
+
+    ``kind`` is "fixed", "rotary" (revolute or continuous) or "prismatic".
+    A joint's value is mult * q[q_index] + off (1.0 and 0.0 unless it
+    mimics another joint)."""
+    kind: str
+    parents: np.ndarray       # (G,) link indices
+    children: np.ndarray      # (G,) link indices
+    origin_r: np.ndarray      # (G, 3, 3)
+    origin_t: np.ndarray      # (G, 3, 1)
+    axis: np.ndarray          # (G, 3, 1)
+    k: np.ndarray             # (G, 3, 3) cross-product matrix of the axis
+    k2: np.ndarray            # (G, 3, 3) its square
+    q_index: np.ndarray       # (G,)
+    mult: np.ndarray          # (G,)
+    off: np.ndarray           # (G,)
+
+
+def _fk_group(kind: str, joints, link_index, q_index) -> _FkGroup:
+    k = np.array([[[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
+                  for a in (j.axis for j in joints)])
+    # (q index, multiplier, offset); a fixed joint reads no q
+    coupling = [(q_index[j.mimic.source], j.mimic.multiplier, j.mimic.offset)
+                if j.mimic is not None else (q_index.get(j.name, 0), 1.0, 0.0)
+                for j in joints]
+    return _FkGroup(
+        kind=kind,
+        parents=np.array([link_index[j.parent] for j in joints]),
+        children=np.array([link_index[j.child] for j in joints]),
+        origin_r=np.array([j.origin.rotation.as_matrix() for j in joints]),
+        origin_t=np.array([j.origin.translation for j in joints])[:, :, None],
+        axis=np.array([j.axis for j in joints])[:, :, None],
+        k=k,
+        k2=k @ k,
+        q_index=np.array([c[0] for c in coupling], dtype=int),
+        mult=np.array([c[1] for c in coupling], dtype=float),
+        off=np.array([c[2] for c in coupling], dtype=float),
+    )
 
 
 class RobotModel:
@@ -76,19 +116,17 @@ class RobotModel:
         self._joint_by_name = {j.name: j for j in self.joints}
         self._q_index = {name: i for i, name in enumerate(self.actuated_order)}
         self._link_index = {name: i for i, name in enumerate(self.links)}
-        # per-joint q lookup: (kind, index, multiplier, offset)
-        self._joint_q = []
+        # FK groups: one per (tree depth, motion kind), shallowest first
+        depth = {root_link: 0}
+        by_level = {}
         for j in self.joints:
-            if j.jtype == "fixed":
-                self._joint_q.append(None)
-            elif j.mimic is not None:
-                src = self._q_index[j.mimic.source]
-                self._joint_q.append((src, j.mimic.multiplier, j.mimic.offset))
-            else:
-                self._joint_q.append((self._q_index[j.name], 1.0, 0.0))
-        # cache origin matrices
-        self._origin_r = [j.origin.rotation.as_matrix() for j in self.joints]
-        self._origin_t = [j.origin.translation for j in self.joints]
+            depth[j.child] = depth[j.parent] + 1
+            kind = j.jtype if j.jtype in ("fixed", "prismatic") else "rotary"
+            by_level.setdefault((depth[j.child], kind), []).append(j)
+        self._fk_groups = [
+            _fk_group(kind, js, self._link_index, self._q_index)
+            for (_, kind), js in sorted(by_level.items())
+        ]
 
     @property
     def dof(self) -> int:
@@ -400,44 +438,40 @@ def serialize_urdf(model: RobotModel, name: str = "robot") -> str:
 
 
 def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.ndarray):
-    """FK over a batch of configurations; returns per-link (B, 3, 3) and
-    (B, 3) arrays. The only joint loop: a single configuration is a batch
-    of one, so every row is the same arithmetic whatever the batch shape.
-    One pass of vectorized ops amortizes the per-joint overhead across the
-    batch (finite-difference gradients evaluate 2n configurations at once)."""
+    """FK over a batch of configurations; returns (B, L, 3, 3) rotations and
+    (B, L, 3) translations indexed like ``model.links``. The only FK loop:
+    one step per tree depth (and motion kind), parents before children;
+    a single configuration is a batch of one, so every row is the same
+    arithmetic whatever the batch shape. Each step applies one group's
+    joints to all configurations at once, so finite-difference gradients
+    evaluate 2n configurations for the cost of a few rows."""
     b = qs.shape[0]
     n_links = len(model.links)
-    rots = [None] * n_links
-    trans = [None] * n_links
+    rots = np.empty((b, n_links, 3, 3))
+    trans = np.empty((b, n_links, 3))
     ridx = model._link_index[model.root_link]
-    rots[ridx] = np.broadcast_to(root_r, (b, 3, 3))
-    trans[ridx] = np.broadcast_to(root_t, (b, 3))
+    rots[:, ridx] = root_r
+    trans[:, ridx] = root_t
     eye = np.eye(3)
-    for jidx, j in enumerate(model.joints):
-        pi = model._link_index[j.parent]
-        rp, tp = rots[pi], trans[pi]
-        ro = model._origin_r[jidx]
-        to = model._origin_t[jidx]
-        rj = rp @ ro
-        tj = rp @ to + tp
-        qinfo = model._joint_q[jidx]
-        if qinfo is None:
+    for g in model._fk_groups:
+        rp = rots[:, g.parents]
+        rj = rp @ g.origin_r
+        tj = (rp @ g.origin_t)[..., 0] + trans[:, g.parents]
+        if g.kind == "fixed":
             rc, tc = rj, tj
         else:
-            qi, mult, off = qinfo
-            val = mult * qs[:, qi] + off
-            if j.jtype == "prismatic":
+            val = g.mult * qs[:, g.q_index] + g.off
+            if g.kind == "prismatic":
                 rc = rj
-                tc = tj + (rj @ j.axis) * val[:, None]
+                tc = tj + (rj @ g.axis)[..., 0] * val[..., None]
             else:
-                s = np.sin(val)[:, None, None]
-                c = (1.0 - np.cos(val))[:, None, None]
-                motion = eye + s * j._k + c * j._k2
+                s = np.sin(val)[..., None, None]
+                c = (1.0 - np.cos(val))[..., None, None]
+                motion = eye + s * g.k + c * g.k2
                 rc = rj @ motion
                 tc = tj
-        ci = model._link_index[j.child]
-        rots[ci] = rc
-        trans[ci] = tc
+        rots[:, g.children] = rc
+        trans[:, g.children] = tc
     return rots, trans
 
 
@@ -455,7 +489,7 @@ def forward_kinematics(model: RobotModel, q, root_pose: Optional[RigidTransform]
         root_r = root_pose.rotation.as_matrix()
         root_t = root_pose.translation
     rots, trans = _fk_batch(model, arr[None, :], root_r, root_t)
-    return FrameSet(model.links, [r[0] for r in rots], [t[0] for t in trans])
+    return FrameSet(model.links, rots[0], trans[0])
 
 
 def link_origins(model: RobotModel, q: np.ndarray, root_r: np.ndarray,
@@ -467,9 +501,11 @@ def link_origins(model: RobotModel, q: np.ndarray, root_r: np.ndarray,
 def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
                        root_t: np.ndarray, names) -> np.ndarray:
     """Origins of the named links for a batch of configurations: (B, k, 3)."""
-    rots, trans = _fk_batch(model, qs, root_r, root_t)
+    _, trans = _fk_batch(model, qs, root_r, root_t)
     idx = model._link_index
-    return np.stack([trans[idx[n]] for n in names], axis=1)
+    # C-ordered like the rows callers reduce over; trans[:, idx] would not be,
+    # and einsum rounds differently on another memory layout
+    return np.take(trans, [idx[n] for n in names], axis=1)
 
 
 def clamp_to_limits(model: RobotModel, q) -> np.ndarray:

@@ -227,6 +227,24 @@ class TestCmdPipeline:
         assert err.startswith("ERROR config:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("weight", [NAN, INF, -0.5], ids=["nan", "inf", "negative"])
+    def test_bad_weight_is_input_error(self, tmp_path, capsys, weight):
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        write_config(out, weight_table="weights.json")
+        text = resources.files("dexretarget.assets").joinpath("taxonomy_weights.json").read_text()
+        doc = json.loads(text)
+        doc["medium-wrap"]["wrist-to-tip"] = weight
+        (out / "weights.json").write_text(json.dumps(doc))
+        code = main(["pipeline", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:")
+        assert "weight must be finite and >= 0" in err
+        assert "\n" not in err.strip()
+
     @pytest.mark.parametrize("points", [
         np.outer(np.linspace(0.0, 0.1, 40), [1.0, 2.0, 3.0]) + [0.0, 0.0, 0.5],
         np.tile([0.01, 0.02, 0.5], (40, 1)),
@@ -334,3 +352,15 @@ class TestCmdFk:
         code = main(["fk", "--urdf", str(urdf), "--q", "zero,one"])
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR fk:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_q_is_input_error(self, tmp_path, capsys, value):
+        # NaN would print as invalid JSON; an infinity also warns in numpy
+        urdf = write_urdf(tmp_path)
+        # "--q=" so that argparse does not read "-inf,..." as an option
+        code = main(["fk", "--urdf", str(urdf), "--q=" + ",".join([value] + ["0"] * 15)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR fk:") and "finite" in captured.err
+        assert "\n" not in captured.err.strip()

@@ -12,6 +12,7 @@ from dexretarget.errors import (
 from dexretarget.geometry import RigidTransform, Rotation
 from dexretarget.retarget import RetargetConfig, retarget_problem
 from dexretarget.robot_model import (
+    _fk_batch,
     clamp_to_limits,
     forward_kinematics,
     link_origins,
@@ -84,6 +85,141 @@ PRISMATIC_MIMIC = """
   </joint>
 </robot>
 """
+
+# one tree depth with fixed, revolute, continuous, prismatic and mimic joints
+MIXED_DEPTH = """
+<robot name="mixed">
+  <link name="base"/><link name="a"/><link name="b"/><link name="c"/><link name="d"/>
+  <link name="e"/><link name="f"/><link name="g"/>
+  <joint name="mount" type="fixed">
+    <parent link="base"/><child link="a"/>
+    <origin xyz="0.02 0.1 -0.03" rpy="0.4 0.0 -0.2"/>
+  </joint>
+  <joint name="hinge" type="revolute">
+    <parent link="base"/><child link="b"/>
+    <origin xyz="-0.06 0.01 0.08" rpy="-0.3 0.6 0.1"/>
+    <axis xyz="0.1 0.8 -0.3"/>
+    <limit lower="-1.5" upper="1.2" effort="1" velocity="1"/>
+  </joint>
+  <joint name="slide" type="prismatic">
+    <parent link="base"/><child link="c"/>
+    <origin xyz="0.13 -0.04 0.0" rpy="0.0 -0.9 0.7"/>
+    <axis xyz="0.6 0.0 0.8"/>
+    <limit lower="-0.2" upper="0.3" effort="1" velocity="1"/>
+  </joint>
+  <joint name="roll" type="continuous">
+    <parent link="base"/><child link="d"/>
+    <origin xyz="0.0 0.0 0.05" rpy="1.2 0.2 0.0"/>
+    <axis xyz="0 0 1"/>
+  </joint>
+  <joint name="hinge_copy" type="revolute">
+    <parent link="base"/><child link="e"/>
+    <origin xyz="0.07 0.07 0.07" rpy="0.1 0.2 0.3"/>
+    <axis xyz="1 0 0"/>
+    <limit lower="-3" upper="3" effort="1" velocity="1"/>
+    <mimic joint="hinge" multiplier="-1.3" offset="0.25"/>
+  </joint>
+  <joint name="slide_copy" type="prismatic">
+    <parent link="b"/><child link="f"/>
+    <origin xyz="0.05 -0.02 0.11" rpy="0.0 0.3 0.0"/>
+    <axis xyz="0 1 0"/>
+    <limit lower="-1" upper="1" effort="1" velocity="1"/>
+    <mimic joint="slide" multiplier="0.5" offset="-0.01"/>
+  </joint>
+  <joint name="tip" type="fixed">
+    <parent link="c"/><child link="g"/>
+    <origin xyz="0.0 0.04 0.0" rpy="0.0 0.0 0.5"/>
+  </joint>
+</robot>
+"""
+
+# no actuated joint at all
+ZERO_DOF = """
+<robot name="rigid">
+  <link name="base"/><link name="left"/><link name="right"/><link name="tip"/>
+  <joint name="to_left" type="fixed">
+    <parent link="base"/><child link="left"/>
+    <origin xyz="0.1 0.2 -0.05" rpy="0.3 -0.1 0.8"/>
+  </joint>
+  <joint name="to_right" type="fixed">
+    <parent link="base"/><child link="right"/>
+    <origin xyz="-0.1 0.0 0.02" rpy="0.0 0.7 -0.4"/>
+  </joint>
+  <joint name="to_tip" type="fixed">
+    <parent link="left"/><child link="tip"/>
+    <origin xyz="0.0 0.05 0.0" rpy="-0.2 0.0 0.1"/>
+  </joint>
+</robot>
+"""
+
+
+def reference_fk_batch(model, qs, root_r, root_t):
+    """The per-joint FK loop that the level-grouped ``_fk_batch`` replaced:
+    one numpy step per joint, parent first. Its per-joint caches (link and
+    q indices, origin matrices, mimic coupling, the axis cross-product
+    matrix) are derived here from the public joint data."""
+    link_index = {name: i for i, name in enumerate(model.links)}
+    q_index = {name: i for i, name in enumerate(model.actuated_order)}
+    b = qs.shape[0]
+    n_links = len(model.links)
+    rots = [None] * n_links
+    trans = [None] * n_links
+    ridx = link_index[model.root_link]
+    rots[ridx] = np.broadcast_to(root_r, (b, 3, 3))
+    trans[ridx] = np.broadcast_to(root_t, (b, 3))
+    eye = np.eye(3)
+    for j in model.joints:
+        pi = link_index[j.parent]
+        rp, tp = rots[pi], trans[pi]
+        ro = j.origin.rotation.as_matrix()
+        to = j.origin.translation
+        rj = rp @ ro
+        tj = rp @ to + tp
+        if j.jtype == "fixed":
+            qinfo = None
+        elif j.mimic is not None:
+            qinfo = (q_index[j.mimic.source], j.mimic.multiplier, j.mimic.offset)
+        else:
+            qinfo = (q_index[j.name], 1.0, 0.0)
+        if qinfo is None:
+            rc, tc = rj, tj
+        else:
+            qi, mult, off = qinfo
+            val = mult * qs[:, qi] + off
+            if j.jtype == "prismatic":
+                rc = rj
+                tc = tj + (rj @ j.axis) * val[:, None]
+            else:
+                a = j.axis
+                k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+                s = np.sin(val)[:, None, None]
+                c = (1.0 - np.cos(val))[:, None, None]
+                motion = eye + s * k + c * (k @ k)
+                rc = rj @ motion
+                tc = tj
+        ci = link_index[j.child]
+        rots[ci] = rc
+        trans[ci] = tc
+    return rots, trans
+
+
+def assert_fk_matches_reference(model, seed):
+    """Level-grouped FK equals the per-joint reference bit for bit, for
+    every link's rotation and translation, at batch sizes 1, 2·dof and an
+    odd size, under a non-identity root pose."""
+    lo, hi = model.limit_arrays()
+    rng = np.random.default_rng(seed)
+    root_r = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.8).as_matrix()
+    root_t = np.array([0.1, -0.2, 0.45])
+    for b in sorted({1, 2 * model.dof, 2 * model.dof + 3}):
+        qs = rng.uniform(lo, hi, size=(b, model.dof))
+        rots, trans = _fk_batch(model, qs, root_r, root_t)
+        ref_rots, ref_trans = reference_fk_batch(model, qs, root_r, root_t)
+        assert rots.shape == (b, len(model.links), 3, 3)
+        assert trans.shape == (b, len(model.links), 3)
+        for i, link in enumerate(model.links):
+            assert rots[:, i].tobytes() == np.ascontiguousarray(ref_rots[i]).tobytes(), link
+            assert trans[:, i].tobytes() == np.ascontiguousarray(ref_trans[i]).tobytes(), link
 
 
 def random_chain_urdf(rng, n_joints=4):
@@ -435,6 +571,8 @@ class TestBatchShape:
         for _ in range(4):
             qs = rng.uniform(lo, hi, size=(b, model.dof))
             batched = link_origins_batch(model, qs, root_r, root_t, model.links)
+            # the retarget objective's reductions round by memory layout
+            assert batched.flags["C_CONTIGUOUS"]
             for row, q in zip(batched, qs):
                 single = link_origins(model, q, root_r, root_t, model.links)
                 assert np.array_equal(row, single)
@@ -464,9 +602,10 @@ _axis = st.tuples(*[st.integers(-10, 10).map(lambda k: k / 10.0)] * 3).filter(an
 @st.composite
 def urdf_trees(draw):
     """URDF text for a random kinematic tree: each joint hangs off any
-    earlier link (so trees branch) and is revolute, prismatic, continuous
-    or fixed; an actuated joint may mimic an earlier actuated one."""
-    n = draw(st.integers(1, 7))
+    earlier link (so trees branch, and one depth can mix joint kinds) and
+    is revolute, prismatic, continuous or fixed; an actuated joint may
+    mimic an earlier actuated one."""
+    n = draw(st.integers(1, 10))
     lines = ['<robot name="tree">', '  <link name="l0"/>']
     sources = []
     for i in range(n):
@@ -517,3 +656,34 @@ class TestRandomTrees:
         before = link_origins_batch(model, qs, root_r, root_t, model.links)
         after = link_origins_batch(again, qs, root_r, root_t, model.links)
         assert np.max(np.abs(after - before)) <= 1e-12
+
+
+class TestLevelGroupedFk:
+    """FK one tree depth at a time equals the per-joint loop bit for bit."""
+
+    @given(urdf_trees(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_trees(self, text, seed):
+        assert_fk_matches_reference(parse_urdf(text), seed)
+
+    @pytest.mark.parametrize("text", [MIXED_DEPTH, ZERO_DOF, PRISMATIC_MIMIC],
+                             ids=["mixed_depth", "zero_dof", "prismatic_mimic"])
+    def test_fixed_trees(self, text):
+        assert_fk_matches_reference(parse_urdf(text), 20261018)
+
+    def test_hand16(self, hand16):
+        assert_fk_matches_reference(hand16, 20261018)
+
+    def test_one_step_per_depth_and_kind(self, hand16):
+        # four revolute depths and one depth of fixed tip mounts
+        assert [(g.kind, len(g.children)) for g in hand16._fk_groups] == \
+            [("rotary", 4)] * 4 + [("fixed", 4)]
+        mixed = parse_urdf(MIXED_DEPTH)
+        assert [g.kind for g in mixed._fk_groups] == \
+            ["fixed", "prismatic", "rotary", "fixed", "prismatic"]
+
+    def test_zero_dof_frames(self):
+        model = parse_urdf(ZERO_DOF)
+        assert model.dof == 0
+        frames = forward_kinematics(model, np.zeros(0))
+        np.testing.assert_allclose(frames.origin("right"), [-0.1, 0.0, 0.02])
