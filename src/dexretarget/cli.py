@@ -171,8 +171,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_q_value(argv: list) -> list:
+    """Rewrite ``--q -0.1,...`` as ``--q=-0.1,...``: argparse would read a
+    joint list that starts with a minus sign as an unknown option."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--q" and token.startswith("-") and not token.startswith("--"):
+            out[-1] = "--q=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_bind_q_value(sys.argv[1:] if argv is None else argv))
     _setup_logging(args.verbose)
     try:
         return args.func(args)

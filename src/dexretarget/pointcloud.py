@@ -104,16 +104,6 @@ def estimate_normals(cloud: PointCloud, k: int = 16, viewpoint=(0.0, 0.0, 0.0)) 
     return PointCloud(points=cloud.points.copy(), normals=normals)
 
 
-def _rodrigues(w: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(w))
-    if theta < 1e-12:
-        k = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
-        return np.eye(3) + k
-    a = w / theta
-    k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-
-
 def _p2pl_objective(pts, q, n, delta):
     r = np.einsum("ij,ij->i", n, pts - q)
     return float(np.mean(huber(r, delta))), r
@@ -186,7 +176,7 @@ def icp_point_to_plane(
         alpha = 1.0
         best = None
         for _ in range(30):
-            dr = _rodrigues(alpha * xi[:3])
+            dr = Rotation.from_rotvec(alpha * xi[:3]).as_matrix()
             r_new = dr @ rot
             t_new = dr @ trans + alpha * xi[3:]
             moved_fixed = src.points[keep] @ r_new.T + t_new

@@ -1,9 +1,13 @@
 """Deterministic box-constrained smooth minimization.
 
-A projected quasi-Newton method (limited-memory secant pairs, projected
-Armijo backtracking) used by every optimization stage. All arithmetic is
-plain float64 numpy in a fixed order, so identical inputs produce
-bit-identical reports.
+A projected quasi-Newton method used by every optimization stage. Each
+iteration takes one search direction: the L-BFGS two-loop step restricted
+to the free variables, those not held on a bound by a gradient that
+points out of the box (projected Newton, Bertsekas 1982; the free-set
+step of L-BFGS-B, Byrd, Lu, Nocedal & Zhu 1995). A projected Armijo
+backtracking search, then forward tracking, picks the step length. All
+arithmetic is plain float64 numpy in a fixed order, so identical inputs
+produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -129,9 +133,16 @@ def _two_loop(g: np.ndarray, memory: list) -> np.ndarray:
 def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
     """Minimize the problem objective over its box from x0 (projected in).
 
+    A variable is bound when it sits at ``lower`` with g > 0 or at
+    ``upper`` with g < 0. The search direction is the two-loop step of g
+    with the bound components zeroed before and after the recursion, or
+    -g with them zeroed if that step is not a descent direction. Curvature
+    pairs span all variables.
+
     Accepted iterates are feasible and monotonically non-increasing in
     objective value. Non-finite trial values reject the step and halve it;
-    LineSearchError is raised only when no finite step exists at all.
+    LineSearchError is raised only when no finite step exists at all. A
+    failed line search is retried with the curvature memory cleared.
     """
     if opts is None:
         opts = SolverOptions()
@@ -148,7 +159,6 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
 
     memory: list = []
     iterations = 0
-    stale = 0
     termination = "max-iters"
     converged = False
 
@@ -159,39 +169,27 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
             converged = True
             break
 
-        d = _two_loop(g, memory)
+        # free-set step: a variable on a bound whose gradient pushes it
+        # outward takes no part in the step
+        bound = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        g_free = np.where(bound, 0.0, g)
+        d = np.where(bound, 0.0, _two_loop(g_free, memory))
         if not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
-            directions = [-g]
-        else:
-            directions = [d, -g]
+            d = -g_free
 
-        x_new = None
-        f_new = None
+        x_new = f_new = None
         saw_finite = False
-        for direction in directions:
-            alpha = 1.0
-            while alpha >= 1e-20:
-                cand = np.clip(x + alpha * direction, lo, hi)
-                fc = float(problem.objective(cand))
-                if np.isfinite(fc):
-                    saw_finite = True
-                    slope = float(g @ (cand - x))
-                    if fc <= f + ARMIJO_C * min(slope, 0.0) and fc <= f:
-                        x_new, f_new = cand, fc
-                        break
-                alpha *= 0.5
-            if x_new is not None:
-                # forward tracking: grow the step while it keeps strictly
-                # improving (cheap escape from creeping short steps)
-                while alpha < 2.0 ** 20:
-                    cand = np.clip(x + 2.0 * alpha * direction, lo, hi)
-                    fc = float(problem.objective(cand))
-                    if np.isfinite(fc) and fc < f_new:
-                        alpha *= 2.0
-                        x_new, f_new = cand, fc
-                    else:
-                        break
-                break
+        alpha = 1.0
+        while alpha >= 1e-20:
+            cand = np.clip(x + alpha * d, lo, hi)
+            fc = float(problem.objective(cand))
+            if np.isfinite(fc):
+                saw_finite = True
+                slope = float(g @ (cand - x))
+                if fc <= f + ARMIJO_C * min(slope, 0.0) and fc <= f:
+                    x_new, f_new = cand, fc
+                    break
+            alpha *= 0.5
         if x_new is None:
             if not saw_finite:
                 raise LineSearchError("no finite step exists along the search direction")
@@ -199,12 +197,21 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
                 # stale curvature pairs can produce degenerate directions;
                 # retry from a clean slate before declaring convergence
                 memory.clear()
-                stale = 0
                 continue
             # numerically stalled: no lower point found at any step size
             termination = "step-tol"
             converged = True
             break
+        # forward tracking: grow the step while it keeps strictly
+        # improving (cheap escape from creeping short steps)
+        while alpha < 2.0 ** 20:
+            cand = np.clip(x + 2.0 * alpha * d, lo, hi)
+            fc = float(problem.objective(cand))
+            if np.isfinite(fc) and fc < f_new:
+                alpha *= 2.0
+                x_new, f_new = cand, fc
+            else:
+                break
 
         iterations += 1
         g_new = np.asarray(problem.gradient(x_new), dtype=float)
@@ -215,22 +222,10 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
             memory.append((s, y, 1.0 / sy))
             if len(memory) > LBFGS_MEMORY:
                 memory.pop(0)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 4:
-                # repeated curvature failures mean the stored pairs no
-                # longer describe the local model; restart
-                memory.clear()
-                stale = 0
 
         step = float(np.linalg.norm(s))
         x, f, g = x_new, f_new, g_new
         if step <= opts.step_tol:
-            if memory:
-                memory.clear()
-                stale = 0
-                continue
             termination = "step-tol"
             converged = True
             break

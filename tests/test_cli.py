@@ -353,6 +353,18 @@ class TestCmdFk:
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR fk:")
 
+    def test_negative_q_after_space(self, tmp_path, capsys):
+        # a joint list that starts with a minus sign is a value, not an option
+        urdf = write_urdf(tmp_path)
+        q = ",".join(["-0.1"] + ["0"] * 15)
+        assert main(["fk", "--urdf", str(urdf), "--q", q, "--links", "thumb_tip"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["fk", "--urdf", str(urdf), "--q=" + q, "--links", "thumb_tip"]) == 0
+        assert spaced == capsys.readouterr().out
+        assert main(["fk", "--urdf", str(urdf), "--q", ",".join(["0"] * 16),
+                     "--links", "thumb_tip"]) == 0
+        assert spaced != capsys.readouterr().out
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_q_is_input_error(self, tmp_path, capsys, value):
         # NaN would print as invalid JSON; an infinity also warns in numpy

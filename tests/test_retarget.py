@@ -1,9 +1,14 @@
+import json
 import logging
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from dexretarget.alignment import HandAlignment
+from dexretarget.cli import main
+from dexretarget.dataio import load_config, read_hand_trajectory
 from dexretarget.errors import InvalidArgumentError
 from dexretarget.geometry import RigidTransform, Rotation
 from dexretarget.hand_model import (
@@ -13,8 +18,11 @@ from dexretarget.hand_model import (
     TaxonomyWeightTable,
     VectorPair,
     VectorSpec,
+    compute_hand_scale,
+    default_vector_spec,
     reference_vectors,
 )
+from dexretarget.pipeline import run_pipeline
 from dexretarget.retarget import (
     ContactTargets,
     RetargetConfig,
@@ -521,3 +529,55 @@ class TestContactsFromHand:
     def test_none_without_annotations(self, mapping16):
         hand = hand_frame_at()
         assert contacts_from_hand(hand, mapping16, lambda_init=0.1, alternations=3) is None
+
+
+@pytest.fixture(scope="module")
+def c11_aligned(tmp_path_factory):
+    """The criterion-11 fixture aligned once: its config, hand frames and
+    per-frame alignments."""
+    root = tmp_path_factory.mktemp("c11")
+    assert main(["synth", "--out-dir", str(root), "--seed", "7", "--frames", "10",
+                 "--noise", "0.001", "--depth-scale", "0.8"]) == 0
+    (root / "hand.urdf").write_text(resources.files("dexretarget.assets").joinpath(
+        "four_finger_16dof.urdf").read_text())
+    (root / "config.json").write_text(json.dumps({
+        "urdf": "hand.urdf",
+        "hand_trajectory": "hand_trajectory.json",
+        "observations_dir": "observations",
+        "output_dir": "out",
+        "object_cloud_true": "object_true.ply",
+        "object_cloud_pred": "object_pred.ply",
+        "taxonomy": "medium-wrap",
+        "finger_mapping": {"thumb": "thumb_tip", "index": "index_tip",
+                           "middle": "middle_tip", "ring": "ring_tip"},
+        "proximal_links": {"thumb": "thumb_medial", "index": "index_medial",
+                           "middle": "middle_medial", "ring": "ring_medial"},
+        "seed": 7,
+    }))
+    config, _ = load_config(root / "config.json")
+    alignments = run_pipeline(config, stop_after="align").alignments
+    return config, read_hand_trajectory(config.hand_trajectory).frames, alignments
+
+
+class TestPlanSensitivity:
+    def test_one_ulp_sigma_change_leaves_plan(self, c11_aligned):
+        # retargeting must not amplify a last-bit change of an alignment
+        config, hands, alignments = c11_aligned
+        model = parse_urdf(config.urdf.read_text())
+        spec = default_vector_spec(config.finger_mapping, config.palm_link or model.root_link,
+                                   config.proximal_links)
+        corrected0 = hands[0].transformed(alignments[0].sigma, alignments[0].correction)
+        cfg = replace(config.retarget,
+                      scale=compute_hand_scale(model, config.finger_mapping, corrected0))
+
+        def plan_q(aligns):
+            traj = retarget_trajectory(model, hands, aligns, config.finger_mapping, spec,
+                                       config.taxonomy, config.weight_table, cfg)
+            return np.array([f.q for f in traj.frames])
+
+        base = plan_q(alignments)
+        for k, align in enumerate(alignments):
+            moved = list(alignments)
+            moved[k] = replace(align, sigma=float(np.nextafter(align.sigma, np.inf)))
+            shift = float(np.max(np.abs(plan_q(moved) - base)))
+            assert shift <= 1e-8, f"frame {k}: plan moved {shift:.3g} rad"

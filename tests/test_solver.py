@@ -121,6 +121,27 @@ class TestMinimizeBox:
         assert report.termination == "gradient-tol"
         np.testing.assert_array_equal(report.x_star, a)
 
+    def test_ill_conditioned_quadratics_with_active_bounds(self):
+        # each unconstrained minimizer lies mostly outside the box, so the
+        # solution has many variables on a bound and the rest on an
+        # ill-conditioned subspace
+        n = 16
+        stopped = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rot, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            hess = (rot * np.logspace(-3, 0, n)) @ rot.T
+            x_min = rng.uniform(-3, 3, size=n)
+            problem = BoxProblem(
+                lower=np.full(n, -1.0), upper=np.full(n, 1.0),
+                objective=lambda x, h=hess, m=x_min: float(0.5 * (x - m) @ h @ (x - m)),
+                gradient=lambda x, h=hess, m=x_min: h @ (x - m),
+            )
+            report = minimize_box(problem, np.zeros(n))
+            if report.termination != "gradient-tol":
+                stopped.append((seed, report.termination))
+        assert not stopped, stopped
+
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             minimize_box(quadratic_problem(np.zeros(3)), np.zeros(2))
