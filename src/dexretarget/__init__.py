@@ -24,10 +24,8 @@ from .pointcloud import (
     icp_point_to_plane,
 )
 from .robot_model import (
-    FrameSet,
     RobotModel,
     clamp_to_limits,
-    forward_kinematics,
     numeric_jacobian,
     parse_urdf,
 )

@@ -34,7 +34,7 @@ from .errors import (
     UrdfValidationError,
 )
 from .pipeline import StageFailure, run_pipeline
-from .robot_model import forward_kinematics, parse_urdf
+from .robot_model import link_origins, parse_urdf
 from .synthetic import SynthConfig, synth_hand_trajectory
 
 EXIT_OK = 0
@@ -117,13 +117,13 @@ def cmd_fk(args) -> int:
         q = np.array([float(t) for t in args.q.split(",")]) if args.q else model.mid_limits()
         if not np.all(np.isfinite(q)):
             raise InvalidArgumentError(f"--q values must be finite, got {args.q!r}")
-        frames = forward_kinematics(model, q)
-        links = args.links.split(",") if args.links else list(frames)
-        out = {}
+        model.check_q(q)
+        links = args.links.split(",") if args.links else model.links
         for name in links:
             if not model.has_link(name):
                 raise InvalidArgumentError(f"unknown link {name!r}")
-            out[name] = [float(v) for v in frames.origin(name)]
+        origins = link_origins(model, q, np.eye(3), np.zeros(3), links)
+        out = {name: [float(v) for v in o] for name, o in zip(links, origins)}
         print(json.dumps(out, indent=1, sort_keys=True))
         return EXIT_OK
     except (ValueError,) + _INPUT_ERRORS as exc:  # ValueError: a non-numeric --q

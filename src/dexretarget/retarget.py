@@ -196,11 +196,15 @@ def retarget_problem(
 
     def objective_batch(qs):
         origins = link_origins_batch(model, qs, wrist_r, wrist_t, links)
-        d = origins[:, ends] - origins[:, starts] - ref_active[None, :, :]
+        # each row is the same arithmetic whatever the batch shape: np.take
+        # keeps d C-ordered (einsum sums the layout of origins[:, ends] in
+        # another order), and BLAS rounds rho @ w_active differently for
+        # a single row
+        d = np.take(origins, ends, axis=1) - np.take(origins, starts, axis=1) - ref_active
         sq = np.einsum("bmi,bmi->bm", d, d)
         rho = dd * (np.sqrt(1.0 + sq / dd) - 1.0)
         dq = qs - qp
-        return (rho @ w_active) / spec.n_vec + cfg.lambda_smooth * np.einsum(
+        return np.einsum("bm,m->b", rho, w_active) / spec.n_vec + cfg.lambda_smooth * np.einsum(
             "bi,bi->b", dq, dq)
 
     return batch_problem(lo, hi, objective_batch, cfg.solver.fd_eps)
@@ -221,8 +225,7 @@ def retarget_frame(
         report = minimize_box(problem, model.check_q(q0), cfg.solver)
     except SolverStartError as exc:
         raise RetargetError(f"retarget solve could not start: {exc}") from exc
-    q = clamp_to_limits(model, report.x_star)
-    return q, report
+    return report.x_star, report
 
 
 def retarget_trajectory(
@@ -364,7 +367,7 @@ def refine_contact(
         log.debug("refine round %d: joint step f=%.3e iters=%d termination=%s converged=%s",
                   round_index, report.f_star, report.iterations, report.termination,
                   report.converged)
-        q = clamp_to_limits(model, report.x_star)
+        q = report.x_star
 
         if len(contacts.active) >= 3:
             try:

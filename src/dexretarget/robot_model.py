@@ -2,6 +2,11 @@
 mimic coupling, evaluate forward kinematics and finite-difference
 Jacobians.
 
+FK results leave the module only as link origins: ``link_origins_batch``
+for a batch of configurations and its one-row view ``link_origins``. The
+joint box (``limit_arrays``, ``mid_limits``, ``clamp_to_limits``) is built
+once per model.
+
 Forward kinematics walks the tree one depth at a time: the model groups
 the joints that share a depth and a motion kind (fixed, rotary,
 prismatic) once, and each group is one batched numpy step over all its
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -109,11 +114,15 @@ class RobotModel:
         self.links = list(links)
         self.joints = list(joints)               # topological order, parent first
         self.warnings = list(warnings or [])
-        self.actuated_order = [
-            j.name for j in self.joints
-            if j.jtype != "fixed" and j.mimic is None
-        ]
-        self._joint_by_name = {j.name: j for j in self.joints}
+        actuated = [j for j in self.joints if j.jtype != "fixed" and j.mimic is None]
+        self.actuated_order = [j.name for j in actuated]
+        # (dof, 2) limits by actuated_order, +/-inf for a continuous joint so
+        # that the clamp lets it pass; the solver box gives it one turn
+        # either way instead, so solvers always see finite bounds
+        self._limits = np.array([j.limits or (-np.inf, np.inf)
+                                 for j in actuated]).reshape(-1, 2)
+        self._box = np.where(np.isfinite(self._limits), self._limits,
+                             np.sign(self._limits) * CONTINUOUS_BOX_SPAN)
         self._q_index = {name: i for i, name in enumerate(self.actuated_order)}
         self._link_index = {name: i for i, name in enumerate(self.links)}
         # FK groups: one per (tree depth, motion kind), shallowest first
@@ -132,33 +141,16 @@ class RobotModel:
     def dof(self) -> int:
         return len(self.actuated_order)
 
-    def joint(self, name: str) -> Joint:
-        if name not in self._joint_by_name:
-            raise InvalidArgumentError(f"unknown joint {name!r}")
-        return self._joint_by_name[name]
-
     def has_link(self, name: str) -> bool:
         return name in self._link_index
 
     def limit_arrays(self) -> tuple:
-        """Finite (lower, upper) bounds ordered by actuated_order.
-
-        Continuous joints get a +/- one-turn box so solvers always see
-        finite bounds.
-        """
-        lo = np.empty(self.dof)
-        hi = np.empty(self.dof)
-        for i, name in enumerate(self.actuated_order):
-            j = self._joint_by_name[name]
-            if j.jtype == "continuous":
-                lo[i], hi[i] = -CONTINUOUS_BOX_SPAN, CONTINUOUS_BOX_SPAN
-            else:
-                lo[i], hi[i] = j.limits
-        return lo, hi
+        """Finite (lower, upper) solver bounds ordered by actuated_order;
+        continuous joints get a +/- one-turn box."""
+        return self._box[:, 0].copy(), self._box[:, 1].copy()
 
     def mid_limits(self) -> np.ndarray:
-        lo, hi = self.limit_arrays()
-        return 0.5 * (lo + hi)
+        return 0.5 * (self._box[:, 0] + self._box[:, 1])
 
     def check_q(self, q) -> np.ndarray:
         arr = np.asarray(q, dtype=float)
@@ -167,42 +159,6 @@ class RobotModel:
                 f"joint vector length {arr.shape} does not match DoF count {self.dof}"
             )
         return arr
-
-
-class FrameSet(Mapping):
-    """Link name -> pose map produced by forward kinematics.
-
-    Stores raw rotation/translation arrays; RigidTransform views are built
-    on access.
-    """
-
-    def __init__(self, names, rots, trans):
-        self._names = list(names)
-        self._index = {n: i for i, n in enumerate(self._names)}
-        self._rots = rots
-        self._trans = trans
-
-    def origin(self, name: str) -> np.ndarray:
-        if name not in self._index:
-            raise InvalidArgumentError(f"unknown link {name!r}")
-        return self._trans[self._index[name]]
-
-    def rotation_matrix(self, name: str) -> np.ndarray:
-        if name not in self._index:
-            raise InvalidArgumentError(f"unknown link {name!r}")
-        return self._rots[self._index[name]]
-
-    def __getitem__(self, name: str) -> RigidTransform:
-        if name not in self._index:
-            raise KeyError(name)
-        i = self._index[name]
-        return RigidTransform(Rotation.from_matrix(self._rots[i]), self._trans[i])
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __len__(self):
-        return len(self._names)
 
 
 def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
@@ -395,48 +351,6 @@ def parse_urdf(text: str) -> RobotModel:
     return RobotModel(root_link, link_names, ordered, warnings)
 
 
-def serialize_urdf(model: RobotModel, name: str = "robot") -> str:
-    """Emit the parsed subset back as URDF text (kinematics only).
-
-    Numbers are written at 17 significant digits, the precision that reads
-    back as the same float, so a reparsed model's FK matches to rounding."""
-    lines = [f'<robot name="{name}">']
-    for link in model.links:
-        lines.append(f'  <link name="{link}"/>')
-    for j in model.joints:
-        lines.append(f'  <joint name="{j.name}" type="{j.jtype}">')
-        lines.append(f'    <parent link="{j.parent}"/>')
-        lines.append(f'    <child link="{j.child}"/>')
-        xyz = " ".join(f"{v:.17g}" for v in j.origin.translation)
-        rv = j.origin.rotation
-        m = rv.as_matrix()
-        # recover fixed-axis rpy from the matrix
-        pitch = np.arcsin(np.clip(-m[2, 0], -1.0, 1.0))
-        if abs(m[2, 0]) < 1.0 - 1e-12:
-            roll = np.arctan2(m[2, 1], m[2, 2])
-            yaw = np.arctan2(m[1, 0], m[0, 0])
-        else:
-            roll = np.arctan2(-m[1, 2], m[1, 1])
-            yaw = 0.0
-        rpy = " ".join(f"{v:.17g}" for v in (roll, pitch, yaw))
-        lines.append(f'    <origin xyz="{xyz}" rpy="{rpy}"/>')
-        ax = " ".join(f"{v:.17g}" for v in j.axis)
-        lines.append(f'    <axis xyz="{ax}"/>')
-        if j.limits is not None:
-            lines.append(
-                f'    <limit lower="{j.limits[0]:.17g}" upper="{j.limits[1]:.17g}"'
-                f' effort="1" velocity="1"/>'
-            )
-        if j.mimic is not None:
-            lines.append(
-                f'    <mimic joint="{j.mimic.source}" multiplier="{j.mimic.multiplier:.17g}"'
-                f' offset="{j.mimic.offset:.17g}"/>'
-            )
-        lines.append("  </joint>")
-    lines.append("</robot>")
-    return "\n".join(lines) + "\n"
-
-
 def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.ndarray):
     """FK over a batch of configurations; returns (B, L, 3, 3) rotations and
     (B, L, 3) translations indexed like ``model.links``. The only FK loop:
@@ -475,23 +389,6 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     return rots, trans
 
 
-def forward_kinematics(model: RobotModel, q, root_pose: Optional[RigidTransform] = None) -> FrameSet:
-    """Pose of every link: root_pose composed with the joint chain.
-
-    Mimic joints evaluate as multiplier * q_source + offset; q is not
-    required to satisfy the limits.
-    """
-    arr = model.check_q(q)
-    if root_pose is None:
-        root_r = np.eye(3)
-        root_t = np.zeros(3)
-    else:
-        root_r = root_pose.rotation.as_matrix()
-        root_t = root_pose.translation
-    rots, trans = _fk_batch(model, arr[None, :], root_r, root_t)
-    return FrameSet(model.links, rots[0], trans[0])
-
-
 def link_origins(model: RobotModel, q: np.ndarray, root_r: np.ndarray,
                  root_t: np.ndarray, names) -> np.ndarray:
     """Origins of the named links for one configuration: (len(names), 3)."""
@@ -503,19 +400,14 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     """Origins of the named links for a batch of configurations: (B, k, 3)."""
     _, trans = _fk_batch(model, qs, root_r, root_t)
     idx = model._link_index
-    # C-ordered like the rows callers reduce over; trans[:, idx] would not be,
-    # and einsum rounds differently on another memory layout
+    # C-ordered: trans[:, idx] would not be, and refine's contact objective
+    # (einsum "bmi,bmi->b") rounds differently on another memory layout
     return np.take(trans, [idx[n] for n in names], axis=1)
 
 
 def clamp_to_limits(model: RobotModel, q) -> np.ndarray:
     """Componentwise clamp to the joint limits; continuous joints pass through."""
-    arr = model.check_q(q).copy()
-    for i, name in enumerate(model.actuated_order):
-        j = model.joint(name)
-        if j.limits is not None:
-            arr[i] = min(max(arr[i], j.limits[0]), j.limits[1])
-    return arr
+    return np.clip(model.check_q(q), model._limits[:, 0], model._limits[:, 1])
 
 
 def numeric_jacobian(model: RobotModel, q, target_link: str, eps: float = 1e-6) -> np.ndarray:

@@ -376,3 +376,42 @@ class TestCmdFk:
         assert captured.out == ""
         assert captured.err.startswith("ERROR fk:") and "finite" in captured.err
         assert "\n" not in captured.err.strip()
+
+
+def write_continuous_thumb_urdf(dirpath: Path) -> Path:
+    """The bundled hand with thumb_abduct made a continuous joint."""
+    path = write_urdf(dirpath)
+    text = path.read_text()
+    joint = '<joint name="thumb_abduct" type="revolute">'
+    assert joint in text
+    path.write_text(text.replace(joint, '<joint name="thumb_abduct" type="continuous">'))
+    return path
+
+
+class TestContinuousJoint:
+    """A continuous joint passes through the limit clamp; the solvers still
+    keep it inside its finite one-turn box."""
+
+    def test_pipeline_stays_in_box(self, tmp_path):
+        out = tmp_path / "c11"
+        assert main(["synth", "--out-dir", str(out), "--seed", "7", "--frames", "10",
+                     "--noise", "0.001", "--depth-scale", "0.8"]) == 0
+        urdf = write_continuous_thumb_urdf(out)
+        write_config(out)
+        assert main(["pipeline", "--config", str(out / "config.json")]) == 0
+        from dexretarget.robot_model import parse_urdf
+        model = parse_urdf(urdf.read_text())
+        i = model.actuated_order.index("thumb_abduct")
+        lo, hi = model.limit_arrays()
+        assert (lo[i], hi[i]) == (-2.0 * np.pi, 2.0 * np.pi)
+        traj = dataio.read_robot_trajectory(out / "out" / "robot_trajectory.json", model)
+        assert len(traj.frames) == 10
+        for frame in traj.frames:
+            assert np.all(frame.q >= lo) and np.all(frame.q <= hi)
+
+    def test_fk_beyond_one_turn(self, tmp_path, capsys):
+        urdf = write_continuous_thumb_urdf(tmp_path)
+        q = ",".join(["20"] + ["0"] * 15)
+        assert main(["fk", "--urdf", str(urdf), "--q=" + q, "--links", "thumb_tip"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert np.all(np.isfinite(out["thumb_tip"]))
