@@ -23,12 +23,7 @@ from .pointcloud import (
     estimate_normals,
     icp_point_to_plane,
 )
-from .robot_model import (
-    RobotModel,
-    clamp_to_limits,
-    numeric_jacobian,
-    parse_urdf,
-)
+from .robot_model import RobotModel, clamp_to_limits, parse_urdf
 from .hand_model import (
     FingerMapping,
     HandFrame,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ from .hand_model import (
     taxonomy_weights,
 )
 from .robot_model import RobotModel, clamp_to_limits, link_origins, link_origins_batch
-from .solver import BoxProblem, SolverOptions, batch_problem, check_iteration_count, minimize_box
+from .solver import BoxProblem, SolverOptions, check_iteration_count, minimize_box
 
 log = logging.getLogger(__name__)
 
@@ -167,6 +168,15 @@ def vector_matching_loss(
     return total / spec.n_vec
 
 
+def _fk(model, q, wrist_r, wrist_t, links, gradient):
+    """Origins of the links at one configuration, (k, 3), and with
+    ``gradient`` their (k, 3, dof) Jacobian from the same FK pass, else None."""
+    if not gradient:
+        return link_origins(model, q, wrist_r, wrist_t, links), None
+    origins, jac = link_origins_batch(model, q[None], wrist_r, wrist_t, links, jacobian=True)
+    return origins[0], jac[0]
+
+
 def retarget_problem(
     model: RobotModel,
     ref_vectors: np.ndarray,
@@ -177,37 +187,36 @@ def retarget_problem(
 ) -> BoxProblem:
     """The per-frame retargeting objective over the joint-limit box.
 
-    Uses the smooth Huber surrogate so the finite-difference landscape is
-    kink-free; vector_matching_loss reports the exact value at the result.
+    Each vector residual d costs the smooth Huber surrogate delta^2
+    (sqrt(1 + |d|^2 / delta^2) - 1), so the closed-form gradient (d over
+    sqrt(1 + |d|^2 / delta^2) against the vector's end-minus-start
+    link-origin Jacobian) is continuous; vector_matching_loss reports the
+    exact value at the result.
     """
     qp = model.check_q(q_prev)
-    lo, hi = model.limit_arrays()
-    wrist_r = wrist.rotation.as_matrix()
-    wrist_t = wrist.translation
-    ref = np.asarray(ref_vectors, dtype=float)
+    wrist_r, wrist_t = wrist.rotation.as_matrix(), wrist.translation
     w = _vector_weights(spec, cfg)
     active = np.array([i for i in range(spec.n_vec) if w[i] != 0.0], dtype=int)
     w_active = w[active]
-    ref_active = ref[active]
+    ref_active = np.asarray(ref_vectors, dtype=float)[active]
     links, starts, ends = spec.robot_link_pairs()
     starts, ends = starts[active], ends[active]
-
     dd = cfg.huber_delta * cfg.huber_delta
 
-    def objective_batch(qs):
-        origins = link_origins_batch(model, qs, wrist_r, wrist_t, links)
-        # each row is the same arithmetic whatever the batch shape: np.take
-        # keeps d C-ordered (einsum sums the layout of origins[:, ends] in
-        # another order), and BLAS rounds rho @ w_active differently for
-        # a single row
-        d = np.take(origins, ends, axis=1) - np.take(origins, starts, axis=1) - ref_active
-        sq = np.einsum("bmi,bmi->bm", d, d)
-        rho = dd * (np.sqrt(1.0 + sq / dd) - 1.0)
-        dq = qs - qp
-        return np.einsum("bm,m->b", rho, w_active) / spec.n_vec + cfg.lambda_smooth * np.einsum(
-            "bi,bi->b", dq, dq)
+    def evaluate(q, gradient=False):
+        origins, jac = _fk(model, q, wrist_r, wrist_t, links, gradient)
+        d = origins[ends] - origins[starts] - ref_active
+        sq = np.einsum("mi,mi->m", d, d)
+        dq = q - qp
+        if not gradient:
+            rho = dd * (np.sqrt(1.0 + sq / dd) - 1.0)
+            return float(rho @ w_active) / spec.n_vec + cfg.lambda_smooth * float(dq @ dq)
+        g_d = (w_active / (spec.n_vec * np.sqrt(1.0 + sq / dd)))[:, None] * d
+        return np.einsum("mi,min->n", g_d, jac[ends] - jac[starts]) + \
+            2.0 * cfg.lambda_smooth * dq
 
-    return batch_problem(lo, hi, objective_batch, cfg.solver.fd_eps)
+    return BoxProblem(*model.limit_arrays(), objective=evaluate,
+                      gradient=partial(evaluate, gradient=True))
 
 
 def retarget_frame(
@@ -276,11 +285,10 @@ def retarget_trajectory(
 
 
 def _tips_and_targets(model, q, wrist, mapping, contacts):
-    """Tip-link origins of the active digits, (m, 3) for one configuration
-    or (B, m, 3) for a (B, n) batch, and their (m, 3) contact targets."""
+    """Tip-link origins of the active digits at one configuration and
+    their contact targets, both (m, 3)."""
     links = [mapping.entries[d] for d in contacts.active]
-    fk = link_origins_batch if np.ndim(q) == 2 else link_origins
-    tips = fk(model, q, wrist.rotation.as_matrix(), wrist.translation, links)
+    tips = link_origins(model, q, wrist.rotation.as_matrix(), wrist.translation, links)
     return tips, np.array([contacts.targets[d] for d in contacts.active])
 
 
@@ -342,24 +350,27 @@ def refine_contact(
     q_init = clamp_to_limits(model, q_init)
     q = q_init.copy()
     wrist = wrist_init
-    lo, hi = model.limit_arrays()
     lam = contacts.lambda_init
+    links = [mapping.entries[d] for d in contacts.active]
+    targets = np.array([contacts.targets[d] for d in contacts.active])
     warnings = []
 
-    loss = contact_loss(model, q, wrist, mapping, contacts)
-    history = [loss]
-    rounds_run = 0
+    history = [contact_loss(model, q, wrist, mapping, contacts)]
     for round_index in range(contacts.alternations):
         q_snap, wrist_snap = q.copy(), wrist
 
-        def objective_batch(qs, wrist=wrist):
-            tips, targets = _tips_and_targets(model, qs, wrist, mapping, contacts)
-            diff = tips - targets[None, :, :]
-            dq = qs - q_init
-            return np.einsum("bmi,bmi->b", diff, diff) / len(targets) + lam * np.einsum(
-                "bi,bi->b", dq, dq)
+        def evaluate(q, gradient=False, wrist_r=wrist.rotation.as_matrix(),
+                     wrist_t=wrist.translation):
+            tips, jac = _fk(model, q, wrist_r, wrist_t, links, gradient)
+            diff = tips - targets
+            dq = q - q_init
+            if not gradient:
+                return float(np.einsum("mi,mi->", diff, diff)) / len(targets) + \
+                    lam * float(dq @ dq)
+            return 2.0 * np.einsum("mi,min->n", diff, jac) / len(targets) + 2.0 * lam * dq
 
-        problem = batch_problem(lo, hi, objective_batch, cfg.solver.fd_eps)
+        problem = BoxProblem(*model.limit_arrays(), objective=evaluate,
+                             gradient=partial(evaluate, gradient=True))
         try:
             report = minimize_box(problem, q, cfg.solver)
         except SolverStartError as exc:
@@ -385,10 +396,9 @@ def refine_contact(
             q, wrist = q_snap, wrist_snap
             break
         history.append(new_loss)
-        rounds_run += 1
 
     report = RefineReport(
-        rounds=rounds_run,
+        rounds=len(history) - 1,
         loss_history=history,
         mean_tip_error=_mean_tip_error(model, q, wrist, mapping, contacts),
         warnings=warnings,

@@ -1,11 +1,11 @@
 """URDF kinematics subset: parse a kinematic tree with joint limits and
-mimic coupling, evaluate forward kinematics and finite-difference
-Jacobians.
+mimic coupling, evaluate forward kinematics and link-origin Jacobians.
 
 FK results leave the module only as link origins: ``link_origins_batch``
-for a batch of configurations and its one-row view ``link_origins``. The
-joint box (``limit_arrays``, ``mid_limits``, ``clamp_to_limits``) is built
-once per model.
+for a batch of configurations, with their closed-form Jacobians on
+request, and its one-row view ``link_origins``. The joint box
+(``limit_arrays``, ``mid_limits``, ``clamp_to_limits``) is built once
+per model.
 
 Forward kinematics walks the tree one depth at a time: the model groups
 the joints that share a depth and a motion kind (fixed, rotary,
@@ -33,7 +33,6 @@ from .errors import (
     UrdfValidationError,
 )
 from .geometry import RigidTransform, Rotation
-from .solver import central_differences
 
 CONTINUOUS_BOX_SPAN = 2.0 * np.pi  # finite optimizer bounds for continuous joints
 
@@ -136,6 +135,21 @@ class RobotModel:
             _fk_group(kind, js, self._link_index, self._q_index)
             for (_, kind), js in sorted(by_level.items())
         ]
+        # moving joints, stacked once for the Jacobian: child link, axis,
+        # prismatic flag, the (L, J, 1) mask of the links each one moves and
+        # the (J, dof) derivative of the joint values in q
+        moving = [j for j in self.joints if j.jtype != "fixed"]
+        self._jac_child = np.array([self._link_index[j.child] for j in moving], dtype=int)
+        self._jac_axis = np.array([j.axis for j in moving]).reshape(-1, 3, 1)
+        self._jac_prismatic = np.array([j.jtype == "prismatic" for j in moving])[:, None]
+        moved_by = {root_link: np.zeros((len(moving), 1))}
+        for j in self.joints:
+            moved_by[j.child] = moved_by[j.parent] + np.array([m is j for m in moving])[:, None]
+        self._jac_moves = np.array([moved_by[name] for name in self.links])
+        self._jac_dq = np.zeros((len(moving), self.dof))
+        for k, j in enumerate(moving):
+            src, mult = (j.mimic.source, j.mimic.multiplier) if j.mimic else (j.name, 1.0)
+            self._jac_dq[k, self._q_index[src]] = mult
 
     @property
     def dof(self) -> int:
@@ -357,8 +371,7 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     one step per tree depth (and motion kind), parents before children;
     a single configuration is a batch of one, so every row is the same
     arithmetic whatever the batch shape. Each step applies one group's
-    joints to all configurations at once, so finite-difference gradients
-    evaluate 2n configurations for the cost of a few rows."""
+    joints to all configurations at once."""
     b = qs.shape[0]
     n_links = len(model.links)
     rots = np.empty((b, n_links, 3, 3))
@@ -392,31 +405,36 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
 def link_origins(model: RobotModel, q: np.ndarray, root_r: np.ndarray,
                  root_t: np.ndarray, names) -> np.ndarray:
     """Origins of the named links for one configuration: (len(names), 3)."""
-    return link_origins_batch(model, np.asarray(q)[None, :], root_r, root_t, names)[0]
+    return link_origins_batch(model, np.asarray(q)[None], root_r, root_t, names)[0]
 
 
 def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
-                       root_t: np.ndarray, names) -> np.ndarray:
-    """Origins of the named links for a batch of configurations: (B, k, 3)."""
-    _, trans = _fk_batch(model, qs, root_r, root_t)
-    idx = model._link_index
-    # C-ordered: trans[:, idx] would not be, and refine's contact objective
-    # (einsum "bmi,bmi->b") rounds differently on another memory layout
-    return np.take(trans, [idx[n] for n in names], axis=1)
+                       root_t: np.ndarray, names, jacobian: bool = False):
+    """Origins of the named links for a batch of configurations, (B, k, 3),
+    and with ``jacobian`` their (B, k, 3, dof) derivatives in q from the
+    same FK pass: a joint with world axis a at o moves a point p by
+    a x (p - o) per radian, or by a per unit if prismatic (Murray, Li &
+    Sastry 1994), and a mimic joint's column lands on its source's q."""
+    qs = np.asarray(qs, dtype=float)
+    if qs.shape[1:] != (model.dof,):
+        raise InvalidArgumentError(
+            f"joint vector length {qs.shape[1:]} does not match DoF count {model.dof}")
+    try:
+        idx = [model._link_index[n] for n in names]
+    except KeyError as exc:
+        raise InvalidArgumentError(f"unknown link {exc.args[0]!r}") from None
+    rots, trans = _fk_batch(model, qs, root_r, root_t)
+    # C-ordered, which trans[:, idx] would not be: einsum rounds by memory
+    # layout, and refine's contact loss sums a row of this with einsum
+    origins = np.take(trans, idx, axis=1)
+    if not jacobian:
+        return origins
+    axes = (rots[:, model._jac_child] @ model._jac_axis)[:, None, :, :, 0]  # (B, 1, J, 3)
+    lever = origins[:, :, None] - trans[:, None, model._jac_child]          # (B, k, J, 3)
+    cols = np.where(model._jac_prismatic, axes, np.cross(axes, lever)) * model._jac_moves[idx]
+    return origins, np.swapaxes(cols, 2, 3) @ model._jac_dq
 
 
 def clamp_to_limits(model: RobotModel, q) -> np.ndarray:
     """Componentwise clamp to the joint limits; continuous joints pass through."""
     return np.clip(model.check_q(q), model._limits[:, 0], model._limits[:, 1])
-
-
-def numeric_jacobian(model: RobotModel, q, target_link: str, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the target link origin w.r.t. q (3 x n)."""
-    if eps <= 0:
-        raise InvalidArgumentError("eps must be positive")
-    if not model.has_link(target_link):
-        raise InvalidArgumentError(f"unknown link {target_link!r}")
-    arr = model.check_q(q)
-    eye, zero = np.eye(3), np.zeros(3)
-    return central_differences(
-        lambda qs: link_origins_batch(model, qs, eye, zero, [target_link])[:, 0], arr, eps)

@@ -612,7 +612,7 @@ class TestAlignmentGradient:
             raise AssertionError("the alignment gradient took finite differences")
 
         monkeypatch.setattr(alignment, "smooth_depth_residuals", counted)
-        monkeypatch.setattr(solver, "central_differences", forbidden)
+        monkeypatch.setattr(solver, "fd_gradient", forbidden)
         grad = problem.gradient(x)
         assert calls == [True]
         assert grad.shape == (7,) and np.all(np.isfinite(grad))

@@ -16,7 +16,7 @@ from dexretarget.alignment import FrameObservation, align_hand_frame
 from dexretarget.geometry import RigidTransform, Rotation, splat_depth
 from dexretarget.hand_model import HandFrame
 from dexretarget.pointcloud import PointCloud, estimate_normals
-from dexretarget.retarget import RetargetConfig, retarget_frame
+from dexretarget.retarget import ContactTargets, RetargetConfig, refine_contact, retarget_frame
 from dexretarget.robot_model import link_origins
 from dexretarget.solver import BoxProblem
 from dexretarget.synthetic import DEFAULT_INTRINSICS, canonical_hand_joints, sample_hand_surface
@@ -56,11 +56,27 @@ def _retarget_one_frame(hand16, spec16):
     retarget_frame(hand16, ref, spec16, RigidTransform.identity(), mid, mid, RetargetConfig())
 
 
-@pytest.mark.parametrize("module", [alignment, retarget], ids=["alignment", "retarget"])
-def test_solver_problem_survives_replacing_its_callables(module, monkeypatch, hand16, spec16):
+def _refine_one_frame(hand16, mapping16):
+    q0 = hand16.mid_limits()
+    digits = ("thumb", "index", "middle", "ring")
+    wrist = RigidTransform(Rotation.from_axis_angle([0.2, 1.0, -0.3], 0.15),
+                           np.array([0.01, -0.02, 0.03]))
+    tips = link_origins(hand16, 0.8 * q0, wrist.rotation.as_matrix(), wrist.translation,
+                        [mapping16.entries[d] for d in digits])
+    contacts = ContactTargets(active=digits, targets=dict(zip(digits, tips)),
+                              lambda_init=0.01, alternations=3)
+    refine_contact(hand16, q0, RigidTransform.identity(), mapping16, contacts,
+                   RetargetConfig())
+
+
+@pytest.mark.parametrize("stage", ["alignment", "retarget", "refine"])
+def test_solver_problem_survives_replacing_its_callables(stage, monkeypatch, hand16, spec16,
+                                                         mapping16):
     """Each problem a stage hands its solver is a BoxProblem whose objective
     and gradient can be swapped by dataclasses.replace, as the traced run
-    does, without changing the solver's report."""
+    does, without changing the solver's report. Refine's solves go through
+    the same ``retarget.minimize_box`` as retarget's."""
+    module = alignment if stage == "alignment" else retarget
     solve = module.minimize_box
     solves = []
 
@@ -77,8 +93,10 @@ def test_solver_problem_survives_replacing_its_callables(module, monkeypatch, ha
         return report
 
     monkeypatch.setattr(module, "minimize_box", hook)
-    if module is alignment:
+    if stage == "alignment":
         _align_one_frame()
-    else:
+    elif stage == "retarget":
         _retarget_one_frame(hand16, spec16)
+    else:
+        _refine_one_frame(hand16, mapping16)
     assert solves

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from dexretarget import retarget, solver
 from dexretarget.alignment import HandAlignment
 from dexretarget.cli import main
 from dexretarget.dataio import load_config, read_hand_trajectory
@@ -38,8 +39,9 @@ from dexretarget.retarget import (
     wrist_correction_step,
 )
 from dexretarget.robot_model import link_origins, parse_urdf
-from dexretarget.solver import SolverOptions
+from dexretarget.solver import SolverOptions, check_gradient
 from dexretarget.synthetic import canonical_hand_joints
+from test_robot_model import PRISMATIC_MIMIC
 
 ONE_JOINT = """
 <robot name="one">
@@ -459,6 +461,48 @@ class TestRefineContact:
         assert any("wrist step skipped" in msg for msg in report.warnings)
         # wrist untouched
         assert np.array_equal(w.translation, wrist.translation)
+
+
+class TestClosedFormGradients:
+    """Retarget and refine solves take closed-form gradients; finite
+    differences are only the audit's oracle."""
+
+    @pytest.mark.parametrize("which", ["hand16", "prismatic_mimic"])
+    def test_refine_gradient_audit(self, which, hand16, mapping16, rng, monkeypatch):
+        if which == "hand16":
+            model, mapping = hand16, mapping16
+        else:
+            model = parse_urdf(PRISMATIC_MIMIC)
+            mapping = FingerMapping({"thumb": "tip", "index": "probe", "middle": "wheel",
+                                     "ring": "fore"})
+        q0, wrist, contacts = TestRefineContact().make_reachable(model, mapping, rng, lam=0.01)
+        solve = retarget.minimize_box
+        audited = []
+
+        def audit(problem, x0, opts):
+            lo, hi = problem.lower, problem.upper
+            for q in (x0, rng.uniform(lo, hi), rng.uniform(lo, hi)):
+                audited.append(check_gradient(problem, q, fd_eps=3 * opts.fd_eps))
+            return solve(problem, x0, opts)
+
+        monkeypatch.setattr(retarget, "minimize_box", audit)
+        refine_contact(model, q0, wrist, mapping, contacts, RetargetConfig())
+        assert audited and max(audited) < 1e-5
+
+    def test_no_solve_takes_finite_differences(self, hand16, spec16, mapping16, rng,
+                                               monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a solve took finite differences")
+
+        monkeypatch.setattr(solver, "fd_gradient", forbidden)
+        mid = hand16.mid_limits()
+        ref = ref_from_q(hand16, spec16, interior_q(hand16, rng))
+        _, report = retarget_frame(hand16, ref, spec16, RigidTransform.identity(), mid, mid,
+                                   RetargetConfig())
+        assert report.iterations > 0
+        q0, wrist, contacts = TestRefineContact().make_reachable(hand16, mapping16, rng)
+        _, _, refined = refine_contact(hand16, q0, wrist, mapping16, contacts, RetargetConfig())
+        assert refined.rounds > 0
 
 
 class TestAssembleGraspPlan:

@@ -17,10 +17,9 @@ from dexretarget.robot_model import (
     clamp_to_limits,
     link_origins,
     link_origins_batch,
-    numeric_jacobian,
     parse_urdf,
 )
-from dexretarget.solver import batch_objective, fd_gradient
+from dexretarget.solver import check_gradient, fd_gradient
 
 ONE_JOINT = """
 <robot name="one">
@@ -490,9 +489,20 @@ class TestForwardKinematics:
         np.testing.assert_array_equal(fk_rotations(hand16, np.zeros(16))["palm"], np.eye(3))
 
     def test_length_mismatch(self, hand16):
-        # the FK entry points take q as given; callers check its length
         with pytest.raises(InvalidArgumentError):
             hand16.check_q(np.zeros(3))
+
+    @pytest.mark.parametrize("n", [20, 3])
+    def test_wrong_q_length_rejected(self, hand16, n):
+        # a long q is not cut to its first 16 values, a short one is no IndexError
+        with pytest.raises(InvalidArgumentError, match="DoF count 16"):
+            link_origins(hand16, np.zeros(n), EYE, ZERO, ["palm"])
+        with pytest.raises(InvalidArgumentError, match="DoF count 16"):
+            link_origins_batch(hand16, np.zeros((2, n)), EYE, ZERO, ["palm"])
+
+    def test_unknown_link_rejected(self, hand16):
+        with pytest.raises(InvalidArgumentError, match="'ghost'"):
+            link_origins(hand16, np.zeros(16), EYE, ZERO, ["palm", "ghost"])
 
     def test_prismatic(self):
         text = ONE_JOINT.replace('type="revolute"', 'type="prismatic"') \
@@ -588,65 +598,69 @@ class TestClampToLimits:
         np.testing.assert_array_equal(hand16.mid_limits(), 0.5 * (again_lo + again_hi))
 
 
+def jacobian(model, q, names, root_r=EYE, root_t=ZERO):
+    """The (k, 3, dof) link-origin Jacobian at one configuration."""
+    return link_origins_batch(model, q[None], root_r, root_t, names, jacobian=True)[1][0]
+
+
 class TestNumericJacobian:
+    """The closed-form link-origin Jacobian against exact and numeric values."""
+
     def test_revolute_tangent(self):
         model = parse_urdf(ONE_JOINT)
-        jac = numeric_jacobian(model, np.zeros(1), "tip")
-        np.testing.assert_allclose(jac[:, 0], [0.0, 1.0, 0.0], atol=1e-9)
+        jac = jacobian(model, np.zeros(1), ["tip"])[0]
+        np.testing.assert_allclose(jac[:, 0], [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_prismatic_exact(self):
         text = ONE_JOINT.replace('type="revolute"', 'type="prismatic"') \
                         .replace('<axis xyz="0 0 1"/>', '<axis xyz="1 0 0"/>')
         model = parse_urdf(text)
-        jac = numeric_jacobian(model, np.zeros(1), "tip")
-        np.testing.assert_allclose(jac[:, 0], [1.0, 0.0, 0.0], atol=1e-9)
+        jac = jacobian(model, np.zeros(1), ["tip"])[0]
+        np.testing.assert_allclose(jac[:, 0], [1.0, 0.0, 0.0], atol=1e-15)
 
-    def test_matches_richardson_extrapolation(self, rng):
-        text, _ = random_chain_urdf(rng, n_joints=4)
-        model = parse_urdf(text)
-        q = rng.uniform(-1, 1, size=4)
-        jac = numeric_jacobian(model, q, "link4", eps=1e-6)
+    def test_matches_richardson_extrapolation(self, hand16, rng):
+        chain = parse_urdf(random_chain_urdf(rng, n_joints=4)[0])
+        root_r = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.8).as_matrix()
+        for model in (chain, hand16, parse_urdf(PRISMATIC_MIMIC), parse_urdf(MIXED_DEPTH)):
+            lo, hi = model.limit_arrays()
+            q = rng.uniform(lo, hi)
+            jac = jacobian(model, q, model.links, root_r)
 
-        def origin(qv):
-            return link_origins(model, qv, np.eye(3), np.zeros(3), ["link4"])[0]
+            def origins(qs):
+                return link_origins_batch(model, qs, root_r, ZERO,
+                                          model.links).reshape(len(qs), -1)
 
-        # Richardson: D(h) = (4 D_c(h/2) - D_c(h)) / 3 with h = 1e-4
-        h = 1e-4
-        richardson = np.empty((3, 4))
-        for i in range(4):
-            def central(step):
-                qp, qm = q.copy(), q.copy()
-                qp[i] += step
-                qm[i] -= step
-                return (origin(qp) - origin(qm)) / (2 * step)
-            richardson[:, i] = (4 * central(h / 2) - central(h)) / 3
-        np.testing.assert_allclose(jac, richardson, atol=1e-5)
+            # Richardson: D(h) = (4 D_c(h/2) - D_c(h)) / 3 with h = 1e-4
+            richardson = (4 * fd_gradient(origins, q, 5e-5) - fd_gradient(origins, q, 1e-4)) / 3
+            np.testing.assert_allclose(jac.reshape(-1, model.dof), richardson, atol=1e-9)
 
     def test_unknown_link(self, hand16):
         with pytest.raises(InvalidArgumentError):
-            numeric_jacobian(hand16, np.zeros(16), "ghost")
-
-    def test_invalid_eps(self, hand16):
-        with pytest.raises(InvalidArgumentError):
-            numeric_jacobian(hand16, np.zeros(16), "palm", eps=0.0)
+            jacobian(hand16, np.zeros(16), ["ghost"])
 
 
 class TestBatchShape:
     """A batched evaluation is bit-identical whatever the batch shape."""
 
     @pytest.mark.parametrize("which", ["hand16", "prismatic_mimic"])
-    @pytest.mark.parametrize("batch", ["one", "two_dof", "odd"])
+    @pytest.mark.parametrize("batch", ["one", "two_dof", "odd", "jacobian"])
     def test_rows_match_single_configuration(self, which, batch, hand16, rng):
         model = hand16 if which == "hand16" else parse_urdf(PRISMATIC_MIMIC)
-        b = {"one": 1, "two_dof": 2 * model.dof, "odd": 37}[batch]
+        b = {"one": 1, "two_dof": 2 * model.dof, "odd": 37, "jacobian": 37}[batch]
         lo, hi = model.limit_arrays()
         root_r = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.8).as_matrix()
         root_t = np.array([0.1, -0.2, 0.45])
         for _ in range(4):
             qs = rng.uniform(lo, hi, size=(b, model.dof))
+            if batch == "jacobian":
+                _, batched = link_origins_batch(model, qs, root_r, root_t, model.links,
+                                                jacobian=True)
+                for row, q in zip(batched, qs):
+                    assert np.array_equal(row, jacobian(model, q, model.links, root_r, root_t))
+                continue
             batched = link_origins_batch(model, qs, root_r, root_t, model.links)
-            # refine's contact objective (einsum "bmi,bmi->b") rounds by
-            # memory layout, so the layout is part of the contract
+            # einsum rounds by memory layout, and refine's contact loss sums
+            # a row of this with einsum, so the layout is part of the contract
             assert batched.flags["C_CONTIGUOUS"]
             for row, q in zip(batched, qs):
                 single = link_origins(model, q, root_r, root_t, model.links)
@@ -655,7 +669,7 @@ class TestBatchShape:
     @given(case=st.none() | retarget_trees(), seed=st.integers(0, 2 ** 32 - 1))
     @example(case=None, seed=12345)
     @settings(max_examples=30, deadline=None)
-    def test_retarget_fd_gradient_matches_row_by_row(self, hand16, spec16, case, seed):
+    def test_retarget_gradient_passes_check_gradient(self, hand16, spec16, case, seed):
         # case None is the 16-DoF hand with its default vector spec
         model, spec = (hand16, spec16) if case is None else (parse_urdf(case[0]), case[1])
         rng = np.random.default_rng(seed)
@@ -668,11 +682,9 @@ class TestBatchShape:
         ref = np.array([pos[p.robot[1]] - pos[p.robot[0]] for p in spec.pairs])
         cfg = RetargetConfig()
         problem = retarget_problem(model, ref, spec, wrist, model.mid_limits(), cfg)
-        lifted = batch_objective(problem.objective)
         for _ in range(5):
             q = rng.uniform(lo, hi)
-            assert np.array_equal(problem.gradient(q),
-                                  fd_gradient(lifted, q, cfg.solver.fd_eps))
+            assert check_gradient(problem, q, fd_eps=3 * cfg.solver.fd_eps) < 1e-5
 
 
 class TestRandomTrees:

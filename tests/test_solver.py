@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from dexretarget.errors import InvalidArgumentError, SolverStartError
-from dexretarget.solver import (
-    BoxProblem,
-    batch_objective,
-    batch_problem,
-    check_gradient,
-    fd_gradient,
-    minimize_box,
-)
+from dexretarget.solver import BoxProblem, check_gradient, fd_gradient, minimize_box
 
 
 def quadratic_problem(target, lo=-2.0, hi=2.0):
@@ -23,9 +16,15 @@ def quadratic_problem(target, lo=-2.0, hi=2.0):
     )
 
 
+def rows(f):
+    """Lift a scalar objective to a batch objective, one row at a time."""
+    return lambda xs: np.array([f(x) for x in xs], dtype=float)
+
+
 def fd_problem(lower, upper, f):
     """Box problem of a scalar objective with its central-difference gradient."""
-    return batch_problem(lower, upper, batch_objective(f), 1e-6)
+    return BoxProblem(lower=lower, upper=upper, objective=f,
+                      gradient=lambda x: fd_gradient(rows(f), x, 1e-6))
 
 
 def rosenbrock_problem():
@@ -181,5 +180,5 @@ class TestFdGradient:
         a = rng.normal(size=4)
         f = lambda x: float(np.sin(x) @ a)
         x = rng.normal(size=4)
-        fd = fd_gradient(batch_objective(f), x, 1e-6)
+        fd = fd_gradient(rows(f), x, 1e-6)
         np.testing.assert_allclose(fd, np.cos(x) * a, atol=1e-8)
