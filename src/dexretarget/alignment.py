@@ -315,10 +315,11 @@ def _correspondences(index, observation: FrameObservation, hand_cloud: PointClou
 
 
 def _evaluate(hand_cloud, observation, intrinsics, cfg, correspondences, x,
-              gradient: bool = False):
-    """The alignment objective at the parameter vector x against a
-    (points, normals) correspondence pair, or with ``gradient`` its
-    closed-form gradient in x instead.
+              gradient: bool = False, bound: float = np.inf):
+    """The alignment objective at the parameter vector x, or with
+    ``gradient`` its closed-form gradient in x instead. ``correspondences``
+    maps x to the (points, normals) pair the point-to-plane term measures
+    against.
 
     The solver minimizes smooth surrogates (pseudo-Huber penalties and the
     smooth depth kernel) so that the objective has a continuous
@@ -326,26 +327,38 @@ def _evaluate(hand_cloud, observation, intrinsics, cfg, correspondences, x,
     losses. Where a point is nearer than the minimum depth the value is
     +inf and the gradient all NaN.
 
+    The value is (point-to-plane + depth) + regularizer. The depth and
+    regularizer terms need no correspondences and come first: when their
+    sum already reaches ``bound``, that sum is returned and
+    ``correspondences`` is never called. The full value could not be
+    below ``bound`` either: the point-to-plane mean is a mean of
+    pseudo-Huber penalties, so it is >= 0, and rounded addition is
+    monotone, so fl(fl(A + B) + C) >= fl(B + C) for A, B, C >= 0.
+
     The gradient comes from one depth-kernel pass. With moved points
     m = sigma (R(w) p + t) and G_i the objective's derivative in m_i,
     d/d log sigma = sum G_i . m_i, d/dt = sigma sum G_i, and d/dw =
     sigma J_l(w)^T sum (R p_i) x G_i, J_l being the SO(3) left Jacobian.
     """
     x = np.asarray(x, dtype=float)
-    corr_pts, corr_nrm = correspondences
     sigma, correction = params_decode(x)
     # R p, and from it the moved points as apply_scaled_correction computes them
     rotated = correction.rotation.apply(hand_cloud.points)
     moved = sigma * (rotated + correction.translation)
-    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     delta = cfg.huber_delta
     if not gradient:
         d = smooth_depth_residuals(moved, observation, intrinsics)
         if not np.all(np.isfinite(d)):
             return np.inf
-        return (float(np.mean(pseudo_huber(r, delta)))
-                + cfg.lambda_rend * float(np.mean(pseudo_huber(d, delta)))
-                + cfg.lambda_reg * float(x[1:] @ x[1:]))
+        depth = cfg.lambda_rend * float(np.mean(pseudo_huber(d, delta)))
+        reg = cfg.lambda_reg * float(x[1:] @ x[1:])
+        if depth + reg >= bound:
+            return depth + reg
+        corr_pts, corr_nrm = correspondences(x)
+        r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
+        return (float(np.mean(pseudo_huber(r, delta))) + depth) + reg
+    corr_pts, corr_nrm = correspondences(x)
+    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     d, d_jac = smooth_depth_residuals(moved, observation, intrinsics, jacobian=True)
     if not np.all(np.isfinite(d)):
         return np.full(len(x), np.nan)
@@ -380,7 +393,7 @@ def alignment_problem(
         index = build_index(observation.cloud)
     x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
     frozen = _correspondences(index, observation, hand_cloud, x0)
-    evaluate = partial(_evaluate, hand_cloud, observation, intrinsics, cfg, frozen)
+    evaluate = partial(_evaluate, hand_cloud, observation, intrinsics, cfg, lambda _: frozen)
     return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=evaluate,
                       gradient=partial(evaluate, gradient=True))
 
@@ -390,6 +403,29 @@ def alignment_problem(
 # cannot cross on its own
 _SCALE_GRID = np.exp(np.linspace(LOG_SCALE_BOUNDS[0] + 0.05,
                                  LOG_SCALE_BOUNDS[1] - 0.05, 17))
+
+
+def _scan_scale(hand_cloud, observation, intrinsics, cfg, index, x, f_best):
+    """Scan the grid scales from parameters x of fresh score f_best: a
+    candidate becomes the pick when its fresh score is below the best so
+    far. Returns the pick, its score and how many candidates made a k-d
+    tree query. The best score so far is each candidate's ``_evaluate``
+    bound, so the pick is the bits an exhaustive scan of full scores gives.
+    """
+    queries = 0
+
+    def query(at):
+        nonlocal queries
+        queries += 1
+        return _correspondences(index, observation, hand_cloud, at)
+
+    for g in _SCALE_GRID:
+        cand = x.copy()
+        cand[0] = np.log(g)
+        fc = _evaluate(hand_cloud, observation, intrinsics, cfg, query, cand, bound=f_best)
+        if fc < f_best:
+            f_best, x = fc, cand
+    return x, f_best, queries
 
 
 def align_hand_frame(
@@ -409,6 +445,13 @@ def align_hand_frame(
     solver sees smooth surrogate penalties; reported residuals use the
     exact losses). The returned parameters never score worse, on the
     refreshed objective, than the initialization.
+
+    Before the local solve, a scan over 17 scales picks the starting
+    basin. A candidate whose depth and regularizer terms alone reach the
+    best score so far makes no k-d tree query. The skip is exact: the
+    point-to-plane mean is >= 0 and rounded addition is monotone, so that
+    candidate's full score could not win, and the scan picks the bits that
+    scoring every candidate in full gives.
     """
     if cfg is None:
         cfg = AlignConfig()
@@ -419,9 +462,9 @@ def align_hand_frame(
     x = np.clip(params_encode(init.sigma, init.correction), _PARAM_LO, _PARAM_HI)
 
     def fresh(at):
-        # the objective with correspondences refreshed at the given parameters
+        # the objective with correspondences queried at the given parameters
         return _evaluate(hand_cloud, observation, intrinsics, cfg,
-                         _correspondences(obs_index, observation, hand_cloud, at), at)
+                         partial(_correspondences, obs_index, observation, hand_cloud), at)
 
     # the depth overlap must be non-empty at the starting parameters
     sigma0, corr0 = params_decode(x)
@@ -437,19 +480,17 @@ def align_hand_frame(
         )
     # coarse scan over the scale axis picks the starting basin; the
     # initialization remains a candidate so the result never regresses
-    for g in _SCALE_GRID:
-        cand = x.copy()
-        cand[0] = np.log(g)
-        fc = fresh(cand)
-        if fc < f_best:
-            f_best, x = fc, cand
+    x, f_best, queries = _scan_scale(hand_cloud, observation, intrinsics, cfg, obs_index,
+                                     x, f_best)
+    log.debug("frame %d: scale scan picked sigma=%.4f; %d of %d candidates queried",
+              hand.frame_index, np.exp(x[0]), queries, len(_SCALE_GRID))
     x_best = x.copy()
     solver_converged = False
     opts = SolverOptions(max_iters=cfg.inner_iters)
 
-    for _ in range(cfg.outer_iters):
-        problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
-                                    index=obs_index)
+    problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
+                                index=obs_index)
+    for outer in range(cfg.outer_iters):
         try:
             report = minimize_box(problem, x, opts)
         except SolverStartError as exc:
@@ -460,11 +501,19 @@ def align_hand_frame(
         step = float(np.linalg.norm(report.x_star - x))
         x = report.x_star
         solver_converged = report.converged
-        f_now = fresh(x)
+        last = step < 1e-7 or outer == cfg.outer_iters - 1
+        if last:
+            f_now = fresh(x)
+        else:
+            # the next round's problem is frozen at x, so its value there
+            # is the fresh score without a second query
+            problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
+                                        index=obs_index)
+            f_now = problem.objective(x)
         if f_now < f_best:
             f_best = f_now
             x_best = x.copy()
-        if step < 1e-7:
+        if last:
             break
 
     sigma, correction = params_decode(x_best)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from dexretarget.geometry import (
     Rotation,
     SimilarityTransform,
     backproject_depth,
+    pseudo_huber,
     splat_depth,
 )
 from dexretarget.hand_model import HandFrame, HandTrajectory
@@ -481,8 +484,9 @@ class TestAlignHandFrame:
         assert fresh(result) <= fresh(init)
 
     def test_one_problem_per_solve(self, monkeypatch):
-        # each outer round builds one problem for one solve; fresh scores
-        # build none, so counting problems counts outer rounds
+        # each outer round builds one problem for one solve; a round's fresh
+        # score is the next round's problem at its anchor, and the other
+        # fresh scores build none, so counting problems counts outer rounds
         hand = hand_at()
         sampled = sampled_hand_for(hand)
         obs = observe(1.25 * sampled.points)
@@ -495,6 +499,36 @@ class TestAlignHandFrame:
         align_hand_frame(hand, sampled, obs, K)
         assert calls.count("minimize_box") > 1
         assert calls.count("alignment_problem") == calls.count("minimize_box")
+
+    def test_one_query_per_outer_round(self, monkeypatch):
+        # beyond the scan, a frame queries the k-d tree once per problem and
+        # three more times: the start's score, the last round's score and
+        # the final residuals
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        obs = observe(1.25 * sampled.points)
+        indexes, problems, scans = [], [], []
+        build, problem, scan = build_index, alignment.alignment_problem, alignment._scan_scale
+
+        def counted_index(cloud):
+            indexes.append(CountingIndex(build(cloud)))
+            return indexes[-1]
+
+        def counted_problem(*args, **kwargs):
+            problems.append(args)
+            return problem(*args, **kwargs)
+
+        def counted_scan(*args, **kwargs):
+            out = scan(*args, **kwargs)
+            scans.append(out[2])
+            return out
+
+        monkeypatch.setattr(alignment, "build_index", counted_index)
+        monkeypatch.setattr(alignment, "alignment_problem", counted_problem)
+        monkeypatch.setattr(alignment, "_scan_scale", counted_scan)
+        align_hand_frame(hand, sampled, obs, K)
+        assert len(indexes) == 1 and len(problems) > 1
+        assert indexes[0].queries == len(problems) + scans[0] + 3
 
     def test_regularizer_limit_forces_identity(self):
         hand = hand_at()
@@ -529,6 +563,121 @@ class TestAlignHandFrame:
         assert max(errs) < 1e-5
 
 
+def exhaustive_scan(sampled, obs, cfg, index, x):
+    """The scale scan with every candidate scored by a full fresh
+    evaluation, as it was before candidates were bounded; kept as the
+    oracle the bounded scan must equal bit for bit."""
+    def fresh(at):
+        return alignment._evaluate(sampled, obs, K, cfg,
+                                   partial(alignment._correspondences, index, obs, sampled), at)
+
+    f_best = fresh(x)
+    for g in alignment._SCALE_GRID:
+        cand = x.copy()
+        cand[0] = np.log(g)
+        fc = fresh(cand)
+        if fc < f_best:
+            f_best, x = fc, cand
+    return x, f_best
+
+
+class CountingIndex:
+    """A k-d tree that counts its queries."""
+
+    def __init__(self, index):
+        self.index = index
+        self.queries = 0
+
+    def query(self, points):
+        self.queries += 1
+        return self.index.query(points)
+
+
+class TestScaleScan:
+    """The bounded scan skips the k-d query of a candidate that cannot win."""
+
+    def c08_observation(self, sigma_star, noise):
+        # criterion c08's hand and observation model
+        joints = canonical_hand_joints(0.4) + np.array([0.0, 0.0, 0.45])
+        hand = HandFrame(joints=joints,
+                         wrist_pose=RigidTransform(Rotation.identity(), joints[0]))
+        sampled = PointCloud(points=sample_hand_surface(joints, 500, seed=8,
+                                                        visible_from=(0, 0, 0)))
+        rng = np.random.default_rng(808)
+        pts = sigma_star * sampled.points + rng.normal(size=sampled.points.shape) * noise
+        depth = splat_depth(pts, K, 3)
+        obs = FrameObservation(cloud=estimate_normals(PointCloud(points=pts), k=12),
+                               depth=depth, hand_mask=depth.valid)
+        return hand, sampled, obs
+
+    def bounded_and_exhaustive(self, sampled, obs, x):
+        cfg = AlignConfig()
+        index = CountingIndex(build_index(obs.cloud))
+        oracle = exhaustive_scan(sampled, obs, cfg, index.index, x)
+        f_start = alignment._evaluate(
+            sampled, obs, K, cfg, partial(alignment._correspondences, index, obs, sampled), x)
+        index.queries = 0
+        x_pick, f_pick, queries = alignment._scan_scale(sampled, obs, K, cfg, index, x, f_start)
+        assert queries == index.queries
+        return (x_pick, f_pick), oracle, queries
+
+    @pytest.mark.parametrize("noise", [0.0, 0.001], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_picks_what_the_exhaustive_scan_picks(self, start, noise):
+        queried = []
+        for sigma_star in (0.7, 0.85, 1.2, 1.4):
+            hand, sampled, obs = self.c08_observation(sigma_star, noise)
+            x = params_encode(1.0, RigidTransform.identity())
+            if start == "warm":
+                fit = align_hand_frame(hand, sampled, obs, K)
+                x = params_encode(fit.sigma, fit.correction)
+            (x_pick, f_pick), (x_oracle, f_oracle), queries = \
+                self.bounded_and_exhaustive(sampled, obs, x)
+            assert np.array_equal(x_pick, x_oracle)
+            assert f_pick == f_oracle
+            queried.append(queries)
+        if start == "cold":
+            # a cold start is in the wrong basin: the scan queries and wins
+            # there, and still prunes the candidates past the best scale
+            assert all(0 < q < len(alignment._SCALE_GRID) for q in queried)
+
+    def test_warm_start_already_best_makes_no_query(self):
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        obs = observe(1.1 * sampled.points)
+        fit = align_hand_frame(hand, sampled, obs, K)
+        x = params_encode(fit.sigma, fit.correction)
+        (x_pick, f_pick), (x_oracle, f_oracle), queries = \
+            self.bounded_and_exhaustive(sampled, obs, x)
+        assert queries == 0
+        assert np.array_equal(x_pick, x) and np.array_equal(x_oracle, x)
+        assert f_pick == f_oracle
+
+    def test_bound_is_the_depth_and_regularizer_sum(self, rng):
+        sampled = sampled_hand_for(hand_at())
+        obs = observe(1.1 * sampled.points)
+        cfg = AlignConfig()
+        index = CountingIndex(build_index(obs.cloud))
+        corr = partial(alignment._correspondences, index, obs, sampled)
+        for _ in range(5):
+            x = np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.1, 0.1, size=6)])
+            sigma, correction = alignment.params_decode(x)
+            d = smooth_depth_residuals(
+                alignment.apply_scaled_correction(sampled.points, sigma, correction), obs, K)
+            lower = (cfg.lambda_rend * float(np.mean(pseudo_huber(d, cfg.huber_delta)))
+                     + cfg.lambda_reg * float(x[1:] @ x[1:]))
+            index.queries = 0
+            full = alignment._evaluate(sampled, obs, K, cfg, corr, x)
+            assert index.queries == 1 and lower <= full
+            # a bound the depth and regularizer sum reaches returns that sum
+            # unqueried; one just above it queries and gives the full value
+            assert alignment._evaluate(sampled, obs, K, cfg, corr, x, bound=lower) == lower
+            assert index.queries == 1
+            above = np.nextafter(lower, np.inf)
+            assert alignment._evaluate(sampled, obs, K, cfg, corr, x, bound=above) == full
+            assert index.queries == 2
+
+
 class TestAlignmentObjective:
     def random_params(self, rng):
         return np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.1, 0.1, size=6)])
@@ -541,8 +690,8 @@ class TestAlignmentObjective:
 
         def frozen_and_fresh(x):
             # the fresh score align_hand_frame takes: correspondences queried at x
-            fresh = alignment._evaluate(sampled, obs, K, cfg,
-                                        alignment._correspondences(index, obs, sampled, x), x)
+            fresh = alignment._evaluate(
+                sampled, obs, K, cfg, partial(alignment._correspondences, index, obs, sampled), x)
             return alignment_problem(sampled, obs, K, cfg, at=x).objective(x), fresh
 
         for _ in range(5):
@@ -680,6 +829,37 @@ class TestAlignTrajectory:
             expected = frame.joints + step
             err = np.linalg.norm(corrected - expected, axis=1).max()
             assert err < 0.002
+
+    def test_scale_jump_is_scanned_and_recovered(self, monkeypatch):
+        # the observed hand's scale jumps between frames 1 and 2: the warm
+        # start of frame 2 is in the wrong basin, so its scan must query
+        sigmas = [1.0, 1.0, 1.3, 1.3]
+        frames = []
+        observations = []
+        for k, sigma_star in enumerate(sigmas):
+            joints = canonical_hand_joints(0.4) + np.array([0.0, 0.0, 0.45])
+            frames.append(HandFrame(
+                joints=joints,
+                wrist_pose=RigidTransform(Rotation.identity(), joints[0]),
+                frame_index=k,
+            ))
+            pts = sample_hand_surface(joints, 500, seed=3 + k, visible_from=(0, 0, 0))
+            observations.append(observe(sigma_star * pts))
+        scan = alignment._scan_scale
+        picks = []
+
+        def recorded(*args, **kwargs):
+            x, f_best, queries = scan(*args, **kwargs)
+            picks.append((float(np.exp(x[0])), queries))
+            return x, f_best, queries
+
+        monkeypatch.setattr(alignment, "_scan_scale", recorded)
+        results = align_trajectory(HandTrajectory(frames=frames), observations, K, seed=3)
+        # only the frame after the jump needs a query
+        assert [queries > 0 for _, queries in picks] == [False, False, True, False]
+        assert abs(picks[2][0] - 1.3) < abs(results[1].sigma - 1.3)
+        for r, sigma_star in zip(results, sigmas):
+            assert abs(r.sigma - sigma_star) / sigma_star < 0.02
 
     def test_empty_frame_failure_names_frame(self):
         traj, obs = self.make_sequence([(0.0, 0.0, 0.45)] * 4, seed=5)

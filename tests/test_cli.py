@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 from importlib import resources
 from pathlib import Path
@@ -113,13 +114,18 @@ class TestCmdPipeline:
         assert main(["pipeline", "--config", str(fixture_dir / "config.json")]) == 0
         assert traj_path.read_bytes() == first
 
-    def test_verbose_does_not_change_output(self, fixture_dir):
-        traj_path = fixture_dir / "out" / "robot_trajectory.json"
+    def test_verbose_does_not_change_output(self, fixture_dir, caplog):
+        outputs = [fixture_dir / "out" / name
+                   for name in ("robot_trajectory.json", "alignments.txt")]
         assert main(["pipeline", "--config", str(fixture_dir / "config.json")]) == 0
-        plain = traj_path.read_bytes()
-        assert main(["--verbose", "pipeline", "--config",
-                     str(fixture_dir / "config.json")]) == 0
-        assert traj_path.read_bytes() == plain
+        plain = [path.read_bytes() for path in outputs]
+        # the test runner owns the root logger, so capture the debug lines here
+        with caplog.at_level(logging.DEBUG, logger="dexretarget"):
+            assert main(["--verbose", "pipeline", "--config",
+                         str(fixture_dir / "config.json")]) == 0
+        assert [path.read_bytes() for path in outputs] == plain
+        scans = [m for m in caplog.messages if "scale scan picked" in m]
+        assert len(scans) == 3  # one per frame
 
     def test_missing_urdf_is_input_error(self, fixture_dir, capsys):
         bad = write_config(fixture_dir, urdf="ghost.urdf")

@@ -668,6 +668,11 @@ class TestBatchShape:
 
     @given(case=st.none() | retarget_trees(), seed=st.integers(0, 2 ** 32 - 1))
     @example(case=None, seed=12345)
+    # a zero-DoF tree, which random draws reach only in some runs
+    @example(case=(ZERO_DOF, VectorSpec([
+        VectorPair(human=(0, 1), robot=("base", "tip"), group=VECTOR_GROUPS[0]),
+        VectorPair(human=(0, 1), robot=("right", "left"), group=VECTOR_GROUPS[-1])])),
+        seed=12345)
     @settings(max_examples=30, deadline=None)
     def test_retarget_gradient_passes_check_gradient(self, hand16, spec16, case, seed):
         # case None is the 16-DoF hand with its default vector spec
@@ -691,6 +696,7 @@ class TestRandomTrees:
     """Random trees (property tests)."""
 
     @given(urdf_trees(), st.integers(0, 2 ** 32 - 1))
+    @example(ZERO_DOF, 12345)
     @settings(max_examples=40, deadline=None)
     def test_batch_rows(self, text, seed):
         model = parse_urdf(text)
@@ -707,6 +713,7 @@ class TestLevelGroupedFk:
     """FK one tree depth at a time equals the per-joint loop bit for bit."""
 
     @given(urdf_trees(), st.integers(0, 2 ** 32 - 1))
+    @example(ZERO_DOF, 12345)
     @settings(max_examples=60, deadline=None)
     def test_random_trees(self, text, seed):
         assert_fk_matches_reference(parse_urdf(text), seed)
