@@ -32,6 +32,7 @@ from .geometry import (
     pseudo_huber_derivative,
     so3_left_jacobian,
     splat_depth,
+    splat_overlaps,
     weighted_umeyama,
 )
 from .hand_model import HandFrame, HandTrajectory
@@ -109,16 +110,19 @@ class FrameObservation:
     The depth kernel reads the support through a window: the support's
     bounding box (empty at the image origin when there is no support)
     padded by _WINDOW_PAD pixels on each side, whose top-left pixel is
-    ``window_origin`` (u, v). ``support_window`` is the support there and
-    ``depth_window`` the depth, zero outside the support.
+    ``window_origin`` (u, v). ``depth_window`` is the depth there, zero
+    outside the support, so the support is where it is positive.
+    ``reach_window``, of the same shape, is true at a window pixel when
+    some of the 16 taps anchored there (offsets -1..2 on each axis) is
+    supported; a point whose anchor is not reached reads exactly zero.
     """
 
     cloud: PointCloud
     depth: DepthImage
     hand_mask: np.ndarray
     window_origin: tuple = field(init=False, repr=False)
-    support_window: np.ndarray = field(init=False, repr=False)
     depth_window: np.ndarray = field(init=False, repr=False)
+    reach_window: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.cloud.normals is None:
@@ -134,8 +138,12 @@ class FrameObservation:
         box = (slice(v0, v1 + 1), slice(u0, u1 + 1))
         support = self.hand_mask[box]
         self.window_origin = (int(u0) - _WINDOW_PAD, int(v0) - _WINDOW_PAD)
-        self.support_window = np.pad(support, _WINDOW_PAD)
         self.depth_window = np.pad(np.where(support, self.depth.values[box], 0.0), _WINDOW_PAD)
+        # the support shifted by each tap offset, OR-ed one axis at a time:
+        # taps[v, u] is the support at (v - 1, u - 1)
+        taps = np.pad(support, ((_WINDOW_PAD + 1, _WINDOW_PAD + 2),) * 2)
+        taps = taps[:, :-3] | taps[:, 1:-2] | taps[:, 2:-1] | taps[:, 3:]
+        self.reach_window = taps[:-3] | taps[1:-2] | taps[2:-1] | taps[3:]
 
 
 def params_encode(sigma: float, correction: RigidTransform) -> np.ndarray:
@@ -228,13 +236,19 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     a C2 separable kernel gated by the observation's hand support, giving a
     residual that is twice continuously differentiable in the point
     coordinates and fades to zero as the projection leaves the support.
-    The 16 taps of all points come from one gather into the observation's
-    padded support window; a projection beyond the window is clipped into
-    its zero pad, where every tap is gated off. Returns one residual per
-    point (zero for unsupported points); a point nearer than the minimum
-    depth gets +inf and the kernel runs on the other points only. Each
-    point's residual depends on that point alone: the sum of its gated
-    taps, added one at a time with the column tap outermost.
+    The 16 taps of a point are anchored at its projection's pixel in the
+    observation's padded window; a projection beyond the window is clipped
+    into its zero pad, where every tap is gated off. Returns one residual
+    per point (zero for unsupported points); a point nearer than the
+    minimum depth gets +inf and the kernel runs on the other points only.
+    Each point's residual depends on that point alone: the sum of its gated
+    taps, added one at a time with the column tap outermost; so does its
+    Jacobian row, whose tap sums run in the same order.
+
+    Only points whose anchor the observation's reach window marks (or whose
+    projection is not finite) run the taps. Every other point has all 16
+    taps gated off, and for it the taps would give exactly the residual
+    +0.0 and the Jacobian row (+0, +0, +0), which it gets directly.
 
     With ``jacobian`` the same pass also returns the (N, 3) derivative of
     each residual in its point's coordinates (NaN for a near point): the
@@ -250,51 +264,58 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
     iu = np.floor(u).astype(int)
     iv = np.floor(v).astype(int)
-
-    def weight_ratios(c, ic):
-        # (4, N) tap weights of one axis, each over the axis's weight sum,
-        # and with the jacobian their derivatives in c
-        t = np.clip((_KERNEL_RADIUS - np.abs(c - (ic + _TAPS[:, None]))) / _KERNEL_RADIUS,
-                    0.0, 1.0)
-        wt = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
-        total = np.sum(wt, axis=0)
-        ratios = wt / total
-        if not jacobian:
-            return ratios, None
-        # smoothstep slope 30 t^2 (1 - t)^2 times dt/dc = -sign / radius
-        dwt = (-30.0 / _KERNEL_RADIUS) * _TAP_SIGNS[:, None] * (t * (1.0 - t)) ** 2
-        return ratios, (dwt - ratios * np.sum(dwt, axis=0)) / total
-
     ou, ov = observation.window_origin
-    height, width = observation.support_window.shape
-    # window pixel of each projection, clipped so that its taps stay inside
-    pu = np.clip(iu - ou, 1, width - 3)
-    pv = np.clip(iv - ov, 1, height - 3)
-    # (16, N) flat window index; the column tap is the outer one
-    offsets = (_TAPS[:, None] + width * _TAPS[None, :]).ravel()
-    flat = offsets[:, None] + (pv * width + pu)
-    gate = np.take(observation.support_window, flat)
-    ru, dru = weight_ratios(u, iu)
-    rv, drv = weight_ratios(v, iv)
-    # the weights are finite and non-negative, so a gated-off tap adds exactly +-0
-    gated = (ru[:, None] * rv[None, :]).reshape(16, -1) * gate
-    gaps = z - np.take(observation.depth_window, flat)
-    terms = gated * gaps
-    # one add per tap, in order: a reduction over the tap axis may sum pairwise
+    height, width = observation.reach_window.shape
+    # flat window pixel of each projection, clamped so that its taps stay inside
+    anchor = (np.maximum(np.minimum(iv - ov, height - 3), 1) * width
+              + np.maximum(np.minimum(iu - ou, width - 3), 1))
+    # the sum is not finite when u, v or z is not (or when it overflows)
+    run = np.flatnonzero(observation.reach_window.take(anchor) | ~np.isfinite(u + v + z))
     r = np.zeros(len(far))
-    for term in terms:
-        r += term
-    if jacobian:
-        gated_gaps = gate * gaps
-        dr_du = np.sum((dru[:, None] * rv[None, :]).reshape(16, -1) * gated_gaps, axis=0)
-        dr_dv = np.sum((ru[:, None] * drv[None, :]).reshape(16, -1) * gated_gaps, axis=0)
-        # du/dz = -(u - cx) / z and dv/dz = -(v - cy) / z
-        jac = np.column_stack((
-            dr_du * intrinsics.fx / z,
-            dr_dv * intrinsics.fy / z,
-            np.sum(gated, axis=0) - (dr_du * (u - intrinsics.cx)
-                                     + dr_dv * (v - intrinsics.cy)) / z,
-        ))
+    jac = np.zeros((len(far), 3)) if jacobian else None
+    if run.size:
+        z, u, v = z[run], u[run], v[run]
+        # (4, 2, n) tap weights of both axes, each over its axis's weight sum
+        t = np.clip((_KERNEL_RADIUS - np.abs(np.stack((u, v)) - (np.stack((iu[run], iv[run]))
+                                                                 + _TAPS[:, None, None])))
+                    / _KERNEL_RADIUS, 0.0, 1.0)
+        wt = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
+        total = wt.sum(axis=0)
+        ratios = wt / total
+        # (16, n) flat window index; the column tap is the outer one
+        offsets = (_TAPS[:, None] + width * _TAPS[None, :]).ravel()
+        observed = observation.depth_window.take(offsets[:, None] + anchor[run])
+        # the depth window is positive exactly on the support
+        gate = observed > 0.0
+        ru, rv = ratios[:, 0], ratios[:, 1]
+        # the weights are finite and non-negative, so a gated-off tap adds exactly +-0
+        gated = (ru[:, None] * rv[None, :]).reshape(16, -1) * gate
+        gaps = z - observed
+        # one add per tap, in order: a reduction over the tap axis may sum pairwise
+        kept = np.zeros(run.size)
+        for term in gated * gaps:
+            kept += term
+        r[run] = kept
+        if jacobian:
+            # smoothstep slope 30 t^2 (1 - t)^2 times dt/dc = -sign / radius,
+            # then the quotient rule through each axis's weight sum
+            dwt = (-30.0 / _KERNEL_RADIUS) * _TAP_SIGNS[:, None, None] * (t * (1.0 - t)) ** 2
+            dratios = (dwt - ratios * dwt.sum(axis=0)) / total
+            dru, drv = dratios[:, 0], dratios[:, 1]
+            gated_gaps = gate * gaps
+            # the three tap sums in one reduction over the tap axis of a
+            # (16, 3, n) array, which adds the taps in order for any n (a
+            # (16, 1) array on its own would be summed pairwise)
+            dr_du, dr_dv, weight = np.stack((
+                (dru[:, None] * rv[None, :]).reshape(16, -1) * gated_gaps,
+                (ru[:, None] * drv[None, :]).reshape(16, -1) * gated_gaps,
+                gated), axis=1).sum(axis=0)
+            # du/dz = -(u - cx) / z and dv/dz = -(v - cy) / z
+            jac[run] = np.column_stack((
+                dr_du * intrinsics.fx / z,
+                dr_dv * intrinsics.fy / z,
+                weight - (dr_du * (u - intrinsics.cx) + dr_dv * (v - intrinsics.cy)) / z,
+            ))
     if far is pts:
         return (r, jac) if jacobian else r
     out = np.full(len(pts), np.inf)
@@ -382,17 +403,21 @@ def alignment_problem(
     cfg: AlignConfig,
     at: Optional[np.ndarray] = None,
     index=None,
+    frozen=None,
 ) -> BoxProblem:
     """Box problem over (log sigma, twist) with correspondences frozen at
     the given parameters (identity by default). Used both by the solver
-    rounds and by the gradient audit. ``index`` is the observed cloud's
-    k-d tree; it is built when not given. Its objective and gradient are
-    both ``_evaluate`` against the frozen correspondences.
+    rounds and by the gradient audit. ``frozen`` is the (points, normals)
+    pair of those correspondences when the caller has it; otherwise they
+    are queried from ``index``, the observed cloud's k-d tree, which is
+    built when not given. Its objective and gradient are both
+    ``_evaluate`` against the frozen correspondences.
     """
-    if index is None:
-        index = build_index(observation.cloud)
-    x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
-    frozen = _correspondences(index, observation, hand_cloud, x0)
+    if frozen is None:
+        if index is None:
+            index = build_index(observation.cloud)
+        x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
+        frozen = _correspondences(index, observation, hand_cloud, x0)
     evaluate = partial(_evaluate, hand_cloud, observation, intrinsics, cfg, lambda _: frozen)
     return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=evaluate,
                       gradient=partial(evaluate, gradient=True))
@@ -451,7 +476,10 @@ def align_hand_frame(
     best score so far makes no k-d tree query. The skip is exact: the
     point-to-plane mean is >= 0 and rounded addition is monotone, so that
     candidate's full score could not win, and the scan picks the bits that
-    scoring every candidate in full gives.
+    scoring every candidate in full gives. Outside the scan, the k-d tree
+    is queried once per distinct parameter vector: the start, each outer
+    round's anchor and the last round's solution share their
+    correspondences with the final residuals.
     """
     if cfg is None:
         cfg = AlignConfig()
@@ -460,19 +488,26 @@ def align_hand_frame(
 
     obs_index = build_index(observation.cloud)
     x = np.clip(params_encode(init.sigma, init.correction), _PARAM_LO, _PARAM_HI)
+    queried = {}
+
+    def query(at):
+        # correspondences at the given parameters, queried once per frame
+        key = at.tobytes()
+        if key not in queried:
+            queried[key] = _correspondences(obs_index, observation, hand_cloud, at)
+        return queried[key]
 
     def fresh(at):
         # the objective with correspondences queried at the given parameters
-        return _evaluate(hand_cloud, observation, intrinsics, cfg,
-                         partial(_correspondences, obs_index, observation, hand_cloud), at)
+        return _evaluate(hand_cloud, observation, intrinsics, cfg, query, at)
 
     # the depth overlap must be non-empty at the starting parameters
     sigma0, corr0 = params_decode(x)
     moved0 = apply_scaled_correction(hand_cloud.points, sigma0, corr0)
-    rendered0 = splat_depth(moved0, intrinsics, cfg.splat_footprint)
-    omega0 = rendered0.valid & observation.hand_mask
+    overlap = splat_overlaps(moved0, intrinsics, cfg.splat_footprint, observation.hand_mask)
     f_best = fresh(x)
-    if not np.any(omega0) or not np.isfinite(f_best):
+    if not overlap or not np.isfinite(f_best):
+        omega0 = splat_depth(moved0, intrinsics, cfg.splat_footprint).valid & observation.hand_mask
         raise AlignmentError(
             "alignment objective undefined at initialization (no overlapping hand pixels)",
             frame_index=hand.frame_index,
@@ -489,7 +524,7 @@ def align_hand_frame(
     opts = SolverOptions(max_iters=cfg.inner_iters)
 
     problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
-                                index=obs_index)
+                                frozen=query(x))
     for outer in range(cfg.outer_iters):
         try:
             report = minimize_box(problem, x, opts)
@@ -508,7 +543,7 @@ def align_hand_frame(
             # the next round's problem is frozen at x, so its value there
             # is the fresh score without a second query
             problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
-                                        index=obs_index)
+                                        frozen=query(x))
             f_now = problem.objective(x)
         if f_now < f_best:
             f_best = f_now
@@ -518,7 +553,7 @@ def align_hand_frame(
 
     sigma, correction = params_decode(x_best)
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    corr_pts, corr_nrm = _correspondences(obs_index, observation, hand_cloud, x_best)
+    corr_pts, corr_nrm = query(x_best)
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     icp_rms = float(np.sqrt(np.mean(r ** 2)))
     try:

@@ -108,9 +108,16 @@ class Rotation:
         v = as_vec3(rv)
         angle = float(np.linalg.norm(v))
         if angle < 1e-12:
-            # first-order expansion of exp; renormalized in __init__
-            return cls(np.concatenate(([1.0], 0.5 * v)))
-        return cls.from_axis_angle(v, angle)
+            # first-order expansion of exp; renormalized below
+            q = np.concatenate(([1.0], 0.5 * v))
+        else:
+            half = 0.5 * angle
+            q = np.concatenate(([np.cos(half)], np.sin(half) * v / angle))
+        # q is finite with norm near 1 once v is valid, so __init__'s checks
+        # are skipped; the normalization is the one __init__ applies
+        rot = object.__new__(cls)
+        rot._q = q / float(np.linalg.norm(q))
+        return rot
 
     @property
     def quat(self) -> np.ndarray:
@@ -405,6 +412,30 @@ def weighted_umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
     return SimilarityTransform(scale, Rotation.from_matrix(rot_m), t)
 
 
+def _splat_footprints(points, intrinsics: CameraIntrinsics, footprint: int):
+    """The in-image pixels a z-buffer splat writes: one (rows, cols, depths)
+    triple per footprint offset, each over the points in front of the
+    camera, projected to their nearest pixel, whose offset pixel is inside
+    the image."""
+    if footprint < 1 or footprint % 2 == 0:
+        raise InvalidArgumentError(f"footprint must be odd and positive, got {footprint}")
+    h, w = intrinsics.height, intrinsics.width
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(pts)):
+        raise InvalidArgumentError("point coordinates must be finite")
+    front = pts[pts[:, 2] > 0.0]
+    z = front[:, 2]
+    u = np.rint(intrinsics.fx * front[:, 0] / z + intrinsics.cx).astype(int)
+    v = np.rint(intrinsics.fy * front[:, 1] / z + intrinsics.cy).astype(int)
+    half = footprint // 2
+    for dv in range(-half, half + 1):
+        for du in range(-half, half + 1):
+            uu = u + du
+            vv = v + dv
+            ok = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
+            yield vv[ok], uu[ok], z[ok]
+
+
 def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> DepthImage:
     """Z-buffer point splat: each point writes its depth into a
     footprint x footprint pixel block; the minimum depth per pixel wins.
@@ -412,28 +443,23 @@ def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> Dep
     Points behind the camera or outside the image are dropped. An empty
     point list yields an all-invalid image.
     """
-    if footprint < 1 or footprint % 2 == 0:
-        raise InvalidArgumentError(f"footprint must be odd and positive, got {footprint}")
-    h, w = intrinsics.height, intrinsics.width
-    buf = np.full((h, w), np.inf)
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if pts.shape[0] > 0:
-        if not np.all(np.isfinite(pts)):
-            raise InvalidArgumentError("point coordinates must be finite")
-        front = pts[pts[:, 2] > 0.0]
-        if front.shape[0] > 0:
-            z = front[:, 2]
-            u = np.rint(intrinsics.fx * front[:, 0] / z + intrinsics.cx).astype(int)
-            v = np.rint(intrinsics.fy * front[:, 1] / z + intrinsics.cy).astype(int)
-            half = footprint // 2
-            for dv in range(-half, half + 1):
-                for du in range(-half, half + 1):
-                    uu = u + du
-                    vv = v + dv
-                    ok = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
-                    if np.any(ok):
-                        np.minimum.at(buf, (vv[ok], uu[ok]), z[ok])
+    buf = np.full((intrinsics.height, intrinsics.width), np.inf)
+    for rows, cols, z in _splat_footprints(points, intrinsics, footprint):
+        np.minimum.at(buf, (rows, cols), z)
     return DepthImage(values=buf)
+
+
+def splat_overlaps(points, intrinsics: CameraIntrinsics, footprint: int, mask) -> bool:
+    """Whether ``splat_depth(points, intrinsics, footprint)`` is valid at
+    some pixel of the (height, width) boolean mask, read from the pixels
+    the splat would write instead of rendering it. Raises as splat_depth
+    does on an even footprint or non-finite points."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (intrinsics.height, intrinsics.width):
+        raise InvalidArgumentError("mask dimensions must match the intrinsics")
+    # a written pixel holds a finite positive depth, so it is valid
+    return any(np.any(mask[rows, cols])
+               for rows, cols, _ in _splat_footprints(points, intrinsics, footprint))
 
 
 def backproject_depth(img: DepthImage, intrinsics: CameraIntrinsics) -> np.ndarray:

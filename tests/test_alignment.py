@@ -120,6 +120,82 @@ def reference_depth_residuals(points, depth, support, intrinsics):
     return out
 
 
+def reference_windows(obs):
+    """The observation's hand support and its depth there (zero elsewhere)
+    over the observation's padded window, cut from the full-image arrays:
+    False and zero beyond the image."""
+    ou, ov = obs.window_origin
+    height, width = obs.depth_window.shape
+    pad = alignment._WINDOW_PAD
+    cut = (slice(ov + pad, ov + pad + height), slice(ou + pad, ou + pad + width))
+    support = np.pad(obs.hand_mask, pad)[cut]
+    depth = np.pad(np.where(obs.hand_mask, obs.depth.values, 0.0), pad)[cut]
+    return support, depth
+
+
+def unskipped_depth_kernel(points, obs, intrinsics, jacobian=False):
+    """The depth kernel as it was before the reach window: every point runs
+    all 16 taps, gated by a gather from the support window. Kept as the
+    oracle whose residuals and Jacobians the kernel must equal bit for bit.
+
+    It sums each Jacobian tap sum over a (16, N) array, which numpy adds in
+    tap order when N > 1 but pairwise when N == 1; the kernel adds them in
+    tap order for every N. So the oracle runs on the cloud twice over,
+    where N > 1 whenever one point is far enough, and returns the first
+    copy's rows.
+    """
+    pts = np.asarray(points, dtype=float)
+    pts = np.concatenate((pts, pts))
+    near = pts[:, 2] < alignment._MIN_DEPTH
+    far = pts[~near] if np.any(near) else pts
+    z = far[:, 2]
+    u = intrinsics.fx * far[:, 0] / z + intrinsics.cx
+    v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
+    iu = np.floor(u).astype(int)
+    iv = np.floor(v).astype(int)
+    taps = np.array([-1, 0, 1, 2])
+    signs = np.array([1.0, 1.0, -1.0, -1.0])
+
+    def weight_ratios(c, ic):
+        t = np.clip((2.0 - np.abs(c - (ic + taps[:, None]))) / 2.0, 0.0, 1.0)
+        wt = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
+        total = np.sum(wt, axis=0)
+        ratios = wt / total
+        dwt = (-30.0 / 2.0) * signs[:, None] * (t * (1.0 - t)) ** 2
+        return ratios, (dwt - ratios * np.sum(dwt, axis=0)) / total
+
+    ou, ov = obs.window_origin
+    support, depth = reference_windows(obs)
+    height, width = support.shape
+    pu = np.clip(iu - ou, 1, width - 3)
+    pv = np.clip(iv - ov, 1, height - 3)
+    offsets = (taps[:, None] + width * taps[None, :]).ravel()
+    flat = offsets[:, None] + (pv * width + pu)
+    gate = np.take(support, flat)
+    ru, dru = weight_ratios(u, iu)
+    rv, drv = weight_ratios(v, iv)
+    gated = (ru[:, None] * rv[None, :]).reshape(16, -1) * gate
+    gaps = z - np.take(depth, flat)
+    r = np.zeros(len(far))
+    for term in gated * gaps:
+        r += term
+    gated_gaps = gate * gaps
+    dr_du = np.sum((dru[:, None] * rv[None, :]).reshape(16, -1) * gated_gaps, axis=0)
+    dr_dv = np.sum((ru[:, None] * drv[None, :]).reshape(16, -1) * gated_gaps, axis=0)
+    jac = np.column_stack((
+        dr_du * intrinsics.fx / z,
+        dr_dv * intrinsics.fy / z,
+        np.sum(gated, axis=0) - (dr_du * (u - intrinsics.cx)
+                                 + dr_dv * (v - intrinsics.cy)) / z,
+    ))
+    half = len(pts) // 2
+    out = np.full(len(pts), np.inf)
+    out[~near] = r
+    jac_out = np.full((len(pts), 3), np.nan)
+    jac_out[~near] = jac
+    return (out[:half], jac_out[:half]) if jacobian else out[:half]
+
+
 def points_at_pixels(uvz):
     """Camera-frame points that project to the given (u, v) pixel
     coordinates at depth z."""
@@ -345,9 +421,10 @@ class TestSmoothDepthResiduals:
         mask[:, : K.width // 2 - 20] = False  # a mask edge inside the supported patch
         clouds = [points_at_pixels(uvz) for uvz in sets]
         obs = observation_of(depth, mask)
-        stacked = smooth_depth_residuals(np.concatenate(clouds), obs, K)
-        separate = np.concatenate([smooth_depth_residuals(c, obs, K) for c in clouds])
-        assert stacked.tobytes() == separate.tobytes()
+        stacked = smooth_depth_residuals(np.concatenate(clouds), obs, K, jacobian=True)
+        separate = [smooth_depth_residuals(c, obs, K, jacobian=True) for c in clouds]
+        for k in range(2):
+            assert stacked[k].tobytes() == np.concatenate([out[k] for out in separate]).tobytes()
 
 
     @staticmethod
@@ -370,28 +447,114 @@ class TestSmoothDepthResiduals:
             mask[r0:r1 + 1, c0:c1 + 1] = holes.random((r1 - r0 + 1, c1 - c0 + 1)) > 0.2
         return mask, (r0, r1, c0, c1)
 
-    @given(st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_equals_per_tap_reference(self, data):
-        mask, (r0, r1, c0, c1) = data.draw(self._masks())
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        shape = (K.height, K.width)
-        depth = DepthImage(values=np.where(rng.random(shape) < 0.1, np.nan,
-                                           rng.uniform(0.2, 1.0, shape)))
-        # pixels around the support, across and a little beyond the image,
-        # and far beyond it; depths from behind the camera, through the
-        # minimum depth, to past the observed depths
+    @staticmethod
+    @st.composite
+    def _clouds(draw, box):
+        """Points around the support box, across and a little beyond the
+        image, and far beyond it (clipped into the window's pad), at depths
+        from behind the camera, through the minimum depth, to past the
+        observed depths."""
+        r0, r1, c0, c1 = box
         pixel = st.one_of(
             st.tuples(st.floats(c0 - 8.0, c1 + 8.0), st.floats(r0 - 8.0, r1 + 8.0)),
             st.tuples(st.floats(-8.0, K.width + 8.0), st.floats(-8.0, K.height + 8.0)),
             st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5)))
-        uvz = data.draw(st.lists(st.tuples(pixel, st.floats(-0.2, 1.2)),
-                                 min_size=1, max_size=40))
-        pts = points_at_pixels([(u, v, z) for (u, v), z in uvz])
-        obs = observation_of(depth, mask)
+        depth = st.one_of(st.floats(-0.2, 1.2),
+                          st.sampled_from([0.0, alignment._MIN_DEPTH, 1.5 * alignment._MIN_DEPTH]))
+        uvz = draw(st.lists(st.tuples(pixel, depth), min_size=1, max_size=40))
+        return points_at_pixels([(u, v, z) for (u, v), z in uvz])
+
+    @staticmethod
+    def _noisy_depth(rng):
+        shape = (K.height, K.width)
+        return DepthImage(values=np.where(rng.random(shape) < 0.1, np.nan,
+                                          rng.uniform(0.2, 1.0, shape)))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_tap_reference(self, data):
+        mask, box = data.draw(self._masks())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = data.draw(self._clouds(box))
+        obs = observation_of(self._noisy_depth(rng), mask)
         r = smooth_depth_residuals(pts, obs, K)
         expected = reference_depth_residuals(pts, obs.depth.values, obs.hand_mask, K)
         assert r.tobytes() == expected.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_unskipped_kernel(self, data):
+        # supports that are empty, a single pixel or touch an image edge;
+        # points whose taps all miss the support, clipped into the pad, or
+        # near: skipping the taps of unreached points changes no bit
+        mask, box = data.draw(self._masks())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = data.draw(self._clouds(box))
+        obs = observation_of(self._noisy_depth(rng), mask)
+        r, jac = smooth_depth_residuals(pts, obs, K, jacobian=True)
+        r_ref, jac_ref = unskipped_depth_kernel(pts, obs, K, jacobian=True)
+        assert r.tobytes() == r_ref.tobytes()
+        assert jac.tobytes() == jac_ref.tobytes()
+        assert smooth_depth_residuals(pts, obs, K).tobytes() == r_ref.tobytes()
+
+    def test_non_finite_points_keep_the_unskipped_results(self):
+        pts = plane_points()
+        obs = observation_of(splat_depth(pts, K, 3))
+        odd = points_at_pixels([(20.0, 20.0, 0.4)] * 6)  # far from the support
+        odd[0, 0], odd[1, 1], odd[2, 2], odd[3, 2], odd[4, 0], odd[5, 1] = (
+            np.nan, np.inf, np.inf, -np.inf, 1e306, -np.inf)
+        cloud = np.concatenate((pts[:50], odd))
+        with np.errstate(invalid="ignore", over="ignore"):
+            r, jac = smooth_depth_residuals(cloud, obs, K, jacobian=True)
+            r_ref, jac_ref = unskipped_depth_kernel(cloud, obs, K, jacobian=True)
+        assert r.tobytes() == r_ref.tobytes() and jac.tobytes() == jac_ref.tobytes()
+        assert not np.any(np.isfinite(r[50:]))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reach_window_marks_anchors_with_a_supported_tap(self, data):
+        # on a small image, so that random masks touch its edges
+        shape = data.draw(st.sampled_from([(1, 1), (5, 3), (12, 16)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mask = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.02, 0.2, 0.9]))
+        obs = observation_of(DepthImage(values=rng.uniform(0.2, 1.0, shape)), mask)
+        support, depth = reference_windows(obs)
+        # each supported pixel marks every anchor one of whose taps is on it
+        brute = np.zeros_like(support)
+        rows, cols = np.nonzero(support)
+        for dv in (-1, 0, 1, 2):
+            for du in (-1, 0, 1, 2):
+                inside = ((rows - dv >= 0) & (rows - dv < support.shape[0])
+                          & (cols - du >= 0) & (cols - du < support.shape[1]))
+                brute[rows[inside] - dv, cols[inside] - du] = True
+        assert obs.reach_window.shape == support.shape
+        assert np.array_equal(obs.reach_window, brute)
+        # the kernel reads the support as the depth window's positive pixels
+        assert np.array_equal(obs.depth_window > 0.0, support)
+        assert obs.depth_window.tobytes() == depth.tobytes()
+
+    def test_cloud_with_no_reached_point_reads_exact_zeros(self):
+        pts = plane_points()
+        depth = splat_depth(pts, K, 3)
+        mask = np.zeros_like(depth.valid)
+        mask[200:280, 280:360] = True
+        obs = observation_of(depth, mask)
+        # on valid depth, anchored 3 px before and 2 px after the support
+        # (the taps reach 2 px after and 1 px before an anchor), and far
+        # beyond the image
+        uv = [(277.9, 240.5), (361.0, 240.5), (320.5, 197.9), (320.5, 281.0),
+              (100.5, 100.5), (-5e4, 3e4)]
+        cloud = points_at_pixels([(u, v, 0.41) for u, v in uv])
+        r, jac = smooth_depth_residuals(cloud, obs, K, jacobian=True)
+        assert r.tobytes() == np.zeros(len(uv)).tobytes()
+        assert jac.tobytes() == np.zeros((len(uv), 3)).tobytes()
+        r_ref, jac_ref = unskipped_depth_kernel(cloud, obs, K, jacobian=True)
+        assert r_ref.tobytes() == r.tobytes() and jac_ref.tobytes() == jac.tobytes()
+        # anchored one pixel closer, a tap of positive weight lands on the support
+        closer = points_at_pixels([(u, v, 0.41) for u, v in
+                                   [(278.5, 240.5), (360.5, 240.5), (320.5, 198.5),
+                                    (320.5, 280.5)]])
+        assert np.all(smooth_depth_residuals(closer, obs, K) != 0.0)
 
     def test_point_clipped_into_the_pad_reads_exactly_zero(self):
         pts = plane_points()
@@ -501,21 +664,22 @@ class TestAlignHandFrame:
         assert calls.count("alignment_problem") == calls.count("minimize_box")
 
     def test_one_query_per_outer_round(self, monkeypatch):
-        # beyond the scan, a frame queries the k-d tree once per problem and
-        # three more times: the start's score, the last round's score and
-        # the final residuals
+        # beyond the scan, a frame queries the k-d tree once per distinct
+        # parameter vector it scores fresh: the start, each problem's anchor
+        # and the last round's solution; the final residuals query nothing
         hand = hand_at()
         sampled = sampled_hand_for(hand)
         obs = observe(1.25 * sampled.points)
-        indexes, problems, scans = [], [], []
+        indexes, anchors, scans, solved = [], [], [], []
         build, problem, scan = build_index, alignment.alignment_problem, alignment._scan_scale
+        solve = alignment.minimize_box
 
         def counted_index(cloud):
             indexes.append(CountingIndex(build(cloud)))
             return indexes[-1]
 
         def counted_problem(*args, **kwargs):
-            problems.append(args)
+            anchors.append(kwargs["at"].tobytes())
             return problem(*args, **kwargs)
 
         def counted_scan(*args, **kwargs):
@@ -523,12 +687,20 @@ class TestAlignHandFrame:
             scans.append(out[2])
             return out
 
+        def recorded_solve(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            solved.append(report.x_star.tobytes())
+            return report
+
         monkeypatch.setattr(alignment, "build_index", counted_index)
         monkeypatch.setattr(alignment, "alignment_problem", counted_problem)
         monkeypatch.setattr(alignment, "_scan_scale", counted_scan)
+        monkeypatch.setattr(alignment, "minimize_box", recorded_solve)
         align_hand_frame(hand, sampled, obs, K)
-        assert len(indexes) == 1 and len(problems) > 1
-        assert indexes[0].queries == len(problems) + scans[0] + 3
+        assert len(indexes) == 1 and len(anchors) > 1
+        start = np.zeros(7).tobytes()  # the identity initialization
+        scored = {start, *anchors, solved[-1]}
+        assert indexes[0].queries == scans[0] + len(scored)
 
     def test_regularizer_limit_forces_identity(self):
         hand = hand_at()
@@ -546,8 +718,26 @@ class TestAlignHandFrame:
         obs = observe(sampled.points.copy())
         blocked = FrameObservation(cloud=obs.cloud, depth=obs.depth,
                                    hand_mask=np.zeros_like(obs.hand_mask))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError) as exc:
             align_hand_frame(hand, sampled, blocked, K)
+        assert exc.value.diagnostics == {"sigma": 1.0, "overlap_pixels": 0}
+
+    def test_start_overlap_failure_reports_the_splat_overlap(self):
+        # a support of one pixel the hand's splat covers: the overlap check
+        # passes, the objective is undefined (a point nearer than the
+        # minimum depth), and the diagnostics count the rendered overlap
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        obs = observe(sampled.points.copy())
+        near = PointCloud(points=np.vstack((sampled.points, [[0.0, 0.0, 0.5 * alignment._MIN_DEPTH]])))
+        rendered = splat_depth(near.points, K, 3)
+        pixel = np.argwhere(rendered.valid & obs.hand_mask)[0]
+        mask = np.zeros_like(obs.hand_mask)
+        mask[tuple(pixel)] = True
+        one = FrameObservation(cloud=obs.cloud, depth=obs.depth, hand_mask=mask)
+        with pytest.raises(AlignmentError) as exc:
+            align_hand_frame(hand, near, one, K)
+        assert exc.value.diagnostics == {"sigma": 1.0, "overlap_pixels": 1}
 
     def test_gradient_audit(self, rng):
         hand = hand_at()
@@ -702,6 +892,7 @@ class TestAlignmentObjective:
         assert frozen_and_fresh(near) == (np.inf, np.inf)
 
     def test_prebuilt_index_gives_same_values(self, rng):
+        # a prebuilt index, or the correspondences themselves, change no bit
         sampled = sampled_hand_for(hand_at())
         obs = observe(1.1 * sampled.points)
         cfg = AlignConfig()
@@ -710,9 +901,12 @@ class TestAlignmentObjective:
             x = self.random_params(rng)
             own = alignment_problem(sampled, obs, K, cfg, at=x)
             shared = alignment_problem(sampled, obs, K, cfg, at=x, index=index)
+            given = alignment_problem(sampled, obs, K, cfg, at=x, frozen=alignment._correspondences(
+                index, obs, sampled, x))
             probe = x + rng.uniform(-0.02, 0.02, size=7)
-            assert own.objective(probe) == shared.objective(probe)
-            assert np.array_equal(own.gradient(x), shared.gradient(x))
+            for other in (shared, given):
+                assert own.objective(probe) == other.objective(probe)
+                assert np.array_equal(own.gradient(x), other.gradient(x))
 
 
 class TestAlignmentGradient:

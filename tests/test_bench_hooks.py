@@ -6,6 +6,7 @@ problem with traced callables, so the problem must survive that copy."""
 import dataclasses
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,15 @@ from dexretarget.synthetic import DEFAULT_INTRINSICS, canonical_hand_joints, sam
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_hooked_attribute_exists():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_hooked_attribute_exists():
+    tracing = _tracing()
     missing = [f"dexretarget.{module}.{attr}" for module, attr, *_ in tracing.HOOKS
                if not callable(getattr(importlib.import_module(f"dexretarget.{module}"),
                                        attr, None))]
@@ -67,6 +73,23 @@ def _refine_one_frame(hand16, mapping16):
                               lambda_init=0.01, alternations=3)
     refine_contact(hand16, q0, RigidTransform.identity(), mapping16, contacts,
                    RetargetConfig())
+
+
+def test_alignment_reaches_its_hooked_layers(monkeypatch):
+    """One aligned frame calls the depth kernel, the problem builder, the
+    solver and the k-d tree builder through the attributes the traced run
+    hooks, so inlining one of them, or swapping the solver, fails here and
+    not only in the traced run's self-check."""
+    hits = Counter()
+    for module, attr, *_ in _tracing().HOOKS:
+        if module == "alignment":
+            def counted(*args, _attr=attr, _fn=getattr(alignment, attr), **kwargs):
+                hits[_attr] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(alignment, attr, counted)
+    _align_one_frame()
+    reached = {"smooth_depth_residuals", "alignment_problem", "minimize_box", "build_index"}
+    assert reached <= {attr for attr, calls in hits.items() if calls}
 
 
 @pytest.mark.parametrize("stage", ["alignment", "retarget", "refine"])
