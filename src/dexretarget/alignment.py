@@ -476,10 +476,21 @@ def align_hand_frame(
     best score so far makes no k-d tree query. The skip is exact: the
     point-to-plane mean is >= 0 and rounded addition is monotone, so that
     candidate's full score could not win, and the scan picks the bits that
-    scoring every candidate in full gives. Outside the scan, the k-d tree
-    is queried once per distinct parameter vector: the start, each outer
-    round's anchor and the last round's solution share their
-    correspondences with the final residuals.
+    scoring every candidate in full gives.
+
+    Each outer round freezes correspondences at the best parameters so
+    far, solves from there, and scores the solution fresh. The loop stops
+    at the first solution whose fresh score does not beat the best so far
+    (that solution is dropped), after a kept solution that moved less than
+    1e-7, or after ``cfg.outer_iters`` solves, which is a cap, not a fixed
+    round count. Each round builds one problem for one solve. Outside the
+    scan, the k-d tree is queried once per distinct parameter vector: the
+    start, the scan's pick and each solve's solution. A kept solution's
+    correspondences serve again as the next round's anchor and in the
+    final residuals.
+
+    ``converged`` on the result is the last solve's flag. After a stop on
+    no improvement, that solve's solution is not the one returned.
     """
     if cfg is None:
         cfg = AlignConfig()
@@ -519,13 +530,12 @@ def align_hand_frame(
                                      x, f_best)
     log.debug("frame %d: scale scan picked sigma=%.4f; %d of %d candidates queried",
               hand.frame_index, np.exp(x[0]), queries, len(_SCALE_GRID))
-    x_best = x.copy()
-    solver_converged = False
     opts = SolverOptions(max_iters=cfg.inner_iters)
-
-    problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
-                                frozen=query(x))
-    for outer in range(cfg.outer_iters):
+    stop = "cap"
+    # x is always the best parameters so far, of fresh score f_best
+    for solves in range(1, cfg.outer_iters + 1):
+        problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
+                                    frozen=query(x))
         try:
             report = minimize_box(problem, x, opts)
         except SolverStartError as exc:
@@ -533,27 +543,21 @@ def align_hand_frame(
                 f"alignment solver could not start: {exc}",
                 frame_index=hand.frame_index,
             ) from exc
-        step = float(np.linalg.norm(report.x_star - x))
-        x = report.x_star
         solver_converged = report.converged
-        last = step < 1e-7 or outer == cfg.outer_iters - 1
-        if last:
-            f_now = fresh(x)
-        else:
-            # the next round's problem is frozen at x, so its value there
-            # is the fresh score without a second query
-            problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
-                                        frozen=query(x))
-            f_now = problem.objective(x)
-        if f_now < f_best:
-            f_best = f_now
-            x_best = x.copy()
-        if last:
+        f_now = fresh(report.x_star)
+        if not f_now < f_best:
+            stop = "no-improvement"
             break
+        step = float(np.linalg.norm(report.x_star - x))
+        x, f_best = report.x_star, f_now
+        if step < 1e-7:
+            stop = "step"
+            break
+    log.debug("frame %d: %d outer solves, stopped on %s", hand.frame_index, solves, stop)
 
-    sigma, correction = params_decode(x_best)
+    sigma, correction = params_decode(x)
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    corr_pts, corr_nrm = query(x_best)
+    corr_pts, corr_nrm = query(x)
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     icp_rms = float(np.sqrt(np.mean(r ** 2)))
     try:

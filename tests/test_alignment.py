@@ -666,7 +666,8 @@ class TestAlignHandFrame:
     def test_one_query_per_outer_round(self, monkeypatch):
         # beyond the scan, a frame queries the k-d tree once per distinct
         # parameter vector it scores fresh: the start, each problem's anchor
-        # and the last round's solution; the final residuals query nothing
+        # (the scan's pick, then each kept solution) and the last solve's
+        # solution, kept or dropped; the final residuals query nothing
         hand = hand_at()
         sampled = sampled_hand_for(hand)
         obs = observe(1.25 * sampled.points)
@@ -701,6 +702,81 @@ class TestAlignHandFrame:
         start = np.zeros(7).tobytes()  # the identity initialization
         scored = {start, *anchors, solved[-1]}
         assert indexes[0].queries == scans[0] + len(scored)
+
+    def record_solves(self, monkeypatch, sampled, obs, cfg):
+        """Record each solve's fresh score and the scan's pick and score,
+        and count problems and solves."""
+        record = {"scores": [], "problems": 0}
+        problem, scan, solve = (alignment.alignment_problem, alignment._scan_scale,
+                                alignment.minimize_box)
+
+        def counted_problem(*args, **kwargs):
+            record["problems"] += 1
+            return problem(*args, **kwargs)
+
+        def recorded_scan(*args, **kwargs):
+            record["pick"], record["pick_score"], _ = out = scan(*args, **kwargs)
+            return out
+
+        def recorded_solve(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            x = report.x_star
+            record["scores"].append(problem(sampled, obs, K, cfg, at=x).objective(x))
+            return report
+
+        monkeypatch.setattr(alignment, "alignment_problem", counted_problem)
+        monkeypatch.setattr(alignment, "_scan_scale", recorded_scan)
+        monkeypatch.setattr(alignment, "minimize_box", recorded_solve)
+        return record
+
+    def test_stops_at_the_first_solve_that_does_not_improve(self, monkeypatch):
+        # a noisy observation whose second solve iterates but does not beat
+        # the first solve's fresh score: no solve follows it
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        noise = np.random.default_rng(2).normal(size=sampled.points.shape) * 0.002
+        obs = observe(sampled.points + noise)
+        cfg = AlignConfig()
+        record = self.record_solves(monkeypatch, sampled, obs, cfg)
+        result = align_hand_frame(hand, sampled, obs, K, cfg=cfg)
+        scores = record["scores"]
+        assert 1 < len(scores) < cfg.outer_iters
+        assert record["problems"] == len(scores)
+        best = record["pick_score"]
+        for score in scores[:-1]:
+            assert score < best
+            best = score
+        assert not scores[-1] < best
+        # the result is the last kept solution: its fresh score is the best
+        x = params_encode(result.sigma, result.correction)
+        assert alignment_problem(sampled, obs, K, cfg, at=x).objective(x) == \
+            pytest.approx(best, rel=1e-9)
+
+    def test_first_solve_that_does_not_improve_returns_the_scan_pick(self, monkeypatch):
+        # the hand observed where it is, with the depth term weighted down to
+        # nothing: the identity start is optimal within the solver's
+        # tolerance, so the one solve returns its start and is dropped
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        obs = observe(sampled.points.copy())
+        cfg = AlignConfig(lambda_rend=1e-6)
+        record = self.record_solves(monkeypatch, sampled, obs, cfg)
+        result = align_hand_frame(hand, sampled, obs, K, cfg=cfg)
+        assert len(record["scores"]) == record["problems"] == 1
+        assert not record["scores"][0] < record["pick_score"]
+        assert params_encode(result.sigma, result.correction).tobytes() == \
+            record["pick"].tobytes()
+
+    def test_outer_iters_caps_the_solves(self, monkeypatch):
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        obs = observe(1.25 * sampled.points)
+        cfg = AlignConfig(outer_iters=1)
+        record = self.record_solves(monkeypatch, sampled, obs, cfg)
+        align_hand_frame(hand, sampled, obs, K, cfg=cfg)
+        # the first solve improves, so only the cap stops the loop
+        assert len(record["scores"]) == record["problems"] == 1
+        assert record["scores"][0] < record["pick_score"]
 
     def test_regularizer_limit_forces_identity(self):
         hand = hand_at()

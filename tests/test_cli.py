@@ -126,6 +126,9 @@ class TestCmdPipeline:
         assert [path.read_bytes() for path in outputs] == plain
         scans = [m for m in caplog.messages if "scale scan picked" in m]
         assert len(scans) == 3  # one per frame
+        stops = [m for m in caplog.messages if "outer solves, stopped on" in m]
+        assert len(stops) == 3  # one per frame
+        assert all(m.endswith(("no-improvement", "step", "cap")) for m in stops)
 
     def test_missing_urdf_is_input_error(self, fixture_dir, capsys):
         bad = write_config(fixture_dir, urdf="ghost.urdf")
