@@ -33,16 +33,29 @@ from .retarget import RetargetConfig, RobotTrajectory, RobotTrajectoryFrame
 from .solver import SolverOptions
 
 _QUAT_UNIT_TOL = 1e-6
-# a PGM body holds unsigned decimal pixel values between ASCII whitespace;
-# with nothing else in it, numpy's text parser reads every token
-_PGM_BODY_JUNK = re.compile(r"[^0-9 \t\n\r\v\f]")
+# PGM tokens lie between runs of ASCII whitespace; a body holds unsigned
+# decimal pixel values, and with nothing else in it numpy's text parser
+# reads every token
+_PGM_WHITESPACE = " \t\n\r\v\f"
+_PGM_SEPARATOR = re.compile(f"[{_PGM_WHITESPACE}]+")
+_PGM_BODY_JUNK = re.compile(f"[^0-9{_PGM_WHITESPACE}]")
+# the header write_pgm_mask writes, with at most nine digits a number so that
+# int() cannot fail on it
+_PGM_WRITER_HEADER = re.compile(rb"P2\n([0-9]{1,9}) ([0-9]{1,9})\n([0-9]{1,9})\n")
+# a writer pixel and its separator read as one little-endian 16-bit word:
+# the low byte is b"0" or b"1", the high byte b" " or b"\n"
+_PGM_WRITER_WORDS = (ord("0") | ord(" ") << 8, ord("0") | ord("\n") << 8)
+
+
+def _decode_text(raw: bytes, path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file ({exc})") from exc
 
 
 def _read_text(path) -> str:
-    try:
-        return Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not a text file ({exc})") from exc
+    return _decode_text(Path(path).read_bytes(), path)
 
 
 def _load_json(path):
@@ -298,11 +311,32 @@ def write_pfm_depth(img: DepthImage, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# PGM masks (P2, maxval 1)
+# PGM masks (P2)
 
 def read_pgm_mask(path) -> np.ndarray:
-    parts = _read_text(path).split(maxsplit=4)
-    if not parts or parts[0] != "P2":
+    """Read a P2 mask as an (h, w) bool array; nonzero pixels are True.
+
+    The file is read once. What ``write_pgm_mask`` writes (one ``0``/``1``
+    byte per pixel, each followed by one space or newline) is checked and
+    converted over its bytes; any other layout goes through the token
+    parser, which returns the same array or raises the same error.
+    """
+    raw = Path(path).read_bytes()
+    head = _PGM_WRITER_HEADER.match(raw)
+    if head is not None:
+        w, h, maxval = (int(t) for t in head.groups())
+        body = raw[head.end():]
+        if w > 0 and h > 0 and maxval >= 1 and len(body) == 2 * w * h:
+            words = np.frombuffer(body, dtype="<u2")
+            as_zero = words & 0xFFFE  # clearing bit 0 turns b"1" into b"0"
+            if ((as_zero == _PGM_WRITER_WORDS[0]) | (as_zero == _PGM_WRITER_WORDS[1])).all():
+                return (words & 1).astype(bool).reshape(h, w)
+    return _parse_pgm_text(_decode_text(raw, path))
+
+
+def _parse_pgm_text(text: str) -> np.ndarray:
+    parts = _PGM_SEPARATOR.split(text.strip(_PGM_WHITESPACE), maxsplit=4)
+    if parts[0] != "P2":
         raise FormatError("mask must be an ASCII PGM (P2)")
     try:
         w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
@@ -315,6 +349,8 @@ def read_pgm_mask(path) -> np.ndarray:
     vals = np.fromstring(body, dtype=np.int64, sep=" ")
     if w <= 0 or h <= 0:
         raise DataParseError(f"PGM dimensions must be positive, got {w} x {h}")
+    if maxval < 1:
+        raise DataParseError(f"PGM maxval must be at least 1, got {maxval}")
     if vals.size != w * h:
         raise DataParseError(f"PGM pixel count mismatch: {vals.size} vs {w * h}")
     return (vals.reshape(h, w) > 0)

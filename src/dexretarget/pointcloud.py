@@ -5,10 +5,9 @@ estimation, and robust point-to-plane ICP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError, RegistrationError
 from .geometry import (
@@ -19,6 +18,9 @@ from .geometry import (
     huber,
     huber_weights,
 )
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 DEFAULT_HUBER_DELTA = 0.01   # meters; residuals beyond ~1 cm treated as outliers
 DEFAULT_MAX_CORR_DIST = 0.05  # meters; reject gross mismatches outright
@@ -74,7 +76,13 @@ class RegistrationReport:
 
 
 def build_index(cloud: PointCloud) -> cKDTree:
-    """Exact nearest-neighbor index (k-d tree) over a non-empty cloud."""
+    """Exact nearest-neighbor index (k-d tree) over a non-empty cloud.
+
+    scipy.spatial is imported here, on first use, so that importing the
+    package and the runs that never query a cloud do not pay for it.
+    """
+    from scipy.spatial import cKDTree
+
     if len(cloud) == 0:
         raise InvalidArgumentError("cannot index an empty cloud")
     return cKDTree(cloud.points)
@@ -117,7 +125,8 @@ def icp_point_to_plane(
     max_iters: int = 50,
     max_corr_dist: float = DEFAULT_MAX_CORR_DIST,
 ) -> RegistrationReport:
-    """Robust point-to-plane ICP of src onto dst (dst must carry normals).
+    """Robust point-to-plane ICP of src onto dst (dst must be non-empty and
+    carry normals).
 
     Minimizes mean huber(n . (T x - y)) with correspondences refreshed per
     iteration and rejected beyond ``max_corr_dist``. Each linearized step is
@@ -130,7 +139,7 @@ def icp_point_to_plane(
     if init is None:
         init = RigidTransform.identity()
 
-    tree = cKDTree(dst.points)
+    tree = build_index(dst)
     rot = init.rotation.as_matrix()
     trans = init.translation.copy()
     n_src = len(src)

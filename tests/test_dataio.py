@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dexretarget import dataio
 from dexretarget.errors import ConfigError, DataParseError, FormatError
@@ -274,6 +277,140 @@ class TestPgmMaskIO:
         path = tmp_path / "bad.pgm"
         path.write_text(f"P2\n{size}\n1\n" + " 0" * abs(w * h) + "\n")
         with pytest.raises(DataParseError, match="dimensions must be positive"):
+            dataio.read_pgm_mask(path)
+
+
+_ASCII_WHITESPACE = " \t\n\r\v\f"
+
+
+def reference_pgm_mask(raw: bytes):
+    """A token-by-token P2 reading: the mask, or the class of the error."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return FormatError
+    spaced = text.translate({ord(c): " " for c in _ASCII_WHITESPACE})
+    tokens = [t for t in spaced.split(" ") if t]
+    if not tokens or tokens[0] != "P2":
+        return FormatError
+    if len(tokens) < 4:
+        return DataParseError
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:4])
+    except ValueError:
+        return DataParseError
+    pixels = tokens[4:]
+    if not all(t.isascii() and t.isdigit() for t in pixels):
+        return DataParseError
+    if w <= 0 or h <= 0 or maxval < 1 or len(pixels) != w * h:
+        return DataParseError
+    return np.array([int(t) != 0 for t in pixels], dtype=bool).reshape(h, w)
+
+
+# bytes that break a token or a separator, and Unicode whitespace, which
+# separates nothing
+_JUNK = [b"x", b"\x00", b"-", b"+", b".", b"\xff", b"2", b"9", b"P", b" ", b"\n", b"\t",
+         b"\r", b"\v", b"\f", b"\x1c", b"\x1f"] + [c.encode() for c in "\x85\xa0\u2028\u00e9"]
+_WHITESPACE_RUNS = [" ", "\n", "\t", "\r", "\v", "\f", "\r\n", "  ", " \n\t"]
+
+
+@st.composite
+def pgm_files(draw):
+    """P2 files in the writer's layout or near it, some of them malformed."""
+    w, h = draw(st.integers(-1, 7)), draw(st.integers(-1, 7))
+    maxval = draw(st.sampled_from([1, 1, 1, 1, 2, 255, 0, -1]))
+    n = max(0, max(w * h, 0) + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    if draw(st.booleans()):  # what write_pgm_mask writes, or a count away from it
+        pixels = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+        body = "".join(p + ("\n" if w > 0 and (i + 1) % w == 0 else " ")
+                       for i, p in enumerate(pixels))
+        text = f"P2\n{w} {h}\n{maxval}\n{body}"
+    else:
+        values = draw(st.sampled_from(["01", ["0", "1", "7", "10", "255", "007", "000"]]))
+        runs = draw(st.sampled_from([" \n", _WHITESPACE_RUNS[:6], _WHITESPACE_RUNS]))
+        header = draw(st.sampled_from([["\n", " ", "\n", "\n"], None]))
+        if header is None:
+            header = draw(st.lists(st.sampled_from(runs), min_size=4, max_size=4))
+        pixels = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+        seps = draw(st.lists(st.sampled_from(runs), min_size=n, max_size=n))
+        if n and draw(st.booleans()):
+            seps[-1] = draw(st.sampled_from(["", " \n"]))
+        text = "".join(t + r for t, r in zip(["P2", str(w), str(h), str(maxval)] + pixels,
+                                             header + seps))
+    raw = text.encode()
+    edit = draw(st.sampled_from(["none", "overwrite", "insert"]))
+    if edit != "none":
+        at = draw(st.sampled_from(range(len(raw) + 1)))
+        junk = draw(st.sampled_from(_JUNK))
+        raw = raw[:at] + junk + raw[at + (edit == "overwrite"):]
+    return raw
+
+
+class TestPgmMaskLayouts:
+    """The writer's byte layout and the token parser read one format."""
+
+    @staticmethod
+    def assert_reads_as_the_reference(path, raw):
+        path.write_bytes(raw)
+        want = reference_pgm_mask(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, np.ndarray):
+                got = dataio.read_pgm_mask(path)
+                assert got.dtype == bool and got.flags.c_contiguous
+                np.testing.assert_array_equal(got, want)
+            else:
+                with pytest.raises(want):
+                    dataio.read_pgm_mask(path)
+
+    @given(pgm_files())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_agrees_with_the_reference(self, tmp_path, raw):
+        self.assert_reads_as_the_reference(tmp_path / "mask.pgm", raw)
+
+    def test_writer_output_with_one_byte_changed(self, tmp_path, rng):
+        path = tmp_path / "mask.pgm"
+        dataio.write_pgm_mask(rng.random((3, 4)) > 0.5, path)
+        written = path.read_bytes()
+        for at in range(len(written)):
+            for junk in _JUNK:
+                self.assert_reads_as_the_reference(path, written[:at] + junk + written[at + 1:])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 4), (12, 9), (48, 64)])
+    def test_writer_output_takes_the_byte_path(self, tmp_path, rng, monkeypatch, shape):
+        def no_token_parse(text):
+            raise AssertionError("the writer's layout went to the token parser")
+
+        monkeypatch.setattr(dataio, "_parse_pgm_text", no_token_parse)
+        path = tmp_path / "mask.pgm"
+        mask = rng.random(shape) > 0.5
+        dataio.write_pgm_mask(mask, path)
+        loaded = dataio.read_pgm_mask(path)
+        assert loaded.dtype == bool and loaded.flags.c_contiguous
+        np.testing.assert_array_equal(loaded, mask)
+
+    @pytest.mark.parametrize("maxval", [0, -1])
+    @pytest.mark.parametrize("layout", ["P2\n2 1\n{}\n0 1\n", "P2 2 1 {}\t0  1"],
+                             ids=["writer", "other"])
+    def test_maxval_below_one_is_rejected(self, tmp_path, layout, maxval):
+        path = tmp_path / "bad.pgm"
+        path.write_text(layout.format(maxval))
+        with pytest.raises(DataParseError, match="maxval"):
+            dataio.read_pgm_mask(path)
+
+    @pytest.mark.parametrize("maxval", [1, 2, 255])
+    @pytest.mark.parametrize("layout", ["P2\n3 1\n{}\n0 1 1\n", "P2 3 1 {} 0\t{}\n7"],
+                             ids=["writer", "other"])
+    def test_any_nonzero_pixel_marks_the_hand(self, tmp_path, layout, maxval):
+        path = tmp_path / "mask.pgm"
+        path.write_text(layout.format(maxval, maxval))
+        np.testing.assert_array_equal(dataio.read_pgm_mask(path), [[False, True, True]])
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2\n2 1\n1\n0 \xff\n")
+        with pytest.raises(FormatError, match="not a text file"):
             dataio.read_pgm_mask(path)
 
 

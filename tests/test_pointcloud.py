@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dexretarget
 from dexretarget.errors import InvalidArgumentError, RegistrationError
 from dexretarget.geometry import RigidTransform, Rotation, SimilarityTransform
 from dexretarget.pointcloud import (
@@ -65,6 +71,21 @@ class TestBuildIndex:
     def test_empty_cloud_rejected(self):
         with pytest.raises(InvalidArgumentError):
             build_index(PointCloud(points=np.zeros((0, 3))))
+
+    def test_scipy_spatial_is_imported_on_first_index(self):
+        probe = (
+            "import sys, numpy as np\n"
+            "import dexretarget\n"
+            "from dexretarget.pointcloud import PointCloud, build_index\n"
+            "before = 'scipy.spatial' in sys.modules\n"
+            "build_index(PointCloud(points=np.zeros((1, 3))))\n"
+            "print(before, 'scipy.spatial' in sys.modules)\n"
+        )
+        src = str(Path(dexretarget.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", probe],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["False", "True"]
 
 
 class TestEstimateNormals:
@@ -134,6 +155,11 @@ class TestIcpPointToPlane:
         with pytest.raises(InvalidArgumentError):
             icp_point_to_plane(src, PointCloud(points=src.points))
 
+    def test_empty_destination_is_invalid(self):
+        empty = PointCloud(points=np.zeros((0, 3)), normals=np.zeros((0, 3)))
+        with pytest.raises(InvalidArgumentError, match="empty cloud"):
+            icp_point_to_plane(hand_cloud(100), empty)
+
     def test_objective_non_increasing_per_inner_solve(self):
         src = hand_cloud(800)
         dst = estimate_normals(src, k=10)
@@ -159,3 +185,4 @@ class TestIcpPointToPlane:
 
         report = icp_point_to_plane(moved, dst, max_iters=40)
         assert rms_at(report.transform.rigid_part()) < rms_at(RigidTransform.identity())
+
