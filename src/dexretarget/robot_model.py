@@ -7,10 +7,13 @@ request, and its one-row view ``link_origins``. The joint box
 (``limit_arrays``, ``mid_limits``, ``clamp_to_limits``) is built once
 per model.
 
-Forward kinematics walks the tree one depth at a time: the model groups
-the joints that share a depth and a motion kind (fixed, rotary,
-prismatic) once, and each group is one batched numpy step over all its
-joints and all configurations.
+Forward kinematics runs one trig pass per call and then walks the tree
+one depth at a time. The model stacks the constants of its rotary joints
+once, so one pass evaluates every rotary joint's sine, 1 - cosine and
+motion matrix for all configurations. It also groups the joints that
+share a depth and a motion kind (fixed, rotary, prismatic) once, and each
+group is one batched numpy step over all its joints and all
+configurations.
 
 Only the elements the retargeting pipeline needs are read (links, joints,
 origins, axes, limits, mimics); visual/collision/inertial content is
@@ -69,39 +72,62 @@ class _FkGroup:
 
     ``kind`` is "fixed", "rotary" (revolute or continuous) or "prismatic".
     A joint's value is mult * q[q_index] + off (1.0 and 0.0 unless it
-    mimics another joint)."""
+    mimics another joint). A rotary group's constants live in the model's
+    ``_RotaryStack``, of which it holds the slice ``rows`` (empty for the
+    other kinds); a prismatic group holds its own axis and coupling."""
     kind: str
-    parents: np.ndarray       # (G,) link indices
-    children: np.ndarray      # (G,) link indices
-    origin_r: np.ndarray      # (G, 3, 3)
-    origin_t: np.ndarray      # (G, 3, 1)
-    axis: np.ndarray          # (G, 3, 1)
-    k: np.ndarray             # (G, 3, 3) cross-product matrix of the axis
-    k2: np.ndarray            # (G, 3, 3) its square
-    q_index: np.ndarray       # (G,)
-    mult: np.ndarray          # (G,)
-    off: np.ndarray           # (G,)
+    parents: np.ndarray                   # (G,) link indices
+    children: np.ndarray                  # (G,) link indices
+    origin_r: np.ndarray                  # (G, 3, 3)
+    origin_t: np.ndarray                  # (G, 3, 1)
+    rows: slice
+    axis: Optional[np.ndarray] = None     # prismatic: (G, 3, 1)
+    q_index: Optional[np.ndarray] = None  # prismatic: (G,)
+    mult: Optional[np.ndarray] = None     # prismatic: (G,)
+    off: Optional[np.ndarray] = None      # prismatic: (G,)
 
 
-def _fk_group(kind: str, joints, link_index, q_index) -> _FkGroup:
-    k = np.array([[[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
-                  for a in (j.axis for j in joints)])
-    # (q index, multiplier, offset); a fixed joint reads no q
+@dataclass(frozen=True)
+class _RotaryStack:
+    """Every rotary joint's constants, stacked in FK-group order, so that
+    one pass per FK call evaluates all their values and motion matrices."""
+    q_index: np.ndarray       # (R,)
+    mult: np.ndarray          # (R,)
+    off: np.ndarray           # (R,)
+    k: np.ndarray             # (R, 3, 3) cross-product matrix of the axis
+    k2: np.ndarray            # (R, 3, 3) its square
+    eye: np.ndarray           # (3, 3)
+
+
+def _coupling(joints, q_index) -> dict:
+    """The joints' q index, multiplier and offset arrays."""
     coupling = [(q_index[j.mimic.source], j.mimic.multiplier, j.mimic.offset)
-                if j.mimic is not None else (q_index.get(j.name, 0), 1.0, 0.0)
+                if j.mimic is not None else (q_index[j.name], 1.0, 0.0)
                 for j in joints]
+    return dict(q_index=np.array([c[0] for c in coupling], dtype=int),
+                mult=np.array([c[1] for c in coupling], dtype=float),
+                off=np.array([c[2] for c in coupling], dtype=float))
+
+
+def _rotary_stack(joints, q_index) -> _RotaryStack:
+    k = np.array([[[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
+                  for a in (j.axis for j in joints)]).reshape(-1, 3, 3)
+    return _RotaryStack(k=k, k2=k @ k, eye=np.eye(3), **_coupling(joints, q_index))
+
+
+def _fk_group(kind: str, joints, link_index, q_index, rows: slice) -> _FkGroup:
+    prismatic = {}
+    if kind == "prismatic":
+        prismatic = dict(axis=np.array([j.axis for j in joints])[:, :, None],
+                         **_coupling(joints, q_index))
     return _FkGroup(
         kind=kind,
         parents=np.array([link_index[j.parent] for j in joints]),
         children=np.array([link_index[j.child] for j in joints]),
         origin_r=np.array([j.origin.rotation.as_matrix() for j in joints]),
         origin_t=np.array([j.origin.translation for j in joints])[:, :, None],
-        axis=np.array([j.axis for j in joints])[:, :, None],
-        k=k,
-        k2=k @ k,
-        q_index=np.array([c[0] for c in coupling], dtype=int),
-        mult=np.array([c[1] for c in coupling], dtype=float),
-        off=np.array([c[2] for c in coupling], dtype=float),
+        rows=rows,
+        **prismatic,
     )
 
 
@@ -131,10 +157,17 @@ class RobotModel:
             depth[j.child] = depth[j.parent] + 1
             kind = j.jtype if j.jtype in ("fixed", "prismatic") else "rotary"
             by_level.setdefault((depth[j.child], kind), []).append(j)
-        self._fk_groups = [
-            _fk_group(kind, js, self._link_index, self._q_index)
-            for (_, kind), js in sorted(by_level.items())
-        ]
+        # and every rotary joint, stacked in group order; a rotary group
+        # holds its rows of that stack, any other group an empty slice
+        self._fk_groups = []
+        rotary = []
+        for (_, kind), js in sorted(by_level.items()):
+            start = len(rotary)
+            if kind == "rotary":
+                rotary += js
+            self._fk_groups.append(_fk_group(kind, js, self._link_index, self._q_index,
+                                             slice(start, len(rotary))))
+        self._rotary = _rotary_stack(rotary, self._q_index)
         # moving joints, stacked once for the Jacobian: child link, axis,
         # prismatic flag, the (L, J, 1) mask of the links each one moves and
         # the (J, dof) derivative of the joint values in q
@@ -368,10 +401,12 @@ def parse_urdf(text: str) -> RobotModel:
 def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.ndarray):
     """FK over a batch of configurations; returns (B, L, 3, 3) rotations and
     (B, L, 3) translations indexed like ``model.links``. The only FK loop:
-    one step per tree depth (and motion kind), parents before children;
-    a single configuration is a batch of one, so every row is the same
-    arithmetic whatever the batch shape. Each step applies one group's
-    joints to all configurations at once."""
+    one trig pass evaluates every rotary joint's value, sine, 1 - cosine
+    and motion matrix for all configurations at once, then one step per
+    tree depth (and motion kind), parents before children, applies one
+    group's joints to all configurations. A single configuration is a
+    batch of one, so every row is the same arithmetic whatever the batch
+    shape."""
     b = qs.shape[0]
     n_links = len(model.links)
     rots = np.empty((b, n_links, 3, 3))
@@ -379,24 +414,24 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     ridx = model._link_index[model.root_link]
     rots[:, ridx] = root_r
     trans[:, ridx] = root_t
-    eye = np.eye(3)
+    rot = model._rotary
+    angle = rot.mult * qs[:, rot.q_index] + rot.off
+    s = np.sin(angle)[..., None, None]
+    c = (1.0 - np.cos(angle))[..., None, None]
+    motion = rot.eye + s * rot.k + c * rot.k2  # (B, R, 3, 3)
     for g in model._fk_groups:
         rp = rots[:, g.parents]
         rj = rp @ g.origin_r
         tj = (rp @ g.origin_t)[..., 0] + trans[:, g.parents]
         if g.kind == "fixed":
             rc, tc = rj, tj
-        else:
+        elif g.kind == "prismatic":
             val = g.mult * qs[:, g.q_index] + g.off
-            if g.kind == "prismatic":
-                rc = rj
-                tc = tj + (rj @ g.axis)[..., 0] * val[..., None]
-            else:
-                s = np.sin(val)[..., None, None]
-                c = (1.0 - np.cos(val))[..., None, None]
-                motion = eye + s * g.k + c * g.k2
-                rc = rj @ motion
-                tc = tj
+            rc = rj
+            tc = tj + (rj @ g.axis)[..., 0] * val[..., None]
+        else:
+            rc = rj @ motion[:, g.rows]
+            tc = tj
         rots[:, g.children] = rc
         trans[:, g.children] = tc
     return rots, trans
@@ -405,7 +440,7 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
 def link_origins(model: RobotModel, q: np.ndarray, root_r: np.ndarray,
                  root_t: np.ndarray, names) -> np.ndarray:
     """Origins of the named links for one configuration: (len(names), 3)."""
-    return link_origins_batch(model, np.asarray(q)[None], root_r, root_t, names)[0]
+    return link_origins_batch(model, model.check_q(q)[None], root_r, root_t, names)[0]
 
 
 def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
@@ -416,9 +451,9 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     a x (p - o) per radian, or by a per unit if prismatic (Murray, Li &
     Sastry 1994), and a mimic joint's column lands on its source's q."""
     qs = np.asarray(qs, dtype=float)
-    if qs.shape[1:] != (model.dof,):
+    if qs.ndim != 2 or qs.shape[1] != model.dof:
         raise InvalidArgumentError(
-            f"joint vector length {qs.shape[1:]} does not match DoF count {model.dof}")
+            f"joint batch of shape {qs.shape} is not (B, {model.dof}) for DoF count {model.dof}")
     try:
         idx = [model._link_index[n] for n in names]
     except KeyError as exc:
@@ -431,7 +466,12 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
         return origins
     axes = (rots[:, model._jac_child] @ model._jac_axis)[:, None, :, :, 0]  # (B, 1, J, 3)
     lever = origins[:, :, None] - trans[:, None, model._jac_child]          # (B, k, J, 3)
-    cols = np.where(model._jac_prismatic, axes, np.cross(axes, lever)) * model._jac_moves[idx]
+    # a x lever by components, the products and differences np.cross takes,
+    # without its dtype copies and axis moves
+    a0, a1, a2 = axes[..., 0], axes[..., 1], axes[..., 2]
+    l0, l1, l2 = lever[..., 0], lever[..., 1], lever[..., 2]
+    cross = np.stack([a1 * l2 - a2 * l1, a2 * l0 - a0 * l2, a0 * l1 - a1 * l0], axis=-1)
+    cols = np.where(model._jac_prismatic, axes, cross) * model._jac_moves[idx]
     return origins, np.swapaxes(cols, 2, 3) @ model._jac_dq
 
 

@@ -92,6 +92,28 @@ def test_alignment_reaches_its_hooked_layers(monkeypatch):
     assert reached <= {attr for attr, calls in hits.items() if calls}
 
 
+@pytest.mark.parametrize("stage", ["retarget", "refine"])
+def test_retarget_reaches_its_hooked_fk(stage, monkeypatch, hand16, spec16, mapping16):
+    """Retarget and refine take link origins, and their Jacobian for each
+    gradient, through the FK attributes the traced run hooks on the
+    retarget module, so moving the Jacobian call out of the hooked
+    ``retarget.link_origins_batch`` fails here and not only in the traced
+    run's self-check."""
+    hits = Counter()
+    for module, attr, _, kind, _ in _tracing().HOOKS:
+        if module == "retarget" and kind == "fk":
+            def counted(*args, _attr=attr, _fn=getattr(retarget, attr), **kwargs):
+                hits[_attr, bool(kwargs.get("jacobian"))] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(retarget, attr, counted)
+    if stage == "retarget":
+        _retarget_one_frame(hand16, spec16)
+    else:
+        _refine_one_frame(hand16, mapping16)
+    assert hits["link_origins_batch", True] > 0
+    assert hits["link_origins", False] > 0
+
+
 @pytest.mark.parametrize("stage", ["alignment", "retarget", "refine"])
 def test_solver_problem_survives_replacing_its_callables(stage, monkeypatch, hand16, spec16,
                                                          mapping16):

@@ -229,6 +229,60 @@ def assert_fk_matches_reference(model, seed):
             assert trans[:, i].tobytes() == np.ascontiguousarray(ref_trans[i]).tobytes(), link
 
 
+def reference_origins_jacobian(model, qs, root_r, root_t, names):
+    """Link origins and their (B, k, 3, dof) Jacobian from ``_fk_batch``'s
+    output, with the columns taken by ``np.cross`` as the closed form
+    a x (p - o) reads; the joint constants (child link, axis, the links a
+    joint moves, the mimic coupling) are derived here from the public
+    joint data."""
+    link_index = {name: i for i, name in enumerate(model.links)}
+    q_index = {name: i for i, name in enumerate(model.actuated_order)}
+    moving = [j for j in model.joints if j.jtype != "fixed"]
+    child = np.array([link_index[j.child] for j in moving], dtype=int)
+    axis = np.array([j.axis for j in moving]).reshape(-1, 3, 1)
+    prismatic = np.array([j.jtype == "prismatic" for j in moving])[:, None]
+    parent_joint = {j.child: j for j in model.joints}
+
+    def moved_by(link):
+        path = set()
+        while link in parent_joint:
+            path.add(parent_joint[link].name)
+            link = parent_joint[link].parent
+        return [[float(j.name in path)] for j in moving]
+
+    moves = np.array([moved_by(name) for name in model.links]).reshape(len(model.links), -1, 1)
+    dq = np.zeros((len(moving), model.dof))
+    for k, j in enumerate(moving):
+        src, mult = (j.mimic.source, j.mimic.multiplier) if j.mimic else (j.name, 1.0)
+        dq[k, q_index[src]] = mult
+    idx = [link_index[n] for n in names]
+    rots, trans = _fk_batch(model, qs, root_r, root_t)
+    origins = np.take(trans, idx, axis=1)
+    axes = (rots[:, child] @ axis)[:, None, :, :, 0]
+    lever = origins[:, :, None] - trans[:, None, child]
+    cols = np.where(prismatic, axes, np.cross(axes, lever)) * moves[idx]
+    return origins, np.swapaxes(cols, 2, 3) @ dq
+
+
+def assert_jacobian_matches_reference(model, seed):
+    """``link_origins_batch(..., jacobian=True)`` equals the ``np.cross``
+    reference bit for bit, at batch sizes 1, 2·dof and an odd size, under
+    a non-identity root pose."""
+    lo, hi = model.limit_arrays()
+    rng = np.random.default_rng(seed)
+    root_r = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.8).as_matrix()
+    root_t = np.array([0.1, -0.2, 0.45])
+    for b in sorted({1, 2 * model.dof, 2 * model.dof + 3}):
+        qs = rng.uniform(lo, hi, size=(b, model.dof))
+        origins, jac = link_origins_batch(model, qs, root_r, root_t, model.links,
+                                          jacobian=True)
+        ref_origins, ref_jac = reference_origins_jacobian(model, qs, root_r, root_t,
+                                                          model.links)
+        assert jac.shape == (b, len(model.links), 3, model.dof)
+        assert origins.tobytes() == ref_origins.tobytes()
+        assert jac.tobytes() == ref_jac.tobytes()
+
+
 def random_chain_urdf(rng, n_joints=4):
     """Chain with random origins/axes for oracle comparison."""
     lines = ['<robot name="chain">', '  <link name="link0"/>']
@@ -500,6 +554,19 @@ class TestForwardKinematics:
         with pytest.raises(InvalidArgumentError, match="DoF count 16"):
             link_origins_batch(hand16, np.zeros((2, n)), EYE, ZERO, ["palm"])
 
+    @pytest.mark.parametrize("shape", [(16,), (), (1, 16, 1), (16, 1)],
+                             ids=["one_d", "zero_d", "three_d", "column"])
+    def test_batch_shape_error_names_the_shape(self, hand16, shape):
+        with pytest.raises(InvalidArgumentError) as err:
+            link_origins_batch(hand16, np.zeros(shape), EYE, ZERO, ["palm"])
+        assert str(err.value) == \
+            f"joint batch of shape {shape} is not (B, 16) for DoF count 16"
+
+    def test_one_row_error_keeps_its_message(self, hand16):
+        with pytest.raises(InvalidArgumentError) as err:
+            link_origins(hand16, np.zeros(20), EYE, ZERO, ["palm"])
+        assert str(err.value) == "joint vector length (20,) does not match DoF count 16"
+
     def test_unknown_link_rejected(self, hand16):
         with pytest.raises(InvalidArgumentError, match="'ghost'"):
             link_origins(hand16, np.zeros(16), EYE, ZERO, ["palm", "ghost"])
@@ -739,3 +806,94 @@ class TestLevelGroupedFk:
         assert model.dof == 0
         right = link_origins(model, np.zeros(0), EYE, ZERO, ["right"])[0]
         np.testing.assert_allclose(right, [-0.1, 0.0, 0.02])
+
+
+class TestJacobianBitOracle:
+    """The closed-form Jacobian equals its ``np.cross`` reference bit for bit."""
+
+    @given(urdf_trees(), st.integers(0, 2 ** 32 - 1))
+    @example(ZERO_DOF, 12345)
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, text, seed):
+        assert_jacobian_matches_reference(parse_urdf(text), seed)
+
+    @pytest.mark.parametrize("text", [MIXED_DEPTH, ZERO_DOF, PRISMATIC_MIMIC],
+                             ids=["mixed_depth", "zero_dof", "prismatic_mimic"])
+    def test_fixed_trees(self, text):
+        assert_jacobian_matches_reference(parse_urdf(text), 20261019)
+
+    def test_hand16(self, hand16):
+        assert_jacobian_matches_reference(hand16, 20261019)
+
+
+PRISMATIC_ONLY = ONE_JOINT.replace('type="revolute"', 'type="prismatic"')
+
+
+class TestRotaryStack:
+    """The rotary joints' constants are stacked once, in ``_fk_groups`` order."""
+
+    @staticmethod
+    def expected_rows(model):
+        """Per rotary joint in group order: (q index, multiplier, offset, axis)."""
+        q_index = {name: i for i, name in enumerate(model.actuated_order)}
+        by_child = {j.child: j for j in model.joints}
+        rows = []
+        for g in model._fk_groups:
+            if g.kind != "rotary":
+                continue
+            for c in g.children:
+                j = by_child[model.links[c]]
+                src, mult, off = (j.mimic.source, j.mimic.multiplier, j.mimic.offset) \
+                    if j.mimic else (j.name, 1.0, 0.0)
+                rows.append((q_index[src], mult, off, j.axis))
+        return rows
+
+    @pytest.mark.parametrize("text", [None, MIXED_DEPTH, PRISMATIC_MIMIC, ZERO_DOF,
+                                      PRISMATIC_ONLY],
+                             ids=["hand16", "mixed_depth", "prismatic_mimic", "zero_dof",
+                                  "prismatic_only"])
+    def test_stack_follows_group_order(self, hand16, text):
+        model = hand16 if text is None else parse_urdf(text)
+        rot = model._rotary
+        rows = self.expected_rows(model)
+        assert rot.q_index.tolist() == [r[0] for r in rows]
+        assert rot.mult.tolist() == [r[1] for r in rows]
+        assert rot.off.tolist() == [r[2] for r in rows]
+        assert rot.k.shape == rot.k2.shape == (len(rows), 3, 3)
+        for k, (*_, a) in zip(rot.k, rows):
+            # the cross-product matrix: k @ v == a x v
+            assert np.array_equal(k, [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]],
+                                      [-a[1], a[0], 0.0]])
+        assert np.array_equal(rot.k2, rot.k @ rot.k)
+        # each rotary group holds its slice and no constants of its own;
+        # the slices tile the stack in group order
+        start = 0
+        for g in model._fk_groups:
+            size = len(g.children) if g.kind == "rotary" else 0
+            assert (g.rows.start, g.rows.stop) == (start, start + size)
+            start += size
+            if g.kind != "prismatic":
+                assert g.axis is g.q_index is g.mult is g.off is None
+        assert start == len(rows)
+
+    @pytest.mark.parametrize("text, joint, source, mult, off", [
+        (PRISMATIC_MIMIC, "follow", "spin", -0.7, 0.2),
+        (MIXED_DEPTH, "hinge_copy", "hinge", -1.3, 0.25),
+    ], ids=["prismatic_mimic", "mixed_depth"])
+    def test_rotary_mimic_lands_in_its_slot(self, text, joint, source, mult, off):
+        model = parse_urdf(text)
+        child = model.links.index(next(j.child for j in model.joints if j.name == joint))
+        (g,) = [g for g in model._fk_groups if g.kind == "rotary" and child in g.children]
+        slot = g.rows.start + g.children.tolist().index(child)
+        rot = model._rotary
+        assert (rot.q_index[slot], rot.mult[slot], rot.off[slot]) == \
+            (model.actuated_order.index(source), mult, off)
+
+    @pytest.mark.parametrize("text", [ZERO_DOF, PRISMATIC_ONLY],
+                             ids=["zero_dof", "prismatic_only"])
+    def test_no_rotary_joint_builds_an_empty_stack(self, text):
+        model = parse_urdf(text)
+        assert model._rotary.q_index.shape == (0,)
+        assert model._rotary.k.shape == (0, 3, 3)
+        assert_fk_matches_reference(model, 20261019)
+        assert_jacobian_matches_reference(model, 20261019)
