@@ -64,13 +64,9 @@ class AlignConfig:
     outer_iters: int = 10
     inner_iters: int = 25
     splat_footprint: int = 3
-    # finite-difference step of the gradient audit (the solver uses the
-    # closed-form gradient): small, since the depth term carries
-    # pixel-scale curvature
-    fd_eps: float = 5e-8
 
     def __post_init__(self):
-        for name in ("huber_delta", "lambda_rend", "lambda_reg", "fd_eps"):
+        for name in ("huber_delta", "lambda_rend", "lambda_reg"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidArgumentError(f"{name} must be positive and finite")
         check_iteration_count("outer_iters", self.outer_iters)
@@ -402,22 +398,19 @@ def alignment_problem(
     intrinsics: CameraIntrinsics,
     cfg: AlignConfig,
     at: Optional[np.ndarray] = None,
-    index=None,
     frozen=None,
 ) -> BoxProblem:
     """Box problem over (log sigma, twist) with correspondences frozen at
     the given parameters (identity by default). Used both by the solver
     rounds and by the gradient audit. ``frozen`` is the (points, normals)
     pair of those correspondences when the caller has it; otherwise they
-    are queried from ``index``, the observed cloud's k-d tree, which is
-    built when not given. Its objective and gradient are both
-    ``_evaluate`` against the frozen correspondences.
+    are queried from a k-d tree built over the observed cloud. Its
+    objective and gradient are both ``_evaluate`` against the frozen
+    correspondences.
     """
     if frozen is None:
-        if index is None:
-            index = build_index(observation.cloud)
         x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
-        frozen = _correspondences(index, observation, hand_cloud, x0)
+        frozen = _correspondences(build_index(observation.cloud), observation, hand_cloud, x0)
     evaluate = partial(_evaluate, hand_cloud, observation, intrinsics, cfg, lambda _: frozen)
     return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=evaluate,
                       gradient=partial(evaluate, gradient=True))
@@ -430,27 +423,21 @@ _SCALE_GRID = np.exp(np.linspace(LOG_SCALE_BOUNDS[0] + 0.05,
                                  LOG_SCALE_BOUNDS[1] - 0.05, 17))
 
 
-def _scan_scale(hand_cloud, observation, intrinsics, cfg, index, x, f_best):
-    """Scan the grid scales from parameters x of fresh score f_best: a
-    candidate becomes the pick when its fresh score is below the best so
-    far. Returns the pick, its score and how many candidates made a k-d
-    tree query. The best score so far is each candidate's ``_evaluate``
-    bound, so the pick is the bits an exhaustive scan of full scores gives.
+def _scan_scale(hand_cloud, observation, intrinsics, cfg, query, x, f_best):
+    """Scan the grid scales from parameters x of fresh score f_best, with
+    ``query`` mapping parameters to their correspondences: a candidate
+    becomes the pick when its fresh score is below the best so far.
+    Returns the pick and its score. The best score so far is each
+    candidate's ``_evaluate`` bound, so the pick is the bits an exhaustive
+    scan of full scores gives.
     """
-    queries = 0
-
-    def query(at):
-        nonlocal queries
-        queries += 1
-        return _correspondences(index, observation, hand_cloud, at)
-
     for g in _SCALE_GRID:
         cand = x.copy()
         cand[0] = np.log(g)
         fc = _evaluate(hand_cloud, observation, intrinsics, cfg, query, cand, bound=f_best)
         if fc < f_best:
             f_best, x = fc, cand
-    return x, f_best, queries
+    return x, f_best
 
 
 def align_hand_frame(
@@ -483,11 +470,11 @@ def align_hand_frame(
     at the first solution whose fresh score does not beat the best so far
     (that solution is dropped), after a kept solution that moved less than
     1e-7, or after ``cfg.outer_iters`` solves, which is a cap, not a fixed
-    round count. Each round builds one problem for one solve. Outside the
-    scan, the k-d tree is queried once per distinct parameter vector: the
-    start, the scan's pick and each solve's solution. A kept solution's
-    correspondences serve again as the next round's anchor and in the
-    final residuals.
+    round count. Each round builds one problem for one solve. The k-d tree
+    is queried once per distinct parameter vector, through one memo per
+    frame: the start, each scan candidate that needs a query, and each
+    solve's solution. The scan's pick and a kept solution serve again as
+    the next round's anchor, and the last kept one in the final residuals.
 
     ``converged`` on the result is the last solve's flag. After a stop on
     no improvement, that solve's solution is not the one returned.
@@ -526,10 +513,10 @@ def align_hand_frame(
         )
     # coarse scan over the scale axis picks the starting basin; the
     # initialization remains a candidate so the result never regresses
-    x, f_best, queries = _scan_scale(hand_cloud, observation, intrinsics, cfg, obs_index,
-                                     x, f_best)
+    before = len(queried)
+    x, f_best = _scan_scale(hand_cloud, observation, intrinsics, cfg, query, x, f_best)
     log.debug("frame %d: scale scan picked sigma=%.4f; %d of %d candidates queried",
-              hand.frame_index, np.exp(x[0]), queries, len(_SCALE_GRID))
+              hand.frame_index, np.exp(x[0]), len(queried) - before, len(_SCALE_GRID))
     opts = SolverOptions(max_iters=cfg.inner_iters)
     stop = "cap"
     # x is always the best parameters so far, of fresh score f_best

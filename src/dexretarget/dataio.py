@@ -418,14 +418,18 @@ _RETARGET_KEYS = {f.name for f in fields(RetargetConfig)} - {"scale", "weights",
 _SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 
 
-def _check_keys(obj: dict, allowed: set, where: str, lenient: bool, warnings: list):
+def _check_keys(obj, allowed: set, where: str, lenient: bool, warnings: list) -> dict:
+    """The object's known keys; an unknown key is an error, or a warning
+    and dropped when ``lenient``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         msg = f"{where}: unknown keys {sorted(unknown)}"
-        if lenient:
-            warnings.append(msg)
-        else:
+        if not lenient:
             raise ConfigError(msg)
+        warnings.append(msg)
+    return {k: v for k, v in obj.items() if k in allowed}
 
 
 def load_config(path, lenient: bool = False):
@@ -479,17 +483,17 @@ def load_config(path, lenient: bool = False):
         except json.JSONDecodeError as exc:
             raise ConfigError(f"weight table is not valid JSON: {exc}") from exc
 
-    align_doc = doc.get("align", {})
-    _check_keys(align_doc, _ALIGN_KEYS, "config.align", lenient, warnings)
+    align_doc = _check_keys(doc.get("align", {}), _ALIGN_KEYS, "config.align", lenient,
+                            warnings)
     try:
         align = AlignConfig(**align_doc)
     except (TypeError, InvalidArgumentError) as exc:
         raise ConfigError(f"invalid align config: {exc}") from exc
 
-    retarget_doc = dict(doc.get("retarget", {}))
-    _check_keys(retarget_doc, _RETARGET_KEYS, "config.retarget", lenient, warnings)
-    solver_doc = retarget_doc.pop("solver", {})
-    _check_keys(solver_doc, _SOLVER_KEYS, "config.retarget.solver", lenient, warnings)
+    retarget_doc = _check_keys(doc.get("retarget", {}), _RETARGET_KEYS, "config.retarget",
+                               lenient, warnings)
+    solver_doc = _check_keys(retarget_doc.pop("solver", {}), _SOLVER_KEYS,
+                             "config.retarget.solver", lenient, warnings)
     mount = RigidTransform.identity()
     if "mount_offset" in doc:
         try:

@@ -7,13 +7,16 @@ request, and its one-row view ``link_origins``. The joint box
 (``limit_arrays``, ``mid_limits``, ``clamp_to_limits``) is built once
 per model.
 
-Forward kinematics runs one trig pass per call and then walks the tree
-one depth at a time. The model stacks the constants of its rotary joints
-once, so one pass evaluates every rotary joint's sine, 1 - cosine and
-motion matrix for all configurations. It also groups the joints that
-share a depth and a motion kind (fixed, rotary, prismatic) once, and each
-group is one batched numpy step over all its joints and all
-configurations.
+Forward kinematics runs one pass over a joint table and then walks the
+tree one depth at a time. The model stacks the constants of every moving
+joint once, in one table: the coupling to q (mimics included), the axis
+and its cross-product matrices, the child link, the links the joint
+moves and the joint values' derivative in q. One pass evaluates every
+joint value, sine, 1 - cosine and motion matrix for all configurations,
+and the Jacobian reads the same table. The model also groups the joints
+that share a depth and a motion kind (fixed, rotary, prismatic) once;
+each group is one batched numpy step over all its joints and all
+configurations, and a moving group reads its rows of the table.
 
 Only the elements the retargeting pipeline needs are read (links, joints,
 origins, axes, limits, mimics); visual/collision/inertial content is
@@ -71,64 +74,33 @@ class _FkGroup:
     """Joints of one tree depth and one motion kind, stacked for one FK step.
 
     ``kind`` is "fixed", "rotary" (revolute or continuous) or "prismatic".
-    A joint's value is mult * q[q_index] + off (1.0 and 0.0 unless it
-    mimics another joint). A rotary group's constants live in the model's
-    ``_RotaryStack``, of which it holds the slice ``rows`` (empty for the
-    other kinds); a prismatic group holds its own axis and coupling."""
+    A moving group's constants live in the model's ``_JointStack``, of which
+    it holds the slice ``rows``; a fixed group holds an empty slice."""
     kind: str
     parents: np.ndarray                   # (G,) link indices
     children: np.ndarray                  # (G,) link indices
     origin_r: np.ndarray                  # (G, 3, 3)
     origin_t: np.ndarray                  # (G, 3, 1)
     rows: slice
-    axis: Optional[np.ndarray] = None     # prismatic: (G, 3, 1)
-    q_index: Optional[np.ndarray] = None  # prismatic: (G,)
-    mult: Optional[np.ndarray] = None     # prismatic: (G,)
-    off: Optional[np.ndarray] = None      # prismatic: (G,)
 
 
 @dataclass(frozen=True)
-class _RotaryStack:
-    """Every rotary joint's constants, stacked in FK-group order, so that
-    one pass per FK call evaluates all their values and motion matrices."""
-    q_index: np.ndarray       # (R,)
-    mult: np.ndarray          # (R,)
-    off: np.ndarray           # (R,)
-    k: np.ndarray             # (R, 3, 3) cross-product matrix of the axis
-    k2: np.ndarray            # (R, 3, 3) its square
+class _JointStack:
+    """Every moving joint's constants, stacked once in FK-group order, so
+    that one pass per FK call evaluates all joint values and motion
+    matrices, and the Jacobian reads the same rows. A joint's value is
+    mult * q[q_index] + off (1.0 and 0.0 unless it mimics another joint)."""
+    q_index: np.ndarray       # (J,)
+    mult: np.ndarray          # (J,)
+    off: np.ndarray           # (J,)
+    axis: np.ndarray          # (J, 3, 1)
+    k: np.ndarray             # (J, 3, 3) cross-product matrix of the axis
+    k2: np.ndarray            # (J, 3, 3) its square
     eye: np.ndarray           # (3, 3)
-
-
-def _coupling(joints, q_index) -> dict:
-    """The joints' q index, multiplier and offset arrays."""
-    coupling = [(q_index[j.mimic.source], j.mimic.multiplier, j.mimic.offset)
-                if j.mimic is not None else (q_index[j.name], 1.0, 0.0)
-                for j in joints]
-    return dict(q_index=np.array([c[0] for c in coupling], dtype=int),
-                mult=np.array([c[1] for c in coupling], dtype=float),
-                off=np.array([c[2] for c in coupling], dtype=float))
-
-
-def _rotary_stack(joints, q_index) -> _RotaryStack:
-    k = np.array([[[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
-                  for a in (j.axis for j in joints)]).reshape(-1, 3, 3)
-    return _RotaryStack(k=k, k2=k @ k, eye=np.eye(3), **_coupling(joints, q_index))
-
-
-def _fk_group(kind: str, joints, link_index, q_index, rows: slice) -> _FkGroup:
-    prismatic = {}
-    if kind == "prismatic":
-        prismatic = dict(axis=np.array([j.axis for j in joints])[:, :, None],
-                         **_coupling(joints, q_index))
-    return _FkGroup(
-        kind=kind,
-        parents=np.array([link_index[j.parent] for j in joints]),
-        children=np.array([link_index[j.child] for j in joints]),
-        origin_r=np.array([j.origin.rotation.as_matrix() for j in joints]),
-        origin_t=np.array([j.origin.translation for j in joints])[:, :, None],
-        rows=rows,
-        **prismatic,
-    )
+    child: np.ndarray         # (J,) link indices
+    prismatic: np.ndarray     # (J, 1)
+    moves: np.ndarray         # (L, J, 1) 1.0 where the joint moves the link
+    dq: np.ndarray            # (J, dof) derivative of the joint values in q
 
 
 class RobotModel:
@@ -157,32 +129,42 @@ class RobotModel:
             depth[j.child] = depth[j.parent] + 1
             kind = j.jtype if j.jtype in ("fixed", "prismatic") else "rotary"
             by_level.setdefault((depth[j.child], kind), []).append(j)
-        # and every rotary joint, stacked in group order; a rotary group
-        # holds its rows of that stack, any other group an empty slice
+        # and every moving joint, stacked in group order; a moving group
+        # holds its rows of that stack, a fixed group an empty slice
         self._fk_groups = []
-        rotary = []
+        moving = []
         for (_, kind), js in sorted(by_level.items()):
-            start = len(rotary)
-            if kind == "rotary":
-                rotary += js
-            self._fk_groups.append(_fk_group(kind, js, self._link_index, self._q_index,
-                                             slice(start, len(rotary))))
-        self._rotary = _rotary_stack(rotary, self._q_index)
-        # moving joints, stacked once for the Jacobian: child link, axis,
-        # prismatic flag, the (L, J, 1) mask of the links each one moves and
-        # the (J, dof) derivative of the joint values in q
-        moving = [j for j in self.joints if j.jtype != "fixed"]
-        self._jac_child = np.array([self._link_index[j.child] for j in moving], dtype=int)
-        self._jac_axis = np.array([j.axis for j in moving]).reshape(-1, 3, 1)
-        self._jac_prismatic = np.array([j.jtype == "prismatic" for j in moving])[:, None]
+            start = len(moving)
+            if kind != "fixed":
+                moving += js
+            self._fk_groups.append(_FkGroup(
+                kind=kind,
+                parents=np.array([self._link_index[j.parent] for j in js]),
+                children=np.array([self._link_index[j.child] for j in js]),
+                origin_r=np.array([j.origin.rotation.as_matrix() for j in js]),
+                origin_t=np.array([j.origin.translation for j in js])[:, :, None],
+                rows=slice(start, len(moving)),
+            ))
+        coupling = [j.mimic or Mimic(j.name) for j in moving]
+        q_index = np.array([self._q_index[m.source] for m in coupling], dtype=int)
+        mult = np.array([m.multiplier for m in coupling], dtype=float)
+        k = np.array([[[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
+                      for a in (j.axis for j in moving)]).reshape(-1, 3, 3)
+        dq = np.zeros((len(moving), self.dof))
+        dq[np.arange(len(moving)), q_index] = mult
         moved_by = {root_link: np.zeros((len(moving), 1))}
         for j in self.joints:
             moved_by[j.child] = moved_by[j.parent] + np.array([m is j for m in moving])[:, None]
-        self._jac_moves = np.array([moved_by[name] for name in self.links])
-        self._jac_dq = np.zeros((len(moving), self.dof))
-        for k, j in enumerate(moving):
-            src, mult = (j.mimic.source, j.mimic.multiplier) if j.mimic else (j.name, 1.0)
-            self._jac_dq[k, self._q_index[src]] = mult
+        self._stack = _JointStack(
+            q_index=q_index, mult=mult,
+            off=np.array([m.offset for m in coupling], dtype=float),
+            axis=np.array([j.axis for j in moving]).reshape(-1, 3, 1),
+            k=k, k2=k @ k, eye=np.eye(3),
+            child=np.array([self._link_index[j.child] for j in moving], dtype=int),
+            prismatic=np.array([j.jtype == "prismatic" for j in moving])[:, None],
+            moves=np.array([moved_by[name] for name in self.links]),
+            dq=dq,
+        )
 
     @property
     def dof(self) -> int:
@@ -401,12 +383,13 @@ def parse_urdf(text: str) -> RobotModel:
 def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.ndarray):
     """FK over a batch of configurations; returns (B, L, 3, 3) rotations and
     (B, L, 3) translations indexed like ``model.links``. The only FK loop:
-    one trig pass evaluates every rotary joint's value, sine, 1 - cosine
-    and motion matrix for all configurations at once, then one step per
-    tree depth (and motion kind), parents before children, applies one
-    group's joints to all configurations. A single configuration is a
-    batch of one, so every row is the same arithmetic whatever the batch
-    shape."""
+    one pass over the joint table evaluates every moving joint's value,
+    sine, 1 - cosine and motion matrix for all configurations at once,
+    then one step per tree depth (and motion kind), parents before
+    children, applies one group's joints to all configurations: a rotary
+    group its rows' motion matrices, a prismatic group its rows' values
+    along their axes. A single configuration is a batch of one, so every
+    row is the same arithmetic whatever the batch shape."""
     b = qs.shape[0]
     n_links = len(model.links)
     rots = np.empty((b, n_links, 3, 3))
@@ -414,11 +397,11 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     ridx = model._link_index[model.root_link]
     rots[:, ridx] = root_r
     trans[:, ridx] = root_t
-    rot = model._rotary
-    angle = rot.mult * qs[:, rot.q_index] + rot.off
-    s = np.sin(angle)[..., None, None]
-    c = (1.0 - np.cos(angle))[..., None, None]
-    motion = rot.eye + s * rot.k + c * rot.k2  # (B, R, 3, 3)
+    st = model._stack
+    val = st.mult * qs[:, st.q_index] + st.off  # (B, J)
+    s = np.sin(val)[..., None, None]
+    c = (1.0 - np.cos(val))[..., None, None]
+    motion = st.eye + s * st.k + c * st.k2      # (B, J, 3, 3)
     for g in model._fk_groups:
         rp = rots[:, g.parents]
         rj = rp @ g.origin_r
@@ -426,9 +409,8 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
         if g.kind == "fixed":
             rc, tc = rj, tj
         elif g.kind == "prismatic":
-            val = g.mult * qs[:, g.q_index] + g.off
             rc = rj
-            tc = tj + (rj @ g.axis)[..., 0] * val[..., None]
+            tc = tj + (rj @ st.axis[g.rows])[..., 0] * val[:, g.rows, None]
         else:
             rc = rj @ motion[:, g.rows]
             tc = tj
@@ -464,15 +446,16 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     origins = np.take(trans, idx, axis=1)
     if not jacobian:
         return origins
-    axes = (rots[:, model._jac_child] @ model._jac_axis)[:, None, :, :, 0]  # (B, 1, J, 3)
-    lever = origins[:, :, None] - trans[:, None, model._jac_child]          # (B, k, J, 3)
+    st = model._stack
+    axes = (rots[:, st.child] @ st.axis)[:, None, :, :, 0]  # (B, 1, J, 3)
+    lever = origins[:, :, None] - trans[:, None, st.child]  # (B, k, J, 3)
     # a x lever by components, the products and differences np.cross takes,
     # without its dtype copies and axis moves
     a0, a1, a2 = axes[..., 0], axes[..., 1], axes[..., 2]
     l0, l1, l2 = lever[..., 0], lever[..., 1], lever[..., 2]
     cross = np.stack([a1 * l2 - a2 * l1, a2 * l0 - a0 * l2, a0 * l1 - a1 * l0], axis=-1)
-    cols = np.where(model._jac_prismatic, axes, cross) * model._jac_moves[idx]
-    return origins, np.swapaxes(cols, 2, 3) @ model._jac_dq
+    cols = np.where(st.prismatic, axes, cross) * st.moves[idx]
+    return origins, np.swapaxes(cols, 2, 3) @ st.dq
 
 
 def clamp_to_limits(model: RobotModel, q) -> np.ndarray:

@@ -34,15 +34,10 @@ class SolverOptions:
     grad_tol: float = 1e-8
     step_tol: float = 1e-10
     max_iters: int = 200
-    # finite-difference step of the retarget gradient audit; every solve
-    # takes closed-form gradients
-    fd_eps: float = 1e-6
 
     def __post_init__(self):
         if not (0 <= self.grad_tol < np.inf and 0 <= self.step_tol < np.inf):
             raise InvalidArgumentError("tolerances must be non-negative and finite")
-        if not 0 < self.fd_eps < np.inf:
-            raise InvalidArgumentError("fd_eps must be positive and finite")
         check_iteration_count("max_iters", self.max_iters)
 
 

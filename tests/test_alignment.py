@@ -1,3 +1,5 @@
+import logging
+import re
 from functools import partial
 
 import numpy as np
@@ -43,6 +45,9 @@ from dexretarget.synthetic import (
 )
 
 K = DEFAULT_INTRINSICS
+# central-difference step of the gradient audits: small, since the depth
+# term carries pixel-scale curvature
+AUDIT_STEP = 1.5e-7
 
 
 def hand_at(offset=(0.0, 0.0, 0.45), curl=0.4):
@@ -664,28 +669,34 @@ class TestAlignHandFrame:
         assert calls.count("alignment_problem") == calls.count("minimize_box")
 
     def test_one_query_per_outer_round(self, monkeypatch):
-        # beyond the scan, a frame queries the k-d tree once per distinct
-        # parameter vector it scores fresh: the start, each problem's anchor
-        # (the scan's pick, then each kept solution) and the last solve's
-        # solution, kept or dropped; the final residuals query nothing
+        # a frame queries the k-d tree once per distinct parameter vector,
+        # through one memo: the start, the scan's candidates that need a
+        # query, each problem's anchor (the scan's pick, then each kept
+        # solution) and the last solve's solution, kept or dropped; neither
+        # the first round's anchor nor the final residuals query again
         hand = hand_at()
         sampled = sampled_hand_for(hand)
         obs = observe(1.25 * sampled.points)
-        indexes, anchors, scans, solved = [], [], [], []
+        indexes, anchors, scans, solved, queried = [], [], [], [], []
         build, problem, scan = build_index, alignment.alignment_problem, alignment._scan_scale
-        solve = alignment.minimize_box
+        solve, correspondences = alignment.minimize_box, alignment._correspondences
 
         def counted_index(cloud):
             indexes.append(CountingIndex(build(cloud)))
             return indexes[-1]
+
+        def recorded_correspondences(index, obs, cloud, x):
+            queried.append(x.tobytes())
+            return correspondences(index, obs, cloud, x)
 
         def counted_problem(*args, **kwargs):
             anchors.append(kwargs["at"].tobytes())
             return problem(*args, **kwargs)
 
         def counted_scan(*args, **kwargs):
+            before = len(queried)
             out = scan(*args, **kwargs)
-            scans.append(out[2])
+            scans.append(queried[before:])
             return out
 
         def recorded_solve(*args, **kwargs):
@@ -694,14 +705,17 @@ class TestAlignHandFrame:
             return report
 
         monkeypatch.setattr(alignment, "build_index", counted_index)
+        monkeypatch.setattr(alignment, "_correspondences", recorded_correspondences)
         monkeypatch.setattr(alignment, "alignment_problem", counted_problem)
         monkeypatch.setattr(alignment, "_scan_scale", counted_scan)
         monkeypatch.setattr(alignment, "minimize_box", recorded_solve)
         align_hand_frame(hand, sampled, obs, K)
         assert len(indexes) == 1 and len(anchors) > 1
         start = np.zeros(7).tobytes()  # the identity initialization
-        scored = {start, *anchors, solved[-1]}
-        assert indexes[0].queries == scans[0] + len(scored)
+        # the scan picks a queried candidate, which anchors the first round
+        assert anchors[0] != start and anchors[0] in scans[0]
+        assert indexes[0].queries == len(queried) == len(set(queried))
+        assert set(queried) == {start, *scans[0], *anchors, solved[-1]}
 
     def record_solves(self, monkeypatch, sampled, obs, cfg):
         """Record each solve's fresh score and the scan's pick and score,
@@ -715,7 +729,7 @@ class TestAlignHandFrame:
             return problem(*args, **kwargs)
 
         def recorded_scan(*args, **kwargs):
-            record["pick"], record["pick_score"], _ = out = scan(*args, **kwargs)
+            record["pick"], record["pick_score"] = out = scan(*args, **kwargs)
             return out
 
         def recorded_solve(*args, **kwargs):
@@ -825,7 +839,7 @@ class TestAlignHandFrame:
             x = np.concatenate([[rng.uniform(-0.3, 0.3)],
                                 rng.uniform(-0.1, 0.1, size=6)])
             problem = alignment_problem(sampled, obs, K, cfg, at=x)
-            errs.append(check_gradient(problem, x, fd_eps=3 * cfg.fd_eps))
+            errs.append(check_gradient(problem, x, fd_eps=AUDIT_STEP))
         assert max(errs) < 1e-5
 
 
@@ -880,12 +894,11 @@ class TestScaleScan:
         cfg = AlignConfig()
         index = CountingIndex(build_index(obs.cloud))
         oracle = exhaustive_scan(sampled, obs, cfg, index.index, x)
-        f_start = alignment._evaluate(
-            sampled, obs, K, cfg, partial(alignment._correspondences, index, obs, sampled), x)
+        query = partial(alignment._correspondences, index, obs, sampled)
+        f_start = alignment._evaluate(sampled, obs, K, cfg, query, x)
         index.queries = 0
-        x_pick, f_pick, queries = alignment._scan_scale(sampled, obs, K, cfg, index, x, f_start)
-        assert queries == index.queries
-        return (x_pick, f_pick), oracle, queries
+        x_pick, f_pick = alignment._scan_scale(sampled, obs, K, cfg, query, x, f_start)
+        return (x_pick, f_pick), oracle, index.queries
 
     @pytest.mark.parametrize("noise", [0.0, 0.001], ids=["clean", "noisy"])
     @pytest.mark.parametrize("start", ["cold", "warm"])
@@ -968,7 +981,7 @@ class TestAlignmentObjective:
         assert frozen_and_fresh(near) == (np.inf, np.inf)
 
     def test_prebuilt_index_gives_same_values(self, rng):
-        # a prebuilt index, or the correspondences themselves, change no bit
+        # correspondences queried from a prebuilt index change no bit
         sampled = sampled_hand_for(hand_at())
         obs = observe(1.1 * sampled.points)
         cfg = AlignConfig()
@@ -976,13 +989,11 @@ class TestAlignmentObjective:
         for _ in range(3):
             x = self.random_params(rng)
             own = alignment_problem(sampled, obs, K, cfg, at=x)
-            shared = alignment_problem(sampled, obs, K, cfg, at=x, index=index)
             given = alignment_problem(sampled, obs, K, cfg, at=x, frozen=alignment._correspondences(
                 index, obs, sampled, x))
             probe = x + rng.uniform(-0.02, 0.02, size=7)
-            for other in (shared, given):
-                assert own.objective(probe) == other.objective(probe)
-                assert np.array_equal(own.gradient(x), other.gradient(x))
+            assert own.objective(probe) == given.objective(probe)
+            assert np.array_equal(own.gradient(x), given.gradient(x))
 
 
 class TestAlignmentGradient:
@@ -1010,7 +1021,7 @@ class TestAlignmentGradient:
             x[0] = alignment.LOG_SCALE_BOUNDS[0 if scale == "low" else 1]
         cfg = AlignConfig()
         problem = alignment_problem(sampled, obs, K, cfg, at=x + rng.uniform(-0.01, 0.01, 7))
-        assert check_gradient(problem, x, fd_eps=3 * cfg.fd_eps) < 1e-5
+        assert check_gradient(problem, x, fd_eps=AUDIT_STEP) < 1e-5
 
     def make_problem(self, rng):
         sampled = sampled_hand_for(hand_at())
@@ -1100,7 +1111,7 @@ class TestAlignTrajectory:
             err = np.linalg.norm(corrected - expected, axis=1).max()
             assert err < 0.002
 
-    def test_scale_jump_is_scanned_and_recovered(self, monkeypatch):
+    def test_scale_jump_is_scanned_and_recovered(self, caplog):
         # the observed hand's scale jumps between frames 1 and 2: the warm
         # start of frame 2 is in the wrong basin, so its scan must query
         sigmas = [1.0, 1.0, 1.3, 1.3]
@@ -1115,16 +1126,12 @@ class TestAlignTrajectory:
             ))
             pts = sample_hand_surface(joints, 500, seed=3 + k, visible_from=(0, 0, 0))
             observations.append(observe(sigma_star * pts))
-        scan = alignment._scan_scale
-        picks = []
-
-        def recorded(*args, **kwargs):
-            x, f_best, queries = scan(*args, **kwargs)
-            picks.append((float(np.exp(x[0])), queries))
-            return x, f_best, queries
-
-        monkeypatch.setattr(alignment, "_scan_scale", recorded)
-        results = align_trajectory(HandTrajectory(frames=frames), observations, K, seed=3)
+        with caplog.at_level(logging.DEBUG, logger="dexretarget.alignment"):
+            results = align_trajectory(HandTrajectory(frames=frames), observations, K, seed=3)
+        # each frame's scan line: its pick and its k-d queries (memo misses)
+        picks = [(float(m.group(1)), int(m.group(2))) for m in (
+            re.search(r"scale scan picked sigma=(\S+); (\d+) of", line)
+            for line in caplog.messages) if m]
         # only the frame after the jump needs a query
         assert [queries > 0 for _, queries in picks] == [False, False, True, False]
         assert abs(picks[2][0] - 1.3) < abs(results[1].sigma - 1.3)

@@ -140,6 +140,22 @@ class TestCmdPipeline:
         assert "\n" not in err.strip()
         write_config(fixture_dir)  # restore
 
+    @pytest.mark.parametrize("retired", [{"align": {"fd_eps": 5e-8}},
+                                         {"retarget": {"solver": {"fd_eps": 1e-6}}}],
+                             ids=["align", "retarget.solver"])
+    def test_retired_fd_eps_is_an_unknown_key(self, fixture_dir, tmp_path, capsys, caplog,
+                                              retired):
+        out = tmp_path / "fix"
+        shutil.copytree(fixture_dir, out)
+        config = str(write_config(out, **retired))
+        assert main(["calibrate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:") and "unknown keys ['fd_eps']" in err
+        assert "\n" not in err.strip()
+        with caplog.at_level(logging.WARNING, logger="dexretarget"):
+            assert main(["calibrate", "--lenient", "--config", config]) == 0
+        assert sum("unknown keys ['fd_eps']" in m for m in caplog.messages) == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["pipeline", "--config", str(tmp_path / "none.json")])
         assert code == 1

@@ -7,11 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dexretarget import dataio
+from dexretarget.alignment import AlignConfig
 from dexretarget.errors import ConfigError, DataParseError, FormatError
 from dexretarget.geometry import CameraIntrinsics, DepthImage, RigidTransform, Rotation
 from dexretarget.hand_model import HandFrame, HandTrajectory, TaxonomyClass
 from dexretarget.pointcloud import PointCloud
 from dexretarget.retarget import RobotTrajectory, RobotTrajectoryFrame
+from dexretarget.solver import SolverOptions
 from dexretarget.synthetic import canonical_hand_joints
 
 
@@ -555,12 +557,11 @@ class TestLoadConfig:
             "seed": 3,
             "mount_offset": {"quat_wxyz": [1.0, 0.0, 0.0, 0.0], "pos": [0.0, 0.0, 0.01]},
             "align": {"huber_delta": 0.02, "lambda_rend": 0.5, "lambda_reg": 0.2,
-                      "outer_iters": 4, "inner_iters": 12, "splat_footprint": 5,
-                      "fd_eps": 1e-7},
+                      "outer_iters": 4, "inner_iters": 12, "splat_footprint": 5},
             "retarget": {"huber_delta": 0.03, "lambda_smooth": 0.5, "lambda_init": 0.2,
                          "alternations": 2, "max_tip_error": 0.01,
                          "solver": {"grad_tol": 1e-7, "step_tol": 1e-9,
-                                    "max_iters": 50, "fd_eps": 2e-6}},
+                                    "max_iters": 50}},
         })
         cfg, warnings = dataio.load_config(path, lenient=False)
         assert warnings == []
@@ -571,11 +572,35 @@ class TestLoadConfig:
         assert cfg.calibrate_scale is False and cfg.seed == 3
         assert cfg.retarget.mount_offset.translation[2] == 0.01
         assert (cfg.align.lambda_rend, cfg.align.lambda_reg, cfg.align.inner_iters,
-                cfg.align.splat_footprint, cfg.align.fd_eps) == (0.5, 0.2, 12, 5, 1e-7)
+                cfg.align.splat_footprint) == (0.5, 0.2, 12, 5)
         assert (cfg.retarget.huber_delta, cfg.retarget.lambda_init,
                 cfg.retarget.alternations, cfg.retarget.max_tip_error) == (0.03, 0.2, 2, 0.01)
         solver = cfg.retarget.solver
-        assert (solver.grad_tol, solver.step_tol, solver.fd_eps) == (1e-7, 1e-9, 2e-6)
+        assert (solver.grad_tol, solver.step_tol, solver.max_iters) == (1e-7, 1e-9, 50)
+
+    # the two finite-difference steps no solve read any more
+    RETIRED = [({"align": {"fd_eps": 5e-8}}, "config.align"),
+               ({"retarget": {"solver": {"fd_eps": 1e-6}}}, "config.retarget.solver")]
+
+    @pytest.mark.parametrize("extra, where", RETIRED, ids=["align", "retarget.solver"])
+    def test_retired_fd_eps_is_an_unknown_key(self, tmp_path, extra, where):
+        path = self.write_minimal(tmp_path, extra=extra)
+        with pytest.raises(ConfigError) as err:
+            dataio.load_config(path)
+        assert str(err.value) == f"{where}: unknown keys ['fd_eps']"
+
+    @pytest.mark.parametrize("extra, where", RETIRED, ids=["align", "retarget.solver"])
+    def test_retired_fd_eps_lenient_warns(self, tmp_path, extra, where):
+        path = self.write_minimal(tmp_path, extra=extra)
+        cfg, warnings = dataio.load_config(path, lenient=True)
+        assert warnings == [f"{where}: unknown keys ['fd_eps']"]
+        assert cfg.align == AlignConfig() and cfg.retarget.solver == SolverOptions()
+
+    def test_config_section_must_be_an_object(self, tmp_path):
+        path = self.write_minimal(tmp_path, extra={"align": ["fd_eps"]})
+        for lenient in (False, True):
+            with pytest.raises(ConfigError, match="config.align must be a JSON object"):
+                dataio.load_config(path, lenient=lenient)
 
     def test_invalid_nested_value(self, tmp_path):
         path = self.write_minimal(tmp_path, extra={"align": {"huber_delta": -1}})

@@ -43,6 +43,9 @@ from dexretarget.solver import SolverOptions, check_gradient
 from dexretarget.synthetic import canonical_hand_joints
 from test_robot_model import PRISMATIC_MIMIC
 
+# central-difference step of the gradient audits
+AUDIT_STEP = 3e-6
+
 ONE_JOINT = """
 <robot name="one">
   <link name="base"/>
@@ -482,7 +485,7 @@ class TestClosedFormGradients:
         def audit(problem, x0, opts):
             lo, hi = problem.lower, problem.upper
             for q in (x0, rng.uniform(lo, hi), rng.uniform(lo, hi)):
-                audited.append(check_gradient(problem, q, fd_eps=3 * opts.fd_eps))
+                audited.append(check_gradient(problem, q, fd_eps=AUDIT_STEP))
             return solve(problem, x0, opts)
 
         monkeypatch.setattr(retarget, "minimize_box", audit)

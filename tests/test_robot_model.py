@@ -152,6 +152,8 @@ ZERO_DOF = """
 
 
 EYE, ZERO = np.eye(3), np.zeros(3)
+# central-difference step of the retarget gradient audit
+AUDIT_STEP = 3e-6
 
 
 def fk_rotations(model, q, root_r=EYE, root_t=ZERO):
@@ -756,7 +758,7 @@ class TestBatchShape:
         problem = retarget_problem(model, ref, spec, wrist, model.mid_limits(), cfg)
         for _ in range(5):
             q = rng.uniform(lo, hi)
-            assert check_gradient(problem, q, fd_eps=3 * cfg.solver.fd_eps) < 1e-5
+            assert check_gradient(problem, q, fd_eps=AUDIT_STEP) < 1e-5
 
 
 class TestRandomTrees:
@@ -829,24 +831,43 @@ class TestJacobianBitOracle:
 PRISMATIC_ONLY = ONE_JOINT.replace('type="revolute"', 'type="prismatic"')
 
 
-class TestRotaryStack:
-    """The rotary joints' constants are stacked once, in ``_fk_groups`` order."""
+class TestJointStack:
+    """Every moving joint's constants are stacked once, in ``_fk_groups`` order."""
 
     @staticmethod
-    def expected_rows(model):
-        """Per rotary joint in group order: (q index, multiplier, offset, axis)."""
+    def expected_columns(model):
+        """Per moving joint in group order, derived from the public joint
+        data as ``reference_origins_jacobian`` derives them: q index,
+        multiplier, offset, axis, child link index, prismatic flag, its row
+        of dq and its column of the moves mask."""
         q_index = {name: i for i, name in enumerate(model.actuated_order)}
         by_child = {j.child: j for j in model.joints}
-        rows = []
+
+        def path(link):
+            # the joints between the root and the link: those that move it
+            names = set()
+            while link in by_child:
+                names.add(by_child[link].name)
+                link = by_child[link].parent
+            return names
+
+        paths = [path(name) for name in model.links]
+        cols = {key: [] for key in ("q_index", "mult", "off", "axis", "child", "prismatic",
+                                    "dq", "moves")}
         for g in model._fk_groups:
-            if g.kind != "rotary":
+            if g.kind == "fixed":
                 continue
             for c in g.children:
                 j = by_child[model.links[c]]
                 src, mult, off = (j.mimic.source, j.mimic.multiplier, j.mimic.offset) \
                     if j.mimic else (j.name, 1.0, 0.0)
-                rows.append((q_index[src], mult, off, j.axis))
-        return rows
+                for key, value in (
+                        ("q_index", q_index[src]), ("mult", mult), ("off", off),
+                        ("axis", j.axis), ("child", c), ("prismatic", j.jtype == "prismatic"),
+                        ("dq", [mult if i == q_index[src] else 0.0 for i in range(model.dof)]),
+                        ("moves", [float(j.name in p) for p in paths])):
+                    cols[key].append(value)
+        return cols
 
     @pytest.mark.parametrize("text", [None, MIXED_DEPTH, PRISMATIC_MIMIC, ZERO_DOF,
                                       PRISMATIC_ONLY],
@@ -854,46 +875,63 @@ class TestRotaryStack:
                                   "prismatic_only"])
     def test_stack_follows_group_order(self, hand16, text):
         model = hand16 if text is None else parse_urdf(text)
-        rot = model._rotary
-        rows = self.expected_rows(model)
-        assert rot.q_index.tolist() == [r[0] for r in rows]
-        assert rot.mult.tolist() == [r[1] for r in rows]
-        assert rot.off.tolist() == [r[2] for r in rows]
-        assert rot.k.shape == rot.k2.shape == (len(rows), 3, 3)
-        for k, (*_, a) in zip(rot.k, rows):
+        stack = model._stack
+        cols = self.expected_columns(model)
+        n = len(cols["child"])
+        for key in ("q_index", "mult", "off", "child"):
+            assert getattr(stack, key).tolist() == cols[key], key
+        assert stack.prismatic.reshape(-1).tolist() == cols["prismatic"]
+        assert stack.axis.shape == (n, 3, 1)
+        assert stack.k.shape == stack.k2.shape == (n, 3, 3)
+        for axis, k, a in zip(stack.axis, stack.k, cols["axis"]):
+            assert np.array_equal(axis[:, 0], a)
             # the cross-product matrix: k @ v == a x v
             assert np.array_equal(k, [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]],
                                       [-a[1], a[0], 0.0]])
-        assert np.array_equal(rot.k2, rot.k @ rot.k)
-        # each rotary group holds its slice and no constants of its own;
+        assert np.array_equal(stack.k2, stack.k @ stack.k)
+        assert np.array_equal(stack.eye, np.eye(3))
+        # the Jacobian's derivative in q and the links each joint moves
+        assert stack.dq.shape == (n, model.dof)
+        assert stack.dq.tolist() == cols["dq"]
+        assert stack.moves.shape == (len(model.links), n, 1)
+        assert stack.moves[..., 0].T.tolist() == cols["moves"]
+        # each moving group holds its slice, a fixed group an empty one;
         # the slices tile the stack in group order
         start = 0
         for g in model._fk_groups:
-            size = len(g.children) if g.kind == "rotary" else 0
+            size = len(g.children) if g.kind != "fixed" else 0
             assert (g.rows.start, g.rows.stop) == (start, start + size)
             start += size
-            if g.kind != "prismatic":
-                assert g.axis is g.q_index is g.mult is g.off is None
-        assert start == len(rows)
+        assert start == n
 
     @pytest.mark.parametrize("text, joint, source, mult, off", [
         (PRISMATIC_MIMIC, "follow", "spin", -0.7, 0.2),
         (MIXED_DEPTH, "hinge_copy", "hinge", -1.3, 0.25),
-    ], ids=["prismatic_mimic", "mixed_depth"])
-    def test_rotary_mimic_lands_in_its_slot(self, text, joint, source, mult, off):
+        (PRISMATIC_MIMIC, "extend", "slide", 1.5, -0.05),
+        (MIXED_DEPTH, "slide_copy", "slide", 0.5, -0.01),
+    ], ids=["prismatic_mimic", "mixed_depth", "prismatic_mimic_slider", "mixed_depth_slider"])
+    def test_mimic_lands_in_its_slot(self, text, joint, source, mult, off):
         model = parse_urdf(text)
-        child = model.links.index(next(j.child for j in model.joints if j.name == joint))
-        (g,) = [g for g in model._fk_groups if g.kind == "rotary" and child in g.children]
+        j = next(j for j in model.joints if j.name == joint)
+        child = model.links.index(j.child)
+        kind = "prismatic" if j.jtype == "prismatic" else "rotary"
+        (g,) = [g for g in model._fk_groups if g.kind == kind and child in g.children]
         slot = g.rows.start + g.children.tolist().index(child)
-        rot = model._rotary
-        assert (rot.q_index[slot], rot.mult[slot], rot.off[slot]) == \
-            (model.actuated_order.index(source), mult, off)
+        stack = model._stack
+        src = model.actuated_order.index(source)
+        assert (stack.q_index[slot], stack.mult[slot], stack.off[slot]) == (src, mult, off)
+        assert stack.child[slot] == child
+        assert stack.prismatic[slot, 0] == (kind == "prismatic")
+        # its derivative lands on its source's q, with its multiplier
+        assert stack.dq[slot].tolist() == [mult if i == src else 0.0 for i in range(model.dof)]
 
     @pytest.mark.parametrize("text", [ZERO_DOF, PRISMATIC_ONLY],
                              ids=["zero_dof", "prismatic_only"])
-    def test_no_rotary_joint_builds_an_empty_stack(self, text):
+    def test_no_rotary_joint_builds_an_empty_or_prismatic_stack(self, text):
         model = parse_urdf(text)
-        assert model._rotary.q_index.shape == (0,)
-        assert model._rotary.k.shape == (0, 3, 3)
+        n = sum(j.jtype == "prismatic" for j in model.joints)
+        assert model._stack.q_index.shape == (n,)
+        assert model._stack.k.shape == (n, 3, 3)
+        assert model._stack.prismatic.all()
         assert_fk_matches_reference(model, 20261019)
         assert_jacobian_matches_reference(model, 20261019)
