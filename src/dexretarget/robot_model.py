@@ -18,6 +18,16 @@ that share a depth and a motion kind (fixed, rotary, prismatic) once;
 each group is one batched numpy step over all its joints and all
 configurations, and a moving group reads its rows of the table.
 
+A model keeps the results of its last two FK passes, keyed by the exact
+bytes of the configurations and the root pose, and answers a repeat from
+them with the same bits a new pass would give. A solver asks for the
+gradient at the point it has just accepted, and that point is always one
+of its last two evaluations (the line search's last trial, or the one
+before it when a longer trial was rejected), so every gradient reuses its
+point's pass; forward tracking's retry of a step the backtracking search
+already scored reuses it too. Each tuple of link names is resolved once
+per model into its link indices and its rows of the Jacobian's mask.
+
 Only the elements the retargeting pipeline needs are read (links, joints,
 origins, axes, limits, mimics); visual/collision/inertial content is
 ignored with a warning. Joint configurations q are plain float arrays
@@ -41,6 +51,7 @@ from .errors import (
 from .geometry import RigidTransform, Rotation
 
 CONTINUOUS_BOX_SPAN = 2.0 * np.pi  # finite optimizer bounds for continuous joints
+FK_MEMO_SIZE = 2  # FK passes a model keeps; see the module docstring
 
 _IGNORED_TAGS = {"visual", "collision", "inertial", "transmission", "gazebo",
                  "material", "sensor"}
@@ -99,12 +110,16 @@ class _JointStack:
     eye: np.ndarray           # (3, 3)
     child: np.ndarray         # (J,) link indices
     prismatic: np.ndarray     # (J, 1)
+    any_prismatic: bool       # whether any row of prismatic is set
     moves: np.ndarray         # (L, J, 1) 1.0 where the joint moves the link
     dq: np.ndarray            # (J, dof) derivative of the joint values in q
 
 
 class RobotModel:
-    """Parsed kinematic tree. Immutable after construction."""
+    """Parsed kinematic tree. Its kinematics are immutable after
+    construction; the only state that changes is the memo of its last FK
+    passes and of the link-name tuples it has resolved, neither of which
+    changes any result."""
 
     def __init__(self, root_link: str, links, joints, warnings=None):
         self.root_link = root_link
@@ -155,16 +170,21 @@ class RobotModel:
         moved_by = {root_link: np.zeros((len(moving), 1))}
         for j in self.joints:
             moved_by[j.child] = moved_by[j.parent] + np.array([m is j for m in moving])[:, None]
+        prismatic = np.array([j.jtype == "prismatic" for j in moving])[:, None]
         self._stack = _JointStack(
             q_index=q_index, mult=mult,
             off=np.array([m.offset for m in coupling], dtype=float),
             axis=np.array([j.axis for j in moving]).reshape(-1, 3, 1),
             k=k, k2=k @ k, eye=np.eye(3),
             child=np.array([self._link_index[j.child] for j in moving], dtype=int),
-            prismatic=np.array([j.jtype == "prismatic" for j in moving])[:, None],
+            prismatic=prismatic, any_prismatic=bool(prismatic.any()),
             moves=np.array([moved_by[name] for name in self.links]),
             dq=dq,
         )
+        # (key, (rots, trans)) of the last FK passes, most recently used first
+        self._fk_memo = ()
+        # link-name tuple -> (link indices, their rows of the moves mask)
+        self._name_rows = {}
 
     @property
     def dof(self) -> int:
@@ -419,6 +439,43 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     return rots, trans
 
 
+def _memo_fk_batch(model: RobotModel, qs: np.ndarray, root_r, root_t):
+    """``_fk_batch``'s result, from the model's memo when the shapes and
+    bytes of qs, root_r and root_t repeat one of its last FK_MEMO_SIZE
+    passes. The memo's arrays are read-only and never leave this module.
+    The memo is replaced whole, never edited, so threads sharing a model
+    can at worst lose an entry to a race, which costs one more pass."""
+    root_r = np.asarray(root_r, dtype=float)
+    root_t = np.asarray(root_t, dtype=float)
+    key = (qs.shape, root_r.shape, root_t.shape,
+           qs.tobytes(), root_r.tobytes(), root_t.tobytes())
+    memo = model._fk_memo
+    for i, entry in enumerate(memo):
+        if entry[0] == key:
+            if i:
+                model._fk_memo = (entry,) + memo[:i] + memo[i + 1:]
+            return entry[1]
+    rots, trans = _fk_batch(model, qs, root_r, root_t)
+    rots.flags.writeable = trans.flags.writeable = False
+    model._fk_memo = ((key, (rots, trans)),) + memo[:FK_MEMO_SIZE - 1]
+    return rots, trans
+
+
+def _name_rows(model: RobotModel, names):
+    """The link indices of names and their rows of the Jacobian's moves
+    mask, resolved once per model and tuple of names. An unknown name is
+    never stored, so it raises on every call."""
+    key = tuple(names)
+    rows = model._name_rows.get(key)
+    if rows is None:
+        try:
+            idx = np.array([model._link_index[n] for n in key], dtype=np.intp)
+        except KeyError as exc:
+            raise InvalidArgumentError(f"unknown link {exc.args[0]!r}") from None
+        rows = model._name_rows[key] = (idx, model._stack.moves[idx])
+    return rows
+
+
 def link_origins(model: RobotModel, q: np.ndarray, root_r: np.ndarray,
                  root_t: np.ndarray, names) -> np.ndarray:
     """Origins of the named links for one configuration: (len(names), 3)."""
@@ -436,11 +493,8 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     if qs.ndim != 2 or qs.shape[1] != model.dof:
         raise InvalidArgumentError(
             f"joint batch of shape {qs.shape} is not (B, {model.dof}) for DoF count {model.dof}")
-    try:
-        idx = [model._link_index[n] for n in names]
-    except KeyError as exc:
-        raise InvalidArgumentError(f"unknown link {exc.args[0]!r}") from None
-    rots, trans = _fk_batch(model, qs, root_r, root_t)
+    idx, moves = _name_rows(model, names)
+    rots, trans = _memo_fk_batch(model, qs, root_r, root_t)
     # C-ordered, which trans[:, idx] would not be: einsum rounds by memory
     # layout, and refine's contact loss sums a row of this with einsum
     origins = np.take(trans, idx, axis=1)
@@ -454,7 +508,9 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     a0, a1, a2 = axes[..., 0], axes[..., 1], axes[..., 2]
     l0, l1, l2 = lever[..., 0], lever[..., 1], lever[..., 2]
     cross = np.stack([a1 * l2 - a2 * l1, a2 * l0 - a0 * l2, a0 * l1 - a1 * l0], axis=-1)
-    cols = np.where(st.prismatic, axes, cross) * st.moves[idx]
+    if st.any_prismatic:
+        cross = np.where(st.prismatic, axes, cross)
+    cols = cross * moves
     return origins, np.swapaxes(cols, 2, 3) @ st.dq
 
 

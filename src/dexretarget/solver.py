@@ -12,6 +12,7 @@ produce bit-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -139,7 +140,10 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
 
     for _ in range(opts.max_iters):
         pg = x - np.clip(x - g, lo, hi)
-        if float(np.linalg.norm(pg, ord=np.inf)) <= opts.grad_tol:
+        # |pg|_inf here and the 2-norms of s and y below are the operations
+        # np.linalg.norm runs for a 1-D float64 vector, without its
+        # dispatch; initial=0.0 keeps a zero-DoF problem's norm at 0
+        if float(np.abs(pg).max(initial=0.0)) <= opts.grad_tol:
             termination = "gradient-tol"
             converged = True
             break
@@ -193,12 +197,12 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
-        if np.all(np.isfinite(y)) and sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        step = math.sqrt(float(s @ s))
+        if np.all(np.isfinite(y)) and sy > 1e-12 * step * math.sqrt(float(y @ y)):
             memory.append((s, y, 1.0 / sy))
             if len(memory) > LBFGS_MEMORY:
                 memory.pop(0)
 
-        step = float(np.linalg.norm(s))
         x, f, g = x_new, f_new, g_new
         if step <= opts.step_tol:
             termination = "step-tol"

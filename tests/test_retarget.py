@@ -447,6 +447,45 @@ class TestRefineContact:
                                  RetargetConfig())
         assert np.all(q >= lo - 1e-9) and np.all(q <= hi + 1e-9)
 
+    def test_round_that_gives_back_contact_for_the_pull_is_rolled_back(
+            self, hand16, mapping16, monkeypatch):
+        # targets no wrist pose reaches from q_init: round 1 moves the
+        # joints and the wrist, round 2's joint step pulls q back toward
+        # q_init, and the contact loss it gives up is not won back
+        q0 = hand16.mid_limits()
+        links = [mapping16.entries[d] for d in self.digits()]
+        tips = link_origins(hand16, q0, np.eye(3), np.zeros(3), links)
+        offsets = np.array([[0.011, 0.018, -0.026], [-0.001, 0.010, 0.014],
+                            [0.007, 0.015, 0.003], [0.006, 0.002, -0.011]])
+        contacts = ContactTargets(active=self.digits(),
+                                  targets=dict(zip(self.digits(), tips + offsets)),
+                                  lambda_init=0.1, alternations=3)
+        losses, solves = [], []
+        loss, solve = retarget.contact_loss, retarget.minimize_box
+
+        def recorded_loss(*args):
+            losses.append(loss(*args))
+            return losses[-1]
+
+        def recorded_solve(problem, x0, opts):
+            report = solve(problem, x0, opts)
+            pull = [0.1 * float((q - q0) @ (q - q0)) for q in (x0, report.x_star)]
+            solves.append((problem.objective(x0), report.f_star, *pull))
+            return report
+
+        monkeypatch.setattr(retarget, "contact_loss", recorded_loss)
+        monkeypatch.setattr(retarget, "minimize_box", recorded_solve)
+        q, wrist, report = refine_contact(hand16, q0, RigidTransform.identity(), mapping16,
+                                          contacts, RetargetConfig())
+        # start, round 1 and the rolled-back round 2
+        assert len(losses) == 3 and len(solves) == 2
+        f_start, f_end, pull_start, pull_end = solves[1]
+        assert f_end < f_start and pull_end < 0.1 * pull_start
+        assert losses[2] > losses[1]
+        assert report.rounds == 1 and report.loss_history == losses[:2]
+        # the returned state is round 1's, bit for bit
+        assert loss(hand16, q, wrist, mapping16, contacts) == losses[1]
+
     def test_two_digit_skips_wrist_step(self, hand16, rng):
         mapping = FingerMapping({"thumb": "thumb_tip", "index": "index_tip"})
         q0 = hand16.mid_limits()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dexretarget import retarget, robot_model
 from dexretarget.errors import (
     DataParseError,
     InvalidArgumentError,
@@ -11,7 +12,7 @@ from dexretarget.errors import (
 )
 from dexretarget.geometry import RigidTransform, Rotation
 from dexretarget.hand_model import VECTOR_GROUPS, VectorPair, VectorSpec
-from dexretarget.retarget import RetargetConfig, retarget_problem
+from dexretarget.retarget import RetargetConfig, retarget_frame, retarget_problem
 from dexretarget.robot_model import (
     _fk_batch,
     clamp_to_limits,
@@ -19,7 +20,7 @@ from dexretarget.robot_model import (
     link_origins_batch,
     parse_urdf,
 )
-from dexretarget.solver import check_gradient, fd_gradient
+from dexretarget.solver import BoxProblem, check_gradient, fd_gradient
 
 ONE_JOINT = """
 <robot name="one">
@@ -935,3 +936,131 @@ class TestJointStack:
         assert model._stack.prismatic.all()
         assert_fk_matches_reference(model, 20261019)
         assert_jacobian_matches_reference(model, 20261019)
+
+
+class TestFkMemo:
+    """A model keeps its last two FK passes, keyed by the exact bytes of
+    the configurations and the root pose; a repeat gives the same bits a
+    new pass would."""
+
+    ROOT_R = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.8).as_matrix()
+    ROOT_T = np.array([0.1, -0.2, 0.45])
+
+    @staticmethod
+    def counted_passes(monkeypatch):
+        """The configurations of every ``_fk_batch`` pass, as bytes."""
+        passes = []
+        fk = robot_model._fk_batch
+
+        def counted(model, qs, root_r, root_t):
+            passes.append(qs.tobytes())
+            return fk(model, qs, root_r, root_t)
+
+        monkeypatch.setattr(robot_model, "_fk_batch", counted)
+        return passes
+
+    @pytest.mark.parametrize("text", [None, PRISMATIC_MIMIC], ids=["hand16", "prismatic_mimic"])
+    def test_hits_and_misses_match_a_direct_pass(self, hand16_urdf_text, text, rng,
+                                                 monkeypatch):
+        model = parse_urdf(text or hand16_urdf_text)
+        lo, hi = model.limit_arrays()
+        a, b, c = (rng.uniform(lo, hi, size=(3, model.dof)) for _ in range(3))
+        passes = self.counted_passes(monkeypatch)
+        names = model.links[::-1]
+        # miss, miss, hit (the older entry), miss (evicts b), hit, hit
+        for qs, hit in ((a, False), (b, False), (a, True), (c, False), (a, True), (c, True)):
+            before = len(passes)
+            origins, jac = link_origins_batch(model, qs, self.ROOT_R, self.ROOT_T, names,
+                                              jacobian=True)
+            assert len(passes) == before + (not hit)
+            _, trans = _fk_batch(model, qs, self.ROOT_R, self.ROOT_T)
+            ref_origins, ref_jac = reference_origins_jacobian(
+                model, qs, self.ROOT_R, self.ROOT_T, names)
+            assert origins.tobytes() == np.take(trans, [model.links.index(n) for n in names],
+                                                axis=1).tobytes()
+            assert origins.tobytes() == ref_origins.tobytes()
+            assert jac.tobytes() == ref_jac.tobytes()
+            # the layout TestBatchShape asserts holds on a hit too
+            assert origins.flags["C_CONTIGUOUS"] and jac.flags["C_CONTIGUOUS"]
+            assert len(model._fk_memo) <= 2
+
+    def test_signed_zero_and_root_pose_are_part_of_the_key(self, hand16_urdf_text,
+                                                           monkeypatch):
+        model = parse_urdf(hand16_urdf_text)
+        passes = self.counted_passes(monkeypatch)
+        q = np.zeros(model.dof)
+        negative = q.copy()
+        negative[3] = -0.0
+        root_r = self.ROOT_R.copy()
+        root_r[0, 0] = np.nextafter(root_r[0, 0], 1.0)
+        root_t = self.ROOT_T.copy()
+        root_t[2] = np.nextafter(root_t[2], 1.0)
+        calls = [(q, self.ROOT_R, self.ROOT_T), (negative, self.ROOT_R, self.ROOT_T),
+                 (q, root_r, self.ROOT_T), (q, self.ROOT_R, root_t)]
+        for i, (qi, r, t) in enumerate(calls):
+            link_origins(model, qi, r, t, ["index_tip"])
+            assert len(passes) == i + 1
+            assert len(model._fk_memo) == min(i + 1, 2)
+        # the same values again, as a list and a new array: a hit
+        link_origins(model, q.copy(), self.ROOT_R, self.ROOT_T.tolist(), ["index_tip"])
+        link_origins(model, q.copy(), self.ROOT_R, self.ROOT_T.tolist(), ["index_tip"])
+        assert len(passes) == 5
+
+    def test_changing_a_result_leaves_the_next_call_unchanged(self, hand16_urdf_text, rng):
+        model = parse_urdf(hand16_urdf_text)
+        qs = rng.uniform(*model.limit_arrays(), size=(2, model.dof))
+        names = ["index_tip", "palm"]
+        origins, jac = link_origins_batch(model, qs, EYE, ZERO, names, jacobian=True)
+        kept = origins.copy(), jac.copy()
+        origins[:] = 7.0
+        jac[:] = 7.0
+        again = link_origins_batch(model, qs, EYE, ZERO, names, jacobian=True)
+        assert again[0].tobytes() == kept[0].tobytes()
+        assert again[1].tobytes() == kept[1].tobytes()
+        assert link_origins_batch(model, qs, EYE, ZERO, names).tobytes() == kept[0].tobytes()
+
+    def test_one_frame_solve_runs_one_pass_per_distinct_point(self, hand16_urdf_text, spec16,
+                                                              rng, monkeypatch):
+        model = parse_urdf(hand16_urdf_text)
+        lo, hi = model.limit_arrays()
+        names = spec16.robot_links()
+        origins = link_origins(model, 0.3 * model.mid_limits() + 0.7 * hi, EYE, ZERO, names)
+        pos = dict(zip(names, origins))
+        ref = np.array([pos[p.robot[1]] - pos[p.robot[0]] for p in spec16.pairs])
+        passes = self.counted_passes(monkeypatch)
+        points, gradient_passes = [], []
+        solve = retarget.minimize_box
+
+        def recorded(problem, x0, opts):
+            def objective(q):
+                points.append(q.tobytes())
+                return problem.objective(q)
+
+            def gradient(q):
+                points.append(q.tobytes())
+                before = len(passes)
+                g = problem.gradient(q)
+                gradient_passes.append(len(passes) - before)
+                return g
+
+            return solve(BoxProblem(problem.lower, problem.upper, objective, gradient), x0, opts)
+
+        monkeypatch.setattr(retarget, "minimize_box", recorded)
+        mid = model.mid_limits()
+        _, report = retarget_frame(model, ref, spec16, RigidTransform.identity(), mid, mid,
+                                   RetargetConfig())
+        assert report.iterations > 0 and len(gradient_passes) == report.iterations + 1
+        # every gradient reuses its point's pass, and no point runs twice
+        assert gradient_passes == [0] * len(gradient_passes)
+        assert len(passes) == len(set(passes)) == len(set(points)) < len(points)
+        assert set(passes) == set(points)
+
+    def test_unknown_link_raises_on_every_call(self, hand16):
+        q = hand16.mid_limits()
+        assert link_origins(hand16, q, EYE, ZERO, ["index_tip"]).shape == (1, 3)
+        for _ in range(3):
+            with pytest.raises(InvalidArgumentError, match="unknown link 'ghost'"):
+                link_origins(hand16, q, EYE, ZERO, ["index_tip", "ghost"])
+            with pytest.raises(InvalidArgumentError, match="unknown link 'ghost'"):
+                link_origins_batch(hand16, q[None], EYE, ZERO, ("ghost",), jacobian=True)
+        assert link_origins(hand16, q, EYE, ZERO, ("index_tip",)).shape == (1, 3)

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,31 @@ class TestMinimizeBox:
             if report.termination != "gradient-tol":
                 stopped.append((seed, report.termination))
         assert not stopped, stopped
+
+    def test_norms_match_numpy_bit_for_bit(self, rng):
+        # minimize_box writes the infinity norm and the 2-norms of a 1-D
+        # float64 vector as the operations np.linalg.norm runs for one
+        def bits(v):
+            return struct.pack("<d", v)
+
+        specials = [1e300, -1e300, 1e-300, -5e-324, 0.0, -0.0, np.nan, np.inf, -np.inf]
+        for n in [0, 1, 2, 3, 16, 17, 64]:
+            for _ in range(30):
+                v = rng.normal(size=n) * 10.0 ** rng.integers(-200, 200, size=n)
+                if n:
+                    v[rng.integers(0, n, size=rng.integers(0, 3))] = rng.choice(specials)
+                with np.errstate(all="ignore"):  # squares of 1e300 overflow either way
+                    pairs = ((np.abs(v).max(initial=0.0), np.linalg.norm(v, ord=np.inf)),
+                             (math.sqrt(float(v @ v)), np.linalg.norm(v)))
+                for ours, theirs in pairs:
+                    ours, theirs = float(ours), float(theirs)
+                    assert bits(ours) == bits(theirs) or (math.isnan(ours) and math.isnan(theirs))
+
+    def test_zero_dof_problem_converges_at_start(self):
+        problem = BoxProblem(lower=np.zeros(0), upper=np.zeros(0),
+                             objective=lambda x: 1.5, gradient=lambda x: np.zeros(0))
+        report = minimize_box(problem, np.zeros(0))
+        assert (report.iterations, report.termination, report.f_star) == (0, "gradient-tol", 1.5)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
