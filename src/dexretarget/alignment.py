@@ -103,19 +103,22 @@ class FrameObservation:
     """One observed frame: hand cloud (with normals for alignment), depth
     map, and hand support: the given hand mask's pixels of valid depth.
 
-    The depth kernel reads the support through a window: the support's
-    bounding box (empty at the image origin when there is no support)
-    padded by _WINDOW_PAD pixels on each side, whose top-left pixel is
-    ``window_origin`` (u, v). ``depth_window`` is the depth there, zero
-    outside the support, so the support is where it is positive.
-    ``reach_window``, of the same shape, is true at a window pixel when
-    some of the 16 taps anchored there (offsets -1..2 on each axis) is
-    supported; a point whose anchor is not reached reads exactly zero.
+    ``support`` is the depth map with only the support kept valid, and
+    ``hand_mask`` its full-size validity. The depth kernel reads the
+    support through a window: the support image's window (empty at the
+    image origin when there is no support) padded by _WINDOW_PAD pixels on
+    each side, whose top-left pixel is ``window_origin`` (u, v).
+    ``depth_window`` is the depth there, zero outside the support, so the
+    support is where it is positive. ``reach_window``, of the same shape,
+    is true at a window pixel when some of the 16 taps anchored there
+    (offsets -1..2 on each axis) is supported; a point whose anchor is not
+    reached reads exactly zero.
     """
 
     cloud: PointCloud
     depth: DepthImage
     hand_mask: np.ndarray
+    support: DepthImage = field(init=False, repr=False)
     window_origin: tuple = field(init=False, repr=False)
     depth_window: np.ndarray = field(init=False, repr=False)
     reach_window: np.ndarray = field(init=False, repr=False)
@@ -124,20 +127,16 @@ class FrameObservation:
         if self.cloud.normals is None:
             raise InvalidArgumentError("observed cloud must carry normals")
         mask = np.asarray(self.hand_mask, dtype=bool)
-        if mask.shape != self.depth.values.shape:
+        if mask.shape != self.depth.shape:
             raise InvalidArgumentError("hand mask dimensions must match the depth image")
-        self.hand_mask = mask & self.depth.valid
-        rows = np.flatnonzero(self.hand_mask.any(axis=1))
-        cols = np.flatnonzero(self.hand_mask.any(axis=0))
-        v0, v1 = (rows[0], rows[-1]) if rows.size else (0, -1)
-        u0, u1 = (cols[0], cols[-1]) if cols.size else (0, -1)
-        box = (slice(v0, v1 + 1), slice(u0, u1 + 1))
-        support = self.hand_mask[box]
-        self.window_origin = (int(u0) - _WINDOW_PAD, int(v0) - _WINDOW_PAD)
-        self.depth_window = np.pad(np.where(support, self.depth.values[box], 0.0), _WINDOW_PAD)
+        self.support = self.depth.masked(mask)
+        self.hand_mask = self.support.valid
+        u0, v0 = self.support.origin
+        self.window_origin = (u0 - _WINDOW_PAD, v0 - _WINDOW_PAD)
+        self.depth_window = np.pad(self.support.window, _WINDOW_PAD)
         # the support shifted by each tap offset, OR-ed one axis at a time:
         # taps[v, u] is the support at (v - 1, u - 1)
-        taps = np.pad(support, ((_WINDOW_PAD + 1, _WINDOW_PAD + 2),) * 2)
+        taps = np.pad(self.support.window_valid, ((_WINDOW_PAD + 1, _WINDOW_PAD + 2),) * 2)
         taps = taps[:, :-3] | taps[:, 1:-2] | taps[:, 2:-1] | taps[:, 3:]
         self.reach_window = taps[:-3] | taps[1:-2] | taps[2:-1] | taps[3:]
 
@@ -207,11 +206,11 @@ def depth_consistency_loss(
     """Mean absolute depth difference between the splatted hand cloud and
     the observed depth over the hand support pixels the splat covers."""
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    rendered = splat_depth(moved, intrinsics, footprint)
-    omega = rendered.valid & observation.hand_mask
-    if not np.any(omega):
+    rendered, observed = splat_depth(moved, intrinsics, footprint).common_depths(
+        observation.support)
+    if not rendered.size:
         raise LossUndefinedError("no overlapping valid hand pixels")
-    return float(np.mean(np.abs(rendered.values[omega] - observation.depth.values[omega])))
+    return float(np.mean(np.abs(rendered - observed)))
 
 
 _MIN_DEPTH = 0.01  # meters; reject configurations that push the hand to the camera
@@ -505,11 +504,12 @@ def align_hand_frame(
     overlap = splat_overlaps(moved0, intrinsics, cfg.splat_footprint, observation.hand_mask)
     f_best = fresh(x)
     if not overlap or not np.isfinite(f_best):
-        omega0 = splat_depth(moved0, intrinsics, cfg.splat_footprint).valid & observation.hand_mask
+        omega0, _ = splat_depth(moved0, intrinsics, cfg.splat_footprint).common_depths(
+            observation.support)
         raise AlignmentError(
             "alignment objective undefined at initialization (no overlapping hand pixels)",
             frame_index=hand.frame_index,
-            diagnostics={"sigma": init.sigma, "overlap_pixels": int(omega0.sum())},
+            diagnostics={"sigma": init.sigma, "overlap_pixels": omega0.size},
         )
     # coarse scan over the scale axis picks the starting basin; the
     # initialization remains a candidate so the result never regresses

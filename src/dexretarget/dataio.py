@@ -275,11 +275,15 @@ def write_ply(cloud: PointCloud, path) -> None:
 # PFM depth
 
 def read_pfm_depth(path) -> DepthImage:
-    """Read a grayscale PFM; non-positive or NaN pixels become invalid."""
+    """Read a grayscale PFM; non-finite or non-positive pixels become invalid."""
     raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4:
-        raise DataParseError("PFM header truncated")
+    # the header is three lines; the payload after them is not copied
+    end = -1
+    for _ in range(3):
+        end = raw.find(b"\n", end + 1)
+        if end < 0:
+            raise DataParseError("PFM header truncated")
+    parts = raw[:end].split(b"\n")
     magic = parts[0].strip()
     if magic == b"PF":
         raise FormatError("color PFM is not supported (grayscale 'Pf' only)")
@@ -292,15 +296,15 @@ def read_pfm_depth(path) -> DepthImage:
         raise DataParseError(f"PFM header is not numeric: {exc}") from exc
     if w <= 0 or h <= 0:
         raise DataParseError(f"PFM dimensions must be positive, got {w} x {h}")
-    if scale == 0:
-        raise DataParseError("PFM scale must be non-zero")
+    if scale == 0 or not np.isfinite(scale):
+        raise DataParseError(f"PFM scale must be finite and non-zero, got {scale}")
     endian = "<" if scale < 0 else ">"
-    payload = parts[3]
-    need = w * h * 4
-    if len(payload) < need:
-        raise DataParseError(f"PFM payload truncated: need {need} bytes, have {len(payload)}")
-    data = np.frombuffer(payload[:need], dtype=endian + "f4").reshape(h, w)
-    return DepthImage(values=np.flipud(data).astype(float))  # PFM rows are bottom-to-top
+    need, have = w * h * 4, len(raw) - end - 1
+    if have < need:
+        raise DataParseError(f"PFM payload truncated: need {need} bytes, have {have}")
+    data = np.frombuffer(raw, dtype=endian + "f4", count=w * h, offset=end + 1).reshape(h, w)
+    # PFM rows are bottom-to-top; only the valid pixels' window is converted
+    return DepthImage.from_window((h, w), (0, 0), np.flipud(data))
 
 
 def write_pfm_depth(img: DepthImage, path) -> None:

@@ -8,7 +8,7 @@ pixel centers at integer coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,31 +292,127 @@ class CameraIntrinsics:
             raise InvalidArgumentError("principal point must lie inside the image")
 
 
-@dataclass
-class DepthImage:
-    """Dense depth grid in meters whose per-pixel validity derives from it.
+def _bounding_box(mask):
+    """The (rows, cols) slices of the smallest box holding every True pixel
+    of a 2D boolean array: an empty box at the origin when there is none."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return slice(0, 0), slice(0, 0)
+    cols = np.flatnonzero(mask[rows[0]:rows[-1] + 1].any(axis=0))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
-    ``values[v, u]`` is the depth at pixel (u, v). A pixel is valid when
-    its depth is finite and positive; every invalid pixel reads 0.
+
+class DepthImage:
+    """Depth map in meters, held over the bounding window of its valid pixels.
+
+    A pixel (u, v) is valid when its depth is finite and positive; every
+    invalid pixel reads 0. ``shape`` is the full (height, width) and
+    ``origin`` the window's top-left pixel (u0, v0). ``window`` holds the
+    float64 depths of the window's pixels and ``window_valid`` their
+    validity. The window is the smallest box holding every valid pixel,
+    and empty at the image origin when no pixel is valid.
+
+    ``DepthImage(values)`` takes a full grid, ``values[v, u]`` being the
+    depth at pixel (u, v). The ``values`` and ``valid`` properties give the
+    full grid and its validity, built read-only on each access.
     """
 
-    values: np.ndarray
-    valid: np.ndarray = field(init=False)
+    __slots__ = ("shape", "origin", "window", "window_valid")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise InvalidArgumentError("depth values must be a 2D grid")
-        self.valid = np.isfinite(values) & (values > 0)
-        self.values = np.where(self.valid, values, 0.0)
+        self._crop(values.shape, (0, 0), values)
+
+    @classmethod
+    def from_window(cls, shape, origin, depths) -> "DepthImage":
+        """The (height, width) image whose pixels inside the window of
+        top-left pixel ``origin`` (u0, v0) have the given 2D float depths
+        and whose pixels outside it are invalid. Only the pixels of the
+        depths' positive bounding box are converted to float64."""
+        depths = np.asarray(depths)
+        if depths.ndim != 2:
+            raise InvalidArgumentError("depth window must be a 2D grid")
+        (u0, v0), (h, w) = origin, depths.shape
+        if not (0 <= v0 and v0 + h <= shape[0] and 0 <= u0 and u0 + w <= shape[1]):
+            raise InvalidArgumentError("depth window must lie inside the image")
+        img = cls.__new__(cls)
+        img._crop(shape, origin, depths)
+        return img
+
+    def _crop(self, shape, origin, depths):
+        # `> 0` is False for NaN, so the outer box holds every valid pixel
+        # (and maybe +inf ones); only its pixels are converted to float64,
+        # which is exact from float32
+        outer = _bounding_box(depths > 0)
+        part = np.asarray(depths[outer], dtype=float)
+        valid = np.isfinite(part) & (part > 0)
+        inner = _bounding_box(valid)
+        if inner[0].stop:
+            self.origin = (int(origin[0]) + outer[1].start + inner[1].start,
+                           int(origin[1]) + outer[0].start + inner[0].start)
+        else:
+            self.origin = (0, 0)
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.window_valid = valid[inner].copy()
+        self.window = np.where(self.window_valid, part[inner], 0.0)
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.shape[1]
+
+    @property
+    def box(self):
+        """The (rows, cols) slices of the window in the full grid."""
+        (u0, v0), (h, w) = self.origin, self.window.shape
+        return slice(v0, v0 + h), slice(u0, u0 + w)
+
+    def _full(self, part):
+        grid = np.zeros(self.shape, dtype=part.dtype)
+        grid[self.box] = part
+        grid.flags.writeable = False
+        return grid
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._full(self.window)
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self._full(self.window_valid)
+
+    def masked(self, mask) -> "DepthImage":
+        """This image with its valid pixels outside the (height, width)
+        boolean mask made invalid."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != self.shape:
+            raise InvalidArgumentError("mask dimensions must match the depth image")
+        return DepthImage.from_window(self.shape, self.origin,
+                                      np.where(mask[self.box], self.window, 0.0))
+
+    def common_depths(self, other: "DepthImage"):
+        """The depths of this image and of ``other`` at the pixels valid in
+        both, as two 1-D arrays in row-major pixel order."""
+        if other.shape != self.shape:
+            raise InvalidArgumentError("depth image dimensions differ")
+        (a_rows, a_cols), (b_rows, b_cols) = self.box, other.box
+        v0, u0 = max(a_rows.start, b_rows.start), max(a_cols.start, b_cols.start)
+        v1 = max(v0, min(a_rows.stop, b_rows.stop))
+        u1 = max(u0, min(a_cols.stop, b_cols.stop))
+
+        def cut(img):
+            u, v = img.origin
+            shared = slice(v0 - v, v1 - v), slice(u0 - u, u1 - u)
+            return img.window[shared], img.window_valid[shared]
+
+        (a, a_valid), (b, b_valid) = cut(self), cut(other)
+        both = a_valid & b_valid
+        return a[both], b[both]
 
 
 def huber(r, delta: float):
@@ -413,10 +509,10 @@ def weighted_umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
 
 
 def _splat_footprints(points, intrinsics: CameraIntrinsics, footprint: int):
-    """The in-image pixels a z-buffer splat writes: one (rows, cols, depths)
-    triple per footprint offset, each over the points in front of the
-    camera, projected to their nearest pixel, whose offset pixel is inside
-    the image."""
+    """The in-image pixels a z-buffer splat writes, as (rows, cols, depths)
+    arrays: for each footprint offset (row offset outer), the points in
+    front of the camera, projected to their nearest pixel, whose offset
+    pixel is inside the image."""
     if footprint < 1 or footprint % 2 == 0:
         raise InvalidArgumentError(f"footprint must be odd and positive, got {footprint}")
     h, w = intrinsics.height, intrinsics.width
@@ -427,13 +523,11 @@ def _splat_footprints(points, intrinsics: CameraIntrinsics, footprint: int):
     z = front[:, 2]
     u = np.rint(intrinsics.fx * front[:, 0] / z + intrinsics.cx).astype(int)
     v = np.rint(intrinsics.fy * front[:, 1] / z + intrinsics.cy).astype(int)
-    half = footprint // 2
-    for dv in range(-half, half + 1):
-        for du in range(-half, half + 1):
-            uu = u + du
-            vv = v + dv
-            ok = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
-            yield vv[ok], uu[ok], z[ok]
+    offsets = np.arange(-(footprint // 2), footprint // 2 + 1)
+    uu = u + np.tile(offsets, footprint)[:, None]
+    vv = v + np.repeat(offsets, footprint)[:, None]
+    ok = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
+    return vv[ok], uu[ok], np.broadcast_to(z, ok.shape)[ok]
 
 
 def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> DepthImage:
@@ -441,12 +535,19 @@ def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> Dep
     footprint x footprint pixel block; the minimum depth per pixel wins.
 
     Points behind the camera or outside the image are dropped. An empty
-    point list yields an all-invalid image.
+    point list yields an all-invalid image. The z-buffer covers only the
+    bounding box of the written pixels.
     """
-    buf = np.full((intrinsics.height, intrinsics.width), np.inf)
-    for rows, cols, z in _splat_footprints(points, intrinsics, footprint):
-        np.minimum.at(buf, (rows, cols), z)
-    return DepthImage(values=buf)
+    rows, cols, z = _splat_footprints(points, intrinsics, footprint)
+    shape = (intrinsics.height, intrinsics.width)
+    if not rows.size:
+        return DepthImage.from_window(shape, (0, 0), np.zeros((0, 0)))
+    v0, u0 = rows.min(), cols.min()
+    height, width = rows.max() - v0 + 1, cols.max() - u0 + 1
+    buf = np.full(height * width, np.inf)
+    # a flat index takes ufunc.at's fast path
+    np.minimum.at(buf, (rows - v0) * width + (cols - u0), z)
+    return DepthImage.from_window(shape, (u0, v0), buf.reshape(height, width))
 
 
 def splat_overlaps(points, intrinsics: CameraIntrinsics, footprint: int, mask) -> bool:
@@ -458,20 +559,24 @@ def splat_overlaps(points, intrinsics: CameraIntrinsics, footprint: int, mask) -
     if mask.shape != (intrinsics.height, intrinsics.width):
         raise InvalidArgumentError("mask dimensions must match the intrinsics")
     # a written pixel holds a finite positive depth, so it is valid
-    return any(np.any(mask[rows, cols])
-               for rows, cols, _ in _splat_footprints(points, intrinsics, footprint))
+    rows, cols, _ = _splat_footprints(points, intrinsics, footprint)
+    return bool(np.any(mask[rows, cols]))
 
 
 def backproject_depth(img: DepthImage, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Backproject valid pixels to camera-frame points.
 
     Points are returned in row-major pixel order, so two images sharing a
-    validity mask backproject to pointwise-corresponding arrays.
+    validity mask backproject to pointwise-corresponding arrays. Only the
+    image's window is scanned.
     """
-    if img.values.shape != (intrinsics.height, intrinsics.width):
+    if img.shape != (intrinsics.height, intrinsics.width):
         raise InvalidArgumentError("depth image dimensions do not match intrinsics")
-    vs, us = np.nonzero(img.valid)
-    z = img.values[vs, us]
-    x = (us - intrinsics.cx) / intrinsics.fx * z
-    y = (vs - intrinsics.cy) / intrinsics.fy * z
+    # flatnonzero and divmod give np.nonzero's indices, but faster
+    flat = np.flatnonzero(img.window_valid)
+    rows, cols = np.divmod(flat, img.window.shape[1])
+    z = img.window.ravel()[flat]
+    u0, v0 = img.origin
+    x = (cols + u0 - intrinsics.cx) / intrinsics.fx * z
+    y = (rows + v0 - intrinsics.cy) / intrinsics.fy * z
     return np.column_stack([x, y, z])

@@ -6,13 +6,15 @@ problem with traced callables, so the problem must survive that copy."""
 import dataclasses
 import importlib
 import importlib.util
+import json
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dexretarget import alignment, retarget
+from dexretarget import alignment, cli, retarget
 from dexretarget.alignment import FrameObservation, align_hand_frame
 from dexretarget.geometry import RigidTransform, Rotation, splat_depth
 from dexretarget.hand_model import HandFrame
@@ -90,6 +92,42 @@ def test_alignment_reaches_its_hooked_layers(monkeypatch):
     _align_one_frame()
     reached = {"smooth_depth_residuals", "alignment_problem", "minimize_box", "build_index"}
     assert reached <= {attr for attr, calls in hits.items() if calls}
+
+
+def test_calibration_reaches_its_hooked_depth_layers(monkeypatch, tmp_path):
+    """A calibrate run reads, backprojects and re-renders every frame's
+    depth map through the attributes the traced run hooks, so a windowed
+    path that bypasses one of them fails here and not only in the traced
+    run's self-check."""
+    depth_hooks = {("dataio", "read_pfm_depth"), ("pipeline", "calibrate_depth_sequence"),
+                   ("alignment", "backproject_depth"), ("alignment", "splat_depth")}
+    assert depth_hooks <= {(module, attr) for module, attr, *_ in _tracing().HOOKS}
+    hits = Counter()
+    for module_name, attr in depth_hooks:
+        module = importlib.import_module(f"dexretarget.{module_name}")
+
+        def counted(*args, _key=(module_name, attr), _fn=getattr(module, attr), **kwargs):
+            hits[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    frames = 2
+    assert cli.main(["synth", "--out-dir", str(tmp_path), "--seed", "3",
+                     "--frames", str(frames), "--depth-scale", "0.8"]) == 0
+    (tmp_path / "hand.urdf").write_text(
+        resources.files("dexretarget.assets").joinpath("four_finger_16dof.urdf").read_text())
+    (tmp_path / "config.json").write_text(json.dumps({
+        "urdf": "hand.urdf", "hand_trajectory": "hand_trajectory.json",
+        "observations_dir": "observations", "output_dir": "out",
+        "object_cloud_true": "object_true.ply", "object_cloud_pred": "object_pred.ply",
+        "taxonomy": "medium-wrap",
+        "finger_mapping": {"thumb": "thumb_tip", "index": "index_tip",
+                           "middle": "middle_tip", "ring": "ring_tip"}}))
+    hits.clear()
+    assert cli.main(["calibrate", "--config", str(tmp_path / "config.json")]) == 0
+    assert hits == {("dataio", "read_pfm_depth"): frames,
+                    ("pipeline", "calibrate_depth_sequence"): 1,
+                    ("alignment", "backproject_depth"): frames,
+                    ("alignment", "splat_depth"): frames}
 
 
 @pytest.mark.parametrize("stage", ["retarget", "refine"])

@@ -203,6 +203,21 @@ class TestCmdPipeline:
         assert err.startswith("ERROR config:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_depth_scale_is_input_error(self, tmp_path, capsys, scale):
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        write_config(out)
+        (out / "observations" / "frame_0000.pfm").write_bytes(
+            f"Pf\n640 480\n{scale}\n".encode() + b"\x00" * (640 * 480 * 4))
+        code = main(["calibrate", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:") and "PFM scale must be finite" in err
+        assert "\n" not in err.strip()
+
     @pytest.mark.parametrize("payload", [b"P2\n2 1\n0\n0 1\n", b"P2 2 1 -1 0 1"],
                              ids=["writer-layout", "other-layout"])
     def test_mask_maxval_below_one_is_input_error(self, tmp_path, capsys, payload):

@@ -234,6 +234,16 @@ class TestPfmIO:
         with pytest.raises(DataParseError, match="dimensions must be positive"):
             dataio.read_pfm_depth(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale(self, tmp_path, scale):
+        # a NaN or +inf scale is not negative, so it once read a
+        # little-endian payload as big-endian garbage
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n2 1\n" + scale + b"\n"
+                         + np.array([[1.0, 2.0]], dtype="<f4").tobytes())
+        with pytest.raises(DataParseError, match="scale must be finite"):
+            dataio.read_pfm_depth(path)
+
 
 class TestPgmMaskIO:
     def test_round_trip(self, tmp_path, rng):
