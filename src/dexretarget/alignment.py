@@ -10,7 +10,7 @@ observed cloud and depth map.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -32,7 +32,6 @@ from .geometry import (
     pseudo_huber_derivative,
     so3_left_jacobian,
     splat_depth,
-    splat_overlaps,
     weighted_umeyama,
 )
 from .hand_model import HandFrame, HandTrajectory
@@ -103,8 +102,9 @@ class FrameObservation:
     """One observed frame: hand cloud (with normals for alignment), depth
     map, and hand support: the given hand mask's pixels of valid depth.
 
+    The (height, width) ``hand_mask`` is read at construction, not kept.
     ``support`` is the depth map with only the support kept valid, and
-    ``hand_mask`` its full-size validity. The depth kernel reads the
+    ``support.valid`` its full-size validity. The depth kernel reads the
     support through a window: the support image's window (empty at the
     image origin when there is no support) padded by _WINDOW_PAD pixels on
     each side, whose top-left pixel is ``window_origin`` (u, v).
@@ -117,26 +117,25 @@ class FrameObservation:
 
     cloud: PointCloud
     depth: DepthImage
-    hand_mask: np.ndarray
+    hand_mask: InitVar[np.ndarray]
     support: DepthImage = field(init=False, repr=False)
     window_origin: tuple = field(init=False, repr=False)
     depth_window: np.ndarray = field(init=False, repr=False)
     reach_window: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, hand_mask):
         if self.cloud.normals is None:
             raise InvalidArgumentError("observed cloud must carry normals")
-        mask = np.asarray(self.hand_mask, dtype=bool)
+        mask = np.asarray(hand_mask, dtype=bool)
         if mask.shape != self.depth.shape:
             raise InvalidArgumentError("hand mask dimensions must match the depth image")
         self.support = self.depth.masked(mask)
-        self.hand_mask = self.support.valid
         u0, v0 = self.support.origin
         self.window_origin = (u0 - _WINDOW_PAD, v0 - _WINDOW_PAD)
         self.depth_window = np.pad(self.support.window, _WINDOW_PAD)
         # the support shifted by each tap offset, OR-ed one axis at a time:
         # taps[v, u] is the support at (v - 1, u - 1)
-        taps = np.pad(self.support.window_valid, ((_WINDOW_PAD + 1, _WINDOW_PAD + 2),) * 2)
+        taps = np.pad(self.support.window > 0, ((_WINDOW_PAD + 1, _WINDOW_PAD + 2),) * 2)
         taps = taps[:, :-3] | taps[:, 1:-2] | taps[:, 2:-1] | taps[:, 3:]
         self.reach_window = taps[:-3] | taps[1:-2] | taps[2:-1] | taps[3:]
 
@@ -501,11 +500,10 @@ def align_hand_frame(
     # the depth overlap must be non-empty at the starting parameters
     sigma0, corr0 = params_decode(x)
     moved0 = apply_scaled_correction(hand_cloud.points, sigma0, corr0)
-    overlap = splat_overlaps(moved0, intrinsics, cfg.splat_footprint, observation.hand_mask)
+    omega0, _ = splat_depth(moved0, intrinsics, cfg.splat_footprint).common_depths(
+        observation.support)
     f_best = fresh(x)
-    if not overlap or not np.isfinite(f_best):
-        omega0, _ = splat_depth(moved0, intrinsics, cfg.splat_footprint).common_depths(
-            observation.support)
+    if not omega0.size or not np.isfinite(f_best):
         raise AlignmentError(
             "alignment objective undefined at initialization (no overlapping hand pixels)",
             frame_index=hand.frame_index,

@@ -464,7 +464,10 @@ def load_config(path, lenient: bool = False):
 
     base = path.parent
 
-    def resolve(p, must_exist=True, is_dir=False):
+    def resolve(key, must_exist=True, is_dir=False):
+        p = doc[key]
+        if not isinstance(p, str) or "\0" in p:
+            raise ConfigError(f"{key} must be a path string, got {p!r}")
         target = (base / p).resolve() if not Path(p).is_absolute() else Path(p)
         if must_exist:
             if is_dir and not target.is_dir():
@@ -481,9 +484,11 @@ def load_config(path, lenient: bool = False):
 
     table = TaxonomyWeightTable.default()
     if "weight_table" in doc:
-        table_path = resolve(doc["weight_table"])
+        table_path = resolve("weight_table")
         try:
             table = TaxonomyWeightTable.from_json(table_path.read_text())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"weight table is not a text file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"weight table is not valid JSON: {exc}") from exc
 
@@ -532,17 +537,16 @@ def load_config(path, lenient: bool = False):
         raise ConfigError(f"calibrate_scale must be true or false, got {calibrate_scale!r}")
 
     cfg = PipelineConfig(
-        urdf=resolve(doc["urdf"]),
-        hand_trajectory=resolve(doc["hand_trajectory"]),
-        observations_dir=resolve(doc["observations_dir"], is_dir=True),
-        output_dir=(base / doc["output_dir"]).resolve()
-        if not Path(doc["output_dir"]).is_absolute() else Path(doc["output_dir"]),
+        urdf=resolve("urdf"),
+        hand_trajectory=resolve("hand_trajectory"),
+        observations_dir=resolve("observations_dir", is_dir=True),
+        output_dir=resolve("output_dir", must_exist=False),
         taxonomy=taxonomy,
         finger_mapping=mapping,
         palm_link=doc.get("palm_link"),
         proximal_links=proximal,
-        object_cloud_true=resolve(doc["object_cloud_true"]) if "object_cloud_true" in doc else None,
-        object_cloud_pred=resolve(doc["object_cloud_pred"]) if "object_cloud_pred" in doc else None,
+        object_cloud_true=resolve("object_cloud_true") if "object_cloud_true" in doc else None,
+        object_cloud_pred=resolve("object_cloud_pred") if "object_cloud_pred" in doc else None,
         weight_table=table,
         align=align,
         retarget=retarget,

@@ -308,16 +308,16 @@ class DepthImage:
     A pixel (u, v) is valid when its depth is finite and positive; every
     invalid pixel reads 0. ``shape`` is the full (height, width) and
     ``origin`` the window's top-left pixel (u0, v0). ``window`` holds the
-    float64 depths of the window's pixels and ``window_valid`` their
-    validity. The window is the smallest box holding every valid pixel,
-    and empty at the image origin when no pixel is valid.
+    float64 depths of the window's pixels, so a window pixel is valid
+    exactly where it is positive. The window is the smallest box holding
+    every valid pixel, and empty at the image origin when no pixel is valid.
 
     ``DepthImage(values)`` takes a full grid, ``values[v, u]`` being the
     depth at pixel (u, v). The ``values`` and ``valid`` properties give the
     full grid and its validity, built read-only on each access.
     """
 
-    __slots__ = ("shape", "origin", "window", "window_valid")
+    __slots__ = ("shape", "origin", "window")
 
     def __init__(self, values):
         values = np.asarray(values, dtype=float)
@@ -355,8 +355,7 @@ class DepthImage:
         else:
             self.origin = (0, 0)
         self.shape = (int(shape[0]), int(shape[1]))
-        self.window_valid = valid[inner].copy()
-        self.window = np.where(self.window_valid, part[inner], 0.0)
+        self.window = np.where(valid[inner], part[inner], 0.0)
 
     @property
     def height(self) -> int:
@@ -384,7 +383,7 @@ class DepthImage:
 
     @property
     def valid(self) -> np.ndarray:
-        return self._full(self.window_valid)
+        return self._full(self.window > 0)
 
     def masked(self, mask) -> "DepthImage":
         """This image with its valid pixels outside the (height, width)
@@ -408,10 +407,10 @@ class DepthImage:
         def cut(img):
             u, v = img.origin
             shared = slice(v0 - v, v1 - v), slice(u0 - u, u1 - u)
-            return img.window[shared], img.window_valid[shared]
+            return img.window[shared]
 
-        (a, a_valid), (b, b_valid) = cut(self), cut(other)
-        both = a_valid & b_valid
+        a, b = cut(self), cut(other)
+        both = (a > 0) & (b > 0)
         return a[both], b[both]
 
 
@@ -508,11 +507,14 @@ def weighted_umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
     return SimilarityTransform(scale, Rotation.from_matrix(rot_m), t)
 
 
-def _splat_footprints(points, intrinsics: CameraIntrinsics, footprint: int):
-    """The in-image pixels a z-buffer splat writes, as (rows, cols, depths)
-    arrays: for each footprint offset (row offset outer), the points in
-    front of the camera, projected to their nearest pixel, whose offset
-    pixel is inside the image."""
+def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> DepthImage:
+    """Z-buffer point splat: each point writes its depth into a
+    footprint x footprint pixel block; the minimum depth per pixel wins.
+
+    Points behind the camera or outside the image are dropped. An empty
+    point list yields an all-invalid image. The z-buffer covers only the
+    bounding box of the written pixels.
+    """
     if footprint < 1 or footprint % 2 == 0:
         raise InvalidArgumentError(f"footprint must be odd and positive, got {footprint}")
     h, w = intrinsics.height, intrinsics.width
@@ -524,43 +526,20 @@ def _splat_footprints(points, intrinsics: CameraIntrinsics, footprint: int):
     u = np.rint(intrinsics.fx * front[:, 0] / z + intrinsics.cx).astype(int)
     v = np.rint(intrinsics.fy * front[:, 1] / z + intrinsics.cy).astype(int)
     offsets = np.arange(-(footprint // 2), footprint // 2 + 1)
+    # each footprint offset (row offset outer) of each point, kept where
+    # the offset pixel is inside the image
     uu = u + np.tile(offsets, footprint)[:, None]
     vv = v + np.repeat(offsets, footprint)[:, None]
     ok = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
-    return vv[ok], uu[ok], np.broadcast_to(z, ok.shape)[ok]
-
-
-def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> DepthImage:
-    """Z-buffer point splat: each point writes its depth into a
-    footprint x footprint pixel block; the minimum depth per pixel wins.
-
-    Points behind the camera or outside the image are dropped. An empty
-    point list yields an all-invalid image. The z-buffer covers only the
-    bounding box of the written pixels.
-    """
-    rows, cols, z = _splat_footprints(points, intrinsics, footprint)
-    shape = (intrinsics.height, intrinsics.width)
+    rows, cols, z = vv[ok], uu[ok], np.broadcast_to(z, ok.shape)[ok]
     if not rows.size:
-        return DepthImage.from_window(shape, (0, 0), np.zeros((0, 0)))
+        return DepthImage.from_window((h, w), (0, 0), np.zeros((0, 0)))
     v0, u0 = rows.min(), cols.min()
     height, width = rows.max() - v0 + 1, cols.max() - u0 + 1
     buf = np.full(height * width, np.inf)
     # a flat index takes ufunc.at's fast path
     np.minimum.at(buf, (rows - v0) * width + (cols - u0), z)
-    return DepthImage.from_window(shape, (u0, v0), buf.reshape(height, width))
-
-
-def splat_overlaps(points, intrinsics: CameraIntrinsics, footprint: int, mask) -> bool:
-    """Whether ``splat_depth(points, intrinsics, footprint)`` is valid at
-    some pixel of the (height, width) boolean mask, read from the pixels
-    the splat would write instead of rendering it. Raises as splat_depth
-    does on an even footprint or non-finite points."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (intrinsics.height, intrinsics.width):
-        raise InvalidArgumentError("mask dimensions must match the intrinsics")
-    # a written pixel holds a finite positive depth, so it is valid
-    rows, cols, _ = _splat_footprints(points, intrinsics, footprint)
-    return bool(np.any(mask[rows, cols]))
+    return DepthImage.from_window((h, w), (u0, v0), buf.reshape(height, width))
 
 
 def backproject_depth(img: DepthImage, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -573,7 +552,7 @@ def backproject_depth(img: DepthImage, intrinsics: CameraIntrinsics) -> np.ndarr
     if img.shape != (intrinsics.height, intrinsics.width):
         raise InvalidArgumentError("depth image dimensions do not match intrinsics")
     # flatnonzero and divmod give np.nonzero's indices, but faster
-    flat = np.flatnonzero(img.window_valid)
+    flat = np.flatnonzero(img.window > 0)
     rows, cols = np.divmod(flat, img.window.shape[1])
     z = img.window.ravel()[flat]
     u0, v0 = img.origin

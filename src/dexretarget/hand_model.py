@@ -229,14 +229,21 @@ class TaxonomyWeightTable:
     table: Dict[str, Dict[str, float]]
 
     def __post_init__(self):
+        if not isinstance(self.table, dict):
+            raise ConfigError("weight table must be a JSON object")
         normalized = {}
         for cls_name, groups in self.table.items():
             cls = TaxonomyClass.from_name(str(cls_name))
+            if not isinstance(groups, dict):
+                raise ConfigError(f"class {cls.value!r}: weights must be a JSON object")
             row = {}
             for g in VECTOR_GROUPS:
                 if g not in groups:
                     raise ConfigError(f"class {cls.value!r} missing weight for group {g!r}")
-                w = float(groups[g])
+                try:
+                    w = float(groups[g])
+                except (TypeError, ValueError):
+                    w = np.nan
                 if w < 0 or not np.isfinite(w):
                     raise ConfigError(
                         f"class {cls.value!r}, group {g!r}: weight must be finite and >= 0")

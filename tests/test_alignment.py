@@ -133,8 +133,8 @@ def reference_windows(obs):
     height, width = obs.depth_window.shape
     pad = alignment._WINDOW_PAD
     cut = (slice(ov + pad, ov + pad + height), slice(ou + pad, ou + pad + width))
-    support = np.pad(obs.hand_mask, pad)[cut]
-    depth = np.pad(np.where(obs.hand_mask, obs.depth.values, 0.0), pad)[cut]
+    support = np.pad(obs.support.valid, pad)[cut]
+    depth = np.pad(np.where(obs.support.valid, obs.depth.values, 0.0), pad)[cut]
     return support, depth
 
 
@@ -360,8 +360,8 @@ class TestFrameObservation:
         mask = np.zeros_like(depth.valid)
         mask[:, : K.width // 2] = True
         obs = observation_of(depth, mask)
-        np.testing.assert_array_equal(obs.hand_mask, mask & depth.valid)
-        assert np.any(obs.hand_mask) and np.any(mask & ~depth.valid)
+        np.testing.assert_array_equal(obs.support.valid, mask & depth.valid)
+        assert np.any(obs.support.valid) and np.any(mask & ~depth.valid)
 
 
 class TestSmoothDepthResiduals:
@@ -483,7 +483,7 @@ class TestSmoothDepthResiduals:
         pts = data.draw(self._clouds(box))
         obs = observation_of(self._noisy_depth(rng), mask)
         r = smooth_depth_residuals(pts, obs, K)
-        expected = reference_depth_residuals(pts, obs.depth.values, obs.hand_mask, K)
+        expected = reference_depth_residuals(pts, obs.depth.values, obs.support.valid, K)
         assert r.tobytes() == expected.tobytes()
 
     @given(st.data())
@@ -807,7 +807,7 @@ class TestAlignHandFrame:
         sampled = sampled_hand_for(hand)
         obs = observe(sampled.points.copy())
         blocked = FrameObservation(cloud=obs.cloud, depth=obs.depth,
-                                   hand_mask=np.zeros_like(obs.hand_mask))
+                                   hand_mask=np.zeros_like(obs.support.valid))
         with pytest.raises(AlignmentError) as exc:
             align_hand_frame(hand, sampled, blocked, K)
         assert exc.value.diagnostics == {"sigma": 1.0, "overlap_pixels": 0}
@@ -821,8 +821,8 @@ class TestAlignHandFrame:
         obs = observe(sampled.points.copy())
         near = PointCloud(points=np.vstack((sampled.points, [[0.0, 0.0, 0.5 * alignment._MIN_DEPTH]])))
         rendered = splat_depth(near.points, K, 3)
-        pixel = np.argwhere(rendered.valid & obs.hand_mask)[0]
-        mask = np.zeros_like(obs.hand_mask)
+        pixel = np.argwhere(rendered.valid & obs.support.valid)[0]
+        mask = np.zeros_like(obs.support.valid)
         mask[tuple(pixel)] = True
         one = FrameObservation(cloud=obs.cloud, depth=obs.depth, hand_mask=mask)
         with pytest.raises(AlignmentError) as exc:
@@ -1141,7 +1141,7 @@ class TestAlignTrajectory:
     def test_empty_frame_failure_names_frame(self):
         traj, obs = self.make_sequence([(0.0, 0.0, 0.45)] * 4, seed=5)
         empty_mask = FrameObservation(cloud=obs[3].cloud, depth=obs[3].depth,
-                                      hand_mask=np.zeros_like(obs[3].hand_mask))
+                                      hand_mask=np.zeros_like(obs[3].support.valid))
         obs[3] = empty_mask
         with pytest.raises(AlignmentError) as err:
             align_trajectory(traj, obs, K, seed=5)

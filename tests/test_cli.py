@@ -260,12 +260,16 @@ class TestCmdPipeline:
         ("hand_trajectory.json", set_json(fps=NAN)),
         ("config.json", set_json(calibrate_scale="false")),
         ("config.json", set_json(seed=3.7)),
+        ("config.json", set_json(urdf=5)),
+        ("config.json", set_json(output_dir=5)),
+        ("config.json", set_json(hand_trajectory="hand\0trajectory.json")),
     ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
             "mount-offset", "ply-bare-format", "align-inner-iters", "align-splat-footprint",
             "solver-max-iters", "align-lambda-rend-nan", "align-huber-delta-nan",
             "retarget-huber-delta-nan", "retarget-lambda-init-inf", "solver-grad-tol-nan",
             "max-tip-error-nan", "max-tip-error-negative", "intrinsics-fy-inf",
-            "intrinsics-fx-nan", "fps-nan", "calibrate-scale-string", "seed-float"])
+            "intrinsics-fx-nan", "fps-nan", "calibrate-scale-string", "seed-float",
+            "urdf-number", "output-dir-number", "path-nul"])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
         out = tmp_path / "fix"
         assert main(["synth", "--out-dir", str(out), "--seed", "4",
@@ -298,6 +302,25 @@ class TestCmdPipeline:
         err = capsys.readouterr().err
         assert err.startswith("ERROR config:")
         assert "weight must be finite and >= 0" in err
+        assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("payload", [
+        b"[]",
+        "{\"medium-wrap\": {}}".encode("utf-16"),
+        json.dumps({"medium-wrap": 3}).encode(),
+        json.dumps({"medium-wrap": {"wrist-to-tip": "heavy"}}).encode(),
+    ], ids=["list-root", "not-utf8", "row-not-object", "weight-string"])
+    def test_malformed_weight_table_is_input_error(self, tmp_path, capsys, payload):
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        write_config(out, weight_table="weights.json")
+        (out / "weights.json").write_bytes(payload)
+        code = main(["calibrate", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:")
         assert "\n" not in err.strip()
 
     @pytest.mark.parametrize("points", [

@@ -65,7 +65,7 @@ def dense_splat(points, K, footprint):
 
 def dense_windows(values, valid, mask):
     """FrameObservation's window_origin, depth_window, reach_window and
-    hand_mask, found from the full grids."""
+    support validity, found from the full grids."""
     pad = alignment._WINDOW_PAD
     hand_mask = mask & valid
     rows = np.flatnonzero(hand_mask.any(axis=1))
@@ -171,7 +171,6 @@ class TestAgainstDenseReference:
             assert img.window.shape == (vs.max() - vs.min() + 1, us.max() - us.min() + 1)
         else:
             assert img.origin == (0, 0) and img.window.shape == (0, 0)
-        assert same_bits(img.window_valid, img.window > 0)
 
     @pytest.mark.parametrize("endian", ["<", ">"])
     def test_read_pfm_depth(self, name, endian, tmp_path):
@@ -210,7 +209,7 @@ class TestAgainstDenseReference:
             assert obs.window_origin == origin
             assert same_bits(obs.depth_window, depth_window)
             assert same_bits(obs.reach_window, reach)
-            assert same_bits(obs.hand_mask, hand_mask)
+            assert same_bits(obs.support.valid, hand_mask)
 
     @pytest.mark.parametrize("footprint", [1, 3])
     def test_depth_consistency_loss(self, name, footprint):
@@ -262,18 +261,38 @@ def test_windows_of_a_full_size_frame(tmp_path):
 # memory
 
 
-def test_depth_image_holds_no_full_size_array(tmp_path):
-    """A frame read from its PFM stores only its window: the arrays it holds
-    own their memory and together stay below one dense float64 map."""
+def c11_last_frame(tmp_path):
+    """The last depth map of the criterion-11 fixture, read back from its
+    PFM, and that frame's hand mask."""
     fixture = synth_hand_trajectory(SynthConfig(n_frames=10, noise_sigma=0.001, seed=7,
                                                 depth_scale=0.8))
     path = tmp_path / "frame.pfm"
     dataio.write_pfm_depth(fixture.depths[-1], path)
-    img = dataio.read_pfm_depth(path)
-    held = [a for a in (getattr(img, slot) for slot in DepthImage.__slots__)
+    return dataio.read_pfm_depth(path), fixture.masks[-1]
+
+
+def arrays_held_by(img):
+    return [a for a in (getattr(img, slot) for slot in DepthImage.__slots__)
             if isinstance(a, np.ndarray)]
+
+
+def test_depth_image_holds_no_full_size_array(tmp_path):
+    """A frame read from its PFM stores only its window: the arrays it holds
+    own their memory and together stay below one dense float64 map."""
+    img, _ = c11_last_frame(tmp_path)
+    held = arrays_held_by(img)
     assert held and all(a.base is None for a in held)
     assert sum(a.nbytes for a in held) < img.height * img.width * 8
+
+
+def test_frame_observation_holds_no_full_size_array(tmp_path):
+    """An observation of a c11 frame keeps its hand support as windows: no
+    array it or its depth maps hold is of the full (height, width) shape."""
+    img, mask = c11_last_frame(tmp_path)
+    obs = observation_of(img, mask)
+    held = [a for a in vars(obs).values() if isinstance(a, np.ndarray)]
+    held += arrays_held_by(obs.depth) + arrays_held_by(obs.support)
+    assert held and all(a.shape != img.shape for a in held)
 
 
 def test_full_size_views_are_built_fresh_and_read_only():

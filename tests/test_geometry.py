@@ -16,7 +16,6 @@ from dexretarget.geometry import (
     pseudo_huber_derivative,
     so3_left_jacobian,
     splat_depth,
-    splat_overlaps,
     weighted_umeyama,
 )
 
@@ -313,60 +312,11 @@ class TestSplatDepth:
         img = splat_depth(np.array([[0.0, 0.0, -1.0]]), K)
         assert not img.valid.any()
 
-
-class TestSplatOverlaps:
-    """splat_overlaps reads the pixels a splat writes against a mask; it
-    must answer what rendering the splat and intersecting its validity
-    with the mask answers."""
-
-    # a small image, so that random points and masks meet and touch its edges
-    SMALL = CameraIntrinsics(fx=20.0, fy=20.0, cx=8.0, cy=6.0, width=16, height=12)
-
-    @staticmethod
-    @st.composite
-    def _masks(draw, shape):
-        kind = draw(st.sampled_from(["empty", "pixel", "edges", "random"]))
-        mask = np.zeros(shape, dtype=bool)
-        if kind == "pixel":
-            mask[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = True
-        elif kind == "edges":
-            mask[[0, -1], :] = True
-            mask[:, [0, -1]] = True
-        elif kind == "random":
-            seed = draw(st.integers(0, 2**32 - 1))
-            mask = np.random.default_rng(seed).random(shape) < draw(st.floats(0.0, 0.2))
-        return mask
-
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_agrees_with_the_rendered_splat(self, data):
-        k = self.SMALL
-        mask = data.draw(self._masks((k.height, k.width)))
-        footprint = data.draw(st.sampled_from([1, 3, 5]))
-        # pixel coordinates across the image, on and just beyond its edges,
-        # and far off it; depths behind the camera, at zero and in front
-        coord = st.one_of(st.floats(-3.0, k.width + 3.0),
-                          st.sampled_from([-1.5, -0.5, 0.0, 0.49, 0.5, k.width - 1.0,
-                                           k.width - 0.5, k.width + 0.5]),
-                          st.floats(-1e4, 1e4))
-        uvz = data.draw(st.lists(st.tuples(coord, coord, st.one_of(
-            st.floats(-1.0, 2.0), st.sampled_from([-0.5, 0.0, 0.3]))), max_size=12))
-        u, v, z = np.array(uvz, dtype=float).reshape(-1, 3).T
-        pts = np.column_stack([(u - k.cx) * np.abs(z) / k.fx, (v - k.cy) * np.abs(z) / k.fy, z])
-        rendered = splat_depth(pts, k, footprint)
-        assert splat_overlaps(pts, k, footprint, mask) == bool(np.any(rendered.valid & mask))
-
-    def test_checks_its_input_as_splat_depth_does(self):
-        k = self.SMALL
-        mask = np.ones((k.height, k.width), dtype=bool)
-        for pts, footprint in (([[0.0, 0.0, 1.0]], 2), ([[np.nan, 0.0, 1.0]], 3),
-                               ([[0.0, 0.0, np.inf]], 3)):
-            for check in (lambda: splat_depth(pts, k, footprint),
-                          lambda: splat_overlaps(pts, k, footprint, mask)):
+    def test_non_finite_points_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for point in ([bad, 0.0, 1.0], [0.0, 0.0, bad]):
                 with pytest.raises(InvalidArgumentError):
-                    check()
-        with pytest.raises(InvalidArgumentError):
-            splat_overlaps([[0.0, 0.0, 1.0]], k, 3, mask[1:])
+                    splat_depth([point], K)
 
 
 class TestCameraIntrinsics:
