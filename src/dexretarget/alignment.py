@@ -222,8 +222,111 @@ _TAPS = np.array([-1, 0, 1, 2])
 _TAP_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
+class _DepthPass:
+    """The depth kernel's value pass over one point set.
+
+    ``residuals`` are the kernel's residuals and ``run`` the indices, among
+    the points not near, of those that run the taps. Until its Jacobian is
+    continued, the pass keeps the intermediates the continuation reads:
+    the running points' depth and projection, the tap weights ``t``, the
+    per-axis weight sums and ratios, the gate, the gated weights and the
+    gaps. ``jacobian()`` continues from them once, keeps the Jacobian and
+    drops them.
+    """
+
+    def __init__(self, points, observation: FrameObservation, intrinsics: CameraIntrinsics):
+        pts = np.asarray(points, dtype=float)
+        near = pts[:, 2] < _MIN_DEPTH
+        self.near = near if np.any(near) else None
+        far = pts if self.near is None else pts[~near]
+        self.intrinsics = intrinsics
+        self.n_far = len(far)
+        self._kept = self._jacobian = None
+        z = far[:, 2]
+        u = intrinsics.fx * far[:, 0] / z + intrinsics.cx
+        v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
+        iu = np.floor(u).astype(int)
+        iv = np.floor(v).astype(int)
+        ou, ov = observation.window_origin
+        height, width = observation.reach_window.shape
+        # flat window pixel of each projection, clamped so that its taps stay inside
+        anchor = (np.maximum(np.minimum(iv - ov, height - 3), 1) * width
+                  + np.maximum(np.minimum(iu - ou, width - 3), 1))
+        # the sum is not finite when u, v or z is not (or when it overflows)
+        self.run = run = np.flatnonzero(
+            observation.reach_window.take(anchor) | ~np.isfinite(u + v + z))
+        r = np.zeros(len(far))
+        if run.size:
+            z, u, v = z[run], u[run], v[run]
+            # (4, 2, n) tap weights of both axes, each over its axis's weight sum
+            t = np.clip((_KERNEL_RADIUS - np.abs(np.stack((u, v)) - (np.stack((iu[run], iv[run]))
+                                                                     + _TAPS[:, None, None])))
+                        / _KERNEL_RADIUS, 0.0, 1.0)
+            wt = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
+            total = wt.sum(axis=0)
+            ratios = wt / total
+            # (16, n) flat window index; the column tap is the outer one
+            offsets = (_TAPS[:, None] + width * _TAPS[None, :]).ravel()
+            observed = observation.depth_window.take(offsets[:, None] + anchor[run])
+            # the depth window is positive exactly on the support
+            gate = observed > 0.0
+            ru, rv = ratios[:, 0], ratios[:, 1]
+            # the weights are finite and non-negative, so a gated-off tap adds exactly +-0
+            gated = (ru[:, None] * rv[None, :]).reshape(16, -1) * gate
+            gaps = z - observed
+            # one add per tap, in order: a reduction over the tap axis may sum pairwise
+            kept = np.zeros(run.size)
+            for term in gated * gaps:
+                kept += term
+            r[run] = kept
+            self._kept = (z, u, v, t, total, ratios, gate, gated, gaps)
+        if self.near is not None:
+            out = np.full(len(pts), np.inf)
+            out[~near] = r
+            r = out
+        self.residuals = r
+
+    def jacobian(self) -> np.ndarray:
+        """The (N, 3) derivative of each residual in its point's
+        coordinates (NaN for a near point)."""
+        if self._jacobian is not None:
+            return self._jacobian
+        jac = np.zeros((self.n_far, 3))
+        if self._kept is not None:
+            z, u, v, t, total, ratios, gate, gated, gaps = self._kept
+            self._kept = None
+            # smoothstep slope 30 t^2 (1 - t)^2 times dt/dc = -sign / radius,
+            # then the quotient rule through each axis's weight sum
+            dwt = (-30.0 / _KERNEL_RADIUS) * _TAP_SIGNS[:, None, None] * (t * (1.0 - t)) ** 2
+            dratios = (dwt - ratios * dwt.sum(axis=0)) / total
+            ru, rv = ratios[:, 0], ratios[:, 1]
+            dru, drv = dratios[:, 0], dratios[:, 1]
+            gated_gaps = gate * gaps
+            # the three tap sums in one reduction over the tap axis of a
+            # (16, 3, n) array, which adds the taps in order for any n (a
+            # (16, 1) array on its own would be summed pairwise)
+            dr_du, dr_dv, weight = np.stack((
+                (dru[:, None] * rv[None, :]).reshape(16, -1) * gated_gaps,
+                (ru[:, None] * drv[None, :]).reshape(16, -1) * gated_gaps,
+                gated), axis=1).sum(axis=0)
+            # du/dz = -(u - cx) / z and dv/dz = -(v - cy) / z
+            K = self.intrinsics
+            jac[self.run] = np.column_stack((
+                dr_du * K.fx / z,
+                dr_dv * K.fy / z,
+                weight - (dr_du * (u - K.cx) + dr_dv * (v - K.cy)) / z,
+            ))
+        if self.near is not None:
+            out = np.full((len(self.near), 3), np.nan)
+            out[~self.near] = jac
+            jac = out
+        self._jacobian = jac
+        return jac
+
+
 def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
-                           intrinsics: CameraIntrinsics, jacobian: bool = False):
+                           intrinsics: CameraIntrinsics, jacobian: bool = False, *,
+                           keep: bool = False):
     """Differentiable per-point depth discrepancies against an observed map.
 
     Each point samples the observed depth at its continuous projection with
@@ -249,76 +352,20 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     weight ratios differentiated through the smoothstep and the quotient
     rule, chained through the projection, plus the gated weight sum for the
     residual's own z. The residuals are the same bits either way.
+
+    The kernel is a value pass that keeps its intermediates (a _DepthPass)
+    and a Jacobian continuation that reads them. With ``keep`` the call
+    returns that pass, its Jacobian already continued when ``jacobian`` is
+    set, so that an alignment pass memo can continue a value pass it holds
+    without running the pass again; the residual and Jacobian bits are
+    those of the arrays returned without ``keep``.
     """
-    pts = np.asarray(points, dtype=float)
-    near = pts[:, 2] < _MIN_DEPTH
-    far = pts[~near] if np.any(near) else pts
-    z = far[:, 2]
-    u = intrinsics.fx * far[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
-    iu = np.floor(u).astype(int)
-    iv = np.floor(v).astype(int)
-    ou, ov = observation.window_origin
-    height, width = observation.reach_window.shape
-    # flat window pixel of each projection, clamped so that its taps stay inside
-    anchor = (np.maximum(np.minimum(iv - ov, height - 3), 1) * width
-              + np.maximum(np.minimum(iu - ou, width - 3), 1))
-    # the sum is not finite when u, v or z is not (or when it overflows)
-    run = np.flatnonzero(observation.reach_window.take(anchor) | ~np.isfinite(u + v + z))
-    r = np.zeros(len(far))
-    jac = np.zeros((len(far), 3)) if jacobian else None
-    if run.size:
-        z, u, v = z[run], u[run], v[run]
-        # (4, 2, n) tap weights of both axes, each over its axis's weight sum
-        t = np.clip((_KERNEL_RADIUS - np.abs(np.stack((u, v)) - (np.stack((iu[run], iv[run]))
-                                                                 + _TAPS[:, None, None])))
-                    / _KERNEL_RADIUS, 0.0, 1.0)
-        wt = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
-        total = wt.sum(axis=0)
-        ratios = wt / total
-        # (16, n) flat window index; the column tap is the outer one
-        offsets = (_TAPS[:, None] + width * _TAPS[None, :]).ravel()
-        observed = observation.depth_window.take(offsets[:, None] + anchor[run])
-        # the depth window is positive exactly on the support
-        gate = observed > 0.0
-        ru, rv = ratios[:, 0], ratios[:, 1]
-        # the weights are finite and non-negative, so a gated-off tap adds exactly +-0
-        gated = (ru[:, None] * rv[None, :]).reshape(16, -1) * gate
-        gaps = z - observed
-        # one add per tap, in order: a reduction over the tap axis may sum pairwise
-        kept = np.zeros(run.size)
-        for term in gated * gaps:
-            kept += term
-        r[run] = kept
-        if jacobian:
-            # smoothstep slope 30 t^2 (1 - t)^2 times dt/dc = -sign / radius,
-            # then the quotient rule through each axis's weight sum
-            dwt = (-30.0 / _KERNEL_RADIUS) * _TAP_SIGNS[:, None, None] * (t * (1.0 - t)) ** 2
-            dratios = (dwt - ratios * dwt.sum(axis=0)) / total
-            dru, drv = dratios[:, 0], dratios[:, 1]
-            gated_gaps = gate * gaps
-            # the three tap sums in one reduction over the tap axis of a
-            # (16, 3, n) array, which adds the taps in order for any n (a
-            # (16, 1) array on its own would be summed pairwise)
-            dr_du, dr_dv, weight = np.stack((
-                (dru[:, None] * rv[None, :]).reshape(16, -1) * gated_gaps,
-                (ru[:, None] * drv[None, :]).reshape(16, -1) * gated_gaps,
-                gated), axis=1).sum(axis=0)
-            # du/dz = -(u - cx) / z and dv/dz = -(v - cy) / z
-            jac[run] = np.column_stack((
-                dr_du * intrinsics.fx / z,
-                dr_dv * intrinsics.fy / z,
-                weight - (dr_du * (u - intrinsics.cx) + dr_dv * (v - intrinsics.cy)) / z,
-            ))
-    if far is pts:
-        return (r, jac) if jacobian else r
-    out = np.full(len(pts), np.inf)
-    out[~near] = r
-    if not jacobian:
-        return out
-    jac_out = np.full((len(pts), 3), np.nan)
-    jac_out[~near] = jac
-    return out, jac_out
+    depth_pass = _DepthPass(points, observation, intrinsics)
+    if jacobian:
+        depth_pass.jacobian()
+    if keep:
+        return depth_pass
+    return (depth_pass.residuals, depth_pass.jacobian()) if jacobian else depth_pass.residuals
 
 
 def _correspondences(index, observation: FrameObservation, hand_cloud: PointCloud,
@@ -329,12 +376,83 @@ def _correspondences(index, observation: FrameObservation, hand_cloud: PointClou
     return observation.cloud.points[idx], observation.cloud.normals[idx]
 
 
-def _evaluate(hand_cloud, observation, intrinsics, cfg, correspondences, x,
-              gradient: bool = False, bound: float = np.inf):
+@dataclass
+class _MovedHand:
+    """The hand at one parameter vector: its scale, R p, the moved points
+    sigma (R p + t) and their depth-kernel pass."""
+
+    sigma: float
+    rotated: np.ndarray
+    moved: np.ndarray
+    depth: _DepthPass
+
+
+class _PassMemo:
+    """One frame's moved hands at its last two parameter vectors, most
+    recently used first, keyed by the exact bytes of x.
+
+    Every evaluation of the frame reads the hand at x from here, so the
+    depth kernel runs only for an x that is not one of the last two. A
+    gradient at the point the solver has just accepted, a solve's start at
+    the point the last fresh score took, and the fresh score of a solve's
+    solution continue the pass they find. A pass runs with the Jacobian
+    when its first caller needs one.
+    """
+
+    def __init__(self, hand_cloud: PointCloud, observation: FrameObservation,
+                 intrinsics: CameraIntrinsics):
+        self.hand_cloud = hand_cloud
+        self.observation = observation
+        self.intrinsics = intrinsics
+        self.entries = []  # (key, _MovedHand) pairs, most recently used first
+
+    def at(self, x: np.ndarray, jacobian: bool = False) -> _MovedHand:
+        key = x.tobytes()
+        for k, (held, state) in enumerate(self.entries):
+            if held == key:
+                if k:
+                    self.entries.reverse()
+                return state
+        sigma, correction = params_decode(x)
+        # R p, and from it the moved points as apply_scaled_correction computes them
+        rotated = correction.rotation.apply(self.hand_cloud.points)
+        moved = sigma * (rotated + correction.translation)
+        depth = smooth_depth_residuals(moved, self.observation, self.intrinsics,
+                                       jacobian=jacobian, keep=True)
+        state = _MovedHand(sigma, rotated, moved, depth)
+        self.entries = [(key, state)] + self.entries[:1]
+        return state
+
+    def touch(self, x: np.ndarray) -> None:
+        """Make the hand at x, if held, the most recently used."""
+        key = x.tobytes()
+        if len(self.entries) == 2 and self.entries[1][0] == key:
+            self.entries.reverse()
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two (N, 3) arrays, row by row: the same component
+    products and differences written into a C-ordered (N, 3) array, so
+    that a reduction over it gives np.cross's bits."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    out = np.empty(a.shape)
+    c0, c1, c2 = out.T
+    np.multiply(a1, b2, out=c0)
+    c0 -= a2 * b1
+    np.multiply(a2, b0, out=c1)
+    c1 -= a0 * b2
+    np.multiply(a0, b1, out=c2)
+    c2 -= a1 * b0
+    return out
+
+
+def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
+              bound: float = np.inf):
     """The alignment objective at the parameter vector x, or with
-    ``gradient`` its closed-form gradient in x instead. ``correspondences``
-    maps x to the (points, normals) pair the point-to-plane term measures
-    against.
+    ``gradient`` its closed-form gradient in x instead, for the hand,
+    observation and intrinsics of ``memo``. ``correspondences`` maps x to
+    the (points, normals) pair the point-to-plane term measures against.
 
     The solver minimizes smooth surrogates (pseudo-Huber penalties and the
     smooth depth kernel) so that the objective has a continuous
@@ -350,19 +468,18 @@ def _evaluate(hand_cloud, observation, intrinsics, cfg, correspondences, x,
     pseudo-Huber penalties, so it is >= 0, and rounded addition is
     monotone, so fl(fl(A + B) + C) >= fl(B + C) for A, B, C >= 0.
 
-    The gradient comes from one depth-kernel pass. With moved points
+    The moved points and the depth-kernel pass at x come from the pass
+    memo, so a value and a gradient at the same x share one pass: the
+    gradient continues the value pass to its Jacobian. With moved points
     m = sigma (R(w) p + t) and G_i the objective's derivative in m_i,
     d/d log sigma = sum G_i . m_i, d/dt = sigma sum G_i, and d/dw =
     sigma J_l(w)^T sum (R p_i) x G_i, J_l being the SO(3) left Jacobian.
     """
     x = np.asarray(x, dtype=float)
-    sigma, correction = params_decode(x)
-    # R p, and from it the moved points as apply_scaled_correction computes them
-    rotated = correction.rotation.apply(hand_cloud.points)
-    moved = sigma * (rotated + correction.translation)
+    state = memo.at(x, jacobian=gradient)
+    moved, d = state.moved, state.depth.residuals
     delta = cfg.huber_delta
     if not gradient:
-        d = smooth_depth_residuals(moved, observation, intrinsics)
         if not np.all(np.isfinite(d)):
             return np.inf
         depth = cfg.lambda_rend * float(np.mean(pseudo_huber(d, delta)))
@@ -372,19 +489,19 @@ def _evaluate(hand_cloud, observation, intrinsics, cfg, correspondences, x,
         corr_pts, corr_nrm = correspondences(x)
         r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
         return (float(np.mean(pseudo_huber(r, delta))) + depth) + reg
-    corr_pts, corr_nrm = correspondences(x)
-    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
-    d, d_jac = smooth_depth_residuals(moved, observation, intrinsics, jacobian=True)
     if not np.all(np.isfinite(d)):
         return np.full(len(x), np.nan)
+    corr_pts, corr_nrm = correspondences(x)
+    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     # G_i: derivative of the point-to-plane and depth means in m_i
     g_moved = (pseudo_huber_derivative(r, delta)[:, None] * corr_nrm
-               + cfg.lambda_rend * pseudo_huber_derivative(d, delta)[:, None] * d_jac
-               ) / len(moved)
+               + cfg.lambda_rend * pseudo_huber_derivative(d, delta)[:, None]
+               * state.depth.jacobian()) / len(moved)
     grad = np.concatenate((
         [np.sum(g_moved * moved)],
-        sigma * (so3_left_jacobian(x[1:4]).T @ np.sum(np.cross(rotated, g_moved), axis=0)),
-        sigma * np.sum(g_moved, axis=0),
+        state.sigma * (so3_left_jacobian(x[1:4]).T
+                       @ np.sum(_cross_rows(state.rotated, g_moved), axis=0)),
+        state.sigma * np.sum(g_moved, axis=0),
     ))
     grad[1:] += 2.0 * cfg.lambda_reg * x[1:]
     return grad
@@ -397,6 +514,7 @@ def alignment_problem(
     cfg: AlignConfig,
     at: Optional[np.ndarray] = None,
     frozen=None,
+    memo: Optional[_PassMemo] = None,
 ) -> BoxProblem:
     """Box problem over (log sigma, twist) with correspondences frozen at
     the given parameters (identity by default). Used both by the solver
@@ -404,12 +522,16 @@ def alignment_problem(
     pair of those correspondences when the caller has it; otherwise they
     are queried from a k-d tree built over the observed cloud. Its
     objective and gradient are both ``_evaluate`` against the frozen
-    correspondences.
+    correspondences, through ``memo``: the frame's pass memo over the same
+    hand cloud, observation and intrinsics when the caller has one, or
+    else one of the problem's own.
     """
     if frozen is None:
         x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
         frozen = _correspondences(build_index(observation.cloud), observation, hand_cloud, x0)
-    evaluate = partial(_evaluate, hand_cloud, observation, intrinsics, cfg, lambda _: frozen)
+    if memo is None:
+        memo = _PassMemo(hand_cloud, observation, intrinsics)
+    evaluate = partial(_evaluate, memo, cfg, lambda _: frozen)
     return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=evaluate,
                       gradient=partial(evaluate, gradient=True))
 
@@ -421,20 +543,23 @@ _SCALE_GRID = np.exp(np.linspace(LOG_SCALE_BOUNDS[0] + 0.05,
                                  LOG_SCALE_BOUNDS[1] - 0.05, 17))
 
 
-def _scan_scale(hand_cloud, observation, intrinsics, cfg, query, x, f_best):
+def _scan_scale(memo, cfg, query, x, f_best):
     """Scan the grid scales from parameters x of fresh score f_best, with
     ``query`` mapping parameters to their correspondences: a candidate
     becomes the pick when its fresh score is below the best so far.
     Returns the pick and its score. The best score so far is each
     candidate's ``_evaluate`` bound, so the pick is the bits an exhaustive
-    scan of full scores gives.
+    scan of full scores gives. The pick stays in the pass memo, so the
+    first solve's start continues its pass.
     """
     for g in _SCALE_GRID:
         cand = x.copy()
         cand[0] = np.log(g)
-        fc = _evaluate(hand_cloud, observation, intrinsics, cfg, query, cand, bound=f_best)
+        fc = _evaluate(memo, cfg, query, cand, bound=f_best)
         if fc < f_best:
             f_best, x = fc, cand
+        else:
+            memo.touch(x)
     return x, f_best
 
 
@@ -474,6 +599,13 @@ def align_hand_frame(
     solve's solution. The scan's pick and a kept solution serve again as
     the next round's anchor, and the last kept one in the final residuals.
 
+    Every score and gradient of the frame reads one pass memo, which the
+    frame owns and empties once its solves are done. The depth kernel runs
+    one value pass per distinct parameter vector: a solve's start continues
+    the pass of the scan's pick or of the kept solution, each gradient the
+    pass of the point the solver has just accepted, and each fresh score
+    the pass of the solution it scores.
+
     ``converged`` on the result is the last solve's flag. After a stop on
     no improvement, that solve's solution is not the one returned.
     """
@@ -485,6 +617,9 @@ def align_hand_frame(
     obs_index = build_index(observation.cloud)
     x = np.clip(params_encode(init.sigma, init.correction), _PARAM_LO, _PARAM_HI)
     queried = {}
+    # the frame's pass memo: every score and gradient below reads it, and
+    # it goes with the frame
+    memo = _PassMemo(hand_cloud, observation, intrinsics)
 
     def query(at):
         # correspondences at the given parameters, queried once per frame
@@ -495,12 +630,10 @@ def align_hand_frame(
 
     def fresh(at):
         # the objective with correspondences queried at the given parameters
-        return _evaluate(hand_cloud, observation, intrinsics, cfg, query, at)
+        return _evaluate(memo, cfg, query, at)
 
     # the depth overlap must be non-empty at the starting parameters
-    sigma0, corr0 = params_decode(x)
-    moved0 = apply_scaled_correction(hand_cloud.points, sigma0, corr0)
-    omega0, _ = splat_depth(moved0, intrinsics, cfg.splat_footprint).common_depths(
+    omega0, _ = splat_depth(memo.at(x).moved, intrinsics, cfg.splat_footprint).common_depths(
         observation.support)
     f_best = fresh(x)
     if not omega0.size or not np.isfinite(f_best):
@@ -512,7 +645,7 @@ def align_hand_frame(
     # coarse scan over the scale axis picks the starting basin; the
     # initialization remains a candidate so the result never regresses
     before = len(queried)
-    x, f_best = _scan_scale(hand_cloud, observation, intrinsics, cfg, query, x, f_best)
+    x, f_best = _scan_scale(memo, cfg, query, x, f_best)
     log.debug("frame %d: scale scan picked sigma=%.4f; %d of %d candidates queried",
               hand.frame_index, np.exp(x[0]), len(queried) - before, len(_SCALE_GRID))
     opts = SolverOptions(max_iters=cfg.inner_iters)
@@ -520,7 +653,7 @@ def align_hand_frame(
     # x is always the best parameters so far, of fresh score f_best
     for solves in range(1, cfg.outer_iters + 1):
         problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
-                                    frozen=query(x))
+                                    frozen=query(x), memo=memo)
         try:
             report = minimize_box(problem, x, opts)
         except SolverStartError as exc:
@@ -539,6 +672,9 @@ def align_hand_frame(
             stop = "step"
             break
     log.debug("frame %d: %d outer solves, stopped on %s", hand.frame_index, solves, stop)
+    # the scores are done: the passes go before the final residuals' splat,
+    # so that the frame's peak memory does not hold them
+    memo.entries.clear()
 
     sigma, correction = params_decode(x)
     moved = apply_scaled_correction(hand_cloud.points, sigma, correction)

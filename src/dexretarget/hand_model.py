@@ -240,10 +240,15 @@ class TaxonomyWeightTable:
             for g in VECTOR_GROUPS:
                 if g not in groups:
                     raise ConfigError(f"class {cls.value!r} missing weight for group {g!r}")
+                w = groups[g]
+                # JSON numbers, not Python conversions: true is no weight, nor "2.5"
+                if isinstance(w, bool) or not isinstance(w, (int, float)):
+                    raise ConfigError(
+                        f"class {cls.value!r}, group {g!r}: weight must be a number, got {w!r}")
                 try:
-                    w = float(groups[g])
-                except (TypeError, ValueError):
-                    w = np.nan
+                    w = float(w)
+                except OverflowError:
+                    w = np.inf
                 if w < 0 or not np.isfinite(w):
                     raise ConfigError(
                         f"class {cls.value!r}, group {g!r}: weight must be finite and >= 0")

@@ -1,5 +1,7 @@
+import gc
 import logging
 import re
+import weakref
 from functools import partial
 
 import numpy as np
@@ -668,6 +670,42 @@ class TestAlignHandFrame:
         assert calls.count("minimize_box") > 1
         assert calls.count("alignment_problem") == calls.count("minimize_box")
 
+    def test_one_kernel_pass_per_distinct_point(self, monkeypatch):
+        # every score and gradient of a frame reads the frame's pass memo:
+        # the depth kernel runs one value pass per distinct parameter
+        # vector, every gradient continues the pass of its point, and the
+        # memo goes with the frame
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        obs = observe(1.25 * sampled.points)
+        kernel, evaluate, memo_type = (alignment.smooth_depth_residuals, alignment._evaluate,
+                                       alignment._PassMemo)
+        passes, points, gradients, memos = [], set(), [], []
+
+        def counted_kernel(*args, **kwargs):
+            passes.append(kwargs.get("jacobian", False))
+            return kernel(*args, **kwargs)
+
+        def recorded_evaluate(memo, cfg, correspondences, x, gradient=False, bound=np.inf):
+            points.add(np.asarray(x, dtype=float).tobytes())
+            gradients.append(gradient)
+            return evaluate(memo, cfg, correspondences, x, gradient=gradient, bound=bound)
+
+        class RecordedMemo(memo_type):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(weakref.ref(self))
+
+        monkeypatch.setattr(alignment, "smooth_depth_residuals", counted_kernel)
+        monkeypatch.setattr(alignment, "_evaluate", recorded_evaluate)
+        monkeypatch.setattr(alignment, "_PassMemo", RecordedMemo)
+        align_hand_frame(hand, sampled, obs, K)
+        assert any(gradients) and len(gradients) > len(points)
+        assert passes == [False] * len(points)
+        assert len(memos) == 1
+        gc.collect()
+        assert memos[0]() is None
+
     def test_one_query_per_outer_round(self, monkeypatch):
         # a frame queries the k-d tree once per distinct parameter vector,
         # through one memo: the start, the scan's candidates that need a
@@ -848,7 +886,7 @@ def exhaustive_scan(sampled, obs, cfg, index, x):
     evaluation, as it was before candidates were bounded; kept as the
     oracle the bounded scan must equal bit for bit."""
     def fresh(at):
-        return alignment._evaluate(sampled, obs, K, cfg,
+        return alignment._evaluate(alignment._PassMemo(sampled, obs, K), cfg,
                                    partial(alignment._correspondences, index, obs, sampled), at)
 
     f_best = fresh(x)
@@ -895,9 +933,10 @@ class TestScaleScan:
         index = CountingIndex(build_index(obs.cloud))
         oracle = exhaustive_scan(sampled, obs, cfg, index.index, x)
         query = partial(alignment._correspondences, index, obs, sampled)
-        f_start = alignment._evaluate(sampled, obs, K, cfg, query, x)
+        memo = alignment._PassMemo(sampled, obs, K)
+        f_start = alignment._evaluate(memo, cfg, query, x)
         index.queries = 0
-        x_pick, f_pick = alignment._scan_scale(sampled, obs, K, cfg, query, x, f_start)
+        x_pick, f_pick = alignment._scan_scale(memo, cfg, query, x, f_start)
         return (x_pick, f_pick), oracle, index.queries
 
     @pytest.mark.parametrize("noise", [0.0, 0.001], ids=["clean", "noisy"])
@@ -946,14 +985,15 @@ class TestScaleScan:
             lower = (cfg.lambda_rend * float(np.mean(pseudo_huber(d, cfg.huber_delta)))
                      + cfg.lambda_reg * float(x[1:] @ x[1:]))
             index.queries = 0
-            full = alignment._evaluate(sampled, obs, K, cfg, corr, x)
+            memo = alignment._PassMemo(sampled, obs, K)
+            full = alignment._evaluate(memo, cfg, corr, x)
             assert index.queries == 1 and lower <= full
             # a bound the depth and regularizer sum reaches returns that sum
             # unqueried; one just above it queries and gives the full value
-            assert alignment._evaluate(sampled, obs, K, cfg, corr, x, bound=lower) == lower
+            assert alignment._evaluate(memo, cfg, corr, x, bound=lower) == lower
             assert index.queries == 1
             above = np.nextafter(lower, np.inf)
-            assert alignment._evaluate(sampled, obs, K, cfg, corr, x, bound=above) == full
+            assert alignment._evaluate(memo, cfg, corr, x, bound=above) == full
             assert index.queries == 2
 
 
@@ -969,8 +1009,9 @@ class TestAlignmentObjective:
 
         def frozen_and_fresh(x):
             # the fresh score align_hand_frame takes: correspondences queried at x
-            fresh = alignment._evaluate(
-                sampled, obs, K, cfg, partial(alignment._correspondences, index, obs, sampled), x)
+            fresh = alignment._evaluate(alignment._PassMemo(sampled, obs, K), cfg,
+                                        partial(alignment._correspondences, index, obs, sampled),
+                                        x)
             return alignment_problem(sampled, obs, K, cfg, at=x).objective(x), fresh
 
         for _ in range(5):
@@ -1057,6 +1098,78 @@ class TestAlignmentGradient:
         # the solver refuses to start there
         with pytest.raises(SolverStartError):
             solver.minimize_box(problem, near)
+
+
+class TestPassMemo:
+    """A frame's pass memo changes no bit: a value or gradient read from a
+    warm memo equals that of a cold problem."""
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(["low", "inside", "high"]),
+           cut=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_warm_memo_matches_cold_problem(self, seed, scale, cut):
+        rng = np.random.default_rng(seed)
+        hand = hand_at(offset=(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05),
+                               rng.uniform(0.35, 0.6)), curl=rng.uniform(0.1, 0.8))
+        sampled = sampled_hand_for(hand, seed=int(rng.integers(1000)))
+        observed = rng.uniform(0.85, 1.2) * sampled.points + rng.normal(size=3) * 0.005
+        depth = splat_depth(observed, K, 3)
+        mask = depth.valid.copy()
+        if cut:
+            mask[:, : int(np.median(np.nonzero(depth.valid)[1]))] = False
+        obs = FrameObservation(cloud=estimate_normals(PointCloud(points=observed), k=12),
+                               depth=depth, hand_mask=mask)
+        x = np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.2, 0.2, size=6)])
+        if scale != "inside":
+            x[0] = alignment.LOG_SCALE_BOUNDS[0 if scale == "low" else 1]
+        near = x.copy()
+        near[6] = -1.0  # the hand, at most 0.7 m deep, moves behind the camera plane
+        aside = x.copy()
+        aside[4] = 0.5  # the hand moves sideways out of the window: no point runs the taps
+        y = np.clip(x + rng.uniform(-0.01, 0.01, 7), alignment._PARAM_LO, alignment._PARAM_HI)
+        frozen = alignment._correspondences(build_index(obs.cloud), obs, sampled,
+                                            x + rng.uniform(-0.01, 0.01, 7))
+        cfg = AlignConfig()
+        memo = alignment._PassMemo(sampled, obs, K)
+        warm = alignment_problem(sampled, obs, K, cfg, frozen=frozen, memo=memo)
+        # hits on either entry, misses that evict, a value pass continued to
+        # its Jacobian and a pass first run with it
+        schedule = [(x, False), (x, True), (y, False), (x, True), (y, True), (near, False),
+                    (near, True), (aside, True), (aside, False), (x, False), (x, True)]
+        for point, gradient in schedule:
+            cold = alignment_problem(sampled, obs, K, cfg, frozen=frozen)
+            if gradient:
+                got, want = warm.gradient(point), cold.gradient(point)
+                assert got.tobytes() == want.tobytes()
+                held = [a for _, state in memo.entries
+                        for a in (*vars(state).values(), *vars(state.depth).values(),
+                                  *(state.depth._kept or ()))
+                        if isinstance(a, np.ndarray)]
+                assert not any(np.shares_memory(got, a) for a in held)
+                got[:] = 0.0  # what a caller does with its gradient reaches no entry
+            else:
+                assert warm.objective(point) == cold.objective(point)
+            assert len(memo.entries) <= 2
+            assert memo.entries[0][0] == point.tobytes()
+        assert warm.objective(near) == np.inf and np.all(np.isnan(warm.gradient(near)))
+        assert memo.at(aside).depth.run.size == 0
+        assert warm.objective(aside) < np.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 500, 501])
+    def test_cross_rows_sum_is_np_cross_sum(self, rng, n):
+        a, b = rng.normal(size=(2, n, 3))
+        # signed zeros and non-finite entries, in both operands
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for arr in (a, b):
+            hit = rng.random(arr.shape) < 0.2
+            arr[hit] = rng.choice(specials, size=int(hit.sum()))
+        a[0] = [-0.0, 0.0, -0.0]
+        b[0] = [0.0, -0.0, 1.0]
+        with np.errstate(invalid="ignore"):
+            got, want = alignment._cross_rows(a, b), np.cross(a, b)
+            sums = np.sum(got, axis=0), np.sum(want, axis=0)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert sums[0].tobytes() == sums[1].tobytes()
 
 
 class TestAlignTrajectory:

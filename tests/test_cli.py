@@ -323,6 +323,24 @@ class TestCmdPipeline:
         assert err.startswith("ERROR config:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("weight", [True, "2.5"], ids=["true", "numeric-string"])
+    def test_weight_that_is_no_json_number_is_input_error(self, tmp_path, capsys, weight):
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        write_config(out, weight_table="weights.json")
+        text = resources.files("dexretarget.assets").joinpath("taxonomy_weights.json").read_text()
+        doc = json.loads(text)
+        doc["medium-wrap"]["wrist-to-tip"] = weight
+        (out / "weights.json").write_text(json.dumps(doc))
+        code = main(["calibrate", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:")
+        assert "weight must be a number" in err
+        assert "\n" not in err.strip()
+
     @pytest.mark.parametrize("points", [
         np.outer(np.linspace(0.0, 0.1, 40), [1.0, 2.0, 3.0]) + [0.0, 0.0, 0.5],
         np.tile([0.01, 0.02, 0.5], (40, 1)),

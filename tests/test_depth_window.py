@@ -17,8 +17,8 @@ from dexretarget.geometry import (
     backproject_depth,
     splat_depth,
 )
-from dexretarget.pointcloud import PointCloud
-from dexretarget.synthetic import SynthConfig, synth_hand_trajectory
+from dexretarget.pointcloud import PointCloud, estimate_normals
+from dexretarget.synthetic import SynthConfig, sample_hand_surface, synth_hand_trajectory
 
 # ---------------------------------------------------------------------------
 # dense references
@@ -263,12 +263,12 @@ def test_windows_of_a_full_size_frame(tmp_path):
 
 def c11_last_frame(tmp_path):
     """The last depth map of the criterion-11 fixture, read back from its
-    PFM, and that frame's hand mask."""
+    PFM, and the fixture."""
     fixture = synth_hand_trajectory(SynthConfig(n_frames=10, noise_sigma=0.001, seed=7,
                                                 depth_scale=0.8))
     path = tmp_path / "frame.pfm"
     dataio.write_pfm_depth(fixture.depths[-1], path)
-    return dataio.read_pfm_depth(path), fixture.masks[-1]
+    return dataio.read_pfm_depth(path), fixture
 
 
 def arrays_held_by(img):
@@ -287,12 +287,21 @@ def test_depth_image_holds_no_full_size_array(tmp_path):
 
 def test_frame_observation_holds_no_full_size_array(tmp_path):
     """An observation of a c11 frame keeps its hand support as windows: no
-    array it or its depth maps hold is of the full (height, width) shape."""
-    img, mask = c11_last_frame(tmp_path)
-    obs = observation_of(img, mask)
+    array it or its depth maps hold is of the full (height, width) shape.
+    Aligning the frame's hand against it leaves it holding the same
+    objects, so the frame's pass memo does not outlive the frame on it."""
+    img, fixture = c11_last_frame(tmp_path)
+    obs = FrameObservation(cloud=estimate_normals(fixture.clouds[-1], k=12), depth=img,
+                           hand_mask=fixture.masks[-1])
     held = [a for a in vars(obs).values() if isinstance(a, np.ndarray)]
     held += arrays_held_by(obs.depth) + arrays_held_by(obs.support)
     assert held and all(a.shape != img.shape for a in held)
+    before = {name: id(value) for name, value in vars(obs).items()}
+    frame = fixture.trajectory.frames[-1]
+    sampled = PointCloud(points=sample_hand_surface(
+        frame.joints, alignment.HAND_SURFACE_POINTS, seed=7, visible_from=(0.0, 0.0, 0.0)))
+    alignment.align_hand_frame(frame, sampled, obs, fixture.intrinsics)
+    assert {name: id(value) for name, value in vars(obs).items()} == before
 
 
 def test_full_size_views_are_built_fresh_and_read_only():

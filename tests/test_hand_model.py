@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,36 @@ class TestTaxonomy:
                 for c in list(TaxonomyClass)[:5]}
         with pytest.raises(ConfigError):
             TaxonomyWeightTable(rows)
+
+    @staticmethod
+    def default_doc():
+        return json.loads(resources.files("dexretarget.assets").joinpath(
+            "taxonomy_weights.json").read_text())
+
+    @pytest.mark.parametrize("weight", [True, False, "2.5", "15", None, [1.0]],
+                             ids=["true", "false", "string", "integer-string", "null", "list"])
+    def test_weight_must_be_a_json_number(self, weight):
+        # as load_config takes its seed: float() would read true as 1.0
+        # and "2.5" as 2.5
+        doc = self.default_doc()
+        doc["medium-wrap"]["wrist-to-tip"] = weight
+        with pytest.raises(ConfigError, match="weight must be a number"):
+            TaxonomyWeightTable.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("weight", [2, 0.5, 0], ids=["integer", "float", "zero"])
+    def test_json_numbers_are_weights(self, weight):
+        doc = self.default_doc()
+        doc["medium-wrap"]["wrist-to-tip"] = weight
+        table = TaxonomyWeightTable.from_json(json.dumps(doc))
+        assert table.weight(TaxonomyClass.MEDIUM_WRAP, "wrist-to-tip") == float(weight)
+        assert type(table.weight(TaxonomyClass.MEDIUM_WRAP, "wrist-to-tip")) is float
+
+    def test_integer_beyond_float_range_is_not_finite(self):
+        doc = self.default_doc()
+        doc["medium-wrap"]["wrist-to-tip"] = "huge"
+        text = json.dumps(doc).replace('"huge"', "1" + "0" * 400)
+        with pytest.raises(ConfigError, match="weight must be finite and >= 0"):
+            TaxonomyWeightTable.from_json(text)
 
 
 class TestVectorSpec:
