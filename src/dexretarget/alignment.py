@@ -28,8 +28,9 @@ from .geometry import (
     RigidTransform,
     Rotation,
     backproject_depth,
-    pseudo_huber,
+    pseudo_huber_array,
     pseudo_huber_derivative,
+    rotvec_matrix,
     so3_left_jacobian,
     splat_depth,
     weighted_umeyama,
@@ -222,6 +223,14 @@ _TAPS = np.array([-1, 0, 1, 2])
 _TAP_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
+def _gated_weights(ratios: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """The (16, n) tap weights, column tap outermost, zero where ``gate``
+    is off: the products of the per-axis weight ratios (4, 2, n)."""
+    gated = (ratios[:, 0][:, None] * ratios[:, 1][None, :]).reshape(16, -1)
+    gated *= gate
+    return gated
+
+
 class _DepthPass:
     """The depth kernel's value pass over one point set.
 
@@ -229,12 +238,16 @@ class _DepthPass:
     the points not near, of those that run the taps. Until its Jacobian is
     continued, the pass keeps the intermediates the continuation reads:
     the running points' depth and projection, the tap weights ``t``, the
-    per-axis weight sums and ratios, the gate, the gated weights and the
-    gaps. ``jacobian()`` continues from them once, keeps the Jacobian and
-    drops them.
+    per-axis weight sums and ratios, the gate and the gaps; the
+    continuation forms the gated weights again from the ratios and the
+    gate, which spares the pass a third (16, n) array. ``jacobian()``
+    continues from them once, keeps the Jacobian and drops them. A pass
+    made without ``continuable`` keeps none of them and is never
+    continued.
     """
 
-    def __init__(self, points, observation: FrameObservation, intrinsics: CameraIntrinsics):
+    def __init__(self, points, observation: FrameObservation, intrinsics: CameraIntrinsics,
+                 continuable: bool):
         pts = np.asarray(points, dtype=float)
         near = pts[:, 2] < _MIN_DEPTH
         self.near = near if np.any(near) else None
@@ -258,28 +271,36 @@ class _DepthPass:
         r = np.zeros(len(far))
         if run.size:
             z, u, v = z[run], u[run], v[run]
-            # (4, 2, n) tap weights of both axes, each over its axis's weight sum
+            # (4, 2, n) tap weights of both axes, each over its axis's weight
+            # sum. Below, each array is written over one that is not read
+            # again, and a pass that is not continuable drops t at once, so
+            # that a value pass over many points (the scale scan's) holds
+            # at most two (16, n) arrays and little else at its peak
             t = np.clip((_KERNEL_RADIUS - np.abs(np.stack((u, v)) - (np.stack((iu[run], iv[run]))
                                                                      + _TAPS[:, None, None])))
                         / _KERNEL_RADIUS, 0.0, 1.0)
-            wt = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
-            total = wt.sum(axis=0)
-            ratios = wt / total
+            ratios = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
+            if not continuable:
+                t = None
+            total = ratios.sum(axis=0)
+            ratios /= total
             # (16, n) flat window index; the column tap is the outer one
             offsets = (_TAPS[:, None] + width * _TAPS[None, :]).ravel()
             observed = observation.depth_window.take(offsets[:, None] + anchor[run])
             # the depth window is positive exactly on the support
             gate = observed > 0.0
-            ru, rv = ratios[:, 0], ratios[:, 1]
             # the weights are finite and non-negative, so a gated-off tap adds exactly +-0
-            gated = (ru[:, None] * rv[None, :]).reshape(16, -1) * gate
-            gaps = z - observed
+            terms = _gated_weights(ratios, gate)
+            # the window is float64, so its depths' buffer takes the gaps
+            gaps = np.subtract(z, observed, out=observed)
+            terms *= gaps
             # one add per tap, in order: a reduction over the tap axis may sum pairwise
             kept = np.zeros(run.size)
-            for term in gated * gaps:
+            for term in terms:
                 kept += term
             r[run] = kept
-            self._kept = (z, u, v, t, total, ratios, gate, gated, gaps)
+            if continuable:
+                self._kept = (z, u, v, t, total, ratios, gate, gaps)
         if self.near is not None:
             out = np.full(len(pts), np.inf)
             out[~near] = r
@@ -293,7 +314,7 @@ class _DepthPass:
             return self._jacobian
         jac = np.zeros((self.n_far, 3))
         if self._kept is not None:
-            z, u, v, t, total, ratios, gate, gated, gaps = self._kept
+            z, u, v, t, total, ratios, gate, gaps = self._kept
             self._kept = None
             # smoothstep slope 30 t^2 (1 - t)^2 times dt/dc = -sign / radius,
             # then the quotient rule through each axis's weight sum
@@ -301,6 +322,7 @@ class _DepthPass:
             dratios = (dwt - ratios * dwt.sum(axis=0)) / total
             ru, rv = ratios[:, 0], ratios[:, 1]
             dru, drv = dratios[:, 0], dratios[:, 1]
+            gated = _gated_weights(ratios, gate)
             gated_gaps = gate * gaps
             # the three tap sums in one reduction over the tap axis of a
             # (16, 3, n) array, which adds the taps in order for any n (a
@@ -358,9 +380,10 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     returns that pass, its Jacobian already continued when ``jacobian`` is
     set, so that an alignment pass memo can continue a value pass it holds
     without running the pass again; the residual and Jacobian bits are
-    those of the arrays returned without ``keep``.
+    those of the arrays returned without ``keep``. A call with neither
+    keeps no intermediates, which keeps a large call's peak memory down.
     """
-    depth_pass = _DepthPass(points, observation, intrinsics)
+    depth_pass = _DepthPass(points, observation, intrinsics, continuable=jacobian or keep)
     if jacobian:
         depth_pass.jacobian()
     if keep:
@@ -387,16 +410,26 @@ class _MovedHand:
     depth: _DepthPass
 
 
+def _rotated(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R p for the rotation vector x[1:4]: the bits of
+    ``params_decode(x)[1].rotation.apply(points)``."""
+    return points @ rotvec_matrix(x[1:4]).T
+
+
 class _PassMemo:
     """One frame's moved hands at its last two parameter vectors, most
     recently used first, keyed by the exact bytes of x.
 
-    Every evaluation of the frame reads the hand at x from here, so the
+    Every ``_evaluate`` of the frame reads the hand at x from here, so the
     depth kernel runs only for an x that is not one of the last two. A
     gradient at the point the solver has just accepted, a solve's start at
     the point the last fresh score took, and the fresh score of a solve's
     solution continue the pass they find. A pass runs with the Jacobian
-    when its first caller needs one.
+    when its first caller needs one. The scale scan's candidates are
+    scored in one stacked pass of their own and never enter the memo.
+
+    The moved points are those ``apply_scaled_correction`` computes,
+    sigma (R p + t), formed without building a RigidTransform.
     """
 
     def __init__(self, hand_cloud: PointCloud, observation: FrameObservation,
@@ -413,21 +446,14 @@ class _PassMemo:
                 if k:
                     self.entries.reverse()
                 return state
-        sigma, correction = params_decode(x)
-        # R p, and from it the moved points as apply_scaled_correction computes them
-        rotated = correction.rotation.apply(self.hand_cloud.points)
-        moved = sigma * (rotated + correction.translation)
+        sigma = float(np.exp(x[0]))
+        rotated = _rotated(self.hand_cloud.points, x)
+        moved = sigma * (rotated + x[4:7])
         depth = smooth_depth_residuals(moved, self.observation, self.intrinsics,
                                        jacobian=jacobian, keep=True)
         state = _MovedHand(sigma, rotated, moved, depth)
         self.entries = [(key, state)] + self.entries[:1]
         return state
-
-    def touch(self, x: np.ndarray) -> None:
-        """Make the hand at x, if held, the most recently used."""
-        key = x.tobytes()
-        if len(self.entries) == 2 and self.entries[1][0] == key:
-            self.entries.reverse()
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -447,18 +473,19 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
-              bound: float = np.inf):
-    """The alignment objective at the parameter vector x, or with
-    ``gradient`` its closed-form gradient in x instead, for the hand,
-    observation and intrinsics of ``memo``. ``correspondences`` maps x to
-    the (points, normals) pair the point-to-plane term measures against.
+def _pseudo_huber_mean(r: np.ndarray, delta: float) -> float:
+    """The mean pseudo-Huber penalty of the residuals r, unchecked (an
+    AlignConfig validates its delta): np.mean's bits, the same sum over the
+    same count, without its argument handling."""
+    return float(np.add.reduce(pseudo_huber_array(r, delta))) / r.size
 
-    The solver minimizes smooth surrogates (pseudo-Huber penalties and the
-    smooth depth kernel) so that the objective has a continuous
-    closed-form gradient; the reported residuals still use the exact
-    losses. Where a point is nearer than the minimum depth the value is
-    +inf and the gradient all NaN.
+
+def _value(cfg, correspondences, x, moved, d, bound: float = np.inf) -> float:
+    """The alignment objective's value at the parameter vector x, given
+    the hand's moved points there and their depth-kernel residuals ``d``.
+    ``correspondences`` maps x to the (points, normals) pair the
+    point-to-plane term measures against. Where a residual is not finite
+    (a point nearer than the minimum depth) the value is +inf.
 
     The value is (point-to-plane + depth) + regularizer. The depth and
     regularizer terms need no correspondences and come first: when their
@@ -467,6 +494,31 @@ def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
     below ``bound`` either: the point-to-plane mean is a mean of
     pseudo-Huber penalties, so it is >= 0, and rounded addition is
     monotone, so fl(fl(A + B) + C) >= fl(B + C) for A, B, C >= 0.
+    """
+    if not np.isfinite(d).all():
+        return np.inf
+    depth = cfg.lambda_rend * _pseudo_huber_mean(d, cfg.huber_delta)
+    reg = cfg.lambda_reg * float(x[1:] @ x[1:])
+    if depth + reg >= bound:
+        return depth + reg
+    corr_pts, corr_nrm = correspondences(x)
+    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
+    return (_pseudo_huber_mean(r, cfg.huber_delta) + depth) + reg
+
+
+def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
+              bound: float = np.inf):
+    """The alignment objective at the parameter vector x (``_value``, with
+    ``bound``), or with ``gradient`` its closed-form gradient in x
+    instead, for the hand, observation and intrinsics of ``memo``.
+    ``correspondences`` maps x to the (points, normals) pair the
+    point-to-plane term measures against.
+
+    The solver minimizes smooth surrogates (pseudo-Huber penalties and the
+    smooth depth kernel) so that the objective has a continuous
+    closed-form gradient; the reported residuals still use the exact
+    losses. Where a point is nearer than the minimum depth the value is
+    +inf and the gradient all NaN.
 
     The moved points and the depth-kernel pass at x come from the pass
     memo, so a value and a gradient at the same x share one pass: the
@@ -478,17 +530,9 @@ def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
     x = np.asarray(x, dtype=float)
     state = memo.at(x, jacobian=gradient)
     moved, d = state.moved, state.depth.residuals
-    delta = cfg.huber_delta
     if not gradient:
-        if not np.all(np.isfinite(d)):
-            return np.inf
-        depth = cfg.lambda_rend * float(np.mean(pseudo_huber(d, delta)))
-        reg = cfg.lambda_reg * float(x[1:] @ x[1:])
-        if depth + reg >= bound:
-            return depth + reg
-        corr_pts, corr_nrm = correspondences(x)
-        r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
-        return (float(np.mean(pseudo_huber(r, delta))) + depth) + reg
+        return _value(cfg, correspondences, x, moved, d, bound)
+    delta = cfg.huber_delta
     if not np.all(np.isfinite(d)):
         return np.full(len(x), np.nan)
     corr_pts, corr_nrm = correspondences(x)
@@ -545,21 +589,33 @@ _SCALE_GRID = np.exp(np.linspace(LOG_SCALE_BOUNDS[0] + 0.05,
 
 def _scan_scale(memo, cfg, query, x, f_best):
     """Scan the grid scales from parameters x of fresh score f_best, with
-    ``query`` mapping parameters to their correspondences: a candidate
-    becomes the pick when its fresh score is below the best so far.
-    Returns the pick and its score. The best score so far is each
-    candidate's ``_evaluate`` bound, so the pick is the bits an exhaustive
-    scan of full scores gives. The pick stays in the pass memo, so the
-    first solve's start continues its pass.
+    ``query`` mapping parameters to their correspondences: in grid order,
+    a candidate becomes the pick when its fresh score is below the best
+    so far. Returns the pick and its score.
+
+    The candidates differ from x in log-scale only, so R p + t is formed
+    once and each candidate's moved points are sigma_c (R p + t), the
+    operations ``_PassMemo.at`` runs. One depth-kernel call scores all
+    the candidates' points stacked; a point's residual depends on that
+    point alone, so each candidate's slice is the bits of its own pass.
+    Each candidate's ``_value`` takes the best score so far as its bound,
+    so the pick is the bits an exhaustive scan of full scores gives. The
+    candidates' passes stay out of the pass memo: a pick other than x
+    costs the first solve's start one value pass.
     """
+    cands = []
     for g in _SCALE_GRID:
         cand = x.copy()
         cand[0] = np.log(g)
-        fc = _evaluate(memo, cfg, query, cand, bound=f_best)
+        cands.append(cand)
+    shifted = _rotated(memo.hand_cloud.points, x) + x[4:7]
+    moved = np.stack([float(np.exp(cand[0])) * shifted for cand in cands])
+    residuals = smooth_depth_residuals(moved.reshape(-1, 3), memo.observation,
+                                       memo.intrinsics).reshape(len(cands), -1)
+    for cand, points, d in zip(cands, moved, residuals):
+        fc = _value(cfg, query, cand, points, d, bound=f_best)
         if fc < f_best:
             f_best, x = fc, cand
-        else:
-            memo.touch(x)
     return x, f_best
 
 
@@ -582,8 +638,9 @@ def align_hand_frame(
     refreshed objective, than the initialization.
 
     Before the local solve, a scan over 17 scales picks the starting
-    basin. A candidate whose depth and regularizer terms alone reach the
-    best score so far makes no k-d tree query. The skip is exact: the
+    basin. One depth-kernel call scores the 17 candidates' points stacked.
+    A candidate whose depth and regularizer terms alone reach the best
+    score so far makes no k-d tree query. The skip is exact: the
     point-to-plane mean is >= 0 and rounded addition is monotone, so that
     candidate's full score could not win, and the scan picks the bits that
     scoring every candidate in full gives.
@@ -599,12 +656,14 @@ def align_hand_frame(
     solve's solution. The scan's pick and a kept solution serve again as
     the next round's anchor, and the last kept one in the final residuals.
 
-    Every score and gradient of the frame reads one pass memo, which the
-    frame owns and empties once its solves are done. The depth kernel runs
-    one value pass per distinct parameter vector: a solve's start continues
-    the pass of the scan's pick or of the kept solution, each gradient the
-    pass of the point the solver has just accepted, and each fresh score
-    the pass of the solution it scores.
+    Every score and gradient of the frame outside the scan reads one pass
+    memo, which the frame owns and empties once its solves are done. The
+    depth kernel runs the scan's stacked pass and one value pass per other
+    distinct parameter vector: the first solve's start continues the
+    start's pass when the scan keeps the start (a pick other than the start
+    costs it one value pass), a later solve's start the pass of the kept
+    solution, each gradient the pass of the point the solver has just
+    accepted, and each fresh score the pass of the solution it scores.
 
     ``converged`` on the result is the last solve's flag. After a stop on
     no improvement, that solve's solution is not the one returned.

@@ -105,18 +105,10 @@ class Rotation:
 
     @classmethod
     def from_rotvec(cls, rv) -> "Rotation":
-        v = as_vec3(rv)
-        angle = float(np.linalg.norm(v))
-        if angle < 1e-12:
-            # first-order expansion of exp; renormalized below
-            q = np.concatenate(([1.0], 0.5 * v))
-        else:
-            half = 0.5 * angle
-            q = np.concatenate(([np.cos(half)], np.sin(half) * v / angle))
-        # q is finite with norm near 1 once v is valid, so __init__'s checks
-        # are skipped; the normalization is the one __init__ applies
+        # the quaternion is finite with norm near 1 once rv is valid, so
+        # __init__'s checks are skipped
         rot = object.__new__(cls)
-        rot._q = q / float(np.linalg.norm(q))
+        rot._q = _rotvec_quat(as_vec3(rv))
         return rot
 
     @property
@@ -124,12 +116,7 @@ class Rotation:
         return self._q.copy()
 
     def as_matrix(self) -> np.ndarray:
-        w, x, y, z = self._q
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        return _quat_matrix(self._q)
 
     def as_rotvec(self) -> np.ndarray:
         q = self._q if self._q[0] >= 0.0 else -self._q
@@ -174,6 +161,36 @@ class Rotation:
     def __repr__(self) -> str:
         w, x, y, z = self._q
         return f"Rotation(w={w:.6g}, x={x:.6g}, y={y:.6g}, z={z:.6g})"
+
+
+def _rotvec_quat(v: np.ndarray) -> np.ndarray:
+    """The unit quaternion of a finite (3,) rotation vector, unchecked."""
+    angle = float(np.linalg.norm(v))
+    if angle < 1e-12:
+        # first-order expansion of exp; renormalized below
+        q = np.concatenate(([1.0], 0.5 * v))
+    else:
+        half = 0.5 * angle
+        q = np.concatenate(([np.cos(half)], np.sin(half) * v / angle))
+    # the normalization Rotation.__init__ applies
+    return q / float(np.linalg.norm(q))
+
+
+def _quat_matrix(q: np.ndarray) -> np.ndarray:
+    # Python floats round each product and sum as float64 scalars do
+    w, x, y, z = q.tolist()
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def rotvec_matrix(rv: np.ndarray) -> np.ndarray:
+    """The rotation matrix of a rotation vector, without validation: rv
+    must be a finite (3,) float array. The bits of
+    ``Rotation.from_rotvec(rv).as_matrix()``, without building the rotation."""
+    return _quat_matrix(_rotvec_quat(rv))
 
 
 def so3_left_jacobian(rotvec) -> np.ndarray:
@@ -450,10 +467,16 @@ def pseudo_huber(r, delta: float):
     if not np.isfinite(d) or d <= 0.0:
         raise InvalidArgumentError(f"delta must be positive and finite, got {delta}")
     arr = np.asarray(r, dtype=float)
-    out = d * d * (np.sqrt(1.0 + (arr / d) ** 2) - 1.0)
+    out = pseudo_huber_array(arr, d)
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
     return out
+
+
+def pseudo_huber_array(r: np.ndarray, delta: float) -> np.ndarray:
+    """``pseudo_huber`` of a float array, without validation: delta must
+    be positive and finite."""
+    return delta * delta * (np.sqrt(1.0 + (r / delta) ** 2) - 1.0)
 
 
 def pseudo_huber_derivative(r, delta: float) -> np.ndarray:

@@ -419,7 +419,7 @@ class TestSmoothDepthResiduals:
                   st.floats(-0.2, 1.0)),
         min_size=1, max_size=30)
 
-    @given(st.lists(_pixel_points, min_size=1, max_size=6))
+    @given(st.lists(_pixel_points, min_size=1, max_size=17))
     @settings(max_examples=60, deadline=None)
     def test_stacked_call_equals_per_set_calls(self, sets):
         plane = plane_points()
@@ -671,10 +671,11 @@ class TestAlignHandFrame:
         assert calls.count("alignment_problem") == calls.count("minimize_box")
 
     def test_one_kernel_pass_per_distinct_point(self, monkeypatch):
-        # every score and gradient of a frame reads the frame's pass memo:
+        # the scale scan scores its candidates in one stacked pass; every
+        # other score and gradient of a frame reads the frame's pass memo:
         # the depth kernel runs one value pass per distinct parameter
-        # vector, every gradient continues the pass of its point, and the
-        # memo goes with the frame
+        # vector scored through _evaluate, every gradient continues the
+        # pass of its point, and the memo goes with the frame
         hand = hand_at()
         sampled = sampled_hand_for(hand)
         obs = observe(1.25 * sampled.points)
@@ -682,9 +683,9 @@ class TestAlignHandFrame:
                                        alignment._PassMemo)
         passes, points, gradients, memos = [], set(), [], []
 
-        def counted_kernel(*args, **kwargs):
-            passes.append(kwargs.get("jacobian", False))
-            return kernel(*args, **kwargs)
+        def counted_kernel(pts, *args, **kwargs):
+            passes.append((len(pts), kwargs.get("jacobian", False)))
+            return kernel(pts, *args, **kwargs)
 
         def recorded_evaluate(memo, cfg, correspondences, x, gradient=False, bound=np.inf):
             points.add(np.asarray(x, dtype=float).tobytes())
@@ -701,7 +702,11 @@ class TestAlignHandFrame:
         monkeypatch.setattr(alignment, "_PassMemo", RecordedMemo)
         align_hand_frame(hand, sampled, obs, K)
         assert any(gradients) and len(gradients) > len(points)
-        assert passes == [False] * len(points)
+        n = len(sampled)
+        scan = (len(alignment._SCALE_GRID) * n, False)
+        # the start's pass (the overlap check and its fresh score), the
+        # scan's stacked pass, then the scan's pick and every later point
+        assert passes == [(n, False), scan] + [(n, False)] * (len(points) - 1)
         assert len(memos) == 1
         gc.collect()
         assert memos[0]() is None
@@ -958,6 +963,51 @@ class TestScaleScan:
             # a cold start is in the wrong basin: the scan queries and wins
             # there, and still prunes the candidates past the best scale
             assert all(0 < q < len(alignment._SCALE_GRID) for q in queried)
+
+    def stacked_scan_cases(self, sigma_star, noise, x, near_depth):
+        """The stacked scan's and the exhaustive scan's picks and scores
+        from x, and what the scan met: whether its pick left x, and how
+        many candidates the bound skipped and how many scored +inf. With
+        ``near_depth`` the hand gains a point on the optical axis at that
+        depth, so the candidates of scale below _MIN_DEPTH / near_depth
+        (about) bring it nearer than the minimum depth."""
+        _, sampled, obs = self.c08_observation(sigma_star, noise)
+        if near_depth is not None:
+            sampled = PointCloud(points=np.vstack((sampled.points, [[0.0, 0.0, near_depth]])))
+        picked, oracle, queries = self.bounded_and_exhaustive(sampled, obs, x)
+        near = 0
+        for g in alignment._SCALE_GRID:
+            cand = x.copy()
+            cand[0] = np.log(g)
+            moved = alignment.apply_scaled_correction(sampled.points,
+                                                      *alignment.params_decode(cand))
+            near += bool(moved[:, 2].min() < alignment._MIN_DEPTH)
+        skipped = len(alignment._SCALE_GRID) - near - queries
+        return picked, oracle, picked[0].tobytes() != x.tobytes(), skipped, near
+
+    @given(sigma_star=st.floats(0.6, 1.6), noise=st.sampled_from([0.0, 0.001]),
+           log_scale=st.floats(-0.4, 0.4),
+           twist=st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6),
+           near_depth=st.none() | st.floats(0.004, 0.03))
+    @settings(max_examples=25, deadline=None)
+    def test_stacked_scan_equals_exhaustive_scan(self, sigma_star, noise, log_scale, twist,
+                                                 near_depth):
+        # the stacked pass picks and scores the bits of a full fresh score
+        # per candidate, through picks that leave the start, bound skips
+        # and candidates that bring a point nearer than the minimum depth
+        x = np.array([log_scale, *twist])
+        (x_pick, f_pick), (x_oracle, f_oracle), *_ = self.stacked_scan_cases(
+            sigma_star, noise, x, near_depth)
+        assert x_pick.tobytes() == x_oracle.tobytes()
+        assert np.float64(f_pick).tobytes() == np.float64(f_oracle).tobytes()
+
+    def test_stacked_scan_oracle_reaches_every_case(self):
+        # one case of the oracle above that meets all three at once: a pick
+        # other than the start, a skipped candidate and a +inf candidate
+        (x_pick, f_pick), (x_oracle, f_oracle), moved, skipped, near = \
+            self.stacked_scan_cases(1.4, 0.001, np.zeros(7), 0.01)
+        assert moved and skipped > 0 and near > 0
+        assert x_pick.tobytes() == x_oracle.tobytes() and f_pick == f_oracle
 
     def test_warm_start_already_best_makes_no_query(self):
         hand = hand_at()

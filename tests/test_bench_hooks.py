@@ -94,6 +94,25 @@ def test_alignment_reaches_its_hooked_layers(monkeypatch):
     assert reached <= {attr for attr, calls in hits.items() if calls}
 
 
+def test_scale_scan_pass_reaches_the_hooked_kernel(monkeypatch):
+    """The scale scan scores its 17 candidates in one stacked depth-kernel
+    pass through the hooked ``alignment.smooth_depth_residuals``, so the
+    traced kernel count takes in the scan; a scan pass that bypassed the
+    attribute would make the count read low without failing a self-check."""
+    sizes = []
+    kernel = alignment.smooth_depth_residuals
+
+    def counted(points, *args, **kwargs):
+        sizes.append(len(points))
+        return kernel(points, *args, **kwargs)
+
+    monkeypatch.setattr(alignment, "smooth_depth_residuals", counted)
+    _align_one_frame()
+    assert len(alignment._SCALE_GRID) == 17
+    assert sizes.count(17 * 500) == 1
+    assert set(sizes) == {500, 17 * 500}
+
+
 def test_calibration_reaches_its_hooked_depth_layers(monkeypatch, tmp_path):
     """A calibrate run reads, backprojects and re-renders every frame's
     depth map through the attributes the traced run hooks, so a windowed
