@@ -9,6 +9,7 @@ See FORMATS.md for the full reference.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass, field, fields
@@ -33,6 +34,16 @@ from .retarget import RetargetConfig, RobotTrajectory, RobotTrajectoryFrame
 from .solver import SolverOptions
 
 _QUAT_UNIT_TOL = 1e-6
+# where str.splitlines ends a line: the PLY header's line breaks
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# a PLY vertex row holds ASCII decimals and nan/inf/infinity spellings
+# between runs of spaces and tabs, and ends in \n or \r\n; a body with
+# nothing else in it reads the same bits through numpy's text parser as
+# through float() token by token
+_PLY_ROW_BLANKS = " \t\r\n"
+_PLY_ROW_CHARS = "+-.0123456789EeAaFfIiNnTtYy" + _PLY_ROW_BLANKS
+_PLY_ROW_BYTES = _PLY_ROW_CHARS.encode()
+_PLY_ROW_JUNK = re.compile(f"[^{re.escape(_PLY_ROW_CHARS)}]|\r(?!\n)")
 # PGM tokens lie between runs of ASCII whitespace; a body holds unsigned
 # decimal pixel values, and with nothing else in it numpy's text parser
 # reads every token
@@ -100,16 +111,24 @@ def _pose_dict(pose: RigidTransform) -> dict:
     }
 
 
+def _json_number(value, what: str, where: str) -> float:
+    """A JSON number as a float; JSON types, not Python conversions: true is
+    no number, nor "0.5"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataParseError(f"{what} must be a number, got {value!r}", location=where)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return np.inf
+
+
 def read_hand_trajectory(path) -> HandTrajectory:
     """Parse the hand trajectory JSON schema; raises DataParseError naming
     the offending frame and field."""
     doc = _load_json(path)
     if "frames" not in doc or not isinstance(doc["frames"], list):
         raise DataParseError("document must be an object with a 'frames' list")
-    try:
-        fps = float(doc.get("fps", 30.0))
-    except (TypeError, ValueError) as exc:
-        raise DataParseError(f"fps is not a number: {exc}", location="fps") from exc
+    fps = _json_number(doc.get("fps", 30.0), "fps", "fps")
     frames = []
     for k, fr in enumerate(doc["frames"]):
         where = f"frame {k}"
@@ -119,12 +138,17 @@ def read_hand_trajectory(path) -> HandTrajectory:
             if key not in fr:
                 raise DataParseError(f"{where}: missing field {key!r}", location=where)
         wrist = _parse_pose(fr["wrist"], f"{where}: wrist")
+        index = fr["index"]
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise DataParseError(f"{where}: index must be an integer, got {index!r}",
+                                 location=where)
+        confidence = _json_number(fr.get("confidence", 1.0), f"{where}: confidence", where)
         try:
             frame = HandFrame(
                 joints=fr["joints"],
                 wrist_pose=wrist,
-                confidence=float(fr.get("confidence", 1.0)),
-                frame_index=int(fr["index"]),
+                confidence=confidence,
+                frame_index=index,
                 contacts=fr.get("contacts"),
             )
         except (TypeError, ValueError) as exc:
@@ -190,17 +214,33 @@ def read_robot_trajectory(path, model) -> RobotTrajectory:
 # ---------------------------------------------------------------------------
 # ASCII PLY
 
+def _lines(text: str):
+    """(line, offset just past its line break) for each line of ``text``,
+    split where ``str.splitlines`` splits, walked lazily."""
+    start = 0
+    for brk in _LINE_BREAK.finditer(text):
+        yield text[start:brk.start()], brk.end()
+        start = brk.end()
+    if start < len(text):
+        yield text[start:], len(text)
+
+
 def read_ply(path) -> PointCloud:
-    """Read an ASCII PLY with x y z and optional nx ny nz properties."""
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0].strip() != "ply":
+    """Read an ASCII PLY with x y z and optional nx ny nz properties.
+
+    The header is walked line by line; the vertex rows after it must keep
+    to the row grammar in FORMATS.md and go to numpy's text parser in one
+    call."""
+    text = _read_text(path)
+    lines = _lines(text)
+    first = next(lines, None)
+    if first is None or first[0].strip() != "ply":
         raise FormatError("not a PLY file (missing 'ply' magic)")
-    it = iter(enumerate(lines[1:], start=2))
     n_vertex = None
     props = []
     in_vertex = False
-    header_end = None
-    for lineno, raw in it:
+    body_start = None
+    for lineno, (raw, end) in enumerate(lines, start=2):
         line = raw.strip()
         if not line:
             continue
@@ -220,11 +260,14 @@ def read_ply(path) -> PointCloud:
                     raise DataParseError(f"PLY vertex count is not an integer: {exc}",
                                          location=f"line {lineno}") from exc
         elif tokens[0] == "property" and in_vertex:
+            if tokens[2] in props:
+                raise DataParseError(f"PLY vertex property {tokens[2]!r} is named twice",
+                                     location=f"line {lineno}")
             props.append(tokens[2])
         elif tokens[0] == "end_header":
-            header_end = lineno
+            body_start = end
             break
-    if header_end is None or n_vertex is None:
+    if body_start is None or n_vertex is None:
         raise DataParseError("PLY header missing end_header or vertex element")
     for coord in ("x", "y", "z"):
         if coord not in props:
@@ -232,20 +275,30 @@ def read_ply(path) -> PointCloud:
     has_normals = all(p in props for p in ("nx", "ny", "nz"))
     col = {p: i for i, p in enumerate(props)}
 
-    data_lines = [l for l in lines[header_end:] if l.strip()]
-    if len(data_lines) != n_vertex:
+    body = text[body_start:]
+    if not (body.isascii() and not body.encode().translate(None, _PLY_ROW_BYTES)
+            and ("\r" not in body or body.count("\r") == body.count("\r\n"))):
+        junk = _PLY_ROW_JUNK.search(body)
+        at = lineno + 1 + body.count("\n", 0, junk.start())
         raise DataParseError(
-            f"PLY element count mismatch: header says {n_vertex}, file has {len(data_lines)}"
+            f"PLY vertex data holds {junk.group()!r}, outside the row grammar",
+            location=f"line {at}")
+    if body.strip(_PLY_ROW_BLANKS):
+        try:
+            data = np.loadtxt(io.StringIO(body), dtype=float, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise DataParseError(f"PLY vertex data does not parse: {exc}") from exc
+    else:  # no row, and no call for numpy to warn that it read no data
+        data = np.zeros((0, len(props)))
+    if len(data) != n_vertex:
+        raise DataParseError(
+            f"PLY element count mismatch: header says {n_vertex}, file has {len(data)}"
         )
-    try:
-        data = np.array([[float(t) for t in l.split()] for l in data_lines])
-    except ValueError as exc:
-        raise DataParseError(f"PLY vertex data is not numeric: {exc}") from exc
-    if n_vertex and data.shape[1] != len(props):
+    if data.shape[1] != len(props):
         raise DataParseError(
             f"PLY row width {data.shape[1]} does not match {len(props)} properties"
         )
-    pts = data[:, [col["x"], col["y"], col["z"]]] if n_vertex else np.zeros((0, 3))
+    pts = data[:, [col["x"], col["y"], col["z"]]]
     normals = None
     if has_normals and n_vertex:
         normals = data[:, [col["nx"], col["ny"], col["nz"]]]

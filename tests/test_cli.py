@@ -263,13 +263,19 @@ class TestCmdPipeline:
         ("config.json", set_json(urdf=5)),
         ("config.json", set_json(output_dir=5)),
         ("config.json", set_json(hand_trajectory="hand\0trajectory.json")),
+        # JSON types, not Python conversions, in the hand trajectory too
+        ("hand_trajectory.json", set_json(frame=0, index=9.7)),
+        ("hand_trajectory.json", set_json(frame=0, index="0")),
+        ("hand_trajectory.json", set_json(fps=True)),
+        ("hand_trajectory.json", set_json(frame=0, confidence="0.5")),
     ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
             "mount-offset", "ply-bare-format", "align-inner-iters", "align-splat-footprint",
             "solver-max-iters", "align-lambda-rend-nan", "align-huber-delta-nan",
             "retarget-huber-delta-nan", "retarget-lambda-init-inf", "solver-grad-tol-nan",
             "max-tip-error-nan", "max-tip-error-negative", "intrinsics-fy-inf",
             "intrinsics-fx-nan", "fps-nan", "calibrate-scale-string", "seed-float",
-            "urdf-number", "output-dir-number", "path-nul"])
+            "urdf-number", "output-dir-number", "path-nul", "frame-index-float",
+            "frame-index-string", "fps-bool", "frame-confidence-string"])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
         out = tmp_path / "fix"
         assert main(["synth", "--out-dir", str(out), "--seed", "4",

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from dexretarget import dataio
 from dexretarget.alignment import AlignConfig
-from dexretarget.errors import ConfigError, DataParseError, FormatError
+from dexretarget.errors import ConfigError, DataParseError, FormatError, InvalidArgumentError
 from dexretarget.geometry import CameraIntrinsics, DepthImage, RigidTransform, Rotation
 from dexretarget.hand_model import HandFrame, HandTrajectory, TaxonomyClass
 from dexretarget.pointcloud import PointCloud
@@ -95,6 +96,21 @@ class TestHandTrajectoryIO:
         with pytest.raises(DataParseError):
             dataio.read_hand_trajectory(path)
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("index", 9.7, "frame 1"), ("index", "1", "frame 1"), ("index", True, "frame 1"),
+        ("confidence", "0.5", "frame 1"), ("confidence", True, "frame 1"),
+        ("fps", True, "fps"), ("fps", "30", "fps"),
+    ])
+    def test_json_types_not_python_conversions(self, tmp_path, key, value, where):
+        path = tmp_path / "bad.json"
+        dataio.write_hand_trajectory(sample_trajectory(2), path)
+        doc = json.loads(path.read_text())
+        (doc if key == "fps" else doc["frames"][1])[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataParseError, match=key) as err:
+            dataio.read_hand_trajectory(path)
+        assert err.value.location == where and str(err.value).startswith(where)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -175,6 +191,247 @@ class TestPlyIO:
         path.write_text("hello\n")
         with pytest.raises(FormatError):
             dataio.read_ply(path)
+
+    @pytest.mark.parametrize("props, row, lineno", [("x x y z", "1 2 3 4", 5),
+                                                    ("x y z nx ny nz nx", "0 0 0 1 0 0 1", 10)])
+    def test_property_named_twice(self, tmp_path, props, row, lineno):
+        path = tmp_path / "bad.ply"
+        path.write_text(_ply_text(props.split(), row + "\n"))
+        with pytest.raises(DataParseError, match="named twice") as info:
+            dataio.read_ply(path)
+        assert info.value.location == f"line {lineno}"
+
+    @pytest.mark.parametrize("n_vertex, body", [(0, ""), (0, "\n \n\t\r\n  \n"),
+                                                (2, " \n\t\n")])
+    def test_no_row_warns_nothing(self, tmp_path, n_vertex, body):
+        path = tmp_path / "empty.ply"
+        path.write_text(_ply_text(["x", "y", "z", "nx", "ny", "nz"], body, n_vertex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if n_vertex:
+                with pytest.raises(DataParseError, match="count mismatch"):
+                    dataio.read_ply(path)
+            else:
+                cloud = dataio.read_ply(path)
+                assert cloud.points.shape == (0, 3) and cloud.normals is None
+
+
+def _ply_text(props, body, n_vertex=1, eol="\n"):
+    header = ["ply", "format ascii 1.0", f"element vertex {n_vertex}"]
+    header += [f"property float {p}" for p in props] + ["end_header"]
+    return eol.join(header) + eol + body
+
+
+def reference_read_ply(path) -> PointCloud:
+    """The token-by-token reader: one float() a token, rows split where
+    str.splitlines splits and tokens where str.split does."""
+    lines = dataio._read_text(path).splitlines()
+    if not lines or lines[0].strip() != "ply":
+        raise FormatError("not a PLY file (missing 'ply' magic)")
+    it = iter(enumerate(lines[1:], start=2))
+    n_vertex = None
+    props = []
+    in_vertex = False
+    header_end = None
+    for lineno, raw in it:
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) < {"format": 2, "element": 2, "property": 3}.get(tokens[0], 1):
+            raise DataParseError(f"PLY header line {line!r} is missing a token",
+                                 location=f"line {lineno}")
+        if tokens[0] == "format":
+            if tokens[1] != "ascii":
+                raise FormatError(f"unsupported PLY format {tokens[1]!r} (ASCII only)")
+        elif tokens[0] == "element":
+            in_vertex = tokens[1] == "vertex"
+            if in_vertex:
+                try:
+                    n_vertex = int(tokens[2])
+                except (IndexError, ValueError) as exc:
+                    raise DataParseError(f"PLY vertex count is not an integer: {exc}",
+                                         location=f"line {lineno}") from exc
+        elif tokens[0] == "property" and in_vertex:
+            props.append(tokens[2])
+        elif tokens[0] == "end_header":
+            header_end = lineno
+            break
+    if header_end is None or n_vertex is None:
+        raise DataParseError("PLY header missing end_header or vertex element")
+    for coord in ("x", "y", "z"):
+        if coord not in props:
+            raise FormatError(f"PLY vertex element missing property {coord!r}")
+    has_normals = all(p in props for p in ("nx", "ny", "nz"))
+    col = {p: i for i, p in enumerate(props)}
+
+    data_lines = [l for l in lines[header_end:] if l.strip()]
+    if len(data_lines) != n_vertex:
+        raise DataParseError(
+            f"PLY element count mismatch: header says {n_vertex}, file has {len(data_lines)}"
+        )
+    try:
+        data = np.array([[float(t) for t in l.split()] for l in data_lines])
+    except ValueError as exc:
+        raise DataParseError(f"PLY vertex data is not numeric: {exc}") from exc
+    if n_vertex and data.shape[1] != len(props):
+        raise DataParseError(
+            f"PLY row width {data.shape[1]} does not match {len(props)} properties"
+        )
+    pts = data[:, [col["x"], col["y"], col["z"]]] if n_vertex else np.zeros((0, 3))
+    normals = None
+    if has_normals and n_vertex:
+        normals = data[:, [col["nx"], col["ny"], col["nz"]]]
+        norms = np.linalg.norm(normals, axis=1, keepdims=True)
+        normals = normals / np.maximum(norms, 1e-300)
+    return PointCloud(points=pts, normals=normals)
+
+
+# the row grammar, written apart from the reader's character test: ASCII
+# decimal and nan/inf/infinity tokens, runs of spaces and tabs between them,
+# \n or \r\n after each row
+_PLY_TOKEN = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE)
+
+
+def outside_ply_grammar(text: str) -> bool:
+    """Whether a file the reference reads is one the reader rejects: its
+    body leaves the row grammar, or its vertex element names a property
+    twice."""
+    lines = text.splitlines(keepends=True)
+    props, in_vertex = [], False
+    for k, line in enumerate(lines[1:], start=1):
+        tokens = line.split()
+        if tokens[:1] == ["element"]:
+            in_vertex = tokens[1] == "vertex"
+        elif tokens[:1] == ["property"] and in_vertex:
+            props.append(tokens[2])
+        elif tokens[:1] == ["end_header"]:
+            break
+    if len(set(props)) != len(props):
+        return True
+    for row in re.split("\r?\n", "".join(lines[k + 1:])):
+        tokens = re.split("[ \t]+", row.strip(" \t"))
+        if row.strip(" \t") and not all(_PLY_TOKEN.fullmatch(t) for t in tokens):
+            return True
+    return False
+
+
+# tokens float() reads, in the forms a writer might use: %.9g, repr,
+# integers, a leading sign or point, a trailing point, the non-finite
+# spellings, zeros of both signs, subnormals and both ends of the range
+_PLY_SPECIAL_TOKENS = ["0", "-0", "+0.0", "+1", ".5", "5.", "-.25e1", "1e300", "-1E-300",
+                       "1e-310", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+                       "1e999", "12345678901234567890", "007", "nan", "-NaN", "inf", "+Inf",
+                       "-infinity", "INFINITY"]
+_PLY_FLOAT_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.9g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-2.0, 2.0).map(lambda v: f"{v:.9g}"),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(_PLY_SPECIAL_TOKENS),
+)
+# what float() and str.splitlines take beyond the grammar, and bytes that
+# break a token or a row
+_PLY_JUNK = ["_", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+             "\u2029", "\u0661", "\u2003", "\r", " ", "\t", "\n", "x", "e", "-", "+", ".",
+             "n", "#", "0", "\x00"]
+
+
+@st.composite
+def ply_files(draw):
+    """ASCII PLY files in the row grammar, some with one character edited."""
+    props = ["x", "y", "z"] + (["nx", "ny", "nz"] if draw(st.booleans()) else [])
+    props += draw(st.lists(st.sampled_from(["red", "quality", "u", "alpha"]), unique=True,
+                           max_size=2))
+    props = draw(st.permutations(props))
+    if draw(st.integers(0, 9)) == 0:
+        props.insert(draw(st.integers(0, len(props))), draw(st.sampled_from(props)))
+    n = draw(st.integers(0, 5))
+    n_vertex = max(0, n + draw(st.sampled_from([0] * 8 + [-1, 1])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    seps = st.sampled_from([" ", " ", "\t", "  ", " \t ", "\t\t"])
+    blanks = st.sampled_from(["", "", "", " ", "\t", " \t "])
+    rows = []
+    for _ in range(n):
+        tokens = draw(st.lists(_PLY_FLOAT_TOKENS, min_size=len(props), max_size=len(props)))
+        row = draw(blanks) + "".join(t + draw(seps) for t in tokens[:-1]) + tokens[-1]
+        rows.append(row + draw(blanks) + eol)
+        if draw(st.integers(0, 4)) == 0:
+            rows.append(draw(blanks) + eol)
+    body = "".join(rows)
+    if body and draw(st.booleans()):
+        body = body[:-len(eol)]
+    text = _ply_text(props, body, n_vertex, eol)
+    edit = draw(st.sampled_from(["none", "none", "overwrite", "insert"]))
+    if edit != "none":
+        at = draw(st.integers(len(text) - len(body), len(text)))
+        junk = draw(st.sampled_from(_PLY_JUNK))
+        text = text[:at] + junk + text[at + (edit == "overwrite"):]
+    return text
+
+
+class TestPlyRows:
+    """The one-call row parse reads every file of the grammar to the
+    token-by-token reader's bits, and rejects the rest."""
+
+    @staticmethod
+    def outcome(reader, path):
+        """The cloud, or the class of the error or of the first warning;
+        normals too long for np.linalg.norm warn in both readers."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return reader(path)
+            except (DataParseError, FormatError, InvalidArgumentError, RuntimeWarning) as exc:
+                return type(exc)
+
+    @given(ply_files())
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reads_the_reference_bits(self, tmp_path, text):
+        path = tmp_path / "cloud.ply"
+        path.write_bytes(text.encode())
+        want = self.outcome(reference_read_ply, path)
+        got = self.outcome(dataio.read_ply, path)
+        if outside_ply_grammar(text):
+            assert got in (DataParseError, want)
+        elif isinstance(want, PointCloud):
+            assert isinstance(got, PointCloud)
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.points.shape == want.points.shape
+            assert (got.normals is None) == (want.normals is None)
+            if want.normals is not None:
+                assert got.normals.tobytes() == want.normals.tobytes()
+        else:
+            assert got is want
+
+    @pytest.mark.parametrize("body", [
+        "1_0 2 3\n", "\u0661 2 3\n", "1 2 3\u0661\n", "1\x1f2 3\n", "1\xa02 3\n",
+        "1\u20032 3\n", "1 2 3\v", "1 2 3\f", "1 2 3\x1c", "1 2 3\x1d", "1 2 3\x1e",
+        "1 2 3\x85", "1 2 3\u2028", "1 2 3\u2029", "1 2 3\r", "1 2 3\r\x1f\n",
+    ], ids=["underscore", "arabic-indic-digit", "arabic-indic-digit-last", "unit-separator",
+            "nbsp", "em-space", "vertical-tab-row-end", "form-feed-row-end",
+            "file-separator-row-end", "group-separator-row-end", "record-separator-row-end",
+            "nel-row-end", "line-separator-row-end", "paragraph-separator-row-end",
+            "lone-cr-row-end", "unit-separator-after-cr"])
+    def test_newly_rejected_forms(self, tmp_path, body):
+        path = tmp_path / "cloud.ply"
+        path.write_bytes(_ply_text(["x", "y", "z"], body).encode())
+        assert len(reference_read_ply(path)) == 1
+        assert outside_ply_grammar(path.read_bytes().decode())
+        with pytest.raises(DataParseError, match="outside the row grammar") as info:
+            dataio.read_ply(path)
+        assert info.value.location == "line 8"
+
+    def test_crlf_file_names_the_row_of_a_bad_character(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        path.write_bytes(_ply_text(["x", "y", "z"], "1 2 3\r\n4 5 6\r\n7 8 9_0\r\n", 3,
+                                   eol="\r\n").encode())
+        with pytest.raises(DataParseError, match="'_'") as info:
+            dataio.read_ply(path)
+        assert info.value.location == "line 10"
 
 
 class TestPfmIO:

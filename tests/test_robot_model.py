@@ -151,6 +151,50 @@ ZERO_DOF = """
 </robot>
 """
 
+# a depth-2 mimic listed before depth-1 joints: its row of the joint stack
+# (group order) is not its place in the URDF, and the zero rows between it
+# and its source differ in number between the two orders
+DEEP_MIMIC_FIRST = """
+<robot name="tree">
+  <link name="l0"/><link name="l1"/><link name="l2"/><link name="l3"/>
+  <link name="l5"/><link name="l6"/><link name="l9"/>
+  <joint name="j0" type="revolute">
+    <parent link="l0"/><child link="l1"/>
+    <origin xyz="0.0 0.0 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 0.1"/>
+    <limit lower="0.0" upper="0.0" effort="1" velocity="1"/>
+  </joint>
+  <joint name="j1" type="revolute">
+    <parent link="l0"/><child link="l2"/>
+    <origin xyz="0.0 0.0 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 0.1"/>
+    <limit lower="0.0" upper="0.0" effort="1" velocity="1"/>
+    <mimic joint="j0" multiplier="0.0" offset="0.0"/>
+  </joint>
+  <joint name="j2" type="continuous">
+    <parent link="l1"/><child link="l3"/>
+    <origin xyz="0.0 0.0 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 -0.1"/>
+    <mimic joint="j0" multiplier="0.09" offset="0.0"/>
+  </joint>
+  <joint name="j4" type="revolute">
+    <parent link="l0"/><child link="l5"/>
+    <origin xyz="0.0 0.0 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 0.1"/>
+    <limit lower="0.0" upper="0.0" effort="1" velocity="1"/>
+    <mimic joint="j0" multiplier="0.0" offset="0.0"/>
+  </joint>
+  <joint name="j5" type="revolute">
+    <parent link="l3"/><child link="l6"/>
+    <origin xyz="0.0 -0.202 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 0.1"/>
+    <limit lower="0.0" upper="0.0" effort="1" velocity="1"/>
+    <mimic joint="j0" multiplier="0.0" offset="0.0"/>
+  </joint>
+  <joint name="j8" type="prismatic">
+    <parent link="l1"/><child link="l9"/>
+    <origin xyz="0.0 0.0 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 0.1"/>
+    <limit lower="0.0" upper="0.0" effort="1" velocity="1"/>
+    <mimic joint="j0" multiplier="0.0" offset="0.0"/>
+  </joint>
+</robot>
+"""
+
 
 EYE, ZERO = np.eye(3), np.zeros(3)
 # central-difference step of the retarget gradient audit
@@ -237,14 +281,18 @@ def reference_origins_jacobian(model, qs, root_r, root_t, names):
     output, with the columns taken by ``np.cross`` as the closed form
     a x (p - o) reads; the joint constants (child link, axis, the links a
     joint moves, the mimic coupling) are derived here from the public
-    joint data."""
+    joint data. The joints are contracted in the joint stack's order
+    (``_fk_groups`` order): a matmul accumulates its inner axis in
+    interleaved partial sums, so where the zero rows fall between two
+    joints that move one link decides how their terms round."""
     link_index = {name: i for i, name in enumerate(model.links)}
     q_index = {name: i for i, name in enumerate(model.actuated_order)}
-    moving = [j for j in model.joints if j.jtype != "fixed"]
+    parent_joint = {j.child: j for j in model.joints}
+    moving = [parent_joint[model.links[c]]
+              for g in model._fk_groups if g.kind != "fixed" for c in g.children]
     child = np.array([link_index[j.child] for j in moving], dtype=int)
     axis = np.array([j.axis for j in moving]).reshape(-1, 3, 1)
     prismatic = np.array([j.jtype == "prismatic" for j in moving])[:, None]
-    parent_joint = {j.child: j for j in model.joints}
 
     def moved_by(link):
         path = set()
@@ -816,6 +864,7 @@ class TestJacobianBitOracle:
 
     @given(urdf_trees(), st.integers(0, 2 ** 32 - 1))
     @example(ZERO_DOF, 12345)
+    @example(DEEP_MIMIC_FIRST, 0)
     @settings(max_examples=40, deadline=None)
     def test_random_trees(self, text, seed):
         assert_jacobian_matches_reference(parse_urdf(text), seed)
