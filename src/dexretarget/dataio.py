@@ -13,6 +13,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -34,6 +35,8 @@ from .retarget import RetargetConfig, RobotTrajectory, RobotTrajectoryFrame
 from .solver import SolverOptions
 
 _QUAT_UNIT_TOL = 1e-6
+# the Python types json.loads gives a JSON number
+_JSON_NUMBER_TYPES = frozenset((int, float))
 # where str.splitlines ends a line: the PLY header's line breaks
 _LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # a PLY vertex row holds ASCII decimals and nan/inf/infinity spellings
@@ -86,11 +89,8 @@ def _load_json(path):
 def _parse_pose(obj, where: str) -> RigidTransform:
     if not isinstance(obj, dict) or "quat_wxyz" not in obj or "pos" not in obj:
         raise DataParseError(f"{where}: pose needs 'quat_wxyz' and 'pos'", location=where)
-    try:
-        quat = np.asarray(obj["quat_wxyz"], dtype=float)
-        pos = np.asarray(obj["pos"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataParseError(f"{where}: pose is not numeric: {exc}", location=where) from exc
+    quat = _json_array(obj["quat_wxyz"], f"{where}: quaternion", where)
+    pos = _json_array(obj["pos"], f"{where}: position", where)
     if quat.shape != (4,):
         raise DataParseError(f"{where}: quaternion must have 4 components", location=where)
     if pos.shape != (3,):
@@ -114,12 +114,36 @@ def _pose_dict(pose: RigidTransform) -> dict:
 def _json_number(value, what: str, where: str) -> float:
     """A JSON number as a float; JSON types, not Python conversions: true is
     no number, nor "0.5"."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _JSON_NUMBER_TYPES:
         raise DataParseError(f"{what} must be a number, got {value!r}", location=where)
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         return np.inf
+
+
+def _json_array(value, what: str, where: str) -> np.ndarray:
+    """A regular JSON array of numbers, nested to any depth, as floats.
+    Every element must be of _json_number's JSON types, checked in one pass
+    over the elements. An integer beyond the float range is an error, not
+    inf as in _json_number: no pose, joint, contact or q can hold it."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataParseError(f"{what} is not an array of numbers: {exc}",
+                             location=where) from exc
+
+    def elements():
+        flat = [value] if arr.ndim == 0 else value
+        for _ in range(arr.ndim - 1):
+            flat = chain.from_iterable(flat)
+        return flat
+
+    # np.asarray reads "0.5" and true as numbers; JSON does not
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, elements())):
+        bad = next(v for v in elements() if type(v) not in _JSON_NUMBER_TYPES)
+        raise DataParseError(f"{what} must hold numbers, got {bad!r}", location=where)
+    return arr
 
 
 def read_hand_trajectory(path) -> HandTrajectory:
@@ -143,13 +167,18 @@ def read_hand_trajectory(path) -> HandTrajectory:
             raise DataParseError(f"{where}: index must be an integer, got {index!r}",
                                  location=where)
         confidence = _json_number(fr.get("confidence", 1.0), f"{where}: confidence", where)
+        joints = _json_array(fr["joints"], f"{where}: joints", where)
+        contacts = fr.get("contacts")
+        if isinstance(contacts, dict):
+            contacts = {d: _json_array(p, f"{where}: contact {d!r}", where)
+                        for d, p in contacts.items()}
         try:
             frame = HandFrame(
-                joints=fr["joints"],
+                joints=joints,
                 wrist_pose=wrist,
                 confidence=confidence,
                 frame_index=index,
-                contacts=fr.get("contacts"),
+                contacts=contacts,
             )
         except (TypeError, ValueError) as exc:
             raise DataParseError(f"{where}: {exc}", location=where) from exc
@@ -206,7 +235,7 @@ def read_robot_trajectory(path, model) -> RobotTrajectory:
         frames.append(RobotTrajectoryFrame(
             frame_index=int(fr["index"]),
             wrist_pose=_parse_pose(fr["wrist"], f"{where}: wrist"),
-            q=np.asarray(fr["q"], dtype=float),
+            q=_json_array(fr["q"], f"{where}: q", where),
         ))
     return RobotTrajectory(frames=frames, model=model)
 
@@ -302,7 +331,16 @@ def read_ply(path) -> PointCloud:
     normals = None
     if has_normals and n_vertex:
         normals = data[:, [col["nx"], col["ny"], col["nz"]]]
-        norms = np.linalg.norm(normals, axis=1, keepdims=True)
+        finite = np.isfinite(normals).all(axis=1)
+        if not finite.all():
+            raise DataParseError(f"PLY vertex {int(np.argmin(finite))} has a non-finite normal")
+        with np.errstate(over="ignore"):  # a component above ~1.3e154 squares to inf
+            norms = np.linalg.norm(normals, axis=1, keepdims=True)
+        long = ~np.isfinite(norms[:, 0])
+        if long.any():
+            # only these rows are rescaled, so every other normal keeps its bits
+            normals[long] /= np.abs(normals[long]).max(axis=1, keepdims=True)
+            norms[long] = np.linalg.norm(normals[long], axis=1, keepdims=True)
         normals = normals / np.maximum(norms, 1e-300)
     return PointCloud(points=pts, normals=normals)
 

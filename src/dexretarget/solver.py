@@ -5,9 +5,13 @@ iteration takes one search direction: the L-BFGS two-loop step restricted
 to the free variables, those not held on a bound by a gradient that
 points out of the box (projected Newton, Bertsekas 1982; the free-set
 step of L-BFGS-B, Byrd, Lu, Nocedal & Zhu 1995). A projected Armijo
-backtracking search, then forward tracking, picks the step length. All
-arithmetic is plain float64 numpy in a fixed order, so identical inputs
-produce bit-identical reports.
+backtracking search picks the step length. Forward tracking then doubles
+it while the value keeps falling, but only where the quadratic through
+the value, the slope and the accepted value puts its minimizer at twice
+the step or beyond (the interpolation step of Nocedal & Wright,
+*Numerical Optimization*, §3.5, used as a test). All arithmetic is plain
+float64 numpy in a fixed order, so identical inputs produce
+bit-identical reports, evaluation counts included.
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ class SolveReport:
     iterations: int
     converged: bool
     termination: str  # gradient-tol | step-tol | max-iters
+    objective_evals: int  # the start point's and every line-search trial's
+    gradient_evals: int  # the start point's and one per iteration
+    rejected_backtracks: int  # line-search trials refused and halved
+    rejected_forward: int  # forward-tracking trials refused
+    resets: int  # L-BFGS memory clears after a failed line search
 
 
 def fd_gradient(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -115,10 +124,22 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
     -g with them zeroed if that step is not a descent direction. Curvature
     pairs span all variables.
 
+    The line search halves from the full step until the projected Armijo
+    condition holds. Forward tracking then doubles the accepted step while
+    the value strictly falls, and it is tried only when the quadratic
+    through f, the projected slope g.s and the accepted value f_new has
+    its minimizer at 2 alpha or beyond: when f_new <= f + 3/4 g.s. The
+    test is made once, at the Armijo-accepted point. A projected slope
+    >= 0 gives the model no descent minimizer; the test then holds, since
+    an accepted value never exceeds f, and forward tracking runs as it
+    would without the gate.
+
     Accepted iterates are feasible and monotonically non-increasing in
     objective value. Non-finite trial values reject the step and halve it;
     LineSearchError is raised only when no finite step exists at all. A
     failed line search is retried with the curvature memory cleared.
+    The report counts objective and gradient calls, refused trials and
+    memory clears.
     """
     if opts is None:
         opts = SolverOptions()
@@ -129,6 +150,8 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
     x = np.clip(x, lo, hi)
 
     f = float(problem.objective(x))
+    objective_evals = gradient_evals = 1
+    rejected_backtracks = rejected_forward = resets = 0
     if not np.isfinite(f):
         raise SolverStartError(f"objective is non-finite at the start point: {f}")
     g = np.asarray(problem.gradient(x), dtype=float)
@@ -162,12 +185,14 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
         while alpha >= 1e-20:
             cand = np.clip(x + alpha * d, lo, hi)
             fc = float(problem.objective(cand))
+            objective_evals += 1
             if np.isfinite(fc):
                 saw_finite = True
                 slope = float(g @ (cand - x))
                 if fc <= f + ARMIJO_C * min(slope, 0.0) and fc <= f:
                     x_new, f_new = cand, fc
                     break
+            rejected_backtracks += 1
             alpha *= 0.5
         if x_new is None:
             if not saw_finite:
@@ -176,24 +201,33 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
                 # stale curvature pairs can produce degenerate directions;
                 # retry from a clean slate before declaring convergence
                 memory.clear()
+                resets += 1
                 continue
             # numerically stalled: no lower point found at any step size
             termination = "step-tol"
             converged = True
             break
         # forward tracking: grow the step while it keeps strictly
-        # improving (cheap escape from creeping short steps)
-        while alpha < 2.0 ** 20:
-            cand = np.clip(x + 2.0 * alpha * d, lo, hi)
-            fc = float(problem.objective(cand))
-            if np.isfinite(fc) and fc < f_new:
-                alpha *= 2.0
-                x_new, f_new = cand, fc
-            else:
-                break
+        # improving (cheap escape from creeping short steps). For slope < 0
+        # the quadratic q(t) = f + t slope + t^2 (f_new - f - slope) through
+        # the accepted step t = 1 has its minimizer at t >= 2, or none, exactly
+        # when this test holds; otherwise the doubled trial would most likely
+        # be refused. A slope >= 0 always passes it, as f_new <= f
+        if f_new <= f + 0.75 * slope:
+            while alpha < 2.0 ** 20:
+                cand = np.clip(x + 2.0 * alpha * d, lo, hi)
+                fc = float(problem.objective(cand))
+                objective_evals += 1
+                if np.isfinite(fc) and fc < f_new:
+                    alpha *= 2.0
+                    x_new, f_new = cand, fc
+                else:
+                    rejected_forward += 1
+                    break
 
         iterations += 1
         g_new = np.asarray(problem.gradient(x_new), dtype=float)
+        gradient_evals += 1
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -215,6 +249,11 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
         iterations=iterations,
         converged=converged,
         termination=termination,
+        objective_evals=objective_evals,
+        gradient_evals=gradient_evals,
+        rejected_backtracks=rejected_backtracks,
+        rejected_forward=rejected_forward,
+        resets=resets,
     )
 
 

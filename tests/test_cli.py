@@ -52,6 +52,19 @@ def set_json(frame=None, **values):
     return edit
 
 
+def set_element(*keys, to):
+    """A text edit that replaces one element of a JSON document, reached by
+    ``keys``, with ``to`` of it."""
+    def edit(text):
+        doc = json.loads(text)
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = to(parent[keys[-1]])
+        return json.dumps(doc)
+    return edit
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     """A small synthetic demonstration shared across CLI tests."""
@@ -268,6 +281,18 @@ class TestCmdPipeline:
         ("hand_trajectory.json", set_json(frame=0, index="0")),
         ("hand_trajectory.json", set_json(fps=True)),
         ("hand_trajectory.json", set_json(frame=0, confidence="0.5")),
+        # and in every element of its arrays, and of the config's pose
+        ("hand_trajectory.json", set_element("frames", 0, "wrist", "quat_wxyz", 0, to=str)),
+        ("hand_trajectory.json", set_element("frames", 0, "wrist", "quat_wxyz", 1,
+                                             to=lambda v: False)),
+        ("hand_trajectory.json", set_element("frames", 0, "wrist", "pos", 2, to=str)),
+        ("hand_trajectory.json", set_element("frames", 0, "joints", 5, 1, to=str)),
+        ("hand_trajectory.json", set_element("frames", 0, "joints", 5, 1, to=lambda v: True)),
+        ("hand_trajectory.json", set_element("frames", 0, "joints", 5, 1,
+                                             to=lambda v: 10 ** 400)),
+        ("hand_trajectory.json", set_element("frames", 0, "contacts", "thumb", 0, to=str)),
+        ("config.json", set_json(mount_offset={"quat_wxyz": [True, 0, 0, 0], "pos": [0, 0, 0]})),
+        ("config.json", set_json(mount_offset={"quat_wxyz": [1, 0, 0, 0], "pos": ["0", 0, 0]})),
     ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
             "mount-offset", "ply-bare-format", "align-inner-iters", "align-splat-footprint",
             "solver-max-iters", "align-lambda-rend-nan", "align-huber-delta-nan",
@@ -275,7 +300,10 @@ class TestCmdPipeline:
             "max-tip-error-nan", "max-tip-error-negative", "intrinsics-fy-inf",
             "intrinsics-fx-nan", "fps-nan", "calibrate-scale-string", "seed-float",
             "urdf-number", "output-dir-number", "path-nul", "frame-index-float",
-            "frame-index-string", "fps-bool", "frame-confidence-string"])
+            "frame-index-string", "fps-bool", "frame-confidence-string", "wrist-quat-string",
+            "wrist-quat-bool", "wrist-pos-string", "joint-string", "joint-bool",
+            "joint-integer-beyond-float", "contact-string", "mount-offset-quat-bool",
+            "mount-offset-pos-string"])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
         out = tmp_path / "fix"
         assert main(["synth", "--out-dir", str(out), "--seed", "4",

@@ -111,6 +111,33 @@ class TestHandTrajectoryIO:
             dataio.read_hand_trajectory(path)
         assert err.value.location == where and str(err.value).startswith(where)
 
+    @pytest.mark.parametrize("frame, keys, value, what", [
+        (0, ["wrist", "quat_wxyz", 0], str, "frame 0: wrist: quaternion"),
+        (0, ["wrist", "quat_wxyz", 1], False, "frame 0: wrist: quaternion"),
+        (0, ["wrist", "pos", 2], str, "frame 0: wrist: position"),
+        (0, ["joints", 5, 0], str, "frame 0: joints"),
+        (0, ["joints", 5, 1], True, "frame 0: joints"),
+        (0, ["joints", 5, 2], 10 ** 400, "frame 0: joints"),
+        (1, ["contacts", "thumb", 0], str, "frame 1: contact 'thumb'"),
+        (1, ["contacts", "index", 1], False, "frame 1: contact 'index'"),
+    ], ids=["quat-string", "quat-bool", "pos-string", "joint-string", "joint-bool",
+            "joint-integer-beyond-float", "contact-string", "contact-bool"])
+    def test_json_types_in_every_array_element(self, tmp_path, frame, keys, value, what):
+        # each edit leaves a value np.asarray(..., dtype=float) reads as a
+        # valid number, or one it cannot convert to a float
+        path = tmp_path / "bad.json"
+        dataio.write_hand_trajectory(sample_trajectory(2), path)
+        doc = json.loads(path.read_text())
+        parent = doc["frames"][frame]
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value(parent[keys[-1]]) if value is str else value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataParseError) as err:
+            dataio.read_hand_trajectory(path)
+        assert str(err.value).startswith(what)
+        assert err.value.location.startswith(f"frame {frame}")
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -145,6 +172,27 @@ class TestPlyIO:
         dataio.write_ply(cloud, path)
         loaded = dataio.read_ply(path)
         np.testing.assert_allclose(loaded.normals, normals, atol=1e-8)
+
+    @pytest.mark.parametrize("row, normal", [("1e200 0 0", [1.0, 0.0, 0.0]),
+                                             ("3e300 -4e300 0", [0.6, -0.8, 0.0]),
+                                             ("1.3e154 1.3e154 0", [0.5 ** 0.5] * 2 + [0.0])])
+    def test_normal_too_long_to_square_reads_as_its_direction(self, tmp_path, row, normal):
+        path = tmp_path / "cloud.ply"
+        path.write_text(_ply_text(["x", "y", "z", "nx", "ny", "nz"], f"0 0 0 {row}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = dataio.read_ply(path)
+        np.testing.assert_allclose(cloud.normals, [normal], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("row", ["inf 0 0", "0 -inf 0", "0 0 nan", "1e999 0 0"])
+    def test_non_finite_normal_is_a_parse_error(self, tmp_path, row):
+        path = tmp_path / "cloud.ply"
+        body = f"1 2 3 0 0 1\n0 0 0 {row}\n"
+        path.write_text(_ply_text(["x", "y", "z", "nx", "ny", "nz"], body, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataParseError, match="vertex 1 has a non-finite normal"):
+                dataio.read_ply(path)
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.ply"
@@ -282,7 +330,16 @@ def reference_read_ply(path) -> PointCloud:
     normals = None
     if has_normals and n_vertex:
         normals = data[:, [col["nx"], col["ny"], col["nz"]]]
-        norms = np.linalg.norm(normals, axis=1, keepdims=True)
+        if not np.isfinite(normals).all():
+            raise DataParseError("PLY normal is not finite")
+        # np.linalg.norm's bits for every normal whose squares stay finite;
+        # any other is first divided by its largest |component|
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(normals, axis=1, keepdims=True)
+        for i in range(n_vertex):
+            if not np.isfinite(norms[i, 0]):
+                normals[i] /= max(abs(v) for v in normals[i])
+                norms[i] = np.linalg.norm(normals[i:i + 1], axis=1)
         normals = normals / np.maximum(norms, 1e-300)
     return PointCloud(points=pts, normals=normals)
 
@@ -378,8 +435,7 @@ class TestPlyRows:
 
     @staticmethod
     def outcome(reader, path):
-        """The cloud, or the class of the error or of the first warning;
-        normals too long for np.linalg.norm warn in both readers."""
+        """The cloud, or the class of the error or of the first warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -723,6 +779,22 @@ class TestRobotTrajectoryIO:
         dataio.write_robot_trajectory(traj, a)
         dataio.write_robot_trajectory(traj, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("value", [str, True, 10 ** 400],
+                             ids=["string", "bool", "integer-beyond-float"])
+    def test_q_json_types(self, tmp_path, hand16, value):
+        traj = RobotTrajectory(frames=[
+            RobotTrajectoryFrame(0, RigidTransform.identity(), hand16.mid_limits()),
+        ], model=hand16)
+        path = tmp_path / "robot.json"
+        dataio.write_robot_trajectory(traj, path)
+        doc = json.loads(path.read_text())
+        q = doc["frames"][0]["q"]
+        q[3] = value(q[3]) if value is str else value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataParseError, match="^frame 0: q ") as err:
+            dataio.read_robot_trajectory(path, hand16)
+        assert err.value.location == "frame 0"
 
     def test_joint_name_mismatch(self, tmp_path, hand16):
         path = tmp_path / "robot.json"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dexretarget.errors import InvalidArgumentError, SolverStartError
-from dexretarget.solver import BoxProblem, check_gradient, fd_gradient, minimize_box
+from dexretarget.solver import (BoxProblem, SolverOptions, check_gradient, fd_gradient,
+                                minimize_box)
 
 
 def quadratic_problem(target, lo=-2.0, hi=2.0):
@@ -33,6 +34,22 @@ def fd_problem(lower, upper, f):
 def rosenbrock_problem():
     return fd_problem(np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
                       lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+
+
+def recorded(problem):
+    """The problem with its objective's points and its gradient's calls
+    recorded in the returned lists."""
+    points, gradients = [], []
+
+    def objective(x):
+        points.append(x.copy())
+        return problem.objective(x)
+
+    def gradient(x):
+        gradients.append(x.copy())
+        return problem.gradient(x)
+
+    return BoxProblem(problem.lower, problem.upper, objective, gradient), points, gradients
 
 
 class TestMinimizeBox:
@@ -176,6 +193,97 @@ class TestMinimizeBox:
     def test_bound_validation(self):
         with pytest.raises(InvalidArgumentError):
             fd_problem(np.array([1.0]), np.array([0.0]), lambda x: 0.0)
+
+
+class TestForwardTrackingGate:
+    """Forward tracking runs only where the quadratic through f, the
+    projected slope g.s and the Armijo-accepted value f_new has its
+    minimizer at twice the accepted step or beyond."""
+
+    @staticmethod
+    def first_iteration_points(k):
+        # f = k/2 (x - 2)^2 from 0: the first step -g lands at 2k, and the
+        # model, exact for a quadratic, has its minimizer at t = 1/k steps
+        problem = BoxProblem(lower=np.array([-10.0]), upper=np.array([10.0]),
+                             objective=lambda x: float(0.5 * k * (x[0] - 2.0) ** 2),
+                             gradient=lambda x: np.array([k * (x[0] - 2.0)]))
+        problem, points, _ = recorded(problem)
+        report = minimize_box(problem, np.array([0.0]), SolverOptions(max_iters=1))
+        return [float(p[0]) for p in points], report
+
+    def test_no_forward_trial_when_the_accepted_point_is_the_minimizer(self):
+        # the full step lands on the minimizer; the ungated search would
+        # then try x = 4 and refuse it
+        points, report = self.first_iteration_points(1.0)
+        assert points == [0.0, 2.0]
+        assert (report.objective_evals, report.rejected_forward) == (2, 0)
+
+    def test_no_forward_trial_when_the_model_minimizer_is_short_of_twice_the_step(self):
+        points, report = self.first_iteration_points(0.6)
+        assert points == [0.0, 1.2]
+        assert report.rejected_forward == 0
+
+    @pytest.mark.parametrize("k, trials", [(0.5, [1.0, 2.0, 4.0]),
+                                           (0.25, [0.5, 1.0, 2.0, 4.0])],
+                             ids=["at-twice-the-step", "beyond"])
+    def test_doubles_as_the_ungated_search_when_the_model_minimizer_is_at_twice_the_step(
+            self, k, trials):
+        # the trial points of the search without the gate: the full step
+        # accepted, then doubled while the value falls and refused once
+        points, report = self.first_iteration_points(k)
+        assert points == [0.0] + trials
+        assert (report.objective_evals, report.rejected_forward) == (len(points), 1)
+
+    def test_non_negative_slope_forward_tracks(self):
+        # the gradient claims a descent at the minimizer x = 1, so every
+        # trial rises until the step 2^-53 rounds back onto x: a zero step
+        # with slope g.s = -0.0 is accepted. The model has no descent
+        # minimizer there, the gate holds (f_new <= f) and the doubled step
+        # is tried, as without the gate
+        problem = BoxProblem(
+            lower=np.array([-2.0]), upper=np.array([2.0]),
+            objective=lambda x: float((x[0] - 1.0) ** 2),
+            gradient=lambda x: np.array([2.0 * (x[0] - 1.0) if x[0] != 1.0 else -1.0]))
+        problem, points, _ = recorded(problem)
+        report = minimize_box(problem, np.array([1.0]))
+        assert [float(p[0]) for p in points[-2:]] == [1.0, 1.0 + 2.0 ** -52]
+        assert (report.iterations, report.termination) == (1, "step-tol")
+        assert (report.objective_evals, report.rejected_backtracks,
+                report.rejected_forward) == (len(points), 53, 1)
+
+    def test_rosenbrock_objective_evaluations(self):
+        # from (-1.2, 1) the ungated search makes 100 objective evaluations
+        # and 33 iterations
+        problem, points, gradients = recorded(rosenbrock_problem())
+        report = minimize_box(problem, np.array([-1.2, 1.0]))
+        assert report.converged
+        assert report.objective_evals == len(points) <= 76
+        assert report.gradient_evals == len(gradients) == report.iterations + 1
+
+
+class TestSolveReportCounts:
+    def test_memory_reset_is_counted(self):
+        # a gradient that lies at the minimizer x = 0 fails the second line
+        # search with a curvature pair in memory, and the steepest-descent
+        # retry fails too: 67 halvings from 1 to below 1e-20 each time
+        problem = BoxProblem(
+            lower=np.array([-2.0]), upper=np.array([2.0]),
+            objective=lambda x: float(x[0] ** 2),
+            gradient=lambda x: np.array([2.0 * x[0] if x[0] != 0.0 else -1.0]))
+        problem, points, gradients = recorded(problem)
+        report = minimize_box(problem, np.array([1.0]))
+        assert (report.iterations, report.termination, report.resets) == (1, "step-tol", 1)
+        assert report.objective_evals == len(points) == 1 + 2 + 67 + 67
+        assert report.gradient_evals == len(gradients) == 2
+        assert (report.rejected_backtracks, report.rejected_forward) == (1 + 67 + 67, 0)
+
+    def test_counts_are_deterministic(self):
+        problem = rosenbrock_problem()
+        a = minimize_box(problem, np.array([-1.2, 1.0]))
+        b = minimize_box(problem, np.array([-1.2, 1.0]))
+        assert a.x_star.tobytes() == b.x_star.tobytes()
+        a.x_star = b.x_star = None
+        assert a == b
 
 
 class TestCheckGradient:
