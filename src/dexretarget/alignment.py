@@ -78,7 +78,12 @@ class AlignConfig:
 
 @dataclass
 class HandAlignment:
-    """Per-frame scale and rigid correction with residual diagnostics."""
+    """Per-frame scale and rigid correction with residual diagnostics.
+
+    ``pairs`` are the L-BFGS curvature pairs of the frame's last solve,
+    which the next frame's first solve starts from when this alignment is
+    its ``init``.
+    """
 
     frame_index: int
     sigma: float
@@ -86,6 +91,7 @@ class HandAlignment:
     icp_residual: float
     depth_residual: float
     converged: bool
+    pairs: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -665,6 +671,12 @@ def align_hand_frame(
     solution, each gradient the pass of the point the solver has just
     accepted, and each fresh score the pass of the solution it scores.
 
+    Each solve starts from the L-BFGS curvature pairs the one before it
+    returned, and the first from ``init.pairs``: those of the previous
+    frame's last solve when ``align_trajectory`` passes its result, none
+    when ``init`` is not given. The result carries the last solve's pairs,
+    a dropped solve's included.
+
     ``converged`` on the result is the last solve's flag. After a stop on
     no improvement, that solve's solution is not the one returned.
     """
@@ -708,19 +720,20 @@ def align_hand_frame(
     log.debug("frame %d: scale scan picked sigma=%.4f; %d of %d candidates queried",
               hand.frame_index, np.exp(x[0]), len(queried) - before, len(_SCALE_GRID))
     opts = SolverOptions(max_iters=cfg.inner_iters)
+    pairs = init.pairs
     stop = "cap"
     # x is always the best parameters so far, of fresh score f_best
     for solves in range(1, cfg.outer_iters + 1):
         problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
                                     frozen=query(x), memo=memo)
         try:
-            report = minimize_box(problem, x, opts)
+            report = minimize_box(problem, x, opts, pairs)
         except SolverStartError as exc:
             raise AlignmentError(
                 f"alignment solver could not start: {exc}",
                 frame_index=hand.frame_index,
             ) from exc
-        solver_converged = report.converged
+        solver_converged, pairs = report.converged, report.pairs
         f_now = fresh(report.x_star)
         if not f_now < f_best:
             stop = "no-improvement"
@@ -752,6 +765,7 @@ def align_hand_frame(
         icp_residual=icp_rms,
         depth_residual=depth_res,
         converged=solver_converged,
+        pairs=pairs,
     )
 
 
@@ -762,7 +776,8 @@ def align_trajectory(
     cfg: Optional[AlignConfig] = None,
     seed: int = 0,
 ) -> list:
-    """Align every frame, warm-starting each from the previous solution."""
+    """Align every frame, warm-starting each from the previous solution:
+    its parameters and its last solve's L-BFGS curvature pairs."""
     observations = list(observations)
     if len(observations) != len(trajectory):
         raise InvalidArgumentError(

@@ -37,6 +37,8 @@ from .solver import SolverOptions
 _QUAT_UNIT_TOL = 1e-6
 # the Python types json.loads gives a JSON number
 _JSON_NUMBER_TYPES = frozenset((int, float))
+# below this norm a vector's sum of squares is subnormal or zero
+_SHORTEST_EXACT_NORM = float(np.sqrt(np.finfo(float).tiny))
 # where str.splitlines ends a line: the PLY header's line breaks
 _LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # a PLY vertex row holds ASCII decimals and nan/inf/infinity spellings
@@ -146,26 +148,43 @@ def _json_array(value, what: str, where: str) -> np.ndarray:
     return arr
 
 
+def _frame_objects(frames):
+    """(where, frame) for each frame of a trajectory document's 'frames'
+    value: a list, checked at the call, of JSON objects, each checked when
+    the iteration reaches it."""
+    if not isinstance(frames, list):
+        raise DataParseError("document must be an object with a 'frames' list")
+
+    def objects():
+        for k, fr in enumerate(frames):
+            where = f"frame {k}"
+            if not isinstance(fr, dict):
+                raise DataParseError(f"{where}: must be an object", location=where)
+            yield where, fr
+    return objects()
+
+
+def _frame_index(index, where: str) -> int:
+    """A frame's index: a JSON integer, not a string, float or boolean."""
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise DataParseError(f"{where}: index must be an integer, got {index!r}",
+                             location=where)
+    return index
+
+
 def read_hand_trajectory(path) -> HandTrajectory:
     """Parse the hand trajectory JSON schema; raises DataParseError naming
     the offending frame and field."""
     doc = _load_json(path)
-    if "frames" not in doc or not isinstance(doc["frames"], list):
-        raise DataParseError("document must be an object with a 'frames' list")
+    frame_objects = _frame_objects(doc.get("frames"))
     fps = _json_number(doc.get("fps", 30.0), "fps", "fps")
     frames = []
-    for k, fr in enumerate(doc["frames"]):
-        where = f"frame {k}"
-        if not isinstance(fr, dict):
-            raise DataParseError(f"{where}: must be an object", location=where)
+    for where, fr in frame_objects:
         for key in ("index", "wrist", "joints"):
             if key not in fr:
                 raise DataParseError(f"{where}: missing field {key!r}", location=where)
         wrist = _parse_pose(fr["wrist"], f"{where}: wrist")
-        index = fr["index"]
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise DataParseError(f"{where}: index must be an integer, got {index!r}",
-                                 location=where)
+        index = _frame_index(fr["index"], where)
         confidence = _json_number(fr.get("confidence", 1.0), f"{where}: confidence", where)
         joints = _json_array(fr["joints"], f"{where}: joints", where)
         contacts = fr.get("contacts")
@@ -228,12 +247,11 @@ def read_robot_trajectory(path, model) -> RobotTrajectory:
     if doc.get("joint_names") != list(model.actuated_order):
         raise DataParseError("joint_names do not match the model's actuated order")
     frames = []
-    for k, fr in enumerate(doc.get("frames", [])):
-        where = f"frame {k}"
+    for where, fr in _frame_objects(doc.get("frames", [])):
         if "q" not in fr or "wrist" not in fr or "index" not in fr:
             raise DataParseError(f"{where}: missing field", location=where)
         frames.append(RobotTrajectoryFrame(
-            frame_index=int(fr["index"]),
+            frame_index=_frame_index(fr["index"], where),
             wrist_pose=_parse_pose(fr["wrist"], f"{where}: wrist"),
             q=_json_array(fr["q"], f"{where}: q", where),
         ))
@@ -336,11 +354,16 @@ def read_ply(path) -> PointCloud:
             raise DataParseError(f"PLY vertex {int(np.argmin(finite))} has a non-finite normal")
         with np.errstate(over="ignore"):  # a component above ~1.3e154 squares to inf
             norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        long = ~np.isfinite(norms[:, 0])
-        if long.any():
+        # a norm that overflows, or whose sum of squares underflows below
+        # float64's normal range, loses the direction: such a row, unless it
+        # is all zero, is first divided by its largest |component|
+        off_range = np.flatnonzero(~np.isfinite(norms[:, 0])
+                                   | (norms[:, 0] < _SHORTEST_EXACT_NORM))
+        off_range = off_range[normals[off_range].any(axis=1)]
+        if off_range.size:
             # only these rows are rescaled, so every other normal keeps its bits
-            normals[long] /= np.abs(normals[long]).max(axis=1, keepdims=True)
-            norms[long] = np.linalg.norm(normals[long], axis=1, keepdims=True)
+            normals[off_range] /= np.abs(normals[off_range]).max(axis=1, keepdims=True)
+            norms[off_range] = np.linalg.norm(normals[off_range], axis=1, keepdims=True)
         normals = normals / np.maximum(norms, 1e-300)
     return PointCloud(points=pts, normals=normals)
 

@@ -227,11 +227,14 @@ def retarget_frame(
     q_prev,
     q0,
     cfg: RetargetConfig,
+    pairs=(),
 ):
-    """Solve one frame's retargeting problem; returns (q, solve report)."""
+    """Solve one frame's retargeting problem; returns (q, solve report).
+    The solve starts from the L-BFGS curvature ``pairs`` of an earlier
+    solve (a report's ``pairs``), cold when none are given."""
     problem = retarget_problem(model, ref_vectors, spec, wrist, q_prev, cfg)
     try:
-        report = minimize_box(problem, model.check_q(q0), cfg.solver)
+        report = minimize_box(problem, model.check_q(q0), cfg.solver, pairs)
     except SolverStartError as exc:
         raise RetargetError(f"retarget solve could not start: {exc}") from exc
     return report.x_star, report
@@ -252,7 +255,9 @@ def retarget_trajectory(
     Each frame applies its alignment correction to the human joints,
     extracts scaled reference vectors, and solves warm-started from the
     previous solution. Frame 0 starts at mid-limits with no smoothness
-    coupling.
+    coupling. From frame 2 on, each solve also starts from the previous
+    frame's final L-BFGS curvature pairs; frame 1 starts cold, since frame
+    0's pairs describe an objective without the smoothness term.
     """
     hands = list(hands)
     alignments = list(alignments)
@@ -266,6 +271,7 @@ def retarget_trajectory(
     cfg = replace(cfg, weights=weights)
 
     q_prev = model.mid_limits()
+    pairs = ()
     frames = []
     for k, (hand, align) in enumerate(zip(hands, alignments)):
         corrected = hand.transformed(align.sigma, align.correction)
@@ -273,9 +279,11 @@ def retarget_trajectory(
         ref = reference_vectors(corrected, spec, cfg.scale)
         frame_cfg = cfg if k > 0 else replace(cfg, lambda_smooth=0.0)
         try:
-            q, report = retarget_frame(model, ref, spec, wrist, q_prev, q_prev, frame_cfg)
+            q, report = retarget_frame(model, ref, spec, wrist, q_prev, q_prev, frame_cfg,
+                                       pairs)
         except RetargetError as exc:
             raise RetargetError(f"frame {hand.frame_index}: {exc}") from exc
+        pairs = report.pairs if k > 0 else ()
         log.debug("frame %d: retarget f=%.3e iters=%d termination=%s converged=%s",
                   hand.frame_index, report.f_star, report.iterations,
                   report.termination, report.converged)

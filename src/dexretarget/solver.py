@@ -9,15 +9,22 @@ backtracking search picks the step length. Forward tracking then doubles
 it while the value keeps falling, but only where the quadratic through
 the value, the slope and the accepted value puts its minimizer at twice
 the step or beyond (the interpolation step of Nocedal & Wright,
-*Numerical Optimization*, §3.5, used as a test). All arithmetic is plain
-float64 numpy in a fixed order, so identical inputs produce
-bit-identical reports, evaluation counts included.
+*Numerical Optimization*, §3.5, used as a test).
+
+A solve can start from the curvature pairs another solve returned, so
+that a sequence of related problems (the next frame, or the same frame
+with refreshed correspondences) shares its L-BFGS memory: the
+limited-memory preconditioning of Morales & Nocedal (*SIAM J. Optim.*
+10(4), 2000), with the update of Nocedal & Wright §7.2. The pairs travel
+only in arguments and return values. All arithmetic is plain float64
+numpy in a fixed order, so identical inputs produce bit-identical
+reports, evaluation counts included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,6 +83,10 @@ class SolveReport:
     rejected_backtracks: int  # line-search trials refused and halved
     rejected_forward: int  # forward-tracking trials refused
     resets: int  # L-BFGS memory clears after a failed line search
+    warm_pairs: int  # curvature pairs the solve started with
+    # the final (s, y, 1 / s.y) curvature pairs, oldest first, for a later
+    # related solve to start from
+    pairs: tuple = field(default=(), compare=False, repr=False)
 
 
 def fd_gradient(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -115,14 +126,24 @@ def _two_loop(g: np.ndarray, memory: list) -> np.ndarray:
     return -q
 
 
-def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
+def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
+                 pairs=()) -> SolveReport:
     """Minimize the problem objective over its box from x0 (projected in).
 
     A variable is bound when it sits at ``lower`` with g > 0 or at
     ``upper`` with g < 0. The search direction is the two-loop step of g
     with the bound components zeroed before and after the recursion, or
     -g with them zeroed if that step is not a descent direction. Curvature
-    pairs span all variables.
+    pairs span all variables. A pair is kept only when s.y is positive
+    beyond rounding.
+
+    ``pairs`` is the L-BFGS memory to start from: the ``pairs`` of an
+    earlier solve's report, whose s and y must each match x0's length;
+    the newest LBFGS_MEMORY are kept. Empty, the solve starts cold. They pass the same checks as the
+    solve's own pairs: a step they give that is not a descent direction
+    falls back to -g, and a failed line search clears them. The handed-in
+    pairs are not changed; the report's ``pairs`` holds the final memory
+    and ``warm_pairs`` how many pairs the solve started with.
 
     The line search halves from the full step until the projected Armijo
     condition holds. Forward tracking then doubles the accepted step while
@@ -147,6 +168,12 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
     x = np.asarray(x0, dtype=float)
     if x.shape != lo.shape:
         raise InvalidArgumentError(f"x0 length {x.shape} does not match bounds {lo.shape}")
+    memory = list(pairs)[-LBFGS_MEMORY:]
+    for s, y, _ in memory:
+        if s.shape != lo.shape or y.shape != lo.shape:
+            raise InvalidArgumentError(
+                f"curvature pair lengths {s.shape} and {y.shape} do not match x0 {lo.shape}")
+    warm_pairs = len(memory)
     x = np.clip(x, lo, hi)
 
     f = float(problem.objective(x))
@@ -156,7 +183,6 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
         raise SolverStartError(f"objective is non-finite at the start point: {f}")
     g = np.asarray(problem.gradient(x), dtype=float)
 
-    memory: list = []
     iterations = 0
     termination = "max-iters"
     converged = False
@@ -254,6 +280,8 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None) 
         rejected_backtracks=rejected_backtracks,
         rejected_forward=rejected_forward,
         resets=resets,
+        warm_pairs=warm_pairs,
+        pairs=tuple(memory),
     )
 
 

@@ -670,6 +670,25 @@ class TestAlignHandFrame:
         assert calls.count("minimize_box") > 1
         assert calls.count("alignment_problem") == calls.count("minimize_box")
 
+    def test_lone_frame_starts_cold(self, monkeypatch):
+        # without an init, and with a fresh one, the first solve has no pairs
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        obs = observe(1.25 * sampled.points)
+        solve, reports = alignment.minimize_box, []
+
+        def recorded_solve(*args):
+            reports.append(solve(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(alignment, "minimize_box", recorded_solve)
+        for init in (None, HandAlignment.initial(hand.frame_index)):
+            reports.clear()
+            result = align_hand_frame(hand, sampled, obs, K, init=init)
+            assert reports[0].warm_pairs == 0
+            assert [r.warm_pairs for r in reports[1:]] == [len(r.pairs) for r in reports[:-1]]
+            assert result.pairs is reports[-1].pairs
+
     def test_one_kernel_pass_per_distinct_point(self, monkeypatch):
         # the scale scan scores its candidates in one stacked pass; every
         # other score and gradient of a frame reads the frame's pass memo:
@@ -1300,6 +1319,36 @@ class TestAlignTrajectory:
         assert abs(picks[2][0] - 1.3) < abs(results[1].sigma - 1.3)
         for r, sigma_star in zip(results, sigmas):
             assert abs(r.sigma - sigma_star) / sigma_star < 0.02
+
+    def test_each_solve_starts_from_the_previous_solves_pairs(self, monkeypatch):
+        # within a frame each outer round hands its pairs to the next, and a
+        # frame's first solve starts from the previous frame's last pairs,
+        # which its result carries
+        offsets = [(0.0, 0.0, 0.45), (0.002, 0.0, 0.45), (0.004, -0.001, 0.45)]
+        traj, obs = self.make_sequence(offsets, seed=3)
+        solve, align = alignment.minimize_box, alignment.align_hand_frame
+        solves, frames = [], []
+
+        def recorded_solve(problem, x0, opts, pairs):
+            report = solve(problem, x0, opts, pairs)
+            solves.append((len(frames), pairs, report))
+            return report
+
+        def recorded_align(*args, **kwargs):
+            frames.append(kwargs["init"])
+            return align(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, "minimize_box", recorded_solve)
+        monkeypatch.setattr(alignment, "align_hand_frame", recorded_align)
+        results = align_trajectory(traj, obs, K, seed=3)
+        assert frames[0] is None
+        assert all(init is prev for init, prev in zip(frames[1:], results))
+        assert solves[0][1] == () and solves[0][2].warm_pairs == 0
+        for (k, _, before), (frame, pairs, report) in zip(solves, solves[1:]):
+            assert pairs is before.pairs and report.warm_pairs == len(pairs) > 0
+            if frame != k:
+                assert pairs is results[k - 1].pairs
+        assert results[-1].pairs is solves[-1][2].pairs
 
     def test_empty_frame_failure_names_frame(self):
         traj, obs = self.make_sequence([(0.0, 0.0, 0.45)] * 4, seed=5)

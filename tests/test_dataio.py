@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -184,6 +186,26 @@ class TestPlyIO:
             cloud = dataio.read_ply(path)
         np.testing.assert_allclose(cloud.normals, [normal], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("row, normal", [("1e-200 0 0", [1.0, 0.0, 0.0]),
+                                             ("0 -3e-170 4e-170", [0.0, -0.6, 0.8]),
+                                             ("5e-324 0 0", [1.0, 0.0, 0.0]),
+                                             ("1e-155 1e-155 0", [0.5 ** 0.5] * 2 + [0.0])])
+    def test_normal_too_short_to_square_reads_as_its_direction(self, tmp_path, row, normal):
+        path = tmp_path / "cloud.ply"
+        path.write_text(_ply_text(["x", "y", "z", "nx", "ny", "nz"], f"0 0 0 {row}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = dataio.read_ply(path)
+        np.testing.assert_allclose(cloud.normals, [normal], rtol=0, atol=1e-15)
+
+    def test_zero_normal_is_still_rejected(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        path.write_text(_ply_text(["x", "y", "z", "nx", "ny", "nz"], "0 0 0 0 0 0\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="unit norm"):
+                dataio.read_ply(path)
+
     @pytest.mark.parametrize("row", ["inf 0 0", "0 -inf 0", "0 0 nan", "1e999 0 0"])
     def test_non_finite_normal_is_a_parse_error(self, tmp_path, row):
         path = tmp_path / "cloud.ply"
@@ -270,6 +292,10 @@ def _ply_text(props, body, n_vertex=1, eol="\n"):
     return eol.join(header) + eol + body
 
 
+# below this norm a sum of squares is subnormal or zero
+_SHORTEST_EXACT_NORM = math.sqrt(sys.float_info.min)
+
+
 def reference_read_ply(path) -> PointCloud:
     """The token-by-token reader: one float() a token, rows split where
     str.splitlines splits and tokens where str.split does."""
@@ -332,13 +358,16 @@ def reference_read_ply(path) -> PointCloud:
         normals = data[:, [col["nx"], col["ny"], col["nz"]]]
         if not np.isfinite(normals).all():
             raise DataParseError("PLY normal is not finite")
-        # np.linalg.norm's bits for every normal whose squares stay finite;
-        # any other is first divided by its largest |component|
+        # np.linalg.norm's bits for every normal whose sum of squares stays
+        # in float64's normal range; any other non-zero normal is first
+        # divided by its largest |component|
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(normals, axis=1, keepdims=True)
         for i in range(n_vertex):
-            if not np.isfinite(norms[i, 0]):
-                normals[i] /= max(abs(v) for v in normals[i])
+            peak = max(abs(v) for v in normals[i])
+            off_range = not np.isfinite(norms[i, 0]) or norms[i, 0] < _SHORTEST_EXACT_NORM
+            if off_range and peak > 0.0:
+                normals[i] /= peak
                 norms[i] = np.linalg.norm(normals[i:i + 1], axis=1)
         normals = normals / np.maximum(norms, 1e-300)
     return PointCloud(points=pts, normals=normals)
@@ -795,6 +824,50 @@ class TestRobotTrajectoryIO:
         with pytest.raises(DataParseError, match="^frame 0: q ") as err:
             dataio.read_robot_trajectory(path, hand16)
         assert err.value.location == "frame 0"
+
+    def written_doc(self, tmp_path, hand16):
+        """A written two-frame plan's path and its JSON document."""
+        mid = hand16.mid_limits()
+        traj = RobotTrajectory(frames=[
+            RobotTrajectoryFrame(k, RigidTransform.identity(), mid) for k in (0, 1)
+        ], model=hand16)
+        path = tmp_path / "robot.json"
+        dataio.write_robot_trajectory(traj, path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("index", ["1", 1.9, True, 1.0, None],
+                             ids=["string", "float", "bool", "integral-float", "null"])
+    def test_index_must_be_a_json_integer(self, tmp_path, hand16, index):
+        path, doc = self.written_doc(tmp_path, hand16)
+        doc["frames"][1]["index"] = index
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataParseError, match="^frame 1: index must be an integer") as err:
+            dataio.read_robot_trajectory(path, hand16)
+        assert err.value.location == "frame 1"
+
+    @pytest.mark.parametrize("frame", [5, "frame", [0.0], None])
+    def test_frame_must_be_an_object(self, tmp_path, hand16, frame):
+        path, doc = self.written_doc(tmp_path, hand16)
+        doc["frames"][1] = frame
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataParseError, match="^frame 1: must be an object") as err:
+            dataio.read_robot_trajectory(path, hand16)
+        assert err.value.location == "frame 1"
+
+    @pytest.mark.parametrize("frames", [{"0": {}}, "frames", 5, None])
+    def test_frames_must_be_a_list(self, tmp_path, hand16, frames):
+        path, doc = self.written_doc(tmp_path, hand16)
+        doc["frames"] = frames
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataParseError, match="'frames' list"):
+            dataio.read_robot_trajectory(path, hand16)
+
+    @pytest.mark.parametrize("doc", [[], 5, "plan", None])
+    def test_document_must_be_an_object(self, tmp_path, hand16, doc):
+        path = tmp_path / "robot.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataParseError, match="root must be a JSON object"):
+            dataio.read_robot_trajectory(path, hand16)
 
     def test_joint_name_mismatch(self, tmp_path, hand16):
         path = tmp_path / "robot.json"

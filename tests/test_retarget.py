@@ -196,6 +196,13 @@ class TestRetargetFrame:
                                 RigidTransform.identity(), mid, mid, cfg)
         np.testing.assert_array_equal(q_a, q_b)
 
+    def test_lone_frame_starts_cold(self, hand16, spec16, rng):
+        mid = hand16.mid_limits()
+        ref = ref_from_q(hand16, spec16, interior_q(hand16, rng))
+        _, report = retarget_frame(hand16, ref, spec16, RigidTransform.identity(), mid, mid,
+                                   RetargetConfig())
+        assert report.warm_pairs == 0 and report.pairs
+
     def test_smoothness_monotonicity(self, hand16, spec16, rng):
         q_prev = hand16.mid_limits()
         ref = ref_from_q(hand16, spec16, interior_q(hand16, rng))
@@ -301,6 +308,24 @@ class TestRetargetTrajectory:
         for k in (3, 4):
             assert any(line.startswith(f"frame {k}: retarget") and
                        "termination=max-iters converged=False" in line for line in lines)
+
+    def test_frames_from_2_start_from_the_previous_frames_pairs(self, hand16, mapping16,
+                                                                spec16, monkeypatch):
+        # frame 0 solves without the smoothness term, so frame 1 starts cold
+        hands = [hand_frame_at(curl=c, index=k) for k, c in enumerate((0.2, 0.3, 0.4, 0.5))]
+        solve, calls = retarget.minimize_box, []
+
+        def recorded_solve(problem, x0, opts, pairs):
+            calls.append((pairs, solve(problem, x0, opts, pairs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(retarget, "minimize_box", recorded_solve)
+        retarget_trajectory(hand16, hands, self.identity_alignments(4), mapping16, spec16,
+                            TaxonomyClass.MEDIUM_WRAP, TaxonomyWeightTable.default(),
+                            RetargetConfig(scale=1.0))
+        assert [pairs for pairs, _ in calls[:2]] == [(), ()]
+        for (_, before), (pairs, report) in zip(calls[1:], calls[2:]):
+            assert pairs is before.pairs and report.warm_pairs == len(pairs) > 0
 
     def test_count_mismatch(self, hand16, mapping16, spec16):
         with pytest.raises(InvalidArgumentError):

@@ -1080,7 +1080,7 @@ class TestFkMemo:
         points, gradient_passes = [], []
         solve = retarget.minimize_box
 
-        def recorded(problem, x0, opts):
+        def recorded(problem, x0, opts, pairs=()):
             def objective(q):
                 points.append(q.tobytes())
                 return problem.objective(q)
@@ -1092,7 +1092,8 @@ class TestFkMemo:
                 gradient_passes.append(len(passes) - before)
                 return g
 
-            return solve(BoxProblem(problem.lower, problem.upper, objective, gradient), x0, opts)
+            return solve(BoxProblem(problem.lower, problem.upper, objective, gradient), x0, opts,
+                         pairs)
 
         monkeypatch.setattr(retarget, "minimize_box", recorded)
         mid = model.mid_limits()

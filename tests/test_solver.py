@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from dexretarget import solver
 from dexretarget.errors import InvalidArgumentError, SolverStartError
 from dexretarget.solver import (BoxProblem, SolverOptions, check_gradient, fd_gradient,
                                 minimize_box)
@@ -284,6 +285,77 @@ class TestSolveReportCounts:
         assert a.x_star.tobytes() == b.x_star.tobytes()
         a.x_star = b.x_star = None
         assert a == b
+
+
+def scaled_quadratic(target):
+    """0.5 sum h_i (x_i - a_i)^2 on [-2, 2]^4, curvatures spread 100-fold."""
+    h = np.array([1.0, 10.0, 100.0, 3.0])
+    a = np.asarray(target, dtype=float)
+    return BoxProblem(lower=np.full(4, -2.0), upper=np.full(4, 2.0),
+                      objective=lambda x: float(0.5 * (h * (x - a) ** 2).sum()),
+                      gradient=lambda x: h * (x - a))
+
+
+class TestWarmStart:
+    """A solve starts from the curvature pairs an earlier solve returned."""
+
+    first = np.array([0.3, -0.7, 1.1, 0.2])
+    second = first + np.array([0.05, -0.02, 0.03, 0.01])
+
+    def earlier(self):
+        return minimize_box(scaled_quadratic(self.first), np.zeros(4))
+
+    def test_cold_solve_starts_without_pairs_and_returns_its_memory(self):
+        report = self.earlier()
+        assert report.warm_pairs == 0
+        assert 0 < len(report.pairs) <= solver.LBFGS_MEMORY
+        for s, y, rho in report.pairs:
+            assert s.shape == y.shape == (4,) and rho == 1.0 / float(s @ y) > 0.0
+
+    def test_pairs_of_a_related_solve_take_no_more_iterations(self):
+        earlier = self.earlier()
+        problem = scaled_quadratic(self.second)
+        cold = minimize_box(problem, earlier.x_star)
+        warm = minimize_box(problem, earlier.x_star, pairs=earlier.pairs)
+        assert cold.converged and warm.converged
+        assert warm.warm_pairs == len(earlier.pairs)
+        np.testing.assert_allclose(warm.x_star, self.second, atol=1e-8)
+        assert warm.iterations <= cold.iterations
+        assert warm.objective_evals <= cold.objective_evals
+
+    def test_same_pairs_give_bit_identical_reports_and_stay_unchanged(self):
+        pairs = self.earlier().pairs
+        before = [(s.tobytes(), y.tobytes(), rho) for s, y, rho in pairs]
+        problem = scaled_quadratic(self.second)
+        a = minimize_box(problem, np.zeros(4), pairs=pairs)
+        b = minimize_box(problem, np.zeros(4), pairs=pairs)
+        assert [(s.tobytes(), y.tobytes(), rho) for s, y, rho in pairs] == before
+        assert a.x_star.tobytes() == b.x_star.tobytes()
+        assert [(s.tobytes(), y.tobytes(), rho) for s, y, rho in a.pairs] == \
+            [(s.tobytes(), y.tobytes(), rho) for s, y, rho in b.pairs]
+        a.x_star = b.x_star = None
+        assert a == b
+
+    @pytest.mark.parametrize("which", ["s", "y"])
+    def test_pair_length_must_match_x0(self, which):
+        s, y, rho = self.earlier().pairs[-1]
+        short = (s[:3], y, rho) if which == "s" else (s, y[:3], rho)
+        with pytest.raises(InvalidArgumentError, match="curvature pair"):
+            minimize_box(scaled_quadratic(self.second), np.zeros(4), pairs=[short])
+
+    def test_failed_line_search_clears_the_carried_pairs(self):
+        # at the minimizer x = 0 the gradient lies, -1: the carried pair's
+        # step and the steepest-descent retry both find no lower point
+        # (67 halvings from 1 to below 1e-20 each)
+        problem = BoxProblem(
+            lower=np.array([-2.0]), upper=np.array([2.0]),
+            objective=lambda x: float(x[0] ** 2),
+            gradient=lambda x: np.array([2.0 * x[0] if x[0] != 0.0 else -1.0]))
+        pair = (np.array([1.0]), np.array([2.0]), 0.5)
+        report = minimize_box(problem, np.array([0.0]), pairs=[pair])
+        assert (report.warm_pairs, report.resets, report.pairs) == (1, 1, ())
+        assert (report.iterations, report.termination) == (0, "step-tol")
+        assert report.objective_evals == 1 + 67 + 67
 
 
 class TestCheckGradient:
