@@ -227,19 +227,45 @@ def write_hand_trajectory(traj: HandTrajectory, path) -> None:
 # ---------------------------------------------------------------------------
 # robot trajectory JSON
 
+def _indented(open_: str, close: str, items: list, depth: int) -> str:
+    """Encoded items laid out as json.dumps(indent=1) lays out a list or an
+    object at nesting depth ``depth``."""
+    if not items:
+        return open_ + close
+    pad = "\n" + " " * (depth + 1)
+    return open_ + pad + ("," + pad).join(items) + "\n" + " " * depth + close
+
+
+def _json_floats(values, depth: int) -> str:
+    """A list of floats as json.dumps(indent=1) writes it at ``depth``."""
+    spelled = map(float.__repr__, np.asarray(values, dtype=float).tolist())
+    text = _indented("[", "]", list(spelled), depth)
+    # float.__repr__ spells no finite float with an "n"; json spells nan and
+    # inf its own way
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
 def write_robot_trajectory(traj: RobotTrajectory, path) -> None:
-    doc = {
-        "joint_names": list(traj.model.actuated_order),
-        "frames": [
-            {
-                "index": fr.frame_index,
-                "wrist": _pose_dict(fr.wrist_pose),
-                "q": [float(v) for v in fr.q],
-            }
-            for fr in traj.frames
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    """Write the plan with the bytes json.dumps(doc, indent=1,
+    sort_keys=True) + "\n" gives, without the pure-Python encoder json runs
+    whenever ``indent`` is set. The schema is fixed, so the keys are laid
+    out here in sorted order; numbers are spelled by int.__repr__ and
+    float.__repr__, as json spells them, and joint names by json.dumps."""
+    frames = [_indented("{", "}", [
+        '"index": ' + int.__repr__(fr.frame_index),
+        '"q": ' + _json_floats(fr.q, 3),
+        '"wrist": ' + _indented("{", "}", [
+            '"pos": ' + _json_floats(fr.wrist_pose.translation, 4),
+            '"quat_wxyz": ' + _json_floats(fr.wrist_pose.rotation.quat, 4),
+        ], 3),
+    ], 2) for fr in traj.frames]
+    names = [json.dumps(name) for name in traj.model.actuated_order]
+    Path(path).write_text(_indented("{", "}", [
+        '"frames": ' + _indented("[", "]", frames, 1),
+        '"joint_names": ' + _indented("[", "]", names, 1),
+    ], 0) + "\n")
 
 
 def read_robot_trajectory(path, model) -> RobotTrajectory:
@@ -247,7 +273,7 @@ def read_robot_trajectory(path, model) -> RobotTrajectory:
     if doc.get("joint_names") != list(model.actuated_order):
         raise DataParseError("joint_names do not match the model's actuated order")
     frames = []
-    for where, fr in _frame_objects(doc.get("frames", [])):
+    for where, fr in _frame_objects(doc.get("frames")):
         if "q" not in fr or "wrist" not in fr or "index" not in fr:
             raise DataParseError(f"{where}: missing field", location=where)
         frames.append(RobotTrajectoryFrame(

@@ -329,11 +329,8 @@ def reference_vectors(hand: HandFrame, spec: VectorSpec, scale: float = 1.0) -> 
     """Scaled human-side vectors scale * (end - origin), in spec order."""
     if scale <= 0 or not np.isfinite(scale):
         raise InvalidArgumentError("scale must be positive and finite")
-    out = np.empty((spec.n_vec, 3))
-    for i, p in enumerate(spec.pairs):
-        o, e = p.human
-        out[i] = scale * (hand.joints[e] - hand.joints[o])
-    return out
+    origins, ends = np.array([p.human for p in spec.pairs]).T
+    return scale * (hand.joints[ends] - hand.joints[origins])
 
 
 def compute_hand_scale(

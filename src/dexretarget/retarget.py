@@ -177,6 +177,49 @@ def _fk(model, q, wrist_r, wrist_t, links, gradient):
     return origins[0], jac[0]
 
 
+class _RetargetTerms:
+    """The parts of the retargeting objective that a trajectory's frames
+    share, resolved once for a model, spec and config: the vectors with a
+    nonzero weight and their weights, the links they join with each active
+    vector's start and end index into them, the joint-limit box and
+    delta^2. ``problem`` adds a frame's own parts."""
+
+    def __init__(self, model: RobotModel, spec: VectorSpec, cfg: RetargetConfig):
+        w = _vector_weights(spec, cfg)
+        self.model = model
+        self.n_vec = spec.n_vec
+        self.active = np.flatnonzero(w != 0.0)
+        self.w_active = w[self.active]
+        self.links, starts, ends = spec.robot_link_pairs()
+        self.starts, self.ends = starts[self.active], ends[self.active]
+        self.lower, self.upper = model.limit_arrays()
+        self.dd = cfg.huber_delta * cfg.huber_delta
+
+    def problem(self, ref_vectors, wrist: RigidTransform, q_prev,
+                lambda_smooth: float) -> BoxProblem:
+        """The frame's objective over the joint-limit box (retarget_problem)."""
+        model, links, starts, ends = self.model, self.links, self.starts, self.ends
+        w_active, n_vec, dd = self.w_active, self.n_vec, self.dd
+        qp = model.check_q(q_prev)
+        wrist_r, wrist_t = wrist.rotation.as_matrix(), wrist.translation
+        ref_active = np.asarray(ref_vectors, dtype=float)[self.active]
+
+        def evaluate(q, gradient=False):
+            origins, jac = _fk(model, q, wrist_r, wrist_t, links, gradient)
+            d = origins[ends] - origins[starts] - ref_active
+            sq = np.einsum("mi,mi->m", d, d)
+            dq = q - qp
+            if not gradient:
+                rho = dd * (np.sqrt(1.0 + sq / dd) - 1.0)
+                return float(rho @ w_active) / n_vec + lambda_smooth * float(dq @ dq)
+            g_d = (w_active / (n_vec * np.sqrt(1.0 + sq / dd)))[:, None] * d
+            return np.einsum("mi,min->n", g_d, jac[ends] - jac[starts]) + \
+                2.0 * lambda_smooth * dq
+
+        return BoxProblem(self.lower, self.upper, objective=evaluate,
+                          gradient=partial(evaluate, gradient=True))
+
+
 def retarget_problem(
     model: RobotModel,
     ref_vectors: np.ndarray,
@@ -193,30 +236,8 @@ def retarget_problem(
     link-origin Jacobian) is continuous; vector_matching_loss reports the
     exact value at the result.
     """
-    qp = model.check_q(q_prev)
-    wrist_r, wrist_t = wrist.rotation.as_matrix(), wrist.translation
-    w = _vector_weights(spec, cfg)
-    active = np.array([i for i in range(spec.n_vec) if w[i] != 0.0], dtype=int)
-    w_active = w[active]
-    ref_active = np.asarray(ref_vectors, dtype=float)[active]
-    links, starts, ends = spec.robot_link_pairs()
-    starts, ends = starts[active], ends[active]
-    dd = cfg.huber_delta * cfg.huber_delta
-
-    def evaluate(q, gradient=False):
-        origins, jac = _fk(model, q, wrist_r, wrist_t, links, gradient)
-        d = origins[ends] - origins[starts] - ref_active
-        sq = np.einsum("mi,mi->m", d, d)
-        dq = q - qp
-        if not gradient:
-            rho = dd * (np.sqrt(1.0 + sq / dd) - 1.0)
-            return float(rho @ w_active) / spec.n_vec + cfg.lambda_smooth * float(dq @ dq)
-        g_d = (w_active / (spec.n_vec * np.sqrt(1.0 + sq / dd)))[:, None] * d
-        return np.einsum("mi,min->n", g_d, jac[ends] - jac[starts]) + \
-            2.0 * cfg.lambda_smooth * dq
-
-    return BoxProblem(*model.limit_arrays(), objective=evaluate,
-                      gradient=partial(evaluate, gradient=True))
+    return _RetargetTerms(model, spec, cfg).problem(ref_vectors, wrist, q_prev,
+                                                    cfg.lambda_smooth)
 
 
 def retarget_frame(
@@ -228,11 +249,18 @@ def retarget_frame(
     q0,
     cfg: RetargetConfig,
     pairs=(),
+    *,
+    terms: Optional[_RetargetTerms] = None,
 ):
     """Solve one frame's retargeting problem; returns (q, solve report).
     The solve starts from the L-BFGS curvature ``pairs`` of an earlier
-    solve (a report's ``pairs``), cold when none are given."""
-    problem = retarget_problem(model, ref_vectors, spec, wrist, q_prev, cfg)
+    solve (a report's ``pairs``), cold when none are given. ``terms`` are
+    the problem's shared parts already resolved for model, spec and cfg,
+    as retarget_trajectory passes them; without them they are resolved
+    here, as retarget_problem does."""
+    if terms is None:
+        terms = _RetargetTerms(model, spec, cfg)
+    problem = terms.problem(ref_vectors, wrist, q_prev, cfg.lambda_smooth)
     try:
         report = minimize_box(problem, model.check_q(q0), cfg.solver, pairs)
     except SolverStartError as exc:
@@ -253,11 +281,14 @@ def retarget_trajectory(
     """Retarget an aligned hand trajectory frame by frame.
 
     Each frame applies its alignment correction to the human joints,
-    extracts scaled reference vectors, and solves warm-started from the
-    previous solution. Frame 0 starts at mid-limits with no smoothness
-    coupling. From frame 2 on, each solve also starts from the previous
-    frame's final L-BFGS curvature pairs; frame 1 starts cold, since frame
-    0's pairs describe an objective without the smoothness term.
+    extracts scaled reference vectors and solves its problem, whose parts
+    shared by every frame (weights, links, limits) are resolved once.
+    Frame 0 starts at mid-limits with no smoothness coupling, and frame 1
+    at frame 0's solution. Frame k >= 2 starts at the extrapolation
+    2 q_(k-1) - q_(k-2) clipped to the joint limits, while its smoothness
+    term still anchors at q_(k-1), and from frame k-1's final L-BFGS
+    curvature pairs; frame 1 starts cold, since frame 0's pairs describe an
+    objective without the smoothness term.
     """
     hands = list(hands)
     alignments = list(alignments)
@@ -269,8 +300,9 @@ def retarget_trajectory(
     spec.validate_against(model)
     weights = taxonomy_weights(taxonomy, spec, table)
     cfg = replace(cfg, weights=weights)
+    terms = _RetargetTerms(model, spec, cfg)
 
-    q_prev = model.mid_limits()
+    q_before = q_prev = model.mid_limits()
     pairs = ()
     frames = []
     for k, (hand, align) in enumerate(zip(hands, alignments)):
@@ -278,9 +310,10 @@ def retarget_trajectory(
         wrist = corrected.wrist_pose.compose(cfg.mount_offset)
         ref = reference_vectors(corrected, spec, cfg.scale)
         frame_cfg = cfg if k > 0 else replace(cfg, lambda_smooth=0.0)
+        q0 = q_prev if k < 2 else np.clip(2.0 * q_prev - q_before, terms.lower, terms.upper)
         try:
-            q, report = retarget_frame(model, ref, spec, wrist, q_prev, q_prev, frame_cfg,
-                                       pairs)
+            q, report = retarget_frame(model, ref, spec, wrist, q_prev, q0, frame_cfg, pairs,
+                                       terms=terms)
         except RetargetError as exc:
             raise RetargetError(f"frame {hand.frame_index}: {exc}") from exc
         pairs = report.pairs if k > 0 else ()
@@ -288,7 +321,7 @@ def retarget_trajectory(
                   hand.frame_index, report.f_star, report.iterations,
                   report.termination, report.converged)
         frames.append(RobotTrajectoryFrame(hand.frame_index, wrist, q))
-        q_prev = q
+        q_before, q_prev = q_prev, q
     return RobotTrajectory(frames=frames, model=model)
 
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from dexretarget import alignment, cli, retarget
-from dexretarget.alignment import FrameObservation, align_hand_frame
+from dexretarget.alignment import FrameObservation, HandAlignment, align_hand_frame
 from dexretarget.geometry import RigidTransform, Rotation, splat_depth
-from dexretarget.hand_model import HandFrame
+from dexretarget.hand_model import HandFrame, TaxonomyClass, TaxonomyWeightTable
 from dexretarget.pointcloud import PointCloud, estimate_normals
 from dexretarget.retarget import ContactTargets, RetargetConfig, refine_contact, retarget_frame
 from dexretarget.robot_model import link_origins
@@ -169,6 +169,32 @@ def test_retarget_reaches_its_hooked_fk(stage, monkeypatch, hand16, spec16, mapp
         _refine_one_frame(hand16, mapping16)
     assert hits["link_origins_batch", True] > 0
     assert hits["link_origins", False] > 0
+
+
+def test_trajectory_solves_each_frame_through_the_hooked_retarget_frame(
+        monkeypatch, hand16, spec16, mapping16):
+    """The traced run times each frame's solve through the hooked
+    ``retarget.retarget_frame``, so a trajectory loop that solved its frames
+    past that attribute fails here and not only in the traced run's
+    self-check. Every frame takes the same problem terms, resolved once."""
+    assert ("retarget", "retarget_frame") in {(m, a) for m, a, *_ in _tracing().HOOKS}
+    frame, calls = retarget.retarget_frame, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["terms"])
+        return frame(*args, **kwargs)
+
+    monkeypatch.setattr(retarget, "retarget_frame", counted)
+    hands = []
+    for k, curl in enumerate((0.2, 0.3, 0.4)):
+        joints = canonical_hand_joints(curl) + np.array([0.0, 0.0, 0.45])
+        hands.append(HandFrame(joints=joints, frame_index=k,
+                               wrist_pose=RigidTransform(Rotation.identity(), joints[0])))
+    plan = retarget.retarget_trajectory(
+        hand16, hands, [HandAlignment.initial(k) for k in range(3)], mapping16, spec16,
+        TaxonomyClass.MEDIUM_WRAP, TaxonomyWeightTable.default(), RetargetConfig())
+    assert len(calls) == len(plan) == 3
+    assert calls[0] is not None and all(terms is calls[0] for terms in calls)
 
 
 @pytest.mark.parametrize("stage", ["alignment", "retarget", "refine"])

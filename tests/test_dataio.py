@@ -16,6 +16,7 @@ from dexretarget.geometry import CameraIntrinsics, DepthImage, RigidTransform, R
 from dexretarget.hand_model import HandFrame, HandTrajectory, TaxonomyClass
 from dexretarget.pointcloud import PointCloud
 from dexretarget.retarget import RobotTrajectory, RobotTrajectoryFrame
+from dexretarget.robot_model import parse_urdf
 from dexretarget.solver import SolverOptions
 from dexretarget.synthetic import canonical_hand_joints
 
@@ -36,6 +37,42 @@ def sample_trajectory(n=2, contacts_on_last=True):
             contacts=contacts,
         ))
     return HandTrajectory(frames=frames, fps=30.0)
+
+
+# two prismatic joints, one with a non-ASCII name, with limits wide enough
+# for 1e16
+WIDE_SLIDES = """
+<robot name="slides">
+  <link name="base"/>
+  <link name="a"/>
+  <link name="b"/>
+  <joint name="glissi\u00e8re" type="prismatic">
+    <parent link="base"/>
+    <child link="a"/>
+    <axis xyz="1 0 0"/>
+    <limit lower="-2e16" upper="2e16" effort="1" velocity="1"/>
+  </joint>
+  <joint name="slide" type="prismatic">
+    <parent link="a"/>
+    <child link="b"/>
+    <axis xyz="0 1 0"/>
+    <limit lower="-2e16" upper="2e16" effort="1" velocity="1"/>
+  </joint>
+</robot>
+"""
+
+
+def plan_json_oracle(traj: RobotTrajectory) -> bytes:
+    """The plan as json.dumps(indent=1, sort_keys=True) writes its document."""
+    doc = {
+        "joint_names": list(traj.model.actuated_order),
+        "frames": [{"index": fr.frame_index,
+                    "wrist": {"quat_wxyz": [float(v) for v in fr.wrist_pose.rotation.quat],
+                              "pos": [float(v) for v in fr.wrist_pose.translation]},
+                    "q": [float(v) for v in fr.q]}
+                   for fr in traj.frames],
+    }
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
 
 
 class TestHandTrajectoryIO:
@@ -867,6 +904,70 @@ class TestRobotTrajectoryIO:
         path = tmp_path / "robot.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataParseError, match="root must be a JSON object"):
+            dataio.read_robot_trajectory(path, hand16)
+
+    def assert_written_as_json_dumps(self, path, traj):
+        dataio.write_robot_trajectory(traj, path)
+        assert path.read_bytes() == plan_json_oracle(traj)
+
+    def test_zero_frame_plan_is_written_as_json_dumps(self, tmp_path):
+        traj = RobotTrajectory(frames=[], model=parse_urdf(WIDE_SLIDES))
+        self.assert_written_as_json_dumps(tmp_path / "robot.json", traj)
+        assert b'"frames": [],' in (tmp_path / "robot.json").read_bytes()
+
+    @pytest.mark.parametrize("values", [(-0.0, 5e-324), (1e16, 1e-7), (-1e16, -5e-324),
+                                        (0.1, 1 / 3), (2.0 ** -1074, 123456789.125)])
+    def test_edge_numbers_are_written_as_json_dumps(self, tmp_path, values):
+        model = parse_urdf(WIDE_SLIDES)
+        assert model.actuated_order[0] == "glissi\u00e8re"
+        traj = RobotTrajectory(frames=[
+            RobotTrajectoryFrame(3, RigidTransform(Rotation([1.0, -0.0, 0.0, -0.0]),
+                                                   np.array([values[0], -0.0, values[1]])),
+                                 np.array(values)),
+            RobotTrajectoryFrame(10 ** 6, RigidTransform(
+                Rotation.from_axis_angle([0.3, -1.0, 0.2], 2.5), np.array([1e16, 1e-7, 0.0])),
+                np.array(values[::-1])),
+        ], model=model)
+        self.assert_written_as_json_dumps(tmp_path / "robot.json", traj)
+
+    def test_non_finite_q_is_spelled_as_json_dumps_spells_it(self, tmp_path):
+        traj = RobotTrajectory(frames=[
+            RobotTrajectoryFrame(0, RigidTransform.identity(), np.zeros(2)),
+        ], model=parse_urdf(WIDE_SLIDES))
+        for q in ([np.nan, np.inf], [-np.inf, 0.5]):
+            traj.frames[0].q = np.array(q)  # past the plan's limit check
+            self.assert_written_as_json_dumps(tmp_path / "robot.json", traj)
+
+    @given(st.lists(st.tuples(st.floats(-2e16, 2e16), st.floats(-2e16, 2e16),
+                              st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=3, max_size=3),
+                              st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+                              .filter(lambda v: np.linalg.norm(v) > 0.1)),
+                    max_size=4))
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_plans_are_written_as_json_dumps(self, tmp_path, rows):
+        traj = RobotTrajectory(frames=[
+            RobotTrajectoryFrame(k, RigidTransform(Rotation(quat), pos), np.array([a, b]))
+            for k, (a, b, pos, quat) in enumerate(rows)
+        ], model=parse_urdf(WIDE_SLIDES))
+        self.assert_written_as_json_dumps(tmp_path / "robot.json", traj)
+
+    def test_written_hand16_plan_is_written_as_json_dumps(self, tmp_path, hand16, rng):
+        lo, hi = hand16.limit_arrays()
+        traj = RobotTrajectory(frames=[
+            RobotTrajectoryFrame(k, RigidTransform(Rotation(rng.normal(size=4)),
+                                                   rng.normal(size=3)), rng.uniform(lo, hi))
+            for k in range(5)
+        ], model=hand16)
+        self.assert_written_as_json_dumps(tmp_path / "robot.json", traj)
+
+    def test_missing_frames_key_is_a_parse_error(self, tmp_path, hand16):
+        # a plan without its frames list is no plan of 0 frames
+        path, doc = self.written_doc(tmp_path, hand16)
+        del doc["frames"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataParseError, match="'frames' list"):
             dataio.read_robot_trajectory(path, hand16)
 
     def test_joint_name_mismatch(self, tmp_path, hand16):

@@ -214,6 +214,20 @@ class TestReferenceVectors:
         with pytest.raises(InvalidArgumentError):
             reference_vectors(flat_hand(), spec16, 0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1.4, 0.7306, 3e-5])
+    def test_matches_the_per_pair_loop_bit_for_bit(self, spec16, rng, scale):
+        # oracle: each vector formed on its own, as scale * (end - origin)
+        joints = canonical_hand_joints(0.55) + rng.normal(scale=0.01, size=(21, 3))
+        hand = HandFrame(joints=joints, wrist_pose=RigidTransform(Rotation.identity(),
+                                                                  joints[0]))
+        expected = np.empty((spec16.n_vec, 3))
+        for i, p in enumerate(spec16.pairs):
+            o, e = p.human
+            expected[i] = scale * (hand.joints[e] - hand.joints[o])
+        out = reference_vectors(hand, spec16, scale)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestComputeHandScale:
     def test_ratio_of_distances(self, hand16, mapping16):

@@ -22,6 +22,7 @@ from dexretarget.hand_model import (
     compute_hand_scale,
     default_vector_spec,
     reference_vectors,
+    taxonomy_weights,
 )
 from dexretarget.pipeline import run_pipeline
 from dexretarget.retarget import (
@@ -89,6 +90,62 @@ def hand_frame_at(offset=(0.0, 0.0, 0.45), curl=0.4, index=0, contacts=None):
     return HandFrame(joints=joints,
                      wrist_pose=RigidTransform(Rotation.identity(), joints[0]),
                      frame_index=index, contacts=contacts)
+
+
+def reference_retarget_problem(model, ref_vectors, spec, wrist, q_prev, cfg):
+    """Bit oracle: the frame objective with every part resolved at the call,
+    as one frame alone builds it."""
+    qp = model.check_q(q_prev)
+    wrist_r, wrist_t = wrist.rotation.as_matrix(), wrist.translation
+    w = cfg.weights if cfg.weights is not None else np.ones(spec.n_vec)
+    active = np.array([i for i in range(spec.n_vec) if w[i] != 0.0], dtype=int)
+    w_active = w[active]
+    ref_active = np.asarray(ref_vectors, dtype=float)[active]
+    links, starts, ends = spec.robot_link_pairs()
+    starts, ends = starts[active], ends[active]
+    dd = cfg.huber_delta * cfg.huber_delta
+
+    def evaluate(q, gradient=False):
+        origins, jac = retarget._fk(model, q, wrist_r, wrist_t, links, gradient)
+        d = origins[ends] - origins[starts] - ref_active
+        sq = np.einsum("mi,mi->m", d, d)
+        dq = q - qp
+        if not gradient:
+            rho = dd * (np.sqrt(1.0 + sq / dd) - 1.0)
+            return float(rho @ w_active) / spec.n_vec + cfg.lambda_smooth * float(dq @ dq)
+        g_d = (w_active / (spec.n_vec * np.sqrt(1.0 + sq / dd)))[:, None] * d
+        return np.einsum("mi,min->n", g_d, jac[ends] - jac[starts]) + \
+            2.0 * cfg.lambda_smooth * dq
+
+    return solver.BoxProblem(*model.limit_arrays(), objective=evaluate,
+                             gradient=lambda q: evaluate(q, gradient=True))
+
+
+def assert_same_problem_bits(problem, oracle, points):
+    """Objective and gradient bytes of two problems agree at every point."""
+    np.testing.assert_array_equal(problem.lower, oracle.lower)
+    np.testing.assert_array_equal(problem.upper, oracle.upper)
+    for q in points:
+        assert np.float64(problem.objective(q)).tobytes() == \
+            np.float64(oracle.objective(q)).tobytes()
+        assert problem.gradient(q).tobytes() == oracle.gradient(q).tobytes()
+
+
+def recorded_trajectory(monkeypatch, model, hands, mapping, spec, cfg, table=None):
+    """Retarget hands with identity alignments; returns the plan and each
+    solve's (problem, start point) in frame order."""
+    solve, calls = retarget.minimize_box, []
+
+    def recorded_solve(problem, x0, opts, pairs):
+        calls.append((problem, x0.copy()))
+        return solve(problem, x0, opts, pairs)
+
+    monkeypatch.setattr(retarget, "minimize_box", recorded_solve)
+    aligns = [HandAlignment(k, 1.0, RigidTransform.identity(), 0.0, 0.0, True)
+              for k in range(len(hands))]
+    traj = retarget_trajectory(model, hands, aligns, mapping, spec, TaxonomyClass.MEDIUM_WRAP,
+                               table or TaxonomyWeightTable.default(), cfg)
+    return traj, calls
 
 
 class TestVectorMatchingLoss:
@@ -203,6 +260,31 @@ class TestRetargetFrame:
                                    RetargetConfig())
         assert report.warm_pairs == 0 and report.pairs
 
+    def test_lone_frame_starts_at_q0_and_anchors_at_q_prev(self, hand16, spec16, rng,
+                                                            monkeypatch):
+        # a lone frame solves the problem that frame alone defines, from q0
+        q_prev, q0 = interior_q(hand16, rng), interior_q(hand16, rng)
+        ref = ref_from_q(hand16, spec16, interior_q(hand16, rng))
+        wrist = RigidTransform(Rotation.from_axis_angle([0.1, 1.0, 0.2], 0.4),
+                               np.array([0.01, 0.02, 0.4]))
+        w = np.linspace(0.0, 2.0, spec16.n_vec)
+        cfg = RetargetConfig(lambda_smooth=0.3, weights=w)
+        starts = []
+        solve = retarget.minimize_box
+
+        def recorded_solve(problem, x0, opts, pairs):
+            starts.append(x0)
+            return solve(problem, x0, opts, pairs)
+
+        monkeypatch.setattr(retarget, "minimize_box", recorded_solve)
+        q, report = retarget_frame(hand16, ref, spec16, wrist, q_prev, q0, cfg)
+        assert len(starts) == 1 and starts[0].tobytes() == q0.tobytes()
+        expected = solver.minimize_box(
+            reference_retarget_problem(hand16, ref, spec16, wrist, q_prev, cfg), q0, cfg.solver)
+        assert q.tobytes() == expected.x_star.tobytes()
+        assert (report.f_star, report.iterations, report.objective_evals) == \
+            (expected.f_star, expected.iterations, expected.objective_evals)
+
     def test_smoothness_monotonicity(self, hand16, spec16, rng):
         q_prev = hand16.mid_limits()
         ref = ref_from_q(hand16, spec16, interior_q(hand16, rng))
@@ -214,6 +296,42 @@ class TestRetargetFrame:
             steps.append(float(np.linalg.norm(q - q_prev)))
         for a, b in zip(steps, steps[1:]):
             assert b <= a + 1e-9
+
+
+class TestRetargetProblemTerms:
+    """The parts every frame shares are resolved once a trajectory; the
+    objective and gradient keep the bits of a problem built for one frame."""
+
+    @pytest.mark.parametrize("weights", [None, "zeros", "taxonomy"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 0.037])
+    def test_retarget_problem_matches_the_reference(self, hand16, spec16, rng, weights, lam):
+        w = {None: None, "zeros": np.where(np.arange(spec16.n_vec) % 3 == 1, 0.0, 1.5),
+             "taxonomy": taxonomy_weights(TaxonomyClass.PRECISION_PINCH, spec16,
+                                          TaxonomyWeightTable.default())}[weights]
+        cfg = RetargetConfig(lambda_smooth=lam, huber_delta=0.013, weights=w)
+        wrist = RigidTransform(Rotation.from_axis_angle([1.0, -0.4, 0.3], 0.7),
+                               np.array([0.05, -0.01, 0.38]))
+        ref = ref_from_q(hand16, spec16, interior_q(hand16, rng), wrist) * 1.07
+        q_prev = interior_q(hand16, rng)
+        points = [interior_q(hand16, rng) for _ in range(4)] + [q_prev, hand16.limit_arrays()[1]]
+        assert_same_problem_bits(
+            retarget.retarget_problem(hand16, ref, spec16, wrist, q_prev, cfg),
+            reference_retarget_problem(hand16, ref, spec16, wrist, q_prev, cfg), points)
+
+    def test_terms_shared_by_frames_match_each_frames_own(self, hand16, spec16, rng):
+        w = np.ones(spec16.n_vec)
+        w[[2, 7]] = 0.0
+        cfg = RetargetConfig(lambda_smooth=0.4, weights=w)
+        terms = retarget._RetargetTerms(hand16, spec16, cfg)
+        for _ in range(3):
+            wrist = RigidTransform(Rotation.from_axis_angle(rng.normal(size=3), 0.5),
+                                   rng.normal(scale=0.1, size=3))
+            ref = ref_from_q(hand16, spec16, interior_q(hand16, rng), wrist)
+            q_prev = interior_q(hand16, rng)
+            points = [interior_q(hand16, rng) for _ in range(3)]
+            assert_same_problem_bits(
+                terms.problem(ref, wrist, q_prev, cfg.lambda_smooth),
+                reference_retarget_problem(hand16, ref, spec16, wrist, q_prev, cfg), points)
 
 
 class TestRetargetTrajectory:
@@ -326,6 +444,67 @@ class TestRetargetTrajectory:
         assert [pairs for pairs, _ in calls[:2]] == [(), ()]
         for (_, before), (pairs, report) in zip(calls[1:], calls[2:]):
             assert pairs is before.pairs and report.warm_pairs == len(pairs) > 0
+
+    def test_starts_extrapolate_from_frame_2(self, hand16, mapping16, spec16, monkeypatch):
+        # frame 0 starts at mid-limits, frame 1 at q_0, frame k >= 2 at the
+        # clipped 2 q_(k-1) - q_(k-2)
+        hands = [hand_frame_at(curl=c, index=k)
+                 for k, c in enumerate((0.2, 0.35, 0.45, 0.6, 0.62, 0.5))]
+        traj, calls = recorded_trajectory(monkeypatch, hand16, hands, mapping16, spec16,
+                                          RetargetConfig(scale=1.0))
+        qs = [f.q for f in traj.frames]
+        lo, hi = hand16.limit_arrays()
+        starts = [x0 for _, x0 in calls]
+        assert len(starts) == len(hands)
+        assert starts[0].tobytes() == hand16.mid_limits().tobytes()
+        assert starts[1].tobytes() == qs[0].tobytes()
+        for k in range(2, len(hands)):
+            predicted = np.clip(2.0 * qs[k - 1] - qs[k - 2], lo, hi)
+            assert starts[k].tobytes() == predicted.tobytes()
+            assert not np.array_equal(starts[k], qs[k - 1])
+
+    def test_prediction_past_a_limit_is_clipped(self, monkeypatch, uniform_table):
+        # one revolute joint limited to [-1, 1] rad: the tip direction turns
+        # 0 -> 0.9 -> 1.5 rad, so frame 2's prediction 1.8 lies past the limit
+        model = parse_urdf(ONE_JOINT)
+        spec = VectorSpec([VectorPair(human=(0, 4), robot=("base", "tip"),
+                                      group="wrist-to-tip")])
+        hands = []
+        for k, angle in enumerate((0.0, 0.9, 1.5, 1.5)):
+            joints = canonical_hand_joints(0.4)
+            joints[4] = joints[0] + [np.cos(angle), np.sin(angle), 0.0]
+            hands.append(HandFrame(joints=joints, frame_index=k,
+                                   wrist_pose=RigidTransform(Rotation.identity(), joints[0])))
+        traj, calls = recorded_trajectory(monkeypatch, model, hands,
+                                          FingerMapping({"index": "tip"}), spec,
+                                          RetargetConfig(scale=1.0, lambda_smooth=1e-6),
+                                          uniform_table)
+        qs = [f.q for f in traj.frames]
+        assert 2.0 * qs[1][0] - qs[0][0] > 1.5
+        assert calls[2][1][0] == 1.0
+        assert all(-1.0 <= q[0] <= 1.0 for q in qs)
+        assert qs[2][0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_smoothness_anchors_at_the_previous_solution(self, hand16, mapping16, spec16,
+                                                         monkeypatch, rng):
+        # each frame's problem is, bit for bit, the lone-frame problem
+        # anchored at q_(k-1), not at its extrapolated start
+        hands = [hand_frame_at(curl=c, index=k) for k, c in enumerate((0.2, 0.35, 0.45, 0.6))]
+        cfg = RetargetConfig(scale=1.0, lambda_smooth=0.5)
+        traj, calls = recorded_trajectory(monkeypatch, hand16, hands, mapping16, spec16, cfg)
+        weighted = replace(cfg, weights=taxonomy_weights(
+            TaxonomyClass.MEDIUM_WRAP, spec16, TaxonomyWeightTable.default()))
+        qs = [f.q for f in traj.frames]
+        for k in range(2, len(hands)):
+            corrected = hands[k].transformed(1.0, RigidTransform.identity())
+            ref = reference_vectors(corrected, spec16, cfg.scale)
+            problem, start = calls[k]
+            points = [start, qs[k - 1], qs[k], interior_q(hand16, rng)]
+            assert_same_problem_bits(problem, reference_retarget_problem(
+                hand16, ref, spec16, traj.frames[k].wrist_pose, qs[k - 1], weighted), points)
+            at_start = reference_retarget_problem(hand16, ref, spec16,
+                                                  traj.frames[k].wrist_pose, start, weighted)
+            assert problem.objective(start) != at_start.objective(start)
 
     def test_count_mismatch(self, hand16, mapping16, spec16):
         with pytest.raises(InvalidArgumentError):
