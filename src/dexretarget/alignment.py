@@ -54,6 +54,13 @@ HAND_SURFACE_POINTS = 500
 # kernel's taps reach 1 px before and 2 px after a projection, so the taps
 # of a projection clipped to the window's border all fall in the pad
 _WINDOW_PAD = 4
+# |pg|inf at which an outer round's solve stops. Each solve minimizes a
+# surrogate whose correspondences the next round refreshes, so solving it
+# to the solver's default 1e-8 buys digits that round discards. Measured
+# on the 40 frames of perfbench's traj10 fixtures (seeds 7 and 20261017):
+# no parameter moved more than 6.4e-7 from the 1e-8 solution, and no
+# planned q more than 6.6e-9 rad; at 3e-7 the drift reached 4.2e-6.
+_INNER_GRAD_TOL = 1e-7
 
 
 @dataclass
@@ -656,7 +663,11 @@ def align_hand_frame(
     at the first solution whose fresh score does not beat the best so far
     (that solution is dropped), after a kept solution that moved less than
     1e-7, or after ``cfg.outer_iters`` solves, which is a cap, not a fixed
-    round count. Each round builds one problem for one solve. The k-d tree
+    round count. Each round builds one problem for one solve, which stops
+    at |pg|inf <= 1e-7 (``_INNER_GRAD_TOL``) or after ``cfg.inner_iters``
+    iterations: an inexact solve of a surrogate that the next round
+    refreshes (as in inexact Newton methods, Dembo, Eisenstat & Steihaug
+    1982). The k-d tree
     is queried once per distinct parameter vector, through one memo per
     frame: the start, each scan candidate that needs a query, and each
     solve's solution. The scan's pick and a kept solution serve again as
@@ -678,7 +689,9 @@ def align_hand_frame(
     a dropped solve's included.
 
     ``converged`` on the result is the last solve's flag. After a stop on
-    no improvement, that solve's solution is not the one returned.
+    no improvement, that solve's solution is not the one returned. One
+    debug line per frame gives its solve count and stop reason, and the
+    iterations and objective and gradient evaluations of its solves.
     """
     if cfg is None:
         cfg = AlignConfig()
@@ -719,9 +732,10 @@ def align_hand_frame(
     x, f_best = _scan_scale(memo, cfg, query, x, f_best)
     log.debug("frame %d: scale scan picked sigma=%.4f; %d of %d candidates queried",
               hand.frame_index, np.exp(x[0]), len(queried) - before, len(_SCALE_GRID))
-    opts = SolverOptions(max_iters=cfg.inner_iters)
+    opts = SolverOptions(max_iters=cfg.inner_iters, grad_tol=_INNER_GRAD_TOL)
     pairs = init.pairs
     stop = "cap"
+    iterations = objective_evals = gradient_evals = 0
     # x is always the best parameters so far, of fresh score f_best
     for solves in range(1, cfg.outer_iters + 1):
         problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
@@ -734,6 +748,9 @@ def align_hand_frame(
                 frame_index=hand.frame_index,
             ) from exc
         solver_converged, pairs = report.converged, report.pairs
+        iterations += report.iterations
+        objective_evals += report.objective_evals
+        gradient_evals += report.gradient_evals
         f_now = fresh(report.x_star)
         if not f_now < f_best:
             stop = "no-improvement"
@@ -743,7 +760,9 @@ def align_hand_frame(
         if step < 1e-7:
             stop = "step"
             break
-    log.debug("frame %d: %d outer solves, stopped on %s", hand.frame_index, solves, stop)
+    log.debug("frame %d: %d iterations, %d objective and %d gradient evaluations "
+              "in %d outer solves, stopped on %s", hand.frame_index, iterations,
+              objective_evals, gradient_evals, solves, stop)
     # the scores are done: the passes go before the final residuals' splat,
     # so that the frame's peak memory does not hold them
     memo.entries.clear()

@@ -89,12 +89,15 @@ class RobotTrajectory:
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise InvalidArgumentError("frame indices must be strictly increasing")
         lo, hi = self.model.limit_arrays()
-        for f in self.frames:
-            q = self.model.check_q(f.q)
-            if np.any(q < lo - 1e-9) or np.any(q > hi + 1e-9):
-                raise InvalidArgumentError(
-                    f"frame {f.frame_index}: joint configuration violates limits"
-                )
+        q = np.array([self.model.check_q(f.q) for f in self.frames]).reshape(
+            len(self.frames), self.model.dof)
+        # a NaN fails both comparisons, so it is caught with the rest
+        bad = ~np.all((q >= lo - 1e-9) & (q <= hi + 1e-9), axis=1)
+        if bad.any():
+            raise InvalidArgumentError(
+                f"frame {self.frames[int(bad.argmax())].frame_index}: "
+                "joint configuration violates limits"
+            )
 
     def __len__(self) -> int:
         return len(self.frames)

@@ -689,6 +689,26 @@ class TestAlignHandFrame:
             assert [r.warm_pairs for r in reports[1:]] == [len(r.pairs) for r in reports[:-1]]
             assert result.pairs is reports[-1].pairs
 
+    @pytest.mark.parametrize("scale, noise, seed", [(1.0, 0.002, 0), (1.1, 0.001, 1)])
+    def test_inner_tolerance_drift(self, monkeypatch, scale, noise, seed):
+        # the outer rounds' solves stop at |pg|inf <= _INNER_GRAD_TOL; the
+        # frame's parameters stay within 1e-6 of the same frame solved to
+        # the solver's default 1e-8
+        hand = hand_at()
+        sampled = sampled_hand_for(hand)
+        noisy = scale * sampled.points + np.random.default_rng(seed).normal(
+            size=sampled.points.shape) * noise
+        obs = observe(noisy)
+
+        def params():
+            result = align_hand_frame(hand, sampled, obs, K)
+            return params_encode(result.sigma, result.correction)
+
+        loose = params()
+        monkeypatch.setattr(alignment, "_INNER_GRAD_TOL", 1e-8)
+        tight = params()
+        assert np.abs(loose - tight).max() <= 1e-6
+
     def test_one_kernel_pass_per_distinct_point(self, monkeypatch):
         # the scale scan scores its candidates in one stacked pass; every
         # other score and gradient of a frame reads the frame's pass memo:
@@ -1256,6 +1276,57 @@ class TestAlignTrajectory:
                                       visible_from=(0, 0, 0))
             observations.append(observe(pts))
         return HandTrajectory(frames=frames), observations
+
+    @pytest.mark.parametrize("inner_iters", [25, 3])
+    def test_every_solve_stops_at_the_inner_tolerance(self, monkeypatch, inner_iters):
+        # each outer round's solve gets the module's gradient tolerance and
+        # the config's iteration cap, and ends on one of the two
+        traj, obs = self.make_sequence(
+            [(0.0, 0.0, 0.45), (0.002, 0.0, 0.45), (0.004, -0.001, 0.45)], seed=3)
+        solve, solves = alignment.minimize_box, []
+
+        def recorded_solve(problem, x0, opts, pairs):
+            solves.append((opts, solve(problem, x0, opts, pairs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(alignment, "minimize_box", recorded_solve)
+        align_trajectory(traj, obs, K, cfg=AlignConfig(inner_iters=inner_iters), seed=3)
+        assert alignment._INNER_GRAD_TOL == 1e-7
+        assert len(solves) >= 3
+        for opts, report in solves:
+            assert opts.grad_tol == alignment._INNER_GRAD_TOL
+            assert opts.max_iters == inner_iters
+            assert report.termination in ("gradient-tol", "max-iters")
+        terminations = {report.termination for _, report in solves}
+        assert terminations == ({"gradient-tol"} if inner_iters == 25 else
+                                {"gradient-tol", "max-iters"})
+
+    def test_debug_line_sums_the_frames_solve_reports(self, monkeypatch, caplog):
+        traj, obs = self.make_sequence(
+            [(0.0, 0.0, 0.45), (0.002, 0.0, 0.45), (0.004, -0.001, 0.45)], seed=3)
+        solve, reports = alignment.minimize_box, []
+
+        def recorded_solve(*args):
+            reports.append(solve(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(alignment, "minimize_box", recorded_solve)
+        with caplog.at_level(logging.DEBUG, logger="dexretarget.alignment"):
+            align_trajectory(traj, obs, K, seed=3)
+        lines = [re.fullmatch(r"frame (\d+): (\d+) iterations, (\d+) objective and (\d+) "
+                              r"gradient evaluations in (\d+) outer solves, stopped on \S+", m)
+                 for m in caplog.messages if "outer solves" in m]
+        assert len(lines) == 3 and all(lines)
+        logged = [tuple(int(v) for v in m.groups()) for m in lines]
+        start = 0
+        for k, (frame, iterations, objective, gradient, solves) in enumerate(logged):
+            frame_reports = reports[start:start + solves]
+            start += solves
+            assert frame == k
+            assert iterations == sum(r.iterations for r in frame_reports) > 0
+            assert objective == sum(r.objective_evals for r in frame_reports)
+            assert gradient == sum(r.gradient_evals for r in frame_reports)
+        assert start == len(reports)
 
     def test_static_hand_gives_near_identical_alignments(self):
         traj, obs = self.make_sequence([(0.0, 0.0, 0.45)] * 5, seed=3)

@@ -862,6 +862,18 @@ class TestRobotTrajectoryIO:
             dataio.read_robot_trajectory(path, hand16)
         assert err.value.location == "frame 0"
 
+    def test_non_finite_q_is_rejected(self, tmp_path, hand16):
+        # json reads NaN and Infinity as floats; no joint limit admits them
+        for value, spelling in ((math.nan, "NaN"), (math.inf, "Infinity"),
+                                (-math.inf, "-Infinity")):
+            path, doc = self.written_doc(tmp_path, hand16)
+            doc["frames"][1]["q"][3] = value
+            path.write_text(json.dumps(doc))
+            assert spelling in path.read_text()
+            with pytest.raises(InvalidArgumentError,
+                               match="^frame 1: joint configuration violates limits$"):
+                dataio.read_robot_trajectory(path, hand16)
+
     def written_doc(self, tmp_path, hand16):
         """A written two-frame plan's path and its JSON document."""
         mid = hand16.mid_limits()

@@ -799,6 +799,20 @@ class TestRobotTrajectoryValidation:
             RobotTrajectory(frames=[RobotTrajectoryFrame(0, RigidTransform.identity(), bad)],
                             model=hand16)
 
+    def test_non_finite_q_is_rejected(self, hand16):
+        # NaN fails every comparison, so only a test that q lies inside the
+        # limits catches it; the first bad frame is named, not the
+        # out-of-limit frame after it
+        mid = hand16.mid_limits()
+        for value in (np.nan, np.inf, -np.inf):
+            bad = mid.copy()
+            bad[3] = value
+            frames = [RobotTrajectoryFrame(k, RigidTransform.identity(), q)
+                      for k, q in enumerate([mid, bad, mid, mid + 10.0])]
+            with pytest.raises(InvalidArgumentError,
+                               match="^frame 1: joint configuration violates limits$"):
+                RobotTrajectory(frames=frames, model=hand16)
+
     def test_indices_strictly_increasing(self, hand16):
         mid = hand16.mid_limits()
         with pytest.raises(InvalidArgumentError):
