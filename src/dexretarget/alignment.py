@@ -168,12 +168,6 @@ def params_decode(x: np.ndarray):
     return sigma, correction
 
 
-def apply_scaled_correction(points: np.ndarray, sigma: float,
-                            correction: RigidTransform) -> np.ndarray:
-    """The alignment action on points: sigma * (R p + t)."""
-    return sigma * correction.apply(points)
-
-
 def calibrate_depth_sequence(
     frames,
     obj_cloud_true: PointCloud,
@@ -208,17 +202,11 @@ def calibrate_depth_sequence(
     return transform, frames
 
 
-def depth_consistency_loss(
-    hand_cloud: PointCloud,
-    sigma: float,
-    correction: RigidTransform,
-    observation: FrameObservation,
-    intrinsics: CameraIntrinsics,
-    footprint: int = 3,
-) -> float:
-    """Mean absolute depth difference between the splatted hand cloud and
-    the observed depth over the hand support pixels the splat covers."""
-    moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
+def depth_consistency_loss(moved: np.ndarray, observation: FrameObservation,
+                           intrinsics: CameraIntrinsics, footprint: int = 3) -> float:
+    """Mean absolute depth difference between the splatted moved hand
+    points, sigma (R p + t), and the observed depth over the hand support
+    pixels the splat covers."""
     rendered, observed = splat_depth(moved, intrinsics, footprint).common_depths(
         observation.support)
     if not rendered.size:
@@ -404,14 +392,6 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     return (depth_pass.residuals, depth_pass.jacobian()) if jacobian else depth_pass.residuals
 
 
-def _correspondences(index, observation: FrameObservation, hand_cloud: PointCloud,
-                     x: np.ndarray):
-    """Nearest observed points and normals of the hand moved by x."""
-    sigma, correction = params_decode(x)
-    _, idx = index.query(apply_scaled_correction(hand_cloud.points, sigma, correction))
-    return observation.cloud.points[idx], observation.cloud.normals[idx]
-
-
 @dataclass
 class _MovedHand:
     """The hand at one parameter vector: its scale, R p, the moved points
@@ -430,19 +410,24 @@ def _rotated(points: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _PassMemo:
-    """One frame's moved hands at its last two parameter vectors, most
-    recently used first, keyed by the exact bytes of x.
+    """One frame's alignment state: the k-d index over its observed cloud,
+    the correspondences queried at each parameter vector, and its moved
+    hands at its last two parameter vectors, most recently used first;
+    both keyed by the exact bytes of x.
 
-    Every ``_evaluate`` of the frame reads the hand at x from here, so the
-    depth kernel runs only for an x that is not one of the last two. A
-    gradient at the point the solver has just accepted, a solve's start at
-    the point the last fresh score took, and the fresh score of a solve's
-    solution continue the pass they find. A pass runs with the Jacobian
-    when its first caller needs one. The scale scan's candidates are
-    scored in one stacked pass of their own and never enter the memo.
+    ``at`` forms the hand moved by x, sigma (R p + t), the one place the
+    moved points are formed (the scale scan forms its candidates' by the
+    same operations, stacked). Every ``_evaluate`` of the frame reads the
+    hand at x from here, so the depth kernel runs only for an x that is not
+    one of the last two. A gradient at the point the solver has just
+    accepted, a solve's start at the point the last fresh score took, and
+    the fresh score of a solve's solution continue the pass they find. A
+    pass runs with the Jacobian when its first caller needs one. The scale
+    scan's candidates are scored in one stacked pass of their own and never
+    enter ``entries``.
 
-    The moved points are those ``apply_scaled_correction`` computes,
-    sigma (R p + t), formed without building a RigidTransform.
+    ``correspondences`` queries the index once per x, the scan's
+    candidates included, and keeps the result for the frame.
     """
 
     def __init__(self, hand_cloud: PointCloud, observation: FrameObservation,
@@ -450,7 +435,19 @@ class _PassMemo:
         self.hand_cloud = hand_cloud
         self.observation = observation
         self.intrinsics = intrinsics
+        self.index = build_index(observation.cloud)
+        self.queried = {}  # key -> (points, normals)
         self.entries = []  # (key, _MovedHand) pairs, most recently used first
+
+    def correspondences(self, x: np.ndarray, moved: np.ndarray):
+        """The nearest observed points and normals of ``moved``, the hand
+        moved by x, queried once per x."""
+        key = x.tobytes()
+        if key not in self.queried:
+            _, idx = self.index.query(moved)
+            cloud = self.observation.cloud
+            self.queried[key] = cloud.points[idx], cloud.normals[idx]
+        return self.queried[key]
 
     def at(self, x: np.ndarray, jacobian: bool = False) -> _MovedHand:
         key = x.tobytes()
@@ -496,9 +493,10 @@ def _pseudo_huber_mean(r: np.ndarray, delta: float) -> float:
 def _value(cfg, correspondences, x, moved, d, bound: float = np.inf) -> float:
     """The alignment objective's value at the parameter vector x, given
     the hand's moved points there and their depth-kernel residuals ``d``.
-    ``correspondences`` maps x to the (points, normals) pair the
-    point-to-plane term measures against. Where a residual is not finite
-    (a point nearer than the minimum depth) the value is +inf.
+    ``correspondences`` maps x and its moved points to the (points,
+    normals) pair the point-to-plane term measures against. Where a
+    residual is not finite (a point nearer than the minimum depth) the
+    value is +inf.
 
     The value is (point-to-plane + depth) + regularizer. The depth and
     regularizer terms need no correspondences and come first: when their
@@ -514,7 +512,7 @@ def _value(cfg, correspondences, x, moved, d, bound: float = np.inf) -> float:
     reg = cfg.lambda_reg * float(x[1:] @ x[1:])
     if depth + reg >= bound:
         return depth + reg
-    corr_pts, corr_nrm = correspondences(x)
+    corr_pts, corr_nrm = correspondences(x, moved)
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     return (_pseudo_huber_mean(r, cfg.huber_delta) + depth) + reg
 
@@ -524,8 +522,7 @@ def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
     """The alignment objective at the parameter vector x (``_value``, with
     ``bound``), or with ``gradient`` its closed-form gradient in x
     instead, for the hand, observation and intrinsics of ``memo``.
-    ``correspondences`` maps x to the (points, normals) pair the
-    point-to-plane term measures against.
+    ``correspondences`` is as in ``_value``.
 
     The solver minimizes smooth surrogates (pseudo-Huber penalties and the
     smooth depth kernel) so that the objective has a continuous
@@ -548,7 +545,7 @@ def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
     delta = cfg.huber_delta
     if not np.all(np.isfinite(d)):
         return np.full(len(x), np.nan)
-    corr_pts, corr_nrm = correspondences(x)
+    corr_pts, corr_nrm = correspondences(x, moved)
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     # G_i: derivative of the point-to-plane and depth means in m_i
     g_moved = (pseudo_huber_derivative(r, delta)[:, None] * corr_nrm
@@ -569,26 +566,22 @@ def alignment_problem(
     observation: FrameObservation,
     intrinsics: CameraIntrinsics,
     cfg: AlignConfig,
-    at: Optional[np.ndarray] = None,
-    frozen=None,
+    at: np.ndarray,
     memo: Optional[_PassMemo] = None,
 ) -> BoxProblem:
     """Box problem over (log sigma, twist) with correspondences frozen at
-    the given parameters (identity by default). Used both by the solver
-    rounds and by the gradient audit. ``frozen`` is the (points, normals)
-    pair of those correspondences when the caller has it; otherwise they
-    are queried from a k-d tree built over the observed cloud. Its
-    objective and gradient are both ``_evaluate`` against the frozen
-    correspondences, through ``memo``: the frame's pass memo over the same
-    hand cloud, observation and intrinsics when the caller has one, or
-    else one of the problem's own.
+    the parameters ``at``. Used both by the solver rounds and by the
+    gradient audit. Everything comes from ``memo``: the frame's alignment
+    state over the same hand cloud, observation and intrinsics when the
+    caller has one, or else one of the problem's own. The frozen
+    correspondences are the memo's at ``at``, and the objective and
+    gradient are both ``_evaluate`` against them through the memo.
     """
-    if frozen is None:
-        x0 = params_encode(1.0, RigidTransform.identity()) if at is None else np.asarray(at, float)
-        frozen = _correspondences(build_index(observation.cloud), observation, hand_cloud, x0)
     if memo is None:
         memo = _PassMemo(hand_cloud, observation, intrinsics)
-    evaluate = partial(_evaluate, memo, cfg, lambda _: frozen)
+    at = np.asarray(at, dtype=float)
+    frozen = memo.correspondences(at, memo.at(at).moved)
+    evaluate = partial(_evaluate, memo, cfg, lambda *_: frozen)
     return BoxProblem(lower=_PARAM_LO, upper=_PARAM_HI, objective=evaluate,
                       gradient=partial(evaluate, gradient=True))
 
@@ -600,11 +593,11 @@ _SCALE_GRID = np.exp(np.linspace(LOG_SCALE_BOUNDS[0] + 0.05,
                                  LOG_SCALE_BOUNDS[1] - 0.05, 17))
 
 
-def _scan_scale(memo, cfg, query, x, f_best):
+def _scan_scale(memo, cfg, x, f_best):
     """Scan the grid scales from parameters x of fresh score f_best, with
-    ``query`` mapping parameters to their correspondences: in grid order,
-    a candidate becomes the pick when its fresh score is below the best
-    so far. Returns the pick and its score.
+    correspondences from the memo: in grid order, a candidate becomes the
+    pick when its fresh score is below the best so far. Returns the pick
+    and its score.
 
     The candidates differ from x in log-scale only, so R p + t is formed
     once and each candidate's moved points are sigma_c (R p + t), the
@@ -626,7 +619,7 @@ def _scan_scale(memo, cfg, query, x, f_best):
     residuals = smooth_depth_residuals(moved.reshape(-1, 3), memo.observation,
                                        memo.intrinsics).reshape(len(cands), -1)
     for cand, points, d in zip(cands, moved, residuals):
-        fc = _value(cfg, query, cand, points, d, bound=f_best)
+        fc = _value(cfg, memo.correspondences, cand, points, d, bound=f_best)
         if fc < f_best:
             f_best, x = fc, cand
     return x, f_best
@@ -667,20 +660,21 @@ def align_hand_frame(
     at |pg|inf <= 1e-7 (``_INNER_GRAD_TOL``) or after ``cfg.inner_iters``
     iterations: an inexact solve of a surrogate that the next round
     refreshes (as in inexact Newton methods, Dembo, Eisenstat & Steihaug
-    1982). The k-d tree
-    is queried once per distinct parameter vector, through one memo per
-    frame: the start, each scan candidate that needs a query, and each
-    solve's solution. The scan's pick and a kept solution serve again as
-    the next round's anchor, and the last kept one in the final residuals.
+    1982).
 
-    Every score and gradient of the frame outside the scan reads one pass
-    memo, which the frame owns and empties once its solves are done. The
-    depth kernel runs the scan's stacked pass and one value pass per other
-    distinct parameter vector: the first solve's start continues the
-    start's pass when the scan keeps the start (a pick other than the start
-    costs it one value pass), a later solve's start the pass of the kept
-    solution, each gradient the pass of the point the solver has just
-    accepted, and each fresh score the pass of the solution it scores.
+    The frame owns one alignment state, a ``_PassMemo``: it builds the
+    frame's k-d tree, and every query, score and gradient reads it. The
+    tree is queried once per distinct parameter vector: the start, each
+    scan candidate that needs a query, and each solve's solution. The
+    scan's pick and a kept solution serve again as the next round's
+    anchor, and the last kept one in the final residuals, which read the
+    moved points kept with it. The depth kernel runs the scan's stacked
+    pass and one value pass per other distinct parameter vector: the first
+    solve's start continues the start's pass when the scan keeps the start
+    (a pick other than the start costs it one value pass), a later solve's
+    start the pass of the kept solution, each gradient the pass of the
+    point the solver has just accepted, and each fresh score the pass of
+    the solution it scores. The passes go once the solves are done.
 
     Each solve starts from the L-BFGS curvature pairs the one before it
     returned, and the first from ``init.pairs``: those of the previous
@@ -698,23 +692,12 @@ def align_hand_frame(
     if init is None:
         init = HandAlignment.initial(hand.frame_index)
 
-    obs_index = build_index(observation.cloud)
     x = np.clip(params_encode(init.sigma, init.correction), _PARAM_LO, _PARAM_HI)
-    queried = {}
-    # the frame's pass memo: every score and gradient below reads it, and
-    # it goes with the frame
+    # the frame's alignment state: every query, score and gradient below
+    # reads it, and it goes with the frame
     memo = _PassMemo(hand_cloud, observation, intrinsics)
-
-    def query(at):
-        # correspondences at the given parameters, queried once per frame
-        key = at.tobytes()
-        if key not in queried:
-            queried[key] = _correspondences(obs_index, observation, hand_cloud, at)
-        return queried[key]
-
-    def fresh(at):
-        # the objective with correspondences queried at the given parameters
-        return _evaluate(memo, cfg, query, at)
+    # the objective with correspondences queried at the given parameters
+    fresh = partial(_evaluate, memo, cfg, memo.correspondences)
 
     # the depth overlap must be non-empty at the starting parameters
     omega0, _ = splat_depth(memo.at(x).moved, intrinsics, cfg.splat_footprint).common_depths(
@@ -728,18 +711,20 @@ def align_hand_frame(
         )
     # coarse scan over the scale axis picks the starting basin; the
     # initialization remains a candidate so the result never regresses
-    before = len(queried)
-    x, f_best = _scan_scale(memo, cfg, query, x, f_best)
+    before = len(memo.queried)
+    x, f_best = _scan_scale(memo, cfg, x, f_best)
     log.debug("frame %d: scale scan picked sigma=%.4f; %d of %d candidates queried",
-              hand.frame_index, np.exp(x[0]), len(queried) - before, len(_SCALE_GRID))
+              hand.frame_index, np.exp(x[0]), len(memo.queried) - before, len(_SCALE_GRID))
     opts = SolverOptions(max_iters=cfg.inner_iters, grad_tol=_INNER_GRAD_TOL)
     pairs = init.pairs
     stop = "cap"
     iterations = objective_evals = gradient_evals = 0
-    # x is always the best parameters so far, of fresh score f_best
+    # x is always the best parameters so far, of fresh score f_best and
+    # moved points ``moved``, kept for the final residuals: here the pass
+    # the first solve's start runs anyway, later that of x's fresh score
+    moved = memo.at(x).moved
     for solves in range(1, cfg.outer_iters + 1):
-        problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x,
-                                    frozen=query(x), memo=memo)
+        problem = alignment_problem(hand_cloud, observation, intrinsics, cfg, at=x, memo=memo)
         try:
             report = minimize_box(problem, x, opts, pairs)
         except SolverStartError as exc:
@@ -757,6 +742,7 @@ def align_hand_frame(
             break
         step = float(np.linalg.norm(report.x_star - x))
         x, f_best = report.x_star, f_now
+        moved = memo.at(x).moved
         if step < 1e-7:
             stop = "step"
             break
@@ -768,13 +754,11 @@ def align_hand_frame(
     memo.entries.clear()
 
     sigma, correction = params_decode(x)
-    moved = apply_scaled_correction(hand_cloud.points, sigma, correction)
-    corr_pts, corr_nrm = query(x)
+    corr_pts, corr_nrm = memo.correspondences(x, moved)
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     icp_rms = float(np.sqrt(np.mean(r ** 2)))
     try:
-        depth_res = depth_consistency_loss(hand_cloud, sigma, correction, observation,
-                                           intrinsics, cfg.splat_footprint)
+        depth_res = depth_consistency_loss(moved, observation, intrinsics, cfg.splat_footprint)
     except LossUndefinedError:
         depth_res = 0.0
     return HandAlignment(

@@ -164,12 +164,11 @@ def _frame_objects(frames):
     return objects()
 
 
-def _frame_index(index, where: str) -> int:
-    """A frame's index: a JSON integer, not a string, float or boolean."""
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise DataParseError(f"{where}: index must be an integer, got {index!r}",
-                             location=where)
-    return index
+def _json_int(value, what: str, where: str) -> int:
+    """A JSON integer, not a string, float or boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataParseError(f"{what} must be an integer, got {value!r}", location=where)
+    return value
 
 
 def read_hand_trajectory(path) -> HandTrajectory:
@@ -184,7 +183,7 @@ def read_hand_trajectory(path) -> HandTrajectory:
             if key not in fr:
                 raise DataParseError(f"{where}: missing field {key!r}", location=where)
         wrist = _parse_pose(fr["wrist"], f"{where}: wrist")
-        index = _frame_index(fr["index"], where)
+        index = _json_int(fr["index"], f"{where}: index", where)
         confidence = _json_number(fr.get("confidence", 1.0), f"{where}: confidence", where)
         joints = _json_array(fr["joints"], f"{where}: joints", where)
         contacts = fr.get("contacts")
@@ -277,7 +276,7 @@ def read_robot_trajectory(path, model) -> RobotTrajectory:
         if "q" not in fr or "wrist" not in fr or "index" not in fr:
             raise DataParseError(f"{where}: missing field", location=where)
         frames.append(RobotTrajectoryFrame(
-            frame_index=_frame_index(fr["index"], where),
+            frame_index=_json_int(fr["index"], f"{where}: index", where),
             wrist_pose=_parse_pose(fr["wrist"], f"{where}: wrist"),
             q=_json_array(fr["q"], f"{where}: q", where),
         ))
@@ -511,17 +510,16 @@ def write_pgm_mask(mask: np.ndarray, path) -> None:
 # intrinsics JSON
 
 def read_intrinsics(path) -> CameraIntrinsics:
+    """Read intrinsics: fx, fy, cx and cy are JSON numbers, width and
+    height JSON integers; JSON types, not Python conversions."""
     doc = _load_json(path)
+    where = str(path)
     try:
         return CameraIntrinsics(
-            fx=float(doc["fx"]), fy=float(doc["fy"]),
-            cx=float(doc["cx"]), cy=float(doc["cy"]),
-            width=int(doc["width"]), height=int(doc["height"]),
-        )
+            **{k: _json_number(doc[k], k, where) for k in ("fx", "fy", "cx", "cy")},
+            **{k: _json_int(doc[k], k, where) for k in ("width", "height")})
     except KeyError as exc:
-        raise DataParseError(f"intrinsics missing field {exc}", location=str(path)) from exc
-    except (TypeError, ValueError) as exc:
-        raise DataParseError(f"invalid intrinsics value: {exc}", location=str(path)) from exc
+        raise DataParseError(f"intrinsics missing field {exc}", location=where) from exc
 
 
 def write_intrinsics(k: CameraIntrinsics, path) -> None:
@@ -643,6 +641,12 @@ def load_config(path, lenient: bool = False):
                                lenient, warnings)
     solver_doc = _check_keys(retarget_doc.pop("solver", {}), _SOLVER_KEYS,
                              "config.retarget.solver", lenient, warnings)
+    # every value left in the three blocks is numeric; true is no number
+    for where, values in (("align", align_doc), ("retarget", retarget_doc),
+                          ("retarget.solver", solver_doc)):
+        for key, value in values.items():
+            if isinstance(value, bool):
+                raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     mount = RigidTransform.identity()
     if "mount_offset" in doc:
         try:
@@ -669,6 +673,9 @@ def load_config(path, lenient: bool = False):
                 raise ConfigError(f"proximal_links: unknown digit {digit!r}")
 
     # JSON types, not Python conversions: "false" is no boolean, 3.7 no seed
+    palm_link = doc.get("palm_link")
+    if palm_link is not None and not isinstance(palm_link, str):
+        raise ConfigError(f"palm_link must be a link name string, got {palm_link!r}")
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
@@ -683,7 +690,7 @@ def load_config(path, lenient: bool = False):
         output_dir=resolve("output_dir", must_exist=False),
         taxonomy=taxonomy,
         finger_mapping=mapping,
-        palm_link=doc.get("palm_link"),
+        palm_link=palm_link,
         proximal_links=proximal,
         object_cloud_true=resolve("object_cloud_true") if "object_cloud_true" in doc else None,
         object_cloud_pred=resolve("object_cloud_pred") if "object_cloud_pred" in doc else None,

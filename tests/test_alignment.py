@@ -303,25 +303,21 @@ class TestDepthConsistencyLoss:
     def test_zero_when_rendered_equals_observed(self):
         pts = sample_hand_surface(hand_at().joints, 400, seed=3, visible_from=(0, 0, 0))
         depth = splat_depth(pts, K, 3)
-        sampled = PointCloud(points=pts)
-        loss = depth_consistency_loss(sampled, 1.0, RigidTransform.identity(),
-                                      observation_of(depth), K)
+        loss = depth_consistency_loss(pts, observation_of(depth), K)
         assert loss == 0.0
 
     def test_constant_offset(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 3)
         shifted = DepthImage(values=np.where(depth.valid, depth.values + 0.02, 0.0))
-        loss = depth_consistency_loss(PointCloud(points=pts), 1.0,
-                                      RigidTransform.identity(), observation_of(shifted), K)
+        loss = depth_consistency_loss(pts, observation_of(shifted), K)
         assert loss == pytest.approx(0.02, abs=1e-12)
 
     def test_five_mm_axial_shift_on_flat_fixture(self):
         pts = plane_points()
         observed = splat_depth(pts, K, 3)
         shift = RigidTransform(Rotation.identity(), np.array([0.0, 0.0, 0.005]))
-        loss = depth_consistency_loss(PointCloud(points=pts), 1.0, shift,
-                                      observation_of(observed), K)
+        loss = depth_consistency_loss(shift.apply(pts), observation_of(observed), K)
         assert loss == pytest.approx(0.005, abs=1e-4)
 
     def test_invariant_to_pixels_outside_mask(self):
@@ -331,24 +327,21 @@ class TestDepthConsistencyLoss:
         outside = np.zeros_like(depth.valid)
         outside[:, : int(np.median(np.nonzero(depth.valid)[1]))] = True
         mask = depth.valid & ~outside
-        base = depth_consistency_loss(PointCloud(points=pts), 1.0,
-                                      RigidTransform.identity(), observation_of(depth, mask), K)
+        base = depth_consistency_loss(pts, observation_of(depth, mask), K)
         # tamper only pixels that stay valid, so validity is unchanged
         tampered_values = depth.values.copy()
         tampered_values[outside & depth.valid] += 123.0
         tampered = DepthImage(values=tampered_values)
         np.testing.assert_array_equal(tampered.valid, depth.valid)
         assert np.any(tampered.values != depth.values)
-        after = depth_consistency_loss(PointCloud(points=pts), 1.0, RigidTransform.identity(),
-                                       observation_of(tampered, mask), K)
+        after = depth_consistency_loss(pts, observation_of(tampered, mask), K)
         assert base == after
 
     def test_empty_overlap_raises(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 3)
         with pytest.raises(LossUndefinedError):
-            depth_consistency_loss(PointCloud(points=pts), 1.0, RigidTransform.identity(),
-                                   observation_of(depth, np.zeros_like(depth.valid)), K)
+            depth_consistency_loss(pts, observation_of(depth, np.zeros_like(depth.valid)), K)
 
 
 class TestFrameObservation:
@@ -761,15 +754,18 @@ class TestAlignHandFrame:
         obs = observe(1.25 * sampled.points)
         indexes, anchors, scans, solved, queried = [], [], [], [], []
         build, problem, scan = build_index, alignment.alignment_problem, alignment._scan_scale
-        solve, correspondences = alignment.minimize_box, alignment._correspondences
+        solve, correspondences = alignment.minimize_box, alignment._PassMemo.correspondences
 
         def counted_index(cloud):
             indexes.append(CountingIndex(build(cloud)))
             return indexes[-1]
 
-        def recorded_correspondences(index, obs, cloud, x):
-            queried.append(x.tobytes())
-            return correspondences(index, obs, cloud, x)
+        def recorded_correspondences(memo, x, moved):
+            # the parameters of each query the index counts
+            before = memo.index.queries
+            out = correspondences(memo, x, moved)
+            queried.extend([x.tobytes()] * (memo.index.queries - before))
+            return out
 
         def counted_problem(*args, **kwargs):
             anchors.append(kwargs["at"].tobytes())
@@ -787,7 +783,7 @@ class TestAlignHandFrame:
             return report
 
         monkeypatch.setattr(alignment, "build_index", counted_index)
-        monkeypatch.setattr(alignment, "_correspondences", recorded_correspondences)
+        monkeypatch.setattr(alignment._PassMemo, "correspondences", recorded_correspondences)
         monkeypatch.setattr(alignment, "alignment_problem", counted_problem)
         monkeypatch.setattr(alignment, "_scan_scale", counted_scan)
         monkeypatch.setattr(alignment, "minimize_box", recorded_solve)
@@ -925,13 +921,25 @@ class TestAlignHandFrame:
         assert max(errs) < 1e-5
 
 
-def exhaustive_scan(sampled, obs, cfg, index, x):
+def fresh_score(sampled, obs, cfg, at):
+    """The fresh score align_hand_frame takes at the parameters ``at``, in
+    a memo of its own: correspondences queried at ``at``."""
+    memo = alignment._PassMemo(sampled, obs, K)
+    return alignment._evaluate(memo, cfg, memo.correspondences, at)
+
+
+def moved_by(points, x):
+    """The hand moved by x, sigma (R p + t), formed through a
+    RigidTransform: the oracle of the memo's moved points."""
+    sigma, correction = alignment.params_decode(x)
+    return sigma * correction.apply(points)
+
+
+def exhaustive_scan(sampled, obs, cfg, x):
     """The scale scan with every candidate scored by a full fresh
     evaluation, as it was before candidates were bounded; kept as the
     oracle the bounded scan must equal bit for bit."""
-    def fresh(at):
-        return alignment._evaluate(alignment._PassMemo(sampled, obs, K), cfg,
-                                   partial(alignment._correspondences, index, obs, sampled), at)
+    fresh = partial(fresh_score, sampled, obs, cfg)
 
     f_best = fresh(x)
     for g in alignment._SCALE_GRID:
@@ -974,13 +982,12 @@ class TestScaleScan:
 
     def bounded_and_exhaustive(self, sampled, obs, x):
         cfg = AlignConfig()
-        index = CountingIndex(build_index(obs.cloud))
-        oracle = exhaustive_scan(sampled, obs, cfg, index.index, x)
-        query = partial(alignment._correspondences, index, obs, sampled)
+        oracle = exhaustive_scan(sampled, obs, cfg, x)
         memo = alignment._PassMemo(sampled, obs, K)
-        f_start = alignment._evaluate(memo, cfg, query, x)
+        index = memo.index = CountingIndex(memo.index)
+        f_start = alignment._evaluate(memo, cfg, memo.correspondences, x)
         index.queries = 0
-        x_pick, f_pick = alignment._scan_scale(memo, cfg, query, x, f_start)
+        x_pick, f_pick = alignment._scan_scale(memo, cfg, x, f_start)
         return (x_pick, f_pick), oracle, index.queries
 
     @pytest.mark.parametrize("noise", [0.0, 0.001], ids=["clean", "noisy"])
@@ -1018,9 +1025,7 @@ class TestScaleScan:
         for g in alignment._SCALE_GRID:
             cand = x.copy()
             cand[0] = np.log(g)
-            moved = alignment.apply_scaled_correction(sampled.points,
-                                                      *alignment.params_decode(cand))
-            near += bool(moved[:, 2].min() < alignment._MIN_DEPTH)
+            near += bool(moved_by(sampled.points, cand)[:, 2].min() < alignment._MIN_DEPTH)
         skipped = len(alignment._SCALE_GRID) - near - queries
         return picked, oracle, picked[0].tobytes() != x.tobytes(), skipped, near
 
@@ -1064,17 +1069,19 @@ class TestScaleScan:
         sampled = sampled_hand_for(hand_at())
         obs = observe(1.1 * sampled.points)
         cfg = AlignConfig()
-        index = CountingIndex(build_index(obs.cloud))
-        corr = partial(alignment._correspondences, index, obs, sampled)
         for _ in range(5):
             x = np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.1, 0.1, size=6)])
-            sigma, correction = alignment.params_decode(x)
-            d = smooth_depth_residuals(
-                alignment.apply_scaled_correction(sampled.points, sigma, correction), obs, K)
+            d = smooth_depth_residuals(moved_by(sampled.points, x), obs, K)
             lower = (cfg.lambda_rend * float(np.mean(pseudo_huber(d, cfg.huber_delta)))
                      + cfg.lambda_reg * float(x[1:] @ x[1:]))
-            index.queries = 0
             memo = alignment._PassMemo(sampled, obs, K)
+            index = CountingIndex(memo.index)
+
+            def corr(at, moved):
+                # correspondences queried afresh at each call, which the index counts
+                _, idx = index.query(moved)
+                return obs.cloud.points[idx], obs.cloud.normals[idx]
+
             full = alignment._evaluate(memo, cfg, corr, x)
             assert index.queries == 1 and lower <= full
             # a bound the depth and regularizer sum reaches returns that sum
@@ -1094,14 +1101,10 @@ class TestAlignmentObjective:
         sampled = sampled_hand_for(hand_at())
         obs = observe(1.1 * sampled.points)
         cfg = AlignConfig()
-        index = build_index(obs.cloud)
 
         def frozen_and_fresh(x):
-            # the fresh score align_hand_frame takes: correspondences queried at x
-            fresh = alignment._evaluate(alignment._PassMemo(sampled, obs, K), cfg,
-                                        partial(alignment._correspondences, index, obs, sampled),
-                                        x)
-            return alignment_problem(sampled, obs, K, cfg, at=x).objective(x), fresh
+            return (alignment_problem(sampled, obs, K, cfg, at=x).objective(x),
+                    fresh_score(sampled, obs, cfg, x))
 
         for _ in range(5):
             frozen, fresh = frozen_and_fresh(self.random_params(rng))
@@ -1111,16 +1114,16 @@ class TestAlignmentObjective:
         assert frozen_and_fresh(near) == (np.inf, np.inf)
 
     def test_prebuilt_index_gives_same_values(self, rng):
-        # correspondences queried from a prebuilt index change no bit
+        # correspondences queried from the index of a memo the caller built
+        # beforehand change no bit
         sampled = sampled_hand_for(hand_at())
         obs = observe(1.1 * sampled.points)
         cfg = AlignConfig()
-        index = build_index(obs.cloud)
         for _ in range(3):
             x = self.random_params(rng)
+            memo = alignment._PassMemo(sampled, obs, K)
             own = alignment_problem(sampled, obs, K, cfg, at=x)
-            given = alignment_problem(sampled, obs, K, cfg, at=x, frozen=alignment._correspondences(
-                index, obs, sampled, x))
+            given = alignment_problem(sampled, obs, K, cfg, at=x, memo=memo)
             probe = x + rng.uniform(-0.02, 0.02, size=7)
             assert own.objective(probe) == given.objective(probe)
             assert np.array_equal(own.gradient(x), given.gradient(x))
@@ -1173,7 +1176,9 @@ class TestAlignmentGradient:
 
         monkeypatch.setattr(alignment, "smooth_depth_residuals", counted)
         monkeypatch.setattr(solver, "fd_gradient", forbidden)
-        grad = problem.gradient(x)
+        # off the anchor, whose value pass the problem ran when it froze
+        # the correspondences there
+        grad = problem.gradient(x + 0.01)
         assert calls == [True]
         assert grad.shape == (7,) and np.all(np.isfinite(grad))
 
@@ -1216,17 +1221,16 @@ class TestPassMemo:
         aside = x.copy()
         aside[4] = 0.5  # the hand moves sideways out of the window: no point runs the taps
         y = np.clip(x + rng.uniform(-0.01, 0.01, 7), alignment._PARAM_LO, alignment._PARAM_HI)
-        frozen = alignment._correspondences(build_index(obs.cloud), obs, sampled,
-                                            x + rng.uniform(-0.01, 0.01, 7))
+        anchor = x + rng.uniform(-0.01, 0.01, 7)
         cfg = AlignConfig()
         memo = alignment._PassMemo(sampled, obs, K)
-        warm = alignment_problem(sampled, obs, K, cfg, frozen=frozen, memo=memo)
+        warm = alignment_problem(sampled, obs, K, cfg, at=anchor, memo=memo)
         # hits on either entry, misses that evict, a value pass continued to
         # its Jacobian and a pass first run with it
         schedule = [(x, False), (x, True), (y, False), (x, True), (y, True), (near, False),
                     (near, True), (aside, True), (aside, False), (x, False), (x, True)]
         for point, gradient in schedule:
-            cold = alignment_problem(sampled, obs, K, cfg, frozen=frozen)
+            cold = alignment_problem(sampled, obs, K, cfg, at=anchor)
             if gradient:
                 got, want = warm.gradient(point), cold.gradient(point)
                 assert got.tobytes() == want.tobytes()

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import logging
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from dexretarget import alignment, cli, retarget
 from dexretarget.alignment import FrameObservation, HandAlignment, align_hand_frame
 from dexretarget.geometry import RigidTransform, Rotation, splat_depth
-from dexretarget.hand_model import HandFrame, TaxonomyClass, TaxonomyWeightTable
+from dexretarget.hand_model import HandFrame, HandTrajectory, TaxonomyClass, TaxonomyWeightTable
 from dexretarget.pointcloud import PointCloud, estimate_normals
 from dexretarget.retarget import ContactTargets, RetargetConfig, refine_contact, retarget_frame
 from dexretarget.robot_model import link_origins
@@ -111,6 +112,52 @@ def test_scale_scan_pass_reaches_the_hooked_kernel(monkeypatch):
     assert len(alignment._SCALE_GRID) == 17
     assert sizes.count(17 * 500) == 1
     assert set(sizes) == {500, 17 * 500}
+
+
+def test_trajectory_builds_one_index_per_frame_and_no_final_pass(monkeypatch, caplog):
+    """The traced run counts k-d tree builds and depth-kernel passes
+    through the hooked ``alignment.build_index`` and
+    ``alignment.smooth_depth_residuals``. Over n frames ``align_trajectory``
+    builds exactly n trees, one per frame's alignment state, and a frame's
+    final residuals run no kernel pass after its last score: they read the
+    moved points the frame kept, also after a stop on no improvement,
+    when the last scored solution is not the one returned."""
+    hooked = {(module, attr) for module, attr, *_ in _tracing().HOOKS}
+    assert {("alignment", "build_index"), ("alignment", "smooth_depth_residuals")} <= hooked
+    events = []
+    for attr, on_return in (("build_index", False), ("smooth_depth_residuals", False),
+                            ("_evaluate", True), ("depth_consistency_loss", True)):
+        def recorded(*args, _attr=attr, _after=on_return, _fn=getattr(alignment, attr),
+                     **kwargs):
+            if not _after:
+                events.append(_attr)
+            out = _fn(*args, **kwargs)
+            if _after:
+                events.append(_attr)
+            return out
+        monkeypatch.setattr(alignment, attr, recorded)
+    frames, observations = [], []
+    rng = np.random.default_rng(2)
+    for k in range(3):
+        joints = canonical_hand_joints(0.4) + np.array([0.002 * k, 0.0, 0.45])
+        frames.append(HandFrame(joints=joints, frame_index=k,
+                                wrist_pose=RigidTransform(Rotation.identity(), joints[0])))
+        pts = sample_hand_surface(joints, 500, seed=k, visible_from=(0.0, 0.0, 0.0))
+        observed = pts + rng.normal(size=pts.shape) * 0.002
+        depth = splat_depth(observed, DEFAULT_INTRINSICS, 3)
+        observations.append(FrameObservation(
+            cloud=estimate_normals(PointCloud(points=observed), k=12), depth=depth,
+            hand_mask=depth.valid))
+    with caplog.at_level(logging.DEBUG, logger="dexretarget.alignment"):
+        alignment.align_trajectory(HandTrajectory(frames=frames), observations,
+                                   DEFAULT_INTRINSICS)
+    assert "stopped on no-improvement" in caplog.text
+    assert events.count("build_index") == len(frames)
+    starts = [i for i, event in enumerate(events) if event == "build_index"] + [len(events)]
+    for start, end in zip(starts, starts[1:]):
+        frame = events[start:end]
+        last_score = len(frame) - 1 - frame[::-1].index("_evaluate")
+        assert frame[last_score:] == ["_evaluate", "depth_consistency_loss"]
 
 
 def test_calibration_reaches_its_hooked_depth_layers(monkeypatch, tmp_path):

@@ -293,6 +293,17 @@ class TestCmdPipeline:
         ("hand_trajectory.json", set_element("frames", 0, "contacts", "thumb", 0, to=str)),
         ("config.json", set_json(mount_offset={"quat_wxyz": [True, 0, 0, 0], "pos": [0, 0, 0]})),
         ("config.json", set_json(mount_offset={"quat_wxyz": [1, 0, 0, 0], "pos": ["0", 0, 0]})),
+        # a link name that is no string
+        ("config.json", set_json(palm_link=["x"])),
+        ("config.json", set_json(palm_link={"a": 1})),
+        # JSON types, not Python conversions, in the intrinsics and the
+        # config's numeric blocks
+        ("observations/intrinsics.json", set_element("fx", to=str)),
+        ("observations/intrinsics.json", set_element("fy", to=lambda v: True)),
+        ("observations/intrinsics.json", set_element("width", to=lambda v: v + 0.9)),
+        ("observations/intrinsics.json", set_element("height", to=str)),
+        ("config.json", set_json(align={"huber_delta": True})),
+        ("config.json", set_json(retarget={"solver": {"grad_tol": True}})),
     ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
             "mount-offset", "ply-bare-format", "align-inner-iters", "align-splat-footprint",
             "solver-max-iters", "align-lambda-rend-nan", "align-huber-delta-nan",
@@ -303,7 +314,9 @@ class TestCmdPipeline:
             "frame-index-string", "fps-bool", "frame-confidence-string", "wrist-quat-string",
             "wrist-quat-bool", "wrist-pos-string", "joint-string", "joint-bool",
             "joint-integer-beyond-float", "contact-string", "mount-offset-quat-bool",
-            "mount-offset-pos-string"])
+            "mount-offset-pos-string", "palm-link-list", "palm-link-object",
+            "intrinsics-fx-string", "intrinsics-fy-bool", "intrinsics-width-float",
+            "intrinsics-height-string", "align-huber-delta-bool", "solver-grad-tol-bool"])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
         out = tmp_path / "fix"
         assert main(["synth", "--out-dir", str(out), "--seed", "4",

@@ -81,8 +81,7 @@ def dense_windows(values, valid, mask):
     return (int(u0) - pad, int(v0) - pad), depth_window, reach, hand_mask
 
 
-def dense_depth_loss(points, sigma, correction, values, hand_mask, K, footprint):
-    moved = sigma * correction.apply(points)
+def dense_depth_loss(moved, values, hand_mask, K, footprint):
     rendered, rendered_valid = dense_splat(moved, K, footprint)
     omega = rendered_valid & hand_mask
     if not np.any(omega):
@@ -221,13 +220,13 @@ class TestAgainstDenseReference:
         pts = dense_backproject(values, valid, K)
         pts = np.concatenate((pts, rng.uniform(-0.3, 0.3, size=(20, 3)) + [0, 0, 1.0]))
         correction = RigidTransform(Rotation.from_rotvec([0.01, -0.02, 0.015]), [0.002, 0, 0])
-        expected = dense_depth_loss(pts, 1.05, correction, values, mask & valid, K, footprint)
-        cloud = PointCloud(points=pts)
+        moved = 1.05 * correction.apply(pts)
+        expected = dense_depth_loss(moved, values, mask & valid, K, footprint)
         if expected is None:
             with pytest.raises(LossUndefinedError):
-                depth_consistency_loss(cloud, 1.05, correction, obs, K, footprint)
+                depth_consistency_loss(moved, obs, K, footprint)
         else:
-            got = depth_consistency_loss(cloud, 1.05, correction, obs, K, footprint)
+            got = depth_consistency_loss(moved, obs, K, footprint)
             assert same_bits(got, expected)
 
 
