@@ -28,6 +28,7 @@ from .geometry import (
     RigidTransform,
     Rotation,
     backproject_depth,
+    footprint_pixels,
     pseudo_huber_array,
     pseudo_huber_derivative,
     rotvec_matrix,
@@ -212,6 +213,26 @@ def depth_consistency_loss(moved: np.ndarray, observation: FrameObservation,
     if not rendered.size:
         raise LossUndefinedError("no overlapping valid hand pixels")
     return float(np.mean(np.abs(rendered - observed)))
+
+
+def _support_overlap(moved: np.ndarray, observation: FrameObservation,
+                     intrinsics: CameraIntrinsics, footprint: int) -> np.ndarray:
+    """The support-window indices (flat) of the footprint pixels of the
+    moved points that are valid in the support, once per covering point.
+
+    Its distinct entries are the pixels at which ``splat_depth(moved,
+    intrinsics, footprint).common_depths(observation.support)`` gives
+    depths: a splat pixel is valid exactly where some footprint covers it,
+    whatever depth wins there. So the overlap is empty exactly when this
+    is, and it has ``np.unique`` of this many pixels, without a z-buffer.
+    """
+    rows, cols, _ = footprint_pixels(moved, intrinsics, footprint)
+    support_rows, support_cols = observation.support.box
+    rows, cols = rows - support_rows.start, cols - support_cols.start
+    height, width = observation.support.window.shape
+    inside = np.flatnonzero((rows >= 0) & (rows < height) & (cols >= 0) & (cols < width))
+    flat = rows[inside] * width + cols[inside]
+    return flat[observation.support.window.take(flat) > 0]
 
 
 _MIN_DEPTH = 0.01  # meters; reject configurations that push the hand to the camera
@@ -643,6 +664,13 @@ def align_hand_frame(
     exact losses). The returned parameters never score worse, on the
     refreshed objective, than the initialization.
 
+    The start must overlap the support: some footprint pixel of the hand
+    moved by the start must be valid in ``observation.support``, tested on
+    the footprints' pixels without splatting a depth image. An empty
+    overlap, or a start whose objective is not finite, is an
+    AlignmentError whose ``overlap_pixels`` counts the distinct
+    overlapping pixels.
+
     Before the local solve, a scan over 17 scales picks the starting
     basin. One depth-kernel call scores the 17 candidates' points stacked.
     A candidate whose depth and regularizer terms alone reach the best
@@ -700,14 +728,13 @@ def align_hand_frame(
     fresh = partial(_evaluate, memo, cfg, memo.correspondences)
 
     # the depth overlap must be non-empty at the starting parameters
-    omega0, _ = splat_depth(memo.at(x).moved, intrinsics, cfg.splat_footprint).common_depths(
-        observation.support)
+    overlap = _support_overlap(memo.at(x).moved, observation, intrinsics, cfg.splat_footprint)
     f_best = fresh(x)
-    if not omega0.size or not np.isfinite(f_best):
+    if not overlap.size or not np.isfinite(f_best):
         raise AlignmentError(
             "alignment objective undefined at initialization (no overlapping hand pixels)",
             frame_index=hand.frame_index,
-            diagnostics={"sigma": init.sigma, "overlap_pixels": omega0.size},
+            diagnostics={"sigma": init.sigma, "overlap_pixels": np.unique(overlap).size},
         )
     # coarse scan over the scale axis picks the starting basin; the
     # initialization remains a candidate so the result never regresses

@@ -530,17 +530,17 @@ def weighted_umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
     return SimilarityTransform(scale, Rotation.from_matrix(rot_m), t)
 
 
-def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> DepthImage:
-    """Z-buffer point splat: each point writes its depth into a
-    footprint x footprint pixel block; the minimum depth per pixel wins.
+def footprint_pixels(points, intrinsics: CameraIntrinsics, footprint: int = 3):
+    """The in-image pixels of each point's footprint x footprint block,
+    centred on its rounded projection, as (rows, cols, depths): one entry
+    per covered pixel of each point (a pixel covered twice appears twice),
+    each carrying the depth of the point that covers it.
 
-    Points behind the camera or outside the image are dropped. An empty
-    point list yields an all-invalid image. The z-buffer covers only the
-    bounding box of the written pixels.
+    Points behind the camera are dropped; non-finite points are an
+    InvalidArgumentError.
     """
     if footprint < 1 or footprint % 2 == 0:
         raise InvalidArgumentError(f"footprint must be odd and positive, got {footprint}")
-    h, w = intrinsics.height, intrinsics.width
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(pts)):
         raise InvalidArgumentError("point coordinates must be finite")
@@ -553,8 +553,20 @@ def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> Dep
     # the offset pixel is inside the image
     uu = u + np.tile(offsets, footprint)[:, None]
     vv = v + np.repeat(offsets, footprint)[:, None]
-    ok = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
-    rows, cols, z = vv[ok], uu[ok], np.broadcast_to(z, ok.shape)[ok]
+    ok = (uu >= 0) & (uu < intrinsics.width) & (vv >= 0) & (vv < intrinsics.height)
+    return vv[ok], uu[ok], np.broadcast_to(z, ok.shape)[ok]
+
+
+def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> DepthImage:
+    """Z-buffer point splat: each point writes its depth into its
+    ``footprint_pixels``; the minimum depth per pixel wins.
+
+    Points behind the camera or outside the image are dropped. An empty
+    point list yields an all-invalid image. The z-buffer covers only the
+    bounding box of the written pixels.
+    """
+    h, w = intrinsics.height, intrinsics.width
+    rows, cols, z = footprint_pixels(points, intrinsics, footprint)
     if not rows.size:
         return DepthImage.from_window((h, w), (0, 0), np.zeros((0, 0)))
     v0, u0 = rows.min(), cols.min()

@@ -344,6 +344,53 @@ class TestDepthConsistencyLoss:
             depth_consistency_loss(pts, observation_of(depth, np.zeros_like(depth.valid)), K)
 
 
+class TestSupportOverlap:
+    """The start check's footprint test against the splat it replaces."""
+
+    @given(seed=st.integers(0, 2**32 - 1), footprint=st.sampled_from([1, 3, 5]),
+           support=st.sampled_from(["hand", "image-corner"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_splat_overlap(self, seed, footprint, support):
+        rng = np.random.default_rng(seed)
+        if support == "hand":
+            pts = sample_hand_surface(hand_at().joints, 400, seed=3, visible_from=(0, 0, 0))
+            depth = splat_depth(pts, K, 3)
+        else:
+            depth = DepthImage(values=np.full((K.height, K.width), 0.5))
+        # a random box of the mask, which may reach the image's border
+        mask = np.zeros_like(depth.valid)
+        v0, u0 = rng.integers(0, (K.height, K.width))
+        mask[v0:v0 + rng.integers(1, 200), u0:u0 + rng.integers(1, 200)] = True
+        obs = observation_of(depth, mask | (rng.random() < 0.5) * depth.valid)
+        (rows, cols) = obs.support.box
+        # the hand in a random pose, part of it behind the camera or off
+        # the image, and points whose footprints straddle the support
+        # window's edges, some behind the camera
+        pose = RigidTransform(Rotation.from_rotvec(rng.uniform(-1.5, 1.5, 3)),
+                              rng.uniform(-0.3, 0.3, 3))
+        hand = 1.1 * pose.apply(sample_hand_surface(hand_at().joints, 300, seed=int(seed % 97),
+                                                    visible_from=(0, 0, 0)))
+        edge_u = rng.choice(np.r_[cols.start - 4:cols.start + 4, cols.stop - 4:cols.stop + 4], 40)
+        edge_v = rng.integers(rows.start - 4, rows.stop + 4, 40)
+        uv = np.column_stack([np.r_[edge_u, rng.integers(cols.start - 4, cols.stop + 4, 40)],
+                              np.r_[edge_v, rng.choice(np.r_[rows.start - 4:rows.start + 4,
+                                                             rows.stop - 4:rows.stop + 4], 40)]])
+        edges = points_at_pixels(np.column_stack([uv, rng.uniform(0.2, 1.0, 80)]))
+        edges[rng.random(80) < 0.2, 2] *= -1.0
+        moved = np.vstack((hand, edges))[rng.random(380) < rng.uniform(0.0, 1.0)]
+        rendered, _ = splat_depth(moved, K, footprint).common_depths(obs.support)
+        overlap = alignment._support_overlap(moved, obs, K, footprint)
+        assert (overlap.size == 0) == (rendered.size == 0)
+        assert np.unique(overlap).size == rendered.size
+
+    def test_non_finite_points_are_the_splats_error(self):
+        depth = splat_depth(plane_points(), K, 3)
+        pts = plane_points()
+        pts[7, 0] = np.nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            alignment._support_overlap(pts, observation_of(depth), K, 3)
+
+
 class TestFrameObservation:
     def test_mask_shape_mismatch(self):
         depth = splat_depth(plane_points(), K, 3)

@@ -114,6 +114,23 @@ def test_scale_scan_pass_reaches_the_hooked_kernel(monkeypatch):
     assert set(sizes) == {500, 17 * 500}
 
 
+def _noisy_trajectory(n=3):
+    """n frames of a slowly moving hand and their noisy observations."""
+    frames, observations = [], []
+    rng = np.random.default_rng(2)
+    for k in range(n):
+        joints = canonical_hand_joints(0.4) + np.array([0.002 * k, 0.0, 0.45])
+        frames.append(HandFrame(joints=joints, frame_index=k,
+                                wrist_pose=RigidTransform(Rotation.identity(), joints[0])))
+        pts = sample_hand_surface(joints, 500, seed=k, visible_from=(0.0, 0.0, 0.0))
+        observed = pts + rng.normal(size=pts.shape) * 0.002
+        depth = splat_depth(observed, DEFAULT_INTRINSICS, 3)
+        observations.append(FrameObservation(
+            cloud=estimate_normals(PointCloud(points=observed), k=12), depth=depth,
+            hand_mask=depth.valid))
+    return frames, observations
+
+
 def test_trajectory_builds_one_index_per_frame_and_no_final_pass(monkeypatch, caplog):
     """The traced run counts k-d tree builds and depth-kernel passes
     through the hooked ``alignment.build_index`` and
@@ -136,18 +153,7 @@ def test_trajectory_builds_one_index_per_frame_and_no_final_pass(monkeypatch, ca
                 events.append(_attr)
             return out
         monkeypatch.setattr(alignment, attr, recorded)
-    frames, observations = [], []
-    rng = np.random.default_rng(2)
-    for k in range(3):
-        joints = canonical_hand_joints(0.4) + np.array([0.002 * k, 0.0, 0.45])
-        frames.append(HandFrame(joints=joints, frame_index=k,
-                                wrist_pose=RigidTransform(Rotation.identity(), joints[0])))
-        pts = sample_hand_surface(joints, 500, seed=k, visible_from=(0.0, 0.0, 0.0))
-        observed = pts + rng.normal(size=pts.shape) * 0.002
-        depth = splat_depth(observed, DEFAULT_INTRINSICS, 3)
-        observations.append(FrameObservation(
-            cloud=estimate_normals(PointCloud(points=observed), k=12), depth=depth,
-            hand_mask=depth.valid))
+    frames, observations = _noisy_trajectory()
     with caplog.at_level(logging.DEBUG, logger="dexretarget.alignment"):
         alignment.align_trajectory(HandTrajectory(frames=frames), observations,
                                    DEFAULT_INTRINSICS)
@@ -158,6 +164,23 @@ def test_trajectory_builds_one_index_per_frame_and_no_final_pass(monkeypatch, ca
         frame = events[start:end]
         last_score = len(frame) - 1 - frame[::-1].index("_evaluate")
         assert frame[last_score:] == ["_evaluate", "depth_consistency_loss"]
+
+
+def test_trajectory_splats_once_per_frame_for_its_final_residual(monkeypatch):
+    """The traced run counts splats through the hooked
+    ``alignment.splat_depth``. Over n frames ``align_trajectory`` splats
+    exactly n times, each for a frame's final depth residual: the start
+    overlap test reads the footprints' pixels and splats no depth image."""
+    assert ("alignment", "splat_depth") in {(m, a) for m, a, *_ in _tracing().HOOKS}
+    events = []
+    for attr in ("splat_depth", "depth_consistency_loss"):
+        def recorded(*args, _attr=attr, _fn=getattr(alignment, attr), **kwargs):
+            events.append(_attr)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(alignment, attr, recorded)
+    frames, observations = _noisy_trajectory(4)
+    alignment.align_trajectory(HandTrajectory(frames=frames), observations, DEFAULT_INTRINSICS)
+    assert events == ["depth_consistency_loss", "splat_depth"] * len(frames)
 
 
 def test_calibration_reaches_its_hooked_depth_layers(monkeypatch, tmp_path):
