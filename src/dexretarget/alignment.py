@@ -223,14 +223,15 @@ def _support_overlap(moved: np.ndarray, observation: FrameObservation,
     Its distinct entries are the pixels at which ``splat_depth(moved,
     intrinsics, footprint).common_depths(observation.support)`` gives
     depths: a splat pixel is valid exactly where some footprint covers it,
-    whatever depth wins there. So the overlap is empty exactly when this
-    is, and it has ``np.unique`` of this many pixels, without a z-buffer.
+    whatever depth wins there. So, without a z-buffer, the overlap is
+    empty exactly when this is, and its pixel count is this array's
+    number of distinct entries.
     """
     rows, cols, _ = footprint_pixels(moved, intrinsics, footprint)
     support_rows, support_cols = observation.support.box
     rows, cols = rows - support_rows.start, cols - support_cols.start
     height, width = observation.support.window.shape
-    inside = np.flatnonzero((rows >= 0) & (rows < height) & (cols >= 0) & (cols < width))
+    inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
     flat = rows[inside] * width + cols[inside]
     return flat[observation.support.window.take(flat) > 0]
 

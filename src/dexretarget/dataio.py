@@ -164,6 +164,20 @@ def _frame_objects(frames):
     return objects()
 
 
+# the JSON type of each Python type json.loads gives other than str and
+# None (null); bool before int, its base class
+_JSON_TYPES = ((bool, "boolean"), ((int, float), "number"), (list, "array"), (dict, "object"))
+
+
+def _json_string(value, what: str) -> str:
+    """A JSON string; JSON types, not Python conversions: ["a"] is no link
+    name, nor 5. The error names the JSON type that was given."""
+    if not isinstance(value, str):
+        kind = next((name for types, name in _JSON_TYPES if isinstance(value, types)), "null")
+        raise ConfigError(f"{what} must be a string, got a JSON {kind}: {value!r}")
+    return value
+
+
 def _json_int(value, what: str, where: str) -> int:
     """A JSON integer, not a string, float or boolean."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -614,9 +628,11 @@ def load_config(path, lenient: bool = False):
                 raise ConfigError(f"file does not exist: {target}")
         return target
 
-    taxonomy = TaxonomyClass.from_name(str(doc["taxonomy"]))
+    # JSON object keys are strings; their values must be strings too
+    taxonomy = TaxonomyClass.from_name(_json_string(doc["taxonomy"], "taxonomy"))
     try:
-        mapping = FingerMapping({str(k): str(v) for k, v in doc["finger_mapping"].items()})
+        mapping = FingerMapping({k: _json_string(v, f"finger_mapping.{k}")
+                                 for k, v in doc["finger_mapping"].items()})
     except (AttributeError, InvalidArgumentError) as exc:
         raise ConfigError(f"invalid finger_mapping: {exc}") from exc
 
@@ -665,7 +681,7 @@ def load_config(path, lenient: bool = False):
     proximal = doc.get("proximal_links")
     if proximal is not None:
         try:
-            proximal = {str(k): str(v) for k, v in proximal.items()}
+            proximal = {k: _json_string(v, f"proximal_links.{k}") for k, v in proximal.items()}
         except AttributeError as exc:
             raise ConfigError(f"invalid proximal_links: {exc}") from exc
         for digit in proximal:
@@ -674,8 +690,8 @@ def load_config(path, lenient: bool = False):
 
     # JSON types, not Python conversions: "false" is no boolean, 3.7 no seed
     palm_link = doc.get("palm_link")
-    if palm_link is not None and not isinstance(palm_link, str):
-        raise ConfigError(f"palm_link must be a link name string, got {palm_link!r}")
+    if palm_link is not None:
+        _json_string(palm_link, "palm_link")
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dexretarget import alignment, solver
@@ -39,7 +39,7 @@ from dexretarget.geometry import (
 )
 from dexretarget.hand_model import HandFrame, HandTrajectory
 from dexretarget.pointcloud import PointCloud, build_index, estimate_normals
-from dexretarget.solver import check_gradient
+from dexretarget.solver import check_gradient, fd_gradient
 from dexretarget.synthetic import (
     DEFAULT_INTRINSICS,
     canonical_hand_joints,
@@ -361,7 +361,9 @@ class TestSupportOverlap:
         mask = np.zeros_like(depth.valid)
         v0, u0 = rng.integers(0, (K.height, K.width))
         mask[v0:v0 + rng.integers(1, 200), u0:u0 + rng.integers(1, 200)] = True
-        obs = observation_of(depth, mask | (rng.random() < 0.5) * depth.valid)
+        if rng.random() < 0.5:
+            mask |= depth.valid
+        obs = observation_of(depth, mask)
         (rows, cols) = obs.support.box
         # the hand in a random pose, part of it behind the camera or off
         # the image, and points whose footprints straddle the support
@@ -370,12 +372,16 @@ class TestSupportOverlap:
                               rng.uniform(-0.3, 0.3, 3))
         hand = 1.1 * pose.apply(sample_hand_surface(hand_at().joints, 300, seed=int(seed % 97),
                                                     visible_from=(0, 0, 0)))
-        edge_u = rng.choice(np.r_[cols.start - 4:cols.start + 4, cols.stop - 4:cols.stop + 4], 40)
-        edge_v = rng.integers(rows.start - 4, rows.stop + 4, 40)
-        uv = np.column_stack([np.r_[edge_u, rng.integers(cols.start - 4, cols.stop + 4, 40)],
-                              np.r_[edge_v, rng.choice(np.r_[rows.start - 4:rows.start + 4,
-                                                             rows.stop - 4:rows.stop + 4], 40)]])
-        edges = points_at_pixels(np.column_stack([uv, rng.uniform(0.2, 1.0, 80)]))
+        def near(box, edges_only):
+            # 40 pixel coordinates within 4 px of the box, or of its edges
+            span = np.r_[box.start - 4:box.stop + 4]
+            if edges_only:
+                span = np.r_[box.start - 4:box.start + 4, box.stop - 4:box.stop + 4]
+            return rng.choice(span, 40)
+
+        u = np.r_[near(cols, True), near(cols, False)]
+        v = np.r_[near(rows, False), near(rows, True)]
+        edges = points_at_pixels(np.column_stack([u, v, rng.uniform(0.2, 1.0, 80)]))
         edges[rng.random(80) < 0.2, 2] *= -1.0
         moved = np.vstack((hand, edges))[rng.random(380) < rng.uniform(0.0, 1.0)]
         rendered, _ = splat_depth(moved, K, footprint).common_depths(obs.support)
@@ -1179,8 +1185,22 @@ class TestAlignmentObjective:
 class TestAlignmentGradient:
     """The closed-form gradient of the frozen-correspondence objective."""
 
+    @staticmethod
+    def richardson_error(problem, x, eps):
+        """check_gradient's error measure against a fourth-order reference:
+        central differences at steps 2 eps and eps, Richardson-extrapolated,
+        which cancels their O(eps^2) truncation term. At eps = 1.5e-7 that
+        term alone reached 2.2e-5 of a component on a pixel-curved depth
+        term, and fell as eps^2 with the step."""
+        objective = lambda xs: np.array([problem.objective(r) for r in xs])
+        fd = (4.0 * fd_gradient(objective, x, eps) - fd_gradient(objective, x, 2.0 * eps)) / 3.0
+        denom = np.maximum(np.abs(fd), np.maximum(1e-3 * np.max(np.abs(fd)), 1e-12))
+        return float(np.max(np.abs(problem.gradient(x) - fd) / denom))
+
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(["low", "inside", "high"]),
            cut=st.booleans())
+    # a central-difference reference's truncation error exceeded the bound here
+    @example(seed=1146905, scale="high", cut=False)
     @settings(max_examples=25, deadline=None)
     def test_matches_finite_differences(self, seed, scale, cut):
         rng = np.random.default_rng(seed)
@@ -1201,7 +1221,7 @@ class TestAlignmentGradient:
             x[0] = alignment.LOG_SCALE_BOUNDS[0 if scale == "low" else 1]
         cfg = AlignConfig()
         problem = alignment_problem(sampled, obs, K, cfg, at=x + rng.uniform(-0.01, 0.01, 7))
-        assert check_gradient(problem, x, fd_eps=AUDIT_STEP) < 1e-5
+        assert self.richardson_error(problem, x, AUDIT_STEP) < 1e-5
 
     def make_problem(self, rng):
         sampled = sampled_hand_for(hand_at())

@@ -304,6 +304,13 @@ class TestCmdPipeline:
         ("observations/intrinsics.json", set_element("height", to=str)),
         ("config.json", set_json(align={"huber_delta": True})),
         ("config.json", set_json(retarget={"solver": {"grad_tol": True}})),
+        # class and link names are JSON strings, not str() of another type
+        ("config.json", set_element("taxonomy", to=lambda v: [v])),
+        ("config.json", set_json(taxonomy=3)),
+        ("config.json", set_element("finger_mapping", "thumb", to=lambda v: [v])),
+        ("config.json", set_element("finger_mapping", "index", to=lambda v: 5)),
+        ("config.json", set_element("proximal_links", "thumb", to=lambda v: [v])),
+        ("config.json", set_element("proximal_links", "ring", to=lambda v: None)),
     ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
             "mount-offset", "ply-bare-format", "align-inner-iters", "align-splat-footprint",
             "solver-max-iters", "align-lambda-rend-nan", "align-huber-delta-nan",
@@ -316,7 +323,9 @@ class TestCmdPipeline:
             "joint-integer-beyond-float", "contact-string", "mount-offset-quat-bool",
             "mount-offset-pos-string", "palm-link-list", "palm-link-object",
             "intrinsics-fx-string", "intrinsics-fy-bool", "intrinsics-width-float",
-            "intrinsics-height-string", "align-huber-delta-bool", "solver-grad-tol-bool"])
+            "intrinsics-height-string", "align-huber-delta-bool", "solver-grad-tol-bool",
+            "taxonomy-list", "taxonomy-number", "finger-mapping-list", "finger-mapping-number",
+            "proximal-link-list", "proximal-link-null"])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
         out = tmp_path / "fix"
         assert main(["synth", "--out-dir", str(out), "--seed", "4",
@@ -332,6 +341,20 @@ class TestCmdPipeline:
         err = capsys.readouterr().err
         assert err.startswith("ERROR config:")
         assert "\n" not in err.strip()
+
+    def test_number_is_no_link_name_even_when_a_link_has_its_digits(self, tmp_path, capsys):
+        # str(5) would select the link named "5"
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        urdf = write_urdf(out)
+        urdf.write_text(urdf.read_text().replace('"thumb_medial"', '"5"'))
+        write_config(out, proximal_links={"thumb": 5})
+        code = main(["pipeline", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config: proximal_links.thumb")
+        assert "JSON number" in err and "\n" not in err.strip()
 
     @pytest.mark.parametrize("weight", [NAN, INF, -0.5], ids=["nan", "inf", "negative"])
     def test_bad_weight_is_input_error(self, tmp_path, capsys, weight):

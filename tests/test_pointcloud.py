@@ -8,6 +8,7 @@ import pytest
 
 import dexretarget
 from dexretarget.errors import InvalidArgumentError, RegistrationError
+from dexretarget import pointcloud
 from dexretarget.geometry import RigidTransform, Rotation, SimilarityTransform
 from dexretarget.pointcloud import (
     PointCloud,
@@ -88,7 +89,83 @@ class TestBuildIndex:
         assert out.split() == ["False", "True"]
 
 
+def eigh_normals(cloud, k, viewpoint=(0.0, 0.0, 0.0)):
+    """estimate_normals with every row's covariance formed in full and
+    solved by np.linalg.eigh: the oracle of the closed form, and of the
+    fallback rows bit for bit."""
+    _, idx = build_index(cloud).query(cloud.points, k=k)
+    nbrs = cloud.points[idx]
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    normals = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / k)[1][:, :, 0]
+    flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - cloud.points) < 0.0
+    normals[flip] *= -1.0
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals
+
+
+def clusters(patches, spacing=100.0):
+    """k-point patches placed ``spacing`` apart on a grid in front of the
+    origin, so that each point's k nearest neighbors are its own patch."""
+    cells = np.indices((8, 8, 8)).reshape(3, -1).T * spacing + [0.0, 0.0, spacing]
+    return np.concatenate([p + cell for p, cell in zip(patches, cells)])
+
+
+def random_rotation(rng):
+    return Rotation.from_rotvec(rng.uniform(-np.pi, np.pi, 3)).as_matrix()
+
+
 class TestEstimateNormals:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_matches_eigh(self, seed):
+        # Gaussian patches, from round to flat to needle-like, and exact
+        # planes, which the closed form takes (their smallest eigenvalue
+        # is simple)
+        rng = np.random.default_rng(seed)
+        k, patches = 16, []
+        for _ in range(300):
+            spread = 10.0 ** -np.sort(rng.uniform(0.0, 4.0, 3))
+            patches.append(rng.normal(size=(k, 3)) * spread @ random_rotation(rng).T)
+        for _ in range(20):
+            flat = np.column_stack([rng.normal(size=(k, 2)), np.zeros(k)])
+            patches.append(flat @ random_rotation(rng).T)
+        cloud = PointCloud(points=clusters(patches))
+        ref = eigh_normals(cloud, k)
+        got = estimate_normals(cloud, k=k).normals
+        # needle-like patches, whose two smallest eigenvalues are close
+        # against the largest, fall back; most rows take the closed form
+        assert self.fallback_rows(cloud, k).size < 0.25 * len(cloud)
+        cos = np.einsum("ij,ij->i", got, ref)
+        # the same direction to 1 - cos <= 1e-12, and the same orientation
+        assert np.all(1.0 - cos <= 1e-12)
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-15)
+
+    @staticmethod
+    def fallback_rows(cloud, k):
+        _, idx = build_index(cloud).query(cloud.points, k=k)
+        nbrs = cloud.points[idx]
+        return pointcloud._smallest_eigenvectors(nbrs - nbrs.mean(axis=1, keepdims=True))[1]
+
+    def test_ill_conditioned_rows_keep_the_eigh_bits(self, rng):
+        k, rotation = 16, random_rotation(rng)
+        octahedron = np.vstack([np.eye(3), -np.eye(3)])
+        degenerate = {
+            "collinear": np.outer(rng.normal(size=k), rotation[:, 0]),
+            "coincident": np.tile(rng.normal(size=3), (k, 1)),
+            "isotropic": np.vstack([octahedron, 2.0 * octahedron, np.zeros((4, 3))]) @ rotation.T,
+            # two equal smallest eigenvalues: a disc seen edge-on, a needle
+            "needle": np.column_stack([10.0 * rng.normal(size=k),
+                                       np.tile([0.1, -0.1, 0.0, 0.0], 4),
+                                       np.tile([0.0, 0.0, 0.1, -0.1], 4)]) @ rotation.T,
+        }
+        well = [rng.normal(size=(k, 3)) * [1.0, 0.5, 0.01] for _ in range(3)]
+        cloud = PointCloud(points=clusters([*degenerate.values(), *well]))
+        ill = self.fallback_rows(cloud, k)
+        np.testing.assert_array_equal(ill, np.arange(len(degenerate) * k))
+        got = estimate_normals(cloud, k=k).normals
+        ref = eigh_normals(cloud, k)
+        assert got[ill].tobytes() == ref[ill].tobytes()
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-15)
+
     def test_planar_cloud(self, rng):
         xy = rng.uniform(-1, 1, size=(200, 2))
         pts = np.column_stack([xy, np.zeros(200)])
