@@ -64,8 +64,6 @@ def _fail(stage: str, exc: Exception, code: int) -> int:
 def cmd_synth(args) -> int:
     stage = "synth"
     try:
-        if args.frames < 1:
-            raise InvalidArgumentError("--frames must be at least 1")
         cfg = SynthConfig(
             n_frames=args.frames,
             noise_sigma=args.noise,

@@ -449,13 +449,6 @@ def huber(r, delta: float):
     return out
 
 
-def huber_weights(r, delta: float):
-    """IRLS weights psi(r)/r for the Huber penalty (1 inside, delta/|r| outside)."""
-    d = float(delta)
-    a = np.abs(np.asarray(r, dtype=float))
-    return np.where(a <= d, 1.0, d / np.maximum(a, 1e-300))
-
-
 def pseudo_huber(r, delta: float):
     """Smooth (C-infinity) Huber surrogate: delta^2 (sqrt(1 + (r/delta)^2) - 1).
 

@@ -11,19 +11,22 @@ import numpy as np
 
 from .errors import InvalidArgumentError, RegistrationError
 from .geometry import (
-    RigidTransform,
     Rotation,
     SimilarityTransform,
     as_points,
     huber,
-    huber_weights,
+    rotvec_matrix,
+    so3_left_jacobian,
 )
+from .solver import BoxProblem, check_iteration_count, minimize_box
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
-DEFAULT_HUBER_DELTA = 0.01   # meters; residuals beyond ~1 cm treated as outliers
-DEFAULT_MAX_CORR_DIST = 0.05  # meters; reject gross mismatches outright
+_HUBER_DELTA = 0.01    # meters; residuals beyond ~1 cm treated as outliers
+_MAX_CORR_DIST = 0.05  # meters; reject gross mismatches outright
+# the ICP twist (rotation vector, translation) is unbounded
+_TWIST_LO, _TWIST_HI = np.full(6, -np.inf), np.full(6, np.inf)
 
 
 @dataclass
@@ -63,7 +66,7 @@ class RegistrationReport:
     inlier_fraction: float
     iterations: int
     converged: bool
-    # fixed-correspondence objective (before, after) per inner solve
+    # frozen-correspondence objective (before, after) per round
     objective_curve: list = None
 
     def __post_init__(self):
@@ -168,117 +171,96 @@ def estimate_normals(cloud: PointCloud, k: int = 16, viewpoint=(0.0, 0.0, 0.0)) 
     return PointCloud(points=cloud.points.copy(), normals=normals)
 
 
-def _p2pl_objective(pts, q, n, delta):
-    r = np.einsum("ij,ij->i", n, pts - q)
-    return float(np.mean(huber(r, delta))), r
+def icp_problem(points, targets, normals) -> BoxProblem:
+    """Box problem over the twist x = (rotation vector w, translation t)
+    that moves the source ``points`` to R(w) p + t, with their
+    correspondences (``targets`` q, ``normals`` n) frozen. Used both by
+    the ICP rounds and by the gradient audit.
+
+    The value is the mean exact Huber penalty of the point-to-plane
+    residuals r = n . (R(w) p + t - q). With psi(r) = clip(r, -delta,
+    delta), the penalty's derivative, and G_i = psi(r_i) n_i / m, the
+    gradient is d/dt = sum G_i and d/dw = J_l(w)^T sum (R p_i) x G_i,
+    J_l being the SO(3) left Jacobian.
+    """
+    def residuals(x):
+        rotated = points @ rotvec_matrix(x[:3]).T
+        return rotated, np.einsum("ij,ij->i", normals, rotated + x[3:] - targets)
+
+    def objective(x):
+        return float(np.mean(huber(residuals(x)[1], _HUBER_DELTA)))
+
+    def gradient(x):
+        rotated, r = residuals(x)
+        g = np.clip(r, -_HUBER_DELTA, _HUBER_DELTA)[:, None] * normals / len(r)
+        return np.concatenate((so3_left_jacobian(x[:3]).T @ np.cross(rotated, g).sum(axis=0),
+                               g.sum(axis=0)))
+
+    return BoxProblem(lower=_TWIST_LO, upper=_TWIST_HI, objective=objective, gradient=gradient)
 
 
-def icp_point_to_plane(
-    src: PointCloud,
-    dst: PointCloud,
-    init: Optional[RigidTransform] = None,
-    delta: float = DEFAULT_HUBER_DELTA,
-    max_iters: int = 50,
-    max_corr_dist: float = DEFAULT_MAX_CORR_DIST,
-) -> RegistrationReport:
-    """Robust point-to-plane ICP of src onto dst (dst must be non-empty and
-    carry normals).
+def icp_point_to_plane(src: PointCloud, dst: PointCloud, max_iters: int = 50) -> RegistrationReport:
+    """Robust point-to-plane ICP of a non-empty src onto dst (dst must be
+    non-empty and carry normals), from the identity.
 
-    Minimizes mean huber(n . (T x - y)) with correspondences refreshed per
-    iteration and rejected beyond ``max_corr_dist``. Each linearized step is
-    damped so the fixed-correspondence objective never increases.
+    Each of at most ``max_iters`` rounds matches the moved source to its
+    nearest destination points, rejects matches beyond ``_MAX_CORR_DIST``
+    and, with those correspondences frozen, minimizes ``icp_problem``
+    with ``minimize_box`` from the round's twist and the previous round's
+    curvature pairs. The rounds stop, converged, when one moves the twist
+    by less than 1e-7 or changes the objective by less than 1e-9.
+    ``objective_curve`` holds each round's frozen objective at its start
+    and at its end.
     """
     if dst.normals is None:
         raise InvalidArgumentError("destination cloud must carry normals")
-    if max_iters < 1:
-        raise InvalidArgumentError("max_iters must be at least 1")
-    if init is None:
-        init = RigidTransform.identity()
-
+    check_iteration_count("max_iters", max_iters)
+    if len(src) == 0:
+        raise InvalidArgumentError("source cloud is empty")
     tree = build_index(dst)
-    rot = init.rotation.as_matrix()
-    trans = init.translation.copy()
-    n_src = len(src)
+
+    def match(x):
+        moved = src.points @ rotvec_matrix(x[:3]).T + x[3:]
+        dists, idx = tree.query(moved)
+        keep = dists <= _MAX_CORR_DIST
+        q, n = dst.points[idx[keep]], dst.normals[idx[keep]]
+        return keep, q, n, np.einsum("ij,ij->i", n, moved[keep] - q), dists
+
+    def report(rms, inlier_fraction, converged):
+        return RegistrationReport(
+            transform=SimilarityTransform(1.0, Rotation.from_rotvec(x[:3]), x[3:]),
+            rms_residual=rms,
+            inlier_fraction=inlier_fraction,
+            iterations=it,
+            converged=converged,
+            objective_curve=curve,
+        )
+
+    x = np.zeros(6)
+    pairs = ()
     converged = False
     prev_obj = None
-    rms = 0.0
-    inlier_fraction = 0.0
     curve = []
-    it = 0
-
     for it in range(1, max_iters + 1):
-        moved = src.points @ rot.T + trans
-        dists, idx = tree.query(moved)
-        keep = dists <= max_corr_dist
-        n_keep = int(keep.sum())
-        if n_keep == 0:
-            report = RegistrationReport(
-                transform=SimilarityTransform(1.0, Rotation.from_matrix(rot), trans),
-                rms_residual=float(np.sqrt(np.mean(dists ** 2))),
-                inlier_fraction=0.0,
-                iterations=it,
-                converged=False,
-                objective_curve=curve,
-            )
+        keep, q, n, r, dists = match(x)
+        if not keep.any():
             raise RegistrationError(
-                f"no correspondences within {max_corr_dist} m at iteration {it}", report
-            )
-        p = moved[keep]
-        q = dst.points[idx[keep]]
-        nrm = dst.normals[idx[keep]]
-        inlier_fraction = n_keep / n_src
-
-        f0, r = _p2pl_objective(p, q, nrm, delta)
-        w = huber_weights(r, delta)
-        jac = np.hstack([np.cross(p, nrm), nrm])        # (m, 6)
-        wj = jac * w[:, None]
-        a = jac.T @ wj + 1e-12 * np.eye(6)
-        b = -(wj.T @ r)
-        xi = np.linalg.solve(a, b)
-
-        # damp the Gauss-Newton step so the fixed-correspondence objective
-        # is non-increasing
-        alpha = 1.0
-        best = None
-        for _ in range(30):
-            dr = Rotation.from_rotvec(alpha * xi[:3]).as_matrix()
-            r_new = dr @ rot
-            t_new = dr @ trans + alpha * xi[3:]
-            moved_fixed = src.points[keep] @ r_new.T + t_new
-            f_new, _ = _p2pl_objective(moved_fixed, q, nrm, delta)
-            if f_new <= f0 + 1e-15:
-                best = (r_new, t_new, f_new, alpha)
-                break
-            alpha *= 0.5
-        if best is None:
-            curve.append((f0, f0))
-            converged = True
-            rms = float(np.sqrt(np.mean(r ** 2)))
-            break
-        rot, trans, f_after, alpha = best
-        curve.append((f0, f_after))
-        rms = float(np.sqrt(np.mean(r ** 2)))
-
-        step = float(np.linalg.norm(alpha * xi))
-        if step < 1e-7 or (prev_obj is not None and abs(prev_obj - f_after) < 1e-9):
+                f"no correspondences within {_MAX_CORR_DIST} m at iteration {it}",
+                report(float(np.sqrt(np.mean(dists ** 2))), 0.0, False))
+        rms, inlier_fraction = float(np.sqrt(np.mean(r ** 2))), float(keep.mean())
+        problem = icp_problem(src.points[keep], q, n)
+        f0 = problem.objective(x)
+        solve = minimize_box(problem, x, pairs=pairs)
+        curve.append((f0, solve.f_star))
+        step = float(np.linalg.norm(solve.x_star - x))
+        x, pairs = solve.x_star, solve.pairs
+        if step < 1e-7 or (prev_obj is not None and abs(prev_obj - solve.f_star) < 1e-9):
             converged = True
             break
-        prev_obj = f_after
+        prev_obj = solve.f_star
 
     # final residual stats with fresh correspondences
-    moved = src.points @ rot.T + trans
-    dists, idx = tree.query(moved)
-    keep = dists <= max_corr_dist
-    if np.any(keep):
-        r = np.einsum("ij,ij->i", dst.normals[idx[keep]], moved[keep] - dst.points[idx[keep]])
-        rms = float(np.sqrt(np.mean(r ** 2)))
-        inlier_fraction = float(keep.mean())
-
-    return RegistrationReport(
-        transform=SimilarityTransform(1.0, Rotation.from_matrix(rot), trans),
-        rms_residual=rms,
-        inlier_fraction=inlier_fraction,
-        iterations=it,
-        converged=converged,
-        objective_curve=curve,
-    )
+    keep, _, _, r, _ = match(x)
+    if keep.any():
+        rms, inlier_fraction = float(np.sqrt(np.mean(r ** 2))), float(keep.mean())
+    return report(rms, inlier_fraction, converged)

@@ -139,11 +139,12 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
 
     ``pairs`` is the L-BFGS memory to start from: the ``pairs`` of an
     earlier solve's report, whose s and y must each match x0's length;
-    the newest LBFGS_MEMORY are kept. Empty, the solve starts cold. They pass the same checks as the
-    solve's own pairs: a step they give that is not a descent direction
-    falls back to -g, and a failed line search clears them. The handed-in
-    pairs are not changed; the report's ``pairs`` holds the final memory
-    and ``warm_pairs`` how many pairs the solve started with.
+    the newest LBFGS_MEMORY are kept. Empty, the solve starts cold. They
+    pass the same checks as the solve's own pairs: a step they give that
+    is not a descent direction falls back to -g, and a failed line search
+    clears them. The handed-in pairs are not changed; the report's
+    ``pairs`` holds the final memory and ``warm_pairs`` how many pairs the
+    solve started with.
 
     The line search halves from the full step until the projected Armijo
     condition holds. Forward tracking then doubles the accepted step while

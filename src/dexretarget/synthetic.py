@@ -160,10 +160,12 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise InvalidArgumentError("n_frames must be at least 1")
-        if self.noise_sigma < 0:
-            raise InvalidArgumentError("noise_sigma must be non-negative")
-        if self.depth_scale <= 0:
-            raise InvalidArgumentError("depth_scale must be positive")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise InvalidArgumentError(
+                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
+        if not 0 < self.depth_scale < np.inf:
+            raise InvalidArgumentError(
+                f"depth_scale must be positive and finite, got {self.depth_scale}")
 
 
 @dataclass

@@ -153,6 +153,7 @@ def test_c01_umeyama_recovery():
             f"runtime {elapsed:.2f} s")
 
 
+@pytest.mark.slow
 def test_c02_icp_basin():
     rng = np.random.default_rng(202)
     joints = canonical_hand_joints(0.4) + np.array([0.0, 0.0, 0.4])

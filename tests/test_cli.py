@@ -105,6 +105,22 @@ class TestCmdSynth:
         err = capsys.readouterr().err
         assert err.startswith("ERROR synth:")
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--frames", "-1", "n_frames"),
+        ("--noise", "nan", "noise_sigma"),
+        ("--noise", "inf", "noise_sigma"),
+        ("--noise", "-0.001", "noise_sigma"),
+        ("--depth-scale", "nan", "depth_scale"),
+        ("--depth-scale", "inf", "depth_scale"),
+        ("--depth-scale", "0", "depth_scale"),
+    ])
+    def test_bad_value_is_input_error(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "out"
+        code = main(["synth", "--out-dir", str(out), "--frames", "1", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"ERROR synth: {name} must be")
+        assert not out.exists()
+
 
 class TestCmdPipeline:
     def test_end_to_end_success(self, fixture_dir):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 import dexretarget
 from dexretarget.errors import InvalidArgumentError, RegistrationError
 from dexretarget import pointcloud
-from dexretarget.geometry import RigidTransform, Rotation, SimilarityTransform
+from dexretarget.geometry import RigidTransform, Rotation, SimilarityTransform, rotvec_matrix
 from dexretarget.pointcloud import (
     PointCloud,
     build_index,
     estimate_normals,
     icp_point_to_plane,
+    icp_problem,
 )
+from dexretarget.solver import check_gradient
 from dexretarget.synthetic import canonical_hand_joints, sample_hand_surface
 
 
@@ -223,7 +226,7 @@ class TestIcpPointToPlane:
         dst = estimate_normals(hand_cloud(200), k=8)
         far = PointCloud(points=src.points + np.array([10.0, 0.0, 0.0]))
         with pytest.raises(RegistrationError) as err:
-            icp_point_to_plane(far, dst, max_corr_dist=0.05)
+            icp_point_to_plane(far, dst)
         assert err.value.report is not None
         assert err.value.report.inlier_fraction == 0.0
 
@@ -236,6 +239,47 @@ class TestIcpPointToPlane:
         empty = PointCloud(points=np.zeros((0, 3)), normals=np.zeros((0, 3)))
         with pytest.raises(InvalidArgumentError, match="empty cloud"):
             icp_point_to_plane(hand_cloud(100), empty)
+
+    def test_empty_source_is_invalid(self):
+        dst = estimate_normals(hand_cloud(100), k=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="source cloud is empty"):
+                icp_point_to_plane(PointCloud(points=np.zeros((0, 3))), dst)
+
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.5, True, "5", None])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        cloud = hand_cloud(100)
+        dst = estimate_normals(cloud, k=8)
+        with pytest.raises(InvalidArgumentError, match="max_iters must be an integer"):
+            icp_point_to_plane(cloud, dst, max_iters=max_iters)
+
+    def test_gradient_matches_finite_differences(self):
+        # correspondences frozen at the identity; the twists move a share
+        # of the residuals beyond the Huber delta of 1 cm
+        rng = np.random.default_rng(12)
+        cloud = hand_cloud(600)
+        dst = estimate_normals(cloud, k=10)
+        _, idx = build_index(dst).query(cloud.points)
+        q, n = dst.points[idx], dst.normals[idx]
+        problem = icp_problem(cloud.points, q, n)
+        for _ in range(20):
+            x = np.concatenate([rng.uniform(-0.1, 0.1, 3), rng.uniform(-0.02, 0.02, 3)])
+            r = np.einsum("ij,ij->i", n, cloud.points @ rotvec_matrix(x[:3]).T + x[3:] - q)
+            assert 0.0 < np.mean(np.abs(r) > 0.01) < 1.0
+            assert check_gradient(problem, x, fd_eps=1e-6) < 1e-5
+
+    def test_bit_identical_reruns(self):
+        src = hand_cloud(800)
+        dst = estimate_normals(src, k=10)
+        gt = RigidTransform(Rotation.from_axis_angle([0, 1, 1], 0.1), np.array([0.01, 0.0, 0.005]))
+        moved = PointCloud(points=gt.apply(src.points))
+        a, b = (icp_point_to_plane(moved, dst, max_iters=40) for _ in range(2))
+        assert a.transform.rotation.quat.tobytes() == b.transform.rotation.quat.tobytes()
+        assert a.transform.translation.tobytes() == b.transform.translation.tobytes()
+        assert (a.rms_residual, a.inlier_fraction, a.iterations, a.converged) == \
+            (b.rms_residual, b.inlier_fraction, b.iterations, b.converged)
+        assert a.objective_curve == b.objective_curve
 
     def test_objective_non_increasing_per_inner_solve(self):
         src = hand_cloud(800)
