@@ -29,7 +29,7 @@ from .geometry import (
     Rotation,
     backproject_depth,
     footprint_pixels,
-    pseudo_huber_array,
+    pseudo_huber,
     pseudo_huber_derivative,
     rotvec_matrix,
     so3_left_jacobian,
@@ -264,13 +264,11 @@ class _DepthPass:
     per-axis weight sums and ratios, the gate and the gaps; the
     continuation forms the gated weights again from the ratios and the
     gate, which spares the pass a third (16, n) array. ``jacobian()``
-    continues from them once, keeps the Jacobian and drops them. A pass
-    made without ``continuable`` keeps none of them and is never
-    continued.
+    continues from them on its first call, keeps the Jacobian and drops
+    them.
     """
 
-    def __init__(self, points, observation: FrameObservation, intrinsics: CameraIntrinsics,
-                 continuable: bool):
+    def __init__(self, points, observation: FrameObservation, intrinsics: CameraIntrinsics):
         pts = np.asarray(points, dtype=float)
         near = pts[:, 2] < _MIN_DEPTH
         self.near = near if np.any(near) else None
@@ -296,15 +294,12 @@ class _DepthPass:
             z, u, v = z[run], u[run], v[run]
             # (4, 2, n) tap weights of both axes, each over its axis's weight
             # sum. Below, each array is written over one that is not read
-            # again, and a pass that is not continuable drops t at once, so
-            # that a value pass over many points (the scale scan's) holds
-            # at most two (16, n) arrays and little else at its peak
+            # again, so that a value pass over many points (the scale
+            # scan's) holds few (16, n) arrays at its peak
             t = np.clip((_KERNEL_RADIUS - np.abs(np.stack((u, v)) - (np.stack((iu[run], iv[run]))
                                                                      + _TAPS[:, None, None])))
                         / _KERNEL_RADIUS, 0.0, 1.0)
             ratios = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
-            if not continuable:
-                t = None
             total = ratios.sum(axis=0)
             ratios /= total
             # (16, n) flat window index; the column tap is the outer one
@@ -322,8 +317,7 @@ class _DepthPass:
             for term in terms:
                 kept += term
             r[run] = kept
-            if continuable:
-                self._kept = (z, u, v, t, total, ratios, gate, gaps)
+            self._kept = (z, u, v, t, total, ratios, gate, gaps)
         if self.near is not None:
             out = np.full(len(pts), np.inf)
             out[~near] = r
@@ -370,8 +364,7 @@ class _DepthPass:
 
 
 def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
-                           intrinsics: CameraIntrinsics, jacobian: bool = False, *,
-                           keep: bool = False):
+                           intrinsics: CameraIntrinsics) -> _DepthPass:
     """Differentiable per-point depth discrepancies against an observed map.
 
     Each point samples the observed depth at its continuous projection with
@@ -380,9 +373,10 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     coordinates and fades to zero as the projection leaves the support.
     The 16 taps of a point are anchored at its projection's pixel in the
     observation's padded window; a projection beyond the window is clipped
-    into its zero pad, where every tap is gated off. Returns one residual
-    per point (zero for unsupported points); a point nearer than the
-    minimum depth gets +inf and the kernel runs on the other points only.
+    into its zero pad, where every tap is gated off. Returns the pass,
+    whose ``residuals`` hold one residual per point (zero for unsupported
+    points); a point nearer than the minimum depth gets +inf and the
+    kernel runs on the other points only.
     Each point's residual depends on that point alone: the sum of its gated
     taps, added one at a time with the column tap outermost; so does its
     Jacobian row, whose tap sums run in the same order.
@@ -392,26 +386,15 @@ def smooth_depth_residuals(points: np.ndarray, observation: FrameObservation,
     taps gated off, and for it the taps would give exactly the residual
     +0.0 and the Jacobian row (+0, +0, +0), which it gets directly.
 
-    With ``jacobian`` the same pass also returns the (N, 3) derivative of
-    each residual in its point's coordinates (NaN for a near point): the
-    weight ratios differentiated through the smoothstep and the quotient
-    rule, chained through the projection, plus the gated weight sum for the
-    residual's own z. The residuals are the same bits either way.
-
-    The kernel is a value pass that keeps its intermediates (a _DepthPass)
-    and a Jacobian continuation that reads them. With ``keep`` the call
-    returns that pass, its Jacobian already continued when ``jacobian`` is
-    set, so that an alignment pass memo can continue a value pass it holds
-    without running the pass again; the residual and Jacobian bits are
-    those of the arrays returned without ``keep``. A call with neither
-    keeps no intermediates, which keeps a large call's peak memory down.
+    The pass's ``jacobian()`` continues it to the (N, 3) derivative of each
+    residual in its point's coordinates (NaN for a near point): the weight
+    ratios differentiated through the smoothstep and the quotient rule,
+    chained through the projection, plus the gated weight sum for the
+    residual's own z. It reads only what the pass kept, so its bits do not
+    depend on when it is called, and the residuals' bits do not depend on
+    whether it is.
     """
-    depth_pass = _DepthPass(points, observation, intrinsics, continuable=jacobian or keep)
-    if jacobian:
-        depth_pass.jacobian()
-    if keep:
-        return depth_pass
-    return (depth_pass.residuals, depth_pass.jacobian()) if jacobian else depth_pass.residuals
+    return _DepthPass(points, observation, intrinsics)
 
 
 @dataclass
@@ -443,8 +426,8 @@ class _PassMemo:
     hand at x from here, so the depth kernel runs only for an x that is not
     one of the last two. A gradient at the point the solver has just
     accepted, a solve's start at the point the last fresh score took, and
-    the fresh score of a solve's solution continue the pass they find. A
-    pass runs with the Jacobian when its first caller needs one. The scale
+    the fresh score of a solve's solution continue the pass they find. The
+    pass's Jacobian is continued when a gradient first needs it. The scale
     scan's candidates are scored in one stacked pass of their own and never
     enter ``entries``.
 
@@ -471,7 +454,7 @@ class _PassMemo:
             self.queried[key] = cloud.points[idx], cloud.normals[idx]
         return self.queried[key]
 
-    def at(self, x: np.ndarray, jacobian: bool = False) -> _MovedHand:
+    def at(self, x: np.ndarray) -> _MovedHand:
         key = x.tobytes()
         for k, (held, state) in enumerate(self.entries):
             if held == key:
@@ -481,9 +464,8 @@ class _PassMemo:
         sigma = float(np.exp(x[0]))
         rotated = _rotated(self.hand_cloud.points, x)
         moved = sigma * (rotated + x[4:7])
-        depth = smooth_depth_residuals(moved, self.observation, self.intrinsics,
-                                       jacobian=jacobian, keep=True)
-        state = _MovedHand(sigma, rotated, moved, depth)
+        state = _MovedHand(sigma, rotated, moved,
+                           smooth_depth_residuals(moved, self.observation, self.intrinsics))
         self.entries = [(key, state)] + self.entries[:1]
         return state
 
@@ -509,7 +491,7 @@ def _pseudo_huber_mean(r: np.ndarray, delta: float) -> float:
     """The mean pseudo-Huber penalty of the residuals r, unchecked (an
     AlignConfig validates its delta): np.mean's bits, the same sum over the
     same count, without its argument handling."""
-    return float(np.add.reduce(pseudo_huber_array(r, delta))) / r.size
+    return float(np.add.reduce(pseudo_huber(r, delta))) / r.size
 
 
 def _value(cfg, correspondences, x, moved, d, bound: float = np.inf) -> float:
@@ -560,7 +542,7 @@ def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
     sigma J_l(w)^T sum (R p_i) x G_i, J_l being the SO(3) left Jacobian.
     """
     x = np.asarray(x, dtype=float)
-    state = memo.at(x, jacobian=gradient)
+    state = memo.at(x)
     moved, d = state.moved, state.depth.residuals
     if not gradient:
         return _value(cfg, correspondences, x, moved, d, bound)
@@ -639,7 +621,7 @@ def _scan_scale(memo, cfg, x, f_best):
     shifted = _rotated(memo.hand_cloud.points, x) + x[4:7]
     moved = np.stack([float(np.exp(cand[0])) * shifted for cand in cands])
     residuals = smooth_depth_residuals(moved.reshape(-1, 3), memo.observation,
-                                       memo.intrinsics).reshape(len(cands), -1)
+                                       memo.intrinsics).residuals.reshape(len(cands), -1)
     for cand, points, d in zip(cands, moved, residuals):
         fc = _value(cfg, memo.correspondences, cand, points, d, bound=f_best)
         if fc < f_best:

@@ -179,9 +179,11 @@ def _json_string(value, what: str) -> str:
 
 
 def _json_int(value, what: str, where: str) -> int:
-    """A JSON integer, not a string, float or boolean."""
+    """A non-negative JSON integer, not a string, float or boolean."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataParseError(f"{what} must be an integer, got {value!r}", location=where)
+    if value < 0:
+        raise DataParseError(f"{what} must be non-negative, got {value}", location=where)
     return value
 
 
@@ -693,8 +695,8 @@ def load_config(path, lenient: bool = False):
     if palm_link is not None:
         _json_string(palm_link, "palm_link")
     seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     calibrate_scale = doc.get("calibrate_scale", True)
     if not isinstance(calibrate_scale, bool):
         raise ConfigError(f"calibrate_scale must be true or false, got {calibrate_scale!r}")

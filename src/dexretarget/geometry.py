@@ -449,26 +449,15 @@ def huber(r, delta: float):
     return out
 
 
-def pseudo_huber(r, delta: float):
-    """Smooth (C-infinity) Huber surrogate: delta^2 (sqrt(1 + (r/delta)^2) - 1).
+def pseudo_huber(r: np.ndarray, delta: float) -> np.ndarray:
+    """Smooth (C-infinity) Huber surrogate of a float array:
+    delta^2 (sqrt(1 + (r/delta)^2) - 1), unchecked: delta must be positive
+    and finite.
 
     Quadratic near zero, linear in the tails; the alignment objective
     uses it so that its closed-form gradient (``pseudo_huber_derivative``)
     is continuous.
     """
-    d = float(delta)
-    if not np.isfinite(d) or d <= 0.0:
-        raise InvalidArgumentError(f"delta must be positive and finite, got {delta}")
-    arr = np.asarray(r, dtype=float)
-    out = pseudo_huber_array(arr, d)
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def pseudo_huber_array(r: np.ndarray, delta: float) -> np.ndarray:
-    """``pseudo_huber`` of a float array, without validation: delta must
-    be positive and finite."""
     return delta * delta * (np.sqrt(1.0 + (r / delta) ** 2) - 1.0)
 
 

@@ -93,6 +93,8 @@ class HandFrame:
             raise InvalidArgumentError("hand joints must be finite")
         if not (0.0 <= self.confidence <= 1.0):
             raise InvalidArgumentError("confidence must lie in [0, 1]")
+        if self.frame_index < 0:
+            raise InvalidArgumentError(f"frame index must be non-negative, got {self.frame_index}")
         gap = float(np.linalg.norm(self.joints[WRIST] - self.wrist_pose.translation))
         if gap > 1e-6:
             raise InvalidArgumentError(

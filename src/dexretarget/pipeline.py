@@ -81,9 +81,9 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
         raise ConfigError(f"unknown stage {stop_after!r}; expected one of {order}")
     timings = {}
     out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         model = parse_urdf(config.urdf.read_text())
         trajectory = dataio.read_hand_trajectory(config.hand_trajectory)
         intrinsics, pairs, masks = _load_observations(config, len(trajectory))

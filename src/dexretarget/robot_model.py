@@ -210,13 +210,20 @@ class RobotModel:
         return arr
 
 
-def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
+def _parse_floats(text: Optional[str], n: int, what: str) -> np.ndarray:
+    """The n finite numbers of an attribute's text; ``what`` names the
+    attribute (and its joint) in the UrdfValidationError raised when it is
+    missing, malformed or not finite."""
+    if text is None:
+        raise UrdfValidationError(f"{what} is missing")
     try:
         vals = np.array([float(t) for t in text.split()])
     except ValueError as exc:
         raise UrdfValidationError(f"cannot parse {what}: {text!r}") from exc
     if vals.shape != (n,):
         raise UrdfValidationError(f"{what} must have {n} components, got {text!r}")
+    if not np.all(np.isfinite(vals)):
+        raise UrdfValidationError(f"{what} must be finite, got {text!r}")
     return vals
 
 
@@ -232,12 +239,12 @@ def _rpy_matrix(rpy: np.ndarray) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def _parse_origin(elem) -> RigidTransform:
+def _parse_origin(elem, what: str) -> RigidTransform:
     origin = elem.find("origin")
     if origin is None:
         return RigidTransform.identity()
-    xyz = _parse_floats(origin.get("xyz", "0 0 0"), 3, "origin xyz")
-    rpy = _parse_floats(origin.get("rpy", "0 0 0"), 3, "origin rpy")
+    xyz = _parse_floats(origin.get("xyz", "0 0 0"), 3, f"{what} origin xyz")
+    rpy = _parse_floats(origin.get("rpy", "0 0 0"), 3, f"{what} origin rpy")
     return RigidTransform(Rotation.from_matrix(_rpy_matrix(rpy)), xyz)
 
 
@@ -304,7 +311,7 @@ def parse_urdf(text: str) -> RobotModel:
             raise UrdfStructureError(f"joint {name!r}: child link {child_link!r} not defined")
 
         axis_el = elem.find("axis")
-        axis = _parse_floats(axis_el.get("xyz"), 3, f"joint {name!r} axis") \
+        axis = _parse_floats(axis_el.get("xyz"), 3, f"joint {name!r} axis xyz") \
             if axis_el is not None else np.array([1.0, 0.0, 0.0])
         norm = float(np.linalg.norm(axis))
         if jtype in ("revolute", "prismatic", "continuous"):
@@ -315,16 +322,15 @@ def parse_urdf(text: str) -> RobotModel:
         limits = None
         limit_el = elem.find("limit")
         if jtype in ("revolute", "prismatic"):
-            if limit_el is None or limit_el.get("lower") is None or limit_el.get("upper") is None:
+            if limit_el is None:
                 raise UrdfValidationError(
                     f"joint {name!r}: {jtype} joints require lower/upper limits"
                 )
-            lower = float(limit_el.get("lower"))
-            upper = float(limit_el.get("upper"))
-            if not (np.isfinite(lower) and np.isfinite(upper)) or lower > upper:
-                raise UrdfValidationError(
-                    f"joint {name!r}: limits must be finite with lower <= upper"
-                )
+            lower, upper = (float(_parse_floats(limit_el.get(key), 1,
+                                                f"joint {name!r} limit {key}")[0])
+                            for key in ("lower", "upper"))
+            if lower > upper:
+                raise UrdfValidationError(f"joint {name!r}: limits must have lower <= upper")
             limits = (lower, upper)
 
         mimic = None
@@ -333,15 +339,14 @@ def parse_urdf(text: str) -> RobotModel:
             src = mimic_el.get("joint")
             if not src:
                 raise UrdfValidationError(f"joint {name!r}: mimic without a source joint")
-            mimic = Mimic(
-                source=src,
-                multiplier=float(mimic_el.get("multiplier", "1")),
-                offset=float(mimic_el.get("offset", "0")),
-            )
+            multiplier, offset = (float(_parse_floats(mimic_el.get(key, default), 1,
+                                                      f"joint {name!r} mimic {key}")[0])
+                                  for key, default in (("multiplier", "1"), ("offset", "0")))
+            mimic = Mimic(source=src, multiplier=multiplier, offset=offset)
 
         joints.append(Joint(
             name=name, jtype=jtype, parent=parent, child=child_link,
-            origin=_parse_origin(elem), axis=axis, limits=limits, mimic=mimic,
+            origin=_parse_origin(elem, f"joint {name!r}"), axis=axis, limits=limits, mimic=mimic,
         ))
         joint_names.add(name)
 

@@ -160,6 +160,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise InvalidArgumentError("n_frames must be at least 1")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.noise_sigma < np.inf:
             raise InvalidArgumentError(
                 f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")

@@ -140,6 +140,20 @@ def reference_windows(obs):
     return support, depth
 
 
+def record_continuations(monkeypatch):
+    """Wrap ``_DepthPass.jacobian`` so that each pass it continues (on the
+    pass's first call) is appended to the returned list."""
+    continued, continue_pass = [], alignment._DepthPass.jacobian
+
+    def counted(depth_pass):
+        if depth_pass._jacobian is None:
+            continued.append(depth_pass)
+        return continue_pass(depth_pass)
+
+    monkeypatch.setattr(alignment._DepthPass, "jacobian", counted)
+    return continued
+
+
 def unskipped_depth_kernel(points, obs, intrinsics, jacobian=False):
     """The depth kernel as it was before the reach window: every point runs
     all 16 taps, gated by a gather from the support window. Kept as the
@@ -416,13 +430,13 @@ class TestSmoothDepthResiduals:
     def test_on_surface_residuals_vanish(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 1)
-        r = smooth_depth_residuals(pts, observation_of(depth), K)
+        r = smooth_depth_residuals(pts, observation_of(depth), K).residuals
         assert np.abs(r).max() < 1e-9
 
     def test_offset_residuals(self):
         pts = plane_points()
         depth = splat_depth(pts, K, 3)  # gap-free support over the patch
-        r = smooth_depth_residuals(pts + np.array([0.0, 0.0, 0.01]), observation_of(depth), K)
+        r = smooth_depth_residuals(pts + np.array([0.0, 0.0, 0.01]), observation_of(depth), K).residuals
         interior = np.abs(r - 0.01) < 1e-9
         assert interior.mean() > 0.9  # all but mask-boundary points
 
@@ -430,7 +444,7 @@ class TestSmoothDepthResiduals:
         pts = plane_points()
         depth = splat_depth(pts, K, 1)
         far = pts + np.array([10.0, 0.0, 0.0])  # projects far outside the image
-        r = smooth_depth_residuals(far, observation_of(depth), K)
+        r = smooth_depth_residuals(far, observation_of(depth), K).residuals
         np.testing.assert_array_equal(r, np.zeros(len(far)))
 
     def test_near_points_are_inf_and_leave_the_others_alone(self):
@@ -441,9 +455,9 @@ class TestSmoothDepthResiduals:
         near[[0, 5, 9]] = True
         shifted[near, 2] = (0.5 * alignment._MIN_DEPTH, 0.0, -0.2)
         obs = observation_of(depth)
-        r = smooth_depth_residuals(shifted, obs, K)
+        r = smooth_depth_residuals(shifted, obs, K).residuals
         assert np.all(r[near] == np.inf)
-        without = smooth_depth_residuals(shifted[~near], obs, K)
+        without = smooth_depth_residuals(shifted[~near], obs, K).residuals
         assert np.any(without != 0.0)
         assert r[~near].tobytes() == without.tobytes()
 
@@ -452,8 +466,8 @@ class TestSmoothDepthResiduals:
         depth = splat_depth(pts, K, 1)
         nan_filled = np.where(depth.valid, depth.values, np.nan)
         shifted = pts + np.array([0.0, 0.0, 0.01])
-        zero = smooth_depth_residuals(shifted, observation_of(depth), K)
-        nan = smooth_depth_residuals(shifted, observation_of(DepthImage(values=nan_filled)), K)
+        zero = smooth_depth_residuals(shifted, observation_of(depth), K).residuals
+        nan = smooth_depth_residuals(shifted, observation_of(DepthImage(values=nan_filled)), K).residuals
         assert np.all(np.isfinite(zero)) and np.any(zero != 0.0)
         assert nan.tobytes() == zero.tobytes()
 
@@ -474,10 +488,12 @@ class TestSmoothDepthResiduals:
         mask[:, : K.width // 2 - 20] = False  # a mask edge inside the supported patch
         clouds = [points_at_pixels(uvz) for uvz in sets]
         obs = observation_of(depth, mask)
-        stacked = smooth_depth_residuals(np.concatenate(clouds), obs, K, jacobian=True)
-        separate = [smooth_depth_residuals(c, obs, K, jacobian=True) for c in clouds]
-        for k in range(2):
-            assert stacked[k].tobytes() == np.concatenate([out[k] for out in separate]).tobytes()
+        stacked = smooth_depth_residuals(np.concatenate(clouds), obs, K)
+        separate = [smooth_depth_residuals(c, obs, K) for c in clouds]
+        assert (stacked.residuals.tobytes()
+                == np.concatenate([p.residuals for p in separate]).tobytes())
+        assert (stacked.jacobian().tobytes()
+                == np.concatenate([p.jacobian() for p in separate]).tobytes())
 
 
     @staticmethod
@@ -530,7 +546,7 @@ class TestSmoothDepthResiduals:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         pts = data.draw(self._clouds(box))
         obs = observation_of(self._noisy_depth(rng), mask)
-        r = smooth_depth_residuals(pts, obs, K)
+        r = smooth_depth_residuals(pts, obs, K).residuals
         expected = reference_depth_residuals(pts, obs.depth.values, obs.support.valid, K)
         assert r.tobytes() == expected.tobytes()
 
@@ -544,11 +560,12 @@ class TestSmoothDepthResiduals:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         pts = data.draw(self._clouds(box))
         obs = observation_of(self._noisy_depth(rng), mask)
-        r, jac = smooth_depth_residuals(pts, obs, K, jacobian=True)
+        depth_pass = smooth_depth_residuals(pts, obs, K)
         r_ref, jac_ref = unskipped_depth_kernel(pts, obs, K, jacobian=True)
-        assert r.tobytes() == r_ref.tobytes()
-        assert jac.tobytes() == jac_ref.tobytes()
-        assert smooth_depth_residuals(pts, obs, K).tobytes() == r_ref.tobytes()
+        assert depth_pass.residuals.tobytes() == r_ref.tobytes()
+        assert depth_pass.jacobian().tobytes() == jac_ref.tobytes()
+        # continuing the pass leaves its residuals' bits
+        assert depth_pass.residuals.tobytes() == r_ref.tobytes()
 
     def test_non_finite_points_keep_the_unskipped_results(self):
         pts = plane_points()
@@ -558,7 +575,8 @@ class TestSmoothDepthResiduals:
             np.nan, np.inf, np.inf, -np.inf, 1e306, -np.inf)
         cloud = np.concatenate((pts[:50], odd))
         with np.errstate(invalid="ignore", over="ignore"):
-            r, jac = smooth_depth_residuals(cloud, obs, K, jacobian=True)
+            depth_pass = smooth_depth_residuals(cloud, obs, K)
+            r, jac = depth_pass.residuals, depth_pass.jacobian()
             r_ref, jac_ref = unskipped_depth_kernel(cloud, obs, K, jacobian=True)
         assert r.tobytes() == r_ref.tobytes() and jac.tobytes() == jac_ref.tobytes()
         assert not np.any(np.isfinite(r[50:]))
@@ -598,7 +616,8 @@ class TestSmoothDepthResiduals:
         uv = [(277.9, 240.5), (361.0, 240.5), (320.5, 197.9), (320.5, 281.0),
               (100.5, 100.5), (-5e4, 3e4)]
         cloud = points_at_pixels([(u, v, 0.41) for u, v in uv])
-        r, jac = smooth_depth_residuals(cloud, obs, K, jacobian=True)
+        depth_pass = smooth_depth_residuals(cloud, obs, K)
+        r, jac = depth_pass.residuals, depth_pass.jacobian()
         assert r.tobytes() == np.zeros(len(uv)).tobytes()
         assert jac.tobytes() == np.zeros((len(uv), 3)).tobytes()
         r_ref, jac_ref = unskipped_depth_kernel(cloud, obs, K, jacobian=True)
@@ -607,7 +626,7 @@ class TestSmoothDepthResiduals:
         closer = points_at_pixels([(u, v, 0.41) for u, v in
                                    [(278.5, 240.5), (360.5, 240.5), (320.5, 198.5),
                                     (320.5, 280.5)]])
-        assert np.all(smooth_depth_residuals(closer, obs, K) != 0.0)
+        assert np.all(smooth_depth_residuals(closer, obs, K).residuals != 0.0)
 
     def test_point_clipped_into_the_pad_reads_exactly_zero(self):
         pts = plane_points()
@@ -620,10 +639,10 @@ class TestSmoothDepthResiduals:
         uv = [(269.5, 240.5), (370.5, 240.5), (320.5, 189.5), (320.5, 290.5)]
         assert all(depth.valid[int(v), int(u)] for u, v in uv)
         clipped = points_at_pixels([(u, v, 0.41) for u, v in uv])
-        r = smooth_depth_residuals(clipped, obs, K)
+        r = smooth_depth_residuals(clipped, obs, K).residuals
         assert r.tobytes() == np.zeros(len(uv)).tobytes()
         # the same points reach the support once it covers them
-        assert np.all(smooth_depth_residuals(clipped, observation_of(depth), K) != 0.0)
+        assert np.all(smooth_depth_residuals(clipped, observation_of(depth), K).residuals != 0.0)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -638,21 +657,41 @@ class TestSmoothDepthResiduals:
                                            st.floats(0.05, 1.0)), min_size=1, max_size=30))
         pts = points_at_pixels(uvz)
         obs = observation_of(depth, mask)
-        r, jac = smooth_depth_residuals(pts, obs, K, jacobian=True)
-        assert r.tobytes() == smooth_depth_residuals(pts, obs, K).tobytes()
+        depth_pass = smooth_depth_residuals(pts, obs, K)
+        before = depth_pass.residuals.tobytes()
+        jac = depth_pass.jacobian()
+        assert depth_pass.residuals.tobytes() == before
         h = 1e-8
         fd = np.column_stack([
-            (smooth_depth_residuals(pts + h * e, obs, K)
-             - smooth_depth_residuals(pts - h * e, obs, K)) / (2 * h) for e in np.eye(3)])
+            (smooth_depth_residuals(pts + h * e, obs, K).residuals
+             - smooth_depth_residuals(pts - h * e, obs, K).residuals) / (2 * h)
+            for e in np.eye(3)])
         np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(fd).max()))
 
     def test_jacobian_of_a_near_point_is_nan(self):
         pts = plane_points()
         obs = observation_of(splat_depth(pts, K, 3))
         pts[7, 2] = 0.5 * alignment._MIN_DEPTH
-        r, jac = smooth_depth_residuals(pts, obs, K, jacobian=True)
+        depth_pass = smooth_depth_residuals(pts, obs, K)
+        r, jac = depth_pass.residuals, depth_pass.jacobian()
         assert r[7] == np.inf and np.all(np.isnan(jac[7]))
         assert np.all(np.isfinite(np.delete(jac, 7, axis=0)))
+
+    def test_late_continuation_gives_the_bits_of_an_immediate_one(self):
+        pts = plane_points()
+        obs = observation_of(splat_depth(pts, K, 3))
+        shifted = pts + np.array([0.0, 0.0, 0.01])
+        shifted[3, 2] = 0.5 * alignment._MIN_DEPTH
+        late = smooth_depth_residuals(shifted, obs, K)
+        residual_bits = late.residuals.tobytes()
+        # other passes run and are continued before the late one is
+        for dz in (0.005, -0.003):
+            smooth_depth_residuals(pts + np.array([0.0, 0.0, dz]), obs, K).jacobian()
+        at_once = smooth_depth_residuals(shifted, obs, K).jacobian()
+        jac = late.jacobian()
+        assert jac.tobytes() == at_once.tobytes()
+        assert late.jacobian() is jac
+        assert late.residuals.tobytes() == residual_bits
 
 
 class TestAlignHandFrame:
@@ -769,8 +808,9 @@ class TestAlignHandFrame:
         passes, points, gradients, memos = [], set(), [], []
 
         def counted_kernel(pts, *args, **kwargs):
-            passes.append((len(pts), kwargs.get("jacobian", False)))
-            return kernel(pts, *args, **kwargs)
+            depth_pass = kernel(pts, *args, **kwargs)
+            passes.append(depth_pass)
+            return depth_pass
 
         def recorded_evaluate(memo, cfg, correspondences, x, gradient=False, bound=np.inf):
             points.add(np.asarray(x, dtype=float).tobytes())
@@ -783,15 +823,22 @@ class TestAlignHandFrame:
                 memos.append(weakref.ref(self))
 
         monkeypatch.setattr(alignment, "smooth_depth_residuals", counted_kernel)
+        continued = record_continuations(monkeypatch)
         monkeypatch.setattr(alignment, "_evaluate", recorded_evaluate)
         monkeypatch.setattr(alignment, "_PassMemo", RecordedMemo)
         align_hand_frame(hand, sampled, obs, K)
         assert any(gradients) and len(gradients) > len(points)
         n = len(sampled)
-        scan = (len(alignment._SCALE_GRID) * n, False)
         # the start's pass (the overlap check and its fresh score), the
         # scan's stacked pass, then the scan's pick and every later point
-        assert passes == [(n, False), scan] + [(n, False)] * (len(points) - 1)
+        assert ([len(p.residuals) for p in passes]
+                == [n, len(alignment._SCALE_GRID) * n] + [n] * (len(points) - 1))
+        # gradients continue value passes, each at most once, and never
+        # the scan's
+        assert continued and len(continued) <= sum(gradients)
+        assert len({id(p) for p in continued}) == len(continued)
+        assert all(any(p is q for q in passes) for p in continued)
+        assert all(p is not passes[1] for p in continued)
         assert len(memos) == 1
         gc.collect()
         assert memos[0]() is None
@@ -1124,7 +1171,7 @@ class TestScaleScan:
         cfg = AlignConfig()
         for _ in range(5):
             x = np.concatenate([[rng.uniform(-0.3, 0.3)], rng.uniform(-0.1, 0.1, size=6)])
-            d = smooth_depth_residuals(moved_by(sampled.points, x), obs, K)
+            d = smooth_depth_residuals(moved_by(sampled.points, x), obs, K).residuals
             lower = (cfg.lambda_rend * float(np.mean(pseudo_huber(d, cfg.huber_delta)))
                      + cfg.lambda_reg * float(x[1:] @ x[1:]))
             memo = alignment._PassMemo(sampled, obs, K)
@@ -1235,18 +1282,19 @@ class TestAlignmentGradient:
         kernel = alignment.smooth_depth_residuals
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("jacobian", False))
-            return kernel(*args, **kwargs)
+            calls.append(kernel(*args, **kwargs))
+            return calls[-1]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the alignment gradient took finite differences")
 
         monkeypatch.setattr(alignment, "smooth_depth_residuals", counted)
+        continued = record_continuations(monkeypatch)
         monkeypatch.setattr(solver, "fd_gradient", forbidden)
         # off the anchor, whose value pass the problem ran when it froze
         # the correspondences there
         grad = problem.gradient(x + 0.01)
-        assert calls == [True]
+        assert len(calls) == 1 and len(continued) == 1 and continued[0] is calls[0]
         assert grad.shape == (7,) and np.all(np.isfinite(grad))
 
     def test_near_point_gives_inf_objective_and_nan_gradient(self, rng):

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import shutil
 from importlib import resources
 from pathlib import Path
@@ -113,6 +114,7 @@ class TestCmdSynth:
         ("--depth-scale", "nan", "depth_scale"),
         ("--depth-scale", "inf", "depth_scale"),
         ("--depth-scale", "0", "depth_scale"),
+        ("--seed", "-1", "seed"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "out"
@@ -327,6 +329,15 @@ class TestCmdPipeline:
         ("config.json", set_element("finger_mapping", "index", to=lambda v: 5)),
         ("config.json", set_element("proximal_links", "thumb", to=lambda v: [v])),
         ("config.json", set_element("proximal_links", "ring", to=lambda v: None)),
+        # every URDF number goes through one parser
+        ("hand.urdf", lambda text: re.sub(r'lower="[^"]*"', 'lower="abc"', text, count=1)),
+        # seeds and frame indices reach numpy's generator, which takes no
+        # negative seed: with the config's seed 7, index -8 would draw at -1
+        ("config.json", set_json(seed=-1)),
+        ("hand_trajectory.json", set_json(frame=0, index=-8)),
+        # an output directory that cannot be made
+        ("config.json", set_json(output_dir="hand.urdf")),
+        ("config.json", set_json(output_dir="hand.urdf/out")),
     ], ids=["ply-vertex-count", "frame-index", "frame-contacts", "fps", "seed", "proximal-links",
             "mount-offset", "ply-bare-format", "align-inner-iters", "align-splat-footprint",
             "solver-max-iters", "align-lambda-rend-nan", "align-huber-delta-nan",
@@ -341,7 +352,8 @@ class TestCmdPipeline:
             "intrinsics-fx-string", "intrinsics-fy-bool", "intrinsics-width-float",
             "intrinsics-height-string", "align-huber-delta-bool", "solver-grad-tol-bool",
             "taxonomy-list", "taxonomy-number", "finger-mapping-list", "finger-mapping-number",
-            "proximal-link-list", "proximal-link-null"])
+            "proximal-link-list", "proximal-link-null", "urdf-limit-text", "seed-negative",
+            "frame-index-negative", "output-dir-is-a-file", "output-dir-under-a-file"])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, path, edit):
         out = tmp_path / "fix"
         assert main(["synth", "--out-dir", str(out), "--seed", "4",
@@ -528,6 +540,15 @@ class TestCmdFk:
         code = main(["fk", "--urdf", str(urdf), "--links", "ghost"])
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR fk:")
+
+    def test_axis_without_xyz_is_input_error(self, tmp_path, capsys):
+        urdf = write_urdf(tmp_path)
+        urdf.write_text(re.sub(r'<axis xyz="[^"]*"/>', "<axis/>", urdf.read_text(), count=1))
+        code = main(["fk", "--urdf", str(urdf)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR fk: joint ") and "axis xyz is missing" in err
+        assert "\n" not in err.strip()
 
     def test_bad_q_is_input_error(self, tmp_path, capsys):
         urdf = write_urdf(tmp_path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -540,6 +542,35 @@ class TestParseUrdf:
         """
         with pytest.raises(UrdfValidationError):
             parse_urdf(text)
+
+    @pytest.mark.parametrize("text, old, new, message", [
+        (ONE_JOINT, 'lower="-1"', 'lower="abc"', "cannot parse joint 'spin' limit lower"),
+        (ONE_JOINT, 'lower="-1"', "", "joint 'spin' limit lower is missing"),
+        (ONE_JOINT, 'upper="1"', 'upper="nan"', "joint 'spin' limit upper must be finite"),
+        (ONE_JOINT, 'upper="1"', 'upper="inf"', "joint 'spin' limit upper must be finite"),
+        (ONE_JOINT, 'lower="-1"', 'lower="2"', "joint 'spin': limits must have lower <= upper"),
+        (ONE_JOINT, '<axis xyz="0 0 1"/>', "<axis/>", "joint 'spin' axis xyz is missing"),
+        (ONE_JOINT, '<axis xyz="0 0 1"/>', '<axis xyz="0 -inf 1"/>',
+         "joint 'spin' axis xyz must be finite"),
+        (PRISMATIC_MIMIC, 'multiplier="-0.7"', 'multiplier="x"',
+         "cannot parse joint 'follow' mimic multiplier"),
+        (PRISMATIC_MIMIC, 'multiplier="-0.7"', 'multiplier="nan"',
+         "joint 'follow' mimic multiplier must be finite"),
+        (PRISMATIC_MIMIC, 'multiplier="1.5"', 'multiplier="inf"',
+         "joint 'extend' mimic multiplier must be finite"),
+        (PRISMATIC_MIMIC, 'offset="0.2"', 'offset="-inf"',
+         "joint 'follow' mimic offset must be finite"),
+        (PRISMATIC_MIMIC, 'offset="-0.05"', 'offset="1 2"',
+         "joint 'extend' mimic offset must have 1 components"),
+        (PRISMATIC_MIMIC, 'rpy="0.2 0.1 0.0"', 'rpy="0.2 nan 0.0"',
+         "joint 'tip_mount' origin rpy must be finite"),
+    ], ids=["lower-text", "lower-missing", "upper-nan", "upper-inf", "lower-above-upper",
+            "axis-xyz-missing", "axis-xyz-inf", "multiplier-text", "multiplier-nan",
+            "multiplier-inf", "offset-inf", "offset-two-numbers", "origin-rpy-nan"])
+    def test_joint_numbers_are_present_and_finite(self, text, old, new, message):
+        assert old in text
+        with pytest.raises(UrdfValidationError, match=f"^{re.escape(message)}"):
+            parse_urdf(text.replace(old, new))
 
     def test_unsupported_joint_type(self):
         bad = ONE_JOINT.replace('type="revolute"', 'type="floating"')
