@@ -51,6 +51,8 @@ _PARAM_LO = np.concatenate(([LOG_SCALE_BOUNDS[0]], -TWIST_BOUND * np.ones(6)))
 _PARAM_HI = np.concatenate(([LOG_SCALE_BOUNDS[1]], TWIST_BOUND * np.ones(6)))
 # skeleton surface samples per frame registered against the observation
 HAND_SURFACE_POINTS = 500
+# observed points per frame: the fewest that PCA normals can be taken over
+MIN_CLOUD_POINTS = 3
 # pixels of zero support around the hand support's bounding box: the depth
 # kernel's taps reach 1 px before and 2 px after a projection, so the taps
 # of a projection clipped to the window's border all fall in the pad
@@ -799,11 +801,10 @@ def align_trajectory(
     results = []
     prev: Optional[HandAlignment] = None
     for frame, obs in zip(trajectory.frames, observations):
-        if len(obs.cloud) == 0:
-            raise AlignmentError(
-                f"frame {frame.frame_index}: empty observation cloud",
-                frame_index=frame.frame_index,
-            )
+        if len(obs.cloud) < MIN_CLOUD_POINTS:
+            raise InvalidArgumentError(
+                f"frame {frame.frame_index}: the observed cloud has {len(obs.cloud)} points;"
+                f" alignment needs at least {MIN_CLOUD_POINTS}")
         sampled = PointCloud(points=sample_hand_surface(
             frame.joints, HAND_SURFACE_POINTS, seed=seed + frame.frame_index,
             visible_from=(0.0, 0.0, 0.0)))

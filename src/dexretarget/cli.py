@@ -20,20 +20,15 @@ import numpy as np
 from . import dataio
 from .errors import (
     AlignmentError,
-    ConfigError,
-    DataParseError,
     DexRetargetError,
-    FormatError,
     InvalidArgumentError,
     LineSearchError,
     RefineError,
     RegistrationError,
     RetargetError,
     SolverStartError,
-    UrdfStructureError,
-    UrdfValidationError,
 )
-from .pipeline import StageFailure, run_pipeline
+from .pipeline import StageFailure, run_pipeline, stage
 from .robot_model import link_origins, parse_urdf
 from .synthetic import SynthConfig, synth_hand_trajectory
 
@@ -41,8 +36,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONVERGENCE = 2
 
-_INPUT_ERRORS = (ConfigError, DataParseError, FormatError, InvalidArgumentError,
-                 UrdfStructureError, UrdfValidationError, OSError)
 _CONVERGENCE_ERRORS = (AlignmentError, RegistrationError, RetargetError,
                        RefineError, SolverStartError, LineSearchError)
 
@@ -55,53 +48,44 @@ def _setup_logging(verbose: bool) -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _fail(stage: str, exc: Exception, code: int) -> int:
+def _fail(name: str, exc: Exception) -> int:
+    """Print the one ERROR line for a failure of stage ``name``; exit 2 for
+    a convergence error, 1 for any other."""
     message = str(exc).replace("\n", " ")
-    print(f"ERROR {stage}: {message}", file=sys.stderr)
-    return code
+    print(f"ERROR {name}: {message}", file=sys.stderr)
+    return EXIT_CONVERGENCE if isinstance(exc, _CONVERGENCE_ERRORS) else EXIT_INPUT
 
 
 def cmd_synth(args) -> int:
-    stage = "synth"
-    try:
-        cfg = SynthConfig(
-            n_frames=args.frames,
-            noise_sigma=args.noise,
-            seed=args.seed,
-            depth_scale=args.depth_scale,
-        )
-        fixture = synth_hand_trajectory(cfg)
-        out = Path(args.out_dir)
-        obs = out / "observations"
-        obs.mkdir(parents=True, exist_ok=True)
-        dataio.write_hand_trajectory(fixture.trajectory, out / "hand_trajectory.json")
-        dataio.write_intrinsics(fixture.intrinsics, obs / "intrinsics.json")
-        for k, (cloud, depth, mask) in enumerate(
-                zip(fixture.clouds, fixture.depths, fixture.masks)):
-            dataio.write_ply(cloud, obs / f"frame_{k:04d}.ply")
-            dataio.write_pfm_depth(depth, obs / f"frame_{k:04d}.pfm")
-            dataio.write_pgm_mask(mask, obs / f"frame_{k:04d}.pgm")
-        dataio.write_ply(fixture.object_true, out / "object_true.ply")
-        dataio.write_ply(fixture.object_pred, out / "object_pred.ply")
-        print(f"wrote {args.frames}-frame fixture to {out}")
-        return EXIT_OK
-    except _INPUT_ERRORS as exc:
-        return _fail(stage, exc, EXIT_INPUT)
+    cfg = SynthConfig(
+        n_frames=args.frames,
+        noise_sigma=args.noise,
+        seed=args.seed,
+        depth_scale=args.depth_scale,
+    )
+    fixture = synth_hand_trajectory(cfg)
+    out = Path(args.out_dir)
+    obs = out / "observations"
+    obs.mkdir(parents=True, exist_ok=True)
+    dataio.write_hand_trajectory(fixture.trajectory, out / "hand_trajectory.json")
+    dataio.write_intrinsics(fixture.intrinsics, obs / "intrinsics.json")
+    for k, (cloud, depth, mask) in enumerate(
+            zip(fixture.clouds, fixture.depths, fixture.masks)):
+        dataio.write_ply(cloud, obs / f"frame_{k:04d}.ply")
+        dataio.write_pfm_depth(depth, obs / f"frame_{k:04d}.pfm")
+        dataio.write_pgm_mask(mask, obs / f"frame_{k:04d}.pgm")
+    dataio.write_ply(fixture.object_true, out / "object_true.ply")
+    dataio.write_ply(fixture.object_pred, out / "object_pred.ply")
+    print(f"wrote {args.frames}-frame fixture to {out}")
+    return EXIT_OK
 
 
 def _run_stages(args, stop_after: str) -> int:
-    try:
+    with stage("config"):
         config, warnings = dataio.load_config(args.config, lenient=args.lenient)
-        for w in warnings:
-            logging.getLogger(__name__).warning(w)
-    except _INPUT_ERRORS as exc:
-        return _fail("config", exc, EXIT_INPUT)
-    try:
-        result = run_pipeline(config, stop_after=stop_after)
-    except StageFailure as exc:
-        if isinstance(exc.cause, _CONVERGENCE_ERRORS):
-            return _fail(exc.stage, exc.cause, EXIT_CONVERGENCE)
-        return _fail(exc.stage, exc.cause, EXIT_INPUT)
+    for w in warnings:
+        logging.getLogger(__name__).warning(w)
+    result = run_pipeline(config, stop_after=stop_after)
     if result.trajectory is not None:
         print(f"trajectory: {result.trajectory_path}")
     print(f"report: {result.report_path}")
@@ -109,19 +93,18 @@ def _run_stages(args, stop_after: str) -> int:
 
 
 def cmd_fk(args) -> int:
-    stage = "fk"
+    model = parse_urdf(dataio.read_text(args.urdf))
     try:
-        model = parse_urdf(Path(args.urdf).read_text())
         q = np.array([float(t) for t in args.q.split(",")]) if args.q else model.mid_limits()
-        if not np.all(np.isfinite(q)):
-            raise InvalidArgumentError(f"--q values must be finite, got {args.q!r}")
-        links = args.links.split(",") if args.links else model.links
-        origins = link_origins(model, q, np.eye(3), np.zeros(3), links)
-        out = {name: [float(v) for v in o] for name, o in zip(links, origins)}
-        print(json.dumps(out, indent=1, sort_keys=True))
-        return EXIT_OK
-    except (ValueError,) + _INPUT_ERRORS as exc:  # ValueError: a non-numeric --q
-        return _fail(stage, exc, EXIT_INPUT)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"--q must be comma-separated numbers: {exc}") from exc
+    if not np.all(np.isfinite(q)):
+        raise InvalidArgumentError(f"--q values must be finite, got {args.q!r}")
+    links = args.links.split(",") if args.links else model.links
+    origins = link_origins(model, q, np.eye(3), np.zeros(3), links)
+    out = {name: [float(v) for v in o] for name, o in zip(links, origins)}
+    print(json.dumps(out, indent=1, sort_keys=True))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,8 +165,10 @@ def main(argv=None) -> int:
     _setup_logging(args.verbose)
     try:
         return args.func(args)
-    except DexRetargetError as exc:  # uncategorized package error
-        return _fail(args.command, exc, EXIT_INPUT)
+    except StageFailure as exc:
+        return _fail(exc.stage, exc.cause)
+    except (OSError, DexRetargetError) as exc:
+        return _fail(args.command, exc)
 
 
 if __name__ == "__main__":

@@ -70,13 +70,14 @@ def _decode_text(raw: bytes, path) -> str:
         raise FormatError(f"{path}: not a text file ({exc})") from exc
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
+    """The file decoded as UTF-8; other bytes are a FormatError."""
     return _decode_text(Path(path).read_bytes(), path)
 
 
 def _load_json(path):
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataParseError(f"invalid JSON: {exc}", location=str(path)) from exc
     if not isinstance(doc, dict):
@@ -319,7 +320,7 @@ def read_ply(path) -> PointCloud:
     The header is walked line by line; the vertex rows after it must keep
     to the row grammar in FORMATS.md and go to numpy's text parser in one
     call."""
-    text = _read_text(path)
+    text = read_text(path)
     lines = _lines(text)
     first = next(lines, None)
     if first is None or first[0].strip() != "ply":

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -14,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import dataio
-from .alignment import FrameObservation, align_trajectory, calibrate_depth_sequence
+from .alignment import (MIN_CLOUD_POINTS, FrameObservation, align_trajectory,
+                        calibrate_depth_sequence)
 from .dataio import PipelineConfig
 from .errors import ConfigError, DexRetargetError
 from .hand_model import compute_hand_scale, default_vector_spec
@@ -30,6 +32,7 @@ from .robot_model import parse_urdf
 log = logging.getLogger(__name__)
 
 NORMAL_NEIGHBORS = 16
+STAGES = ("calibrate", "align", "retarget", "refine")
 
 
 class StageFailure(DexRetargetError):
@@ -53,9 +56,13 @@ class PipelineResult:
 
 
 def _load_observations(config: PipelineConfig, n_frames: int):
-    """The intrinsics, each frame's (cloud, depth) pair and each frame's hand mask."""
+    """The intrinsics, each frame's (cloud, depth) pair and each frame's hand mask.
+
+    Every depth map and mask must have the intrinsics' (height, width), and
+    every cloud at least MIN_CLOUD_POINTS points."""
     obs_dir = config.observations_dir
     intrinsics = dataio.read_intrinsics(obs_dir / "intrinsics.json")
+    size = (intrinsics.height, intrinsics.width)
     pairs, masks = [], []
     for k in range(n_frames):
         stem = f"frame_{k:04d}"
@@ -65,44 +72,62 @@ def _load_observations(config: PipelineConfig, n_frames: int):
         for p in (cloud_path, depth_path, mask_path):
             if not p.is_file():
                 raise ConfigError(f"missing observation file: {p}")
-        pairs.append((dataio.read_ply(cloud_path), dataio.read_pfm_depth(depth_path)))
-        masks.append(dataio.read_pgm_mask(mask_path))
+        cloud = dataio.read_ply(cloud_path)
+        if len(cloud) < MIN_CLOUD_POINTS:
+            raise ConfigError(f"frame {k}: {cloud_path} has {len(cloud)} points;"
+                              f" the observed cloud needs at least {MIN_CLOUD_POINTS}")
+        depth, mask = dataio.read_pfm_depth(depth_path), dataio.read_pgm_mask(mask_path)
+        for path, shape in ((depth_path, depth.shape), (mask_path, mask.shape)):
+            if shape != size:
+                raise ConfigError(f"{path} is {shape[1]}x{shape[0]} pixels, but the"
+                                  f" intrinsics are {size[1]}x{size[0]}")
+        pairs.append((cloud, depth))
+        masks.append(mask)
     return intrinsics, pairs, masks
 
 
+@contextmanager
+def stage(name: str, timings: Optional[dict] = None, key: Optional[str] = None):
+    """Run one pipeline stage: an OSError or package error raised inside
+    becomes StageFailure(name, cause), and with ``timings`` the stage's
+    wall time is recorded under ``key`` (default ``name``)."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (OSError, DexRetargetError) as exc:
+        raise StageFailure(name, exc) from exc
+    if timings is not None:
+        timings[key or name] = time.perf_counter() - t0
+
+
 def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> PipelineResult:
-    """Run the pipeline; ``stop_after`` in {calibrate, align, retarget, refine}
-    truncates it for stage inspection.
+    """Run the pipeline; ``stop_after`` in STAGES truncates it for stage
+    inspection. The outputs are written whatever stage it stops after.
 
     Raises StageFailure naming the failing stage.
     """
-    order = ["calibrate", "align", "retarget", "refine"]
-    if stop_after not in order:
-        raise ConfigError(f"unknown stage {stop_after!r}; expected one of {order}")
+    if stop_after not in STAGES:
+        raise ConfigError(f"unknown stage {stop_after!r}; expected one of {list(STAGES)}")
+    last = STAGES.index(stop_after)
     timings = {}
-    out_dir = config.output_dir
+    calibration = robot_traj = refine_report = None
+    alignments = []
 
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        model = parse_urdf(config.urdf.read_text())
+    with stage("config"):
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        model = parse_urdf(dataio.read_text(config.urdf))
         trajectory = dataio.read_hand_trajectory(config.hand_trajectory)
         intrinsics, pairs, masks = _load_observations(config, len(trajectory))
         config.finger_mapping.validate_against(model)
         palm = config.palm_link or model.root_link
         if not model.has_link(palm):
             raise ConfigError(f"palm link {palm!r} not in model")
-        if config.proximal_links:
-            for digit, link in config.proximal_links.items():
-                if not model.has_link(link):
-                    raise ConfigError(f"proximal link {link!r} not in model")
-    except (OSError, DexRetargetError) as exc:
-        raise StageFailure("config", exc) from exc
+        for link in (config.proximal_links or {}).values():
+            if not model.has_link(link):
+                raise ConfigError(f"proximal link {link!r} not in model")
 
-    # stage: depth calibration
-    calibration = None
-    t0 = time.perf_counter()
-    if config.object_cloud_true is not None and config.object_cloud_pred is not None:
-        try:
+    with stage("calibrate", timings):
+        if config.object_cloud_true is not None and config.object_cloud_pred is not None:
             obj_true = dataio.read_ply(config.object_cloud_true)
             obj_pred = dataio.read_ply(config.object_cloud_pred)
             # calibrates the pairs in place, so the uncalibrated and the
@@ -113,94 +138,66 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
             )
             log.info("calibration: scale=%.6f angle=%.5f rad",
                      calibration.scale, calibration.rotation.angle())
-        except DexRetargetError as exc:
-            raise StageFailure("calibrate", exc) from exc
-    timings["calibrate"] = time.perf_counter() - t0
-    if stop_after == "calibrate":
-        return _finish(config, None, [], calibration, None, timings, model)
 
-    # stage: per-frame hand alignment
-    t0 = time.perf_counter()
-    try:
-        observations = [
-            FrameObservation(
-                cloud=estimate_normals(cloud, k=min(NORMAL_NEIGHBORS, max(3, len(cloud) - 1))),
-                depth=depth,
-                hand_mask=mask,
+    if last >= STAGES.index("align"):
+        with stage("align", timings):
+            observations = [
+                FrameObservation(
+                    cloud=estimate_normals(cloud, k=min(NORMAL_NEIGHBORS, max(3, len(cloud) - 1))),
+                    depth=depth, hand_mask=mask)
+                for (cloud, depth), mask in zip(pairs, masks)
+            ]
+            alignments = align_trajectory(
+                trajectory, observations, intrinsics, cfg=config.align, seed=config.seed
             )
-            for (cloud, depth), mask in zip(pairs, masks)
-        ]
-        alignments = align_trajectory(
-            trajectory, observations, intrinsics, cfg=config.align, seed=config.seed
-        )
-    except DexRetargetError as exc:
-        raise StageFailure("align", exc) from exc
-    timings["align"] = time.perf_counter() - t0
-    if stop_after == "align":
-        return _finish(config, None, alignments, calibration, None, timings, model)
 
-    # stage: taxonomy-weighted retargeting
-    t0 = time.perf_counter()
-    try:
-        spec = default_vector_spec(config.finger_mapping, palm, config.proximal_links)
-        corrected0 = trajectory.frames[0].transformed(
-            alignments[0].sigma, alignments[0].correction
-        )
-        scale = compute_hand_scale(model, config.finger_mapping, corrected0)
-        rcfg = replace(config.retarget, scale=scale)
-        robot_traj = retarget_trajectory(
-            model, trajectory.frames, alignments, config.finger_mapping,
-            spec, config.taxonomy, config.weight_table, rcfg,
-        )
-    except DexRetargetError as exc:
-        raise StageFailure("retarget", exc) from exc
-    timings["retarget"] = time.perf_counter() - t0
-    if stop_after == "retarget":
-        return _finish(config, robot_traj, alignments, calibration, None, timings, model)
-
-    # stage: contact refinement on the last annotated frame
-    t0 = time.perf_counter()
-    refine_report = None
-    try:
-        contact_idx = None
-        contacts = None
-        for k in range(len(trajectory) - 1, -1, -1):
-            hand = trajectory.frames[k]
-            corrected = hand.transformed(alignments[k].sigma, alignments[k].correction)
-            cand = contacts_from_hand(
-                corrected, config.finger_mapping,
-                lambda_init=config.retarget.lambda_init,
-                alternations=config.retarget.alternations,
+    if last >= STAGES.index("retarget"):
+        with stage("retarget", timings):
+            spec = default_vector_spec(config.finger_mapping, palm, config.proximal_links)
+            corrected0 = trajectory.frames[0].transformed(
+                alignments[0].sigma, alignments[0].correction
             )
-            if cand is not None:
-                contact_idx, contacts = k, cand
-                break
-        if contacts is not None:
-            frame = robot_traj.frames[contact_idx]
-            q_ref, wrist_ref, refine_report = refine_contact(
-                model, frame.q, frame.wrist_pose, config.finger_mapping,
-                contacts, rcfg,
+            scale = compute_hand_scale(model, config.finger_mapping, corrected0)
+            rcfg = replace(config.retarget, scale=scale)
+            robot_traj = retarget_trajectory(
+                model, trajectory.frames, alignments, config.finger_mapping,
+                spec, config.taxonomy, config.weight_table, rcfg,
             )
-            robot_traj = assemble_grasp_plan(robot_traj, contact_idx, (q_ref, wrist_ref))
-            log.info("refine: %d rounds, mean tip error %.5f m",
-                     refine_report.rounds, refine_report.mean_tip_error)
-    except DexRetargetError as exc:
-        raise StageFailure("refine_contact", exc) from exc
-    timings["refine"] = time.perf_counter() - t0
 
-    return _finish(config, robot_traj, alignments, calibration, refine_report,
-                   timings, model)
+    if last >= STAGES.index("refine"):
+        # contact refinement on the last annotated frame
+        with stage("refine_contact", timings, key="refine"):
+            contact_idx = None
+            contacts = None
+            for k in range(len(trajectory) - 1, -1, -1):
+                hand = trajectory.frames[k]
+                corrected = hand.transformed(alignments[k].sigma, alignments[k].correction)
+                cand = contacts_from_hand(
+                    corrected, config.finger_mapping,
+                    lambda_init=config.retarget.lambda_init,
+                    alternations=config.retarget.alternations,
+                )
+                if cand is not None:
+                    contact_idx, contacts = k, cand
+                    break
+            if contacts is not None:
+                frame = robot_traj.frames[contact_idx]
+                q_ref, wrist_ref, refine_report = refine_contact(
+                    model, frame.q, frame.wrist_pose, config.finger_mapping,
+                    contacts, rcfg,
+                )
+                robot_traj = assemble_grasp_plan(robot_traj, contact_idx, (q_ref, wrist_ref))
+                log.info("refine: %d rounds, mean tip error %.5f m",
+                         refine_report.rounds, refine_report.mean_tip_error)
 
-
-def _finish(config, robot_traj, alignments, calibration, refine_report, timings, model):
-    out_dir = config.output_dir
-    traj_path = out_dir / "robot_trajectory.json"
-    if robot_traj is not None:
-        dataio.write_robot_trajectory(robot_traj, traj_path)
-    report_path = out_dir / "report.txt"
-    report_path.write_text(render_report(alignments, calibration, refine_report, timings))
-    if alignments:
-        _write_alignment_report(alignments, out_dir / "alignments.txt")
+    traj_path = config.output_dir / "robot_trajectory.json"
+    report_path = config.output_dir / "report.txt"
+    with stage("output"):
+        if robot_traj is not None:
+            dataio.write_robot_trajectory(robot_traj, traj_path)
+        report_path.write_text(render_report(alignments, calibration, refine_report, timings))
+        if alignments:
+            _write_alignment_report(alignments, config.output_dir / "alignments.txt")
     return PipelineResult(
         trajectory_path=traj_path,
         report_path=report_path,

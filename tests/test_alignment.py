@@ -1550,6 +1550,18 @@ class TestAlignTrajectory:
         assert err.value.frame_index == 3
         assert "frame 3" in str(err.value)
 
+    @pytest.mark.parametrize("n_points", [0, 2])
+    def test_cloud_below_three_points_is_input_error_naming_frame(self, n_points):
+        # three points are the fewest that PCA normals can be taken over
+        traj, obs = self.make_sequence([(0.0, 0.0, 0.45)] * 2, seed=7)
+        cloud = obs[1].cloud
+        small = PointCloud(points=cloud.points[:n_points], normals=cloud.normals[:n_points])
+        obs[1] = FrameObservation(cloud=small, depth=obs[1].depth,
+                                  hand_mask=obs[1].support.valid)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^frame 1: the observed cloud has {n_points} points"):
+            align_trajectory(traj, obs, K, seed=7)
+
     def test_count_mismatch(self):
         traj, obs = self.make_sequence([(0.0, 0.0, 0.45)] * 3, seed=7)
         with pytest.raises(InvalidArgumentError):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dexretarget import alignment, cli, retarget
+from dexretarget import alignment, cli, dataio, pipeline, retarget
 from dexretarget.alignment import FrameObservation, HandAlignment, align_hand_frame
 from dexretarget.geometry import RigidTransform, Rotation, splat_depth
 from dexretarget.hand_model import HandFrame, HandTrajectory, TaxonomyClass, TaxonomyWeightTable
@@ -298,3 +298,32 @@ def test_solver_problem_survives_replacing_its_callables(stage, monkeypatch, han
     else:
         _refine_one_frame(hand16, mapping16)
     assert solves
+
+
+def test_timings_are_the_timed_stages_run(tmp_path):
+    """The benchmark reports ``pipeline.<stage>_s`` from
+    ``PipelineResult.timings`` and takes the load time as the wall time less
+    their sum, so the keys are exactly the stages run so far, in order,
+    with neither the config nor the output stage timed. A calibrate run
+    without object clouds runs no calibration but still records it."""
+    assert cli.main(["synth", "--out-dir", str(tmp_path), "--seed", "3",
+                     "--frames", "2"]) == 0
+    (tmp_path / "hand.urdf").write_text(
+        resources.files("dexretarget.assets").joinpath("four_finger_16dof.urdf").read_text())
+    doc = {"urdf": "hand.urdf", "hand_trajectory": "hand_trajectory.json",
+           "observations_dir": "observations", "output_dir": "out",
+           "taxonomy": "medium-wrap",
+           "finger_mapping": {"thumb": "thumb_tip", "index": "index_tip",
+                              "middle": "middle_tip", "ring": "ring_tip"}}
+    (tmp_path / "bare.json").write_text(json.dumps(doc))
+    doc.update(object_cloud_true="object_true.ply", object_cloud_pred="object_pred.ply")
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    stages = ["calibrate", "align", "retarget", "refine"]
+    config = dataio.load_config(tmp_path / "config.json")[0]
+    for n, stop_after in enumerate(stages, start=1):
+        timings = pipeline.run_pipeline(config, stop_after=stop_after).timings
+        assert list(timings) == stages[:n]
+        assert all(t >= 0.0 for t in timings.values())
+    bare = pipeline.run_pipeline(dataio.load_config(tmp_path / "bare.json")[0],
+                                 stop_after="calibrate")
+    assert bare.calibration is None and list(bare.timings) == ["calibrate"]

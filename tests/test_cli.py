@@ -493,6 +493,77 @@ class TestCmdPipeline:
         err = capsys.readouterr().err
         assert err.startswith("ERROR refine_contact:")
 
+    @pytest.mark.parametrize("command, blocked", [("pipeline", "robot_trajectory.json"),
+                                                  ("calibrate", "report.txt")])
+    def test_unwritable_output_is_input_error(self, fixture_dir, tmp_path, capsys, command,
+                                              blocked):
+        out = tmp_path / "fix"
+        shutil.copytree(fixture_dir, out)
+        shutil.rmtree(out / "out", ignore_errors=True)
+        (out / "out" / blocked).mkdir(parents=True)
+        code = main([command, "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR output:") and blocked in err
+        assert "\n" not in err.strip()
+
+    def test_urdf_that_is_no_utf8_is_input_error(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "fix"
+        shutil.copytree(fixture_dir, out)
+        urdf = out / "hand.urdf"
+        urdf.write_bytes(b"\xff\xfe<robot/>")
+        for argv, stage in ((["calibrate", "--config", str(out / "config.json")], "config"),
+                            (["fk", "--urdf", str(urdf)], "fk")):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"ERROR {stage}:") and "not a text file" in err
+            assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("object_clouds", [True, False],
+                             ids=["with-object-clouds", "without-object-clouds"])
+    @pytest.mark.parametrize("image", ["intrinsics", "mask"])
+    def test_observation_size_other_than_intrinsics_is_input_error(self, tmp_path, capsys,
+                                                                   object_clouds, image):
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        config = write_config(out)
+        if not object_clouds:
+            doc = json.loads(config.read_text())
+            del doc["object_cloud_true"], doc["object_cloud_pred"]
+            config.write_text(json.dumps(doc))
+        obs = out / "observations"
+        if image == "intrinsics":
+            # the 640x480 depth map and mask against 320x240 intrinsics
+            obs.joinpath("intrinsics.json").write_text(set_json(
+                fx=250.0, fy=250.0, cx=160.0, cy=120.0, width=320, height=240)(
+                obs.joinpath("intrinsics.json").read_text()))
+            bad, sizes = "frame_0000.pfm", ("640x480", "320x240")
+        else:
+            mask = dataio.read_pgm_mask(obs / "frame_0000.pgm")
+            dataio.write_pgm_mask(mask[:240, :320], obs / "frame_0000.pgm")
+            bad, sizes = "frame_0000.pgm", ("320x240", "640x480")
+        code = main(["pipeline", "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:") and bad in err
+        assert err.index(sizes[0]) < err.index(sizes[1])
+        assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("n_points", [0, 2])
+    def test_cloud_below_three_points_is_input_error_naming_frame(self, fixture_dir, tmp_path,
+                                                                  capsys, n_points):
+        out = tmp_path / "fix"
+        shutil.copytree(fixture_dir, out)
+        path = out / "observations" / "frame_0001.ply"
+        dataio.write_ply(PointCloud(points=dataio.read_ply(path).points[:n_points]), path)
+        code = main(["pipeline", "--config", str(out / "config.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR config: frame 1: {path} has {n_points} points")
+        assert "\n" not in err.strip()
+
 
 class TestStageCommands:
     def test_calibrate_only(self, fixture_dir):

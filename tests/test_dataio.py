@@ -336,7 +336,7 @@ _SHORTEST_EXACT_NORM = math.sqrt(sys.float_info.min)
 def reference_read_ply(path) -> PointCloud:
     """The token-by-token reader: one float() a token, rows split where
     str.splitlines splits and tokens where str.split does."""
-    lines = dataio._read_text(path).splitlines()
+    lines = dataio.read_text(path).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise FormatError("not a PLY file (missing 'ply' magic)")
     it = iter(enumerate(lines[1:], start=2))
