@@ -8,6 +8,7 @@ pixel centers at integer coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ def as_vec3(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.shape != (3,):
         raise InvalidArgumentError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidArgumentError("vector components must be finite")
     return v
 
@@ -50,9 +51,10 @@ class Rotation:
 
     def __init__(self, quat_wxyz):
         q = np.asarray(quat_wxyz, dtype=float)
-        if q.shape != (4,) or not np.all(np.isfinite(q)):
+        if q.shape != (4,) or not np.isfinite(q).all():
             raise InvalidArgumentError("quaternion must be 4 finite scalars (w, x, y, z)")
-        n = float(np.linalg.norm(q))
+        # the operations np.linalg.norm runs for a 1-D float64 vector
+        n = math.sqrt(q.dot(q))
         if n < 1e-12:
             raise InvalidArgumentError("quaternion norm is zero")
         self._q = q / n

@@ -9,6 +9,7 @@ middle=9..12, ring=13..16, pinky=17..20).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -89,13 +90,14 @@ class HandFrame:
             raise InvalidArgumentError(
                 f"expected {N_KEYPOINTS} joints, got shape {self.joints.shape}"
             )
-        if not np.all(np.isfinite(self.joints)):
+        if not np.isfinite(self.joints).all():
             raise InvalidArgumentError("hand joints must be finite")
         if not (0.0 <= self.confidence <= 1.0):
             raise InvalidArgumentError("confidence must lie in [0, 1]")
         if self.frame_index < 0:
             raise InvalidArgumentError(f"frame index must be non-negative, got {self.frame_index}")
-        gap = float(np.linalg.norm(self.joints[WRIST] - self.wrist_pose.translation))
+        d = self.joints[WRIST] - self.wrist_pose.translation
+        gap = math.sqrt(d.dot(d))  # np.linalg.norm's operations for a 1-D vector
         if gap > 1e-6:
             raise InvalidArgumentError(
                 f"joint 0 must coincide with the wrist pose translation (gap {gap:.2e} m)"
@@ -108,7 +110,7 @@ class HandFrame:
                 if digit not in DIGITS:
                     raise InvalidArgumentError(f"unknown contact digit {digit!r}")
                 arr = np.asarray(p, dtype=float)
-                if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+                if arr.shape != (3,) or not np.isfinite(arr).all():
                     raise InvalidArgumentError(f"contact point for {digit!r} must be a finite 3-vector")
                 checked[digit] = arr
             self.contacts = checked

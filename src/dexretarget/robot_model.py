@@ -16,7 +16,11 @@ joint value, sine, 1 - cosine and motion matrix for all configurations,
 and the Jacobian reads the same table. The model also groups the joints
 that share a depth and a motion kind (fixed, rotary, prismatic) once;
 each group is one batched numpy step over all its joints and all
-configurations, and a moving group reads its rows of the table.
+configurations, and a moving group reads its rows of the table. A group
+whose parent links are the previous group's child links, in the same
+order (a chain of finger segments), is marked chained once; it reads its
+parents' poses from the previous step's result instead of gathering them
+from the link arrays.
 
 A model keeps the results of its last two FK passes, keyed by the exact
 bytes of the configurations and the root pose, and answers a repeat from
@@ -52,6 +56,9 @@ from .geometry import RigidTransform, Rotation
 
 CONTINUOUS_BOX_SPAN = 2.0 * np.pi  # finite optimizer bounds for continuous joints
 FK_MEMO_SIZE = 2  # FK passes a model keeps; see the module docstring
+# the components of a 3-vector rolled by one and by two places
+_ROLL1 = np.array([1, 2, 0])
+_ROLL2 = np.array([2, 0, 1])
 
 _IGNORED_TAGS = {"visual", "collision", "inertial", "transmission", "gazebo",
                  "material", "sensor"}
@@ -86,13 +93,16 @@ class _FkGroup:
 
     ``kind`` is "fixed", "rotary" (revolute or continuous) or "prismatic".
     A moving group's constants live in the model's ``_JointStack``, of which
-    it holds the slice ``rows``; a fixed group holds an empty slice."""
+    it holds the slice ``rows``; a fixed group holds an empty slice.
+    ``chained`` is set when ``parents`` equals the previous group's
+    ``children``, in the same order."""
     kind: str
     parents: np.ndarray                   # (G,) link indices
     children: np.ndarray                  # (G,) link indices
     origin_r: np.ndarray                  # (G, 3, 3)
     origin_t: np.ndarray                  # (G, 3, 1)
     rows: slice
+    chained: bool
 
 
 @dataclass(frozen=True)
@@ -148,17 +158,22 @@ class RobotModel:
         # holds its rows of that stack, a fixed group an empty slice
         self._fk_groups = []
         moving = []
+        children = None
         for (_, kind), js in sorted(by_level.items()):
             start = len(moving)
             if kind != "fixed":
                 moving += js
+            parents = [self._link_index[j.parent] for j in js]
+            chained = parents == children
+            children = [self._link_index[j.child] for j in js]
             self._fk_groups.append(_FkGroup(
                 kind=kind,
-                parents=np.array([self._link_index[j.parent] for j in js]),
-                children=np.array([self._link_index[j.child] for j in js]),
+                parents=np.array(parents),
+                children=np.array(children),
                 origin_r=np.array([j.origin.rotation.as_matrix() for j in js]),
                 origin_t=np.array([j.origin.translation for j in js])[:, :, None],
                 rows=slice(start, len(moving)),
+                chained=chained,
             ))
         coupling = [j.mimic or Mimic(j.name) for j in moving]
         q_index = np.array([self._q_index[m.source] for m in coupling], dtype=int)
@@ -413,8 +428,12 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     then one step per tree depth (and motion kind), parents before
     children, applies one group's joints to all configurations: a rotary
     group its rows' motion matrices, a prismatic group its rows' values
-    along their axes. A single configuration is a batch of one, so every
-    row is the same arithmetic whatever the batch shape."""
+    along their axes. A group gathers its parents' poses from the link
+    arrays, unless it is chained: then they are the previous step's child
+    poses, the same values in the same C-ordered layout. Every step
+    writes its children's poses into the link arrays. A single
+    configuration is a batch of one, so every row is the same arithmetic
+    whatever the batch shape."""
     b = qs.shape[0]
     n_links = len(model.links)
     rots = np.empty((b, n_links, 3, 3))
@@ -427,10 +446,14 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     s = np.sin(val)[..., None, None]
     c = (1.0 - np.cos(val))[..., None, None]
     motion = st.eye + s * st.k + c * st.k2      # (B, J, 3, 3)
+    rc = tc = None
     for g in model._fk_groups:
-        rp = rots[:, g.parents]
+        if g.chained:
+            rp, tp = rc, tc
+        else:
+            rp, tp = rots[:, g.parents], trans[:, g.parents]
         rj = rp @ g.origin_r
-        tj = (rp @ g.origin_t)[..., 0] + trans[:, g.parents]
+        tj = (rp @ g.origin_t)[..., 0] + tp
         if g.kind == "fixed":
             rc, tc = rj, tj
         elif g.kind == "prismatic":
@@ -444,14 +467,14 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     return rots, trans
 
 
-def _memo_fk_batch(model: RobotModel, qs: np.ndarray, root_r, root_t):
+def _memo_fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
+                   root_t: np.ndarray):
     """``_fk_batch``'s result, from the model's memo when the shapes and
-    bytes of qs, root_r and root_t repeat one of its last FK_MEMO_SIZE
-    passes. The memo's arrays are read-only and never leave this module.
-    The memo is replaced whole, never edited, so threads sharing a model
-    can at worst lose an entry to a race, which costs one more pass."""
-    root_r = np.asarray(root_r, dtype=float)
-    root_t = np.asarray(root_t, dtype=float)
+    bytes of qs, root_r and root_t (float arrays) repeat one of its last
+    FK_MEMO_SIZE passes. The memo's arrays are read-only and never leave
+    this module. The memo is replaced whole, never edited, so threads
+    sharing a model can at worst lose an entry to a race, which costs one
+    more pass."""
     key = (qs.shape, root_r.shape, root_t.shape,
            qs.tobytes(), root_r.tobytes(), root_t.tobytes())
     memo = model._fk_memo
@@ -493,30 +516,38 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     and with ``jacobian`` their (B, k, 3, dof) derivatives in q from the
     same FK pass: a joint with world axis a at o moves a point p by
     a x (p - o) per radian, or by a per unit if prismatic (Murray, Li &
-    Sastry 1994), and a mimic joint's column lands on its source's q."""
+    Sastry 1994), and a mimic joint's column lands on its source's q.
+    The root pose is one (3, 3) rotation and (3,) translation for every
+    row, or one per row, (B, 3, 3) and (B, 3)."""
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != model.dof:
         raise InvalidArgumentError(
             f"joint batch of shape {qs.shape} is not (B, {model.dof}) for DoF count {model.dof}")
+    root_r = np.asarray(root_r, dtype=float)
+    root_t = np.asarray(root_t, dtype=float)
+    b = qs.shape[0]
+    if root_r.shape not in ((3, 3), (b, 3, 3)) or root_t.shape not in ((3,), (b, 3)):
+        raise InvalidArgumentError(
+            f"root pose of shapes {root_r.shape} and {root_t.shape} is not (3, 3) and (3,)"
+            f" or ({b}, 3, 3) and ({b}, 3) for a batch of {b}")
     idx, moves = _name_rows(model, names)
     rots, trans = _memo_fk_batch(model, qs, root_r, root_t)
     # C-ordered, which trans[:, idx] would not be: einsum rounds by memory
     # layout, and refine's contact loss sums a row of this with einsum
-    origins = np.take(trans, idx, axis=1)
+    origins = trans.take(idx, axis=1)
     if not jacobian:
         return origins
     st = model._stack
     axes = (rots[:, st.child] @ st.axis)[:, None, :, :, 0]  # (B, 1, J, 3)
     lever = origins[:, :, None] - trans[:, None, st.child]  # (B, k, J, 3)
-    # a x lever by components, the products and differences np.cross takes,
-    # without its dtype copies and axis moves
-    a0, a1, a2 = axes[..., 0], axes[..., 1], axes[..., 2]
-    l0, l1, l2 = lever[..., 0], lever[..., 1], lever[..., 2]
-    cross = np.stack([a1 * l2 - a2 * l1, a2 * l0 - a0 * l2, a0 * l1 - a1 * l0], axis=-1)
+    # a x lever as two products of the rolled components: component i is
+    # a[i+1] l[i+2] - a[i+2] l[i+1], the products and differences np.cross
+    # takes, without its dtype copies and axis moves
+    cross = axes[..., _ROLL1] * lever[..., _ROLL2] - axes[..., _ROLL2] * lever[..., _ROLL1]
     if st.any_prismatic:
         cross = np.where(st.prismatic, axes, cross)
     cols = cross * moves
-    return origins, np.swapaxes(cols, 2, 3) @ st.dq
+    return origins, cols.swapaxes(2, 3) @ st.dq
 
 
 def clamp_to_limits(model: RobotModel, q) -> np.ndarray:

@@ -67,7 +67,7 @@ class BoxProblem:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise InvalidArgumentError("bounds must be 1-D arrays of equal length")
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise InvalidArgumentError("lower bound exceeds upper bound")
 
 
@@ -113,15 +113,15 @@ def _two_loop(g: np.ndarray, memory: list) -> np.ndarray:
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(memory):
-        a = rho * float(s @ q)
+        a = rho * float(s.dot(q))
         q -= a * y
         alphas.append(a)
     if memory:
         s, y, _ = memory[-1]
-        gamma = float(s @ y) / float(y @ y)
+        gamma = float(s.dot(y)) / float(y.dot(y))
         q *= gamma
     for (s, y, rho), a in zip(memory, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * float(y.dot(q))
         q += (a - b) * s
     return -q
 
@@ -138,11 +138,15 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
     beyond rounding.
 
     ``pairs`` is the L-BFGS memory to start from: the ``pairs`` of an
-    earlier solve's report, whose s and y must each match x0's length;
-    the newest LBFGS_MEMORY are kept. Empty, the solve starts cold. They
-    pass the same checks as the solve's own pairs: a step they give that
-    is not a descent direction falls back to -g, and a failed line search
-    clears them. The handed-in pairs are not changed; the report's
+    earlier solve's report; the newest LBFGS_MEMORY are kept. Empty, the
+    solve starts cold. Two checks are made on them, each raising
+    InvalidArgumentError: every kept pair's s and y must match x0's
+    length, and the newest pair's y.y must be positive, since the two-loop
+    step scales by s.y / y.y. The solve's own pair test (y finite, s.y
+    positive beyond rounding) is not repeated on them. Once in, they are
+    treated as the solve's own pairs: a step they give that is not a
+    descent direction falls back to -g, and a failed line search clears
+    them. The handed-in pairs are not changed; the report's
     ``pairs`` holds the final memory and ``warm_pairs`` how many pairs the
     solve started with.
 
@@ -174,13 +178,19 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
         if s.shape != lo.shape or y.shape != lo.shape:
             raise InvalidArgumentError(
                 f"curvature pair lengths {s.shape} and {y.shape} do not match x0 {lo.shape}")
+    if memory:
+        _, y, _ = memory[-1]
+        yy = float(y.dot(y))
+        if not yy > 0.0:  # NaN fails too
+            raise InvalidArgumentError(
+                f"the newest curvature pair's y.y is {yy}, not positive")
     warm_pairs = len(memory)
-    x = np.clip(x, lo, hi)
+    x = x.clip(lo, hi)
 
     f = float(problem.objective(x))
     objective_evals = gradient_evals = 1
     rejected_backtracks = rejected_forward = resets = 0
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise SolverStartError(f"objective is non-finite at the start point: {f}")
     g = np.asarray(problem.gradient(x), dtype=float)
 
@@ -189,7 +199,7 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
     converged = False
 
     for _ in range(opts.max_iters):
-        pg = x - np.clip(x - g, lo, hi)
+        pg = x - (x - g).clip(lo, hi)
         # |pg|_inf here and the 2-norms of s and y below are the operations
         # np.linalg.norm runs for a 1-D float64 vector, without its
         # dispatch; initial=0.0 keeps a zero-DoF problem's norm at 0
@@ -203,19 +213,19 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
         bound = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
         g_free = np.where(bound, 0.0, g)
         d = np.where(bound, 0.0, _two_loop(g_free, memory))
-        if not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
+        if not np.isfinite(d).all() or float(d.dot(g)) >= 0.0:
             d = -g_free
 
         x_new = f_new = None
         saw_finite = False
         alpha = 1.0
         while alpha >= 1e-20:
-            cand = np.clip(x + alpha * d, lo, hi)
+            cand = (x + alpha * d).clip(lo, hi)
             fc = float(problem.objective(cand))
             objective_evals += 1
-            if np.isfinite(fc):
+            if math.isfinite(fc):
                 saw_finite = True
-                slope = float(g @ (cand - x))
+                slope = float(g.dot(cand - x))
                 if fc <= f + ARMIJO_C * min(slope, 0.0) and fc <= f:
                     x_new, f_new = cand, fc
                     break
@@ -242,10 +252,10 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
         # be refused. A slope >= 0 always passes it, as f_new <= f
         if f_new <= f + 0.75 * slope:
             while alpha < 2.0 ** 20:
-                cand = np.clip(x + 2.0 * alpha * d, lo, hi)
+                cand = (x + 2.0 * alpha * d).clip(lo, hi)
                 fc = float(problem.objective(cand))
                 objective_evals += 1
-                if np.isfinite(fc) and fc < f_new:
+                if math.isfinite(fc) and fc < f_new:
                     alpha *= 2.0
                     x_new, f_new = cand, fc
                 else:
@@ -257,9 +267,9 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
         gradient_evals += 1
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        step = math.sqrt(float(s @ s))
-        if np.all(np.isfinite(y)) and sy > 1e-12 * step * math.sqrt(float(y @ y)):
+        sy = float(s.dot(y))
+        step = math.sqrt(float(s.dot(s)))
+        if np.isfinite(y).all() and sy > 1e-12 * step * math.sqrt(float(y.dot(y))):
             memory.append((s, y, 1.0 / sy))
             if len(memory) > LBFGS_MEMORY:
                 memory.pop(0)
@@ -271,7 +281,7 @@ def minimize_box(problem: BoxProblem, x0, opts: Optional[SolverOptions] = None,
             break
 
     return SolveReport(
-        x_star=np.clip(x, lo, hi),
+        x_star=x.clip(lo, hi),
         f_star=f,
         iterations=iterations,
         converged=converged,

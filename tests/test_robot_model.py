@@ -644,6 +644,36 @@ class TestForwardKinematics:
         assert str(err.value) == \
             f"joint batch of shape {shape} is not (B, 16) for DoF count 16"
 
+    @pytest.mark.parametrize("b, root_r, root_t", [
+        (1, np.eye(4), ZERO),
+        (1, EYE, np.zeros(2)),
+        (2, np.zeros((3, 3, 3)), ZERO),
+        (2, np.zeros((1, 3, 3)), ZERO),
+        (2, EYE, np.zeros((3, 3))),
+        (2, EYE, np.zeros((2, 3, 1))),
+    ], ids=["matrix_4x4", "t_of_2", "r_rows_3", "r_rows_1", "t_rows_3", "t_columns"])
+    def test_root_pose_shape_error_names_the_shapes(self, hand16, b, root_r, root_t):
+        # each was a bare numpy broadcasting ValueError
+        with pytest.raises(InvalidArgumentError) as err:
+            link_origins_batch(hand16, np.zeros((b, 16)), root_r, root_t, ["palm"],
+                               jacobian=True)
+        assert str(err.value) == (
+            f"root pose of shapes {root_r.shape} and {root_t.shape} is not (3, 3) and (3,)"
+            f" or ({b}, 3, 3) and ({b}, 3) for a batch of {b}")
+        if b == 1:
+            with pytest.raises(InvalidArgumentError, match="root pose"):
+                link_origins(hand16, np.zeros(16), root_r, root_t, ["palm"])
+
+    def test_one_root_pose_per_row(self, hand16, rng):
+        lo, hi = hand16.limit_arrays()
+        qs = rng.uniform(lo, hi, size=(3, 16))
+        root_r = np.array([Rotation.from_axis_angle([0.3, -1.0, 0.5], a).as_matrix()
+                           for a in (0.2, 0.8, -1.1)])
+        root_t = rng.normal(size=(3, 3))
+        batched = link_origins_batch(hand16, qs, root_r, root_t, hand16.links)
+        for row, q, r, t in zip(batched, qs, root_r, root_t):
+            assert np.array_equal(row, link_origins(hand16, q, r, t, hand16.links))
+
     def test_one_row_error_keeps_its_message(self, hand16):
         with pytest.raises(InvalidArgumentError) as err:
             link_origins(hand16, np.zeros(20), EYE, ZERO, ["palm"])
@@ -879,6 +909,8 @@ class TestLevelGroupedFk:
         # four revolute depths and one depth of fixed tip mounts
         assert [(g.kind, len(g.children)) for g in hand16._fk_groups] == \
             [("rotary", 4)] * 4 + [("fixed", 4)]
+        # each finger segment hangs off the one before, in finger order
+        assert [g.chained for g in hand16._fk_groups] == [False, True, True, True, True]
         mixed = parse_urdf(MIXED_DEPTH)
         assert [g.kind for g in mixed._fk_groups] == \
             ["fixed", "prismatic", "rotary", "fixed", "prismatic"]
@@ -888,6 +920,54 @@ class TestLevelGroupedFk:
         assert model.dof == 0
         right = link_origins(model, np.zeros(0), EYE, ZERO, ["right"])[0]
         np.testing.assert_allclose(right, [-0.1, 0.0, 0.02])
+
+
+def two_level_tree(second_level):
+    """A model with two revolute joints off the root (links a, b), the
+    second-level revolute joints given as (parent, child) pairs in group
+    order, and a fixed tip mount on each second-level child."""
+    joints = [("base", "a"), ("base", "b")] + list(second_level)
+    tips = [(child, child + "_tip") for _, child in second_level]
+    lines = ['<robot name="levels">', '  <link name="base"/>']
+    for i, (parent, child) in enumerate(joints + tips):
+        jtype = "revolute" if i < len(joints) else "fixed"
+        lines += [
+            f'  <link name="{child}"/>',
+            f'  <joint name="j{i}" type="{jtype}">',
+            f'    <parent link="{parent}"/><child link="{child}"/>',
+            f'    <origin xyz="0.0{i + 1} -0.03 0.05" rpy="0.{i + 1} -0.4 0.7"/>',
+            f'    <axis xyz="0.{i + 2} 0.5 -0.6"/>',
+            '    <limit lower="-2" upper="2" effort="1" velocity="1"/>',
+            '  </joint>',
+        ]
+    model = parse_urdf("\n".join(lines + ["</robot>"]))
+    # parse_urdf orders joints breadth first, so the second level's parents
+    # follow the first level's order; the model takes any parent-first order
+    order = {name: i for i, name in enumerate(
+        ["a", "b"] + [c for _, c in second_level] + [c for _, c in tips])}
+    joints = sorted(model.joints, key=lambda j: order[j.child])
+    return robot_model.RobotModel(model.root_link, model.links, joints)
+
+
+class TestChainedGroups:
+    """A group whose parents are the previous group's children in the same
+    order reads their poses from the previous step; any other gathers
+    them. Both paths equal the per-joint references bit for bit."""
+
+    # the second level's parents: a subset of the first level's children
+    # (a twice), both of them in the other order (b before a), or both in
+    # the same order; the tip mounts that follow are chained every time
+    @pytest.mark.parametrize("second_level, chained", [
+        ([("a", "c"), ("a", "d")], [False, False, True]),
+        ([("b", "d"), ("a", "c")], [False, False, True]),
+        ([("a", "c"), ("b", "d")], [False, True, True]),
+    ], ids=["subset", "reordered", "same_order"])
+    def test_gathered_and_chained_groups(self, second_level, chained):
+        model = two_level_tree(second_level)
+        assert [g.kind for g in model._fk_groups] == ["rotary", "rotary", "fixed"]
+        assert [g.chained for g in model._fk_groups] == chained
+        assert_fk_matches_reference(model, 20261020)
+        assert_jacobian_matches_reference(model, 20261020)
 
 
 class TestJacobianBitOracle:

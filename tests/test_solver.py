@@ -37,6 +37,25 @@ def rosenbrock_problem():
                       lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
 
 
+def reference_two_loop(g, memory):
+    """The L-BFGS two-loop recursion with its 1-D products written as
+    ``@``, as ``solver._two_loop`` first took them."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    if memory:
+        s, y, _ = memory[-1]
+        gamma = float(s @ y) / float(y @ y)
+        q *= gamma
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        b = rho * float(y @ q)
+        q += (a - b) * s
+    return -q
+
+
 def recorded(problem):
     """The problem with its objective's points and its gradient's calls
     recorded in the returned lists."""
@@ -180,6 +199,20 @@ class TestMinimizeBox:
                 for ours, theirs in pairs:
                     ours, theirs = float(ours), float(theirs)
                     assert bits(ours) == bits(theirs) or (math.isnan(ours) and math.isnan(theirs))
+
+    @pytest.mark.parametrize("n", [7, 16], ids=["alignment", "retarget"])
+    def test_two_loop_matches_reference_bit_for_bit(self, n, rng):
+        # n = 7 is an alignment solve's, n = 16 the 16-DoF hand's retarget solve
+        for _ in range(300):
+            scale = 10.0 ** rng.integers(-6, 6, size=3)
+            memory = []
+            for _ in range(rng.integers(0, solver.LBFGS_MEMORY + 1)):
+                s = rng.normal(size=n) * scale[0]
+                y = rng.normal(size=n) * scale[1]
+                memory.append((s, y, 1.0 / float(s @ y)))
+            g = rng.normal(size=n) * scale[2]
+            ours = solver._two_loop(g, memory)
+            assert ours.tobytes() == reference_two_loop(g, memory).tobytes()
 
     def test_zero_dof_problem_converges_at_start(self):
         problem = BoxProblem(lower=np.zeros(0), upper=np.zeros(0),
@@ -342,6 +375,21 @@ class TestWarmStart:
         short = (s[:3], y, rho) if which == "s" else (s, y[:3], rho)
         with pytest.raises(InvalidArgumentError, match="curvature pair"):
             minimize_box(scaled_quadratic(self.second), np.zeros(4), pairs=[short])
+
+    @pytest.mark.parametrize("y", [np.zeros(4), np.full(4, np.nan)], ids=["zero", "nan"])
+    def test_newest_pair_needs_positive_y_dot_y(self, y):
+        # the two-loop scaling s.y / y.y divided by zero: ZeroDivisionError
+        s = self.earlier().pairs[-1][0]
+        with pytest.raises(InvalidArgumentError, match="newest curvature pair's y.y"):
+            minimize_box(scaled_quadratic(self.second), np.zeros(4), pairs=[(s, y, 1.0)])
+
+    def test_older_pairs_get_only_the_length_check(self):
+        # only the newest pair's y.y is a divisor, so an older pair with
+        # y = 0 is taken as handed in
+        pairs = self.earlier().pairs
+        report = minimize_box(scaled_quadratic(self.second), np.zeros(4),
+                              pairs=((pairs[-1][0], np.zeros(4), 1.0),) + pairs[-1:])
+        assert report.warm_pairs == 2 and report.converged
 
     def test_failed_line_search_clears_the_carried_pairs(self):
         # at the minimizer x = 0 the gradient lies, -1: the carried pair's
