@@ -18,16 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .errors import (
-    AlignmentError,
-    DexRetargetError,
-    InvalidArgumentError,
-    LineSearchError,
-    RefineError,
-    RegistrationError,
-    RetargetError,
-    SolverStartError,
-)
+from .errors import ConvergenceError, DexRetargetError, InvalidArgumentError
 from .pipeline import StageFailure, run_pipeline, stage
 from .robot_model import link_origins, parse_urdf
 from .synthetic import SynthConfig, synth_hand_trajectory
@@ -35,9 +26,6 @@ from .synthetic import SynthConfig, synth_hand_trajectory
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONVERGENCE = 2
-
-_CONVERGENCE_ERRORS = (AlignmentError, RegistrationError, RetargetError,
-                       RefineError, SolverStartError, LineSearchError)
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -50,10 +38,10 @@ def _setup_logging(verbose: bool) -> None:
 
 def _fail(name: str, exc: Exception) -> int:
     """Print the one ERROR line for a failure of stage ``name``; exit 2 for
-    a convergence error, 1 for any other."""
+    a ConvergenceError, 1 for any other."""
     message = str(exc).replace("\n", " ")
     print(f"ERROR {name}: {message}", file=sys.stderr)
-    return EXIT_CONVERGENCE if isinstance(exc, _CONVERGENCE_ERRORS) else EXIT_INPUT
+    return EXIT_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INPUT
 
 
 def cmd_synth(args) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .alignment import AlignConfig
 from .errors import ConfigError, DataParseError, FormatError, InvalidArgumentError
-from .geometry import CameraIntrinsics, DepthImage, RigidTransform, Rotation
+from .geometry import CameraIntrinsics, DepthImage, RigidTransform, Rotation, vector_norm
 from .hand_model import (
     DIGITS,
     FingerMapping,
@@ -98,8 +98,8 @@ def _parse_pose(obj, where: str) -> RigidTransform:
         raise DataParseError(f"{where}: quaternion must have 4 components", location=where)
     if pos.shape != (3,):
         raise DataParseError(f"{where}: position must have 3 components", location=where)
-    norm = float(np.linalg.norm(quat))
-    if abs(norm - 1.0) > _QUAT_UNIT_TOL:
+    norm = vector_norm(quat)
+    if not abs(norm - 1.0) <= _QUAT_UNIT_TOL:  # NaN and inf fail too
         raise DataParseError(
             f"{where}: quaternion norm {norm:.8f} is not unit within {_QUAT_UNIT_TOL}",
             location=where,

@@ -17,15 +17,20 @@ class LossUndefinedError(DexRetargetError):
     """A loss has an empty support (no correspondences / empty pixel set)."""
 
 
-class RegistrationError(DexRetargetError):
-    """Registration failed; carries the best report obtained so far."""
+class ConvergenceError(DexRetargetError):
+    """A solve or stage failed to converge (exit code 2); ``report`` is the
+    best report obtained so far, if any."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
 
 
-class AlignmentError(DexRetargetError):
+class RegistrationError(ConvergenceError):
+    """Registration failed; carries the best report obtained so far."""
+
+
+class AlignmentError(ConvergenceError):
     """Per-frame hand alignment failed; carries diagnostics."""
 
     def __init__(self, message, frame_index=None, diagnostics=None):
@@ -34,23 +39,19 @@ class AlignmentError(DexRetargetError):
         self.diagnostics = diagnostics or {}
 
 
-class RetargetError(DexRetargetError):
+class RetargetError(ConvergenceError):
     """Per-frame retargeting solve failed."""
 
 
-class RefineError(DexRetargetError):
+class RefineError(ConvergenceError):
     """Contact refinement failed."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
-
-class SolverStartError(DexRetargetError):
+class SolverStartError(ConvergenceError):
     """Objective is non-finite at the (projected) starting point."""
 
 
-class LineSearchError(DexRetargetError):
+class LineSearchError(ConvergenceError):
     """No finite step exists along the search direction."""
 
 

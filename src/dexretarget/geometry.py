@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidArgumentError
 
-_UNIT_TOL = 1e-9
-
 
 def as_vec3(p) -> np.ndarray:
     """Validate and return a finite (3,) float64 vector."""
@@ -40,6 +38,15 @@ def as_points(p) -> np.ndarray:
     return pts
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D float64 vector, bit for bit, without numpy's
+    overflow warning: a sum of squares past the float range gives inf."""
+    if math.hypot(*v.tolist()) < 1e154:  # then v.dot(v) stays below 1.1e308
+        return math.sqrt(v.dot(v))
+    with np.errstate(over="ignore"):
+        return math.sqrt(v.dot(v))
+
+
 class Rotation:
     """3D rotation stored as a unit quaternion (w, x, y, z).
 
@@ -53,10 +60,9 @@ class Rotation:
         q = np.asarray(quat_wxyz, dtype=float)
         if q.shape != (4,) or not np.isfinite(q).all():
             raise InvalidArgumentError("quaternion must be 4 finite scalars (w, x, y, z)")
-        # the operations np.linalg.norm runs for a 1-D float64 vector
-        n = math.sqrt(q.dot(q))
-        if n < 1e-12:
-            raise InvalidArgumentError("quaternion norm is zero")
+        n = vector_norm(q)
+        if not 1e-12 <= n < math.inf:  # an infinite one would give the zero quaternion
+            raise InvalidArgumentError(f"quaternion norm {n:g} is zero or overflows")
         self._q = q / n
 
     @classmethod

@@ -167,28 +167,22 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
     if last >= STAGES.index("refine"):
         # contact refinement on the last annotated frame
         with stage("refine_contact", timings, key="refine"):
-            contact_idx = None
-            contacts = None
             for k in range(len(trajectory) - 1, -1, -1):
-                hand = trajectory.frames[k]
-                corrected = hand.transformed(alignments[k].sigma, alignments[k].correction)
-                cand = contacts_from_hand(
-                    corrected, config.finger_mapping,
-                    lambda_init=config.retarget.lambda_init,
+                align = alignments[k]
+                contacts = contacts_from_hand(
+                    trajectory.frames[k].transformed(align.sigma, align.correction),
+                    config.finger_mapping, lambda_init=config.retarget.lambda_init,
                     alternations=config.retarget.alternations,
                 )
-                if cand is not None:
-                    contact_idx, contacts = k, cand
-                    break
-            if contacts is not None:
-                frame = robot_traj.frames[contact_idx]
+                if contacts is None:
+                    continue
+                frame = robot_traj.frames[k]
                 q_ref, wrist_ref, refine_report = refine_contact(
-                    model, frame.q, frame.wrist_pose, config.finger_mapping,
-                    contacts, rcfg,
-                )
-                robot_traj = assemble_grasp_plan(robot_traj, contact_idx, (q_ref, wrist_ref))
+                    model, frame.q, frame.wrist_pose, config.finger_mapping, contacts, rcfg)
+                robot_traj = assemble_grasp_plan(robot_traj, k, (q_ref, wrist_ref))
                 log.info("refine: %d rounds, mean tip error %.5f m",
                          refine_report.rounds, refine_report.mean_tip_error)
+                break
 
     traj_path = config.output_dir / "robot_trajectory.json"
     report_path = config.output_dir / "report.txt"

@@ -116,6 +116,9 @@ class ContactTargets:
         self.active = tuple(self.active)
         if not self.active:
             raise InvalidArgumentError("active digit set must be non-empty")
+        if not 0 <= self.lambda_init < np.inf:
+            raise InvalidArgumentError("lambda_init must be non-negative and finite")
+        check_iteration_count("alternations", self.alternations)
         for digit in self.active:
             if digit not in self.targets:
                 raise InvalidArgumentError(f"active digit {digit!r} has no target")
@@ -128,14 +131,6 @@ class RefineReport:
     loss_history: list
     mean_tip_error: float
     warnings: list
-
-
-def _vector_weights(spec: VectorSpec, cfg: RetargetConfig) -> np.ndarray:
-    """The per-vector weights of cfg, all ones when it sets none."""
-    w = cfg.weights if cfg.weights is not None else np.ones(spec.n_vec)
-    if w.shape != (spec.n_vec,):
-        raise InvalidArgumentError("weights length must match the vector spec")
-    return w
 
 
 def vector_matching_loss(
@@ -157,17 +152,13 @@ def vector_matching_loss(
         raise InvalidArgumentError(
             f"expected {spec.n_vec} reference vectors, got shape {ref.shape}"
         )
-    w = _vector_weights(spec, cfg)
-    links, starts, ends = spec.robot_link_pairs()
+    terms = _RetargetTerms(model, spec, cfg)
     origins = link_origins(model, model.check_q(q), wrist.rotation.as_matrix(),
-                           wrist.translation, links)
-    robot = origins[ends] - origins[starts]
+                           wrist.translation, terms.links)
+    robot = origins[terms.ends] - origins[terms.starts]
     total = 0.0
-    for i in range(spec.n_vec):
-        if w[i] == 0.0:
-            continue
-        d = float(np.linalg.norm(robot[i] - ref[i]))
-        total += w[i] * huber(d, cfg.huber_delta)
+    for w, r, h in zip(terms.w_active, robot, ref[terms.active]):
+        total += w * huber(float(np.linalg.norm(r - h)), cfg.huber_delta)
     return total / spec.n_vec
 
 
@@ -183,12 +174,15 @@ def _fk(model, q, wrist_r, wrist_t, links, gradient):
 class _RetargetTerms:
     """The parts of the retargeting objective that a trajectory's frames
     share, resolved once for a model, spec and config: the vectors with a
-    nonzero weight and their weights, the links they join with each active
-    vector's start and end index into them, the joint-limit box and
-    delta^2. ``problem`` adds a frame's own parts."""
+    nonzero weight and their weights (cfg's, all ones when it sets none),
+    the links they join with each active vector's start and end index into
+    them, the joint-limit box and delta^2. ``problem`` adds a frame's own
+    parts."""
 
     def __init__(self, model: RobotModel, spec: VectorSpec, cfg: RetargetConfig):
-        w = _vector_weights(spec, cfg)
+        w = cfg.weights if cfg.weights is not None else np.ones(spec.n_vec)
+        if w.shape != (spec.n_vec,):
+            raise InvalidArgumentError("weights length must match the vector spec")
         self.model = model
         self.n_vec = spec.n_vec
         self.active = np.flatnonzero(w != 0.0)
@@ -328,12 +322,14 @@ def retarget_trajectory(
     return RobotTrajectory(frames=frames, model=model)
 
 
-def _tips_and_targets(model, q, wrist, mapping, contacts):
-    """Tip-link origins of the active digits at one configuration and
-    their contact targets, both (m, 3)."""
-    links = [mapping.entries[d] for d in contacts.active]
-    tips = link_origins(model, q, wrist.rotation.as_matrix(), wrist.translation, links)
-    return tips, np.array([contacts.targets[d] for d in contacts.active])
+def _contact_set(mapping: FingerMapping, contacts: ContactTargets):
+    """The active digits' tip links and their contact targets, (m, 3).
+    Every active digit must be mapped."""
+    for digit in contacts.active:
+        if digit not in mapping.entries:
+            raise InvalidArgumentError(f"active digit {digit!r} is not mapped")
+    return ([mapping.entries[d] for d in contacts.active],
+            np.array([contacts.targets[d] for d in contacts.active]))
 
 
 def contact_loss(
@@ -344,17 +340,10 @@ def contact_loss(
     contacts: ContactTargets,
 ) -> float:
     """Mean squared fingertip-to-target distance over the active digits."""
-    for digit in contacts.active:
-        if digit not in mapping.entries:
-            raise InvalidArgumentError(f"active digit {digit!r} is not mapped")
-    tips, targets = _tips_and_targets(model, model.check_q(q), wrist, mapping, contacts)
-    diff = tips - targets
+    links, targets = _contact_set(mapping, contacts)
+    diff = link_origins(model, model.check_q(q), wrist.rotation.as_matrix(),
+                        wrist.translation, links) - targets
     return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
-
-
-def _mean_tip_error(model, q, wrist, mapping, contacts) -> float:
-    tips, targets = _tips_and_targets(model, q, wrist, mapping, contacts)
-    return float(np.mean(np.linalg.norm(tips - targets, axis=1)))
 
 
 def wrist_correction_step(
@@ -366,11 +355,12 @@ def wrist_correction_step(
 ) -> RigidTransform:
     """Rigid (scale-fixed) least-squares transform taking the current
     fingertips onto their targets. Requires at least 3 active digits."""
-    if len(contacts.active) < 3:
-        raise DegenerateGeometryError("wrist correction needs at least 3 active digits")
-    tips, targets = _tips_and_targets(model, model.check_q(q), wrist, mapping, contacts)
-    sim = weighted_umeyama(tips, targets, with_scale=False)
-    return sim.rigid_part()
+    links, targets = _contact_set(mapping, contacts)
+    if len(links) < 3:
+        raise DegenerateGeometryError("fewer than 3 active digits")
+    tips = link_origins(model, model.check_q(q), wrist.rotation.as_matrix(),
+                        wrist.translation, links)
+    return weighted_umeyama(tips, targets, with_scale=False).rigid_part()
 
 
 def refine_contact(
@@ -401,12 +391,11 @@ def refine_contact(
     the contact loss goes 7.960e-5 -> 8.040e-5.
     """
     mapping.validate_against(model)
+    links, targets = _contact_set(mapping, contacts)
     q_init = clamp_to_limits(model, q_init)
     q = q_init.copy()
     wrist = wrist_init
     lam = contacts.lambda_init
-    links = [mapping.entries[d] for d in contacts.active]
-    targets = np.array([contacts.targets[d] for d in contacts.active])
     warnings = []
 
     history = [contact_loss(model, q, wrist, mapping, contacts)]
@@ -434,16 +423,11 @@ def refine_contact(
                   report.converged)
         q = report.x_star
 
-        if len(contacts.active) >= 3:
-            try:
-                correction = wrist_correction_step(model, q, wrist, mapping, contacts)
-                wrist = correction.compose(wrist)
-            except DegenerateGeometryError as exc:
-                warnings.append(f"wrist step skipped: {exc}")
-                log.warning("wrist step skipped: %s", exc)
-        else:
-            warnings.append("wrist step skipped: fewer than 3 active digits")
-            log.warning("wrist step skipped: fewer than 3 active digits")
+        try:
+            wrist = wrist_correction_step(model, q, wrist, mapping, contacts).compose(wrist)
+        except DegenerateGeometryError as exc:
+            warnings.append(f"wrist step skipped: {exc}")
+            log.warning("wrist step skipped: %s", exc)
 
         new_loss = contact_loss(model, q, wrist, mapping, contacts)
         if new_loss > history[-1] + 1e-15:
@@ -451,10 +435,11 @@ def refine_contact(
             break
         history.append(new_loss)
 
+    tips = link_origins(model, q, wrist.rotation.as_matrix(), wrist.translation, links)
     report = RefineReport(
         rounds=len(history) - 1,
         loss_history=history,
-        mean_tip_error=_mean_tip_error(model, q, wrist, mapping, contacts),
+        mean_tip_error=float(np.mean(np.linalg.norm(tips - targets, axis=1))),
         warnings=warnings,
     )
     if cfg.max_tip_error is not None and report.mean_tip_error > cfg.max_tip_error:

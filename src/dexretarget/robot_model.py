@@ -540,10 +540,11 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     st = model._stack
     axes = (rots[:, st.child] @ st.axis)[:, None, :, :, 0]  # (B, 1, J, 3)
     lever = origins[:, :, None] - trans[:, None, st.child]  # (B, k, J, 3)
-    # a x lever as two products of the rolled components: component i is
-    # a[i+1] l[i+2] - a[i+2] l[i+1], the products and differences np.cross
-    # takes, without its dtype copies and axis moves
-    cross = axes[..., _ROLL1] * lever[..., _ROLL2] - axes[..., _ROLL2] * lever[..., _ROLL1]
+    # a x lever as two products of the rolled components (a[i+1] l[i+2] -
+    # a[i+2] l[i+1], np.cross's products), by take so that cols is C-ordered
+    # like np.cross's: the matmul below rounds by its operands' memory layout
+    cross = (axes.take(_ROLL1, axis=-1) * lever.take(_ROLL2, axis=-1)
+             - axes.take(_ROLL2, axis=-1) * lever.take(_ROLL1, axis=-1))
     if st.any_prismatic:
         cross = np.where(st.prismatic, axes, cross)
     cols = cross * moves

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dexretarget import dataio
-from dexretarget.cli import main
+from dexretarget import dataio, errors
+from dexretarget.cli import _fail, main
 from dexretarget.pointcloud import PointCloud
 
 NAN, INF = float("nan"), float("inf")
@@ -303,6 +303,8 @@ class TestCmdPipeline:
         ("hand_trajectory.json", set_element("frames", 0, "wrist", "quat_wxyz", 0, to=str)),
         ("hand_trajectory.json", set_element("frames", 0, "wrist", "quat_wxyz", 1,
                                              to=lambda v: False)),
+        ("hand_trajectory.json", set_element("frames", 0, "wrist", "quat_wxyz", 0,
+                                             to=lambda v: 1e200)),
         ("hand_trajectory.json", set_element("frames", 0, "wrist", "pos", 2, to=str)),
         ("hand_trajectory.json", set_element("frames", 0, "joints", 5, 1, to=str)),
         ("hand_trajectory.json", set_element("frames", 0, "joints", 5, 1, to=lambda v: True)),
@@ -346,8 +348,8 @@ class TestCmdPipeline:
             "intrinsics-fx-nan", "fps-nan", "calibrate-scale-string", "seed-float",
             "urdf-number", "output-dir-number", "path-nul", "frame-index-float",
             "frame-index-string", "fps-bool", "frame-confidence-string", "wrist-quat-string",
-            "wrist-quat-bool", "wrist-pos-string", "joint-string", "joint-bool",
-            "joint-integer-beyond-float", "contact-string", "mount-offset-quat-bool",
+            "wrist-quat-bool", "wrist-quat-overflow", "wrist-pos-string", "joint-string",
+            "joint-bool", "joint-integer-beyond-float", "contact-string", "mount-offset-quat-bool",
             "mount-offset-pos-string", "palm-link-list", "palm-link-object",
             "intrinsics-fx-string", "intrinsics-fy-bool", "intrinsics-width-float",
             "intrinsics-height-string", "align-huber-delta-bool", "solver-grad-tol-bool",
@@ -650,6 +652,32 @@ class TestCmdFk:
         assert captured.out == ""
         assert captured.err.startswith("ERROR fk:") and "finite" in captured.err
         assert "\n" not in captured.err.strip()
+
+
+CONVERGENCE_ERRORS = (errors.AlignmentError, errors.RegistrationError, errors.RetargetError,
+                      errors.RefineError, errors.SolverStartError, errors.LineSearchError)
+
+
+class TestExitCode:
+    @pytest.mark.parametrize("error", CONVERGENCE_ERRORS, ids=lambda e: e.__name__)
+    def test_convergence_error_exits_2(self, error, capsys):
+        assert issubclass(error, errors.ConvergenceError)
+        assert _fail("align", error("no\nfit")) == 2
+        assert capsys.readouterr().err == "ERROR align: no fit\n"
+
+    def test_every_convergence_error_is_listed(self):
+        assert set(errors.ConvergenceError.__subclasses__()) == set(CONVERGENCE_ERRORS)
+
+    @pytest.mark.parametrize("error", [errors.DegenerateGeometryError, errors.LossUndefinedError,
+                                       errors.ConfigError, OSError], ids=lambda e: e.__name__)
+    def test_any_other_error_exits_1(self, error, capsys):
+        assert _fail("config", error("bad input")) == 1
+        assert capsys.readouterr().err == "ERROR config: bad input\n"
+
+    def test_report_rides_on_the_error(self):
+        report = object()
+        assert errors.RefineError("far", report=report).report is report
+        assert errors.RegistrationError("far").report is None
 
 
 def write_continuous_thumb_urdf(dirpath: Path) -> Path:

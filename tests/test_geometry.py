@@ -133,6 +133,16 @@ class TestRotation:
         with pytest.raises(InvalidArgumentError):
             Rotation((0.0, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("quat", [(1e200, 0.0, 0.0, 0.0), (1e154, -1e154, 0.0, 0.0)])
+    def test_quaternion_whose_norm_overflows_rejected(self, quat):
+        # was the zero quaternion, with numpy's overflow RuntimeWarning
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            Rotation(quat)
+
+    def test_large_finite_norm_quaternion_normalized(self):
+        q = np.array([1e154, 0.0, 0.0, 0.0])
+        assert Rotation(q).quat.tobytes() == (q / np.linalg.norm(q)).tobytes()
+
     @pytest.mark.parametrize("angle", [0.0, 1e-7, 5e-3, 0.02, 0.5, 2.5])
     def test_left_jacobian_matches_finite_differences(self, rng, angle):
         w = angle * rng.normal(size=3) / np.sqrt(3.0)

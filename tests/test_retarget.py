@@ -558,6 +558,21 @@ class TestContactLoss:
         with pytest.raises(InvalidArgumentError):
             ContactTargets(active=(), targets={}, lambda_init=0.1, alternations=3)
 
+    @pytest.mark.parametrize("lambda_init, alternations", [
+        (-5.0, 3), (float("nan"), 3), (float("inf"), 3), (0.1, 0), (0.1, 2.0), (0.1, True),
+    ], ids=["lambda-negative", "lambda-nan", "lambda-inf", "alternations-zero",
+            "alternations-float", "alternations-bool"])
+    def test_bad_pull_or_alternations_rejected(self, lambda_init, alternations):
+        # were a zero-round refinement, or a pull away from q_init
+        with pytest.raises(InvalidArgumentError):
+            ContactTargets(active=("thumb",), targets={"thumb": np.zeros(3)},
+                           lambda_init=lambda_init, alternations=alternations)
+
+    def test_zero_pull_accepted(self):
+        contacts = ContactTargets(active=("thumb",), targets={"thumb": np.zeros(3)},
+                                  lambda_init=0.0, alternations=1)
+        assert contacts.lambda_init == 0.0 and contacts.alternations == 1
+
 
 class TestWristCorrectionStep:
     def test_recovers_rigid_displacement(self, hand16, mapping16, rng):
@@ -690,6 +705,16 @@ class TestRefineContact:
         # the returned state is round 1's, bit for bit
         assert loss(hand16, q, wrist, mapping16, contacts) == losses[1]
 
+    def test_unmapped_active_digit_is_invalid_argument(self, hand16):
+        # was a bare KeyError from the tip-link lookup
+        mapping = FingerMapping({"thumb": "thumb_tip", "index": "index_tip"})
+        contacts = ContactTargets(active=("thumb", "middle"),
+                                  targets={"thumb": np.zeros(3), "middle": np.zeros(3)},
+                                  lambda_init=0.1, alternations=3)
+        with pytest.raises(InvalidArgumentError, match="'middle' is not mapped"):
+            refine_contact(hand16, hand16.mid_limits(), RigidTransform.identity(), mapping,
+                           contacts, RetargetConfig())
+
     def test_two_digit_skips_wrist_step(self, hand16, rng):
         mapping = FingerMapping({"thumb": "thumb_tip", "index": "index_tip"})
         q0 = hand16.mid_limits()
@@ -704,7 +729,8 @@ class TestRefineContact:
         )
         q, w, report = refine_contact(hand16, q0, wrist, mapping, contacts,
                                       RetargetConfig())
-        assert any("wrist step skipped" in msg for msg in report.warnings)
+        assert report.warnings
+        assert set(report.warnings) == {"wrist step skipped: fewer than 3 active digits"}
         # wrist untouched
         assert np.array_equal(w.translation, wrist.translation)
 

@@ -197,6 +197,28 @@ DEEP_MIMIC_FIRST = """
 </robot>
 """
 
+# a revolute-only chain whose joints share one source at fractional
+# multipliers: its Jacobian contraction rounds by the columns' memory layout
+FRACTIONAL_MIMIC_CHAIN = """
+<robot name="tree">
+  <link name="l0"/><link name="l1"/><link name="l2"/><link name="l3"/>
+  <joint name="j0" type="continuous">
+    <parent link="l0"/><child link="l1"/>
+    <origin xyz="0.0 0.0 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 0.1"/>
+  </joint>
+  <joint name="j1" type="continuous">
+    <parent link="l1"/><child link="l2"/>
+    <origin xyz="0.0 0.0 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 0.1"/>
+    <mimic joint="j0" multiplier="0.05" offset="0.0"/>
+  </joint>
+  <joint name="j2" type="continuous">
+    <parent link="l2"/><child link="l3"/>
+    <origin xyz="0.0 0.001 0.0" rpy="0.0 0.0 0.0"/><axis xyz="0.0 0.0 0.1"/>
+    <mimic joint="j0" multiplier="0.0" offset="0.0"/>
+  </joint>
+</robot>
+"""
+
 
 EYE, ZERO = np.eye(3), np.zeros(3)
 # central-difference step of the retarget gradient audit
@@ -976,6 +998,7 @@ class TestJacobianBitOracle:
     @given(urdf_trees(), st.integers(0, 2 ** 32 - 1))
     @example(ZERO_DOF, 12345)
     @example(DEEP_MIMIC_FIRST, 0)
+    @example(FRACTIONAL_MIMIC_CHAIN, 0)
     @settings(max_examples=40, deadline=None)
     def test_random_trees(self, text, seed):
         assert_jacobian_matches_reference(parse_urdf(text), seed)
