@@ -120,11 +120,9 @@ class FrameObservation:
     map, and hand support: the given hand mask's pixels of valid depth.
 
     The (height, width) ``hand_mask`` is read at construction, not kept.
-    ``support`` is the depth map with only the support kept valid, and
-    ``support.valid`` its full-size validity. The depth kernel reads the
-    support through a window: the support image's window (empty at the
-    image origin when there is no support) padded by _WINDOW_PAD pixels on
-    each side, whose top-left pixel is ``window_origin`` (u, v).
+    The support is kept only as a window: the bounding box of its pixels
+    (empty at the image origin when there is none) padded by _WINDOW_PAD
+    pixels on each side, whose top-left pixel is ``window_origin`` (u, v).
     ``depth_window`` is the depth there, zero outside the support, so the
     support is where it is positive. ``reach_window``, of the same shape,
     is true at a window pixel when some of the 16 taps anchored there
@@ -135,7 +133,6 @@ class FrameObservation:
     cloud: PointCloud
     depth: DepthImage
     hand_mask: InitVar[np.ndarray]
-    support: DepthImage = field(init=False, repr=False)
     window_origin: tuple = field(init=False, repr=False)
     depth_window: np.ndarray = field(init=False, repr=False)
     reach_window: np.ndarray = field(init=False, repr=False)
@@ -146,13 +143,14 @@ class FrameObservation:
         mask = np.asarray(hand_mask, dtype=bool)
         if mask.shape != self.depth.shape:
             raise InvalidArgumentError("hand mask dimensions must match the depth image")
-        self.support = self.depth.masked(mask)
-        u0, v0 = self.support.origin
+        support = DepthImage.from_window(self.depth.shape, self.depth.origin,
+                                         np.where(mask[self.depth.box], self.depth.window, 0.0))
+        u0, v0 = support.origin
         self.window_origin = (u0 - _WINDOW_PAD, v0 - _WINDOW_PAD)
-        self.depth_window = np.pad(self.support.window, _WINDOW_PAD)
+        self.depth_window = np.pad(support.window, _WINDOW_PAD)
         # the support shifted by each tap offset, OR-ed one axis at a time:
         # taps[v, u] is the support at (v - 1, u - 1)
-        taps = np.pad(self.support.window > 0, ((_WINDOW_PAD + 1, _WINDOW_PAD + 2),) * 2)
+        taps = np.pad(support.window > 0, ((_WINDOW_PAD + 1, _WINDOW_PAD + 2),) * 2)
         taps = taps[:, :-3] | taps[:, 1:-2] | taps[:, 2:-1] | taps[:, 3:]
         self.reach_window = taps[:-3] | taps[1:-2] | taps[2:-1] | taps[3:]
 
@@ -205,37 +203,44 @@ def calibrate_depth_sequence(
     return transform, frames
 
 
+def _window_index(observation: FrameObservation, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """The flat index in the observation's padded window of each image
+    pixel (rows, cols). A pixel beyond the window maps to index 0, a pixel
+    of the zero pad, so every lookup reads it as unsupported."""
+    ou, ov = observation.window_origin
+    height, width = observation.depth_window.shape
+    rows, cols = rows - ov, cols - ou
+    inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+    return np.where(inside, rows * width + cols, 0)
+
+
 def depth_consistency_loss(moved: np.ndarray, observation: FrameObservation,
                            intrinsics: CameraIntrinsics, footprint: int = 3) -> float:
     """Mean absolute depth difference between the splatted moved hand
     points, sigma (R p + t), and the observed depth over the hand support
-    pixels the splat covers."""
-    rendered, observed = splat_depth(moved, intrinsics, footprint).common_depths(
-        observation.support)
-    if not rendered.size:
+    pixels the splat covers, taken in row-major pixel order."""
+    splat = splat_depth(moved, intrinsics, footprint)
+    flat = np.flatnonzero(splat.window > 0)
+    rows, cols = np.divmod(flat, splat.window.shape[1])
+    u0, v0 = splat.origin
+    observed = observation.depth_window.take(_window_index(observation, rows + v0, cols + u0))
+    both = observed > 0
+    if not np.any(both):
         raise LossUndefinedError("no overlapping valid hand pixels")
-    return float(np.mean(np.abs(rendered - observed)))
+    return float(np.mean(np.abs(splat.window.ravel()[flat[both]] - observed[both])))
 
 
 def _support_overlap(moved: np.ndarray, observation: FrameObservation,
                      intrinsics: CameraIntrinsics, footprint: int) -> np.ndarray:
-    """The support-window indices (flat) of the footprint pixels of the
-    moved points that are valid in the support, once per covering point.
-
-    Its distinct entries are the pixels at which ``splat_depth(moved,
-    intrinsics, footprint).common_depths(observation.support)`` gives
-    depths: a splat pixel is valid exactly where some footprint covers it,
-    whatever depth wins there. So, without a z-buffer, the overlap is
-    empty exactly when this is, and its pixel count is this array's
-    number of distinct entries.
-    """
+    """The padded-window indices (flat) of the moved points' footprint
+    pixels in the support, once per covering point. A splat pixel is valid
+    exactly where some footprint covers it, whatever depth wins there, so
+    the distinct entries are the pixels ``depth_consistency_loss`` compares,
+    found without a z-buffer."""
     rows, cols, _ = footprint_pixels(moved, intrinsics, footprint)
-    support_rows, support_cols = observation.support.box
-    rows, cols = rows - support_rows.start, cols - support_cols.start
-    height, width = observation.support.window.shape
-    inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-    flat = rows[inside] * width + cols[inside]
-    return flat[observation.support.window.take(flat) > 0]
+    flat = _window_index(observation, rows, cols)
+    return flat[observation.depth_window.take(flat) > 0]
 
 
 _MIN_DEPTH = 0.01  # meters; reject configurations that push the hand to the camera
@@ -650,8 +655,8 @@ def align_hand_frame(
     refreshed objective, than the initialization.
 
     The start must overlap the support: some footprint pixel of the hand
-    moved by the start must be valid in ``observation.support``, tested on
-    the footprints' pixels without splatting a depth image. An empty
+    moved by the start must be in the observation's hand support, tested
+    on the footprints' pixels without splatting a depth image. An empty
     overlap, or a start whose objective is not finite, is an
     AlignmentError whose ``overlap_pixels`` counts the distinct
     overlapping pixels.

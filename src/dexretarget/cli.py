@@ -27,13 +27,17 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONVERGENCE = 2
 
+log = logging.getLogger(__name__)
+
 
 def _setup_logging(verbose: bool) -> None:
     level_name = os.environ.get("RETARGET_LOG", "WARNING").upper()
     level = getattr(logging, level_name, logging.WARNING)
     if verbose:
         level = min(level, logging.DEBUG)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the handler once; the level is this call's
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(level)
 
 
 def _fail(name: str, exc: Exception) -> int:
@@ -72,7 +76,7 @@ def _run_stages(args, stop_after: str) -> int:
     with stage("config"):
         config, warnings = dataio.load_config(args.config, lenient=args.lenient)
     for w in warnings:
-        logging.getLogger(__name__).warning(w)
+        log.warning(w)
     result = run_pipeline(config, stop_after=stop_after)
     if result.trajectory is not None:
         print(f"trajectory: {result.trajectory_path}")
@@ -82,6 +86,8 @@ def _run_stages(args, stop_after: str) -> int:
 
 def cmd_fk(args) -> int:
     model = parse_urdf(dataio.read_text(args.urdf))
+    for w in model.warnings:
+        log.warning("%s: %s", args.urdf, w)
     try:
         q = np.array([float(t) for t in args.q.split(",")]) if args.q else model.mid_limits()
     except ValueError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -600,11 +601,11 @@ def load_config(path, lenient: bool = False):
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_text(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config is not a text file: {exc}") from exc
+    except FormatError as exc:
+        raise ConfigError(f"config is not a text file: {exc.__cause__}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -623,6 +624,11 @@ def load_config(path, lenient: bool = False):
         p = doc[key]
         if not isinstance(p, str) or "\0" in p:
             raise ConfigError(f"{key} must be a path string, got {p!r}")
+        try:
+            os.fsencode(p)
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"{key} {p!r} is no file name in the file system's"
+                              f" encoding: {exc}") from None
         target = (base / p).resolve() if not Path(p).is_absolute() else Path(p)
         if must_exist:
             if is_dir and not target.is_dir():
@@ -643,9 +649,9 @@ def load_config(path, lenient: bool = False):
     if "weight_table" in doc:
         table_path = resolve("weight_table")
         try:
-            table = TaxonomyWeightTable.from_json(table_path.read_text())
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"weight table is not a text file: {exc}") from exc
+            table = TaxonomyWeightTable.from_json(read_text(table_path))
+        except FormatError as exc:
+            raise ConfigError(f"weight table is not a text file: {exc.__cause__}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"weight table is not valid JSON: {exc}") from exc
 
@@ -701,6 +707,10 @@ def load_config(path, lenient: bool = False):
     calibrate_scale = doc.get("calibrate_scale", True)
     if not isinstance(calibrate_scale, bool):
         raise ConfigError(f"calibrate_scale must be true or false, got {calibrate_scale!r}")
+    object_clouds = sorted({"object_cloud_true", "object_cloud_pred"} & set(doc))
+    if len(object_clouds) == 1:
+        raise ConfigError(f"{object_clouds[0]} given alone: depth calibration needs both"
+                          " object_cloud_true and object_cloud_pred")
 
     cfg = PipelineConfig(
         urdf=resolve("urdf"),

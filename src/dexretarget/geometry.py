@@ -410,34 +410,6 @@ class DepthImage:
     def valid(self) -> np.ndarray:
         return self._full(self.window > 0)
 
-    def masked(self, mask) -> "DepthImage":
-        """This image with its valid pixels outside the (height, width)
-        boolean mask made invalid."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.shape:
-            raise InvalidArgumentError("mask dimensions must match the depth image")
-        return DepthImage.from_window(self.shape, self.origin,
-                                      np.where(mask[self.box], self.window, 0.0))
-
-    def common_depths(self, other: "DepthImage"):
-        """The depths of this image and of ``other`` at the pixels valid in
-        both, as two 1-D arrays in row-major pixel order."""
-        if other.shape != self.shape:
-            raise InvalidArgumentError("depth image dimensions differ")
-        (a_rows, a_cols), (b_rows, b_cols) = self.box, other.box
-        v0, u0 = max(a_rows.start, b_rows.start), max(a_cols.start, b_cols.start)
-        v1 = max(v0, min(a_rows.stop, b_rows.stop))
-        u1 = max(u0, min(a_cols.stop, b_cols.stop))
-
-        def cut(img):
-            u, v = img.origin
-            shared = slice(v0 - v, v1 - v), slice(u0 - u, u1 - u)
-            return img.window[shared]
-
-        a, b = cut(self), cut(other)
-        both = (a > 0) & (b > 0)
-        return a[both], b[both]
-
 
 def huber(r, delta: float):
     """Huber penalty: 0.5 r^2 for |r| <= delta, delta (|r| - delta/2) beyond.

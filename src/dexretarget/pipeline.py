@@ -116,6 +116,8 @@ def run_pipeline(config: PipelineConfig, stop_after: str = "refine") -> Pipeline
     with stage("config"):
         config.output_dir.mkdir(parents=True, exist_ok=True)
         model = parse_urdf(dataio.read_text(config.urdf))
+        for w in model.warnings:
+            log.warning("%s: %s", config.urdf, w)
         trajectory = dataio.read_hand_trajectory(config.hand_trajectory)
         intrinsics, pairs, masks = _load_observations(config, len(trajectory))
         config.finger_mapping.validate_against(model)

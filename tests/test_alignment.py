@@ -45,6 +45,7 @@ from dexretarget.synthetic import (
     canonical_hand_joints,
     sample_hand_surface,
 )
+from test_depth_window import dense_depth_loss, dense_splat, dense_windows
 
 K = DEFAULT_INTRINSICS
 # central-difference step of the gradient audits: small, since the depth
@@ -127,17 +128,12 @@ def reference_depth_residuals(points, depth, support, intrinsics):
     return out
 
 
-def reference_windows(obs):
-    """The observation's hand support and its depth there (zero elsewhere)
-    over the observation's padded window, cut from the full-image arrays:
-    False and zero beyond the image."""
-    ou, ov = obs.window_origin
-    height, width = obs.depth_window.shape
-    pad = alignment._WINDOW_PAD
-    cut = (slice(ov + pad, ov + pad + height), slice(ou + pad, ou + pad + width))
-    support = np.pad(obs.support.valid, pad)[cut]
-    depth = np.pad(np.where(obs.support.valid, obs.depth.values, 0.0), pad)[cut]
-    return support, depth
+def reference_windows(obs, mask):
+    """The hand support of the observation's depth map under ``mask`` and
+    its depth there (zero elsewhere) over the padded window, found from the
+    full-image arrays."""
+    _, depth, _, _ = dense_windows(obs.depth.values, obs.depth.valid, mask)
+    return depth > 0.0, depth
 
 
 def record_continuations(monkeypatch):
@@ -154,7 +150,7 @@ def record_continuations(monkeypatch):
     return continued
 
 
-def unskipped_depth_kernel(points, obs, intrinsics, jacobian=False):
+def unskipped_depth_kernel(points, obs, mask, intrinsics, jacobian=False):
     """The depth kernel as it was before the reach window: every point runs
     all 16 taps, gated by a gather from the support window. Kept as the
     oracle whose residuals and Jacobians the kernel must equal bit for bit.
@@ -186,7 +182,7 @@ def unskipped_depth_kernel(points, obs, intrinsics, jacobian=False):
         return ratios, (dwt - ratios * np.sum(dwt, axis=0)) / total
 
     ou, ov = obs.window_origin
-    support, depth = reference_windows(obs)
+    support, depth = reference_windows(obs, mask)
     height, width = support.shape
     pu = np.clip(iu - ou, 1, width - 3)
     pv = np.clip(iv - ov, 1, height - 3)
@@ -378,7 +374,7 @@ class TestSupportOverlap:
         if rng.random() < 0.5:
             mask |= depth.valid
         obs = observation_of(depth, mask)
-        (rows, cols) = obs.support.box
+        rows, cols = DepthImage(values=np.where(mask, depth.values, 0.0)).box
         # the hand in a random pose, part of it behind the camera or off
         # the image, and points whose footprints straddle the support
         # window's edges, some behind the camera
@@ -398,10 +394,24 @@ class TestSupportOverlap:
         edges = points_at_pixels(np.column_stack([u, v, rng.uniform(0.2, 1.0, 80)]))
         edges[rng.random(80) < 0.2, 2] *= -1.0
         moved = np.vstack((hand, edges))[rng.random(380) < rng.uniform(0.0, 1.0)]
-        rendered, _ = splat_depth(moved, K, footprint).common_depths(obs.support)
         overlap = alignment._support_overlap(moved, obs, K, footprint)
-        assert (overlap.size == 0) == (rendered.size == 0)
-        assert np.unique(overlap).size == rendered.size
+        # the distinct overlap pixels are the ones the depth loss compares:
+        # the splat's valid pixels in the support
+        _, rendered_valid = dense_splat(moved, K, footprint)
+        compared = rendered_valid & mask & depth.valid
+        ou, ov = obs.window_origin
+        vs, us = np.divmod(np.unique(overlap), obs.depth_window.shape[1])
+        pixels = np.zeros_like(compared)
+        pixels[vs + ov, us + ou] = True
+        assert np.array_equal(pixels, compared)
+        expected = dense_depth_loss(moved, depth.values, mask & depth.valid, K, footprint)
+        if expected is None:
+            assert overlap.size == 0
+            with pytest.raises(LossUndefinedError):
+                depth_consistency_loss(moved, obs, K, footprint)
+        else:
+            loss = depth_consistency_loss(moved, obs, K, footprint)
+            assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
 
     def test_non_finite_points_are_the_splats_error(self):
         depth = splat_depth(plane_points(), K, 3)
@@ -422,8 +432,9 @@ class TestFrameObservation:
         mask = np.zeros_like(depth.valid)
         mask[:, : K.width // 2] = True
         obs = observation_of(depth, mask)
-        np.testing.assert_array_equal(obs.support.valid, mask & depth.valid)
-        assert np.any(obs.support.valid) and np.any(mask & ~depth.valid)
+        _, expected, _, hand_mask = dense_windows(depth.values, depth.valid, mask)
+        assert obs.depth_window.tobytes() == expected.tobytes()
+        assert np.any(hand_mask) and np.any(mask & ~depth.valid)
 
 
 class TestSmoothDepthResiduals:
@@ -547,7 +558,7 @@ class TestSmoothDepthResiduals:
         pts = data.draw(self._clouds(box))
         obs = observation_of(self._noisy_depth(rng), mask)
         r = smooth_depth_residuals(pts, obs, K).residuals
-        expected = reference_depth_residuals(pts, obs.depth.values, obs.support.valid, K)
+        expected = reference_depth_residuals(pts, obs.depth.values, mask & obs.depth.valid, K)
         assert r.tobytes() == expected.tobytes()
 
     @given(st.data())
@@ -561,7 +572,7 @@ class TestSmoothDepthResiduals:
         pts = data.draw(self._clouds(box))
         obs = observation_of(self._noisy_depth(rng), mask)
         depth_pass = smooth_depth_residuals(pts, obs, K)
-        r_ref, jac_ref = unskipped_depth_kernel(pts, obs, K, jacobian=True)
+        r_ref, jac_ref = unskipped_depth_kernel(pts, obs, mask, K, jacobian=True)
         assert depth_pass.residuals.tobytes() == r_ref.tobytes()
         assert depth_pass.jacobian().tobytes() == jac_ref.tobytes()
         # continuing the pass leaves its residuals' bits
@@ -569,7 +580,8 @@ class TestSmoothDepthResiduals:
 
     def test_non_finite_points_keep_the_unskipped_results(self):
         pts = plane_points()
-        obs = observation_of(splat_depth(pts, K, 3))
+        depth = splat_depth(pts, K, 3)
+        obs = observation_of(depth)
         odd = points_at_pixels([(20.0, 20.0, 0.4)] * 6)  # far from the support
         odd[0, 0], odd[1, 1], odd[2, 2], odd[3, 2], odd[4, 0], odd[5, 1] = (
             np.nan, np.inf, np.inf, -np.inf, 1e306, -np.inf)
@@ -577,7 +589,7 @@ class TestSmoothDepthResiduals:
         with np.errstate(invalid="ignore", over="ignore"):
             depth_pass = smooth_depth_residuals(cloud, obs, K)
             r, jac = depth_pass.residuals, depth_pass.jacobian()
-            r_ref, jac_ref = unskipped_depth_kernel(cloud, obs, K, jacobian=True)
+            r_ref, jac_ref = unskipped_depth_kernel(cloud, obs, depth.valid, K, jacobian=True)
         assert r.tobytes() == r_ref.tobytes() and jac.tobytes() == jac_ref.tobytes()
         assert not np.any(np.isfinite(r[50:]))
 
@@ -589,7 +601,7 @@ class TestSmoothDepthResiduals:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         mask = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.02, 0.2, 0.9]))
         obs = observation_of(DepthImage(values=rng.uniform(0.2, 1.0, shape)), mask)
-        support, depth = reference_windows(obs)
+        support, depth = reference_windows(obs, mask)
         # each supported pixel marks every anchor one of whose taps is on it
         brute = np.zeros_like(support)
         rows, cols = np.nonzero(support)
@@ -620,7 +632,7 @@ class TestSmoothDepthResiduals:
         r, jac = depth_pass.residuals, depth_pass.jacobian()
         assert r.tobytes() == np.zeros(len(uv)).tobytes()
         assert jac.tobytes() == np.zeros((len(uv), 3)).tobytes()
-        r_ref, jac_ref = unskipped_depth_kernel(cloud, obs, K, jacobian=True)
+        r_ref, jac_ref = unskipped_depth_kernel(cloud, obs, mask, K, jacobian=True)
         assert r_ref.tobytes() == r.tobytes() and jac_ref.tobytes() == jac.tobytes()
         # anchored one pixel closer, a tap of positive weight lands on the support
         closer = points_at_pixels([(u, v, 0.41) for u, v in
@@ -985,7 +997,7 @@ class TestAlignHandFrame:
         sampled = sampled_hand_for(hand)
         obs = observe(sampled.points.copy())
         blocked = FrameObservation(cloud=obs.cloud, depth=obs.depth,
-                                   hand_mask=np.zeros_like(obs.support.valid))
+                                   hand_mask=np.zeros_like(obs.depth.valid))
         with pytest.raises(AlignmentError) as exc:
             align_hand_frame(hand, sampled, blocked, K)
         assert exc.value.diagnostics == {"sigma": 1.0, "overlap_pixels": 0}
@@ -999,8 +1011,8 @@ class TestAlignHandFrame:
         obs = observe(sampled.points.copy())
         near = PointCloud(points=np.vstack((sampled.points, [[0.0, 0.0, 0.5 * alignment._MIN_DEPTH]])))
         rendered = splat_depth(near.points, K, 3)
-        pixel = np.argwhere(rendered.valid & obs.support.valid)[0]
-        mask = np.zeros_like(obs.support.valid)
+        pixel = np.argwhere(rendered.valid & obs.depth.valid)[0]
+        mask = np.zeros_like(obs.depth.valid)
         mask[tuple(pixel)] = True
         one = FrameObservation(cloud=obs.cloud, depth=obs.depth, hand_mask=mask)
         with pytest.raises(AlignmentError) as exc:
@@ -1543,7 +1555,7 @@ class TestAlignTrajectory:
     def test_empty_frame_failure_names_frame(self):
         traj, obs = self.make_sequence([(0.0, 0.0, 0.45)] * 4, seed=5)
         empty_mask = FrameObservation(cloud=obs[3].cloud, depth=obs[3].depth,
-                                      hand_mask=np.zeros_like(obs[3].support.valid))
+                                      hand_mask=np.zeros_like(obs[3].depth.valid))
         obs[3] = empty_mask
         with pytest.raises(AlignmentError) as err:
             align_trajectory(traj, obs, K, seed=5)
@@ -1557,7 +1569,7 @@ class TestAlignTrajectory:
         cloud = obs[1].cloud
         small = PointCloud(points=cloud.points[:n_points], normals=cloud.normals[:n_points])
         obs[1] = FrameObservation(cloud=small, depth=obs[1].depth,
-                                  hand_mask=obs[1].support.valid)
+                                  hand_mask=obs[1].depth.valid)
         with pytest.raises(InvalidArgumentError,
                            match=f"^frame 1: the observed cloud has {n_points} points"):
             align_trajectory(traj, obs, K, seed=7)

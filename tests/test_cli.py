@@ -1,13 +1,17 @@
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dexretarget
 from dexretarget import dataio, errors
 from dexretarget.cli import _fail, main
 from dexretarget.pointcloud import PointCloud
@@ -21,6 +25,22 @@ def write_urdf(dirpath: Path) -> Path:
     path = dirpath / "hand.urdf"
     path.write_text(text)
     return path
+
+
+def with_ignored_elements(urdf: Path) -> None:
+    """Give the URDF a <visual> in its palm link and a top-level <material>,
+    both of which the parser ignores with a warning."""
+    urdf.write_text(urdf.read_text().replace(
+        '<link name="palm"/>', '<link name="palm"><visual/></link><material name="m"/>', 1))
+
+
+@pytest.fixture(autouse=True)
+def restore_root_log_level():
+    """``main`` sets the root logger's level; each test gets it back."""
+    root = logging.getLogger()
+    level = root.level
+    yield
+    root.setLevel(level)
 
 
 def write_config(dirpath: Path, **overrides) -> Path:
@@ -186,6 +206,62 @@ class TestCmdPipeline:
         with caplog.at_level(logging.WARNING, logger="dexretarget"):
             assert main(["calibrate", "--lenient", "--config", config]) == 0
         assert sum("unknown keys ['fd_eps']" in m for m in caplog.messages) == 1
+
+    @pytest.mark.parametrize("given", ["object_cloud_true", "object_cloud_pred"])
+    def test_one_object_cloud_is_a_config_error(self, fixture_dir, capsys, given):
+        doc = json.loads((fixture_dir / "config.json").read_text())
+        doc.pop({"object_cloud_true": "object_cloud_pred",
+                 "object_cloud_pred": "object_cloud_true"}[given])
+        one = fixture_dir / "one_cloud.json"
+        one.write_text(json.dumps(doc))
+        assert main(["calibrate", "--config", str(one)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR config: {given} given alone")
+        assert "\n" not in err.strip()
+
+    def test_config_is_read_as_utf8_whatever_the_locale(self, fixture_dir, tmp_path):
+        # a POSIX locale without UTF-8 mode decodes Path.read_text() as ASCII
+        env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(dexretarget.__file__).resolve().parents[1])}
+        doc = json.loads((fixture_dir / "config.json").read_text())
+        doc.update({key: str(fixture_dir / doc[key]) for key in
+                    ("urdf", "hand_trajectory", "observations_dir", "object_cloud_true",
+                     "object_cloud_pred")})
+
+        def run(name, *flags, **edits):
+            config = tmp_path / name
+            config.write_text(json.dumps({**doc, **edits}, ensure_ascii=False), encoding="utf-8")
+            return subprocess.run([sys.executable, "-m", "dexretarget.cli", "calibrate",
+                                   "--config", str(config), *flags],
+                                  env=env, capture_output=True, text=True)
+
+        # non-ASCII text the run only warns about is read, and the run passes
+        done = run("note.json", "--lenient", note="caf\u00e9")
+        assert done.returncode == 0 and "unknown keys ['note']" in done.stderr
+        assert (tmp_path / "out" / "report.txt").is_file()
+        # so is a weight table, which then names its unknown class
+        table = json.loads(resources.files("dexretarget.assets").joinpath(
+            "taxonomy_weights.json").read_text())
+        (tmp_path / "weights.json").write_text(
+            json.dumps({**table, "caf\u00e9": table["tripod"]}, ensure_ascii=False),
+            encoding="utf-8")
+        done = run("table.json", weight_table="weights.json")
+        assert done.returncode == 1
+        assert done.stderr.startswith("ERROR config: unknown taxonomy class 'caf\\xe9'")
+        # a path this locale cannot name is a config error that says so
+        done = run("out_e.json", output_dir="out_\u00e9")
+        assert done.returncode == 1
+        assert done.stderr.startswith("ERROR config: output_dir 'out_\\xe9' is no file name")
+        assert "\n" not in done.stderr.strip()
+
+    def test_ignored_urdf_elements_are_logged(self, fixture_dir, tmp_path, caplog):
+        out = tmp_path / "fix"
+        shutil.copytree(fixture_dir, out)
+        with_ignored_elements(out / "hand.urdf")
+        assert main(["calibrate", "--config", str(out / "config.json")]) == 0
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warned == [f"{out / 'hand.urdf'}: ignored <visual> in link 'palm'",
+                          f"{out / 'hand.urdf'}: ignored <material> element"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["pipeline", "--config", str(tmp_path / "none.json")])
@@ -622,6 +698,27 @@ class TestCmdFk:
         err = capsys.readouterr().err
         assert err.startswith("ERROR fk: joint ") and "axis xyz is missing" in err
         assert "\n" not in err.strip()
+
+    def test_ignored_elements_are_logged_and_change_no_output(self, tmp_path, capsys, caplog):
+        urdf = write_urdf(tmp_path)
+        assert main(["fk", "--urdf", str(urdf)]) == 0
+        plain = capsys.readouterr().out
+        assert not caplog.records
+        with_ignored_elements(urdf)
+        assert main(["fk", "--urdf", str(urdf)]) == 0
+        assert capsys.readouterr().out == plain
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, f"{urdf}: ignored <visual> in link 'palm'"),
+            (logging.WARNING, f"{urdf}: ignored <material> element")]
+
+    def test_log_level_is_set_on_every_call(self, tmp_path, monkeypatch):
+        # one process, several calls: the second must not keep the first's level
+        monkeypatch.delenv("RETARGET_LOG", raising=False)
+        urdf = write_urdf(tmp_path)
+        for flags, level in (([], logging.WARNING), (["--verbose"], logging.DEBUG),
+                             ([], logging.WARNING)):
+            assert main([*flags, "fk", "--urdf", str(urdf), "--links", "palm"]) == 0
+            assert logging.getLogger().level == level
 
     def test_bad_q_is_input_error(self, tmp_path, capsys):
         urdf = write_urdf(tmp_path)

@@ -204,11 +204,10 @@ class TestAgainstDenseReference:
         values, valid = dense_depth(MAPS[name])
         for mask in (valid, rng.random(valid.shape) < 0.5, np.zeros_like(valid)):
             obs = observation_of(DepthImage(values=MAPS[name]), mask)
-            origin, depth_window, reach, hand_mask = dense_windows(values, valid, mask)
+            origin, depth_window, reach, _ = dense_windows(values, valid, mask)
             assert obs.window_origin == origin
             assert same_bits(obs.depth_window, depth_window)
             assert same_bits(obs.reach_window, reach)
-            assert same_bits(obs.support.valid, hand_mask)
 
     @pytest.mark.parametrize("footprint", [1, 3])
     def test_depth_consistency_loss(self, name, footprint):
@@ -285,15 +284,17 @@ def test_depth_image_holds_no_full_size_array(tmp_path):
 
 
 def test_frame_observation_holds_no_full_size_array(tmp_path):
-    """An observation of a c11 frame keeps its hand support as windows: no
-    array it or its depth maps hold is of the full (height, width) shape.
+    """An observation of a c11 frame keeps its hand support as windows: its
+    one depth map is the frame's, and no array it or that map holds is of
+    the full (height, width) shape.
     Aligning the frame's hand against it leaves it holding the same
     objects, so the frame's pass memo does not outlive the frame on it."""
     img, fixture = c11_last_frame(tmp_path)
     obs = FrameObservation(cloud=estimate_normals(fixture.clouds[-1], k=12), depth=img,
                            hand_mask=fixture.masks[-1])
+    assert [name for name, v in vars(obs).items() if isinstance(v, DepthImage)] == ["depth"]
     held = [a for a in vars(obs).values() if isinstance(a, np.ndarray)]
-    held += arrays_held_by(obs.depth) + arrays_held_by(obs.support)
+    held += arrays_held_by(obs.depth)
     assert held and all(a.shape != img.shape for a in held)
     before = {name: id(value) for name, value in vars(obs).items()}
     frame = fixture.trajectory.frames[-1]
