@@ -27,12 +27,14 @@ from .geometry import (
     DepthImage,
     RigidTransform,
     Rotation,
+    _bounding_box,
+    _so3_left_jacobian,
     backproject_depth,
+    check_huber_delta,
     footprint_pixels,
     pseudo_huber,
     pseudo_huber_derivative,
     rotvec_matrix,
-    so3_left_jacobian,
     splat_depth,
     weighted_umeyama,
 )
@@ -57,6 +59,8 @@ MIN_CLOUD_POINTS = 3
 # kernel's taps reach 1 px before and 2 px after a projection, so the taps
 # of a projection clipped to the window's border all fall in the pad
 _WINDOW_PAD = 4
+# the depth kernel's tap offsets from a projection's pixel, on each axis
+_TAPS = np.array([-1, 0, 1, 2])
 # |pg|inf at which an outer round's solve stops. Each solve minimizes a
 # surrogate whose correspondences the next round refreshes, so solving it
 # to the solver's default 1e-8 buys digits that round discards. Measured
@@ -76,7 +80,8 @@ class AlignConfig:
     splat_footprint: int = 3
 
     def __post_init__(self):
-        for name in ("huber_delta", "lambda_rend", "lambda_reg"):
+        check_huber_delta(self.huber_delta)
+        for name in ("lambda_rend", "lambda_reg"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidArgumentError(f"{name} must be positive and finite")
         check_iteration_count("outer_iters", self.outer_iters)
@@ -127,7 +132,8 @@ class FrameObservation:
     support is where it is positive. ``reach_window``, of the same shape,
     is true at a window pixel when some of the 16 taps anchored there
     (offsets -1..2 on each axis) is supported; a point whose anchor is not
-    reached reads exactly zero.
+    reached reads exactly zero. ``tap_offsets`` (16, 1) holds the flat
+    offsets of those 16 taps in the window, the column tap outermost.
     """
 
     cloud: PointCloud
@@ -136,6 +142,7 @@ class FrameObservation:
     window_origin: tuple = field(init=False, repr=False)
     depth_window: np.ndarray = field(init=False, repr=False)
     reach_window: np.ndarray = field(init=False, repr=False)
+    tap_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, hand_mask):
         if self.cloud.normals is None:
@@ -143,16 +150,32 @@ class FrameObservation:
         mask = np.asarray(hand_mask, dtype=bool)
         if mask.shape != self.depth.shape:
             raise InvalidArgumentError("hand mask dimensions must match the depth image")
-        support = DepthImage.from_window(self.depth.shape, self.depth.origin,
-                                         np.where(mask[self.depth.box], self.depth.window, 0.0))
-        u0, v0 = support.origin
-        self.window_origin = (u0 - _WINDOW_PAD, v0 - _WINDOW_PAD)
-        self.depth_window = np.pad(support.window, _WINDOW_PAD)
+        # the depth's window holds finite depths, positive exactly where valid
+        supported = mask[self.depth.box] & (self.depth.window > 0)
+        box = _bounding_box(supported)
+        supported = supported[box]
+        u0, v0 = self.depth.origin
+        if supported.size:
+            u0, v0 = u0 + box[1].start, v0 + box[0].start
+        else:
+            u0 = v0 = 0
+        pad = _WINDOW_PAD
+        self.window_origin = (u0 - pad, v0 - pad)
+        height, width = supported.shape
+        self.depth_window = np.zeros((height + 2 * pad, width + 2 * pad))
+        np.copyto(self.depth_window[pad:pad + height, pad:pad + width],
+                  self.depth.window[box], where=supported)
         # the support shifted by each tap offset, OR-ed one axis at a time:
         # taps[v, u] is the support at (v - 1, u - 1)
-        taps = np.pad(support.window > 0, ((_WINDOW_PAD + 1, _WINDOW_PAD + 2),) * 2)
-        taps = taps[:, :-3] | taps[:, 1:-2] | taps[:, 2:-1] | taps[:, 3:]
-        self.reach_window = taps[:-3] | taps[1:-2] | taps[2:-1] | taps[3:]
+        taps = np.zeros((height + 2 * pad + 3, width + 2 * pad + 3), dtype=bool)
+        taps[pad + 1:pad + 1 + height, pad + 1:pad + 1 + width] = supported
+        cols = taps[:, :-3] | taps[:, 1:-2]
+        cols |= taps[:, 2:-1]
+        cols |= taps[:, 3:]
+        self.reach_window = cols[:-3] | cols[1:-2]
+        self.reach_window |= cols[2:-1]
+        self.reach_window |= cols[3:]
+        self.tap_offsets = (_TAPS[:, None] + (width + 2 * pad) * _TAPS[None, :]).reshape(16, 1)
 
 
 def params_encode(sigma: float, correction: RigidTransform) -> np.ndarray:
@@ -247,18 +270,10 @@ _MIN_DEPTH = 0.01  # meters; reject configurations that push the hand to the cam
 # separable C2 kernel of radius 2 px: wide and smooth enough for a
 # continuous gradient that finite-difference audits can check
 _KERNEL_RADIUS = 2.0
-_TAPS = np.array([-1, 0, 1, 2])
-# sign of c - (floor(c) + tap), the signed distance of a coordinate c to
-# each of its taps (at distance 0 the kernel's slope is 0 either way)
-_TAP_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
-
-def _gated_weights(ratios: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """The (16, n) tap weights, column tap outermost, zero where ``gate``
-    is off: the products of the per-axis weight ratios (4, 2, n)."""
-    gated = (ratios[:, 0][:, None] * ratios[:, 1][None, :]).reshape(16, -1)
-    gated *= gate
-    return gated
+# the smoothstep's slope factor -30 / radius times the sign of
+# c - (floor(c) + tap), the signed distance of a coordinate c to each of its
+# taps (at distance 0 the kernel's slope is 0 either way), per (tap, axis, point)
+_TAP_SLOPES = (-30.0 / _KERNEL_RADIUS) * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
 
 
 class _DepthPass:
@@ -273,21 +288,34 @@ class _DepthPass:
     gate, which spares the pass a third (16, n) array. ``jacobian()``
     continues from them on its first call, keeps the Jacobian and drops
     them.
+
+    The pass is unchecked: it takes the points as a float (N, 3) array and
+    trusts the observation's windows and tap offsets, so that its fixed
+    cost is a few dozen whole-array numpy calls, with no stacking or
+    concatenation of small arrays. ``smooth_depth_residuals`` is its one
+    entry point.
     """
 
     def __init__(self, points, observation: FrameObservation, intrinsics: CameraIntrinsics):
         pts = np.asarray(points, dtype=float)
         near = pts[:, 2] < _MIN_DEPTH
-        self.near = near if np.any(near) else None
+        self.near = near if near.any() else None
         far = pts if self.near is None else pts[~near]
         self.intrinsics = intrinsics
-        self.n_far = len(far)
+        self.n_far = n = len(far)
         self._kept = self._jacobian = None
         z = far[:, 2]
-        u = intrinsics.fx * far[:, 0] / z + intrinsics.cx
-        v = intrinsics.fy * far[:, 1] / z + intrinsics.cy
-        iu = np.floor(u).astype(int)
-        iv = np.floor(v).astype(int)
+        # the projections (u, v), each an axis's row: f x / z + c
+        proj = np.empty((2, n))
+        u, v = proj
+        np.multiply(far[:, 0], intrinsics.fx, out=u)
+        u /= z
+        u += intrinsics.cx
+        np.multiply(far[:, 1], intrinsics.fy, out=v)
+        v /= z
+        v += intrinsics.cy
+        pixel = np.floor(proj).astype(int)
+        iu, iv = pixel
         ou, ov = observation.window_origin
         height, width = observation.reach_window.shape
         # flat window pixel of each projection, clamped so that its taps stay inside
@@ -296,26 +324,32 @@ class _DepthPass:
         # the sum is not finite when u, v or z is not (or when it overflows)
         self.run = run = np.flatnonzero(
             observation.reach_window.take(anchor) | ~np.isfinite(u + v + z))
-        r = np.zeros(len(far))
+        r = np.zeros(n)
         if run.size:
-            z, u, v = z[run], u[run], v[run]
+            z, proj = z.take(run), proj.take(run, axis=1)
             # (4, 2, n) tap weights of both axes, each over its axis's weight
             # sum. Below, each array is written over one that is not read
             # again, so that a value pass over many points (the scale
             # scan's) holds few (16, n) arrays at its peak
-            t = np.clip((_KERNEL_RADIUS - np.abs(np.stack((u, v)) - (np.stack((iu[run], iv[run]))
-                                                                     + _TAPS[:, None, None])))
-                        / _KERNEL_RADIUS, 0.0, 1.0)
-            ratios = t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
-            total = ratios.sum(axis=0)
+            t = proj - (pixel.take(run, axis=1) + _TAPS[:, None, None])
+            np.abs(t, out=t)
+            np.subtract(_KERNEL_RADIUS, t, out=t)
+            t /= _KERNEL_RADIUS
+            # clip(t, 0, 1): t <= 1 already, and maximum keeps a NaN as clip does
+            np.maximum(t, 0.0, out=t)
+            ratios = t * (6.0 * t - 15.0)
+            ratios += 10.0
+            ratios *= t ** 3
+            total = np.add.reduce(ratios, axis=0)
             ratios /= total
             # (16, n) flat window index; the column tap is the outer one
-            offsets = (_TAPS[:, None] + width * _TAPS[None, :]).ravel()
-            observed = observation.depth_window.take(offsets[:, None] + anchor[run])
+            observed = observation.depth_window.take(observation.tap_offsets + anchor.take(run))
             # the depth window is positive exactly on the support
             gate = observed > 0.0
-            # the weights are finite and non-negative, so a gated-off tap adds exactly +-0
-            terms = _gated_weights(ratios, gate)
+            # the (16, n) gated tap weights, column tap outermost: the weights
+            # are finite and non-negative, so a gated-off tap adds exactly +-0
+            terms = (ratios[:, 0][:, None] * ratios[:, 1][None, :]).reshape(16, -1)
+            terms *= gate
             # the window is float64, so its depths' buffer takes the gaps
             gaps = np.subtract(z, observed, out=observed)
             terms *= gaps
@@ -323,8 +357,8 @@ class _DepthPass:
             kept = np.zeros(run.size)
             for term in terms:
                 kept += term
-            r[run] = kept
-            self._kept = (z, u, v, t, total, ratios, gate, gaps)
+            r.put(run, kept)
+            self._kept = (z, proj, t, total, ratios, gate, gaps)
         if self.near is not None:
             out = np.full(len(pts), np.inf)
             out[~near] = r
@@ -338,30 +372,41 @@ class _DepthPass:
             return self._jacobian
         jac = np.zeros((self.n_far, 3))
         if self._kept is not None:
-            z, u, v, t, total, ratios, gate, gaps = self._kept
+            z, (u, v), t, total, ratios, gate, gaps = self._kept
             self._kept = None
             # smoothstep slope 30 t^2 (1 - t)^2 times dt/dc = -sign / radius,
             # then the quotient rule through each axis's weight sum
-            dwt = (-30.0 / _KERNEL_RADIUS) * _TAP_SIGNS[:, None, None] * (t * (1.0 - t)) ** 2
-            dratios = (dwt - ratios * dwt.sum(axis=0)) / total
+            dwt = np.subtract(1.0, t)
+            dwt *= t
+            np.square(dwt, out=dwt)
+            dwt *= _TAP_SLOPES
+            dratios = ratios * np.add.reduce(dwt, axis=0)
+            np.subtract(dwt, dratios, out=dratios)
+            dratios /= total
             ru, rv = ratios[:, 0], ratios[:, 1]
             dru, drv = dratios[:, 0], dratios[:, 1]
-            gated = _gated_weights(ratios, gate)
-            gated_gaps = gate * gaps
             # the three tap sums in one reduction over the tap axis of a
             # (16, 3, n) array, which adds the taps in order for any n (a
-            # (16, 1) array on its own would be summed pairwise)
-            dr_du, dr_dv, weight = np.stack((
-                (dru[:, None] * rv[None, :]).reshape(16, -1) * gated_gaps,
-                (ru[:, None] * drv[None, :]).reshape(16, -1) * gated_gaps,
-                gated), axis=1).sum(axis=0)
+            # (16, 1) array on its own would be summed pairwise): per tap,
+            # the gated dr/du and dr/dv terms and the gated weight
+            taps = np.empty((4, 4, 3, z.size))
+            np.multiply(dru[:, None], rv[None, :], out=taps[:, :, 0])
+            np.multiply(ru[:, None], drv[None, :], out=taps[:, :, 1])
+            np.multiply(ru[:, None], rv[None, :], out=taps[:, :, 2])
+            taps = taps.reshape(16, 3, -1)
+            taps[:, :2] *= (gate * gaps)[:, None]
+            taps[:, 2] *= gate
+            sums = np.add.reduce(taps, axis=0)
+            dr_du, dr_dv, weight = sums
+            # the columns in place, z's first since it reads the other two:
             # du/dz = -(u - cx) / z and dv/dz = -(v - cy) / z
             K = self.intrinsics
-            jac[self.run] = np.column_stack((
-                dr_du * K.fx / z,
-                dr_dv * K.fy / z,
-                weight - (dr_du * (u - K.cx) + dr_dv * (v - K.cy)) / z,
-            ))
+            weight -= (dr_du * (u - K.cx) + dr_dv * (v - K.cy)) / z
+            dr_du *= K.fx
+            dr_du /= z
+            dr_dv *= K.fy
+            dr_dv /= z
+            jac[self.run] = sums.T
         if self.near is not None:
             out = np.full((len(self.near), 3), np.nan)
             out[~self.near] = jac
@@ -458,7 +503,7 @@ class _PassMemo:
         if key not in self.queried:
             _, idx = self.index.query(moved)
             cloud = self.observation.cloud
-            self.queried[key] = cloud.points[idx], cloud.normals[idx]
+            self.queried[key] = cloud.points.take(idx, axis=0), cloud.normals.take(idx, axis=0)
         return self.queried[key]
 
     def at(self, x: np.ndarray) -> _MovedHand:
@@ -470,7 +515,8 @@ class _PassMemo:
                 return state
         sigma = float(np.exp(x[0]))
         rotated = _rotated(self.hand_cloud.points, x)
-        moved = sigma * (rotated + x[4:7])
+        moved = rotated + x[4:7]
+        moved *= sigma
         state = _MovedHand(sigma, rotated, moved,
                            smooth_depth_residuals(moved, self.observation, self.intrinsics))
         self.entries = [(key, state)] + self.entries[:1]
@@ -547,6 +593,10 @@ def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
     m = sigma (R(w) p + t) and G_i the objective's derivative in m_i,
     d/d log sigma = sum G_i . m_i, d/dt = sigma sum G_i, and d/dw =
     sigma J_l(w)^T sum (R p_i) x G_i, J_l being the SO(3) left Jacobian.
+
+    x is not validated: the solver keeps it finite inside the box, so the
+    chain rule takes J_l from ``_so3_left_jacobian``, the unchecked path of
+    ``so3_left_jacobian``.
     """
     x = np.asarray(x, dtype=float)
     state = memo.at(x)
@@ -554,20 +604,22 @@ def _evaluate(memo: _PassMemo, cfg, correspondences, x, gradient: bool = False,
     if not gradient:
         return _value(cfg, correspondences, x, moved, d, bound)
     delta = cfg.huber_delta
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         return np.full(len(x), np.nan)
     corr_pts, corr_nrm = correspondences(x, moved)
     r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
     # G_i: derivative of the point-to-plane and depth means in m_i
-    g_moved = (pseudo_huber_derivative(r, delta)[:, None] * corr_nrm
-               + cfg.lambda_rend * pseudo_huber_derivative(d, delta)[:, None]
-               * state.depth.jacobian()) / len(moved)
-    grad = np.concatenate((
-        [np.sum(g_moved * moved)],
-        state.sigma * (so3_left_jacobian(x[1:4]).T
-                       @ np.sum(_cross_rows(state.rotated, g_moved), axis=0)),
-        state.sigma * np.sum(g_moved, axis=0),
-    ))
+    g_moved = pseudo_huber_derivative(r, delta)[:, None] * corr_nrm
+    g_depth = pseudo_huber_derivative(d, delta)
+    g_depth *= cfg.lambda_rend
+    g_moved += g_depth[:, None] * state.depth.jacobian()
+    g_moved /= len(moved)
+    grad = np.empty(7)
+    grad[0] = np.add.reduce(g_moved * moved, axis=None)
+    grad[1:4] = _so3_left_jacobian(x[1:4]).T @ np.add.reduce(_cross_rows(state.rotated, g_moved),
+                                                             axis=0)
+    grad[4:] = np.add.reduce(g_moved, axis=0)
+    grad[1:] *= state.sigma
     grad[1:] += 2.0 * cfg.lambda_reg * x[1:]
     return grad
 

@@ -9,6 +9,7 @@ pixel centers at integer coordinates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,16 +173,20 @@ class Rotation:
 
 
 def _rotvec_quat(v: np.ndarray) -> np.ndarray:
-    """The unit quaternion of a finite (3,) rotation vector, unchecked."""
-    angle = float(np.linalg.norm(v))
+    """The unit quaternion of a finite (3,) rotation vector, unchecked.
+    Scalars go through ``math`` (whose sin and cos give numpy's float64
+    bits) and each norm is np.linalg.norm's sqrt of a dot."""
+    x, y, z = v.tolist()
+    angle = math.sqrt(v.dot(v))
     if angle < 1e-12:
         # first-order expansion of exp; renormalized below
-        q = np.concatenate(([1.0], 0.5 * v))
+        q = np.array((1.0, 0.5 * x, 0.5 * y, 0.5 * z))
     else:
         half = 0.5 * angle
-        q = np.concatenate(([np.cos(half)], np.sin(half) * v / angle))
+        s = math.sin(half)
+        q = np.array((math.cos(half), s * x / angle, s * y / angle, s * z / angle))
     # the normalization Rotation.__init__ applies
-    return q / float(np.linalg.norm(q))
+    return q / math.sqrt(q.dot(q))
 
 
 def _quat_matrix(q: np.ndarray) -> np.ndarray:
@@ -204,18 +209,29 @@ def rotvec_matrix(rv: np.ndarray) -> np.ndarray:
 def so3_left_jacobian(rotvec) -> np.ndarray:
     """Left Jacobian J_l of SO(3) at a rotation vector w: the first-order
     change of exp([w]x) under w -> w + dw is exp([J_l dw]x), so
-    d(R(w) p)/dw = -[R(w) p]x J_l."""
-    w = as_vec3(rotvec)
-    theta = float(np.linalg.norm(w))
+    d(R(w) p)/dw = -[R(w) p]x J_l.
+
+    This function validates w (``as_vec3``); ``_so3_left_jacobian`` is the
+    unchecked path, which callers that hold a finite (3,) float64 vector
+    call directly."""
+    return _so3_left_jacobian(as_vec3(rotvec))
+
+
+def _so3_left_jacobian(w: np.ndarray) -> np.ndarray:
+    """``so3_left_jacobian`` of a finite (3,) float64 vector, unchecked."""
+    w0, w1, w2 = w.tolist()
+    theta = math.sqrt(w.dot(w))  # np.linalg.norm's operations
     if theta < 1e-2:
         # Taylor series; the next terms are below 1e-16 relative
         t2 = theta * theta
         a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
         b = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        a = 2.0 * np.sin(0.5 * theta) ** 2 / theta ** 2
-        b = (theta - np.sin(theta)) / theta ** 3
-    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    elif theta < math.inf:
+        a = 2.0 * math.sin(0.5 * theta) ** 2 / theta ** 2
+        b = (theta - math.sin(theta)) / theta ** 3
+    else:  # |w| overflows: the NaN that numpy's sin of inf gave
+        a = b = math.nan
+    k = np.array([[0.0, -w2, w1], [w2, 0.0, -w0], [-w1, w0, 0.0]])
     return np.eye(3) + a * k + b * (k @ k)
 
 
@@ -427,6 +443,16 @@ def huber(r, delta: float):
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
     return out
+
+
+def check_huber_delta(delta) -> None:
+    """Reject a Huber delta that is not positive or whose square is not a
+    normal finite float: the pseudo-Huber terms divide by delta and scale
+    by its square, which would otherwise overflow or underflow."""
+    if not (delta > 0 and sys.float_info.min <= delta * delta <= sys.float_info.max):
+        raise InvalidArgumentError(
+            f"huber_delta must be positive with a square in [{sys.float_info.min:.4g},"
+            f" {sys.float_info.max:.4g}] (a normal finite float), got {delta!r}")
 
 
 def pseudo_huber(r: np.ndarray, delta: float) -> np.ndarray:

@@ -159,8 +159,14 @@ def estimate_normals(cloud: PointCloud, k: int = 16, viewpoint=(0.0, 0.0, 0.0)) 
         raise InvalidArgumentError(f"k={k} exceeds cloud size {n}")
     vp = np.asarray(viewpoint, dtype=float)
     _, idx = build_index(cloud).query(cloud.points, k=k)
-    nbrs = cloud.points[idx]                           # (n, k, 3)
-    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    nbrs = cloud.points.take(idx, axis=0)              # (n, k, 3)
+    # the neighbours' mean, one add per neighbour in order and then the
+    # divide: the bits of nbrs.mean(axis=1), which reduces that axis the same way
+    mean = nbrs[:, 0].copy()
+    for j in range(1, k):
+        mean += nbrs[:, j]
+    mean /= k
+    centered = nbrs - mean[:, None]
     normals, ill = _smallest_eigenvectors(centered)
     if ill.size:
         cov = np.einsum("nki,nkj->nij", centered[ill], centered[ill]) / k

@@ -23,7 +23,7 @@ from .errors import (
     RetargetError,
     SolverStartError,
 )
-from .geometry import RigidTransform, huber, weighted_umeyama
+from .geometry import RigidTransform, check_huber_delta, huber, weighted_umeyama
 from .hand_model import (
     FingerMapping,
     HandFrame,
@@ -54,8 +54,7 @@ class RetargetConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if not 0 < self.huber_delta < np.inf:
-            raise InvalidArgumentError("huber_delta must be positive and finite")
+        check_huber_delta(self.huber_delta)
         if not (0 <= self.lambda_smooth < np.inf and 0 <= self.lambda_init < np.inf):
             raise InvalidArgumentError("penalty weights must be non-negative and finite")
         if not 0 < self.scale < np.inf:

@@ -9,6 +9,7 @@ fixtures bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -109,8 +110,10 @@ def sample_hand_surface(joints: np.ndarray, n_points: int = 500,
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
     vp = None if visible_from is None else np.asarray(visible_from, dtype=float)
-    bones = hand_bones()
-    lengths = np.array([np.linalg.norm(joints[j] - joints[i]) for i, j, _ in bones])
+    first, last, radii = zip(*hand_bones())
+    starts = joints[list(first)]
+    bones = joints[list(last)] - starts
+    lengths = np.array([math.sqrt(b.dot(b)) for b in bones])  # np.linalg.norm's operations
     weights = lengths / lengths.sum()
     counts = np.floor(weights * n_points).astype(int)
     # distribute the remainder deterministically onto the longest bones
@@ -119,23 +122,28 @@ def sample_hand_surface(joints: np.ndarray, n_points: int = 500,
     for k in range(remainder):
         counts[order[k % len(bones)]] += 1
 
-    pts = []
-    for (i, j, radius), count in zip(bones, counts):
+    # each bone's draws, bone by bone: its points' positions along the bone,
+    # then their offsets, made normal to the bone (tube surface)
+    t = np.empty(n_points)
+    offsets = np.empty((n_points, 3))
+    end = 0
+    for bone, length, count in zip(bones, lengths, counts.tolist()):
         if count == 0:
             continue
-        t = rng.random(count)[:, None]
-        bone = joints[j] - joints[i]
-        axis_pts = joints[i] + t * bone
-        u = bone / np.linalg.norm(bone)
-        offsets = rng.normal(size=(count, 3))
-        offsets -= np.outer(offsets @ u, u)  # tube surface: offsets normal to the bone
-        offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
-        if vp is not None:
-            toward = vp - axis_pts
-            facing = np.einsum("ij,ij->i", offsets, toward)
-            offsets[facing < 0.0] *= -1.0
-        pts.append(axis_pts + radius * offsets)
-    return np.vstack(pts)
+        begin, end = end, end + count
+        t[begin:end] = rng.random(count)
+        drawn = rng.normal(size=(count, 3))
+        u = bone / length
+        drawn -= (drawn @ u)[:, None] * u
+        offsets[begin:end] = drawn
+    # the rest is per point, each point reading its bone's row
+    which = np.repeat(np.arange(len(bones)), counts)
+    axis_pts = starts.take(which, axis=0) + t[:, None] * bones.take(which, axis=0)
+    offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+    if vp is not None:
+        facing = np.einsum("ij,ij->i", offsets, vp - axis_pts)
+        offsets[facing < 0.0] *= -1.0
+    return axis_pts + np.array(radii).take(which)[:, None] * offsets
 
 
 def sample_cylinder_surface(center, radius: float, height: float, n_points: int,

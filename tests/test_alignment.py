@@ -35,6 +35,7 @@ from dexretarget.geometry import (
     SimilarityTransform,
     backproject_depth,
     pseudo_huber,
+    pseudo_huber_derivative,
     splat_depth,
 )
 from dexretarget.hand_model import HandFrame, HandTrajectory
@@ -42,8 +43,10 @@ from dexretarget.pointcloud import PointCloud, build_index, estimate_normals
 from dexretarget.solver import check_gradient, fd_gradient
 from dexretarget.synthetic import (
     DEFAULT_INTRINSICS,
+    SynthConfig,
     canonical_hand_joints,
     sample_hand_surface,
+    synth_hand_trajectory,
 )
 from test_depth_window import dense_depth_loss, dense_splat, dense_windows
 
@@ -1319,6 +1322,153 @@ class TestAlignmentGradient:
         # the solver refuses to start there
         with pytest.raises(SolverStartError):
             solver.minimize_box(problem, near)
+
+
+def reference_moved(points, x):
+    """R p and sigma (R p + t) at the parameter vector x, the rotation
+    matrix built as it was before geometry's scalars moved to ``math``
+    (np.linalg.norm, np.concatenate, numpy's sin and cos)."""
+    v = x[1:4]
+    angle = float(np.linalg.norm(v))
+    if angle < 1e-12:
+        q = np.concatenate(([1.0], 0.5 * v))
+    else:
+        half = 0.5 * angle
+        q = np.concatenate(([np.cos(half)], np.sin(half) * v / angle))
+    w, a, b, c = (q / float(np.linalg.norm(q))).tolist()
+    matrix = np.array([
+        [1 - 2 * (b * b + c * c), 2 * (a * b - w * c), 2 * (a * c + w * b)],
+        [2 * (a * b + w * c), 1 - 2 * (a * a + c * c), 2 * (b * c - w * a)],
+        [2 * (a * c - w * b), 2 * (b * c + w * a), 1 - 2 * (a * a + b * b)],
+    ])
+    rotated = points @ matrix.T
+    return rotated, float(np.exp(x[0])) * (rotated + x[4:7])
+
+
+def reference_correspondences(points, obs, x):
+    """The nearest observed points and normals of the hand moved by x,
+    gathered by fancy indexing."""
+    _, idx = build_index(obs.cloud).query(reference_moved(points, x)[1])
+    return obs.cloud.points[idx], obs.cloud.normals[idx]
+
+
+def reference_so3_left_jacobian(w):
+    """``so3_left_jacobian`` as written with np.linalg.norm and numpy's sin."""
+    theta = float(np.linalg.norm(w))
+    if theta < 1e-2:
+        t2 = theta * theta
+        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        b = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    else:
+        a = 2.0 * np.sin(0.5 * theta) ** 2 / theta ** 2
+        b = (theta - np.sin(theta)) / theta ** 3
+    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def reference_alignment_value(points, obs, mask, cfg, x, correspondences):
+    """The alignment objective at x against the frozen (points, normals)
+    ``correspondences``, as ``_value`` was written before its fixed numpy
+    cost was cut, on the unskipped depth kernel: the oracle of its bits."""
+    _, moved = reference_moved(points, x)
+    d = unskipped_depth_kernel(moved, obs, mask, K)
+    if not np.isfinite(d).all():
+        return np.inf
+    depth = cfg.lambda_rend * float(np.mean(pseudo_huber(d, cfg.huber_delta)))
+    reg = cfg.lambda_reg * float(x[1:] @ x[1:])
+    corr_pts, corr_nrm = correspondences
+    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
+    return (float(np.mean(pseudo_huber(r, cfg.huber_delta))) + depth) + reg
+
+
+def reference_alignment_gradient(points, obs, mask, cfg, x, correspondences):
+    """The objective's gradient, as ``_evaluate``'s chain rule was written
+    with np.concatenate, np.stack-built kernel sums, np.cross and the left
+    Jacobian in numpy's scalar functions: the oracle of its bits."""
+    rotated, moved = reference_moved(points, x)
+    d, jac = unskipped_depth_kernel(moved, obs, mask, K, jacobian=True)
+    if not np.all(np.isfinite(d)):
+        return np.full(len(x), np.nan)
+    delta, sigma = cfg.huber_delta, float(np.exp(x[0]))
+    corr_pts, corr_nrm = correspondences
+    r = np.einsum("ij,ij->i", corr_nrm, moved - corr_pts)
+    g_moved = (pseudo_huber_derivative(r, delta)[:, None] * corr_nrm
+               + cfg.lambda_rend * pseudo_huber_derivative(d, delta)[:, None]
+               * jac) / len(moved)
+    grad = np.concatenate((
+        [np.sum(g_moved * moved)],
+        sigma * (reference_so3_left_jacobian(x[1:4]).T
+                 @ np.sum(np.cross(rotated, g_moved), axis=0)),
+        sigma * np.sum(g_moved, axis=0),
+    ))
+    grad[1:] += 2.0 * cfg.lambda_reg * x[1:]
+    return grad
+
+
+class TestAlignmentBitOracle:
+    """The objective and gradient give the bits of the code they replaced,
+    value pass first or gradient first, on a near point too, and on passes
+    that run no point or one point (the (16, 1) tap sums)."""
+
+    @staticmethod
+    def assert_reference_bits(sampled, obs, mask, x, at):
+        cfg = AlignConfig()
+        frozen = reference_correspondences(sampled.points, obs, at)
+        want = (reference_alignment_value(sampled.points, obs, mask, cfg, x, frozen),
+                reference_alignment_gradient(sampled.points, obs, mask, cfg, x, frozen))
+        for gradient_first in (False, True):
+            memo = alignment._PassMemo(sampled, obs, K)
+            queried = memo.correspondences(at, memo.at(at).moved)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(queried, frozen))
+            evaluate = partial(alignment._evaluate, memo, cfg, lambda *_: frozen, x)
+            if gradient_first:
+                grad = evaluate(gradient=True)
+                value = evaluate()
+            else:
+                value = evaluate()
+                grad = evaluate(gradient=True)
+            assert np.float64(value).tobytes() == np.float64(want[0]).tobytes()
+            assert grad.tobytes() == want[1].tobytes()
+        return want
+
+    @pytest.mark.parametrize("seed", [7, 20261017])
+    def test_synth_frames_at_random_parameters(self, seed):
+        fixture = synth_hand_trajectory(SynthConfig(n_frames=3, noise_sigma=0.001, seed=seed,
+                                                    depth_scale=0.8))
+        rng = np.random.default_rng(seed)
+        for f, frame in enumerate(fixture.trajectory.frames):
+            mask = fixture.masks[f]
+            obs = FrameObservation(cloud=estimate_normals(fixture.clouds[f], k=16),
+                                   depth=fixture.depths[f], hand_mask=mask)
+            sampled = sampled_hand_for(frame, seed=seed + f)
+            for _ in range(4):
+                x = np.concatenate([[rng.uniform(-0.5, 0.1)], rng.uniform(-0.05, 0.05, 3),
+                                    rng.uniform(-0.02, 0.02, 3)])
+                value, grad = self.assert_reference_bits(
+                    sampled, obs, mask, x, x + rng.uniform(-0.01, 0.01, 7))
+                assert np.isfinite(value) and np.isfinite(grad).all()
+            near = x.copy()
+            near[6] = -0.5  # the hand, about 0.4 m deep, moves behind the camera plane
+            value, grad = self.assert_reference_bits(sampled, obs, mask, near, x)
+            assert value == np.inf and np.isnan(grad).all()
+
+    @pytest.mark.parametrize("pixels, runs", [
+        ([(320.4, 240.3, 0.41), (100.0, 100.0, 0.4), (500.2, 400.7, 0.42)], 1),
+        ([(100.0, 100.0, 0.4), (500.2, 400.7, 0.42)], 0),
+    ], ids=["one-point-runs", "no-point-runs"])
+    def test_passes_that_run_one_point_or_none(self, rng, pixels, runs):
+        depth = DepthImage(values=rng.uniform(0.35, 0.45, (K.height, K.width)))
+        # a support that every tap of a point near (320, 240) reads, so that
+        # its 16 tap terms differ and their order of addition shows
+        mask = np.zeros((K.height, K.width), dtype=bool)
+        mask[236:245, 316:325] = True
+        obs = observation_of(depth, mask)
+        sampled = PointCloud(points=points_at_pixels(pixels))
+        for _ in range(3):
+            x = np.concatenate([rng.uniform(-0.01, 0.01, 1), rng.uniform(-1e-4, 1e-4, 6)])
+            memo = alignment._PassMemo(sampled, obs, K)
+            assert memo.at(x).depth.run.size == runs
+            self.assert_reference_bits(sampled, obs, mask, x, x)
 
 
 class TestPassMemo:

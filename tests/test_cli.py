@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -446,6 +447,27 @@ class TestCmdPipeline:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR config:")
+        assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("block", ["align", "retarget"])
+    @pytest.mark.parametrize("delta", [1e-200, 1e200])
+    def test_huber_delta_whose_square_is_no_normal_float_is_input_error(
+            self, tmp_path, capsys, block, delta):
+        # positive and finite, but its square underflows or overflows: the
+        # solver's pseudo-Huber terms would turn non-finite mid-run
+        out = tmp_path / "fix"
+        assert main(["synth", "--out-dir", str(out), "--seed", "4",
+                     "--frames", "1"]) == 0
+        write_urdf(out)
+        write_config(out)
+        target = out / "config.json"
+        target.write_text(set_json(**{block: {"huber_delta": delta}})(target.read_text()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pipeline", "--config", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR config:") and "huber_delta" in err
         assert "\n" not in err.strip()
 
     def test_number_is_no_link_name_even_when_a_link_has_its_digits(self, tmp_path, capsys):

@@ -143,6 +143,11 @@ class TestRotation:
         q = np.array([1e154, 0.0, 0.0, 0.0])
         assert Rotation(q).quat.tobytes() == (q / np.linalg.norm(q)).tobytes()
 
+    def test_left_jacobian_of_a_vector_whose_norm_overflows_is_nan(self):
+        # finite, so valid, but |w| is inf: the Jacobian is NaN, not an error
+        with np.errstate(over="ignore"):
+            assert np.isnan(so3_left_jacobian([1e200, 0.0, 0.0])).all()
+
     @pytest.mark.parametrize("angle", [0.0, 1e-7, 5e-3, 0.02, 0.5, 2.5])
     def test_left_jacobian_matches_finite_differences(self, rng, angle):
         w = angle * rng.normal(size=3) / np.sqrt(3.0)

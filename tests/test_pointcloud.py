@@ -169,6 +169,38 @@ class TestEstimateNormals:
         assert got[ill].tobytes() == ref[ill].tobytes()
         np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-15)
 
+    @staticmethod
+    def reference_normals(cloud, k, viewpoint=(0.0, 0.0, 0.0)):
+        """estimate_normals with its neighbours gathered by fancy indexing
+        and centred on ``nbrs.mean(axis=1)``, as it was written before the
+        one-add-per-neighbour mean: the oracle of its bytes."""
+        _, idx = build_index(cloud).query(cloud.points, k=k)
+        nbrs = cloud.points[idx]
+        centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+        normals, ill = pointcloud._smallest_eigenvectors(centered)
+        if ill.size:
+            cov = np.einsum("nki,nkj->nij", centered[ill], centered[ill]) / k
+            normals[ill] = np.linalg.eigh(cov)[1][:, :, 0]
+        flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - cloud.points) < 0.0
+        normals[flip] *= -1.0
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        return normals
+
+    @pytest.mark.parametrize("k", [3, 8, 16])
+    def test_bytes_of_the_mean_centred_normals(self, rng, k):
+        # a hand cloud, a plane x = -0.0 (each neighbourhood's mean x is
+        # -0.0) and a collinear patch, whose rows fall back to eigh
+        line = np.outer(rng.normal(size=k), random_rotation(rng)[:, 0])
+        plane = np.column_stack([np.full(40, -0.0), rng.normal(size=(40, 2)) + [0.0, 5.0]])
+        clouds = [hand_cloud(600, seed=int(rng.integers(1000))), PointCloud(points=plane),
+                  PointCloud(points=clusters([line, rng.normal(size=(k, 3))]))]
+        assert np.signbit(clouds[1].points[:, 0]).all()
+        assert self.fallback_rows(clouds[2], k).size
+        for cloud in clouds:
+            got = estimate_normals(cloud, k=k)
+            assert got.normals.tobytes() == self.reference_normals(cloud, k).tobytes()
+            assert got.points.tobytes() == cloud.points.tobytes()
+
     def test_planar_cloud(self, rng):
         xy = rng.uniform(-1, 1, size=(200, 2))
         pts = np.column_stack([xy, np.zeros(200)])

@@ -45,7 +45,54 @@ class TestCanonicalHand:
             canonical_hand_joints(1.5)
 
 
+def reference_sample_hand_surface(joints, n_points, seed, visible_from):
+    """The sampler as it was written bone by bone, every bone's arithmetic
+    in its own numpy calls: the oracle whose bytes the sampler must give."""
+    joints = np.asarray(joints, dtype=float)
+    rng = np.random.default_rng(seed)
+    vp = None if visible_from is None else np.asarray(visible_from, dtype=float)
+    bones = hand_bones()
+    lengths = np.array([np.linalg.norm(joints[j] - joints[i]) for i, j, _ in bones])
+    weights = lengths / lengths.sum()
+    counts = np.floor(weights * n_points).astype(int)
+    remainder = n_points - int(counts.sum())
+    order = np.argsort(-lengths, kind="stable")
+    for k in range(remainder):
+        counts[order[k % len(bones)]] += 1
+    pts = []
+    for (i, j, radius), count in zip(bones, counts):
+        if count == 0:
+            continue
+        t = rng.random(count)[:, None]
+        bone = joints[j] - joints[i]
+        axis_pts = joints[i] + t * bone
+        u = bone / np.linalg.norm(bone)
+        offsets = rng.normal(size=(count, 3))
+        offsets -= np.outer(offsets @ u, u)
+        offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+        if vp is not None:
+            toward = vp - axis_pts
+            facing = np.einsum("ij,ij->i", offsets, toward)
+            offsets[facing < 0.0] *= -1.0
+        pts.append(axis_pts + radius * offsets)
+    return np.vstack(pts)
+
+
 class TestSampleHandSurface:
+    @pytest.mark.parametrize("visible_from", [None, (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
+    def test_bytes_of_the_bone_by_bone_sampler(self, seed, visible_from):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            joints = (canonical_hand_joints(rng.uniform(0.0, 1.0))
+                      + [rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(0.3, 0.6)])
+            # 1 and 7 points leave most bones without a point
+            for n_points in (1, 7, 257, 500):
+                draw = int(rng.integers(2**31))
+                got = sample_hand_surface(joints, n_points, seed=draw, visible_from=visible_from)
+                want = reference_sample_hand_surface(joints, n_points, draw, visible_from)
+                assert got.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         joints = canonical_hand_joints(0.3)
         a = sample_hand_surface(joints, 400, seed=9)
