@@ -486,12 +486,14 @@ def read_pgm_mask(path) -> np.ndarray:
     head = _PGM_WRITER_HEADER.match(raw)
     if head is not None:
         w, h, maxval = (int(t) for t in head.groups())
-        body = raw[head.end():]
-        if w > 0 and h > 0 and maxval >= 1 and len(body) == 2 * w * h:
-            words = np.frombuffer(body, dtype="<u2")
+        if w > 0 and h > 0 and maxval >= 1 and len(raw) - head.end() == 2 * w * h:
+            words = np.frombuffer(raw, dtype="<u2", offset=head.end())
             as_zero = words & 0xFFFE  # clearing bit 0 turns b"1" into b"0"
-            if ((as_zero == _PGM_WRITER_WORDS[0]) | (as_zero == _PGM_WRITER_WORDS[1])).all():
-                return (words & 1).astype(bool).reshape(h, w)
+            ok = as_zero == _PGM_WRITER_WORDS[0]
+            ok |= as_zero == _PGM_WRITER_WORDS[1]
+            if ok.all():
+                # a pixel is b"1" exactly where clearing bit 0 changed its word
+                return np.not_equal(words, as_zero, out=ok).reshape(h, w)
     return _parse_pgm_text(_decode_text(raw, path))
 
 

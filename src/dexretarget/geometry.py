@@ -370,8 +370,8 @@ class DepthImage:
     def from_window(cls, shape, origin, depths) -> "DepthImage":
         """The (height, width) image whose pixels inside the window of
         top-left pixel ``origin`` (u0, v0) have the given 2D float depths
-        and whose pixels outside it are invalid. Only the pixels of the
-        depths' positive bounding box are converted to float64."""
+        and whose pixels outside it are invalid. Only the valid pixels'
+        window is converted to float64."""
         depths = np.asarray(depths)
         if depths.ndim != 2:
             raise InvalidArgumentError("depth window must be a 2D grid")
@@ -384,19 +384,28 @@ class DepthImage:
 
     def _crop(self, shape, origin, depths):
         # `> 0` is False for NaN, so the outer box holds every valid pixel
-        # (and maybe +inf ones); only its pixels are converted to float64,
-        # which is exact from float32
-        outer = _bounding_box(depths > 0)
-        part = np.asarray(depths[outer], dtype=float)
-        valid = np.isfinite(part) & (part > 0)
+        # (and maybe +inf ones). A float wider than float64 is rounded first;
+        # any other converts exactly, so validity is tested on the input
+        # dtype and only the inner box's valid pixels are converted.
+        if depths.dtype.kind == "f" and depths.dtype.itemsize > 8:
+            depths = depths.astype(float)
+        positive = depths > 0
+        outer = _bounding_box(positive)
+        part = depths[outer]
+        valid = part < np.inf
+        valid &= positive[outer]
         inner = _bounding_box(valid)
-        if inner[0].stop:
-            self.origin = (int(origin[0]) + outer[1].start + inner[1].start,
-                           int(origin[1]) + outer[0].start + inner[0].start)
-        else:
-            self.origin = (0, 0)
+        window = np.zeros(valid[inner].shape)
+        np.copyto(window, part[inner], where=valid[inner])
+        origin = (origin[0] + outer[1].start + inner[1].start,
+                  origin[1] + outer[0].start + inner[0].start) if window.size else (0, 0)
+        self._set(shape, origin, window)
+
+    def _set(self, shape, origin, window):
+        """Assign the fields; ``window`` must be the tight float64 window."""
         self.shape = (int(shape[0]), int(shape[1]))
-        self.window = np.where(valid[inner], part[inner], 0.0)
+        self.origin = (int(origin[0]), int(origin[1]))
+        self.window = window
 
     @property
     def height(self) -> int:
@@ -524,19 +533,30 @@ def footprint_pixels(points, intrinsics: CameraIntrinsics, footprint: int = 3):
     per covered pixel of each point (a pixel covered twice appears twice),
     each carrying the depth of the point that covers it.
 
-    Points behind the camera are dropped; non-finite points are an
-    InvalidArgumentError.
+    Points behind the camera are dropped, and so is a point whose block
+    cannot reach the image, such as one whose projection overflows;
+    non-finite points are an InvalidArgumentError.
     """
     if footprint < 1 or footprint % 2 == 0:
         raise InvalidArgumentError(f"footprint must be odd and positive, got {footprint}")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(pts)):
         raise InvalidArgumentError("point coordinates must be finite")
-    front = pts[pts[:, 2] > 0.0]
-    z = front[:, 2]
-    u = np.rint(intrinsics.fx * front[:, 0] / z + intrinsics.cx).astype(int)
-    v = np.rint(intrinsics.fy * front[:, 1] / z + intrinsics.cy).astype(int)
-    offsets = np.arange(-(footprint // 2), footprint // 2 + 1)
+    x, y, z = pts.T
+    # a point behind the camera projects to a meaningless value or NaN, and
+    # a projection that overflows reads inf: the mask below drops both
+    with np.errstate(all="ignore"):
+        u = np.rint(intrinsics.fx * x / z + intrinsics.cx)
+        v = np.rint(intrinsics.fy * y / z + intrinsics.cy)
+    # the points in front whose block reaches the image, kept before the
+    # cast to int: at footprint 1 these are the in-image pixels
+    half = footprint // 2
+    keep = (z > 0.0) & (u >= -half) & (u < intrinsics.width + half)
+    keep &= (v >= -half) & (v < intrinsics.height + half)
+    u, v, z = u[keep].astype(int), v[keep].astype(int), z[keep]
+    if not half:
+        return v, u, z
+    offsets = np.arange(-half, half + 1)
     # each footprint offset (row offset outer) of each point, kept where
     # the offset pixel is inside the image
     uu = u + np.tile(offsets, footprint)[:, None]
@@ -550,8 +570,10 @@ def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> Dep
     ``footprint_pixels``; the minimum depth per pixel wins.
 
     Points behind the camera or outside the image are dropped. An empty
-    point list yields an all-invalid image. The z-buffer covers only the
-    bounding box of the written pixels.
+    point list yields an all-invalid image. The z-buffer is the image's
+    window: it spans exactly the written pixels' rows and columns, and an
+    unwritten pixel reads 0, a written one the least (positive, finite)
+    depth written to it.
     """
     h, w = intrinsics.height, intrinsics.width
     rows, cols, z = footprint_pixels(points, intrinsics, footprint)
@@ -559,10 +581,13 @@ def splat_depth(points, intrinsics: CameraIntrinsics, footprint: int = 3) -> Dep
         return DepthImage.from_window((h, w), (0, 0), np.zeros((0, 0)))
     v0, u0 = rows.min(), cols.min()
     height, width = rows.max() - v0 + 1, cols.max() - u0 + 1
-    buf = np.full(height * width, np.inf)
-    # a flat index takes ufunc.at's fast path
-    np.minimum.at(buf, (rows - v0) * width + (cols - u0), z)
-    return DepthImage.from_window((h, w), (u0, v0), buf.reshape(height, width))
+    buf = np.zeros(height * width)
+    flat = (rows - v0) * width + (cols - u0)
+    buf[flat] = np.inf
+    np.minimum.at(buf, flat, z)  # a flat index takes ufunc.at's fast path
+    img = DepthImage.__new__(DepthImage)
+    img._set((h, w), (u0, v0), buf.reshape(height, width))
+    return img
 
 
 def backproject_depth(img: DepthImage, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -576,9 +601,14 @@ def backproject_depth(img: DepthImage, intrinsics: CameraIntrinsics) -> np.ndarr
         raise InvalidArgumentError("depth image dimensions do not match intrinsics")
     # flatnonzero and divmod give np.nonzero's indices, but faster
     flat = np.flatnonzero(img.window > 0)
-    rows, cols = np.divmod(flat, img.window.shape[1])
-    z = img.window.ravel()[flat]
+    height, width = img.window.shape
+    rows, cols = np.divmod(flat, width)
     u0, v0 = img.origin
-    x = (cols + u0 - intrinsics.cx) / intrinsics.fx * z
-    y = (rows + v0 - intrinsics.cy) / intrinsics.fy * z
-    return np.column_stack([x, y, z])
+    # each column's (u - cx) / fx and each row's (v - cy) / fy, once
+    ray_x = (np.arange(u0, u0 + width) - intrinsics.cx) / intrinsics.fx
+    ray_y = (np.arange(v0, v0 + height) - intrinsics.cy) / intrinsics.fy
+    out = np.empty((flat.size, 3))
+    z = img.window.take(flat, out=out[:, 2])
+    np.multiply(ray_x.take(cols), z, out=out[:, 0])
+    np.multiply(ray_y.take(rows), z, out=out[:, 1])
+    return out

@@ -805,6 +805,72 @@ class TestPgmMaskLayouts:
             dataio.read_pgm_mask(path)
 
 
+def token_parse(raw: bytes):
+    """The token parser's reading of a file: the mask, or its error's class
+    and message."""
+    try:
+        return dataio._parse_pgm_text(raw.decode("utf-8"))
+    except (DataParseError, FormatError) as exc:
+        return type(exc), str(exc)
+
+
+def writer_masks():
+    rng = np.random.default_rng(20261020)
+    return {"zeros": np.zeros((4, 6), bool), "ones": np.ones((5, 3), bool),
+            "1x1-0": np.zeros((1, 1), bool), "1x1-1": np.ones((1, 1), bool),
+            "640x480": rng.random((480, 640)) < 0.3}
+
+
+def near_misses(raw: bytes, body_at: int):
+    """Single edits of a writer file that leave its byte layout: a `2`
+    digit, a tab or carriage return for a separator, a pixel byte dropped
+    (an odd byte count), a trailing byte."""
+    last = len(raw) - 1
+    for at in (body_at, body_at + (last - body_at) // 4 * 2, last - 1):  # pixel bytes
+        yield raw[:at] + b"2" + raw[at + 1:]
+    for at in (body_at + 1, last):  # separators
+        for sep in (b"\t", b"\r"):
+            yield raw[:at] + sep + raw[at + 1:]
+    yield raw[:body_at] + raw[body_at + 1:]
+    for tail in (b" ", b"\n", b"0", b"\x00"):
+        yield raw + tail
+
+
+class TestPgmWriterLayoutBits:
+    """The writer layout's byte path gives the token parser's array, and a
+    near miss of the layout the token parser's array or error."""
+
+    @pytest.mark.parametrize("name", list(writer_masks()))
+    def test_writer_files(self, tmp_path, monkeypatch, name):
+        mask = writer_masks()[name]
+        path = tmp_path / "mask.pgm"
+        dataio.write_pgm_mask(mask, path)
+        raw = path.read_bytes()
+        want = token_parse(raw)
+        monkeypatch.setattr(dataio, "_parse_pgm_text", None)  # the byte path only
+        got = dataio.read_pgm_mask(path)
+        assert got.dtype == want.dtype and got.shape == want.shape == mask.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(writer_masks()))
+    def test_near_misses(self, tmp_path, name):
+        path = tmp_path / "mask.pgm"
+        dataio.write_pgm_mask(writer_masks()[name], path)
+        raw = path.read_bytes()
+        body_at = dataio._PGM_WRITER_HEADER.match(raw).end()
+        for edited in near_misses(raw, body_at):
+            path.write_bytes(edited)
+            want = token_parse(edited)
+            if isinstance(want, tuple):
+                with pytest.raises(want[0]) as err:
+                    dataio.read_pgm_mask(path)
+                assert str(err.value) == want[1]
+            else:
+                got = dataio.read_pgm_mask(path)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 class TestIntrinsicsIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "intrinsics.json"

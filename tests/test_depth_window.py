@@ -6,7 +6,7 @@ ones replace. Every reference works on full (height, width) arrays."""
 import numpy as np
 import pytest
 
-from dexretarget import alignment, dataio
+from dexretarget import alignment, dataio, geometry
 from dexretarget.alignment import FrameObservation, depth_consistency_loss
 from dexretarget.errors import LossUndefinedError
 from dexretarget.geometry import (
@@ -313,3 +313,148 @@ def test_full_size_views_are_built_fresh_and_read_only():
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 1
+
+
+# ---------------------------------------------------------------------------
+# the one-pass crop and the splat's own window, against the code they replace
+
+
+def reference_crop(shape, origin, depths):
+    """(origin, shape, window) as the two-scan crop gave them: the outer box
+    of `> 0` converted to float64, then `isfinite`, the inner box and
+    `np.where`."""
+    outer = geometry._bounding_box(depths > 0)
+    part = np.asarray(depths[outer], dtype=float)
+    valid = np.isfinite(part) & (part > 0)
+    inner = geometry._bounding_box(valid)
+    if inner[0].stop:
+        origin = (int(origin[0]) + outer[1].start + inner[1].start,
+                  int(origin[1]) + outer[0].start + inner[0].start)
+    else:
+        origin = (0, 0)
+    return origin, (int(shape[0]), int(shape[1])), np.where(valid[inner], part[inner], 0.0)
+
+
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+CROP_SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, -2.5, -F32_TINY, -5e-324,
+                 F32_TINY, 3 * F32_TINY, 5e-324, 1e-310, 1.5, 3.25]
+
+
+def crop_grids():
+    """Grids holding every special value at random, all-invalid grids, one
+    valid pixel, and a valid pixel on each border."""
+    rng = np.random.default_rng(20261020)
+    specials = np.array(CROP_SPECIALS)
+    invalid = specials[:9]  # NaN, ±inf and the non-positive values
+    grids = {f"random{k}": rng.choice(specials, size=shape)
+             for k, shape in enumerate([(9, 13), (1, 1), (1, 7), (6, 1), (30, 40)])}
+    grids["sparse"] = np.where(rng.random((30, 40)) < 0.05, 0.5, rng.choice(invalid, (30, 40)))
+    grids["all-invalid"] = rng.choice(invalid, size=(12, 17))
+    grids["inf-only"] = np.where(rng.random((8, 8)) < 0.5, np.inf, 0.0)
+    grids["one-pixel"] = rng.choice(invalid, size=(12, 17))
+    grids["one-pixel"][5, 11] = 0.75
+    for side, at in (("top", (0, 6)), ("bottom", (-1, 3)), ("left", (4, 0)), ("right", (7, -1))):
+        grid = rng.choice(invalid, size=(12, 17))
+        grid[at] = F32_TINY
+        grids[side] = grid
+    # +inf ringing the valid pixels, so the inner box is smaller than the outer
+    grids["inf-ring"] = np.full((10, 12), np.inf)
+    grids["inf-ring"][3:6, 4:9] = rng.choice(specials, size=(3, 5))
+    grids["inf-ring"][4, 6] = 2.0
+    return grids
+
+
+CROP_GRIDS = crop_grids()
+
+
+def assert_crops_like_the_reference(img, shape, origin, depths):
+    want_origin, want_shape, want_window = reference_crop(shape, origin, depths)
+    assert img.origin == want_origin and img.shape == want_shape
+    assert all(type(a) is int for a in img.origin + img.shape)
+    assert img.window.dtype == want_window.dtype and img.window.flags.c_contiguous
+    assert img.window.shape == want_window.shape
+    assert img.window.tobytes() == want_window.tobytes()
+
+
+@pytest.mark.parametrize("name", list(CROP_GRIDS))
+@pytest.mark.parametrize("dtype", ["<f4", ">f4", "<f8", ">f8", "f2"])
+class TestCropBits:
+    """The crop on the input dtype gives the two-scan crop's bytes."""
+
+    def grid(self, name, dtype):
+        with np.errstate(over="ignore", under="ignore"):
+            return CROP_GRIDS[name].astype(dtype)
+
+    def test_full_grid(self, name, dtype):
+        grid = self.grid(name, dtype)
+        for depths in (grid, np.flipud(grid), np.fliplr(grid), grid.T):
+            img = DepthImage.from_window(depths.shape, (0, 0), depths)
+            assert_crops_like_the_reference(img, depths.shape, (0, 0), depths)
+
+    def test_window_inside_a_larger_image(self, name, dtype):
+        grid = self.grid(name, dtype)
+        shape = (grid.shape[0] + 9, grid.shape[1] + 5)
+        for origin in ((0, 0), (5, 9), (np.int64(2), np.int64(3))):
+            img = DepthImage.from_window(shape, origin, grid)
+            assert_crops_like_the_reference(img, shape, origin, grid)
+
+    def test_constructor(self, name, dtype):
+        grid = self.grid(name, dtype)
+        assert_crops_like_the_reference(DepthImage(grid), grid.shape, (0, 0),
+                                        grid.astype(float))
+
+
+def test_crop_of_a_float_wider_than_float64():
+    # a longdouble pixel that rounds to 0 or to inf in float64 is invalid
+    grid = np.zeros((4, 5), dtype=np.longdouble)
+    grid[1, 1] = np.longdouble(1.5)
+    grid[0, 0] = np.longdouble(5e-324) / 4
+    grid[3, 4] = np.longdouble(np.finfo(float).max) * 2
+    with np.errstate(over="ignore"):  # the cast to float64 overflows, as it did
+        img = DepthImage.from_window(grid.shape, (0, 0), grid)
+        assert_crops_like_the_reference(img, grid.shape, (0, 0), grid)
+
+
+def reference_splat_buffer(points, K, footprint):
+    """The splat's z-buffer as it was built before it became the window:
+    +inf where no footprint pixel lands, the least depth elsewhere, over the
+    written pixels' bounding box; with that box's top-left pixel."""
+    rows, cols, z = geometry.footprint_pixels(points, K, footprint)
+    if not rows.size:
+        return (0, 0), np.zeros((0, 0))
+    v0, u0 = rows.min(), cols.min()
+    buf = np.full((rows.max() - v0 + 1, cols.max() - u0 + 1), np.inf)
+    np.minimum.at(buf, (rows - v0, cols - u0), z)
+    return (u0, v0), buf
+
+
+SPLAT_CLOUDS = {
+    "empty": np.zeros((0, 3)),
+    "behind": np.array([[0.0, 0.0, -1.0], [0.1, 0.0, 0.0]]),
+    "outside": np.array([[50.0, 0.0, 1.0], [0.0, -50.0, 1.0]]),
+    "one": np.array([[0.0, 0.0, 1.0]]),
+    "corner": np.array([[-10.0, -10.0, 1.0], [10.0, 10.0, 1e-6 + 1.0]]),
+    "coincident": np.array([[0.01, 0.0, 2.0], [0.01, 0.0, 1.0], [0.01, 0.0, 1.5]]),
+    "subnormal-depth": np.array([[0.0, 0.0, 5e-324], [0.2, 0.1, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("footprint", [1, 3, 5])
+@pytest.mark.parametrize("cloud", list(SPLAT_CLOUDS) + ["random", "map"])
+def test_splat_window_is_its_z_buffer_cropped(cloud, footprint):
+    K = intrinsics_for((30, 40))
+    rng = np.random.default_rng(footprint)
+    if cloud == "random":
+        pts = rng.uniform(-0.6, 0.6, size=(300, 3)) + [0.0, 0.0, 1.0]
+    elif cloud == "map":
+        pts = 1.1 * dense_backproject(*dense_depth(MAPS["random1-30x40"]), K)
+    else:
+        pts = SPLAT_CLOUDS[cloud]
+    origin, buf = reference_splat_buffer(pts, K, footprint)
+    want = DepthImage.from_window((K.height, K.width), origin, buf)
+    got = splat_depth(pts, K, footprint)
+    assert got.origin == want.origin and got.shape == want.shape
+    assert all(type(a) is int for a in got.origin + got.shape)
+    assert got.window.dtype == want.window.dtype and got.window.flags.c_contiguous
+    assert got.window.shape == want.window.shape
+    assert got.window.tobytes() == want.window.tobytes()

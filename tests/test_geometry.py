@@ -11,6 +11,7 @@ from dexretarget.geometry import (
     Rotation,
     SimilarityTransform,
     backproject_depth,
+    footprint_pixels,
     huber,
     pseudo_huber,
     pseudo_huber_derivative,
@@ -332,6 +333,28 @@ class TestSplatDepth:
             for point in ([bad, 0.0, 1.0], [0.0, 0.0, bad]):
                 with pytest.raises(InvalidArgumentError):
                     splat_depth([point], K)
+
+    @pytest.mark.parametrize("far", [
+        [1.0, 0.0, 1e-320],       # fx x / z overflows in the divide
+        [0.0, -1.0, 1e-320],
+        [1e308, 0.0, 1.0],        # fx x overflows
+        [0.0, -1e308, 2.0],
+        [1.0, 1.0, 1e-300],       # finite, but far beyond int64
+        [-1e300, 0.0, 1.0],
+    ])
+    @pytest.mark.parametrize("footprint", [1, 3, 5])
+    def test_point_projecting_out_of_range_is_dropped(self, far, footprint):
+        # runs under the suite's error::RuntimeWarning filter: an overflow
+        # or a cast of inf to int would raise here
+        near = np.array([[0.01, -0.02, 1.0], [0.0, 0.0, 1e-320], [0.3, 0.2, 0.9]])
+        for at in range(len(near) + 1):
+            pts = np.insert(near, at, far, axis=0)
+            got, want = splat_depth(pts, K, footprint), splat_depth(near, K, footprint)
+            assert got.origin == want.origin
+            assert got.window.tobytes() == want.window.tobytes()
+            for a, b in zip(footprint_pixels(pts, K, footprint),
+                            footprint_pixels(near, K, footprint)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestCameraIntrinsics:
