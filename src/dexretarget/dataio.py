@@ -105,7 +105,8 @@ def _parse_pose(obj, where: str) -> RigidTransform:
             f"{where}: quaternion norm {norm:.8f} is not unit within {_QUAT_UNIT_TOL}",
             location=where,
         )
-    return RigidTransform(Rotation(quat), pos)
+    # a norm this close to 1 is finite and leaves Rotation's checks nothing to reject
+    return RigidTransform(Rotation._unit(quat), pos)
 
 
 def _pose_dict(pose: RigidTransform) -> dict:

@@ -67,8 +67,19 @@ class Rotation:
         self._q = q / n
 
     @classmethod
+    def _unit(cls, quat_wxyz) -> "Rotation":
+        """A rotation from 4 floats that are a unit quaternion up to
+        rounding, without __init__'s checks but with its normalizing divide:
+        for such a quaternion vector_norm is sqrt(q.q), so the bits are
+        those of cls(quat_wxyz)."""
+        rot = object.__new__(cls)
+        q = np.array(quat_wxyz)
+        rot._q = q / math.sqrt(q.dot(q))
+        return rot
+
+    @classmethod
     def identity(cls) -> "Rotation":
-        return cls((1.0, 0.0, 0.0, 0.0))
+        return cls._unit((1.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def from_matrix(cls, m) -> "Rotation":
@@ -144,9 +155,10 @@ class Rotation:
 
     def compose(self, other: "Rotation") -> "Rotation":
         """Return self applied after other: (a.compose(b)).apply(p) == a.apply(b.apply(p))."""
-        w1, x1, y1, z1 = self._q
-        w2, x2, y2, z2 = other._q
-        return Rotation((
+        # Python floats round each product and sum as float64 scalars do
+        w1, x1, y1, z1 = self._q.tolist()
+        w2, x2, y2, z2 = other._q.tolist()
+        return Rotation._unit((
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
@@ -157,8 +169,8 @@ class Rotation:
         return self.compose(other)
 
     def inverse(self) -> "Rotation":
-        w, x, y, z = self._q
-        return Rotation((w, -x, -y, -z))
+        w, x, y, z = self._q.tolist()
+        return Rotation._unit((w, -x, -y, -z))
 
     def angle(self) -> float:
         """Rotation magnitude in radians, in [0, pi]."""
@@ -192,11 +204,12 @@ def _rotvec_quat(v: np.ndarray) -> np.ndarray:
 def _quat_matrix(q: np.ndarray) -> np.ndarray:
     # Python floats round each product and sum as float64 scalars do
     w, x, y, z = q.tolist()
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    # one flat tuple reshaped: numpy builds it faster than nested rows
+    return np.array((
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )).reshape(3, 3)
 
 
 def rotvec_matrix(rv: np.ndarray) -> np.ndarray:

@@ -119,14 +119,16 @@ class HandFrame:
         """Apply a scale + rigid correction: p -> sigma * (R p + t)."""
         if sigma <= 0 or not np.isfinite(sigma):
             raise InvalidArgumentError("sigma must be positive and finite")
-        joints = sigma * correction.apply(self.joints)
+        # correction.apply's arithmetic, R p + t, with one matrix for all
+        m, t = correction.rotation.as_matrix(), correction.translation
+        joints = sigma * (self.joints @ m.T + t)
         wrist = RigidTransform(
             correction.rotation @ self.wrist_pose.rotation,
-            sigma * correction.apply(self.wrist_pose.translation),
+            sigma * (m @ self.wrist_pose.translation + t),
         )
         contacts = None
         if self.contacts is not None:
-            contacts = {d: sigma * correction.apply(p) for d, p in self.contacts.items()}
+            contacts = {d: sigma * (m @ p + t) for d, p in self.contacts.items()}
         return HandFrame(joints, wrist, self.confidence, self.frame_index, contacts)
 
 
@@ -334,7 +336,7 @@ def reference_vectors(hand: HandFrame, spec: VectorSpec, scale: float = 1.0) -> 
     if scale <= 0 or not np.isfinite(scale):
         raise InvalidArgumentError("scale must be positive and finite")
     origins, ends = np.array([p.human for p in spec.pairs]).T
-    return scale * (hand.joints[ends] - hand.joints[origins])
+    return scale * (hand.joints.take(ends, axis=0) - hand.joints.take(origins, axis=0))
 
 
 def compute_hand_scale(

@@ -198,19 +198,19 @@ class _RetargetTerms:
         w_active, n_vec, dd = self.w_active, self.n_vec, self.dd
         qp = model.check_q(q_prev)
         wrist_r, wrist_t = wrist.rotation.as_matrix(), wrist.translation
-        ref_active = np.asarray(ref_vectors, dtype=float)[self.active]
+        ref_active = np.asarray(ref_vectors, dtype=float).take(self.active, axis=0)
 
         def evaluate(q, gradient=False):
             origins, jac = _fk(model, q, wrist_r, wrist_t, links, gradient)
-            d = origins[ends] - origins[starts] - ref_active
+            d = origins.take(ends, axis=0) - origins.take(starts, axis=0) - ref_active
             sq = np.einsum("mi,mi->m", d, d)
             dq = q - qp
             if not gradient:
                 rho = dd * (np.sqrt(1.0 + sq / dd) - 1.0)
                 return float(rho @ w_active) / n_vec + lambda_smooth * float(dq @ dq)
             g_d = (w_active / (n_vec * np.sqrt(1.0 + sq / dd)))[:, None] * d
-            return np.einsum("mi,min->n", g_d, jac[ends] - jac[starts]) + \
-                2.0 * lambda_smooth * dq
+            jac_d = jac.take(ends, axis=0) - jac.take(starts, axis=0)
+            return np.einsum("mi,min->n", g_d, jac_d) + 2.0 * lambda_smooth * dq
 
         return BoxProblem(self.lower, self.upper, objective=evaluate,
                           gradient=partial(evaluate, gradient=True))

@@ -20,7 +20,10 @@ configurations, and a moving group reads its rows of the table. A group
 whose parent links are the previous group's child links, in the same
 order (a chain of finger segments), is marked chained once; it reads its
 parents' poses from the previous step's result instead of gathering them
-from the link arrays.
+from the link arrays. Each group reads its parents and writes its
+children through targets fixed once: a basic slice where the link indices
+allow one (``_link_slice``), which costs a view where an index array costs
+a gather or a scatter, and every pose keeps its bits.
 
 A model keeps the results of its last two FK passes, keyed by the exact
 bytes of the configurations and the root pose, and answers a repeat from
@@ -31,6 +34,8 @@ before it when a longer trial was rejected), so every gradient reuses its
 point's pass; forward tracking's retry of a step the backtracking search
 already scored reuses it too. Each tuple of link names is resolved once
 per model into its link indices and its rows of the Jacobian's mask.
+``link_origins_batch`` is the one entry that validates its arguments; it
+hands the resolved rows to ``_link_origins``, the unchecked core.
 
 Only the elements the retargeting pipeline needs are read (links, joints,
 origins, axes, limits, mimics); visual/collision/inertial content is
@@ -95,7 +100,9 @@ class _FkGroup:
     A moving group's constants live in the model's ``_JointStack``, of which
     it holds the slice ``rows``; a fixed group holds an empty slice.
     ``chained`` is set when ``parents`` equals the previous group's
-    ``children``, in the same order."""
+    ``children``, in the same order. ``read`` and ``write`` index the link
+    axis of the FK arrays at ``parents`` and ``children`` (``_link_slice``);
+    a chained group reads nothing."""
     kind: str
     parents: np.ndarray                   # (G,) link indices
     children: np.ndarray                  # (G,) link indices
@@ -103,6 +110,8 @@ class _FkGroup:
     origin_t: np.ndarray                  # (G, 3, 1)
     rows: slice
     chained: bool
+    read: object                          # slice, (G,) indices or None
+    write: object                         # slice or (G,) indices
 
 
 @dataclass(frozen=True)
@@ -174,6 +183,8 @@ class RobotModel:
                 origin_t=np.array([j.origin.translation for j in js])[:, :, None],
                 rows=slice(start, len(moving)),
                 chained=chained,
+                read=None if chained else _link_slice(parents),
+                write=_link_slice(children),
             ))
         coupling = [j.mimic or Mimic(j.name) for j in moving]
         q_index = np.array([self._q_index[m.source] for m in coupling], dtype=int)
@@ -223,6 +234,19 @@ class RobotModel:
                 f"joint vector length {arr.shape} does not match DoF count {self.dof}"
             )
         return arr
+
+
+def _link_slice(links):
+    """A basic slice that selects the link indices in order where they step
+    by one positive stride, or one slot where they are all one index (a
+    shared parent, which the slice's one row broadcasts over the group;
+    a group's children are distinct, so never theirs unless it has one);
+    otherwise the (G,) index array."""
+    first = links[0]
+    step = links[1] - first if len(links) > 1 else 0
+    if any(b - a != step for a, b in zip(links, links[1:])) or step < 0:
+        return np.array(links)
+    return slice(first, links[-1] + 1, step) if step else slice(first, first + 1)
 
 
 def _parse_floats(text: Optional[str], n: int, what: str) -> np.ndarray:
@@ -428,12 +452,14 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     then one step per tree depth (and motion kind), parents before
     children, applies one group's joints to all configurations: a rotary
     group its rows' motion matrices, a prismatic group its rows' values
-    along their axes. A group gathers its parents' poses from the link
-    arrays, unless it is chained: then they are the previous step's child
-    poses, the same values in the same C-ordered layout. Every step
-    writes its children's poses into the link arrays. A single
-    configuration is a batch of one, so every row is the same arithmetic
-    whatever the batch shape."""
+    along their axes. A group reads its parents' poses from the link
+    arrays through its ``read`` target, unless it is chained: then they are
+    the previous step's child poses, the same values in the same C-ordered
+    layout. Every step writes its children's poses into the link arrays
+    through its ``write`` target. Each matrix product multiplies the same
+    C-ordered 3x3 operands whether a pose was gathered, sliced or
+    broadcast, so it rounds the same. A single configuration is a batch of
+    one, so every row is the same arithmetic whatever the batch shape."""
     b = qs.shape[0]
     n_links = len(model.links)
     rots = np.empty((b, n_links, 3, 3))
@@ -442,7 +468,8 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
     rots[:, ridx] = root_r
     trans[:, ridx] = root_t
     st = model._stack
-    val = st.mult * qs[:, st.q_index] + st.off  # (B, J)
+    # take gives the gather's values in C order, for less than an index
+    val = st.mult * qs.take(st.q_index, axis=1) + st.off  # (B, J)
     s = np.sin(val)[..., None, None]
     c = (1.0 - np.cos(val))[..., None, None]
     motion = st.eye + s * st.k + c * st.k2      # (B, J, 3, 3)
@@ -451,7 +478,7 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
         if g.chained:
             rp, tp = rc, tc
         else:
-            rp, tp = rots[:, g.parents], trans[:, g.parents]
+            rp, tp = rots[:, g.read], trans[:, g.read]
         rj = rp @ g.origin_r
         tj = (rp @ g.origin_t)[..., 0] + tp
         if g.kind == "fixed":
@@ -462,8 +489,8 @@ def _fk_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray, root_t: np.
         else:
             rc = rj @ motion[:, g.rows]
             tc = tj
-        rots[:, g.children] = rc
-        trans[:, g.children] = tc
+        rots[:, g.write] = rc
+        trans[:, g.write] = tc
     return rots, trans
 
 
@@ -531,6 +558,15 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
             f"root pose of shapes {root_r.shape} and {root_t.shape} is not (3, 3) and (3,)"
             f" or ({b}, 3, 3) and ({b}, 3) for a batch of {b}")
     idx, moves = _name_rows(model, names)
+    return _link_origins(model, qs, root_r, root_t, idx, moves, jacobian)
+
+
+def _link_origins(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
+                  root_t: np.ndarray, idx: np.ndarray, moves: np.ndarray,
+                  jacobian: bool):
+    """``link_origins_batch`` without its checks: qs a (B, dof) float
+    array, the root pose float arrays of the shapes it accepts, and the
+    links' indices and moves-mask rows as ``_name_rows`` resolves them."""
     rots, trans = _memo_fk_batch(model, qs, root_r, root_t)
     # C-ordered, which trans[:, idx] would not be: einsum rounds by memory
     # layout, and refine's contact loss sums a row of this with einsum
@@ -538,8 +574,8 @@ def link_origins_batch(model: RobotModel, qs: np.ndarray, root_r: np.ndarray,
     if not jacobian:
         return origins
     st = model._stack
-    axes = (rots[:, st.child] @ st.axis)[:, None, :, :, 0]  # (B, 1, J, 3)
-    lever = origins[:, :, None] - trans[:, None, st.child]  # (B, k, J, 3)
+    axes = (rots.take(st.child, axis=1) @ st.axis)[:, None, :, :, 0]  # (B, 1, J, 3)
+    lever = origins[:, :, None] - trans.take(st.child, axis=1)[:, None]  # (B, k, J, 3)
     # a x lever as two products of the rolled components (a[i+1] l[i+2] -
     # a[i+2] l[i+1], np.cross's products), by take so that cols is C-ordered
     # like np.cross's: the matmul below rounds by its operands' memory layout

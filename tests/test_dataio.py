@@ -76,6 +76,16 @@ def plan_json_oracle(traj: RobotTrajectory) -> bytes:
 
 
 class TestHandTrajectoryIO:
+    def test_wrist_rotation_has_the_checked_bits(self):
+        # a quaternion within the unit tolerance reads as Rotation(quat) would
+        rng = np.random.default_rng(20261021)
+        for _ in range(2000):
+            q = rng.normal(size=4)
+            q = q / np.linalg.norm(q) * (1.0 + rng.uniform(-1e-6, 1e-6))
+            pose = dataio._parse_pose({"quat_wxyz": q.tolist(), "pos": [0.0, 0.1, 0.2]},
+                                      "frame 0: wrist")
+            assert pose.rotation.quat.tobytes() == Rotation(q).quat.tobytes()
+
     def test_valid_single_frame(self, tmp_path):
         path = tmp_path / "traj.json"
         dataio.write_hand_trajectory(sample_trajectory(1), path)

@@ -74,6 +74,29 @@ class TestHuber:
         np.testing.assert_allclose(pseudo_huber_derivative(r, delta), fd, rtol=1e-6, atol=1e-9)
 
 
+def checked_product(a, b):
+    """The Hamilton product a b through the validating constructor, with
+    the components multiplied as float64 numpy scalars."""
+    w1, x1, y1, z1 = a.quat
+    w2, x2, y2, z2 = b.quat
+    return Rotation((
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ))
+
+
+def nested_rows_matrix(rotation):
+    """The rotation matrix built row by row from the quaternion's scalars."""
+    w, x, y, z = rotation.quat
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
 class TestRotation:
     def test_identity(self):
         r = Rotation.identity()
@@ -134,10 +157,32 @@ class TestRotation:
         with pytest.raises(InvalidArgumentError):
             Rotation((0.0, 0.0, 0.0, 0.0))
 
+    def test_unchecked_paths_give_the_checked_bits(self):
+        # identity, compose and inverse skip __init__'s checks on unit
+        # quaternions but keep its normalizing divide, which sets the bits
+        rng = np.random.default_rng(20261021)
+        quats = rng.normal(size=(10_000, 2, 4))
+        assert Rotation.identity().quat.tobytes() == Rotation((1.0, 0.0, 0.0, 0.0)).quat.tobytes()
+        for qa, qb in quats:
+            a, b = Rotation(qa), Rotation(qb)
+            assert a.compose(b).quat.tobytes() == checked_product(a, b).quat.tobytes()
+            w, x, y, z = a.quat
+            assert a.inverse().quat.tobytes() == Rotation((w, -x, -y, -z)).quat.tobytes()
+            assert a.as_matrix().tobytes() == nested_rows_matrix(a).tobytes()
+            assert a.as_matrix().flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("quat", [(np.nan, 0.0, 0.0, 0.0), (1.0, np.inf, 0.0, 0.0),
+                                      (1.0, 0.0, -np.inf, 0.0), (1.0, 0.0, 0.0)])
+    def test_non_finite_or_short_quaternion_rejected(self, quat):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^quaternion must be 4 finite scalars \(w, x, y, z\)$"):
+            Rotation(quat)
+
     @pytest.mark.parametrize("quat", [(1e200, 0.0, 0.0, 0.0), (1e154, -1e154, 0.0, 0.0)])
     def test_quaternion_whose_norm_overflows_rejected(self, quat):
         # was the zero quaternion, with numpy's overflow RuntimeWarning
-        with pytest.raises(InvalidArgumentError, match="overflows"):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^quaternion norm inf is zero or overflows$"):
             Rotation(quat)
 
     def test_large_finite_norm_quaternion_normalized(self):

@@ -59,6 +59,69 @@ class TestHandFrame:
         np.testing.assert_allclose(out.joints, 1.2 * corr.apply(hand.joints), atol=1e-12)
 
 
+def checked_transformed(frame, sigma, correction):
+    """HandFrame.transformed written with the public validating pieces: each
+    point through correction.apply, the wrist rotation through the
+    checked constructor of the float64-scalar Hamilton product."""
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = correction.rotation.quat, frame.wrist_pose.rotation.quat
+    rotation = Rotation((
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ))
+    contacts = None if frame.contacts is None else \
+        {d: sigma * correction.apply(p) for d, p in frame.contacts.items()}
+    wrist = RigidTransform(rotation, sigma * correction.apply(frame.wrist_pose.translation))
+    return HandFrame(sigma * correction.apply(frame.joints), wrist, frame.confidence,
+                     frame.frame_index, contacts)
+
+
+class TestTransformedBits:
+    """The per-frame correction reads the correction's matrix once and
+    gives the bits of the validating pieces."""
+
+    def test_random_scales_and_corrections(self):
+        rng = np.random.default_rng(20261021)
+        for k in range(300):
+            rot = Rotation(rng.normal(size=4))
+            hand = flat_hand(offset=rng.uniform(-0.5, 0.5, size=3), rotation=rot)
+            contacts = None if k % 3 == 0 else \
+                {d: rng.uniform(-0.3, 0.3, size=3) for d in ("thumb", "index", "ring")[:k % 3 + 1]}
+            hand = HandFrame(hand.joints, hand.wrist_pose, 0.7, k, contacts)
+            sigma = rng.uniform(0.3, 3.0)
+            corr = RigidTransform(Rotation(rng.normal(size=4)), rng.uniform(-0.2, 0.2, size=3))
+            got, want = hand.transformed(sigma, corr), checked_transformed(hand, sigma, corr)
+            assert got.joints.tobytes() == want.joints.tobytes()
+            got_wrist, want_wrist = got.wrist_pose, want.wrist_pose
+            assert got_wrist.rotation.quat.tobytes() == want_wrist.rotation.quat.tobytes()
+            assert got_wrist.translation.tobytes() == want_wrist.translation.tobytes()
+            assert (got.confidence, got.frame_index) == (0.7, k)
+            if contacts is None:
+                assert got.contacts is None
+            else:
+                assert list(got.contacts) == list(want.contacts)
+                for d in contacts:
+                    assert got.contacts[d].tobytes() == want.contacts[d].tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_scale_rejected(self, sigma):
+        with pytest.raises(InvalidArgumentError, match="^sigma must be positive and finite$"):
+            flat_hand().transformed(sigma, RigidTransform.identity())
+
+    def test_scaled_wrist_gap_rejected(self):
+        # the corrected frame is validated as any frame is: a wrist gap
+        # within tolerance can scale beyond it
+        hand = flat_hand()
+        joints = hand.joints.copy()
+        joints[0] += (0.9e-6, 0.0, 0.0)
+        hand = HandFrame(joints, hand.wrist_pose)
+        assert hand.transformed(1.0, RigidTransform.identity()).joints.tobytes() == \
+            joints.tobytes()
+        with pytest.raises(InvalidArgumentError, match="^joint 0 must coincide with the wrist"):
+            hand.transformed(3.0, RigidTransform.identity())
+
+
 class TestHandTrajectory:
     def test_indices_strictly_increasing(self):
         a = flat_hand()

@@ -992,6 +992,112 @@ class TestChainedGroups:
         assert_jacobian_matches_reference(model, 20261020)
 
 
+def relinked(model, order):
+    """The model with its link list (the FK arrays' link axis) permuted:
+    link i of the result is link order[i] of the model."""
+    return robot_model.RobotModel(model.root_link, [model.links[i] for i in order],
+                                  model.joints)
+
+
+def assert_targets_select_their_links(model):
+    """Each group's write target picks its children from the link axis, in
+    order, and its read target its parents: a one-row read broadcasts a
+    shared parent. A chained group reads nothing."""
+    links = np.arange(len(model.links))
+    for g in model._fk_groups:
+        assert links[g.write].tolist() == g.children.tolist()
+        if g.chained:
+            assert g.read is None
+        else:
+            assert np.broadcast_to(links[g.read], g.parents.shape).tolist() == g.parents.tolist()
+
+
+class TestFkWriteTargets:
+    """Each group reads its parents and writes its children through a
+    basic slice where the link indices step evenly upward, else through the
+    index array; both give the per-joint references' bits."""
+
+    @staticmethod
+    def target_kinds(model):
+        def kind(target):
+            return "none" if target is None else type(target).__name__
+        return [(kind(g.read), kind(g.write)) for g in model._fk_groups]
+
+    @pytest.mark.parametrize("case, kinds", [
+        # fingers 1, 6, 11, 16 off the palm, then 2, 7, 12, 17 and so on
+        ("progression", [("slice", "slice")] + [("none", "slice")] * 4),
+        # the rotary group's children 2, 4, 5
+        ("not_progression", [("slice", "slice"), ("slice", "slice"), ("slice", "ndarray"),
+                             ("slice", "slice"), ("slice", "slice")]),
+        # every group one joint
+        ("single_child", [("slice", "slice")] * 4 + [("none", "slice")] * 2),
+        # the hand's links listed in reverse: 19, 14, 9, 4 off link 20
+        ("descending", [("slice", "ndarray")] + [("none", "ndarray")] * 4),
+        # parents 2, 1: gathered
+        ("gathered", [("slice", "slice"), ("ndarray", "slice"), ("none", "slice")]),
+        # parents 1, 1: one shared row
+        ("shared_parent", [("slice", "slice"), ("slice", "slice"), ("none", "slice")]),
+        ("chained", [("slice", "slice"), ("none", "slice"), ("none", "slice")]),
+    ])
+    def test_targets_and_bits(self, hand16, case, kinds):
+        model = {
+            "progression": lambda: hand16,
+            "not_progression": lambda: parse_urdf(MIXED_DEPTH),
+            "single_child": lambda: parse_urdf(PRISMATIC_MIMIC),
+            "descending": lambda: relinked(hand16, range(len(hand16.links) - 1, -1, -1)),
+            "gathered": lambda: two_level_tree([("b", "d"), ("a", "c")]),
+            "shared_parent": lambda: two_level_tree([("a", "c"), ("a", "d")]),
+            "chained": lambda: two_level_tree([("a", "c"), ("b", "d")]),
+        }[case]()
+        assert self.target_kinds(model) == kinds
+        assert_targets_select_their_links(model)
+        assert_fk_matches_reference(model, 20261021)
+        assert_jacobian_matches_reference(model, 20261021)
+
+    def test_hand16_slices(self, hand16):
+        assert [g.write for g in hand16._fk_groups] == \
+            [slice(k, k + 16, 5) for k in range(1, 6)]
+        assert hand16._fk_groups[0].read == slice(0, 1)
+
+    @given(urdf_trees(), st.integers(0, 2 ** 32 - 1))
+    @example(ZERO_DOF, 12345)
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees_and_link_orders(self, text, seed):
+        # a random link order mixes rising, falling and scattered indices
+        model = parse_urdf(text)
+        order = np.random.default_rng(seed).permutation(len(model.links))
+        for m in (model, relinked(model, order)):
+            assert_targets_select_their_links(m)
+            assert_fk_matches_reference(m, seed)
+            assert_jacobian_matches_reference(m, seed)
+
+
+class TestUncheckedCore:
+    """``_link_origins``, which the validating ``link_origins_batch`` calls
+    with its resolved rows, gives its values and Jacobian bit for bit."""
+
+    @pytest.mark.parametrize("text", [None, PRISMATIC_MIMIC], ids=["hand16", "prismatic_mimic"])
+    @pytest.mark.parametrize("b", [1, 5])
+    def test_core_matches_the_validating_entry(self, hand16_urdf_text, text, b, rng):
+        model = parse_urdf(text or hand16_urdf_text)
+        lo, hi = model.limit_arrays()
+        root_r = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.8).as_matrix()
+        root_t = np.array([0.1, -0.2, 0.45])
+        names = model.links[::-2]
+        idx, moves = robot_model._name_rows(model, names)
+        for _ in range(5):
+            qs = rng.uniform(lo, hi, size=(b, model.dof))
+            # the core on a fresh model, so that neither side reads the other's memo
+            fresh = parse_urdf(text or hand16_urdf_text)
+            want = (link_origins_batch(model, qs, root_r, root_t, names),
+                    *link_origins_batch(model, qs, root_r, root_t, names, jacobian=True))
+            got = (robot_model._link_origins(fresh, qs, root_r, root_t, idx, moves, False),
+                   *robot_model._link_origins(fresh, qs, root_r, root_t, idx, moves, True))
+            for w, g in zip(want, got):
+                assert g.flags["C_CONTIGUOUS"]
+                assert g.tobytes() == w.tobytes()
+
+
 class TestJacobianBitOracle:
     """The closed-form Jacobian equals its ``np.cross`` reference bit for bit."""
 
